@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -36,6 +35,7 @@ from .milnor import (
 from .presentations import ParseError, PresentationError, parse_presentation, parse_word
 from .trunc import (
     MixedExponentError,
+    free_truncation,
     group_invariants,
     relator_subspace,
     truncated_quotient,
@@ -78,9 +78,18 @@ def _minimality_dict(report) -> dict:
     }
 
 
-def _relator_images(p) -> list[dict]:
-    from .trunc import free_truncation
+def _group_dict(group, inv) -> dict:
+    return {
+        "n": group.n,
+        "order": inv.order,
+        "abelianization": sorted(inv.abelianization),
+        "center_order": inv.center_order,
+        "exponent": inv.exponent,
+        "relator_subspace": _subspace_dict(group.w),
+    }
 
+
+def _relator_images(p) -> list[dict]:
     free = free_truncation(p.n, p.q)
     out = []
     for word, source in zip(p.relators, p.relator_sources):
@@ -101,14 +110,7 @@ def cmd_truncate(args) -> int:
         "q": p.q,
         "generators": list(p.generators),
         "relator_images": _relator_images(p),
-        "group": {
-            "n": group.n,
-            "order": inv.order,
-            "abelianization": sorted(inv.abelianization),
-            "center_order": inv.center_order,
-            "exponent": inv.exponent,
-            "relator_subspace": _subspace_dict(group.w),
-        },
+        "group": _group_dict(group, inv),
         "minimality": _minimality_dict(report),
     }
     _emit(args, payload, f"level-3 quotient of order {inv.order} on {group.n} generators")
@@ -131,21 +133,16 @@ def cmd_reconstruct(args) -> int:
     if args.cd_json:
         with open(args.cd_json, encoding="utf-8") as fh:
             raw = json.load(fh)
-        cd = CohomologyData.from_json_dict(raw.get("cohomology", raw))
+        if isinstance(raw, dict) and "cohomology" in raw:
+            raw = raw["cohomology"]
+        cd = CohomologyData.from_json_dict(raw)
         group = reconstruct_g3(cd)
         inv = group_invariants(group)
         payload = {
             "command": "reconstruct",
             "q": cd.q,
             "source": "cohomology-tables",
-            "group": {
-                "n": group.n,
-                "order": inv.order,
-                "abelianization": sorted(inv.abelianization),
-                "center_order": inv.center_order,
-                "exponent": inv.exponent,
-                "relator_subspace": _subspace_dict(group.w),
-            },
+            "group": _group_dict(group, inv),
         }
         _emit(args, payload, f"reconstructed group of order {inv.order}")
         return EXIT_OK
@@ -157,18 +154,15 @@ def cmd_reconstruct(args) -> int:
     cd, _ = cohomology_data_from_presentation(p)
     group = reconstruct_g3(cd)
     equal = group.w == w
-    inv = group_invariants(group)
+    group_dict = _group_dict(group, group_invariants(group))
+    # round-trip reports keep their published shape: no center or exponent
+    del group_dict["center_order"], group_dict["exponent"]
     payload = {
         "command": "reconstruct",
         "q": p.q,
         "source": "presentation",
         "round_trip_equal": equal,
-        "group": {
-            "n": group.n,
-            "order": inv.order,
-            "abelianization": sorted(inv.abelianization),
-            "relator_subspace": _subspace_dict(group.w),
-        },
+        "group": group_dict,
         "minimality": _minimality_dict(report),
     }
     _emit(args, payload, "round-trip: " + ("equal" if equal else "MISMATCH"))
@@ -378,16 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if int(os.environ.get("GQ3_BUDGET", "0") or 0) < 0:
-        print("GQ3_BUDGET must be nonnegative", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot open file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (
         PresentationError,

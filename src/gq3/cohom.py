@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import presentations as pres
-from .freelie import word_nontriviality_certificate
+from .freelie import MAX_GENERATORS, word_nontriviality_certificate
 from .trunc import (
     CentralSubspace,
     MinimalityReport,
@@ -33,6 +33,8 @@ from .trunc import (
     truncated_quotient,
 )
 from .zqlin import (
+    MAX_AMBIENT,
+    MAX_Q,
     ZqMatrix,
     ZqSubspace,
     annihilator,
@@ -42,7 +44,6 @@ from .zqlin import (
     kernel,
     prime_power,
     row_space,
-    subspace_equal,
     subspace_sum,
 )
 
@@ -110,23 +111,53 @@ class CohomologyData:
         }
 
     @staticmethod
-    def from_json_dict(data: dict) -> "CohomologyData":
-        q = int(data["q"])
-        n = int(data["n"])
-        h2_rank = int(data["h2_rank"])
-        cup = {}
-        for key, vec in data.get("cup", {}).items():
-            k, l = (int(x) - 1 for x in key.split(","))
-            cup[(k, l)] = tuple(int(x) % q for x in vec)
-        bockstein = {}
-        for key, vec in data.get("bockstein", {}).items():
-            bockstein[int(key) - 1] = tuple(int(x) % q for x in vec)
-        for k, l in pair_list(n):
-            cup.setdefault((k, l), (0,) * h2_rank)
-        for k in range(n):
-            bockstein.setdefault(k, (0,) * h2_rank)
+    def from_json_dict(data) -> "CohomologyData":
+        """Tables in the to_json_dict layout, checked strictly.
+
+        Keys are 1-based: "k,l" with k < l <= n for cup and "k" with
+        k <= n for Bockstein.  Absent entries are zero; anything else
+        malformed raises ValueError.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("cohomology tables must be a JSON object")
+        missing = [key for key in ("q", "n", "h2_rank") if key not in data]
+        if missing:
+            raise ValueError(f"cohomology tables lack {', '.join(missing)}")
+        q, n, h2_rank = (_json_int(data[key], key) for key in ("q", "n", "h2_rank"))
+        if not 2 <= q <= MAX_Q:
+            raise ValueError(f"modulus {q} outside 2..{MAX_Q}")
+        if not 0 <= n <= MAX_GENERATORS:
+            raise ValueError(f"n = {n} outside 0..{MAX_GENERATORS}")
+        if not 0 <= h2_rank <= MAX_AMBIENT:
+            raise ValueError(f"h2_rank = {h2_rank} outside 0..{MAX_AMBIENT}")
+
+        def read_table(name: str, keys: dict) -> dict:
+            table = data.get(name, {})
+            if not isinstance(table, dict):
+                raise ValueError(f"{name} table must be a JSON object")
+            out = dict.fromkeys(keys.values(), (0,) * h2_rank)
+            for key, vec in table.items():
+                if key not in keys:
+                    raise ValueError(f"{name} key {key!r} out of range for n = {n}")
+                if not isinstance(vec, list) or len(vec) != h2_rank:
+                    raise ValueError(f"{name}[{key!r}] must be a list of {h2_rank} integers")
+                out[keys[key]] = tuple(_json_int(x, f"{name}[{key!r}] entry") % q for x in vec)
+            return out
+
+        cup = read_table("cup", {f"{k + 1},{l + 1}": (k, l) for k, l in pair_list(n)})
+        bockstein = read_table("bockstein", {str(k + 1): k for k in range(n)})
+        divisors = data.get("h2_divisors", [])
+        if not isinstance(divisors, list):
+            raise ValueError("h2_divisors must be a list of integers")
         return CohomologyData(q, n, h2_rank, cup, bockstein,
-                              tuple(data.get("h2_divisors", ())))
+                              tuple(_json_int(x, "h2_divisors entry") for x in divisors))
+
+
+def _json_int(x, what: str) -> int:
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def lambda_matrix(cd: CohomologyData) -> ZqMatrix:
@@ -226,7 +257,7 @@ def check_relator_independence(
     outcomes = []
     vectors = []
     infos = []
-    for word, source in zip(presentation.relators, pres.relator_source_list(presentation)):
+    for word, source in zip(presentation.relators, presentation.relator_sources):
         y = group.evaluate_word(word)
         cert = word_nontriviality_certificate(word, n, certificate_class)
         central = group.is_central(y)
@@ -394,7 +425,7 @@ def morphism_check(
 
     # well-definedness: relators of the source must die in the target
     env = dict(enumerate(images_quot))
-    for word, source in zip(pres1.relators, pres.relator_source_list(pres1)):
+    for word, source in zip(pres1.relators, pres1.relator_sources):
         if g2.evaluate_word(word, env) != g2.identity():
             raise MorphismError(f"images do not respect relator {source!r}")
 
@@ -422,10 +453,10 @@ def morphism_check(
     image_span = subspace_sum(pulled_p2, ann1)
     d2_size_source = p2.cardinality() // ann2.cardinality()
     d2_size_target = p1.cardinality() // ann1.cardinality()
-    pidec2_iso = subspace_equal(image_span, p1) and d2_size_source == d2_size_target
+    pidec2_iso = image_span == p1 and d2_size_source == d2_size_target
 
     layer2_full = full_subspace(q, p2.ambient_dim)
-    target_h2_dec = subspace_equal(p2, layer2_full)
+    target_h2_dec = p2 == layer2_full
 
     b_holds = pi3_iso
     d_holds = h1_iso and pidec2_iso
@@ -472,7 +503,7 @@ def obstruction_screen(
     ]
 
     infos = []
-    for word, source in zip(presentation.relators, pres.relator_source_list(presentation)):
+    for word, source in zip(presentation.relators, presentation.relator_sources):
         y = group.evaluate_word(word)
         cert = word_nontriviality_certificate(word, n, certificate_class)
         infos.append((word, source, y, cert))

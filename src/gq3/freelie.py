@@ -67,17 +67,6 @@ def bracket_node(u: HallElement, v: HallElement) -> HallElement:
     return HallElement(u.weight + v.weight, left=u, right=v)
 
 
-def is_hall(e: HallElement) -> bool:
-    if e.is_generator():
-        return True
-    u, v = e.left, e.right
-    if not (is_hall(u) and is_hall(v) and v < u):
-        return False
-    if u.is_generator():
-        return True
-    return u.right <= v
-
-
 def mobius(m: int) -> int:
     out = 1
     for f in range(2, m + 1):
@@ -120,63 +109,9 @@ def hall_basis(n: int, c: int) -> list[HallElement]:
 
 
 # ---------------------------------------------------------------------------
-# Lie elements on the Hall basis
+# Lie elements on the Hall basis and their tensor images
 
 LieElement = dict[HallElement, int]
-
-
-def lie_add(a: LieElement, b: LieElement) -> LieElement:
-    out = dict(a)
-    for h, x in b.items():
-        y = out.get(h, 0) + x
-        if y:
-            out[h] = y
-        else:
-            out.pop(h, None)
-    return out
-
-
-def lie_scale(a: LieElement, x: int) -> LieElement:
-    if x == 0:
-        return {}
-    return {h: c * x for h, c in a.items()}
-
-
-def lie_bracket(a: LieElement, b: LieElement, c: int) -> LieElement:
-    """Bracket rewritten to the Hall basis; weights above c are dropped."""
-    out: LieElement = {}
-    for ha, xa in a.items():
-        for hb, xb in b.items():
-            term = _basis_bracket(ha, hb, c)
-            if term:
-                out = lie_add(out, lie_scale(term, xa * xb))
-    return out
-
-
-def _basis_bracket(u: HallElement, v: HallElement, cap: int, _memo={}) -> LieElement:
-    if u.weight + v.weight > cap:
-        return {}
-    if u == v:
-        return {}
-    key = (u, v, cap)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    if u < v:
-        result = lie_scale(_basis_bracket(v, u, cap), -1)
-    elif u.is_generator() or u.right <= v:
-        result = {bracket_node(u, v): 1}
-    else:
-        # u = [u1, u2] with u2 > v: Leibniz form of the Jacobi identity,
-        # [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]].
-        u1, u2 = u.left, u.right
-        t1 = lie_bracket(_basis_bracket(u1, v, cap), {u2: 1}, cap)
-        t2 = lie_bracket({u1: 1}, _basis_bracket(u2, v, cap), cap)
-        result = lie_add(t1, t2)
-    _memo[key] = result
-    return result
-
-
 Tensor = dict[tuple[int, ...], int]
 
 

@@ -28,9 +28,9 @@ from .zqlin import (
     ZqMatrix,
     ZqSubspace,
     canonicalize,
+    invariant_factors,
     kernel,
     prime_power,
-    subspace_equal,
 )
 
 MAX_RANK = 4
@@ -70,8 +70,10 @@ class GradedAlgebra:
             if t is None or t.ambient_dim != self.gen_count**r:
                 raise ValueError(f"missing or malformed relation subspace in degree {r}")
         self._check_multiplicativity()
-        if self.commutativity_flag:
-            self._check_commutativity()
+        if self.commutativity_flag and not _contains_commutativity(
+            self.q, self.gen_count, self.components[2]
+        ):
+            raise ValueError("degree-2 relations do not contain commutativity")
 
     def _check_multiplicativity(self):
         for r in range(2, self.degree_bound):
@@ -85,20 +87,6 @@ class GradedAlgebra:
                             f"relations in degree {r} do not multiply into degree {r + 1}"
                         )
 
-    def _check_commutativity(self):
-        t2 = self.components[2]
-        m = self.gen_count
-        for i in range(m):
-            for j in range(i, m):
-                row = [0] * (m * m)
-                if i == j:
-                    row[i * m + i] = 2 % self.q
-                else:
-                    row[i * m + j] = 1
-                    row[j * m + i] = 1
-                if any(row) and not t2.contains(row):
-                    raise ValueError("degree-2 relations do not contain commutativity")
-
     def degree_cardinality(self, r: int) -> int:
         if r == 0:
             return self.q
@@ -110,16 +98,11 @@ class GradedAlgebra:
         """Cyclic factor orders of A_r, descending, trivial ones dropped."""
         if r == 1:
             return (self.q,) * self.gen_count
-        t = self.components[r]
-        n_coords = self.gen_count**r
-        if t.nrows == 0:
-            return (self.q,) * n_coords
-        from .zqlin import diagonal_of, smith_normal_form
-
-        d, _, _ = smith_normal_form(ZqMatrix.from_rows(self.q, t.basis, n_coords))
-        diag = list(diagonal_of(d)) + [0] * (n_coords - min(t.nrows, n_coords))
-        factors = [x if x else self.q for x in diag]
-        return tuple(sorted((f for f in factors if f > 1), reverse=True))
+        # A factor Z/f of T_r leaves Z/(q/f) in A_r; the coordinates T_r
+        # does not reach stay free.
+        inv = invariant_factors(self.components[r])
+        free = [self.q] * (self.gen_count**r - len(inv))
+        return tuple(sorted([self.q // f for f in inv if f < self.q] + free, reverse=True))
 
     def degree_rank(self, r: int) -> int:
         """Number of free Z/q-factors of A_r."""
@@ -139,6 +122,22 @@ def _tensor_shift(row, m: int, r: int, i: int, prepend: bool):
         else:
             out[idx * m + i] = x
     return out
+
+
+def _grcomm_rows(q: int, m: int) -> list[list[int]]:
+    """Graded commutativity in degree 2: x(x)y + y(x)x and 2 x(x)x."""
+    rows = []
+    for i in range(m):
+        for j in range(i, m):
+            row = [0] * (m * m)
+            if i == j:
+                row[i * m + i] = 2 % q
+            else:
+                row[i * m + j] = 1
+                row[j * m + i] = 1
+            if any(row):
+                rows.append(row)
+    return rows
 
 
 def _monomials(m: int, r: int):
@@ -196,26 +195,7 @@ def quadratic_hull(
 
 
 def _contains_commutativity(q: int, m: int, t2: ZqSubspace) -> bool:
-    for i in range(m):
-        for j in range(i, m):
-            row = [0] * (m * m)
-            if i == j:
-                row[i * m + i] = 2 % q
-            else:
-                row[i * m + j] = 1
-                row[j * m + i] = 1
-            if any(row) and not t2.contains(row):
-                return False
-    return True
-
-
-def quadraticity_test(a: GradedAlgebra) -> dict[int, bool]:
-    """Does the hull of the degree-(1,2) data reproduce every component?"""
-    hull = quadratic_hull(a.q, a.gen_count, a.components[2], a.degree_bound)
-    return {
-        r: subspace_equal(hull.components[r], a.components[r])
-        for r in range(2, a.degree_bound + 1)
-    }
+    return all(t2.contains(row) for row in _grcomm_rows(q, m))
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +269,6 @@ def _dlog_table(ell: int, g: int) -> dict[int, int]:
         table[x] = e
         x = (x * g) % ell
     return table
-
-
-def _grcomm_rows(q: int, m: int) -> list[list[int]]:
-    rows = []
-    for i in range(m):
-        for j in range(i, m):
-            row = [0] * (m * m)
-            if i == j:
-                row[i * m + i] = 2 % q
-            else:
-                row[i * m + j] = 1
-                row[j * m + i] = 1
-            if any(row):
-                rows.append(row)
-    return rows
 
 
 def _outer(q: int, m: int, u, v) -> list[int]:
@@ -420,39 +385,29 @@ def hilbert_relation_span(q: int = 2, precision_bits: int = 8) -> ZqSubspace:
     return canonicalize(2, 9, rows)
 
 
-def milnor_mod_q(
-    preset: FieldPreset, q: int, r_max: int = 4, check_stability: bool = True
-) -> GradedAlgebra:
+def milnor_mod_q(preset: FieldPreset, q: int, r_max: int = 4) -> GradedAlgebra:
     """The mod-q Milnor K-ring of a preset field in degrees <= r_max.
 
     Degree-2 relations come from the preset's enumeration oracle; higher
-    degrees are generated as the quadratic hull.  With check_stability
-    the oracle window (or 2-adic precision) is doubled and the span must
-    not move.
+    degrees are generated as the quadratic hull.  For the Laurent-series
+    and dyadic presets the oracle window (or 2-adic precision) is doubled
+    and the span must not move.
     """
     preset.validate_modulus(q)
     if preset.kind == "finite_field":
         t2 = steinberg_relations_finite(preset.ell, q)
-        if check_stability and not subspace_equal(t2, steinberg_relations_finite(preset.ell, q)):
-            raise OracleInstability("finite-field Steinberg span not reproducible")
         names = ("u",)
     elif preset.kind == "tame_local":
         t2 = steinberg_relations_tame(preset.ell, q, window=2)
-        if check_stability:
-            doubled = steinberg_relations_tame(preset.ell, q, window=4)
-            if not subspace_equal(t2, doubled):
-                raise OracleInstability(
-                    "tame Steinberg span changed when the valuation window doubled"
-                )
+        if t2 != steinberg_relations_tame(preset.ell, q, window=4):
+            raise OracleInstability(
+                "tame Steinberg span changed when the valuation window doubled"
+            )
         names = ("u", "t")
     else:
         t2 = hilbert_relation_span(q, precision_bits=8)
-        if check_stability:
-            refined = hilbert_relation_span(q, precision_bits=10)
-            if not subspace_equal(t2, refined):
-                raise OracleInstability(
-                    "dyadic relation span changed under precision increase"
-                )
+        if t2 != hilbert_relation_span(q, precision_bits=10):
+            raise OracleInstability("dyadic relation span changed under precision increase")
         names = ("-1", "2", "5")
     return quadratic_hull(q, len(names), t2, r_max, names)
 
@@ -513,13 +468,12 @@ def galois_symbol_compare(
     presentation: pres.Presentation,
     correspondence: dict[str, str],
     r_max: int = 4,
-    check_stability: bool = True,
 ) -> Report:
     """Check that the degree-1 correspondence extends to a graded
     isomorphism between the preset K-ring and the quadratic hull of the
     presentation's cohomology model, in degrees <= r_max.
     """
-    algebra = milnor_mod_q(preset, presentation.q, r_max, check_stability)
+    algebra = milnor_mod_q(preset, presentation.q, r_max)
     cd, report = cohomology_data_from_presentation(presentation)
     q = presentation.q
 
@@ -575,7 +529,7 @@ def galois_symbol_compare(
 
     ok = True
     for r in range(2, r_max + 1):
-        same = subspace_equal(field_hull_mapped.components[r], pres_hull.components[r])
+        same = field_hull_mapped.components[r] == pres_hull.components[r]
         card = algebra.degree_cardinality(r) == pres_hull.degree_cardinality(r)
         if same and card:
             outcomes.append(TestOutcome(f"degree-{r}", "passed"))

@@ -1,4 +1,4 @@
-"""Free-group words, presentation files, and free reduction.
+"""Free-group words and presentation files.
 
 The word grammar:
 
@@ -71,8 +71,6 @@ class Commutator:
 
 Word = Generator | Inverse | Power | Product | Commutator
 
-IDENTITY = Product(())
-
 
 def pretty(word: Word, names: Sequence[str]) -> str:
     """Render a word in the input grammar; reparsing gives an equal AST."""
@@ -96,8 +94,6 @@ def pretty(word: Word, names: Sequence[str]) -> str:
 def _atom(word: Word, names: Sequence[str]) -> str:
     if isinstance(word, (Generator, Commutator)):
         return pretty(word, names)
-    if isinstance(word, Product) and len(word.factors) != 1:
-        return f"({pretty(word, names)})"
     return f"({pretty(word, names)})"
 
 
@@ -118,7 +114,7 @@ def generator_indices(word: Word) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Free reduction
+# Syllables
 
 Syllable = tuple[int, int]  # (generator index, nonzero exponent)
 
@@ -165,103 +161,6 @@ def reduce_syllables(seq: Sequence[Syllable]) -> list[Syllable]:
         else:
             out.append((g, e))
     return out
-
-
-def free_reduce(word: Word, expand_commutators: bool = True) -> Word:
-    """Canonical reduced form in the free group.
-
-    With expand_commutators set, every ``[u, v]`` is rewritten to
-    u^-1 v^-1 u v first, so the result is a flat product of generator
-    powers.  Otherwise commutators are kept as atoms; ones with freely
-    equal or trivial arguments are dropped.
-    """
-    if expand_commutators:
-        return syllables_to_word(reduce_syllables(letters(word)))
-    return _reduce_shallow(word)
-
-
-def _reduce_shallow(word: Word) -> Word:
-    match word:
-        case Commutator(a, b):
-            ra = free_reduce(a, False)
-            rb = free_reduce(b, False)
-            if ra == IDENTITY or rb == IDENTITY or ra == rb:
-                return IDENTITY
-            return Commutator(ra, rb)
-        case Inverse(b):
-            rb = _reduce_shallow(b)
-            if rb == IDENTITY:
-                return IDENTITY
-            return Inverse(rb)
-        case Power(b, e):
-            rb = _reduce_shallow(b)
-            if rb == IDENTITY or e == 0:
-                return IDENTITY
-            return rb if e == 1 else Power(rb, e)
-        case Product(fs):
-            flat: list[Word] = []
-            for f in fs:
-                rf = _reduce_shallow(f)
-                if rf == IDENTITY:
-                    continue
-                if isinstance(rf, Product):
-                    flat.extend(rf.factors)
-                else:
-                    flat.append(rf)
-            # cancel adjacent syllables of plain generator powers
-            merged = _merge_generator_runs(flat)
-            if len(merged) == 1:
-                return merged[0]
-            return Product(tuple(merged))
-        case _:
-            return word
-
-
-def _merge_generator_runs(factors: list[Word]) -> list[Word]:
-    out: list[Word] = []
-    for f in factors:
-        s = _as_syllable(f)
-        if s is not None and out:
-            prev = _as_syllable(out[-1])
-            if prev is not None and prev[0] == s[0]:
-                e = prev[1] + s[1]
-                out.pop()
-                if e:
-                    out.append(syllables_to_word([(s[0], e)]))
-                continue
-        out.append(f)
-    return out
-
-
-def _as_syllable(f: Word) -> Syllable | None:
-    match f:
-        case Generator(k):
-            return (k, 1)
-        case Inverse(Generator(k)):
-            return (k, -1)
-        case Power(Generator(k), e):
-            return (k, e)
-    return None
-
-
-def syllables_to_word(seq: Sequence[Syllable]) -> Word:
-    factors: list[Word] = []
-    for g, e in seq:
-        if e == 1:
-            factors.append(Generator(g))
-        elif e != 0:
-            factors.append(Power(Generator(g), e))
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
-
-
-def exponent_sums(word: Word, n: int) -> list[int]:
-    """Integer exponent sum of each generator (the abelianized image)."""
-    sums = [0] * n
-    for g, e in letters(word):
-        sums[g] += e
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +320,7 @@ class Presentation:
     d: int
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    relator_sources: tuple[str, ...] = ()
+    relator_sources: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -451,13 +350,6 @@ def make_presentation(q: int, generators: Sequence[str], relator_texts: Sequence
             raise ParseError(f"in relator {i + 1} ({text!r}): {exc.bare_message}",
                              exc.line, exc.col) from None
     return Presentation(q, p, d, gens, tuple(relators), tuple(relator_texts))
-
-
-def relator_source_list(p: Presentation) -> tuple[str, ...]:
-    """Relator display strings, regenerated when the originals are absent."""
-    if len(p.relator_sources) == len(p.relators):
-        return p.relator_sources
-    return tuple(pretty(w, p.generators) for w in p.relators)
 
 
 def parse_word(text: str, ctx: Presentation | dict[str, int]) -> Word:

@@ -20,11 +20,10 @@ with unit pivots; see relator_subspace.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from . import presentations as pres
-from .freelie import word_nontriviality_certificate
+from .freelie import MAX_GENERATORS, word_nontriviality_certificate
 from .zqlin import (
     ZqMatrix,
     ZqSubspace,
@@ -32,13 +31,10 @@ from .zqlin import (
     diagonal_of,
     kernel,
     prime_power,
-    row_space,
     smith_normal_form,
     subspace_intersect,
     zero_subspace,
 )
-
-MAX_GENERATORS = 8
 
 CentralSubspace = ZqSubspace
 
@@ -269,11 +265,9 @@ def relator_subspace(
     warnings: list[str] = []
     dropped: list[str] = []
 
-    all_sources = pres.relator_source_list(presentation)
-
     ys: list[TruncElement] = []
     sources: list[str] = []
-    for word, source in zip(presentation.relators, all_sources):
+    for word, source in zip(presentation.relators, presentation.relator_sources):
         y = group.evaluate_word(word)
         if y == group.identity():
             cert = word_nontriviality_certificate(word, n, min(certificate_class, 6))
@@ -407,7 +401,7 @@ def truncated_quotient(presentation: pres.Presentation) -> tuple[TruncGroup, Min
 
 
 # ---------------------------------------------------------------------------
-# Invariants and isomorphism screening
+# Invariants
 
 
 @dataclass(frozen=True)
@@ -486,64 +480,3 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
             break
 
     return GroupInvariants(g.order(), ab, center, exponent)
-
-
-DEFAULT_BUDGET = 200_000
-
-
-def configured_budget() -> int:
-    """Brute-force step cap, overridable through GQ3_BUDGET."""
-    raw = os.environ.get("GQ3_BUDGET", "").strip()
-    if raw:
-        value = int(raw)
-        if value > 0:
-            return value
-    return DEFAULT_BUDGET
-
-
-def brute_isomorphic(a: TruncGroup, b: TruncGroup, budget: int | None = None) -> bool | None:
-    """Decide isomorphism: canonical data, then invariants, then search.
-
-    Equal (n, q, w) is a positive fast path; differing invariants a
-    negative one.  Otherwise generating tuples of b are searched for one
-    satisfying a's relations; None means the budget ran out first.
-    """
-    if budget is None:
-        budget = configured_budget()
-    if (a.n, a.q) == (b.n, b.q) and a.w == b.w:
-        return True
-    if group_invariants(a) != group_invariants(b):
-        return False
-    if b.order() > budget:
-        return None
-    elements = list(b.elements())
-    p = prime_power(b.q)[0]
-    examined = 0
-    for images in itertools.product(elements, repeat=a.n):
-        examined += 1
-        if examined > budget:
-            return None
-        # generating tuples only: degree-1 parts must span mod p
-        mat = ZqMatrix.from_rows(p, [[x % p for x in img.e] for img in images], b.n)
-        if row_space(mat).cardinality() != p**b.n:
-            continue
-        if _respects_relations(a, b, images):
-            return True
-    return False
-
-
-def _respects_relations(a: TruncGroup, b: TruncGroup, images) -> bool:
-    q = a.q
-    for row in a.w.basis:
-        acc = b.identity()
-        for k in range(a.n):
-            t = row[k]
-            if t:
-                acc = b.multiply(acc, b.power(images[k], q * t))
-        for idx, (k, l) in enumerate(a.pairs):
-            cexp = row[a.n + idx]
-            if cexp:
-                acc = b.multiply(acc, b.power(b.commutator(images[k], images[l]), cexp))
-        if acc != b.identity():
-            return False
-    return True

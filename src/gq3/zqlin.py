@@ -131,31 +131,9 @@ class ZqMatrix:
             ncols = len(rows[0])
         return ZqMatrix(q, len(rows), ncols, tuple(rows))
 
-    @staticmethod
-    def identity(q: int, n: int) -> "ZqMatrix":
-        return ZqMatrix(q, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(q: int, nrows: int, ncols: int) -> "ZqMatrix":
-        return ZqMatrix(q, nrows, ncols, tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "ZqMatrix":
         return ZqMatrix(self.q, self.ncols, self.nrows,
                         tuple(tuple(self.entries[i][j] for i in range(self.nrows)) for j in range(self.ncols)))
-
-    def matmul(self, other: "ZqMatrix") -> "ZqMatrix":
-        if self.q != other.q or self.ncols != other.nrows:
-            raise DimensionMismatch("matmul shape/modulus mismatch")
-        q = self.q
-        out = []
-        for i in range(self.nrows):
-            a = self.entries[i]
-            out.append(tuple(sum(a[k] * other.entries[k][j] for k in range(self.ncols)) % q
-                             for j in range(other.ncols)))
-        return ZqMatrix(q, self.nrows, other.ncols, tuple(out))
 
     def apply_to_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-times-column action on a length-ncols vector."""
@@ -163,10 +141,6 @@ class ZqMatrix:
             raise DimensionMismatch("vector length mismatch")
         q = self.q
         return tuple(sum(row[k] * v[k] for k in range(self.ncols)) % q for row in self.entries)
-
-    def is_diagonal(self) -> bool:
-        return all(self.entries[i][j] == 0
-                   for i in range(self.nrows) for j in range(self.ncols) if i != j)
 
 
 @dataclass(frozen=True)
@@ -209,9 +183,6 @@ class ZqSubspace:
             total *= self.q // pivot
         return total
 
-    def pivot_values(self) -> tuple[int, ...]:
-        return tuple(next(x for x in row if x != 0) for row in self.basis)
-
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce_vector(vec))
 
@@ -232,19 +203,6 @@ class ZqSubspace:
                 for k in range(j, self.ambient_dim):
                     v[k] = (v[k] - coeff * row[k]) % q
         return tuple(v)
-
-    def vectors(self) -> Iterable[tuple[int, ...]]:
-        """Enumerate all elements (intended for small subspaces only)."""
-        import itertools
-
-        orders = [self.q // piv for piv in self.pivot_values()]
-        for coeffs in itertools.product(*(range(o) for o in orders)):
-            acc = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for k in range(self.ambient_dim):
-                        acc[k] = (acc[k] + c * row[k]) % self.q
-            yield tuple(acc)
 
 
 def zero_subspace(q: int, ambient_dim: int) -> ZqSubspace:
@@ -397,11 +355,6 @@ def kernel(m: ZqMatrix) -> ZqSubspace:
     return canonicalize(q, m.ncols, rows)
 
 
-def image(m: ZqMatrix) -> ZqSubspace:
-    """Column space of m, i.e. the row span of its transpose."""
-    return canonicalize(m.q, m.nrows, m.transpose().entries)
-
-
 def row_space(m: ZqMatrix) -> ZqSubspace:
     return canonicalize(m.q, m.ncols, m.entries)
 
@@ -411,10 +364,6 @@ def annihilator(w: ZqSubspace) -> ZqSubspace:
     if w.nrows == 0:
         return full_subspace(w.q, w.ambient_dim)
     return kernel(ZqMatrix.from_rows(w.q, w.basis, w.ambient_dim))
-
-
-def subspace_equal(a: ZqSubspace, b: ZqSubspace) -> bool:
-    return a == b
 
 
 def subspace_sum(a: ZqSubspace, b: ZqSubspace) -> ZqSubspace:

@@ -62,6 +62,20 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_directory_as_input_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "truncate", str(tmp_path))
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_budget_variable_is_ignored(tame_file, monkeypatch, capsys):
+    _, plain, _ = run_cli(capsys, "truncate", tame_file)
+    monkeypatch.setenv("GQ3_BUDGET", "abc")
+    code, out, _ = run_cli(capsys, "truncate", tame_file)
+    assert code == 0
+    assert out == plain
+
+
 def test_cohomology_report(tame_file, capsys):
     code, out, _ = run_cli(capsys, "cohomology", tame_file)
     assert code == 0
@@ -87,6 +101,29 @@ def test_reconstruct_from_cd_json(tmp_path, tame_file, capsys):
     assert code == 0
     data = json.loads(out2)
     assert data["group"]["order"] == 81
+
+
+TABLES = {"q": 3, "n": 2, "h2_rank": 1, "cup": {"1,2": [1]}, "bockstein": {"1": [1]}}
+
+
+@pytest.mark.parametrize("change", [
+    {"cup": {"2,1": [1]}},
+    {"bockstein": {"1": [1], "7": [1]}},
+    {"cup": {"1,2": [1.5]}},
+    {"cup": {"1,2": [1, 0]}},
+    {"q": None},
+    {"n": None},
+    {"h2_rank": None},
+], ids=["cup-reversed-key", "bockstein-key-range", "non-integer", "vector-length",
+        "missing-q", "missing-n", "missing-h2_rank"])
+def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
+    tables = {k: v for k, v in {**TABLES, **change}.items() if v is not None}
+    cd_path = tmp_path / "cd.json"
+    cd_path.write_text(json.dumps(tables))
+    code, out, err = run_cli(capsys, "reconstruct", "--cd-json", str(cd_path))
+    assert code == 3
+    assert out == ""
+    assert "validation error" in err
 
 
 def test_reconstruct_mixed_exponent_warns(tmp_path, capsys):

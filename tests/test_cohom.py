@@ -17,7 +17,7 @@ from gq3.cohom import (
 )
 from gq3.presentations import make_presentation, parse_word
 from gq3.trunc import free_truncation, relator_subspace, truncated_quotient
-from gq3.zqlin import image
+from gq3.zqlin import row_space
 
 
 def cd_from_tables(q, n, h2_rank, cup=None, bockstein=None):
@@ -115,7 +115,7 @@ def test_lambda_surjectivity_rank_equality():
     p = make_presentation(4, ["x1", "x2", "x3"], ["x1^4 [x2,x3]", "x2^8 [x1,x3]"])
     cd, _ = cohomology_data_from_presentation(p)
     w, _ = relator_subspace(p)
-    assert image(lambda_matrix(cd)).cardinality() == w.cardinality()
+    assert row_space(lambda_matrix(cd).transpose()).cardinality() == w.cardinality()
 
 
 RANDOM_MODULI = [2, 3, 4, 5]

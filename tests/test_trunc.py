@@ -9,7 +9,6 @@ from gq3.presentations import make_presentation, parse_word
 from gq3.trunc import (
     MixedExponentError,
     TruncElement,
-    brute_isomorphic,
     free_truncation,
     group_invariants,
     quotient,
@@ -169,7 +168,8 @@ def test_commutator_layer_matches_magnus_expansion(nq, seed):
     the commutator coordinates must equal the antisymmetric degree-2
     component of the Magnus expansion, mod q."""
     from gq3.freelie import graded_component, magnus_expansion
-    from gq3.presentations import Commutator, letters, reduce_syllables, syllables_to_word
+    from gq3.presentations import Commutator, letters, reduce_syllables
+    from oracles import syllables_to_word
 
     n, q = nq
     g = free_truncation(n, q)
@@ -483,67 +483,6 @@ def test_invariants_spec_examples():
     g1 = free_truncation(1, 5)
     inv1 = group_invariants(g1)
     assert inv1.center_order == inv1.order
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism screening
-
-
-def test_brute_isomorphic_identical():
-    p = make_presentation(2, ["x1", "x2"], ["x1^2"])
-    a, _ = truncated_quotient(p)
-    b, _ = truncated_quotient(p)
-    assert brute_isomorphic(a, b) is True
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_brute_isomorphic_deep_perturbation(q):
-    p1 = make_presentation(q, ["x1", "x2"], [f"x1^{q}"])
-    p2 = make_presentation(q, ["x1", "x2"], [f"x1^{q} [x1,[x1,x2]]"])
-    a, _ = truncated_quotient(p1)
-    b, _ = truncated_quotient(p2)
-    assert a.w == b.w
-    assert brute_isomorphic(a, b) is True
-
-
-def test_brute_isomorphic_distinguishes():
-    p1 = make_presentation(2, ["x1", "x2"], ["x1^2"])
-    p2 = make_presentation(2, ["x1", "x2"], ["[x1,x2]"])
-    a, _ = truncated_quotient(p1)
-    b, _ = truncated_quotient(p2)
-    assert brute_isomorphic(a, b) is False
-
-
-def test_brute_isomorphic_slow_path_finds_relabeling():
-    # same group presented with the roles of the generators swapped
-    p1 = make_presentation(2, ["x1", "x2"], ["x1^2"])
-    p2 = make_presentation(2, ["x1", "x2"], ["x2^2"])
-    a, _ = truncated_quotient(p1)
-    b, _ = truncated_quotient(p2)
-    assert a.w != b.w
-    assert brute_isomorphic(a, b) is True
-
-
-def test_brute_isomorphic_budget_exhaustion():
-    p1 = make_presentation(2, ["x1", "x2"], ["x1^2"])
-    p2 = make_presentation(2, ["x1", "x2"], ["x2^2"])
-    a, _ = truncated_quotient(p1)
-    b, _ = truncated_quotient(p2)
-    assert brute_isomorphic(a, b, budget=3) is None
-
-
-def test_budget_env_override(monkeypatch):
-    from gq3.trunc import DEFAULT_BUDGET, configured_budget
-
-    monkeypatch.delenv("GQ3_BUDGET", raising=False)
-    assert configured_budget() == DEFAULT_BUDGET
-    monkeypatch.setenv("GQ3_BUDGET", "12")
-    assert configured_budget() == 12
-    p1 = make_presentation(2, ["x1", "x2"], ["x1^2"])
-    p2 = make_presentation(2, ["x1", "x2"], ["x2^2"])
-    a, _ = truncated_quotient(p1)
-    b, _ = truncated_quotient(p2)
-    assert brute_isomorphic(a, b) is None  # capped by the env var
 
 
 def test_order_times_subspace_is_free_order():
