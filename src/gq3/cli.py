@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -55,7 +56,14 @@ def _emit(args, payload: dict, summary: str) -> None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader went away: the verdict still stands.  Later writes
+            # and the flush at exit go to the null device, not a closed pipe.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     print(summary, file=sys.stderr)
 
 
@@ -132,7 +140,10 @@ def cmd_cohomology(args) -> int:
 def cmd_reconstruct(args) -> int:
     if args.cd_json:
         with open(args.cd_json, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
         if isinstance(raw, dict) and "cohomology" in raw:
             raw = raw["cohomology"]
         cd = CohomologyData.from_json_dict(raw)

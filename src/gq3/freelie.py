@@ -7,6 +7,13 @@ gr_m of the lower central series, a Lie element of the free Lie ring.
 A nonzero component at weight m certifies that the word lies outside
 the (m+1)-st lower central subgroup, so in particular is nontrivial.
 
+The cost of a certificate depends on the shape of the word and the
+caps on generators and class, never on the size of its exponents: the
+series is expanded over the generators the word uses only, truncated at
+m = 1, 2, ... up to the first nonzero component, and a power x^e or
+w^e enters as the binomial series sum_j C(e, j) X^j, never by writing
+its base out e times.
+
 Everything is integral: Hall elements expand into the tensor algebra
 with integer coefficients and form a Z-basis of the Lie ring in each
 weight, which lets the certificate be expressed on the Hall basis by
@@ -144,28 +151,101 @@ def _gbinom(e: int, j: int) -> int:
     return num // math.factorial(j)
 
 
+def _add(acc: dict, terms: dict, scale=1) -> None:
+    """acc += scale * terms, in place, keeping acc free of zero entries."""
+    for key, x in terms.items():
+        y = acc.get(key, 0) + scale * x
+        if y:
+            acc[key] = y
+        else:
+            acc.pop(key, None)
+
+
+def _multiply(a: Tensor, b: Tensor, cap: int) -> Tensor:
+    """Product of two series, dropping monomials longer than cap."""
+    out: Tensor = {}
+    for ma, xa in a.items():
+        room = cap - len(ma)
+        for mb, xb in b.items():
+            if len(mb) <= room:
+                mon = ma + mb
+                y = out.get(mon, 0) + xa * xb
+                if y:
+                    out[mon] = y
+                else:
+                    out.pop(mon, None)
+    return out
+
+
+def _power(series: Tensor, e: int, cap: int) -> Tensor:
+    """series^e truncated at cap, as the binomial series sum_j C(e, j) X^j.
+
+    series is 1 + X with X free of constant term, as every Magnus series
+    of a group element is, so X^j starts in degree j and the sum stops at
+    j = cap: the cost does not depend on the size of e.
+    """
+    x = {mon: v for mon, v in series.items() if mon}
+    out: Tensor = {(): 1}
+    term: Tensor = {(): 1}
+    for j in range(1, cap + 1):
+        coeff = _gbinom(e, j)
+        if not coeff:  # 0 <= e < j, and so for every later j too
+            break
+        term = _multiply(term, x, cap)
+        if not term:
+            break
+        _add(out, term, coeff)
+    return out
+
+
 def magnus_expansion(syllables: Sequence[tuple[int, int]], cap: int) -> Tensor:
     """Truncated expansion of a word: each generator power maps to (1+x)^e."""
     series: Tensor = {(): 1}
     for g, e in syllables:
-        factor = {tuple([g] * j): _gbinom(e, j) for j in range(cap + 1)}
-        new: Tensor = {}
-        for ma, xa in series.items():
-            if xa == 0:
-                continue
-            room = cap - len(ma)
-            for j in range(room + 1):
-                xb = factor[tuple([g] * j)]
-                if xb == 0:
-                    continue
-                mon = ma + tuple([g] * j)
-                y = new.get(mon, 0) + xa * xb
-                if y:
-                    new[mon] = y
-                else:
-                    new.pop(mon, None)
-        series = new
+        series = _multiply(series, _power({(): 1, (g,): 1}, e, cap), cap)
     return series
+
+
+def _has_composite_power(word: pres.Word) -> bool:
+    """Whether the word raises a base of more than one syllable to a power."""
+    match word:
+        case pres.Generator():
+            return False
+        case pres.Inverse(b):
+            return _has_composite_power(b)
+        case pres.Power(b, _):
+            return _has_composite_power(b) or len(pres.letters(b)) > 1
+        case pres.Product(fs):
+            return any(_has_composite_power(f) for f in fs)
+        case pres.Commutator(a, b):
+            return _has_composite_power(a) or _has_composite_power(b)
+    raise TypeError(f"not a word node: {word!r}")
+
+
+def _word_series(word: pres.Word, cap: int, label: dict[int, int]) -> Tensor:
+    """Truncated Magnus series of a word, generator g written as label[g].
+
+    A subtree without composite powers is flattened to syllables; a
+    composite power is the binomial series of its base's series.
+    """
+    if not _has_composite_power(word):
+        syllables = pres.reduce_syllables(pres.letters(word))
+        return magnus_expansion([(label[g], e) for g, e in syllables], cap)
+    match word:
+        case pres.Inverse(b):
+            return _power(_word_series(b, cap, label), -1, cap)
+        case pres.Power(b, e):
+            return _power(_word_series(b, cap, label), e, cap)
+        case pres.Product(fs):
+            out: Tensor = {(): 1}
+            for f in fs:
+                out = _multiply(out, _word_series(f, cap, label), cap)
+            return out
+        case pres.Commutator(a, b):
+            sa, sb = _word_series(a, cap, label), _word_series(b, cap, label)
+            out = _multiply(_power(sa, -1, cap), _power(sb, -1, cap), cap)
+            return _multiply(_multiply(out, sa, cap), sb, cap)
+    raise TypeError(f"not a word node: {word!r}")
 
 
 def graded_component(series: Tensor, m: int) -> Tensor:
@@ -178,54 +258,67 @@ def tensor_to_hall(component: Tensor, n: int, m: int) -> LieElement:
     Raises if the component is not in the integer span, which would mean
     the input was not the graded image of a group element.
     """
-    basis = [h for h in hall_basis(n, min(m, MAX_CLASS)) if h.weight == m]
-    expansions = [tensor_expansion(h) for h in basis]
-    monomials = sorted({mon for t in expansions for mon in t} | set(component))
-    mon_index = {mon: i for i, mon in enumerate(monomials)}
-    rows = []
-    for t in expansions:
-        row = [Fraction(0)] * len(monomials)
-        for mon, x in t.items():
-            row[mon_index[mon]] = Fraction(x)
-        rows.append(row)
-    target = [Fraction(0)] * len(monomials)
-    for mon, x in component.items():
-        target[mon_index[mon]] = Fraction(x)
-    coeffs = _solve_exact(rows, target)
+    # Hall elements and their expansions are homogeneous in each generator,
+    # so only elements with the letter content of some monomial can occur.
+    contents = {tuple(sorted(mon)) for mon in component}
+    basis = [h for h in hall_basis(n, min(m, MAX_CLASS))
+             if h.weight == m and _content(h) in contents]
+    coeffs = _solve_exact([tensor_expansion(h) for h in basis], component)
     out: LieElement = {}
-    for h, x in zip(basis, coeffs):
-        if x != 0:
-            if x.denominator != 1:
-                raise ArithmeticError("non-integral Hall coefficient")
-            out[h] = int(x)
+    for i, x in sorted(coeffs.items()):
+        if x.denominator != 1:
+            raise ArithmeticError("non-integral Hall coefficient")
+        out[basis[i]] = int(x)
     return out
 
 
-def _solve_exact(rows: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    """Solve sum_i c_i rows[i] = target over Q; raises if inconsistent."""
-    k = len(rows)
-    width = len(target)
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(rows)]
-    aug.append(target[:] + [Fraction(0)] * k)
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, k) if aug[i][col] != 0), None)
+def _content(h: HallElement) -> tuple[int, ...]:
+    """The generator indices of h's leaves, sorted, with repetition."""
+    if h.is_generator():
+        return (h.index,)
+    return tuple(sorted(_content(h.left) + _content(h.right)))
+
+
+def _solve_exact(rows: list[Tensor], target: Tensor) -> dict[int, Fraction]:
+    """Nonzero c_i with sum_i c_i rows[i] = target over Q; raises if inconsistent.
+
+    Sparse echelon elimination: each pivot row is kept scaled to lead with
+    coefficient 1 at its least monomial, together with the combination of
+    the input rows it equals.  Every other monomial of a pivot row is
+    larger than its lead, so a vector in the span leads with some pivot.
+    """
+    pivots: dict[tuple[int, ...], tuple[dict, dict]] = {}
+    for i, row in enumerate(rows):
+        vec = {mon: Fraction(x) for mon, x in row.items()}
+        combo = {i: Fraction(1)}
+        while vec:
+            lead = min(vec)
+            piv = pivots.get(lead)
+            if piv is None:
+                scale = vec[lead]
+                pivots[lead] = ({k: x / scale for k, x in vec.items()},
+                                {k: x / scale for k, x in combo.items()})
+                break
+            f = vec[lead]
+            _add(vec, piv[0], -f)
+            _add(combo, piv[1], -f)
+    rest = {mon: Fraction(x) for mon, x in target.items()}
+    coeffs: dict[int, Fraction] = {}
+    while rest:
+        lead = min(rest)
+        piv = pivots.get(lead)
         if piv is None:
-            if aug[k][col] != 0:
-                raise ArithmeticError("component outside the Lie span")
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][col]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(k + 1):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    # target row now expresses -coefficients in the bookkeeping columns
-    return [-aug[k][width + i] for i in range(k)]
+            raise ArithmeticError("component outside the Lie span")
+        f = rest[lead]
+        _add(rest, piv[0], -f)
+        _add(coeffs, piv[1], f)
+    return coeffs
+
+
+def _relabel(h: HallElement, labels: Sequence[int]) -> HallElement:
+    if h.is_generator():
+        return generator(labels[h.index])
+    return bracket_node(_relabel(h.left, labels), _relabel(h.right, labels))
 
 
 def word_nontriviality_certificate(
@@ -237,20 +330,25 @@ def word_nontriviality_certificate(
     the (c+1)-st lower central subgroup of the free group, hence not
     trivial.  Returns None when the word is freely trivial or all its
     components up to weight c vanish.
+
+    The expansion runs over the generators the word uses, relabelled in
+    increasing order to 0..k-1; a monotone relabelling keeps the Hall
+    order, so the Hall basis on k generators maps onto the elements of
+    the basis on n generators that use only those, and the solution,
+    being unique, is the same.
     """
     if not (1 <= n <= MAX_GENERATORS):
         raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
     if not (1 <= c <= MAX_CLASS):
         raise BoundsExceeded(f"class bound {c} outside 1..{MAX_CLASS}")
-    for k in pres.generator_indices(word):
+    support = sorted(pres.generator_indices(word))
+    for k in support:
         if k >= n:
             raise BoundsExceeded(f"word references generator {k + 1} > n = {n}")
-    syllables = pres.reduce_syllables(pres.letters(word))
-    if not syllables:
-        return None
-    series = magnus_expansion(syllables, c)
+    label = {g: i for i, g in enumerate(support)}
     for m in range(1, c + 1):
-        component = graded_component(series, m)
+        component = graded_component(_word_series(word, m, label), m)
         if component:
-            return m, tensor_to_hall(component, n, m)
+            lie = tensor_to_hall(component, len(support), m)
+            return m, {_relabel(h, support): x for h, x in lie.items()}
     return None

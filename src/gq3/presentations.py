@@ -120,7 +120,11 @@ Syllable = tuple[int, int]  # (generator index, nonzero exponent)
 
 
 def letters(word: Word, sign: int = 1) -> list[Syllable]:
-    """Flatten to generator powers, expanding commutators definitionally."""
+    """Flatten to generator powers, expanding commutators definitionally.
+
+    A power whose base flattens to one syllable stays one syllable; any
+    other power repeats its base |e| times.
+    """
     match word:
         case Generator(k):
             return [(k, sign)]
@@ -130,6 +134,9 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
             if e == 0:
                 return []
             seq = letters(b, 1 if e > 0 else -1)
+            if len(seq) == 1:
+                g, x = seq[0]
+                return [(g, sign * x * abs(e))]
             total = seq * abs(e) if sign > 0 else [(g, -x) for g, x in reversed(seq)] * abs(e)
             return total
         case Product(fs):

@@ -26,9 +26,11 @@ class DimensionMismatch(ValueError):
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Return (p, d) with q = p^d, or raise ValueError."""
+    """Return (p, d) with q = p^d <= MAX_Q, or raise ValueError."""
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
+    if q > MAX_Q:
+        raise ValueError(f"modulus {q} exceeds cap {MAX_Q}")
     p = min(f for f in range(2, q + 1) if q % f == 0)
     d = 0
     m = q
@@ -110,8 +112,6 @@ class ZqMatrix:
 
     def __post_init__(self):
         p, _ = prime_power(self.q)  # validates q
-        if self.q > MAX_Q:
-            raise ValueError(f"modulus {self.q} exceeds cap {MAX_Q}")
         if not (0 <= self.ncols <= MAX_AMBIENT):
             raise ValueError(f"column count {self.ncols} out of range")
         if len(self.entries) != self.nrows:
@@ -159,8 +159,6 @@ class ZqSubspace:
 
     def __post_init__(self):
         prime_power(self.q)
-        if self.q > MAX_Q:
-            raise ValueError(f"modulus {self.q} exceeds cap {MAX_Q}")
         if not (0 <= self.ambient_dim <= MAX_AMBIENT):
             raise ValueError(f"ambient dimension {self.ambient_dim} out of range")
         for row in self.basis:

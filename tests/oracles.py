@@ -1,15 +1,16 @@
 """Reference helpers that the tests check gq3 against.
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
-syllables, recognise Hall elements, multiply Z/q matrices and enumerate
-small submodules, so that the library's answers can be verified by
-direct construction.
+syllables, recognise Hall elements, multiply Z/q matrices, enumerate
+small submodules and compute word certificates the direct way, so that
+the library's answers can be verified by direct construction.
 """
 
 import itertools
+from fractions import Fraction
 
-from gq3.freelie import HallElement
-from gq3.presentations import Generator, Power, Product
+from gq3.freelie import HallElement, hall_basis, tensor_expansion
+from gq3.presentations import Commutator, Generator, Inverse, Power, Product
 from gq3.zqlin import ZqMatrix, ZqSubspace
 
 
@@ -70,3 +71,82 @@ def subspace_vectors(w: ZqSubspace):
             for k in range(w.ambient_dim):
                 acc[k] = (acc[k] + c * row[k]) % w.q
         yield tuple(acc)
+
+
+# ---------------------------------------------------------------------------
+# Word certificates the direct way: every power written out letter by
+# letter, the Magnus series over all n generators up to class c, and a
+# dense Gauss-Jordan solve over Q on the whole Hall basis of the weight.
+# The cost grows with the exponents, so keep them small.
+
+
+def flat_letters(word, sign=1):
+    """The letters (generator, +-1) of word^sign, every power written out."""
+    if isinstance(word, Generator):
+        return [(word.index, sign)]
+    if isinstance(word, Inverse):
+        return flat_letters(word.body, -sign)
+    if isinstance(word, Power):
+        e = word.exponent
+        return flat_letters(word.body, sign if e > 0 else -sign) * abs(e)
+    if isinstance(word, Product):
+        factors = word.factors if sign > 0 else word.factors[::-1]
+        return [x for f in factors for x in flat_letters(f, sign)]
+    if isinstance(word, Commutator):
+        a, b = word.left, word.right
+        return flat_letters(Product((Inverse(a), Inverse(b), a, b)), sign)
+    raise TypeError(f"not a word node: {word!r}")
+
+
+def direct_certificate(word, n, c):
+    """The lowest nonzero weight of word - 1 and its Hall coordinates, or None."""
+    series = {(): 1}
+    for g, s in flat_letters(word):
+        # 1 + x for the letter, 1 - x + x^2 - ... for its inverse
+        factor = {(g,) * j: (-1) ** j for j in range(c + 1)} if s < 0 else {(): 1, (g,): 1}
+        product = {}
+        for ma, xa in series.items():
+            for mb, xb in factor.items():
+                if len(ma) + len(mb) <= c:
+                    product[ma + mb] = product.get(ma + mb, 0) + xa * xb
+        series = {mon: x for mon, x in product.items() if x}
+    for m in range(1, c + 1):
+        component = {mon: x for mon, x in series.items() if len(mon) == m}
+        if component:
+            return m, _dense_hall_coordinates(component, n, m)
+    return None
+
+
+def _dense_hall_coordinates(component, n, m):
+    basis = [h for h in hall_basis(n, m) if h.weight == m]
+    expansions = [tensor_expansion(h) for h in basis]
+    monomials = sorted({mon for t in expansions for mon in t} | set(component))
+    rows = [[Fraction(t.get(mon, 0)) for mon in monomials] for t in expansions]
+    target = [Fraction(component.get(mon, 0)) for mon in monomials]
+    # Gauss-Jordan on [rows | identity] over the target row [target | 0]:
+    # the target row ends as [0 | -coefficients] when it is in the span.
+    k, width = len(rows), len(monomials)
+    aug = [row + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(rows)]
+    aug.append(target + [Fraction(0)] * k)
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, k) if aug[i][col] != 0), None)
+        if piv is None:
+            if aug[k][col] != 0:
+                raise ArithmeticError("component outside the Lie span")
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        scale = aug[r][col]
+        aug[r] = [x / scale for x in aug[r]]
+        for i in range(k + 1):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    out = {}
+    for h, x in zip(basis, aug[k][width:]):
+        if x != 0:
+            if x.denominator != 1:
+                raise ArithmeticError("non-integral Hall coefficient")
+            out[h] = -int(x)
+    return out

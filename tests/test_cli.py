@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import gq3
 from gq3.cli import main
 
 TAME = 'q = 3;\ngens = [x1, x2];\nrels = ["x1^3 [x1,x2]"];\n'
@@ -55,6 +61,30 @@ def test_truncate_nonprimepower_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "truncate", str(path))
     assert code == 3
     assert "prime power" in err
+
+
+def test_modulus_above_cap_exits_3_before_factoring(tmp_path, capsys):
+    path = tmp_path / "big.pres"
+    path.write_text('q = 1000000007;\ngens = [x1];\nrels = [];\n')
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "truncate", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "modulus 1000000007 exceeds cap 32" in err
+
+
+def test_closed_stdout_keeps_the_verdict(tame_file):
+    """A reader that went away is not an unreadable input file."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gq3.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "gq3.cli", "truncate", tame_file],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the interpreter has started, let alone written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "order 81" in err
+    assert "Traceback" not in err and "cannot open file" not in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -126,6 +156,15 @@ def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
     assert "validation error" in err
 
 
+def test_reconstruct_cd_json_not_json_exit_2(tmp_path, capsys):
+    cd_path = tmp_path / "cd.json"
+    cd_path.write_text('{"q": 3, ')
+    code, out, err = run_cli(capsys, "reconstruct", "--cd-json", str(cd_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: not JSON")
+
+
 def test_reconstruct_mixed_exponent_warns(tmp_path, capsys):
     path = tmp_path / "mixed.pres"
     path.write_text('q = 4;\ngens = [x1, x2];\nrels = ["x1^2"];\n')
@@ -189,6 +228,16 @@ def test_screen_dimension(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "screen", str(path), "--cd", "3")
     assert code == 1
     assert json.loads(out)["verdict"] == "obstructed"
+
+
+def test_screen_exponent_at_the_parser_cap(tmp_path, capsys):
+    """The certificate never writes the power out letter by letter."""
+    path = tmp_path / "huge.pres"
+    path.write_text('q = 2;\ngens = [a, b];\nrels = ["[a^4611686018427387904, b]"];\n')
+    code, out, err = run_cli(capsys, "screen", str(path))
+    assert code == 1
+    assert json.loads(out)["verdict"] == "obstructed"
+    assert "Traceback" not in err
 
 
 def test_screen_nonprime_exit_3(tmp_path, capsys):

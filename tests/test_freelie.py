@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +14,8 @@ from gq3.freelie import (
     witt_number,
     word_nontriviality_certificate,
 )
-from gq3.presentations import parse_word
-from oracles import is_hall, syllables_to_word
+from gq3.presentations import Commutator, Generator, Inverse, Power, Product, parse_word
+from oracles import direct_certificate, is_hall, syllables_to_word
 
 NAMES3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -218,3 +220,79 @@ def test_certificate_matches_brute_commutator_filtration(syllables):
         assert got[1] == {generator(k): s for k, s in enumerate(sums) if s}
     elif got is not None:
         assert got[0] >= 2
+
+
+def _word_trees(n):
+    """Words on n generators, with powers of composite bases and negative
+    exponents; most lie in the commutator subgroup, so that weights above
+    1 occur."""
+    exponents = st.integers(-3, 3)
+    trees = st.recursive(
+        st.integers(0, n - 1).map(Generator),
+        lambda inner: st.one_of(
+            inner.map(Inverse),
+            st.tuples(inner, exponents).map(lambda t: Power(*t)),
+            st.lists(inner, min_size=2, max_size=3).map(lambda fs: Product(tuple(fs))),
+            st.tuples(inner, inner).map(lambda t: Commutator(*t)),
+        ),
+        max_leaves=5,
+    )
+    commutators = st.tuples(trees, trees).map(lambda t: Commutator(*t))
+    return st.one_of(
+        trees,
+        commutators,
+        st.tuples(commutators, exponents).map(lambda t: Power(*t)),
+        st.tuples(commutators, commutators).map(lambda t: Product(t)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((4, 3, 2, 1)).flatmap(lambda n: st.tuples(st.just(n), _word_trees(n))),
+       st.sampled_from((4, 3, 2, 1)))
+def test_certificate_matches_direct_expansion(n_word, c):
+    """Same weight and Hall coordinates as the letter-by-letter expansion
+    over all n generators with a dense solve."""
+    n, word = n_word
+    assert word_nontriviality_certificate(word, n, c) == direct_certificate(word, n, c)
+
+
+NAMES8 = {f"x{k + 1}": k for k in range(8)}
+E = 2**63 - 1
+
+
+@pytest.mark.parametrize("text,n,want", [
+    ("x1^4611686018427387904", 1, (1, {generator(0): 2**62})),
+    ("[x1,x2]^4611686018427387903", 2,
+     (2, {bracket_node(generator(1), generator(0)): -(2**62 - 1)})),
+    (f"[[x1^-{E},x2],x3]^-{E}", 3,
+     (3, {bracket_node(bracket_node(generator(1), generator(0)), generator(2)): -E * E})),
+])
+def test_certificate_independent_of_exponent_size(text, n, want):
+    """Exponents up to the parser's cap: writing the powers out would not fit in memory."""
+    assert word_nontriviality_certificate(parse_word(text, NAMES8), n, 5) == want
+
+
+def _hall(text):
+    """A Hall element written as nested brackets of x1..x8."""
+    return _hall_of(parse_word(text, NAMES8))
+
+
+def _hall_of(word):
+    if isinstance(word, Generator):
+        return generator(word.index)
+    return bracket_node(_hall_of(word.left), _hall_of(word.right))
+
+
+@pytest.mark.parametrize("text,want", [
+    ("[[x1,x2],x3]", (3, {_hall("[[x2,x1],x3]"): -1})),
+    ("[[x4,x5],[x6,x7]]", (4, {_hall("[[x7,x6],[x5,x4]]"): -1})),
+    ("[x8,[x8,[x8,x1]]]", (4, {_hall("[[[x8,x1],x8],x8]"): 1})),
+])
+def test_deep_relators_at_eight_generators(text, want):
+    """Hall elements on all eight generators, each in well under a second:
+    an expansion over every generator up to the class bound takes tens of
+    seconds for these three."""
+    start = time.perf_counter()
+    got = word_nontriviality_certificate(parse_word(text, NAMES8), 8, 5)
+    assert time.perf_counter() - start < 2.0
+    assert got == want

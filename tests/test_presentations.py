@@ -132,4 +132,4 @@ def test_free_reduce_idempotent_and_nonincreasing(ast):
     assert reduce_syllables(reduced) == reduced
     assert all(e for _, e in reduced)
     assert all(a[0] != b[0] for a, b in zip(reduced, reduced[1:]))
-    assert sum(abs(e) for _, e in reduced) <= len(flat)
+    assert sum(abs(e) for _, e in reduced) <= sum(abs(e) for _, e in flat)

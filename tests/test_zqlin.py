@@ -54,6 +54,10 @@ def test_prime_power_validation():
         prime_power(6)
     with pytest.raises(ValueError):
         prime_power(1)
+    # above the cap before any factor is sought: a large prime returns at once
+    for q in (33, 64, 1000000007):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            prime_power(q)
 
 
 @pytest.mark.parametrize("q", MODULI)
