@@ -144,6 +144,8 @@ def cmd_reconstruct(args) -> int:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+            except RecursionError:
+                raise ParseError("not JSON: nested too deep", 1, 1) from None
         if isinstance(raw, dict) and "cohomology" in raw:
             raw = raw["cohomology"]
         cd = CohomologyData.from_json_dict(raw)
@@ -387,6 +389,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"parse error: not UTF-8: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"cannot open file: {exc}", file=sys.stderr)

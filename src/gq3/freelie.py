@@ -206,29 +206,34 @@ def magnus_expansion(syllables: Sequence[tuple[int, int]], cap: int) -> Tensor:
     return series
 
 
-def _has_composite_power(word: pres.Word) -> bool:
-    """Whether the word raises a base of more than one syllable to a power."""
+def _expands_on_tree(word: pres.Word) -> bool:
+    """Whether the word's series is built on its tree rather than from its
+    syllables: it holds a commutator, or a power of a base of more than
+    one syllable.  Flattening either repeats the base, so a commutator
+    nested k deep would become about 4^k syllables.
+    """
     match word:
         case pres.Generator():
             return False
         case pres.Inverse(b):
-            return _has_composite_power(b)
+            return _expands_on_tree(b)
         case pres.Power(b, _):
-            return _has_composite_power(b) or len(pres.letters(b)) > 1
+            return _expands_on_tree(b) or len(pres.letters(b)) > 1
         case pres.Product(fs):
-            return any(_has_composite_power(f) for f in fs)
-        case pres.Commutator(a, b):
-            return _has_composite_power(a) or _has_composite_power(b)
+            return any(_expands_on_tree(f) for f in fs)
+        case pres.Commutator():
+            return True
     raise TypeError(f"not a word node: {word!r}")
 
 
 def _word_series(word: pres.Word, cap: int, label: dict[int, int]) -> Tensor:
     """Truncated Magnus series of a word, generator g written as label[g].
 
-    A subtree without composite powers is flattened to syllables; a
-    composite power is the binomial series of its base's series.
+    A subtree without commutators and composite powers is flattened to
+    syllables; a composite power is the binomial series of its base's
+    series, and a commutator is multiplied out from its sides' series.
     """
-    if not _has_composite_power(word):
+    if not _expands_on_tree(word):
         syllables = pres.reduce_syllables(pres.letters(word))
         return magnus_expansion([(label[g], e) for g, e in syllables], cap)
     match word:

@@ -456,10 +456,6 @@ def presentation_zero_pairs(cd: CohomologyData) -> ZqSubspace:
     rows = []
     for i in range(cd.h2_rank):
         rows.append(tuple(cols[(a, b)][i] for a in range(n) for b in range(n)))
-    if not rows:
-        from .zqlin import full_subspace
-
-        return full_subspace(q, n * n)
     return kernel(ZqMatrix.from_rows(q, rows, n * n))
 
 

@@ -8,7 +8,8 @@ The word grammar:
 
 ``[u, v]`` denotes u^-1 v^-1 u v.  Exponents are arbitrary signed
 integers; reduction mod the presentation modulus happens only in the
-truncated-group arithmetic, never here.
+truncated-group arithmetic, never here.  At most MAX_NESTING
+parentheses and brackets may be open at once.
 
 Presentation files are UTF-8 text of ``q = INT;``, ``gens = [a, b];``
 and ``rels = ["a^2", ...];`` statements, with ``#`` line comments.
@@ -22,6 +23,7 @@ from typing import Sequence
 from .zqlin import prime_power
 
 MAX_EXPONENT = 2**63 - 1
+MAX_NESTING = 100  # parentheses and brackets open at once in one word
 
 
 class ParseError(ValueError):
@@ -237,6 +239,7 @@ class _TokenStream:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses and brackets
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -299,18 +302,22 @@ def _parse_atom(ts: _TokenStream, name_to_index: dict[str, int]) -> Word:
         if tok.text not in name_to_index:
             raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
         return Generator(name_to_index[tok.text])
-    if tok.kind == "PUNCT" and tok.text == "(":
+    if tok.kind == "PUNCT" and tok.text in "([":
         ts.next()
-        inner = _parse_word_tokens(ts, name_to_index)
-        ts.expect("PUNCT", ")")
-        return inner
-    if tok.kind == "PUNCT" and tok.text == "[":
-        ts.next()
-        left = _parse_word_tokens(ts, name_to_index)
-        ts.expect("PUNCT", ",")
-        right = _parse_word_tokens(ts, name_to_index)
-        ts.expect("PUNCT", "]")
-        return Commutator(left, right)
+        ts.depth += 1
+        if ts.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.col)
+        if tok.text == "(":
+            word = _parse_word_tokens(ts, name_to_index)
+            ts.expect("PUNCT", ")")
+        else:
+            left = _parse_word_tokens(ts, name_to_index)
+            ts.expect("PUNCT", ",")
+            right = _parse_word_tokens(ts, name_to_index)
+            ts.expect("PUNCT", "]")
+            word = Commutator(left, right)
+        ts.depth -= 1
+        return word
     raise ParseError(f"expected a word atom, found {tok.text or tok.kind!r}", tok.line, tok.col)
 
 

@@ -28,11 +28,10 @@ from .zqlin import (
     ZqMatrix,
     ZqSubspace,
     canonicalize,
-    diagonal_of,
     kernel,
     prime_power,
     smith_normal_form,
-    subspace_intersect,
+    vanishing_part,
     zero_subspace,
 )
 
@@ -346,30 +345,18 @@ def relator_subspace(
         )
 
     # Restrict the central span to the coordinates of the kept generators:
-    # that intersection is exactly what the relator subgroup meets of the
-    # smaller free truncation.
+    # the part of it that vanishes on the eliminated ones is exactly what
+    # the relator subgroup meets of the smaller free truncation.
     pairs = group.pairs
     kept_set = set(kept_indices)
     kept_coords = [k for k in range(n) if k in kept_set] + [
         n + idx for idx, (k, l) in enumerate(pairs) if k in kept_set and l in kept_set
     ]
-    coord_rows = []
-    for coord in kept_coords:
-        row = [0] * group.layer_rank
-        row[coord] = 1
-        coord_rows.append(row)
-    coord_subspace = canonicalize(q, group.layer_rank, coord_rows)
-    restricted = subspace_intersect(big_span, coord_subspace)
-
-    reindex = {coord: i for i, coord in enumerate(kept_coords)}
-    small_rows = []
-    for row in restricted.basis:
-        small = [0] * len(kept_coords)
-        for coord, x in enumerate(row):
-            if x:
-                small[reindex[coord]] = x
-        small_rows.append(small)
-    small_span = canonicalize(q, len(kept_coords), small_rows)
+    dropped_coords = [c for c in range(group.layer_rank) if c not in kept_coords]
+    columns = dropped_coords + kept_coords
+    small_span = vanishing_part(q, group.layer_rank,
+                                [[row[c] for c in columns] for row in big_span.basis],
+                                len(dropped_coords))
 
     # The quotient order must agree whether computed upstairs or on the
     # reduced generating set; a mismatch means a bug, not bad input.
@@ -415,14 +402,12 @@ class GroupInvariants:
 def group_invariants(g: TruncGroup) -> GroupInvariants:
     q, n = g.q, g.n
     p, d = prime_power(q)
+    if n == 0:  # every generator eliminated: the trivial group
+        return GroupInvariants(1, (), 1, 1)
 
     # Abelianization: (Z/q^2)^n modulo q times the t-block projection of w.
     t_rows = [row[:n] for row in g.w.basis]
-    if t_rows:
-        diag, _, _ = smith_normal_form(ZqMatrix.from_rows(q, t_rows, n))
-        dvals = list(diagonal_of(diag))
-    else:
-        dvals = []
+    dvals = list(smith_normal_form(ZqMatrix.from_rows(q, t_rows, n)))
     dvals += [0] * (n - len(dvals))
     ab = tuple(sorted(q * (x if x else q) for x in dvals))
 
@@ -430,36 +415,29 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
     # inside the commutator-block part of w.
     wc_rows = [row[n:] for row in g.w.basis if not any(row[:n])]
     npairs = g.npairs
-    if n == 1:
-        center = g.order()
-    else:
-        free = free_truncation(n, q)
-        cols = []
-        for k in range(n):
-            colvecs = []
-            for j in range(n):
-                comm = free.commutator(free.generator(k), free.generator(j))
-                colvecs.append(free.central_vector(comm)[n:])
-            cols.append(colvecs)
-        # unknowns: ebar (n) plus one lambda per generator equation
-        nlam = len(wc_rows)
-        rows = []
+    free = free_truncation(n, q)
+    cols = []
+    for k in range(n):
+        colvecs = []
         for j in range(n):
-            for idx in range(npairs):
-                row = [cols[k][j][idx] for k in range(n)]
-                for block in range(n):
-                    if block == j:
-                        row.extend((-wc_rows[l][idx]) % q for l in range(nlam))
-                    else:
-                        row.extend([0] * nlam)
-                rows.append(row)
-        if rows:
-            ker = kernel(ZqMatrix.from_rows(q, rows, n + n * nlam))
-            e_part = canonicalize(q, n, [r[:n] for r in ker.basis])
-            size_e = e_part.cardinality()
-        else:
-            size_e = q**n
-        center = size_e * q ** (n + npairs) // g.w.cardinality()
+            comm = free.commutator(free.generator(k), free.generator(j))
+            colvecs.append(free.central_vector(comm)[n:])
+        cols.append(colvecs)
+    # unknowns: ebar (n) plus one lambda per generator equation
+    nlam = len(wc_rows)
+    rows = []
+    for j in range(n):
+        for idx in range(npairs):
+            row = [cols[k][j][idx] for k in range(n)]
+            for block in range(n):
+                if block == j:
+                    row.extend((-wc_rows[l][idx]) % q for l in range(nlam))
+                else:
+                    row.extend([0] * nlam)
+            rows.append(row)
+    ker = kernel(ZqMatrix.from_rows(q, rows, n + n * nlam))
+    size_e = canonicalize(q, n, [r[:n] for r in ker.basis]).cardinality()
+    center = size_e * q ** (n + npairs) // g.w.cardinality()
 
     # Exponent: q * smallest p-power j with p^j u_k in w for all k and,
     # for p = 2, p^j (q/2) w_kl in w for all pairs.

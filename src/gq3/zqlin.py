@@ -7,6 +7,11 @@ the missing annihilator rows and is the unique canonical form for
 submodules of (Z/q)^n, which is what makes subspace equality a plain
 tuple comparison everywhere else in this package.
 
+The Howell form is the one elimination here: canonical spans, sums,
+kernels and annihilators, and the part of a span that vanishes on given
+coordinates (vanishing_part), all read off it.  The Smith form serves
+the invariant factors only and returns just its diagonal.
+
 All matrices are immutable, eagerly reduced mod q, and stored as nested
 tuples of plain ints.
 """
@@ -258,99 +263,51 @@ def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[
     return tuple(tuple(row) for row in work[:r] if any(row))
 
 
-def smith_normal_form(m: ZqMatrix) -> tuple[ZqMatrix, ZqMatrix, ZqMatrix]:
-    """Diagonalize m over Z/q: returns (d, p, qm) with p*m*qm = d.
+def smith_normal_form(m: ZqMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith form of m over Z/q, min(nrows, ncols) long.
 
-    Diagonal entries are powers of the residue prime (0 standing for
-    p^d) in ascending divisibility order; p and qm are invertible.
+    Entries are powers of the residue prime (0 standing for p^d) in
+    ascending divisibility order.  Each step takes an entry of minimal
+    valuation as pivot and clears its column in the remaining rows; every
+    remaining entry stays divisible by the pivot, so clearing its row too
+    would not change what is left.
     """
     q = m.q
-    pr, dd = prime_power(q)
-    a = [list(row) for row in m.entries]
-    nr, nc = m.nrows, m.ncols
-    left = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    right = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(dst, src, mult):
-        for k in range(nc):
-            a[dst][k] = (a[dst][k] - mult * a[src][k]) % q
-        for k in range(nr):
-            left[dst][k] = (left[dst][k] - mult * left[src][k]) % q
-
-    def col_op(dst, src, mult):
-        for k in range(nr):
-            a[k][dst] = (a[k][dst] - mult * a[k][src]) % q
-        for k in range(nc):
-            right[k][dst] = (right[k][dst] - mult * right[k][src]) % q
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for k in range(nr):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(nc):
-            right[k][i], right[k][j] = right[k][j], right[k][i]
-
-    def scale_row(i, x):
-        for k in range(nc):
-            a[i][k] = (a[i][k] * x) % q
-        for k in range(nr):
-            left[i][k] = (left[i][k] * x) % q
-
-    for t in range(min(nr, nc)):
-        # Pick the entry of minimal valuation in the remaining block: the
-        # cleared column and row then stay divisible by the pivot, which
-        # yields the divisibility chain directly.
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0:
-                    v = pvaluation(a[i][j], pr, dd)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            break
-        v, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        scale_row(t, unit_multiplier(a[t][t], q, pr))
-        pivot = a[t][t]
-        for i in range(nr):
-            if i != t and a[i][t] != 0:
-                row_op(i, t, a[i][t] // pivot)
-        for j in range(nc):
-            if j != t and a[t][j] != 0:
-                col_op(j, t, a[t][j] // pivot)
-
-    d = ZqMatrix(q, nr, nc, tuple(tuple(row) for row in a))
-    pm = ZqMatrix(q, nr, nr, tuple(tuple(row) for row in left))
-    qm = ZqMatrix(q, nc, nc, tuple(tuple(row) for row in right))
-    return d, pm, qm
+    p, d = prime_power(q)
+    rows = [list(row) for row in m.entries if any(row)]
+    diag: list[int] = []
+    while rows:
+        _, i, j = min((pvaluation(x, p, d), i, j)
+                      for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        unit = unit_multiplier(rows[i][j], q, p)
+        top = [(unit * x) % q for x in rows.pop(i)]
+        pivot = top[j]
+        for row in rows:
+            f = row[j] // pivot
+            if f:
+                for k, x in enumerate(top):
+                    row[k] = (row[k] - f * x) % q
+        rows = [row for row in rows if any(row)]
+        diag.append(pivot)
+    return tuple(diag) + (0,) * (min(m.nrows, m.ncols) - len(diag))
 
 
-def diagonal_of(d: ZqMatrix) -> tuple[int, ...]:
-    return tuple(d.entries[i][i] for i in range(min(d.nrows, d.ncols)))
+def vanishing_part(q: int, ambient: int, rows: Iterable[Sequence[int]], lead: int) -> ZqSubspace:
+    """Elements of the row span that vanish on the first lead coordinates,
+    as a submodule of the remaining ambient - lead coordinates.
+
+    The Howell rows that are zero on those coordinates span that part (the
+    Howell property), and their tails are themselves in Howell form.
+    """
+    tails = tuple(row[lead:] for row in _howell(q, ambient, rows) if not any(row[:lead]))
+    return ZqSubspace(q, ambient - lead, tails)
 
 
 def kernel(m: ZqMatrix) -> ZqSubspace:
-    """{v in (Z/q)^ncols : m v = 0}, via the Smith form."""
-    q = m.q
-    if m.nrows == 0:
-        return full_subspace(q, m.ncols)
-    d, _, qm = smith_normal_form(m)
-    diag = diagonal_of(d)
-    rows = []
-    for i in range(m.ncols):
-        di = diag[i] if i < len(diag) else 0
-        ann = annihilator_generator(di, q)
-        col = tuple((ann * qm.entries[k][i]) % q for k in range(m.ncols))
-        if any(col):
-            rows.append(col)
-    return canonicalize(q, m.ncols, rows)
+    """{v in (Z/q)^ncols : m v = 0}: the graph span {(m v, v)} where m v vanishes."""
+    graph = [tuple(row[j] for row in m.entries) + tuple(int(i == j) for i in range(m.ncols))
+             for j in range(m.ncols)]
+    return vanishing_part(m.q, m.nrows + m.ncols, graph, m.nrows)
 
 
 def row_space(m: ZqMatrix) -> ZqSubspace:
@@ -359,8 +316,6 @@ def row_space(m: ZqMatrix) -> ZqSubspace:
 
 def annihilator(w: ZqSubspace) -> ZqSubspace:
     """{v : v.b = 0 for every basis row b}, under the standard dot pairing."""
-    if w.nrows == 0:
-        return full_subspace(w.q, w.ambient_dim)
     return kernel(ZqMatrix.from_rows(w.q, w.basis, w.ambient_dim))
 
 
@@ -378,11 +333,5 @@ def subspace_intersect(a: ZqSubspace, b: ZqSubspace) -> ZqSubspace:
 
 def invariant_factors(w: ZqSubspace) -> tuple[int, ...]:
     """Orders of the cyclic factors of w, descending (its divisor chain)."""
-    if w.nrows == 0:
-        return ()
-    d, _, _ = smith_normal_form(ZqMatrix.from_rows(w.q, w.basis, w.ambient_dim))
-    factors = []
-    for x in diagonal_of(d):
-        if x != 0:
-            factors.append(w.q // math.gcd(x, w.q))
-    return tuple(sorted((f for f in factors if f > 1), reverse=True))
+    diag = smith_normal_form(ZqMatrix.from_rows(w.q, w.basis, w.ambient_dim))
+    return tuple(w.q // x for x in diag if x)

@@ -1,9 +1,10 @@
 """Reference helpers that the tests check gq3 against.
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
-syllables, recognise Hall elements, multiply Z/q matrices, enumerate
-small submodules and compute word certificates the direct way, so that
-the library's answers can be verified by direct construction.
+syllables, recognise Hall elements, build identity and zero Z/q
+matrices, enumerate small submodules and compute word certificates the
+direct way, so that the library's answers can be verified by direct
+construction.
 """
 
 import itertools
@@ -45,21 +46,6 @@ def identity(q: int, n: int) -> ZqMatrix:
 
 def zero(q: int, nrows: int, ncols: int) -> ZqMatrix:
     return ZqMatrix(q, nrows, ncols, tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)))
-
-
-def matmul(a: ZqMatrix, b: ZqMatrix) -> ZqMatrix:
-    assert a.q == b.q and a.ncols == b.nrows
-    out = tuple(
-        tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(a.ncols)) % a.q
-              for j in range(b.ncols))
-        for i in range(a.nrows)
-    )
-    return ZqMatrix(a.q, a.nrows, b.ncols, out)
-
-
-def is_diagonal(m: ZqMatrix) -> bool:
-    return all(m.entries[i][j] == 0
-               for i in range(m.nrows) for j in range(m.ncols) if i != j)
 
 
 def subspace_vectors(w: ZqSubspace):

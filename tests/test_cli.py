@@ -55,6 +55,15 @@ def test_truncate_malformed_exits_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_truncate_trivial_group_has_exponent_1(tmp_path, capsys):
+    path = tmp_path / "trivial.pres"
+    path.write_text('q = 3;\ngens = [x1, x2];\nrels = ["x1", "x2"];\n')
+    code, out, _ = run_cli(capsys, "truncate", str(path))
+    assert code == 0
+    group = json.loads(out)["group"]
+    assert (group["n"], group["order"], group["exponent"]) == (0, 1, 1)
+
+
 def test_truncate_nonprimepower_exits_3(tmp_path, capsys):
     path = tmp_path / "np.pres"
     path.write_text(NONPRIME)
@@ -154,6 +163,46 @@ def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "validation error" in err
+
+
+def test_utf16_presentation_exits_2(tmp_path, capsys):
+    path = tmp_path / "tame16.pres"
+    path.write_bytes(TAME.encode("utf-16"))  # starts with a byte-order mark
+    code, out, err = run_cli(capsys, "truncate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: not UTF-8")
+
+
+def test_utf16_cd_json_exits_2(tmp_path, capsys):
+    cd_path = tmp_path / "cd16.json"
+    cd_path.write_bytes('{"q": 3, "n": 1, "h2_rank": 0}'.encode("utf-16"))
+    code, out, err = run_cli(capsys, "reconstruct", "--cd-json", str(cd_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: not UTF-8")
+
+
+def test_deeply_nested_cd_json_exits_2(tmp_path, capsys):
+    cd_path = tmp_path / "deep.json"
+    cd_path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "reconstruct", "--cd-json", str(cd_path))
+    assert code == 2
+    assert err.startswith("parse error: not JSON: nested too deep")
+
+
+@pytest.mark.parametrize("word", ["(" * 1000 + "x1" + ")" * 1000,
+                                  "[" * 1000 + "x1" + ", x2]" * 1000],
+                         ids=["parentheses", "brackets"])
+@pytest.mark.parametrize("command", ["truncate", "screen"])
+def test_deep_nesting_exits_2(tmp_path, capsys, word, command):
+    path = tmp_path / "deep.pres"
+    path.write_text(f'q = 3;\ngens = [x1, x2];\nrels = ["{word}"];\n')
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "nesting deeper than 100 (line 1, column 101)" in err
+    assert "Traceback" not in err
 
 
 def test_reconstruct_cd_json_not_json_exit_2(tmp_path, capsys):

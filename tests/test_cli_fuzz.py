@@ -1,0 +1,97 @@
+"""The exit-code contract under malformed input.
+
+Presentation files are assembled from the grammar's own tokens: mostly
+broken, sometimes well formed, with nesting around the parser's cap,
+exponents beyond 2^63, moduli far above the cap and bytes that are not
+UTF-8.  Whatever the file, ``truncate`` answers 0, 2 or 3 (2 when the
+bytes are not UTF-8) and ``screen`` 0 to 3, and no exception escapes
+``main``.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gq3.cli import main
+from gq3.presentations import MAX_NESTING
+
+NAMES = ["x1", "x2", "x3"]
+EXPONENTS = ["-1", "2", "3", "0", "-3", str(2**63 - 1), str(-(2**63 - 1)), str(2**63), str(10**40)]
+MODULI = [2, 3, 4, 5, 8, 9, 27, 32]
+BAD_MODULI = [0, 1, -3, 6, 33, 2**61 - 1, 10**30]
+TOKENS = NAMES + EXPONENTS + ["y", "(", ")", "[", "]", ",", "^", "*", " ", "^-", "é"]
+
+well_formed = st.recursive(
+    st.sampled_from(NAMES),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"[{t[0]}, {t[1]}]"),
+        st.lists(inner, min_size=2, max_size=3).map(" ".join),
+    ),
+    max_leaves=6,
+)
+token_soup = st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
+nested = st.tuples(st.integers(MAX_NESTING - 2, 1000), st.booleans()).map(
+    lambda t: "(" * t[0] + "x1" + ")" * t[0] if t[1] else "[" * t[0] + "x1" + ", x2]" * t[0])
+words = st.one_of(well_formed, well_formed, well_formed, token_soup, nested)
+
+
+def _rarely(draw):
+    """True about one time in eight (hypothesis favours the ends of a range)."""
+    return draw(st.sampled_from([False] * 7 + [True]))
+
+
+@st.composite
+def presentation_bytes(draw):
+    q = draw(st.sampled_from(BAD_MODULI if _rarely(draw) else MODULI))
+    gens = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                         unique=not _rarely(draw)))
+    rels = draw(st.lists(words, max_size=3))
+    statements = [
+        f"q = {q};",
+        f"gens = [{', '.join(gens)}];",
+        "rels = [" + ", ".join(f'"{w}"' for w in rels) + "];",
+    ]
+    statements = draw(st.permutations(statements))
+    if _rarely(draw):
+        statements.insert(draw(st.integers(0, 3)), draw(token_soup))
+    data = ("\n".join(statements) + "\n").encode("utf-16" if _rarely(draw) else "utf-8")
+    if _rarely(draw):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff\xfe" + data[cut:]
+    return data
+
+
+def _is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(presentation_bytes())
+def test_truncate_and_screen_keep_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.pres")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, err = _run(["truncate", path])
+        assert code in (0, 2, 3), err
+        if not _is_utf8(data):
+            assert code == 2, err
+        assert "Traceback" not in err
+        code, err = _run(["screen", path])
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err

@@ -243,6 +243,18 @@ def _word_trees(n):
         commutators,
         st.tuples(commutators, exponents).map(lambda t: Power(*t)),
         st.tuples(commutators, commutators).map(lambda t: Product(t)),
+        _nested_commutators(trees, 4),
+    )
+
+
+def _nested_commutators(trees, depth):
+    """Commutators nested depth deep, the deeper side left or right."""
+    if depth == 1:
+        return st.tuples(trees, trees).map(lambda t: Commutator(*t))
+    inner = _nested_commutators(trees, depth - 1)
+    return st.one_of(
+        inner,
+        st.one_of(st.tuples(inner, trees), st.tuples(trees, inner)).map(lambda t: Commutator(*t)),
     )
 
 
@@ -254,6 +266,19 @@ def test_certificate_matches_direct_expansion(n_word, c):
     over all n generators with a dense solve."""
     n, word = n_word
     assert word_nontriviality_certificate(word, n, c) == direct_certificate(word, n, c)
+
+
+def test_nested_commutator_expands_on_the_tree():
+    """A commutator nested 16 deep flattens to about 4^16 syllables; on
+    its tree it takes milliseconds.  Its weight, 17, is above the class
+    bound, so there is no certificate."""
+    text = "a"
+    for _ in range(16):
+        text = f"[{text}, b]"
+    start = time.perf_counter()
+    got = word_nontriviality_certificate(parse_word(text, {"a": 0, "b": 1}), 2, 5)
+    assert time.perf_counter() - start < 1.0
+    assert got is None
 
 
 NAMES8 = {f"x{k + 1}": k for k in range(8)}

@@ -5,6 +5,7 @@ from gq3.presentations import (
     Commutator,
     Generator,
     Inverse,
+    MAX_NESTING,
     ParseError,
     Power,
     PresentationError,
@@ -81,6 +82,26 @@ def test_parse_word_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_word("x1 ^", NAMES)
     assert (err.value.line, err.value.col) == (1, 5)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1000])
+def test_nesting_cap(depth):
+    """Words nested at the cap parse; one level more is a positioned parse error."""
+    parens = "(" * depth + "x1" + ")" * depth
+    brackets = "x1"
+    for _ in range(depth):
+        brackets = f"[{brackets}, x2]"
+    if depth <= MAX_NESTING:
+        assert parse_word(parens, NAMES) == Generator(0)
+        word = parse_word(brackets, NAMES)
+        for _ in range(depth):
+            word = word.left
+        assert word == Generator(0)
+        return
+    for text in (parens, brackets):
+        with pytest.raises(ParseError, match="nesting deeper than") as err:
+            parse_word(text, NAMES)
+        assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
 
 
 def free_reduce(text):

@@ -323,9 +323,8 @@ def test_mixed_exponent_after_partial_elimination():
 # -- elimination of non-minimal presentations ------------------------------
 
 
-def brute_g3_order(presentation):
-    """Oracle: |G^[3]| by normal closure enumeration inside S^[3]."""
-    g = free_truncation(presentation.n, presentation.q)
+def normal_closure(g, presentation):
+    """Oracle: the normal closure of the relator images, by enumeration in S^[3]."""
     rel_images = [g.evaluate_word(w) for w in presentation.relators]
     gens = [g.generator(k) for k in range(g.n)]
     closure = {g.identity()}
@@ -343,27 +342,79 @@ def brute_g3_order(presentation):
             if z not in closure:
                 closure.add(z)
                 frontier.append(z)
-    return g.order() // len(closure)
+    return closure
 
 
-@pytest.mark.parametrize(
-    "q,gens,rels",
-    [
-        (2, ["x1", "x2"], ["x1"]),
-        (2, ["x1", "x2"], ["x1 x2"]),
-        (3, ["x1", "x2"], ["x1 x2^3"]),
-        (2, ["x1", "x2"], ["x1 [x1,x2]"]),
-        (2, ["x1", "x2", "x3"], ["x1 x2", "x3^2"]),
-        (3, ["x1", "x2"], ["x1^2 x2^3", "x2^9"]),
-        (4, ["x1", "x2"], ["x1 x2^2"]),
-        (2, ["x1", "x2"], ["x1", "x2"]),
-    ],
-)
+def brute_g3_order(presentation):
+    """Oracle: |G^[3]| by normal closure enumeration inside S^[3]."""
+    g = free_truncation(presentation.n, presentation.q)
+    return g.order() // len(normal_closure(g, presentation))
+
+
+class ClosureQuotient:
+    """Oracle: S^[3] modulo the normal closure of the relators on every
+    generator of the presentation, each coset named by one of its
+    elements; no generator is eliminated."""
+
+    def __init__(self, presentation):
+        self.free = free_truncation(presentation.n, presentation.q)
+        self.p = presentation.p
+        closure = normal_closure(self.free, presentation)
+        self.rep = {}
+        for x in self.free.elements():
+            if x not in self.rep:
+                for y in closure:
+                    self.rep[self.free.multiply(x, y)] = x
+
+    def elements(self):
+        return iter(set(self.rep.values()))
+
+    def identity(self):
+        return self.rep[self.free.identity()]
+
+    def multiply(self, a, b):
+        return self.rep[self.free.multiply(a, b)]
+
+    def commutator(self, a, b):
+        return self.rep[self.free.commutator(a, b)]
+
+    def power(self, a, m):
+        return self.rep[self.free.power(a, m)]
+
+
+ELIMINATION_CASES = [
+    (2, ["x1", "x2"], ["x1"]),
+    (2, ["x1", "x2"], ["x1 x2"]),
+    (3, ["x1", "x2"], ["x1 x2^3"]),
+    (2, ["x1", "x2"], ["x1 [x1,x2]"]),
+    (2, ["x1", "x2", "x3"], ["x1 x2", "x3^2"]),
+    (3, ["x1", "x2"], ["x1^2 x2^3", "x2^9"]),
+    (4, ["x1", "x2"], ["x1 x2^2"]),
+    (2, ["x1", "x2"], ["x1", "x2"]),
+]
+
+
+@pytest.mark.parametrize("q,gens,rels", ELIMINATION_CASES)
 def test_elimination_matches_normal_closure_oracle(q, gens, rels):
     p = make_presentation(q, gens, rels)
     group, report = truncated_quotient(p)
     assert not report.minimal
     assert group.order() == brute_g3_order(p)
+
+
+@pytest.mark.parametrize("q,gens,rels", ELIMINATION_CASES)
+def test_elimination_invariants_against_enumeration(q, gens, rels):
+    """Order, abelianization, center and exponent of the group left after
+    elimination, against the quotient of S^[3] on all the generators."""
+    p = make_presentation(q, gens, rels)
+    g, report = truncated_quotient(p)
+    assert not report.minimal
+    inv = group_invariants(g)
+    order, divisors, center, exponent = brute_invariants(ClosureQuotient(p))
+    assert inv.order == order
+    assert sorted(inv.abelianization) == divisors
+    assert inv.center_order == center
+    assert inv.exponent == exponent
 
 
 def test_elimination_reports_generators():

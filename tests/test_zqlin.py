@@ -9,7 +9,6 @@ from gq3.zqlin import (
     ZqSubspace,
     annihilator,
     canonicalize,
-    diagonal_of,
     full_subspace,
     gcdex2,
     invariant_factors,
@@ -19,9 +18,10 @@ from gq3.zqlin import (
     smith_normal_form,
     subspace_intersect,
     subspace_sum,
+    vanishing_part,
     zero_subspace,
 )
-from oracles import identity, is_diagonal, matmul, subspace_vectors, zero
+from oracles import identity, subspace_vectors, zero
 
 MODULI = [2, 3, 4, 5, 8, 9]
 
@@ -74,25 +74,39 @@ def test_gcdex2_transform_is_unimodular(q):
             assert math.gcd(det, q) == 1
 
 
+def multiple_sizes(q, span):
+    """Oracle: |p^j A| for j = 0..d, enumerated from the elements of A."""
+    p, d = prime_power(q)
+    return [len({tuple((p**j * x) % q for x in v) for v in span}) for j in range(d + 1)]
+
+
+def diagonal_sizes(q, diag):
+    """|p^j A| for j = 0..d, read off a Smith diagonal of A's rows: an
+    entry p^v spans a cyclic part of order p^(d-v)."""
+    p, d = prime_power(q)
+    sizes = []
+    for j in range(d + 1):
+        size = 1
+        for x in diag:
+            v = d if x == 0 else next(k for k in range(d) if x % p ** (k + 1))
+            size *= p ** max(d - v - j, 0)
+        sizes.append(size)
+    return sizes
+
+
 def test_snf_zero_1x1_over_4():
-    m = ZqMatrix.from_rows(4, [[0]])
-    d, p, qm = smith_normal_form(m)
-    assert diagonal_of(d) == (0,)
-    assert p.entries == ((1,),) and qm.entries == ((1,),)
+    assert smith_normal_form(ZqMatrix.from_rows(4, [[0]])) == (0,)
 
 
 def test_snf_identity_over_9():
-    m = identity(9, 2)
-    d, _, _ = smith_normal_form(m)
-    assert diagonal_of(d) == (1, 1)
+    assert smith_normal_form(identity(9, 2)) == (1, 1)
 
 
-def test_snf_2_over_4_by_direct_multiplication():
-    # Verify p*m*qm = d over every choice, the 1x1 case exhaustively.
-    m = ZqMatrix.from_rows(4, [[2]])
-    d, p, qm = smith_normal_form(m)
-    assert diagonal_of(d) == (2,)
-    assert matmul(matmul(p, m), qm).entries == d.entries
+def test_snf_2_over_4_against_enumeration():
+    rows = [[2]]
+    diag = smith_normal_form(ZqMatrix.from_rows(4, rows))
+    assert diag == (2,)
+    assert diagonal_sizes(4, diag) == multiple_sizes(4, brute_span(4, 1, rows)) == [2, 1, 1]
 
 
 @pytest.mark.parametrize("q", MODULI)
@@ -100,13 +114,11 @@ def test_snf_random_matrices(q):
     rng = random.Random(q * 101)
     p_, d_ = prime_power(q)
     for _ in range(40):
-        nr = rng.randint(1, 4)
+        nr = rng.randint(0, 4 if q < 8 else 3)
         nc = rng.randint(1, 4)
-        m = ZqMatrix.from_rows(q, [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)])
-        d, pm, qm = smith_normal_form(m)
-        assert matmul(matmul(pm, m), qm).entries == d.entries
-        assert is_diagonal(d)
-        diag = diagonal_of(d)
+        rows = [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)]
+        diag = smith_normal_form(ZqMatrix.from_rows(q, rows, nc))
+        assert len(diag) == min(nr, nc)
         # Every entry a power of p (or 0) and the chain divides in order.
         for x in diag:
             if x != 0:
@@ -117,6 +129,7 @@ def test_snf_random_matrices(q):
             aa = a if a != 0 else q
             bb = b if b != 0 else q
             assert bb % aa == 0
+        assert diagonal_sizes(q, diag) == multiple_sizes(q, brute_span(q, nc, rows))
 
 
 def test_canonicalize_examples():
@@ -178,6 +191,29 @@ def test_duality_perfectness_random(q):
         a = annihilator(w)
         assert w.cardinality() * a.cardinality() == q**m
         assert annihilator(a) == w
+
+
+def test_kernel_and_annihilator_of_empty_input():
+    assert kernel(ZqMatrix.from_rows(4, [], 3)) == full_subspace(4, 3)
+    assert kernel(ZqMatrix.from_rows(4, [[], []], 0)) == zero_subspace(4, 0)
+    assert annihilator(zero_subspace(9, 2)) == full_subspace(9, 2)
+    assert annihilator(zero_subspace(9, 0)) == zero_subspace(9, 0)
+    assert smith_normal_form(ZqMatrix.from_rows(4, [], 3)) == ()
+    assert invariant_factors(zero_subspace(4, 2)) == ()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_vanishing_part_against_enumeration(q):
+    rng = random.Random(q * 23)
+    for _ in range(40):
+        ambient = rng.randint(1, 4)
+        lead = rng.randint(0, ambient)
+        rows = [[rng.randrange(q) for _ in range(ambient)] for _ in range(rng.randint(0, 3))]
+        got = vanishing_part(q, ambient, rows, lead)
+        assert got.ambient_dim == ambient - lead
+        want = {v[lead:] for v in brute_span(q, ambient, rows) if not any(v[:lead])}
+        assert set(subspace_vectors(got)) == want
+        assert canonicalize(q, ambient - lead, got.basis) == got
 
 
 def test_kernel_examples():
