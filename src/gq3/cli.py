@@ -3,7 +3,7 @@ summaries on stderr.
 
 Exit codes: 0 success or verified, 1 verified-negative (an obstruction
 or a failed comparison is still a successful run), 2 parse error,
-3 validation error.
+3 validation error, 4 internal error (a bug: no answer is given).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .cohom import (
     MorphismError,
     check_relator_independence,
     cohomology_data_from_presentation,
+    cohomology_data_from_subspace,
     morphism_check,
     obstruction_screen,
     reconstruct_g3,
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, payload: dict, summary: str) -> None:
@@ -164,8 +166,7 @@ def cmd_reconstruct(args) -> int:
         raise PresentationError("reconstruct needs a presentation file or --cd-json")
     p = _load_presentation(args.file)
     w, report = relator_subspace(p)
-    cd, _ = cohomology_data_from_presentation(p)
-    group = reconstruct_g3(cd)
+    group = reconstruct_g3(cohomology_data_from_subspace(w, len(report.kept_indices)))
     equal = group.w == w
     group_dict = _group_dict(group, group_invariants(group))
     # round-trip reports keep their published shape: no center or exponent
@@ -245,10 +246,13 @@ def cmd_kmilnor(args) -> int:
     preset = parse_preset(args.field)
     algebra = milnor_mod_q(preset, args.q, args.rmax)
     degrees = {}
+    ranks = []
     for r in range(1, args.rmax + 1):
+        divisors = algebra.degree_divisors(r)
+        ranks.append(divisors.count(args.q))
         degrees[str(r)] = {
-            "rank": algebra.degree_rank(r),
-            "divisors": list(algebra.degree_divisors(r)),
+            "rank": ranks[-1],
+            "divisors": list(divisors),
             "relations": [] if r == 1 else [list(row) for row in algebra.components[r].basis],
         }
     payload = {
@@ -259,24 +263,22 @@ def cmd_kmilnor(args) -> int:
         "basis": list(algebra.basis_names),
         "degrees": degrees,
     }
-    ranks = [algebra.degree_rank(r) for r in range(1, args.rmax + 1)]
     _emit(args, payload, f"K-ring ranks by degree: {ranks}")
     return EXIT_OK
 
 
 def cmd_galois_check(args) -> int:
     preset = parse_preset(args.field)
-    if args.file:
-        p = _load_presentation(args.file)
-    else:
-        p, default_corr = preset_presentation(preset, args.q)
+    p = _load_presentation(args.file) if args.file else None
+    if p is None or not args.map:
+        matched, correspondence = preset_presentation(preset, args.q)
+        if p is None:
+            p = matched
     if args.map:
         correspondence = {}
         for part in args.map.split(","):
             name, _, target = part.strip().partition(":")
             correspondence[name.strip()] = target.strip()
-    else:
-        _, correspondence = preset_presentation(preset, args.q)
     report = galois_symbol_compare(preset, p, correspondence, r_max=args.rmax)
     payload = {
         "command": "galois-check",
@@ -407,6 +409,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ against the canonical basis of the relator subspace.
 
 The combined cup/Bockstein map out of the dual central layer has the
 relator pairing matrix as its matrix; its kernel annihilates exactly
-the relator subspace, which is what makes the quotient reconstructible
-from the tables alone (reconstruct_g3).  Morphism and obstruction
-checks ride on the same matrices.
+the relator subspace, so by Z/q duality that subspace is its row span,
+which is what makes the quotient reconstructible from the tables alone
+(reconstruct_g3).  Morphism and obstruction checks ride on the same
+matrices.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .zqlin import (
     canonicalize,
     full_subspace,
     invariant_factors,
-    kernel,
     prime_power,
     row_space,
     subspace_sum,
@@ -176,12 +176,10 @@ def lambda_matrix(cd: CohomologyData) -> ZqMatrix:
 def reconstruct_g3(cd: CohomologyData) -> TruncGroup:
     """The third q-central quotient determined by the cohomology tables.
 
-    The kernel of the cup+Bockstein matrix, dualized through the perfect
-    pairing on the central layer, is exactly the relator subspace.
+    The relator subspace is the annihilator of the kernel of the
+    cup+Bockstein matrix, which over Z/q is just its row span.
     """
-    ker = kernel(lambda_matrix(cd))
-    w = annihilator(ker)
-    return quotient(free_truncation(cd.n, cd.q), w)
+    return quotient(free_truncation(cd.n, cd.q), row_space(lambda_matrix(cd)))
 
 
 def cohomology_data_from_presentation(
@@ -195,17 +193,16 @@ def cohomology_data_from_presentation(
     the commutator coordinates.
     """
     w, report = relator_subspace(presentation)
-    n = len(report.kept_indices)
-    basis = w.basis
-    r = len(basis)
-    bockstein = {k: tuple(row[k] for row in basis) for k in range(n)}
+    return cohomology_data_from_subspace(w, len(report.kept_indices)), report
+
+
+def cohomology_data_from_subspace(w: CentralSubspace, n: int) -> CohomologyData:
+    """The H^1/H^2 tables of S^[3]/w on n generators, against the basis of w."""
+    bockstein = {k: tuple(row[k] for row in w.basis) for k in range(n)}
     cup = {}
     for idx, (k, l) in enumerate(pair_list(n)):
-        cup[(k, l)] = tuple(row[n + idx] for row in basis)
-    cd = CohomologyData(
-        presentation.q, n, r, cup, bockstein, invariant_factors(w)
-    )
-    return cd, report
+        cup[(k, l)] = tuple(row[n + idx] for row in w.basis)
+    return CohomologyData(w.q, n, w.nrows, cup, bockstein, invariant_factors(w))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +373,9 @@ def _layer_matrix(
     return ZqMatrix.from_rows(q, rows, len(cols))
 
 
-def _decomposable_part_lift(q: int, n: int, w: CentralSubspace) -> ZqSubspace:
-    """Preimage in the dual layer of the span of the cup classes."""
+def _decomposable_part_lift(q: int, n: int, ann: ZqSubspace) -> ZqSubspace:
+    """Preimage in the dual layer of the span of the cup classes, given
+    the annihilator of the relator subspace."""
     layer_rank = n + len(pair_list(n))
     kappa = kappa_constant(q)
     rows = []
@@ -390,7 +388,7 @@ def _decomposable_part_lift(q: int, n: int, w: CentralSubspace) -> ZqSubspace:
             row = [0] * layer_rank
             row[k] = kappa
             rows.append(row)
-    rows.extend(annihilator(w).basis)
+    rows.extend(ann.basis)
     return canonicalize(q, layer_rank, rows)
 
 
@@ -441,10 +439,9 @@ def morphism_check(
     # the free layer map
     lmat = _layer_matrix(n1, images_free, free2)
     lt = lmat.transpose()
-    w1, w2 = g1.w, g2.w
-    ann1, ann2 = annihilator(w1), annihilator(w2)
-    p1 = _decomposable_part_lift(q, n1, w1)
-    p2 = _decomposable_part_lift(q, n2, w2)
+    ann1, ann2 = annihilator(g1.w), annihilator(g2.w)
+    p1 = _decomposable_part_lift(q, n1, ann1)
+    p2 = _decomposable_part_lift(q, n2, ann2)
     pulled = [lt.apply_to_vector(v) for v in ann2.basis]
     for v in pulled:
         if not ann1.contains(v):

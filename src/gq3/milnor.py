@@ -52,40 +52,12 @@ class PresetError(ValueError):
 
 @dataclass(frozen=True)
 class GradedAlgebra:
+    """Relation subspaces T_2..T_r_max; built by quadratic_hull."""
+
     q: int
     gen_count: int
-    degree_bound: int
     components: dict[int, ZqSubspace]  # degree -> relation subspace
-    commutativity_flag: bool
     basis_names: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        prime_power(self.q)
-        if not (1 <= self.gen_count <= MAX_RANK):
-            raise ValueError(f"degree-1 rank {self.gen_count} outside 1..{MAX_RANK}")
-        if not (2 <= self.degree_bound <= MAX_DEGREE):
-            raise ValueError(f"degree bound {self.degree_bound} outside 2..{MAX_DEGREE}")
-        for r in range(2, self.degree_bound + 1):
-            t = self.components.get(r)
-            if t is None or t.ambient_dim != self.gen_count**r:
-                raise ValueError(f"missing or malformed relation subspace in degree {r}")
-        self._check_multiplicativity()
-        if self.commutativity_flag and not _contains_commutativity(
-            self.q, self.gen_count, self.components[2]
-        ):
-            raise ValueError("degree-2 relations do not contain commutativity")
-
-    def _check_multiplicativity(self):
-        for r in range(2, self.degree_bound):
-            t, t_next = self.components[r], self.components[r + 1]
-            for row in t.basis:
-                for i in range(self.gen_count):
-                    left = _tensor_shift(row, self.gen_count, r, i, prepend=True)
-                    right = _tensor_shift(row, self.gen_count, r, i, prepend=False)
-                    if not (t_next.contains(left) and t_next.contains(right)):
-                        raise ValueError(
-                            f"relations in degree {r} do not multiply into degree {r + 1}"
-                        )
 
     def degree_cardinality(self, r: int) -> int:
         if r == 0:
@@ -111,19 +83,6 @@ class GradedAlgebra:
         return sum(1 for f in self.degree_divisors(r) if f == self.q)
 
 
-def _tensor_shift(row, m: int, r: int, i: int, prepend: bool):
-    """e_i (x) row or row (x) e_i as a vector in the degree-(r+1) space."""
-    out = [0] * m ** (r + 1)
-    for idx, x in enumerate(row):
-        if not x:
-            continue
-        if prepend:
-            out[i * m**r + idx] = x
-        else:
-            out[idx * m + i] = x
-    return out
-
-
 def _grcomm_rows(q: int, m: int) -> list[list[int]]:
     """Graded commutativity in degree 2: x(x)y + y(x)x and 2 x(x)x."""
     rows = []
@@ -138,6 +97,11 @@ def _grcomm_rows(q: int, m: int) -> list[list[int]]:
             if any(row):
                 rows.append(row)
     return rows
+
+
+def _check_degree_bound(r_max: int):
+    if not (2 <= r_max <= MAX_DEGREE):
+        raise ValueError(f"degree bound {r_max} outside 2..{MAX_DEGREE}")
 
 
 def _monomials(m: int, r: int):
@@ -157,8 +121,7 @@ def quadratic_hull(
     """
     if not (1 <= a1_rank <= MAX_RANK):
         raise ValueError(f"rank {a1_rank} outside 1..{MAX_RANK}")
-    if not (2 <= r_max <= MAX_DEGREE):
-        raise ValueError(f"degree bound {r_max} outside 2..{MAX_DEGREE}")
+    _check_degree_bound(r_max)
     if a1_rank**r_max > 256:
         raise ValueError("tensor coordinate space exceeds the hard cap")
     if zero_pairs.ambient_dim != a1_rank * a1_rank or zero_pairs.q != q:
@@ -190,12 +153,7 @@ def quadratic_hull(
                         rows.append(out)
         components[r] = canonicalize(q, m**r, rows)
 
-    commutative = _contains_commutativity(q, m, zero_pairs)
-    return GradedAlgebra(q, m, r_max, components, commutative, basis_names)
-
-
-def _contains_commutativity(q: int, m: int, t2: ZqSubspace) -> bool:
-    return all(t2.contains(row) for row in _grcomm_rows(q, m))
+    return GradedAlgebra(q, m, components, basis_names)
 
 
 # ---------------------------------------------------------------------------
@@ -385,30 +343,33 @@ def hilbert_relation_span(q: int = 2, precision_bits: int = 8) -> ZqSubspace:
     return canonicalize(2, 9, rows)
 
 
-def milnor_mod_q(preset: FieldPreset, q: int, r_max: int = 4) -> GradedAlgebra:
-    """The mod-q Milnor K-ring of a preset field in degrees <= r_max.
+def preset_relations(preset: FieldPreset, q: int) -> tuple[ZqSubspace, tuple[str, ...]]:
+    """Degree-2 relations of a preset field's mod-q K-ring, with the
+    names of its degree-1 basis.
 
-    Degree-2 relations come from the preset's enumeration oracle; higher
-    degrees are generated as the quadratic hull.  For the Laurent-series
-    and dyadic presets the oracle window (or 2-adic precision) is doubled
-    and the span must not move.
+    For the Laurent-series and dyadic presets the oracle window (or
+    2-adic precision) is doubled and the span must not move.
     """
     preset.validate_modulus(q)
     if preset.kind == "finite_field":
-        t2 = steinberg_relations_finite(preset.ell, q)
-        names = ("u",)
-    elif preset.kind == "tame_local":
+        return steinberg_relations_finite(preset.ell, q), ("u",)
+    if preset.kind == "tame_local":
         t2 = steinberg_relations_tame(preset.ell, q, window=2)
         if t2 != steinberg_relations_tame(preset.ell, q, window=4):
             raise OracleInstability(
                 "tame Steinberg span changed when the valuation window doubled"
             )
-        names = ("u", "t")
-    else:
-        t2 = hilbert_relation_span(q, precision_bits=8)
-        if t2 != hilbert_relation_span(q, precision_bits=10):
-            raise OracleInstability("dyadic relation span changed under precision increase")
-        names = ("-1", "2", "5")
+        return t2, ("u", "t")
+    t2 = hilbert_relation_span(q, precision_bits=8)
+    if t2 != hilbert_relation_span(q, precision_bits=10):
+        raise OracleInstability("dyadic relation span changed under precision increase")
+    return t2, ("-1", "2", "5")
+
+
+def milnor_mod_q(preset: FieldPreset, q: int, r_max: int = 4) -> GradedAlgebra:
+    """The mod-q Milnor K-ring of a preset field in degrees <= r_max:
+    the quadratic hull of the preset's degree-2 relations."""
+    t2, names = preset_relations(preset, q)
     return quadratic_hull(q, len(names), t2, r_max, names)
 
 
@@ -469,47 +430,42 @@ def galois_symbol_compare(
     isomorphism between the preset K-ring and the quadratic hull of the
     presentation's cohomology model, in degrees <= r_max.
     """
-    algebra = milnor_mod_q(preset, presentation.q, r_max)
-    cd, report = cohomology_data_from_presentation(presentation)
     q = presentation.q
+    field_t2, names = preset_relations(preset, q)
+    _check_degree_bound(r_max)
+    cd, report = cohomology_data_from_presentation(presentation)
 
-    kept_names = None
     outcomes: list[TestOutcome] = []
     assumptions = [f"preset: {preset.describe()}", f"tested degrees: 1..{r_max}"]
     if not report.minimal:
         assumptions.append(
             f"presentation auto-minimized; kept generators {report.kept}"
         )
-    kept_names = report.kept
 
-    if set(correspondence.keys()) != set(algebra.basis_names):
+    if set(correspondence.keys()) != set(names):
         raise PresetError(
             f"correspondence keys {sorted(correspondence)} do not match the "
-            f"K-ring basis {algebra.basis_names}"
+            f"K-ring basis {names}"
         )
     if len(set(correspondence.values())) != len(correspondence):
         raise PresetError("correspondence is not injective on generators")
-    name_to_index = {name: i for i, name in enumerate(kept_names)}
+    name_to_index = {name: i for i, name in enumerate(report.kept)}
     for target in correspondence.values():
         if target not in name_to_index:
             raise PresetError(f"correspondence targets unknown generator {target!r}")
 
     # degree 1: bijection on the free module bases
-    if algebra.gen_count != cd.n:
+    m = len(names)
+    if m != cd.n:
         outcomes.append(
-            TestOutcome(
-                "degree-1",
-                "triggered",
-                f"K_1 rank {algebra.gen_count} != H^1 rank {cd.n}",
-            )
+            TestOutcome("degree-1", "triggered", f"K_1 rank {m} != H^1 rank {cd.n}")
         )
         return Report("not-isomorphic", tuple(outcomes), tuple(assumptions))
     outcomes.append(TestOutcome("degree-1", "passed"))
 
-    perm = [name_to_index[correspondence[name]] for name in algebra.basis_names]
-    m = algebra.gen_count
-
-    field_t2 = algebra.components[2]
+    # Relabel the field relations along the correspondence; a generator
+    # permutation commutes with the hull and keeps every degree's divisors.
+    perm = [name_to_index[correspondence[name]] for name in names]
     mapped_rows = []
     for row in field_t2.basis:
         out = [0] * (m * m)
@@ -517,17 +473,12 @@ def galois_symbol_compare(
             for b in range(m):
                 out[perm[a] * m + perm[b]] = row[a * m + b]
         mapped_rows.append(out)
-    mapped_t2 = canonicalize(q, m * m, mapped_rows)
-    pres_t2 = presentation_zero_pairs(cd)
-
-    pres_hull = quadratic_hull(q, m, pres_t2, r_max)
-    field_hull_mapped = quadratic_hull(q, m, mapped_t2, r_max)
+    field_hull = quadratic_hull(q, m, canonicalize(q, m * m, mapped_rows), r_max)
+    pres_hull = quadratic_hull(q, m, presentation_zero_pairs(cd), r_max)
 
     ok = True
     for r in range(2, r_max + 1):
-        same = field_hull_mapped.components[r] == pres_hull.components[r]
-        card = algebra.degree_cardinality(r) == pres_hull.degree_cardinality(r)
-        if same and card:
+        if field_hull.components[r] == pres_hull.components[r]:
             outcomes.append(TestOutcome(f"degree-{r}", "passed"))
         else:
             ok = False
@@ -536,7 +487,7 @@ def galois_symbol_compare(
                     f"degree-{r}",
                     "triggered",
                     f"relation subspaces differ in degree {r}: K-ring side has "
-                    f"cardinality {algebra.degree_cardinality(r)}, cohomology side "
+                    f"cardinality {field_hull.degree_cardinality(r)}, cohomology side "
                     f"{pres_hull.degree_cardinality(r)}",
                 )
             )
@@ -548,7 +499,7 @@ def galois_symbol_compare(
         tuple(outcomes),
         tuple(assumptions),
         data={
-            "degree_ranks_field": [algebra.degree_rank(r) for r in range(1, r_max + 1)],
+            "degree_ranks_field": [field_hull.degree_rank(r) for r in range(1, r_max + 1)],
             "degree_ranks_presentation": [pres_hull.degree_rank(r) for r in range(1, r_max + 1)],
         },
     )

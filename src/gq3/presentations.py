@@ -361,7 +361,8 @@ def make_presentation(q: int, generators: Sequence[str], relator_texts: Sequence
         try:
             relators.append(parse_word(text, name_to_index))
         except ParseError as exc:
-            raise ParseError(f"in relator {i + 1} ({text!r}): {exc.bare_message}",
+            quoted = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+            raise ParseError(f"in relator {i + 1} ({quoted}): {exc.bare_message}",
                              exc.line, exc.col) from None
     return Presentation(q, p, d, gens, tuple(relators), tuple(relator_texts))
 

@@ -27,6 +27,7 @@ from .freelie import MAX_GENERATORS, word_nontriviality_certificate
 from .zqlin import (
     ZqMatrix,
     ZqSubspace,
+    annihilator,
     canonicalize,
     kernel,
     prime_power,
@@ -411,32 +412,19 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
     dvals += [0] * (n - len(dvals))
     ab = tuple(sorted(q * (x if x else q) for x in dvals))
 
-    # Center: degree-1 classes whose commutators with every generator fall
-    # inside the commutator-block part of w.
-    wc_rows = [row[n:] for row in g.w.basis if not any(row[:n])]
+    # Center: degree-1 classes e with sum_k e_k [sigma_k, sigma_j] in Wc,
+    # the commutator-block part of w, for every j; over Z/q that is
+    # a . [sigma_e, sigma_j] = 0 for every a in ann(Wc), where
+    # [sigma_k, sigma_j] = w_kj for k < j and -w_jk for k > j.
     npairs = g.npairs
-    free = free_truncation(n, q)
-    cols = []
-    for k in range(n):
-        colvecs = []
-        for j in range(n):
-            comm = free.commutator(free.generator(k), free.generator(j))
-            colvecs.append(free.central_vector(comm)[n:])
-        cols.append(colvecs)
-    # unknowns: ebar (n) plus one lambda per generator equation
-    nlam = len(wc_rows)
+    dual = annihilator(vanishing_part(q, g.layer_rank, g.w.basis, n)).basis
+    index = {pair: idx for idx, pair in enumerate(g.pairs)}
     rows = []
     for j in range(n):
-        for idx in range(npairs):
-            row = [cols[k][j][idx] for k in range(n)]
-            for block in range(n):
-                if block == j:
-                    row.extend((-wc_rows[l][idx]) % q for l in range(nlam))
-                else:
-                    row.extend([0] * nlam)
-            rows.append(row)
-    ker = kernel(ZqMatrix.from_rows(q, rows, n + n * nlam))
-    size_e = canonicalize(q, n, [r[:n] for r in ker.basis]).cardinality()
+        for a in dual:
+            rows.append([a[index[k, j]] if k < j else -a[index[j, k]] if k > j else 0
+                         for k in range(n)])
+    size_e = kernel(ZqMatrix.from_rows(q, rows, n)).cardinality()
     center = size_e * q ** (n + npairs) // g.w.cardinality()
 
     # Exponent: q * smallest p-power j with p^j u_k in w for all k and,

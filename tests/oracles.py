@@ -2,9 +2,9 @@
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
 syllables, recognise Hall elements, build identity and zero Z/q
-matrices, enumerate small submodules and compute word certificates the
-direct way, so that the library's answers can be verified by direct
-construction.
+matrices, enumerate small submodules, compute word certificates the
+direct way and evaluate the 2-adic Hilbert symbol in closed form, so
+that the library's answers can be verified by direct construction.
 """
 
 import itertools
@@ -136,3 +136,32 @@ def _dense_hall_coordinates(component, n, m):
                 raise ArithmeticError("non-integral Hall coefficient")
             out[h] = -int(x)
     return out
+
+
+# Square classes of Q_2: (-1)^s 2^t 5^f with s, t, f in {0, 1}.
+SQUARE_CLASSES_Q2 = (1, -1, 2, -2, 5, -5, 10, -10)
+
+
+def _split_two(a):
+    """(alpha, u) with a = 2^alpha u, u odd."""
+    alpha = 0
+    while a % 2 == 0:
+        a //= 2
+        alpha += 1
+    return alpha, a
+
+
+def closed_form_hilbert_two_adic(a, b):
+    """(a, b)_2 = (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)) for
+    a = 2^alpha u, b = 2^beta v, with eps(u) = (u - 1)/2 and
+    omega(u) = (u^2 - 1)/8 mod 2 (Serre, A Course in Arithmetic, III.1.2)."""
+    alpha, u = _split_two(a)
+    beta, v = _split_two(b)
+
+    def eps(x):
+        return ((x - 1) // 2) % 2
+
+    def omega(x):
+        return ((x * x - 1) // 8) % 2
+
+    return -1 if (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)) % 2 else 1

@@ -205,6 +205,75 @@ def test_deep_nesting_exits_2(tmp_path, capsys, word, command):
     assert "Traceback" not in err
 
 
+def test_parse_error_quotes_a_short_prefix_of_the_relator(tmp_path, capsys):
+    path = tmp_path / "deep.pres"
+    path.write_text(f'q = 3;\ngens = [x1, x2];\nrels = ["{"[" * 1000}"];\n')
+    code, out, err = run_cli(capsys, "truncate", str(path))
+    assert code == 2
+    assert len(err.encode()) < 300
+    assert f"in relator 1 ({'[' * 40!r}...): nesting deeper than 100" in err
+
+
+@pytest.mark.parametrize("command", ["truncate", "reconstruct"])
+def test_internal_error_exits_4(tame_file, capsys, monkeypatch, command):
+    def broken(*args, **kwargs):
+        raise AssertionError("inconsistent\norders")
+
+    monkeypatch.setattr("gq3.cli.truncated_quotient", broken)
+    monkeypatch.setattr("gq3.cli.relator_subspace", broken)
+    code, out, err = run_cli(capsys, command, tame_file)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: AssertionError('inconsistent\\norders')\n"
+
+
+def count_calls(monkeypatch, calls, module, name):
+    """Record in calls every call to module.name."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatch):
+    import gq3.cli
+    import gq3.cohom
+
+    calls = []
+    count_calls(monkeypatch, calls, gq3.cli, "relator_subspace")
+    count_calls(monkeypatch, calls, gq3.cohom, "relator_subspace")
+    code, out, _ = run_cli(capsys, "reconstruct", tame_file)
+    assert code == 0
+    assert json.loads(out)["round_trip_equal"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("with_map", [False, True])
+def test_galois_check_builds_the_matched_presentation_once(capsys, monkeypatch, with_map):
+    import gq3.cli
+
+    calls = []
+    count_calls(monkeypatch, calls, gq3.cli, "preset_presentation")
+    argv = ["galois-check", "--field", "tame_local:7", "--q", "3"]
+    code, out, _ = run_cli(capsys, *argv, *(["--map", "u:x1, t:x2"] if with_map else []))
+    assert code == 0
+    assert json.loads(out)["verdict"] == "isomorphic"
+    assert len(calls) == 1
+
+
+def test_galois_check_reports_a_bad_file_before_a_bad_preset(tmp_path, capsys):
+    path = tmp_path / "bad.pres"
+    path.write_text(BAD)
+    # q = 5 does not divide 7 - 1: the preset is bad too
+    code, out, err = run_cli(capsys, "galois-check", "--field", "tame_local:7", "--q", "5",
+                             str(path))
+    assert code == 2
+    assert err.startswith("parse error:")
+
+
 def test_reconstruct_cd_json_not_json_exit_2(tmp_path, capsys):
     cd_path = tmp_path / "cd.json"
     cd_path.write_text('{"q": 3, ')

@@ -22,6 +22,7 @@ from gq3.milnor import (
 )
 from gq3.cohom import cohomology_data_from_presentation
 from gq3.zqlin import canonicalize, full_subspace, zero_subspace
+from oracles import SQUARE_CLASSES_Q2, closed_form_hilbert_two_adic
 
 
 def grcomm_subspace(q, m):
@@ -54,7 +55,8 @@ def test_hull_no_relations():
     hull = quadratic_hull(5, 2, zp, 3)
     assert hull.degree_cardinality(2) == 5**4
     assert hull.degree_cardinality(3) == 5**8
-    assert not hull.commutativity_flag
+    # graded commutativity does not hold
+    assert not all(hull.components[2].contains(row) for row in grcomm_subspace(5, 2).basis)
 
 
 def test_hull_spec_degree2_rank0():
@@ -97,7 +99,7 @@ def test_quadraticity_detects_extra_relation():
     assert not hull.components[3].contains(extra)
     comps = dict(hull.components)
     comps[3] = canonicalize(3, 8, list(comps[3].basis) + [extra])
-    bigger = GradedAlgebra(3, 2, 3, comps, hull.commutativity_flag)
+    bigger = GradedAlgebra(3, 2, comps)
     rebuilt = quadratic_hull(3, 2, bigger.components[2], 3)
     assert rebuilt.components[2] == bigger.components[2]
     assert rebuilt.components[3] != bigger.components[3]
@@ -105,8 +107,37 @@ def test_quadraticity_detects_extra_relation():
 
 def test_zero_algebra_quadratic():
     comps = {2: full_subspace(2, 4), 3: full_subspace(2, 8)}
-    a = GradedAlgebra(2, 2, 3, comps, True)
+    a = GradedAlgebra(2, 2, comps)
     assert quadratic_hull(2, 2, a.components[2], 3).components == a.components
+
+
+def tensor_shift(row, m, r, i, prepend):
+    """e_i (x) row or row (x) e_i in the degree-(r+1) coordinates."""
+    out = [0] * m ** (r + 1)
+    for idx, x in enumerate(row):
+        out[i * m**r + idx if prepend else idx * m + i] = x
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 8, 9]),
+    m=st.integers(min_value=1, max_value=3),
+    r_max=st.integers(min_value=3, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_hull_is_an_ideal(q, m, r_max, seed):
+    """e_i (x) T_r and T_r (x) e_i lie in T_{r+1}: the hull's relations
+    form a two-sided ideal, so the hull is an algebra."""
+    rng = random.Random(seed)
+    rows = [[rng.randrange(q) for _ in range(m * m)] for _ in range(rng.randint(0, 3))]
+    hull = quadratic_hull(q, m, canonicalize(q, m * m, rows), r_max)
+    for r in range(2, r_max):
+        t_next = hull.components[r + 1]
+        for row in hull.components[r].basis:
+            for i in range(m):
+                assert t_next.contains(tensor_shift(row, m, r, i, prepend=True))
+                assert t_next.contains(tensor_shift(row, m, r, i, prepend=False))
 
 
 @settings(max_examples=30, deadline=None)
@@ -190,6 +221,7 @@ def test_tame_local_ranks(ell, q):
     assert a.degree_cardinality(4) == 1
     # the unit-uniformizer symbol generates degree 2: never a relation
     assert not a.components[2].contains([0, 1, 0, 0])
+    assert all(a.components[2].contains(row) for row in grcomm_subspace(q, 2).basis)
 
 
 def test_tame_local_unit_uniformizer_symbol_nonzero():
@@ -212,33 +244,24 @@ def test_tame_window_doubling_stable():
 # Dyadic preset
 
 
-def classical_hilbert_two_adic(a: int, b: int) -> int:
-    """Textbook formula: (a,b)_2 = (-1)^(eps(u)eps(v) + alpha omega(v) + beta omega(u))
-    for a = 2^alpha u, b = 2^beta v."""
-
-    def eps(u):
-        return ((u - 1) // 2) % 2
-
-    def omega(u):
-        return ((u * u - 1) // 8) % 2
-
-    alpha, u = 0, a
-    while u % 2 == 0:
-        u //= 2
-        alpha += 1
-    beta, v = 0, b
-    while v % 2 == 0:
-        v //= 2
-        beta += 1
-    exp = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
-    return -1 if exp % 2 else 1
-
-
 @pytest.mark.parametrize("bits", [8, 10])
 def test_hilbert_oracle_matches_classical_formula(bits):
-    for a in TWO_ADIC_CLASSES:
-        for b in TWO_ADIC_CLASSES:
-            assert hilbert_symbol_two_adic(a, b, bits) == classical_hilbert_two_adic(a, b), (a, b)
+    assert sorted(TWO_ADIC_CLASSES) == sorted(SQUARE_CLASSES_Q2)
+    for a, b in itertools.product(SQUARE_CLASSES_Q2, repeat=2):
+        assert hilbert_symbol_two_adic(a, b, bits) == closed_form_hilbert_two_adic(a, b), (a, b)
+
+
+def test_hilbert_relation_span_against_closed_form():
+    """T_2 of the dyadic preset is the kernel of the symbol pairing: on the
+    basis (-1, 2, 5) a tensor is a relation iff sum t_ij [(e_i, e_j)_2 = -1]
+    is even."""
+    basis = (-1, 2, 5)
+    pairing = [1 if closed_form_hilbert_two_adic(a, b) == -1 else 0
+               for a in basis for b in basis]
+    span = hilbert_relation_span()
+    for t in itertools.product(range(2), repeat=9):
+        relation = sum(x * y for x, y in zip(t, pairing)) % 2 == 0
+        assert span.contains(t) == relation, t
 
 
 def test_hilbert_minus_one_minus_one_nontrivial():

@@ -520,6 +520,33 @@ def test_group_invariants_against_enumeration(n, q, rels):
     assert inv.exponent == exponent
 
 
+def center_by_group_law(g):
+    """|Z(G)|: the classes sigma^e, e mod q, that commute with every
+    generator under the group law, times the central layer of G."""
+    powers = [[g.power(g.generator(k), e) for e in range(g.q)] for k in range(g.n)]
+    count = 0
+    for e in itertools.product(range(g.q), repeat=g.n):
+        x = g.identity()
+        for k, ek in enumerate(e):
+            x = g.multiply(x, powers[k][ek])
+        if all(g.commutator(x, g.generator(j)) == g.identity() for j in range(g.n)):
+            count += 1
+    return count * g.q ** g.layer_rank // g.w.cardinality()
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (3, 5), (4, 3), (3, 9)])
+def test_center_against_group_law(n, q):
+    """Random central subspaces on three or more generators, where the
+    sign of [sigma_k, sigma_j] for k > j decides the center."""
+    rng = random.Random(f"center:{n}:{q}")
+    s = free_truncation(n, q)
+    for _ in range(12):
+        rows = [[rng.randrange(q) if k >= n or rng.random() < 0.3 else 0
+                 for k in range(s.layer_rank)] for _ in range(rng.randint(1, 3))]
+        g = quotient(s, canonicalize(q, s.layer_rank, rows))
+        assert group_invariants(g).center_order == center_by_group_law(g)
+
+
 def test_invariants_spec_examples():
     g = free_truncation(2, 2)
     inv = group_invariants(g)
