@@ -10,14 +10,19 @@ The combined cup/Bockstein map out of the dual central layer has the
 relator pairing matrix as its matrix; its kernel annihilates exactly
 the relator subspace, so by Z/q duality that subspace is its row span,
 which is what makes the quotient reconstructible from the tables alone
-(reconstruct_g3).  Morphism and obstruction checks ride on the same
-matrices.
+(reconstruct_g3).
+
+A morphism given by degree-1 images acts on the free central layers
+as the Z/q-linear map L whose columns trunc.layer_map gives in closed
+form, and morphism_check reads both of its sides off L: the images
+define a morphism when L carries every source relator vector into the
+target's relator subspace, and L^T pulls the target's decomposable
+part of H^2 back onto the source's.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from . import presentations as pres
@@ -25,9 +30,10 @@ from .freelie import MAX_GENERATORS, word_nontriviality_certificate
 from .trunc import (
     CentralSubspace,
     MinimalityReport,
-    TruncElement,
     TruncGroup,
     free_truncation,
+    kappa_constant,
+    layer_map,
     pair_list,
     quotient,
     relator_subspace,
@@ -44,7 +50,6 @@ from .zqlin import (
     invariant_factors,
     prime_power,
     row_space,
-    subspace_sum,
 )
 
 
@@ -54,11 +59,6 @@ class MorphismError(ValueError):
 
 class HypothesisViolation(ValueError):
     """Input falls outside the elementary-quotient hypothesis."""
-
-
-def kappa_constant(q: int) -> int:
-    """The diagonal constant: x cup x = kappa * Bockstein(x), kappa = C(q,2) mod q."""
-    return math.comb(q, 2) % q
 
 
 @dataclass(frozen=True)
@@ -353,26 +353,6 @@ def _require_minimal(report: MinimalityReport, which: str):
         )
 
 
-def _layer_matrix(
-    n1: int, images_free: list[TruncElement], target: TruncGroup
-) -> ZqMatrix:
-    """Matrix of the induced map between free central layers.
-
-    Columns: images of u_k (the q-th powers of the generator images) and
-    of w_kl (their commutators), as vectors in the target layer.
-    """
-    q = target.q
-    cols = []
-    for k in range(n1):
-        cols.append(target.central_vector(target.power(images_free[k], q)))
-    for k, l in pair_list(n1):
-        cols.append(
-            target.central_vector(target.commutator(images_free[k], images_free[l]))
-        )
-    rows = [tuple(col[i] for col in cols) for i in range(target.layer_rank)]
-    return ZqMatrix.from_rows(q, rows, len(cols))
-
-
 def _decomposable_part_lift(q: int, n: int, ann: ZqSubspace) -> ZqSubspace:
     """Preimage in the dual layer of the span of the cup classes, given
     the annihilator of the relator subspace."""
@@ -417,37 +397,35 @@ def morphism_check(
     if len(images) != n1:
         raise MorphismError(f"expected {n1} generator images, got {len(images)}")
 
-    free2 = free_truncation(n2, q)
-    images_free = [free2.evaluate_word(w) for w in images]
-    images_quot = [g2.normalize(x) for x in images_free]
+    # the map L the images induce on the free central layers, and its rows
+    degree1 = [free_truncation(n2, q).evaluate_word(w).e for w in images]
+    columns = layer_map(q, degree1)
+    lrows = [tuple(col[i] for col in columns) for i in range(g2.layer_rank)]
 
-    # well-definedness: relators of the source must die in the target
-    env = dict(enumerate(images_quot))
+    # well-definedness: the source relators, central since the source is
+    # minimal, must map into the target's relator subspace
+    free1 = free_truncation(n1, q)
     for word, source in zip(pres1.relators, pres1.relator_sources):
-        if g2.evaluate_word(word, env) != g2.identity():
+        v = free1.central_vector(free1.evaluate_word(word))
+        if not g2.w.contains([sum(x * y for x, y in zip(row, v)) for row in lrows]):
             raise MorphismError(f"images do not respect relator {source!r}")
 
-    # degree-1 matrix of the map, rows = images of the source generators
-    deg1 = ZqMatrix.from_rows(q, [[x % q for x in img.e] for img in images_free], n2)
-    deg1_mod_p = ZqMatrix.from_rows(p, [[x % p for x in img.e] for img in images_free], n2)
+    deg1_mod_p = ZqMatrix.from_rows(p, [[x % p for x in a] for a in degree1], n2)
     surjective = row_space(deg1_mod_p).cardinality() == p**n2
     pi2_iso = n1 == n2 and surjective
     pi3_iso = surjective and g1.order() == g2.order()
     h1_iso = pi2_iso
 
-    # induced map on the decomposable part of H^2, through the dual of
-    # the free layer map
-    lmat = _layer_matrix(n1, images_free, free2)
-    lt = lmat.transpose()
+    # induced map on the decomposable part of H^2: the pullback L^T p2 of
+    # the target's lift is spanned by L's commutator rows, kappa times its
+    # power rows and L^T ann2, and must fill the source's lift p1
     ann1, ann2 = annihilator(g1.w), annihilator(g2.w)
     p1 = _decomposable_part_lift(q, n1, ann1)
     p2 = _decomposable_part_lift(q, n2, ann2)
-    pulled = [lt.apply_to_vector(v) for v in ann2.basis]
-    for v in pulled:
-        if not ann1.contains(v):
-            raise AssertionError("dual layer map does not respect the annihilators")
-    pulled_p2 = canonicalize(q, p1.ambient_dim, [lt.apply_to_vector(v) for v in p2.basis])
-    image_span = subspace_sum(pulled_p2, ann1)
+    kappa = kappa_constant(q)
+    pulled = lrows[n2:] + [[kappa * x for x in row] for row in lrows[:n2]]
+    pulled += [[sum(x * y for x, y in zip(a, col)) for col in columns] for a in ann2.basis]
+    image_span = canonicalize(q, p1.ambient_dim, pulled + list(ann1.basis))
     d2_size_source = p2.cardinality() // ann2.cardinality()
     d2_size_target = p1.cardinality() // ann1.cardinality()
     pidec2_iso = image_span == p1 and d2_size_source == d2_size_target
@@ -491,6 +469,8 @@ def obstruction_screen(
     p_, d_ = prime_power(q)
     if d_ != 1:
         raise ValueError(f"the screen applies to prime modulus only, got q = {q}")
+    if cd_bound is not None and cd_bound < 1:
+        raise ValueError(f"cohomological dimension must be at least 1, got {cd_bound}")
 
     n = presentation.n
     group = free_truncation(n, q)

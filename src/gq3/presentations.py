@@ -122,10 +122,11 @@ Syllable = tuple[int, int]  # (generator index, nonzero exponent)
 
 
 def letters(word: Word, sign: int = 1) -> list[Syllable]:
-    """Flatten to generator powers, expanding commutators definitionally.
+    """Flatten a flat word to generator powers.
 
-    A power whose base flattens to one syllable stays one syllable; any
-    other power repeats its base |e| times.
+    A flat word holds no commutator, and each of its powers has a base of
+    at most one syllable, which stays one syllable.  Other words are
+    expanded on their tree (freelie._word_series), never flattened.
     """
     match word:
         case Generator(k):
@@ -133,14 +134,10 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
         case Inverse(b):
             return letters(b, -sign)
         case Power(b, e):
-            if e == 0:
-                return []
-            seq = letters(b, 1 if e > 0 else -1)
-            if len(seq) == 1:
-                g, x = seq[0]
-                return [(g, sign * x * abs(e))]
-            total = seq * abs(e) if sign > 0 else [(g, -x) for g, x in reversed(seq)] * abs(e)
-            return total
+            seq = letters(b, sign)
+            if len(seq) > 1:
+                raise TypeError(f"not a flat word: power of a composite base {b!r}")
+            return [(g, x * e) for g, x in seq if e]
         case Product(fs):
             if sign > 0:
                 out = []
@@ -151,10 +148,7 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
             for f in reversed(fs):
                 out.extend(letters(f, -1))
             return out
-        case Commutator(a, b):
-            expanded = Product((Inverse(a), Inverse(b), a, b))
-            return letters(expanded, sign)
-    raise TypeError(f"not a word node: {word!r}")
+    raise TypeError(f"not a flat word node: {word!r}")
 
 
 def reduce_syllables(seq: Sequence[Syllable]) -> list[Syllable]:

@@ -19,8 +19,11 @@ with unit pivots; see relator_subspace.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import presentations as pres
 from .freelie import MAX_GENERATORS, word_nontriviality_certificate
@@ -49,8 +52,49 @@ class MixedExponentError(ValueError):
     """
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(n) for l in range(k + 1, n)]
+# a relator trivial in S^[3] is kept if certified nontrivial up to this class
+TRIVIALITY_CLASS = 5
+
+
+@functools.cache
+def pair_list(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((k, l) for k in range(n) for l in range(k + 1, n))
+
+
+def kappa_constant(q: int) -> int:
+    """kappa = C(q,2) mod q: x^q has commutator part -kappa x_k x_l, which
+    makes x cup x = kappa * Bockstein(x)."""
+    return math.comb(q, 2) % q
+
+
+# ---------------------------------------------------------------------------
+# The central layer in closed form.  Both vectors depend on the degree-1
+# exponents only, a and b below (reduced mod q here), because the layer
+# is central and the commutator pairing is bilinear.
+
+
+def power_vector(q: int, a: Sequence[int]) -> tuple[int, ...]:
+    """Central vector of x^q for x in S^[3] with degree-1 exponents a:
+    (a | -kappa a_k a_l for k < l)."""
+    kappa = kappa_constant(q)
+    return tuple(x % q for x in a) + tuple((-kappa * a[k] * a[l]) % q
+                                           for k, l in pair_list(len(a)))
+
+
+def commutator_vector(q: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Central vector of [x, y] for x, y in S^[3] with degree-1 exponents
+    a, b: (0 | a_k b_l - a_l b_k for k < l)."""
+    return (0,) * len(a) + tuple((a[k] * b[l] - a[l] * b[k]) % q
+                                 for k, l in pair_list(len(a)))
+
+
+def layer_map(q: int, images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Columns of the map on central layers induced by sigma_k -> x_k, where
+    x_k has degree-1 exponents images[k]: the images of u_k = sigma_k^q,
+    then of w_kl = [sigma_k, sigma_l] for k < l."""
+    columns = [power_vector(q, a) for a in images]
+    return columns + [commutator_vector(q, images[k], images[l])
+                      for k, l in pair_list(len(images))]
 
 
 @dataclass(frozen=True)
@@ -79,10 +123,6 @@ class TruncGroup:
             raise ValueError("central subspace has wrong ambient dimension or modulus")
 
     @property
-    def p(self) -> int:
-        return prime_power(self.q)[0]
-
-    @property
     def npairs(self) -> int:
         return self.n * (self.n - 1) // 2
 
@@ -91,7 +131,7 @@ class TruncGroup:
         return self.n + self.n * (self.n - 1) // 2
 
     @property
-    def pairs(self) -> list[tuple[int, int]]:
+    def pairs(self) -> tuple[tuple[int, int], ...]:
         return pair_list(self.n)
 
     def order(self) -> int:
@@ -163,28 +203,22 @@ class TruncGroup:
             self.multiply(self.inverse(a), self.inverse(b)), self.multiply(a, b)
         )
 
-    def evaluate_word(
-        self, word: pres.Word, env: dict[int, TruncElement] | None = None
-    ) -> TruncElement:
-        """Homomorphic evaluation; env overrides generator images."""
+    def evaluate_word(self, word: pres.Word) -> TruncElement:
+        """Homomorphic evaluation of a word in the generators."""
         match word:
             case pres.Generator(k):
-                if env is not None:
-                    if k not in env:
-                        raise ValueError(f"no image supplied for generator {k}")
-                    return env[k]
                 return self.generator(k)
             case pres.Inverse(b):
-                return self.inverse(self.evaluate_word(b, env))
+                return self.inverse(self.evaluate_word(b))
             case pres.Power(b, m):
-                return self.power(self.evaluate_word(b, env), m)
+                return self.power(self.evaluate_word(b), m)
             case pres.Product(fs):
                 out = self.identity()
                 for f in fs:
-                    out = self.multiply(out, self.evaluate_word(f, env))
+                    out = self.multiply(out, self.evaluate_word(f))
                 return out
             case pres.Commutator(a, b):
-                return self.commutator(self.evaluate_word(a, env), self.evaluate_word(b, env))
+                return self.commutator(self.evaluate_word(a), self.evaluate_word(b))
         raise TypeError(f"not a word node: {word!r}")
 
     # -- central layer ----------------------------------------------------
@@ -197,13 +231,6 @@ class TruncGroup:
         if not self.is_central(x):
             raise ValueError("element is not in the central layer")
         return tuple(ek // self.q for ek in x.e) + x.c
-
-    def central_element(self, vec: tuple[int, ...]) -> TruncElement:
-        if len(vec) != self.layer_rank:
-            raise ValueError("central vector has wrong length")
-        e = tuple((self.q * t) % (self.q * self.q) for t in vec[: self.n])
-        c = tuple(x % self.q for x in vec[self.n:])
-        return self.normalize(TruncElement(e, c))
 
     def elements(self):
         """Iterate all canonical normal forms (small groups only)."""
@@ -246,7 +273,7 @@ class MinimalityReport:
 
 
 def relator_subspace(
-    presentation: pres.Presentation, certificate_class: int = 5
+    presentation: pres.Presentation,
 ) -> tuple[CentralSubspace, MinimalityReport]:
     """Span of the relator images in the central layer, after minimization.
 
@@ -270,11 +297,11 @@ def relator_subspace(
     for word, source in zip(presentation.relators, presentation.relator_sources):
         y = group.evaluate_word(word)
         if y == group.identity():
-            cert = word_nontriviality_certificate(word, n, min(certificate_class, 6))
+            cert = word_nontriviality_certificate(word, n, TRIVIALITY_CLASS)
             if cert is None:
                 dropped.append(source)
                 warnings.append(
-                    f"relator {source!r} is trivial up to class {certificate_class}; dropped"
+                    f"relator {source!r} is trivial up to class {TRIVIALITY_CLASS}; dropped"
                 )
                 continue
         ys.append(y)
@@ -316,14 +343,14 @@ def relator_subspace(
                 "the mod-q abelianization is not elementary of exponent q"
             )
 
+    # A pivot relator y contributes the central elements y^q and
+    # [y, sigma_j] of its normal closure; any other relator is central.
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     central_rows: list[tuple[int, ...]] = []
     for i, y in enumerate(ys):
         if i in pivot_of_row:
-            central_rows.append(group.central_vector(group.power(y, q)))
-            for j in range(n):
-                central_rows.append(
-                    group.central_vector(group.commutator(y, group.generator(j)))
-                )
+            central_rows.append(power_vector(q, y.e))
+            central_rows.extend(commutator_vector(q, y.e, u) for u in units)
         else:
             central_rows.append(group.central_vector(y))
 

@@ -2,9 +2,11 @@
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
 syllables, recognise Hall elements, build identity and zero Z/q
-matrices, enumerate small submodules, compute word certificates the
-direct way and evaluate the 2-adic Hilbert symbol in closed form, so
-that the library's answers can be verified by direct construction.
+matrices, enumerate small submodules, build central elements and the
+layer map of a morphism through the group law, substitute words into
+words, compute word certificates the direct way and evaluate the 2-adic
+Hilbert symbol in closed form, so that the library's answers can be
+verified by direct construction.
 """
 
 import itertools
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 from gq3.freelie import HallElement, hall_basis, tensor_expansion
 from gq3.presentations import Commutator, Generator, Inverse, Power, Product
+from gq3.trunc import TruncElement, pair_list
 from gq3.zqlin import ZqMatrix, ZqSubspace
 
 
@@ -57,6 +60,40 @@ def subspace_vectors(w: ZqSubspace):
             for k in range(w.ambient_dim):
                 acc[k] = (acc[k] + c * row[k]) % w.q
         yield tuple(acc)
+
+
+def central_element(g, vec):
+    """The element of the truncated group g with central coordinates vec = (t | c)."""
+    if len(vec) != g.layer_rank:
+        raise ValueError("central vector has wrong length")
+    e = tuple((g.q * t) % (g.q * g.q) for t in vec[: g.n])
+    c = tuple(x % g.q for x in vec[g.n:])
+    return g.normalize(TruncElement(e, c))
+
+
+def group_law_layer_columns(images, target):
+    """Columns of the map sigma_k -> images[k] on central layers, by the
+    group law of target: the central vectors of images[k]^q, then of
+    [images[k], images[l]] for k < l."""
+    cols = [target.central_vector(target.power(x, target.q)) for x in images]
+    for k, l in pair_list(len(images)):
+        cols.append(target.central_vector(target.commutator(images[k], images[l])))
+    return cols
+
+
+def substitute(word, images):
+    """word with every generator k replaced by the word images[k]."""
+    if isinstance(word, Generator):
+        return images[word.index]
+    if isinstance(word, Inverse):
+        return Inverse(substitute(word.body, images))
+    if isinstance(word, Power):
+        return Power(substitute(word.body, images), word.exponent)
+    if isinstance(word, Product):
+        return Product(tuple(substitute(f, images) for f in word.factors))
+    if isinstance(word, Commutator):
+        return Commutator(substitute(word.left, images), substitute(word.right, images))
+    raise TypeError(f"not a word node: {word!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,16 @@ def test_screen_dimension(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "obstructed"
 
 
+@pytest.mark.parametrize("cd", ["0", "-5"])
+def test_screen_cd_below_1_exits_3(cd, tmp_path, capsys):
+    path = tmp_path / "free2.pres"
+    path.write_text(FREE)
+    code, out, err = run_cli(capsys, "screen", str(path), "--cd", cd)
+    assert code == 3
+    assert out == ""
+    assert err == f"validation error: cohomological dimension must be at least 1, got {cd}\n"
+
+
 def test_screen_exponent_at_the_parser_cap(tmp_path, capsys):
     """The certificate never writes the power out letter by letter."""
     path = tmp_path / "huge.pres"

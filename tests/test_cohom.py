@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,9 +16,24 @@ from gq3.cohom import (
     obstruction_screen,
     reconstruct_g3,
 )
-from gq3.presentations import make_presentation, parse_word
-from gq3.trunc import free_truncation, relator_subspace, truncated_quotient
+from gq3.presentations import (
+    Commutator,
+    Generator,
+    Power,
+    Product,
+    make_presentation,
+    parse_word,
+    pretty,
+)
+from gq3.trunc import (
+    TruncElement,
+    free_truncation,
+    layer_map,
+    relator_subspace,
+    truncated_quotient,
+)
 from gq3.zqlin import row_space
+from oracles import group_law_layer_columns, substitute
 
 
 def cd_from_tables(q, n, h2_rank, cup=None, bockstein=None):
@@ -272,6 +288,104 @@ def test_morphism_b_equivalent_d_on_random_endomorphisms(q, seed):
     except MorphismError:
         return  # images failed to respect the relators: not an instance
     assert report.agreement
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 32])
+def test_layer_map_matches_group_law(q):
+    """The closed-form layer map against q-th powers and commutators of
+    random images in S^[3], 90 maps per modulus with n1, n2 <= 8."""
+    rng = random.Random(q * 101)
+    for _ in range(90):
+        n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
+        free2 = free_truncation(n2, q)
+        images = [
+            free2.normalize(TruncElement(tuple(rng.randrange(q * q) for _ in range(n2)),
+                                         tuple(rng.randrange(q) for _ in range(free2.npairs))))
+            for _ in range(n1)
+        ]
+        assert layer_map(q, [x.e for x in images]) == group_law_layer_columns(images, free2)
+
+
+def random_image_word(rng, n, q):
+    """A product of generator powers, a commutator and a q-th power over n generators."""
+    factors = [Power(Generator(rng.randrange(n)), rng.choice([-2, -1, 1, 2, 3]))
+               for _ in range(rng.randint(1, 3))]
+    if n > 1 and rng.random() < 0.5:
+        k, l = rng.sample(range(n), 2)
+        factors.append(Commutator(Generator(k), Generator(l)))
+    if rng.random() < 0.5:
+        factors.append(Power(Generator(rng.randrange(n)), q * rng.randint(1, 2)))
+    return Product(tuple(factors))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_morphism_well_definedness_against_substitution(q):
+    """The images define a morphism exactly when every source relator, with
+    the image words substituted, evaluates to the identity of the target's
+    G^[3]; otherwise the first relator that does not is named."""
+    rng = random.Random(q * 7)
+    verdicts = set()
+    for _ in range(40):
+        n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
+        names1 = [f"x{k + 1}" for k in range(n1)]
+        names2 = [f"y{k + 1}" for k in range(n2)]
+        rels1 = [t for t in (random_central_relator(rng, n1, q, names1) for _ in range(3)) if t]
+        p1 = make_presentation(q, names1, rels1)
+        images = [random_image_word(rng, n2, q) for _ in range(n1)]
+        substituted = [substitute(w, images) for w in p1.relators]
+        # the target keeps some substituted relators and adds a random one
+        rels2 = [pretty(w, names2) for w in substituted if rng.random() < 0.6]
+        rels2 += [t for t in [random_central_relator(rng, n2, q, names2)] if t and rng.random() < 0.3]
+        p2 = make_presentation(q, names2, rels2)
+        g2, _ = truncated_quotient(p2)
+        failing = [source for w, source in zip(substituted, p1.relator_sources)
+                   if g2.evaluate_word(w) != g2.identity()]
+        if failing:
+            with pytest.raises(MorphismError) as err:
+                morphism_check(p1, p2, images)
+            assert str(err.value) == f"images do not respect relator {failing[0]!r}"
+        else:
+            morphism_check(p1, p2, images)
+        verdicts.add(bool(failing))
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 3, 9])
+def test_morphism_between_presentations_related_by_a_change_of_generators(q):
+    """A random unimodular change of generators over Z/q^2, substituted into
+    the relators, gives a second presentation of the same group: the
+    morphism between the two is a level-3 isomorphism, and both
+    conditions hold."""
+    rng = random.Random(q * 13)
+    qq = q * q
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        names1 = [f"x{k + 1}" for k in range(n)]
+        names2 = [f"y{k + 1}" for k in range(n)]
+        rels1 = [t for t in (random_central_relator(rng, n, q, names1) for _ in range(3)) if t]
+        p1 = make_presentation(q, names1, rels1)
+        # row operations and unit scalings of the identity over Z/q^2
+        a = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randrange(qq)
+            a[i] = [(x + c * y) % qq for x, y in zip(a[i], a[j])]
+        units = [u for u in range(1, qq) if math.gcd(u, q) == 1]
+        for row in a:
+            unit = rng.choice(units)
+            row[:] = [(unit * x) % qq for x in row]
+        rng.shuffle(a)
+        images = []
+        for row in a:
+            factors = [Power(Generator(j), e) for j, e in enumerate(row) if e]
+            k, l = rng.sample(range(n), 2)
+            factors.append(Power(Commutator(Generator(k), Generator(l)), rng.randrange(q)))
+            images.append(Product(tuple(factors)))
+        rels2 = [pretty(substitute(w, images), names2) for w in p1.relators]
+        p2 = make_presentation(q, names2, rels2)
+        report = morphism_check(p1, p2, images)
+        assert report.pi3_isomorphism and report.b_holds and report.d_holds
+        assert report.agreement
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from gq3.presentations import (
     pretty,
     reduce_syllables,
 )
+from oracles import flat_letters
 
 NAMES = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -31,7 +32,7 @@ def test_parse_presentation_basic():
 
 def test_parse_presentation_self_commutator_reduces():
     pres = parse_presentation('q=3; gens=[a]; rels=["[a,a]"];')
-    assert reduce_syllables(letters(pres.relators[0])) == []
+    assert reduce_syllables(flat_letters(pres.relators[0])) == []
 
 
 def test_parse_presentation_bad_modulus():
@@ -105,7 +106,7 @@ def test_nesting_cap(depth):
 
 
 def free_reduce(text):
-    return reduce_syllables(letters(parse_word(text, NAMES)))
+    return reduce_syllables(flat_letters(parse_word(text, NAMES)))
 
 
 def test_free_reduce_cancellation():
@@ -122,8 +123,15 @@ def test_free_reduce_power_of_power():
 
 
 def test_letters_negative_power():
-    w = parse_word("(x1 x2)^-2", NAMES)
-    assert reduce_syllables(letters(w)) == [(1, -1), (0, -1), (1, -1), (0, -1)]
+    w = parse_word("(x1 x2^3)^-1 (x1^-2)^3", NAMES)
+    assert letters(w) == [(1, -3), (0, -1), (0, -6)]
+    assert reduce_syllables(letters(w)) == [(1, -3), (0, -7)]
+
+
+@pytest.mark.parametrize("text", ["[x1,x2]", "x1 (x1 x2)^2", "((x1 x2)^-2)^-1"])
+def test_letters_rejects_words_that_are_not_flat(text):
+    with pytest.raises(TypeError, match="not a flat word"):
+        letters(parse_word(text, NAMES))
 
 
 words = st.deferred(
@@ -146,7 +154,26 @@ def test_pretty_parse_round_trip(ast):
     assert parse_word(pretty(parsed, ["x1", "x2", "x3"]), NAMES) == parsed
 
 
-@given(words)
+# Flat words: no commutator, and every power has a one-syllable base.
+syllable_words = st.deferred(
+    lambda: st.one_of(
+        st.integers(min_value=0, max_value=2).map(Generator),
+        st.tuples(syllable_words).map(lambda t: Inverse(t[0])),
+        st.tuples(syllable_words, st.integers(min_value=-4, max_value=4)).map(
+            lambda t: Power(*t)
+        ),
+    )
+)
+flat_words = st.deferred(
+    lambda: st.one_of(
+        syllable_words,
+        st.tuples(flat_words).map(lambda t: Inverse(t[0])),
+        st.lists(flat_words, min_size=1, max_size=3).map(lambda fs: Product(tuple(fs))),
+    )
+)
+
+
+@given(flat_words)
 def test_free_reduce_idempotent_and_nonincreasing(ast):
     flat = letters(ast)
     reduced = reduce_syllables(flat)
@@ -154,3 +181,4 @@ def test_free_reduce_idempotent_and_nonincreasing(ast):
     assert all(e for _, e in reduced)
     assert all(a[0] != b[0] for a, b in zip(reduced, reduced[1:]))
     assert sum(abs(e) for _, e in reduced) <= sum(abs(e) for _, e in flat)
+    assert letters(Inverse(ast)) == [(g, -e) for g, e in reversed(flat)]
