@@ -355,21 +355,22 @@ def _require_minimal(report: MinimalityReport, which: str):
 
 def _decomposable_part_lift(q: int, n: int, ann: ZqSubspace) -> ZqSubspace:
     """Preimage in the dual layer of the span of the cup classes, given
-    the annihilator of the relator subspace."""
+    the annihilator of the relator subspace: the cup coordinates, kappa
+    times the Bockstein ones, and ann."""
     layer_rank = n + len(pair_list(n))
     kappa = kappa_constant(q)
-    rows = []
-    for idx in range(len(pair_list(n))):
-        row = [0] * layer_rank
-        row[n + idx] = 1
-        rows.append(row)
-    if kappa:
-        for k in range(n):
-            row = [0] * layer_rank
-            row[k] = kappa
-            rows.append(row)
-    rows.extend(ann.basis)
-    return canonicalize(q, layer_rank, rows)
+    rows = [[(kappa if i < n else 1) * (i == j) for j in range(layer_rank)]
+            for i in range(layer_rank)]
+    return canonicalize(q, layer_rank, rows + list(ann.basis))
+
+
+def _combination(coeffs, vectors, width: int) -> list[int]:
+    """sum_i coeffs[i] * vectors[i], unreduced; zero coefficients are skipped."""
+    out = [0] * width
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, vec)]
+    return out
 
 
 def morphism_check(
@@ -397,17 +398,16 @@ def morphism_check(
     if len(images) != n1:
         raise MorphismError(f"expected {n1} generator images, got {len(images)}")
 
-    # the map L the images induce on the free central layers, and its rows
+    # the map L the images induce on the free central layers
     degree1 = [free_truncation(n2, q).evaluate_word(w).e for w in images]
     columns = layer_map(q, degree1)
-    lrows = [tuple(col[i] for col in columns) for i in range(g2.layer_rank)]
 
     # well-definedness: the source relators, central since the source is
     # minimal, must map into the target's relator subspace
     free1 = free_truncation(n1, q)
     for word, source in zip(pres1.relators, pres1.relator_sources):
         v = free1.central_vector(free1.evaluate_word(word))
-        if not g2.w.contains([sum(x * y for x, y in zip(row, v)) for row in lrows]):
+        if not g2.w.contains(_combination(v, columns, g2.layer_rank)):
             raise MorphismError(f"images do not respect relator {source!r}")
 
     deg1_mod_p = ZqMatrix.from_rows(p, [[x % p for x in a] for a in degree1], n2)
@@ -417,21 +417,18 @@ def morphism_check(
     h1_iso = pi2_iso
 
     # induced map on the decomposable part of H^2: the pullback L^T p2 of
-    # the target's lift is spanned by L's commutator rows, kappa times its
-    # power rows and L^T ann2, and must fill the source's lift p1
+    # the target's lift, plus ann1, must fill the source's lift p1
     ann1, ann2 = annihilator(g1.w), annihilator(g2.w)
     p1 = _decomposable_part_lift(q, n1, ann1)
     p2 = _decomposable_part_lift(q, n2, ann2)
-    kappa = kappa_constant(q)
-    pulled = lrows[n2:] + [[kappa * x for x in row] for row in lrows[:n2]]
-    pulled += [[sum(x * y for x, y in zip(a, col)) for col in columns] for a in ann2.basis]
-    image_span = canonicalize(q, p1.ambient_dim, pulled + list(ann1.basis))
+    lrows = list(zip(*columns))
+    pulled = [_combination(a, lrows, g1.layer_rank) for a in p2.basis]
+    image_span = canonicalize(q, g1.layer_rank, pulled + list(ann1.basis))
     d2_size_source = p2.cardinality() // ann2.cardinality()
     d2_size_target = p1.cardinality() // ann1.cardinality()
     pidec2_iso = image_span == p1 and d2_size_source == d2_size_target
 
-    layer2_full = full_subspace(q, p2.ambient_dim)
-    target_h2_dec = p2 == layer2_full
+    target_h2_dec = p2 == full_subspace(q, g2.layer_rank)
 
     b_holds = pi3_iso
     d_holds = h1_iso and pidec2_iso

@@ -68,9 +68,8 @@ def kappa_constant(q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The central layer in closed form.  Both vectors depend on the degree-1
-# exponents only, a and b below (reduced mod q here), because the layer
-# is central and the commutator pairing is bilinear.
+# The central layer in closed form: x^q and [x, y] depend only on the
+# degree-1 exponents a, b of x, y, mod q.
 
 
 def power_vector(q: int, a: Sequence[int]) -> tuple[int, ...]:
