@@ -335,7 +335,9 @@ def test_morphism_well_definedness_against_substitution(q):
         substituted = [substitute(w, images) for w in p1.relators]
         # the target keeps some substituted relators and adds a random one
         rels2 = [pretty(w, names2) for w in substituted if rng.random() < 0.6]
-        rels2 += [t for t in [random_central_relator(rng, n2, q, names2)] if t and rng.random() < 0.3]
+        extra = random_central_relator(rng, n2, q, names2)
+        if extra and rng.random() < 0.3:
+            rels2.append(extra)
         p2 = make_presentation(q, names2, rels2)
         g2, _ = truncated_quotient(p2)
         failing = [source for w, source in zip(substituted, p1.relator_sources)
