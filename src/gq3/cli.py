@@ -4,6 +4,10 @@ summaries on stderr.
 Exit codes: 0 success or verified, 1 verified-negative (an obstruction
 or a failed comparison is still a successful run), 2 parse error,
 3 validation error, 4 internal error (a bug: no answer is given).
+
+``main`` parses with a parser of the named subcommand alone; anything that
+parser cannot accept silently (no command, an unknown one, help, version, a
+usage error) is parsed again by the full tree, which prints every message.
 """
 
 from __future__ import annotations
@@ -202,7 +206,12 @@ def cmd_morphism(args) -> int:
         if not part:
             continue
         name, _, text = part.partition("=")
-        assignments[name.strip()] = text.strip()
+        name = name.strip()
+        if name not in p1.generators:
+            raise PresentationError(f"--map assigns an image to {name!r}, not a source generator")
+        if name in assignments:
+            raise PresentationError(f"--map assigns generator {name!r} twice")
+        assignments[name] = text.strip()
     for gen in p1.generators:
         if gen not in assignments:
             raise PresentationError(f"no image assigned to generator {gen!r}")
@@ -310,7 +319,68 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_NEGATIVE
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# name -> (handler, help, arguments): the one declaration of each subcommand,
+# read by both the one-command parser and the full tree.  Every subcommand
+# also takes COMMON_ARGUMENTS, after its own.
+COMMANDS = {
+    "truncate": (cmd_truncate, "compute the level-3 quotient of a presentation", [
+        _arg("file"),
+    ]),
+    "cohomology": (cmd_cohomology, "extract H^1/H^2 tables from a presentation", [
+        _arg("file"),
+    ]),
+    "reconstruct": (cmd_reconstruct, "rebuild the quotient from cohomology tables", [
+        _arg("file", nargs="?", help="presentation file (round-trip mode)"),
+        _arg("--cd-json", help="JSON file of cohomology tables"),
+    ]),
+    "equiv": (cmd_equiv, "relator independence report", [
+        _arg("file"),
+        _arg("--class-bound", type=int, default=5),
+    ]),
+    "morphism": (cmd_morphism, "check the isomorphism-condition equivalence", [
+        _arg("source"),
+        _arg("target"),
+        _arg("--map", required=True, help='generator images, e.g. "x1 = y1 y2^2; x2 = y2"'),
+    ]),
+    "screen": (cmd_screen, "obstruction screening (prime modulus)", [
+        _arg("file"),
+        _arg("--cd", type=int, default=None, help="user-supplied cohomological dimension"),
+        _arg("--torsion-free", action="store_true"),
+        _arg("--class-bound", type=int, default=5),
+    ]),
+    "kmilnor": (cmd_kmilnor, "mod-q Milnor K-ring of a field preset", [
+        _arg("--field", required=True, help="finite:ell | tame_local:ell | two_adic"),
+        _arg("--q", type=int, required=True),
+        _arg("--rmax", type=int, default=4),
+    ]),
+    "galois-check": (cmd_galois_check, "compare a K-ring preset with a presentation", [
+        _arg("--field", required=True),
+        _arg("--q", type=int, required=True),
+        _arg("file", nargs="?", help="presentation file (default: the matched one)"),
+        _arg("--map", help='degree-1 correspondence, e.g. "u:x1, t:x2"'),
+        _arg("--rmax", type=int, default=4),
+    ]),
+    "selftest": (cmd_selftest, "run the acceptance corpus", []),
+}
+COMMON_ARGUMENTS = [
+    _arg("--output", help="write the JSON report to this path"),
+    _arg("--seed", type=int, default=None, help="seed recorded in the report"),
+]
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    handler, _, arguments = COMMANDS[name]
+    for flags, kwargs in arguments + COMMON_ARGUMENTS:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the root options and every subcommand."""
     parser = argparse.ArgumentParser(
         prog="gq3",
         description="third q-central quotients, their cohomology models, "
@@ -318,75 +388,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gq3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--output", help="write the JSON report to this path")
-        sp.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
-
-    sp = sub.add_parser("truncate", help="compute the level-3 quotient of a presentation")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=cmd_truncate)
-
-    sp = sub.add_parser("cohomology", help="extract H^1/H^2 tables from a presentation")
-    sp.add_argument("file")
-    common(sp)
-    sp.set_defaults(func=cmd_cohomology)
-
-    sp = sub.add_parser("reconstruct", help="rebuild the quotient from cohomology tables")
-    sp.add_argument("file", nargs="?", help="presentation file (round-trip mode)")
-    sp.add_argument("--cd-json", help="JSON file of cohomology tables")
-    common(sp)
-    sp.set_defaults(func=cmd_reconstruct)
-
-    sp = sub.add_parser("equiv", help="relator independence report")
-    sp.add_argument("file")
-    sp.add_argument("--class-bound", type=int, default=5)
-    common(sp)
-    sp.set_defaults(func=cmd_equiv)
-
-    sp = sub.add_parser("morphism", help="check the isomorphism-condition equivalence")
-    sp.add_argument("source")
-    sp.add_argument("target")
-    sp.add_argument("--map", required=True,
-                    help='generator images, e.g. "x1 = y1 y2^2; x2 = y2"')
-    common(sp)
-    sp.set_defaults(func=cmd_morphism)
-
-    sp = sub.add_parser("screen", help="obstruction screening (prime modulus)")
-    sp.add_argument("file")
-    sp.add_argument("--cd", type=int, default=None, help="user-supplied cohomological dimension")
-    sp.add_argument("--torsion-free", action="store_true")
-    sp.add_argument("--class-bound", type=int, default=5)
-    common(sp)
-    sp.set_defaults(func=cmd_screen)
-
-    sp = sub.add_parser("kmilnor", help="mod-q Milnor K-ring of a field preset")
-    sp.add_argument("--field", required=True, help="finite:ell | tame_local:ell | two_adic")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--rmax", type=int, default=4)
-    common(sp)
-    sp.set_defaults(func=cmd_kmilnor)
-
-    sp = sub.add_parser("galois-check", help="compare a K-ring preset with a presentation")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("file", nargs="?", help="presentation file (default: the matched one)")
-    sp.add_argument("--map", help='degree-1 correspondence, e.g. "u:x1, t:x2"')
-    sp.add_argument("--rmax", type=int, default=4)
-    common(sp)
-    sp.set_defaults(func=cmd_galois_check)
-
-    sp = sub.add_parser("selftest", help="run the acceptance corpus")
-    common(sp)
-    sp.set_defaults(func=cmd_selftest)
-
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+class _FullTreeNeeded(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """One subcommand's arguments, configured as the full tree's subparser
+    is.  It prints nothing: a usage error or a request for help raises
+    _FullTreeNeeded, and the full tree re-parses and speaks instead."""
+
+    def error(self, message):
+        raise _FullTreeNeeded
+
+    def print_help(self, file=None):
+        raise _FullTreeNeeded
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the named subcommand's arguments when ``argv[0]``
+    names one; fall back to ``build_parser()`` for anything else it cannot
+    parse silently.  The namespace carries no ``command`` on the fast path."""
+    if argv and argv[0] in COMMANDS:
+        parser = _OneCommandParser(prog=f"gq3 {argv[0]}")
+        _add_arguments(parser, argv[0])
+        try:
+            return parser.parse_args(argv[1:])
+        except _FullTreeNeeded:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ParseError as exc:

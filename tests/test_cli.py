@@ -314,6 +314,22 @@ def test_morphism_identity(tame_file, capsys):
     assert data["condition_b"] and data["condition_d"] and data["agreement"]
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ("x1=x1; x2=x2; zz=x1", "--map assigns an image to 'zz', not a source generator"),
+    ("x1=x2; x2=x2; x1=x1", "--map assigns generator 'x1' twice"),
+])
+def test_morphism_map_rejects_unknown_and_repeated_names(tame_file, capsys, mapping, message):
+    code, out, err = run_cli(capsys, "morphism", tame_file, tame_file, "--map", mapping)
+    assert code == 3
+    assert out == ""
+    assert err == f"validation error: {message}\n"
+
+
+def test_morphism_map_allows_empty_parts(tame_file, capsys):
+    code, _, _ = run_cli(capsys, "morphism", tame_file, tame_file, "--map", "; x1 = x1;; x2 = x2;")
+    assert code == 0
+
+
 def test_morphism_bad_images_exit_3(tame_file, tmp_path, capsys):
     free_path = tmp_path / "free3.pres"
     free_path.write_text('q = 3;\ngens = [y1, y2];\nrels = [];\n')

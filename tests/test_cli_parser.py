@@ -1,0 +1,104 @@
+"""The one-command parser agrees with the full argparse tree.
+
+``cli.parse_args`` parses with the named subcommand's arguments alone and
+hands anything else to ``cli.build_parser()``.  On every argv the two give
+the same namespace (``command`` aside, which the fast path omits), or the
+same exit code, stdout and stderr.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gq3 import cli
+
+GOLDEN_ARGVS = [case["argv"] for case in json.loads(
+    (Path(__file__).parent / "golden" / "cases.json").read_text(encoding="utf-8")).values()]
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    namespace.pop("command", None)
+    return "namespace", namespace, out.getvalue(), err.getvalue()
+
+
+def _assert_agree(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    fast = _outcome(cli.parse_args, argv)
+    full = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert fast == full
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+def test_golden_argvs_parse_alike(argv, monkeypatch):
+    _assert_agree(argv, monkeypatch)
+
+
+FLAGS = sorted(
+    {flag for _, _, arguments in cli.COMMANDS.values()
+     for flags, _ in arguments + cli.COMMON_ARGUMENTS for flag in flags if flag.startswith("-")}
+    | {"-h", "--help", "--version", "--bogus"})
+VALUES = ["5", "-3", "0", "abc", "", "f.pres", "x1 = x1; x2 = x2", "u:x1, t:x2",
+          "two_adic", str(10**40), "-", "--", "-x"]
+
+
+def _abbreviations(flag):
+    return [flag] if not flag.startswith("--") else [flag[:k] for k in range(3, len(flag) + 1)]
+
+
+flag = st.sampled_from(FLAGS).flatmap(lambda f: st.sampled_from(_abbreviations(f)))
+value = st.sampled_from(VALUES)
+token_group = st.one_of(
+    flag.map(lambda f: [f]),
+    value.map(lambda v: [v]),
+    st.tuples(flag, value).map(list),
+    st.tuples(flag, value).map(lambda t: [f"{t[0]}={t[1]}"]),
+)
+command = st.sampled_from(list(cli.COMMANDS) * 4 + ["frobnicate", "trunc", "--help", "-h", "--version"])
+argvs = st.tuples(command, st.lists(token_group, max_size=6)).map(
+    lambda t: [t[0], *(tok for group in t[1] for tok in group)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs)
+def test_drawn_argvs_parse_alike(argv):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_agree(argv, monkeypatch)
+
+
+@pytest.mark.parametrize("argv, constructed, subparsers", [
+    (["truncate", "f.pres"], 1, 0),
+    (["--help"], 1 + len(cli.COMMANDS), len(cli.COMMANDS)),
+    (["truncate"], 2 + len(cli.COMMANDS), len(cli.COMMANDS)),
+    (["truncate", "--help"], 2 + len(cli.COMMANDS), len(cli.COMMANDS)),
+])
+def test_parsers_built_per_call(argv, constructed, subparsers, monkeypatch, capsys):
+    """A known command builds its own parser alone; help and usage errors
+    build the full tree, after the one-command parser when it was tried."""
+    counts = {"constructed": 0, "subparsers": 0}
+    init = argparse.ArgumentParser.__init__
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_init(self, *args, **kwargs):
+        counts["constructed"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add_parser(self, *args, **kwargs):
+        counts["subparsers"] += 1
+        return add_parser(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    with contextlib.suppress(SystemExit):
+        cli.main(argv)
+    assert counts == {"constructed": constructed, "subparsers": subparsers}
