@@ -103,11 +103,10 @@ def _group_dict(group, inv) -> dict:
     }
 
 
-def _relator_images(p) -> list[dict]:
+def _relator_images(p, report) -> list[dict]:
     free = free_truncation(p.n, p.q)
     out = []
-    for word, source in zip(p.relators, p.relator_sources):
-        y = free.evaluate_word(word)
+    for source, y in zip(p.relator_sources, report.images):
         entry = {"relator": source, "degree1_mod_q": [e % p.q for e in y.e]}
         if free.is_central(y):
             entry["central_vector"] = list(free.central_vector(y))
@@ -123,7 +122,7 @@ def cmd_truncate(args) -> int:
         "command": "truncate",
         "q": p.q,
         "generators": list(p.generators),
-        "relator_images": _relator_images(p),
+        "relator_images": _relator_images(p, report),
         "group": _group_dict(group, inv),
         "minimality": _minimality_dict(report),
     }
@@ -279,15 +278,18 @@ def cmd_kmilnor(args) -> int:
 def cmd_galois_check(args) -> int:
     preset = parse_preset(args.field)
     p = _load_presentation(args.file) if args.file else None
-    if p is None or not args.map:
+    if p is None or args.map is None:
         matched, correspondence = preset_presentation(preset, args.q)
         if p is None:
             p = matched
-    if args.map:
+    if args.map is not None:
         correspondence = {}
         for part in args.map.split(","):
             name, _, target = part.strip().partition(":")
-            correspondence[name.strip()] = target.strip()
+            name = name.strip()
+            if name in correspondence:
+                raise PresetError(f"--map assigns basis element {name!r} twice")
+            correspondence[name] = target.strip()
     report = galois_symbol_compare(preset, p, correspondence, r_max=args.rmax)
     payload = {
         "command": "galois-check",

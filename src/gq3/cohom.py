@@ -35,7 +35,6 @@ from .trunc import (
     kappa_constant,
     layer_map,
     pair_list,
-    quotient,
     relator_subspace,
     truncated_quotient,
 )
@@ -179,7 +178,7 @@ def reconstruct_g3(cd: CohomologyData) -> TruncGroup:
     The relator subspace is the annihilator of the kernel of the
     cup+Bockstein matrix, which over Z/q is just its row span.
     """
-    return quotient(free_truncation(cd.n, cd.q), row_space(lambda_matrix(cd)))
+    return TruncGroup(cd.n, cd.q, row_space(lambda_matrix(cd)))
 
 
 def cohomology_data_from_presentation(
@@ -238,6 +237,15 @@ class Report:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+def _certified_images(group: TruncGroup, presentation: pres.Presentation,
+                      certificate_class: int) -> list[tuple]:
+    """(source, image in the free group's S^[3], nontriviality certificate)
+    for each relator, in relator order."""
+    return [(source, group.evaluate_word(word),
+             word_nontriviality_certificate(word, presentation.n, certificate_class))
+            for word, source in zip(presentation.relators, presentation.relator_sources)]
+
+
 def check_relator_independence(
     presentation: pres.Presentation, certificate_class: int = 5
 ) -> Report:
@@ -252,19 +260,12 @@ def check_relator_independence(
     n, q = presentation.n, presentation.q
     group = free_truncation(n, q)
     outcomes = []
-    vectors = []
-    infos = []
-    for word, source in zip(presentation.relators, presentation.relator_sources):
-        y = group.evaluate_word(word)
-        cert = word_nontriviality_certificate(word, n, certificate_class)
-        central = group.is_central(y)
-        vec = group.central_vector(y) if central else None
-        vectors.append(vec)
-        infos.append((source, cert, central))
+    infos = _certified_images(group, presentation, certificate_class)
+    vectors = [group.central_vector(y) if group.is_central(y) else None for _, y, _ in infos]
 
     failed = False
-    for i, (vec, (source, cert, central)) in enumerate(zip(vectors, infos)):
-        if not central:
+    for i, (vec, (source, _, cert)) in enumerate(zip(vectors, infos)):
+        if vec is None:
             outcomes.append(
                 TestOutcome(
                     f"relator[{i}] frattini",
@@ -405,8 +406,8 @@ def morphism_check(
     # well-definedness: the source relators, central since the source is
     # minimal, must map into the target's relator subspace
     free1 = free_truncation(n1, q)
-    for word, source in zip(pres1.relators, pres1.relator_sources):
-        v = free1.central_vector(free1.evaluate_word(word))
+    for source, y in zip(pres1.relator_sources, rep1.images):
+        v = free1.central_vector(y)
         if not g2.w.contains(_combination(v, columns, g2.layer_rank)):
             raise MorphismError(f"images do not respect relator {source!r}")
 
@@ -476,17 +477,12 @@ def obstruction_screen(
         f"nontriviality certificates computed at class bound {certificate_class}",
     ]
 
-    infos = []
-    for word, source in zip(presentation.relators, presentation.relator_sources):
-        y = group.evaluate_word(word)
-        cert = word_nontriviality_certificate(word, n, certificate_class)
-        infos.append((word, source, y, cert))
-
-    live = [(w, s, y, c) for (w, s, y, c) in infos if c is not None or y != group.identity()]
+    infos = _certified_images(group, presentation, certificate_class)
+    live = [(s, y, c) for (s, y, c) in infos if c is not None or y != group.identity()]
 
     # (i) every relator dies at level 3, some relator provably nontrivial
-    all_in_level3 = bool(live) and all(y == group.identity() for _, _, y, _ in live)
-    witness_cert = next((s for _, s, y, c in live if y == group.identity() and c), None)
+    all_in_level3 = bool(live) and all(y == group.identity() for _, y, _ in live)
+    witness_cert = next((s for s, y, c in live if y == group.identity() and c), None)
     if all_in_level3 and witness_cert is not None:
         outcomes.append(
             TestOutcome(
@@ -501,7 +497,7 @@ def obstruction_screen(
     # (ii) zero or dependent central images among certified relators
     central_vecs = [
         (s, group.central_vector(y), c)
-        for _, s, y, c in live
+        for s, y, c in live
         if group.is_central(y)
     ]
     triggered = None
@@ -526,10 +522,11 @@ def obstruction_screen(
         return Report("obstructed", tuple(outcomes), tuple(assumptions))
     outcomes.append(TestOutcome("dependent-relator-image", "passed"))
 
-    # (iii) supplied cohomological dimension against dim H^1
+    # (iii) supplied cohomological dimension against dim H^1: at prime q,
+    # relator elimination keeps n minus the rank of the degree-1 images
     if cd_bound is not None:
-        _, report = relator_subspace(presentation)
-        dim_h1 = len(report.kept_indices)
+        degree1 = ZqMatrix.from_rows(q, [y.e for _, y, _ in infos], n)
+        dim_h1 = n - row_space(degree1).nrows
         assumptions.append(f"user-supplied cd(G) = {cd_bound}")
         if dim_h1 < cd_bound:
             if p_ == 2 and not torsion_free:

@@ -200,15 +200,15 @@ def _is_prime(m: int) -> bool:
 
 def parse_preset(text: str) -> FieldPreset:
     """CLI syntax: finite:ell, tame_local:ell, two_adic."""
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     name = name.strip()
-    if name in ("finite", "finite_field"):
-        return FieldPreset("finite_field", int(arg))
-    if name in ("tame", "tame_local"):
-        return FieldPreset("tame_local", int(arg))
-    if name in ("two_adic", "2adic", "q2"):
+    if name in ("two_adic", "2adic", "q2") and not colon:
         return FieldPreset("two_adic")
-    raise PresetError(f"unknown preset {text!r}")
+    kind = {"finite": "finite_field", "finite_field": "finite_field",
+            "tame": "tame_local", "tame_local": "tame_local"}.get(name)
+    if kind is None or not arg.strip().isdecimal():
+        raise PresetError(f"preset {text!r} is not finite:ell, tame_local:ell or two_adic")
+    return FieldPreset(kind, int(arg))
 
 
 def _primitive_root(ell: int) -> int:

@@ -145,9 +145,6 @@ class TruncGroup:
         e = tuple(1 if i == k else 0 for i in range(self.n))
         return self.normalize(TruncElement(e, (0,) * self.npairs))
 
-    def is_free(self) -> bool:
-        return self.w.nrows == 0
-
     # -- normal forms -----------------------------------------------------
 
     def normalize(self, x: TruncElement) -> TruncElement:
@@ -249,14 +246,6 @@ def free_truncation(n: int, q: int) -> TruncGroup:
     return TruncGroup(n, q, zero_subspace(q, n + npairs))
 
 
-def quotient(s3: TruncGroup, w: CentralSubspace) -> TruncGroup:
-    if not s3.is_free():
-        raise ValueError("quotient expects the free truncation")
-    if w.ambient_dim != s3.layer_rank or w.q != s3.q:
-        raise ValueError("central subspace has wrong ambient dimension or modulus")
-    return TruncGroup(s3.n, s3.q, w)
-
-
 # ---------------------------------------------------------------------------
 # Relator subspaces and minimization
 
@@ -269,6 +258,7 @@ class MinimalityReport:
     kept_indices: tuple[int, ...]
     dropped_trivial: tuple[str, ...]
     warnings: tuple[str, ...]
+    images: tuple[TruncElement, ...]  # free S^[3] image of every relator, in order
 
 
 def relator_subspace(
@@ -283,7 +273,8 @@ def relator_subspace(
     computed over the surviving generators.  Relators that are trivial in
     the free group (no nontriviality certificate) are dropped with a
     warning.  Raises MixedExponentError when elimination stalls on a
-    p-divisible nonzero image.
+    p-divisible nonzero image.  Each relator is evaluated once; the report
+    carries the free images, dropped relators included.
     """
     n, q = presentation.n, presentation.q
     p, d = prime_power(q)
@@ -291,10 +282,10 @@ def relator_subspace(
     warnings: list[str] = []
     dropped: list[str] = []
 
+    images = tuple(group.evaluate_word(word) for word in presentation.relators)
     ys: list[TruncElement] = []
     sources: list[str] = []
-    for word, source in zip(presentation.relators, presentation.relator_sources):
-        y = group.evaluate_word(word)
+    for word, source, y in zip(presentation.relators, presentation.relator_sources, images):
         if y == group.identity():
             cert = word_nontriviality_certificate(word, n, TRIVIALITY_CLASS)
             if cert is None:
@@ -369,6 +360,7 @@ def relator_subspace(
             kept_indices=kept_indices,
             dropped_trivial=tuple(dropped),
             warnings=tuple(warnings),
+            images=images,
         )
 
     # Restrict the central span to the coordinates of the kept generators:
@@ -403,6 +395,7 @@ def relator_subspace(
         dropped_trivial=tuple(dropped),
         warnings=tuple(warnings)
         + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
+        images=images,
     )
     return small_span, report
 
@@ -411,7 +404,7 @@ def truncated_quotient(presentation: pres.Presentation) -> tuple[TruncGroup, Min
     """G^[3] for a finitely presented pro-p group, with the minimality log."""
     w, report = relator_subspace(presentation)
     n2 = len(report.kept_indices)
-    return quotient(free_truncation(n2, presentation.q), w), report
+    return TruncGroup(n2, presentation.q, w), report
 
 
 # ---------------------------------------------------------------------------

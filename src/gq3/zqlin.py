@@ -66,10 +66,8 @@ def unit_multiplier(a: int, q: int, p: int) -> int:
     """
     if a % q == 0:
         return 1
-    v = 0
     while a % p == 0:
         a //= p
-        v += 1
     return pow(a, -1, q)
 
 
@@ -179,7 +177,6 @@ class ZqSubspace:
         return len(self.basis)
 
     def cardinality(self) -> int:
-        p, d = prime_power(self.q)
         total = 1
         for row in self.basis:
             pivot = next(x for x in row if x != 0)

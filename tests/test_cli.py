@@ -228,11 +228,11 @@ def test_internal_error_exits_4(tame_file, capsys, monkeypatch, command):
 
 
 def count_calls(monkeypatch, calls, module, name):
-    """Record in calls every call to module.name."""
+    """Record in calls the positional arguments of every call to module.name."""
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -251,6 +251,46 @@ def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatc
     assert len(calls) == 1
 
 
+# every relator differs from the others and from their subwords, so the
+# evaluations of one relator can be counted by comparing words
+SOURCE3 = 'q = 3;\ngens = [x1, x2, x3];\nrels = ["x1^3 [x1,x2]", "[x2,x3] x3^3"];\n'
+TARGET3 = 'q = 3;\ngens = [y1, y2, y3];\nrels = ["y2^3 [y2,y1]", "[y1,y3] y3^3"];\n'
+NONMIN3 = 'q = 3;\ngens = [x1, x2, x3];\nrels = ["x1 [x2,x3]", "x2^3", "x3 x3^-1"];\n'
+
+
+@pytest.mark.parametrize("command, texts, extra", [
+    ("truncate", [SOURCE3], []),
+    ("truncate", [NONMIN3], []),
+    ("morphism", [SOURCE3, TARGET3], ["--map", "x1 = y2; x2 = y1; x3 = y3"]),
+    ("screen", [SOURCE3], ["--cd", "3"]),
+], ids=["truncate", "truncate-nonminimal", "morphism", "screen-cd"])
+def test_each_relator_is_evaluated_once(tmp_path, capsys, monkeypatch, command, texts, extra):
+    from gq3.presentations import parse_presentation
+    from gq3.trunc import TruncGroup
+
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"p{i}.pres")
+        paths[-1].write_text(text)
+    calls = []
+    count_calls(monkeypatch, calls, TruncGroup, "evaluate_word")
+    code, _, err = run_cli(capsys, command, *map(str, paths), *extra)
+    assert code == 0, err
+    relators = [word for text in texts for word in parse_presentation(text).relators]
+    assert [sum(args[1] == word for args in calls) for word in relators] == [1] * len(relators)
+
+
+def test_screen_cd_does_not_run_relator_elimination(tame_file, capsys, monkeypatch):
+    import gq3.cohom
+
+    calls = []
+    count_calls(monkeypatch, calls, gq3.cohom, "relator_subspace")
+    code, out, _ = run_cli(capsys, "screen", tame_file, "--cd", "3")
+    assert code == 1
+    assert "dim H^1 = 2 < cd(G) = 3" in out
+    assert calls == []
+
+
 @pytest.mark.parametrize("with_map", [False, True])
 def test_galois_check_builds_the_matched_presentation_once(capsys, monkeypatch, with_map):
     import gq3.cli
@@ -262,6 +302,27 @@ def test_galois_check_builds_the_matched_presentation_once(capsys, monkeypatch, 
     assert code == 0
     assert json.loads(out)["verdict"] == "isomorphic"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ("u:x1, t:x2, t:x2", "--map assigns basis element 't' twice"),
+    ("", "correspondence keys [''] do not match the K-ring basis ('u', 't')"),
+])
+def test_galois_check_map_rejects_repeated_and_empty_maps(capsys, mapping, message):
+    code, out, err = run_cli(capsys, "galois-check", "--field", "tame_local:7", "--q", "3",
+                             "--map", mapping)
+    assert code == 3
+    assert out == ""
+    assert err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["tame_local:", "finite:abc", "two_adic:5"])
+def test_malformed_presets_name_the_expected_forms(capsys, field):
+    code, out, err = run_cli(capsys, "kmilnor", "--field", field, "--q", "2")
+    assert code == 3
+    assert out == ""
+    assert err == (f"validation error: preset {field!r} is not finite:ell, "
+                   "tame_local:ell or two_adic\n")
 
 
 def test_galois_check_reports_a_bad_file_before_a_bad_preset(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gq3.cohom import (
     CohomologyData,
@@ -431,6 +432,30 @@ def test_screen_dimension_test_p2_needs_torsion_free():
     assert report.verdict == "no_obstruction_found"
     report2 = obstruction_screen(pr, cd_bound=3, torsion_free=True)
     assert report2.verdict == "obstructed"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    seed=st.integers(min_value=0, max_value=10**9),
+)
+def test_screen_dim_h1_matches_relator_elimination(q, seed):
+    """The screen reads dim H^1 off the rank of the degree-1 images; relator
+    elimination keeps that many generators."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    names = [f"x{k + 1}" for k in range(n)]
+    rels = []
+    for _ in range(rng.randint(0, 3)):
+        parts = [f"{rng.choice(names)}^{rng.choice([-1, 1, 2, q, q + 1])}"
+                 for _ in range(rng.randint(1, 3))]
+        rels.append(" ".join(parts + [random_central_relator(rng, n, q, names)]).strip())
+    p = make_presentation(q, names, rels)
+    report = obstruction_screen(p, cd_bound=n + 1, torsion_free=True)
+    witnesses = [t.witness for t in report.tests if t.name == "dimension-versus-cd"]
+    assume(witnesses)
+    dim_h1 = int(re.match(r"dim H\^1 = (\d+) < ", witnesses[0]).group(1))
+    assert dim_h1 == len(relator_subspace(p)[1].kept_indices)
 
 
 def test_screen_rejects_prime_powers():

@@ -9,9 +9,9 @@ from gq3.presentations import make_presentation, parse_word
 from gq3.trunc import (
     MixedExponentError,
     TruncElement,
+    TruncGroup,
     free_truncation,
     group_invariants,
-    quotient,
     relator_subspace,
     truncated_quotient,
 )
@@ -301,10 +301,9 @@ def test_relator_subspace_drops_trivial_relator():
 
 
 def test_quotient_orders():
-    s3 = free_truncation(2, 2)
-    assert quotient(s3, zero_subspace(2, 3)).order() == 32
-    assert quotient(s3, full_subspace(2, 3)).order() == 4
-    assert quotient(s3, canonicalize(2, 3, [(1, 0, 0)])).order() == 16
+    assert TruncGroup(2, 2, zero_subspace(2, 3)).order() == 32
+    assert TruncGroup(2, 2, full_subspace(2, 3)).order() == 4
+    assert TruncGroup(2, 2, canonicalize(2, 3, [(1, 0, 0)])).order() == 16
 
 
 def test_mixed_exponent_rejected():
@@ -544,7 +543,7 @@ def test_center_against_group_law(n, q):
     for _ in range(12):
         rows = [[rng.randrange(q) if k >= n or rng.random() < 0.3 else 0
                  for k in range(s.layer_rank)] for _ in range(rng.randint(1, 3))]
-        g = quotient(s, canonicalize(q, s.layer_rank, rows))
+        g = TruncGroup(n, q, canonicalize(q, s.layer_rank, rows))
         assert group_invariants(g).center_order == center_by_group_law(g)
 
 
@@ -574,14 +573,14 @@ def test_order_times_subspace_is_free_order():
             [rng.randrange(q) for _ in range(g.layer_rank)] for _ in range(rng.randint(0, 3))
         ]
         w = canonicalize(q, g.layer_rank, rows)
-        h = quotient(g, w)
+        h = TruncGroup(n, q, w)
         assert h.order() * w.cardinality() == g.order()
 
 
 def test_truncation_of_truncation_is_smaller_level():
     # the central layer is everything the level-2 quotient kills
     g = free_truncation(2, 3)
-    h = quotient(g, full_subspace(3, 3))
+    h = TruncGroup(2, 3, full_subspace(3, 3))
     assert h.order() == 9
     inv = group_invariants(h)
     assert sorted(inv.abelianization) == [3, 3]
