@@ -31,7 +31,6 @@ from .cohom import (
     reconstruct_g3,
 )
 from .milnor import (
-    OracleInstability,
     PresetError,
     galois_symbol_compare,
     milnor_mod_q,
@@ -444,7 +443,6 @@ def main(argv=None) -> int:
         HypothesisViolation,
         MorphismError,
         PresetError,
-        OracleInstability,
         ValueError,
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -7,12 +7,15 @@ quadratic hull generates T_r from the degree-2 relations placed in all
 slot pairs, which is the whole structure of a quadratic algebra.
 
 The field presets compute their degree-2 relations from first
-principles: an exhaustive Steinberg sweep a (x) (1-a) over a bounded
-Laurent-monomial window for the residue-field and local presets, and a
+principles: an exhaustive Steinberg sweep a (x) (1-a) over F_ell, or
+over a bounded Laurent-monomial window for the local preset, and a
 2-adic Hilbert-symbol oracle (square testing at fixed 2-power
-precision) for the dyadic one.  Window or precision doubling must not
-change the computed span; if it does, the oracle raises rather than
-returning an unstable answer.
+precision) for the dyadic one.  A Steinberg sweep collects the distinct
+(class of a, class of 1-a) pairs, at most q^4 of them, and canonicalizes
+their distinct rows.  The local sweep doubles its window in the same pass,
+and the pairs the wider window adds must lie in the span already
+computed; the dyadic span must not move at a higher precision.
+Otherwise the oracle raises rather than returning an unstable answer.
 """
 
 from __future__ import annotations
@@ -208,7 +211,11 @@ def parse_preset(text: str) -> FieldPreset:
             "tame": "tame_local", "tame_local": "tame_local"}.get(name)
     if kind is None or not arg.strip().isdecimal():
         raise PresetError(f"preset {text!r} is not finite:ell, tame_local:ell or two_adic")
-    return FieldPreset(kind, int(arg))
+    digits = arg.strip().lstrip("0") or "0"
+    if len(digits) > len(str(MAX_ELL)):
+        # int() of a long enough string raises its own digit-limit error
+        raise PresetError(f"residue characteristic {digits} must be a prime <= {MAX_ELL}")
+    return FieldPreset(kind, int(digits))
 
 
 def _primitive_root(ell: int) -> int:
@@ -220,8 +227,9 @@ def _primitive_root(ell: int) -> int:
     raise AssertionError(f"no primitive root modulo {ell}")
 
 
-def _dlog_table(ell: int, g: int) -> dict[int, int]:
-    table = {}
+def _dlog_table(ell: int, g: int) -> list[int]:
+    """Discrete logarithms to base g, indexed by the element (0 unused)."""
+    table = [0] * ell
     x = 1
     for e in range(ell - 1):
         table[x] = e
@@ -237,45 +245,62 @@ def _outer(q: int, m: int, u, v) -> list[int]:
     return row
 
 
+def _unit_classes(ell: int, q: int) -> list[int]:
+    """The class dlog(c) mod q of each unit c = 1..ell-1, at index c - 1."""
+    return [e % q for e in _dlog_table(ell, _primitive_root(ell))[1:]]
+
+
+def _pair_rows(q: int, m: int, pairs) -> list:
+    """Graded commutativity and the distinct nonzero rows a (x) b of the
+    class pairs."""
+    rows = {tuple(_outer(q, m, a, b)) for a, b in pairs}
+    return _grcomm_rows(q, m) + [row for row in rows if any(row)]
+
+
 def steinberg_relations_finite(ell: int, q: int) -> ZqSubspace:
     """Span of a (x) (1-a) over all of F_ell, on the rank-1 basis u."""
-    g = _primitive_root(ell)
-    dlog = _dlog_table(ell, g)
-    rows = _grcomm_rows(q, 1)
-    for a in range(2, ell):  # a != 0, 1
-        one_minus = (1 - a) % ell
-        row = _outer(q, 1, (dlog[a] % q,), (dlog[one_minus] % q,))
-        if any(row):
-            rows.append(row)
-    return canonicalize(q, 1, rows)
+    units = _unit_classes(ell, q)
+    # units[1:] runs over c = 2..ell-1, reversed over 1 - c in the same order
+    pairs = {((a,), (b,)) for a, b in zip(units[1:], reversed(units[1:]))}
+    return canonicalize(q, 1, _pair_rows(q, 1, pairs))
+
+
+def _valuation_pairs(q: int, v: int, one_minus: set, minus: set) -> set:
+    """Class pairs of a (x) (1-a) for the monomials a = c t^v, all c.
+
+    The class of 1 - c t^v reads off the valuation and leading unit:
+    v > 0 gives the trivial class (so only zero rows), v = 0 the class
+    of 1 - c, and v < 0 the class of -c t^v.  one_minus and minus hold
+    the unit-class pairs (c, 1 - c) and (c, -c).
+    """
+    if v > 0:
+        return set()
+    units = one_minus if v == 0 else minus
+    return {((a, v % q), (b, v % q)) for a, b in units}
 
 
 def steinberg_relations_tame(ell: int, q: int, window: int = 2) -> ZqSubspace:
-    """Span of a (x) (1-a) over Laurent monomials a = c t^v, |v| <= window.
+    """Span of a (x) (1-a) over Laurent monomials a = c t^v, |v| <= window,
+    checked against |v| <= 2 * window.
 
     Classes are (unit dlog mod q, valuation mod q) on the basis (u, t).
-    The class of 1 - c t^v reads off the valuation and leading unit:
-    v > 0 gives the trivial class, v = 0 the class of 1 - c, and v < 0
-    the class of -c t^v.
+    The sweep keeps the distinct class pairs, at most q^4 of them; the
+    pairs the wider window adds must lie in the span already computed,
+    else the oracle raises.
     """
-    g = _primitive_root(ell)
-    dlog = _dlog_table(ell, g)
-    rows = _grcomm_rows(q, 2)
+    units = _unit_classes(ell, q)
+    one_minus = set(zip(units[1:], reversed(units[1:])))
+    minus = set(zip(units, reversed(units)))
+    pairs = set()
     for v in range(-window, window + 1):
-        for c in range(1, ell):
-            a_class = (dlog[c] % q, v % q)
-            if v > 0:
-                b_class = (0, 0)
-            elif v == 0:
-                if c == 1:
-                    continue
-                b_class = (dlog[(1 - c) % ell] % q, 0)
-            else:
-                b_class = (dlog[(-c) % ell] % q, v % q)
-            row = _outer(q, 2, a_class, b_class)
-            if any(row):
-                rows.append(row)
-    return canonicalize(q, 4, rows)
+        pairs |= _valuation_pairs(q, v, one_minus, minus)
+    t2 = canonicalize(q, 4, _pair_rows(q, 2, pairs))
+    wider = set()
+    for v in itertools.chain(range(-2 * window, -window), range(window + 1, 2 * window + 1)):
+        wider |= _valuation_pairs(q, v, one_minus, minus)
+    if not all(t2.contains(_outer(q, 2, a, b)) for a, b in wider - pairs):
+        raise OracleInstability("tame Steinberg span changed when the valuation window doubled")
+    return t2
 
 
 # -- dyadic Hilbert symbol ---------------------------------------------------
@@ -354,12 +379,7 @@ def preset_relations(preset: FieldPreset, q: int) -> tuple[ZqSubspace, tuple[str
     if preset.kind == "finite_field":
         return steinberg_relations_finite(preset.ell, q), ("u",)
     if preset.kind == "tame_local":
-        t2 = steinberg_relations_tame(preset.ell, q, window=2)
-        if t2 != steinberg_relations_tame(preset.ell, q, window=4):
-            raise OracleInstability(
-                "tame Steinberg span changed when the valuation window doubled"
-            )
-        return t2, ("u", "t")
+        return steinberg_relations_tame(preset.ell, q), ("u", "t")
     t2 = hilbert_relation_span(q, precision_bits=8)
     if t2 != hilbert_relation_span(q, precision_bits=10):
         raise OracleInstability("dyadic relation span changed under precision increase")

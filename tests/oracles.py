@@ -5,8 +5,8 @@ syllables, recognise Hall elements, build identity and zero Z/q
 matrices, enumerate small submodules, build central elements and the
 layer map of a morphism through the group law, substitute words into
 words, compute word certificates the direct way and evaluate the 2-adic
-Hilbert symbol in closed form, so that the library's answers can be
-verified by direct construction.
+Hilbert symbol and the tame symbol in closed form, so that the
+library's answers can be verified by direct construction.
 """
 
 import itertools
@@ -202,3 +202,24 @@ def closed_form_hilbert_two_adic(a, b):
         return ((x * x - 1) // 8) % 2
 
     return -1 if (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)) % 2 else 1
+
+
+def tame_symbol_dlog(ell, q, a, b):
+    """The tame symbol of F_ell((t)) on classes a = (x, v) and b = (y, w),
+    each a unit's discrete log and a valuation, as a discrete log mod q:
+    (-1)^(v w) a0^w / b0^v mod t, raised to (ell - 1)/q, where a0, b0 are
+    the leading units and dlog(-1) = (ell - 1)/2 (Milnor, Introduction to
+    Algebraic K-Theory, section 11)."""
+    (x, v), (y, w) = a, b
+    return (v * w * ((ell - 1) // 2) + x * w - y * v) % q
+
+
+def tame_symbol_kernel(ell, q):
+    """The functional f that the tame symbol induces on the tensor
+    coordinates (uu, ut, tu, tt) of the class space, which is
+    (0, 1, -1, (ell - 1)/2 mod q), and three rows that generate its
+    kernel: e_uu, e_ut + e_tu and e_tt - ((ell - 1)/2) e_ut."""
+    basis = ((1, 0), (0, 1))
+    f = [tame_symbol_dlog(ell, q, a, b) for a in basis for b in basis]
+    h = (ell - 1) // 2 % q
+    return f, [[1, 0, 0, 0], [0, 1, 1, 0], [0, (-h) % q, 0, 1]]

@@ -304,6 +304,36 @@ def test_galois_check_builds_the_matched_presentation_once(capsys, monkeypatch, 
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["kmilnor", "galois-check"])
+@pytest.mark.parametrize("field", ["tame_local:13", "finite:13"])
+def test_field_preset_builds_the_dlog_table_once(capsys, monkeypatch, command, field):
+    import gq3.milnor
+
+    calls = []
+    count_calls(monkeypatch, calls, gq3.milnor, "_dlog_table")
+    code, _, err = run_cli(capsys, command, "--field", field, "--q", "4")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_tame_pair_only_in_the_doubled_window_is_an_internal_error(capsys, monkeypatch):
+    import gq3.milnor
+
+    original = gq3.milnor._valuation_pairs
+
+    def with_extra_pair(q, v, one_minus, minus):
+        pairs = original(q, v, one_minus, minus)
+        # (u, t) has a nontrivial tame symbol, so its row is outside the span
+        return pairs | {((1, 0), (0, 1))} if abs(v) in (3, 4) else pairs
+
+    monkeypatch.setattr(gq3.milnor, "_valuation_pairs", with_extra_pair)
+    code, out, err = run_cli(capsys, "kmilnor", "--field", "tame_local:9973", "--q", "2")
+    assert code == 4
+    assert out == ""
+    assert err == ("internal error: OracleInstability('tame Steinberg span changed "
+                   "when the valuation window doubled')\n")
+
+
 @pytest.mark.parametrize("mapping, message", [
     ("u:x1, t:x2, t:x2", "--map assigns basis element 't' twice"),
     ("", "correspondence keys [''] do not match the K-ring basis ('u', 't')"),
@@ -323,6 +353,14 @@ def test_malformed_presets_name_the_expected_forms(capsys, field):
     assert out == ""
     assert err == (f"validation error: preset {field!r} is not finite:ell, "
                    "tame_local:ell or two_adic\n")
+
+
+def test_overlong_ell_is_rejected_before_int(capsys):
+    ell = "9" * 5000  # past int()'s 4300-digit limit on string conversion
+    code, out, err = run_cli(capsys, "kmilnor", "--field", f"finite:{ell}", "--q", "2")
+    assert code == 3
+    assert out == ""
+    assert err == f"validation error: residue characteristic {ell} must be a prime <= 10000\n"
 
 
 def test_galois_check_reports_a_bad_file_before_a_bad_preset(tmp_path, capsys):

@@ -22,7 +22,7 @@ from gq3.milnor import (
 )
 from gq3.cohom import cohomology_data_from_presentation
 from gq3.zqlin import canonicalize, full_subspace, zero_subspace
-from oracles import SQUARE_CLASSES_Q2, closed_form_hilbert_two_adic
+from oracles import SQUARE_CLASSES_Q2, closed_form_hilbert_two_adic, tame_symbol_kernel
 
 
 def grcomm_subspace(q, m):
@@ -238,6 +238,43 @@ def test_tame_window_doubling_stable():
         assert steinberg_relations_tame(ell, q, window=2) == steinberg_relations_tame(
             ell, q, window=4
         )
+
+
+def _tame_oracle_cases():
+    """(ell, q) for every prime power q <= 32 in use: the three smallest
+    ell = 1 mod q and the largest below the cap, plus more ell = 1 mod 32."""
+    primes = [ell for ell in range(3, 10_000) if all(ell % f for f in range(2, math.isqrt(ell) + 1))]
+    cases = {(97, 32), (193, 32), (257, 32), (353, 32), (1889, 32)}
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
+        usable = [ell for ell in primes if (ell - 1) % q == 0]
+        cases |= {(ell, q) for ell in usable[:3] + usable[-1:]}
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("ell, q", _tame_oracle_cases())
+def test_tame_span_is_the_kernel_of_the_tame_symbol(ell, q):
+    f, kernel_rows = tame_symbol_kernel(ell, q)
+    t2 = steinberg_relations_tame(ell, q)
+    assert all(sum(x * y for x, y in zip(f, row)) % q == 0 for row in t2.basis)
+    assert all(t2.contains(row) for row in kernel_rows)
+
+
+def test_tame_sweep_canonicalizes_one_row_per_class_pair(monkeypatch):
+    import gq3.milnor
+
+    sizes = []
+    original = gq3.milnor.canonicalize
+
+    def counting(q, ambient, rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return original(q, ambient, rows)
+
+    monkeypatch.setattr(gq3.milnor, "canonicalize", counting)
+    ell, q = 9973, 2
+    steinberg_relations_tame(ell, q)
+    grcomm_rows = 3  # x(x)y + y(x)x for the pair (u, t), 2 x(x)x for u and t
+    assert 0 < sum(sizes) <= grcomm_rows + q**4
 
 
 # ---------------------------------------------------------------------------
