@@ -494,20 +494,15 @@ def obstruction_screen(
         return Report("obstructed", tuple(outcomes), tuple(assumptions))
     outcomes.append(TestOutcome("relation-subgroup-inside-level-3", "passed"))
 
-    # (ii) zero or dependent central images among certified relators
-    central_vecs = [
-        (s, group.central_vector(y), c)
-        for s, y, c in live
-        if group.is_central(y)
-    ]
+    # (ii) zero or dependent central images among the live relators, each
+    # certified nontrivial or with a nonzero image
+    central_vecs = [(s, group.central_vector(y)) for s, y, _ in live if group.is_central(y)]
     triggered = None
-    for i, (source, vec, cert) in enumerate(central_vecs):
-        if cert is None:
-            continue
+    for i, (source, vec) in enumerate(central_vecs):
         if all(x == 0 for x in vec):
             triggered = f"certified relator {source!r} has zero image in the central layer"
             break
-        others = [v for j, (_, v, _) in enumerate(central_vecs) if j != i]
+        others = [v for j, (_, v) in enumerate(central_vecs) if j != i]
         if others and canonicalize(q, group.layer_rank, others).contains(vec):
             triggered = (
                 f"certified relator {source!r} has image dependent on the other relators"

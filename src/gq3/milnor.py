@@ -133,7 +133,7 @@ def quadratic_hull(
     m = a1_rank
     components = {2: zero_pairs}
     for r in range(3, r_max + 1):
-        rows = []
+        rows = set()  # a relation repeats across slot pairs and fills
         for i, j in itertools.combinations(range(r), 2):
             rest = [s for s in range(r) if s not in (i, j)]
             for fill in _monomials(m, r - 2):
@@ -153,7 +153,7 @@ def quadratic_hull(
                             idx = idx * m + s
                         out[idx] = (out[idx] + x) % q
                     if any(out):
-                        rows.append(out)
+                        rows.add(tuple(out))
         components[r] = canonicalize(q, m**r, rows)
 
     return GradedAlgebra(q, m, components, basis_names)
@@ -354,10 +354,9 @@ def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
     return -1
 
 
-def hilbert_relation_span(q: int = 2, precision_bits: int = 8) -> ZqSubspace:
-    """Span of a (x) b over the pairs of square classes with trivial symbol."""
-    if q != 2:
-        raise PresetError("the dyadic preset is defined for q = 2 only")
+def hilbert_relation_span(precision_bits: int = 8) -> ZqSubspace:
+    """Span mod 2 of a (x) b over the pairs of square classes with trivial
+    symbol."""
     rows = _grcomm_rows(2, 3)
     for a in TWO_ADIC_CLASSES:
         for b in TWO_ADIC_CLASSES:
@@ -380,8 +379,8 @@ def preset_relations(preset: FieldPreset, q: int) -> tuple[ZqSubspace, tuple[str
         return steinberg_relations_finite(preset.ell, q), ("u",)
     if preset.kind == "tame_local":
         return steinberg_relations_tame(preset.ell, q), ("u", "t")
-    t2 = hilbert_relation_span(q, precision_bits=8)
-    if t2 != hilbert_relation_span(q, precision_bits=10):
+    t2 = hilbert_relation_span(precision_bits=8)
+    if t2 != hilbert_relation_span(precision_bits=10):
         raise OracleInstability("dyadic relation span changed under precision increase")
     return t2, ("-1", "2", "5")
 

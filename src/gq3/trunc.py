@@ -8,7 +8,10 @@ descending q-central series has unique normal forms
 with e_k mod q^2, c_kl mod q and w_kl = [sigma_k, sigma_l] central.
 Multiplication is collection: transposing sigma_k^a leftwards past
 sigma_l^b (k < l) deposits w_kl^{-ab}, so the law is biadditive and
-needs no generic rewriting.
+needs no generic rewriting.  The same rule gives powers and commutators
+in closed form: x^m has exponents m e_k and m c_kl - C(m,2) e_k e_l for
+every integer m, and [x, y] is the central element with commutator part
+x_k y_l - x_l y_k; multiply is the one place the law is written out.
 
 Quotients G^[3] of S^[3] by a subgroup W of the central layer carry the
 same normal forms with the central part reduced to a canonical coset
@@ -173,31 +176,26 @@ class TruncGroup:
             c[idx] = (c[idx] - b.e[k] * a.e[l]) % q
         return self.normalize(TruncElement(e, tuple(c)))
 
-    def inverse(self, a: TruncElement) -> TruncElement:
+    def power(self, a: TruncElement, m: int) -> TruncElement:
+        """a^m for every integer m: collecting m copies of a deposits
+        w_kl^(-C(m,2) e_k e_l), and C(m,2) = m(m-1)/2 holds for m < 0 too."""
         self._check(a)
         q, qq = self.q, self.q * self.q
-        e = tuple((-x) % qq for x in a.e)
-        c = list((-x) % q for x in a.c)
-        for idx, (k, l) in enumerate(self.pairs):
-            c[idx] = (c[idx] - a.e[k] * a.e[l]) % q
-        return self.normalize(TruncElement(e, tuple(c)))
+        binom = m * (m - 1) // 2
+        e = tuple((m * x) % qq for x in a.e)
+        c = tuple((m * a.c[idx] - binom * a.e[k] * a.e[l]) % q
+                  for idx, (k, l) in enumerate(self.pairs))
+        return self.normalize(TruncElement(e, c))
 
-    def power(self, a: TruncElement, m: int) -> TruncElement:
-        if m < 0:
-            return self.power(self.inverse(a), -m)
-        out = self.identity()
-        base = a
-        while m:
-            if m & 1:
-                out = self.multiply(out, base)
-            base = self.multiply(base, base)
-            m >>= 1
-        return out
+    def inverse(self, a: TruncElement) -> TruncElement:
+        return self.power(a, -1)
 
     def commutator(self, a: TruncElement, b: TruncElement) -> TruncElement:
-        return self.multiply(
-            self.multiply(self.inverse(a), self.inverse(b)), self.multiply(a, b)
-        )
+        """[a, b] = a^-1 b^-1 a b, the central element (0 | a_k b_l - a_l b_k)."""
+        self._check(a)
+        self._check(b)
+        vec = commutator_vector(self.q, a.e, b.e)
+        return self.normalize(TruncElement(vec[:self.n], vec[self.n:]))
 
     def evaluate_word(self, word: pres.Word) -> TruncElement:
         """Homomorphic evaluation of a word in the generators."""
@@ -320,7 +318,7 @@ def relator_subspace(
                 continue
             alpha = ys[j].e[col] % q
             if alpha:
-                ys[j] = group.multiply(ys[j], group.power(group.inverse(ys[i]), alpha))
+                ys[j] = group.multiply(ys[j], group.power(ys[i], -alpha))
         pivot_of_row[i] = col
         pivot_cols.add(col)
 

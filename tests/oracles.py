@@ -2,8 +2,9 @@
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
 syllables, recognise Hall elements, build identity and zero Z/q
-matrices, enumerate small submodules, build central elements and the
-layer map of a morphism through the group law, substitute words into
+matrices, enumerate small submodules, build central elements, raise
+powers and take commutators by repeated products, build the layer map
+of a morphism through the group law, substitute words into
 words, compute word certificates the direct way and evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, so that the
 library's answers can be verified by direct construction.
@@ -71,13 +72,32 @@ def central_element(g, vec):
     return g.normalize(TruncElement(e, c))
 
 
+def reference_power(g, a, m):
+    """a^m in g by square-and-multiply through g.multiply; a negative m
+    raises g.inverse(a) to -m."""
+    if m < 0:
+        return reference_power(g, g.inverse(a), -m)
+    out = g.identity()
+    while m:
+        if m & 1:
+            out = g.multiply(out, a)
+        a = g.multiply(a, a)
+        m >>= 1
+    return out
+
+
+def reference_commutator(g, a, b):
+    """[a, b] = a^-1 b^-1 a b in g, as three products."""
+    return g.multiply(g.multiply(g.inverse(a), g.inverse(b)), g.multiply(a, b))
+
+
 def group_law_layer_columns(images, target):
     """Columns of the map sigma_k -> images[k] on central layers, by the
     group law of target: the central vectors of images[k]^q, then of
     [images[k], images[l]] for k < l."""
-    cols = [target.central_vector(target.power(x, target.q)) for x in images]
+    cols = [target.central_vector(reference_power(target, x, target.q)) for x in images]
     for k, l in pair_list(len(images)):
-        cols.append(target.central_vector(target.commutator(images[k], images[l])))
+        cols.append(target.central_vector(reference_commutator(target, images[k], images[l])))
     return cols
 
 

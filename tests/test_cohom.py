@@ -409,6 +409,18 @@ def test_screen_iterated_commutator_obstructed():
         assert obstruction_screen(pr).verdict == "obstructed"
 
 
+@pytest.mark.parametrize("class_bound", range(1, 7))
+def test_screen_and_equiv_agree_on_a_dependency(class_bound):
+    """[x1,x2] and its square have dependent nonzero central images, which
+    prove them nontrivial at every class bound, certificate or not."""
+    pr = make_presentation(3, ["x1", "x2"], ["[x1,x2]", "[x1,x2]^2"])
+    equiv = check_relator_independence(pr, class_bound)
+    screen = obstruction_screen(pr, certificate_class=class_bound)
+    assert equiv.verdict == "condition-failed"
+    assert screen.verdict == "obstructed"
+    assert screen.tests[-1].name == "dependent-relator-image"
+
+
 def test_screen_power_relator_clean():
     pr = make_presentation(2, ["x1", "x2"], ["x1^2"])
     assert obstruction_screen(pr).verdict == "no_obstruction_found"

@@ -313,7 +313,7 @@ def test_hilbert_minus_one_minus_one_nontrivial():
 
 
 def test_hilbert_precision_stability():
-    assert hilbert_relation_span(2, 8) == hilbert_relation_span(2, 10)
+    assert hilbert_relation_span(8) == hilbert_relation_span(10)
 
 
 def test_two_adic_algebra_shape():

@@ -16,7 +16,7 @@ from gq3.trunc import (
     truncated_quotient,
 )
 from gq3.zqlin import canonicalize, full_subspace, prime_power, zero_subspace
-from oracles import central_element
+from oracles import central_element, reference_commutator, reference_power
 
 
 def names(n):
@@ -149,6 +149,31 @@ def test_power_closed_form(nq, seed):
     for idx, (k, l) in enumerate(g.pairs):
         c.append((m * a.c[idx] - binom * a.e[k] * a.e[l]) % q)
     assert g.power(a, m) == TruncElement(e, tuple(c))
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["free", "quotient"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 32])
+def test_closed_forms_match_repeated_products(q, quotient):
+    """power, inverse and commutator against the group law written out:
+    inverses by a a^-1 = a^-1 a = 1, powers by square-and-multiply and
+    commutators as a^-1 b^-1 a b, on n = 1..8 in S^[3] and in quotients."""
+    rng = random.Random(100 * q + quotient)
+    for n in range(1, 9):
+        g = free_truncation(n, q)
+        if quotient:
+            rows = [[rng.randrange(q) for _ in range(g.layer_rank)]
+                    for _ in range(rng.randint(1, 3))]
+            g = TruncGroup(n, q, canonicalize(q, g.layer_rank, rows))
+        for _ in range(5):
+            a, b = random_element(g, rng), random_element(g, rng)
+            inv = g.inverse(a)
+            assert g.multiply(a, inv) == g.identity() == g.multiply(inv, a)
+            assert g.commutator(a, b) == reference_commutator(g, a, b)
+            big = 2**62 + rng.randrange(q * q)
+            ms = [0, 1, -1, big, -big, 2**62, -2**62]
+            ms += [rng.randint(-3 * q * q, 3 * q * q) for _ in range(4)]
+            for m in ms:
+                assert g.power(a, m) == reference_power(g, a, m), (n, m)
 
 
 def test_center_is_central_layer():
