@@ -496,17 +496,17 @@ def obstruction_screen(
 
     # (ii) zero or dependent central images among the live relators, each
     # certified nontrivial or with a nonzero image
-    central_vecs = [(s, group.central_vector(y)) for s, y, _ in live if group.is_central(y)]
+    central = [(s, group.central_vector(y), c) for s, y, c in live if group.is_central(y)]
     triggered = None
-    for i, (source, vec) in enumerate(central_vecs):
+    for i, (source, vec, cert) in enumerate(central):
+        named = (f"certified relator {source!r}" if cert is not None else f"relator {source!r} "
+                 f"(nonzero central image, no certificate at class bound {certificate_class})")
         if all(x == 0 for x in vec):
-            triggered = f"certified relator {source!r} has zero image in the central layer"
+            triggered = f"{named} has zero image in the central layer"
             break
-        others = [v for j, (_, v) in enumerate(central_vecs) if j != i]
+        others = [v for j, (_, v, _) in enumerate(central) if j != i]
         if others and canonicalize(q, group.layer_rank, others).contains(vec):
-            triggered = (
-                f"certified relator {source!r} has image dependent on the other relators"
-            )
+            triggered = f"{named} has image dependent on the other relators"
             break
     if triggered:
         outcomes.append(TestOutcome("dependent-relator-image", "triggered", triggered))

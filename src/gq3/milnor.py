@@ -8,14 +8,14 @@ slot pairs, which is the whole structure of a quadratic algebra.
 
 The field presets compute their degree-2 relations from first
 principles: an exhaustive Steinberg sweep a (x) (1-a) over F_ell, or
-over a bounded Laurent-monomial window for the local preset, and a
-2-adic Hilbert-symbol oracle (square testing at fixed 2-power
-precision) for the dyadic one.  A Steinberg sweep collects the distinct
-(class of a, class of 1-a) pairs, at most q^4 of them, and canonicalizes
-their distinct rows.  The local sweep doubles its window in the same pass,
-and the pairs the wider window adds must lie in the span already
-computed; the dyadic span must not move at a higher precision.
-Otherwise the oracle raises rather than returning an unstable answer.
+over a bounded Laurent-monomial window for the local preset, and 2-adic
+Hilbert symbols on the nine basis pairs, extended by bimultiplicativity,
+for the dyadic one.  A Steinberg sweep collects the distinct (class of
+a, class of 1-a) pairs, at most q^4 of them, and canonicalizes their
+distinct rows.  The local sweep doubles its window in the same pass, and
+the pairs the wider window adds must lie in the span already computed;
+the dyadic span must not move at a higher precision.  Otherwise the
+oracle raises rather than returning an unstable answer.
 """
 
 from __future__ import annotations
@@ -338,11 +338,10 @@ def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
     """
     m = 1 << precision_bits
     squares, odd_sq = _square_sets(precision_bits)
-    all_sq = squares
     a_odd = {(a * s) % m for s in odd_sq}
-    a_all = {(a * s) % m for s in all_sq}
+    a_all = {(a * s) % m for s in squares}
     b_odd = {(b * s) % m for s in odd_sq}
-    b_all = {(b * s) % m for s in all_sq}
+    b_all = {(b * s) % m for s in squares}
     for u in a_odd:
         for v in b_all:
             if (u + v) % m in squares:
@@ -355,15 +354,17 @@ def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
 
 
 def hilbert_relation_span(precision_bits: int = 8) -> ZqSubspace:
-    """Span mod 2 of a (x) b over the pairs of square classes with trivial
-    symbol."""
+    """Span mod 2 of a (x) b over the square-class pairs with trivial symbol.
+    Only the nine basis pairs are square-tested; the symbol is bimultiplicative,
+    so (a, b) = (-1)^(x^T H y) for the class vectors x, y and basis symbols H."""
+    h = [hilbert_symbol_two_adic(a, b, precision_bits) == -1
+         for a in TWO_ADIC_BASIS for b in TWO_ADIC_BASIS]
     rows = _grcomm_rows(2, 3)
     for a in TWO_ADIC_CLASSES:
         for b in TWO_ADIC_CLASSES:
-            if hilbert_symbol_two_adic(a, b, precision_bits) == 1:
-                row = _outer(2, 3, square_class_vector(a), square_class_vector(b))
-                if any(row):
-                    rows.append(row)
+            row = _outer(2, 3, square_class_vector(a), square_class_vector(b))
+            if any(row) and sum(t * s for t, s in zip(row, h)) % 2 == 0:
+                rows.append(row)
     return canonicalize(2, 9, rows)
 
 
@@ -512,13 +513,12 @@ def galois_symbol_compare(
             )
             break
 
-    verdict = "isomorphic" if ok else "not-isomorphic"
+    # equal components in every degree have equal ranks
+    field_ranks = [field_hull.degree_rank(r) for r in range(1, r_max + 1)]
+    pres_ranks = field_ranks if ok else [pres_hull.degree_rank(r) for r in range(1, r_max + 1)]
     return Report(
-        verdict,
+        "isomorphic" if ok else "not-isomorphic",
         tuple(outcomes),
         tuple(assumptions),
-        data={
-            "degree_ranks_field": [field_hull.degree_rank(r) for r in range(1, r_max + 1)],
-            "degree_ranks_presentation": [pres_hull.degree_rank(r) for r in range(1, r_max + 1)],
-        },
+        data={"degree_ranks_field": field_ranks, "degree_ranks_presentation": pres_ranks},
     )

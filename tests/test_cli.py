@@ -334,6 +334,23 @@ def test_tame_pair_only_in_the_doubled_window_is_an_internal_error(capsys, monke
                    "when the valuation window doubled')\n")
 
 
+def test_dyadic_symbol_moving_with_precision_is_an_internal_error(capsys, monkeypatch):
+    import gq3.milnor
+
+    original = gq3.milnor.hilbert_symbol_two_adic
+
+    def flipped_at_ten_bits(a, b, precision_bits=8):
+        symbol = original(a, b, precision_bits)
+        return -symbol if (a, b, precision_bits) == (-1, -1, 10) else symbol
+
+    monkeypatch.setattr(gq3.milnor, "hilbert_symbol_two_adic", flipped_at_ten_bits)
+    code, out, err = run_cli(capsys, "kmilnor", "--field", "two_adic", "--q", "2")
+    assert code == 4
+    assert out == ""
+    assert err == ("internal error: OracleInstability('dyadic relation span changed "
+                   "under precision increase')\n")
+
+
 @pytest.mark.parametrize("mapping, message", [
     ("u:x1, t:x2, t:x2", "--map assigns basis element 't' twice"),
     ("", "correspondence keys [''] do not match the K-ring basis ('u', 't')"),

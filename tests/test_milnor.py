@@ -316,6 +316,38 @@ def test_hilbert_precision_stability():
     assert hilbert_relation_span(8) == hilbert_relation_span(10)
 
 
+def test_hilbert_symbol_is_bimultiplicative():
+    """(ab, c) = (a, c)(b, c) and (c, ab) = (c, a)(c, b) over all 8^3 class
+    triples at 8 bits, ab reduced to its class representative: what lets
+    hilbert_relation_span read every pair off the basis pairs."""
+    by_vector = {square_class_vector(a): a for a in TWO_ADIC_CLASSES}
+    symbol = {(a, b): hilbert_symbol_two_adic(a, b, 8)
+              for a, b in itertools.product(TWO_ADIC_CLASSES, repeat=2)}
+    for a, b, c in itertools.product(TWO_ADIC_CLASSES, repeat=3):
+        ab = by_vector[tuple((x + y) % 2 for x, y in
+                             zip(square_class_vector(a), square_class_vector(b)))]
+        assert symbol[ab, c] == symbol[a, c] * symbol[b, c], (a, b, c)
+        assert symbol[c, ab] == symbol[c, a] * symbol[c, b], (a, b, c)
+
+
+@pytest.mark.parametrize("command", ["kmilnor", "galois-check"])
+def test_dyadic_query_square_tests_the_basis_pairs_only(capsys, monkeypatch, command):
+    import gq3.milnor
+    from gq3.cli import main
+
+    calls = []
+    original = gq3.milnor.hilbert_symbol_two_adic
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gq3.milnor, "hilbert_symbol_two_adic", counted)
+    code = main([command, "--field", "two_adic", "--q", "2"])
+    assert code == 0, capsys.readouterr().err
+    assert len(calls) <= 18  # nine basis pairs at 8 bits and again at 10
+
+
 def test_two_adic_algebra_shape():
     a = milnor_mod_q(FieldPreset("two_adic"), 2)
     assert a.degree_rank(1) == 3

@@ -130,27 +130,6 @@ def test_associativity_random(nq, seed):
     assert g.multiply(g.multiply(a, b), c) == g.multiply(a, g.multiply(b, c))
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    nq=st.sampled_from([(n, q) for n in (1, 2, 3) for q in (2, 3, 4, 9)]),
-    seed=st.integers(min_value=0, max_value=10**9),
-)
-def test_power_closed_form(nq, seed):
-    """a^m = (m e, m c - C(m,2) B(e,e)): the collection identity for powers."""
-    n, q = nq
-    g = free_truncation(n, q)
-    rng = random.Random(seed)
-    a = random_element(g, rng)
-    m = rng.randrange(0, 3 * q * q)
-    qq = q * q
-    e = tuple((m * x) % qq for x in a.e)
-    binom = math.comb(m, 2) if m >= 2 else 0
-    c = []
-    for idx, (k, l) in enumerate(g.pairs):
-        c.append((m * a.c[idx] - binom * a.e[k] * a.e[l]) % q)
-    assert g.power(a, m) == TruncElement(e, tuple(c))
-
-
 @pytest.mark.parametrize("quotient", [False, True], ids=["free", "quotient"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 32])
 def test_closed_forms_match_repeated_products(q, quotient):
