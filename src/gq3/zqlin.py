@@ -9,8 +9,9 @@ tuple comparison everywhere else in this package.
 
 The Howell form is the one elimination here: canonical spans, sums,
 kernels and annihilators, and the part of a span that vanishes on given
-coordinates (vanishing_part), all read off it.  The Smith form serves
-the invariant factors only and returns just its diagonal.
+coordinates (vanishing_part), all read off it.  Invariant factors are
+counted from the cardinalities of the Howell forms of p^k W, and the
+Smith diagonal is read off the same count.
 
 All matrices are immutable, eagerly reduced mod q, and stored as nested
 tuples of plain ints.
@@ -18,7 +19,6 @@ tuples of plain ints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,52 +56,6 @@ def pvaluation(a: int, p: int, d: int) -> int:
         a //= p
         v += 1
     return min(v, d)
-
-
-def unit_multiplier(a: int, q: int, p: int) -> int:
-    """Unit x with x*a == p^v mod q, where v is the valuation of a.
-
-    Normalizing pivots to plain p-powers is what pins down the canonical
-    forms below.  For a == 0 returns 1.
-    """
-    if a % q == 0:
-        return 1
-    while a % p == 0:
-        a //= p
-    return pow(a, -1, q)
-
-
-def annihilator_generator(a: int, q: int) -> int:
-    """Generator of the ideal {x : x*a == 0 mod q}."""
-    return q // math.gcd(a % q, q)
-
-
-def gcdex2(a: int, b: int, q: int) -> tuple[int, int, int, int, int]:
-    """Extended gcd packaged as a 2x2 transform over Z/q.
-
-    Returns (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0 and
-    [[s, t], [u, v]] of determinant 1, hence invertible mod q.
-    """
-    a %= q
-    b %= q
-    if b == 0:
-        return a, 1, 0, 0, 1
-    if a == 0:
-        return b, 0, 1, 1, 0
-    g, s, t = _egcd(a, b)
-    return g % q, s % q, t % q, (-(b // g)) % q, (a // g) % q
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True)
@@ -227,66 +181,75 @@ def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[
             raise DimensionMismatch("row length mismatch")
     r = 0
     for c in range(ambient):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
+        # Pivot on an entry of least valuation: every other entry of the
+        # column is a multiple of it.
+        best, least = None, d
+        for i in range(r, len(work)):
+            if work[i][c]:
+                v = pvaluation(work[i][c], p, d)
+                if v < least:
+                    best, least = i, v
+                    if not v:
+                        break
+        if best is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        # Clear the column below via unimodular 2x2 transforms.
-        for i in range(r + 1, len(work)):
-            if work[i][c] == 0:
-                continue
-            g, s, t, u, v = gcdex2(work[r][c], work[i][c], q)
-            new_r = [(s * work[r][k] + t * work[i][k]) % q for k in range(ambient)]
-            new_i = [(u * work[r][k] + v * work[i][k]) % q for k in range(ambient)]
-            work[r], work[i] = new_r, new_i
-        # Normalize the pivot to a power of p.
-        x = unit_multiplier(work[r][c], q, p)
-        if x != 1:
-            work[r] = [(x * e) % q for e in work[r]]
-        pivot = work[r][c]
-        # Reduce entries above the pivot into [0, pivot).
-        for i in range(r):
-            coeff = work[i][c] // pivot
-            if coeff:
-                work[i] = [(work[i][k] - coeff * work[r][k]) % q for k in range(ambient)]
+        # Normalize the pivot to p^least: that pins down the canonical form.
+        top = work[best]
+        if top[c] != p**least:
+            x = pow(top[c] // p**least, -1, q)
+            top = [(x * e) % q for e in top]
+        work[best], work[r] = work[r], top
+        pivot = top[c]
+        # One subtraction clears the entries below the pivot and reduces
+        # those above it into [0, pivot); the pivot row is zero left of c.
+        for i, row in enumerate(work):
+            f = row[c] // pivot
+            if f and i != r:
+                for k in range(c, ambient):
+                    row[k] = (row[k] - f * top[k]) % q
         # Closure row: the annihilator multiple of the pivot row may have
         # support strictly to the right and must itself be spanned.
-        ann = annihilator_generator(pivot, q)
-        if ann % q != 0:
-            extra = [(ann * e) % q for e in work[r]]
+        if pivot != 1:
+            extra = [(q // pivot * e) % q for e in top]
             if any(extra):
                 work.append(extra)
         r += 1
     return tuple(tuple(row) for row in work[:r] if any(row))
 
 
+def _cyclic_exponents(q: int, ambient: int, basis: Sequence[Sequence[int]]) -> list[int]:
+    """Exponents a_i, descending, with the span W of the Howell rows basis
+    isomorphic to the sum of the Z/p^(a_i).
+
+    Read off cardinalities: log_p |p^k W| = sum_i max(a_i - k, 0), whose
+    second difference in k counts the a_i equal to k.  That takes d - 1
+    more Howell forms, none for prime q.
+    """
+    p, d = prime_power(q)
+    logs = [_log_order(basis, p, d)]
+    for _ in range(1, d):
+        basis = _howell(q, ambient, [[p * x % q for x in row] for row in basis])
+        logs.append(_log_order(basis, p, d))
+    logs += [0, 0]
+    return [a for a in range(d, 0, -1) for _ in range(logs[a - 1] - 2 * logs[a] + logs[a + 1])]
+
+
+def _log_order(basis: Sequence[Sequence[int]], p: int, d: int) -> int:
+    """log_p of the order of the span of Howell rows (pivot p^v adds d - v)."""
+    return sum(d - pvaluation(next(x for x in row if x), p, d) for row in basis)
+
+
 def smith_normal_form(m: ZqMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form of m over Z/q, min(nrows, ncols) long.
 
     Entries are powers of the residue prime (0 standing for p^d) in
-    ascending divisibility order.  Each step takes an entry of minimal
-    valuation as pivot and clears its column in the remaining rows; every
-    remaining entry stays divisible by the pivot, so clearing its row too
-    would not change what is left.
+    ascending divisibility order: p^(d - a) for each cyclic factor
+    Z/p^a of the row span.
     """
-    q = m.q
-    p, d = prime_power(q)
-    rows = [list(row) for row in m.entries if any(row)]
-    diag: list[int] = []
-    while rows:
-        _, i, j = min((pvaluation(x, p, d), i, j)
-                      for i, row in enumerate(rows) for j, x in enumerate(row) if x)
-        unit = unit_multiplier(rows[i][j], q, p)
-        top = [(unit * x) % q for x in rows.pop(i)]
-        pivot = top[j]
-        for row in rows:
-            f = row[j] // pivot
-            if f:
-                for k, x in enumerate(top):
-                    row[k] = (row[k] - f * x) % q
-        rows = [row for row in rows if any(row)]
-        diag.append(pivot)
-    return tuple(diag) + (0,) * (min(m.nrows, m.ncols) - len(diag))
+    p, d = prime_power(m.q)
+    exponents = _cyclic_exponents(m.q, m.ncols, _howell(m.q, m.ncols, m.entries))
+    diag = tuple(p ** (d - a) for a in exponents)
+    return diag + (0,) * (min(m.nrows, m.ncols) - len(diag))
 
 
 def vanishing_part(q: int, ambient: int, rows: Iterable[Sequence[int]], lead: int) -> ZqSubspace:
@@ -330,5 +293,5 @@ def subspace_intersect(a: ZqSubspace, b: ZqSubspace) -> ZqSubspace:
 
 def invariant_factors(w: ZqSubspace) -> tuple[int, ...]:
     """Orders of the cyclic factors of w, descending (its divisor chain)."""
-    diag = smith_normal_form(ZqMatrix.from_rows(w.q, w.basis, w.ambient_dim))
-    return tuple(w.q // x for x in diag if x)
+    p, _ = prime_power(w.q)
+    return tuple(p**a for a in _cyclic_exponents(w.q, w.ambient_dim, w.basis))

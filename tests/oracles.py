@@ -2,8 +2,9 @@
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
 syllables, recognise Hall elements, build identity and zero Z/q
-matrices, enumerate small submodules, build central elements, raise
-powers and take commutators by repeated products, build the layer map
+matrices, enumerate small submodules, take Smith diagonals by pivot
+scanning, build central elements, raise powers and take commutators
+by repeated products, build the layer map
 of a morphism through the group law, substitute words into
 words, compute word certificates the direct way and evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, so that the
@@ -50,6 +51,40 @@ def identity(q: int, n: int) -> ZqMatrix:
 
 def zero(q: int, nrows: int, ncols: int) -> ZqMatrix:
     return ZqMatrix(q, nrows, ncols, tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)))
+
+
+def pivot_scan_smith_diagonal(m: ZqMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith form of m, min(nrows, ncols) long, powers of p
+    ascending (0 standing for p^d).  Each step takes an entry of least
+    valuation over the whole matrix as pivot and clears its column in the
+    remaining rows; every remaining entry stays divisible by the pivot, so
+    clearing its row too would not change what is left."""
+    q = m.q
+    p = min(f for f in range(2, q + 1) if q % f == 0)
+
+    def valuation(x):
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    rows = [list(row) for row in m.entries if any(row)]
+    diag = []
+    while rows:
+        v, i, j = min((valuation(x), i, j)
+                      for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        unit = pow(rows[i][j] // p**v, -1, q)
+        top = [(unit * x) % q for x in rows.pop(i)]
+        pivot = top[j]
+        for row in rows:
+            f = row[j] // pivot
+            if f:
+                for k, x in enumerate(top):
+                    row[k] = (row[k] - f * x) % q
+        rows = [row for row in rows if any(row)]
+        diag.append(pivot)
+    return tuple(diag) + (0,) * (min(m.nrows, m.ncols) - len(diag))
 
 
 def subspace_vectors(w: ZqSubspace):

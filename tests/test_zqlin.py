@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gq3 import zqlin
 from gq3.zqlin import (
     ZqMatrix,
     ZqSubspace,
     annihilator,
     canonicalize,
     full_subspace,
-    gcdex2,
     invariant_factors,
     kernel,
     prime_power,
@@ -21,9 +21,10 @@ from gq3.zqlin import (
     vanishing_part,
     zero_subspace,
 )
-from oracles import identity, subspace_vectors, zero
+from oracles import identity, pivot_scan_smith_diagonal, subspace_vectors, zero
 
 MODULI = [2, 3, 4, 5, 8, 9]
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
 
 def brute_span(q, ambient, rows):
@@ -58,20 +59,6 @@ def test_prime_power_validation():
     for q in (33, 64, 1000000007):
         with pytest.raises(ValueError, match="exceeds cap"):
             prime_power(q)
-
-
-@pytest.mark.parametrize("q", MODULI)
-def test_gcdex2_transform_is_unimodular(q):
-    for a in range(q):
-        for b in range(q):
-            g, s, t, u, v = gcdex2(a, b, q)
-            assert (s * a + t * b) % q == g % q
-            assert (u * a + v * b) % q == 0
-            det = (s * v - t * u) % q
-            assert prime_power(q)[0] is not None
-            import math
-
-            assert math.gcd(det, q) == 1
 
 
 def multiple_sizes(q, span):
@@ -130,6 +117,38 @@ def test_snf_random_matrices(q):
             bb = b if b != 0 else q
             assert bb % aa == 0
         assert diagonal_sizes(q, diag) == multiple_sizes(q, brute_span(q, nc, rows))
+
+
+def mixed_valuation_rows(rng, q, nrows, ncols):
+    """Random rows whose entries spread over every valuation 0..d."""
+    p, d = prime_power(q)
+    return [[p ** rng.randint(0, d) * rng.randrange(q) % q for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_cyclic_factor_count_against_pivot_scan_smith(q):
+    rng = random.Random(q * 31)
+    for _ in range(60):
+        ambient = rng.randint(1, 8)
+        rows = mixed_valuation_rows(rng, q, rng.randint(0, 8), ambient)
+        m = ZqMatrix.from_rows(q, rows, ambient)
+        diag = pivot_scan_smith_diagonal(m)
+        assert smith_normal_form(m) == diag
+        assert invariant_factors(canonicalize(q, ambient, rows)) == tuple(q // x for x in diag if x)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_invariant_factors_reuse_the_howell_basis(q, monkeypatch):
+    """The count takes the Howell forms of p^k W for k = 1..d-1 only:
+    none for prime q, and never a second one of W itself."""
+    _, d = prime_power(q)
+    w = canonicalize(q, 6, mixed_valuation_rows(random.Random(q), q, 6, 6) + [[1, 0, 0, 0, 0, 0]])
+    calls = []
+    howell = zqlin._howell
+    monkeypatch.setattr(zqlin, "_howell", lambda *args: calls.append(args) or howell(*args))
+    assert invariant_factors(w)[0] == q
+    assert len(calls) <= d - 1
 
 
 def test_canonicalize_examples():
