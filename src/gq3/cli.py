@@ -13,6 +13,7 @@ usage error) is parsed again by the full tree, which prints every message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -410,15 +411,21 @@ class _OneCommandParser(argparse.ArgumentParser):
         raise _FullTreeNeeded
 
 
+@functools.cache
+def _command_parser(name: str) -> _OneCommandParser:
+    """The one-command parser of a subcommand, built on first use."""
+    parser = _OneCommandParser(prog=f"gq3 {name}")
+    _add_arguments(parser, name)
+    return parser
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse with only the named subcommand's arguments when ``argv[0]``
     names one; fall back to ``build_parser()`` for anything else it cannot
     parse silently.  The namespace carries no ``command`` on the fast path."""
     if argv and argv[0] in COMMANDS:
-        parser = _OneCommandParser(prog=f"gq3 {argv[0]}")
-        _add_arguments(parser, argv[0])
         try:
-            return parser.parse_args(argv[1:])
+            return _command_parser(argv[0]).parse_args(argv[1:])
         except _FullTreeNeeded:
             pass
     return build_parser().parse_args(argv)

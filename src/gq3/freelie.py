@@ -8,23 +8,33 @@ A nonzero component at weight m certifies that the word lies outside
 the (m+1)-st lower central subgroup, so in particular is nontrivial.
 
 The cost of a certificate depends on the shape of the word and the
-caps on generators and class, never on the size of its exponents: the
-series is expanded over the generators the word uses only, truncated at
-m = 1, 2, ... up to the first nonzero component, and a power x^e or
-w^e enters as the binomial series sum_j C(e, j) X^j, never by writing
-its base out e times.
+caps on generators and class, never on the size of its exponents.  The
+word's tree gives a lower bound v(w) for the lowest degree of w - 1: a
+generator has bound 1, a commutator adds its sides' bounds and a
+product takes the least of its factors'.  The series is expanded over
+the generators the word uses only, truncated at m = v(w), v(w) + 1, ...
+up to the first nonzero component, and is stored degree by degree, so
+that a product multiplies only the degree pairs that fit the
+truncation.  A commutator [a, b] with a = 1 + X, b = 1 + Y enters as
+1 + a^-1 b^-1 (XY - YX): each side is expanded only as far as the
+other side's bound leaves room, and a^-1 b^-1 only to the truncation
+less both bounds.  A power x^e or w^e enters as the binomial series
+sum_j C(e, j) X^j, never by writing its base out e times.
 
 Everything is integral: Hall elements expand into the tensor algebra
 with integer coefficients and form a Z-basis of the Lie ring in each
 weight, which lets the certificate be expressed on the Hall basis by
-exact linear solving.
+exact linear solving.  Hall elements and their expansions are
+homogeneous in each generator, so the solve takes only the Hall
+elements with the letter content of the component, generated directly
+from that content.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import presentations as pres
@@ -45,20 +55,26 @@ class HallElement:
     index: int | None = None
     left: "HallElement | None" = None
     right: "HallElement | None" = None
+    # Built once from the children's keys: generating and sorting a basis
+    # compares elements many times over.
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = ((self.weight, 0, self.index) if self.index is not None
+               else (self.weight, 1, self.left._key, self.right._key))
+        object.__setattr__(self, "_key", key)
 
     def is_generator(self) -> bool:
         return self.index is not None
 
     def sort_key(self):
-        if self.is_generator():
-            return (self.weight, 0, self.index)
-        return (self.weight, 1, self.left.sort_key(), self.right.sort_key())
+        return self._key
 
     def __lt__(self, other: "HallElement") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __le__(self, other: "HallElement") -> bool:
-        return self.sort_key() <= other.sort_key()
+        return self._key <= other._key
 
     def __repr__(self):
         if self.is_generator():
@@ -91,28 +107,49 @@ def witt_number(n: int, w: int) -> int:
     return total // w
 
 
+def hall_elements(content: tuple[int, ...], memo: dict) -> list[HallElement]:
+    """The Hall elements whose leaves are the generators of content, a
+    sorted tuple of indices with repetition, in Hall order.
+
+    Each bracket [u, v] splits content into the contents of u and v, so
+    the elements are built over those splits from the elements of the
+    smaller contents.  memo holds the lists already built, and callers
+    share it across the contents of one job.
+    """
+    out = memo.get(content)
+    if out is not None:
+        return out
+    if len(content) == 1:
+        out = [generator(content[0])]
+    else:
+        letters = sorted(set(content))
+        mults = [content.count(g) for g in letters]
+        out = []
+        for counts in itertools.product(*(range(k + 1) for k in mults)):
+            # u takes at least half the letters (v < u needs weight(v) <= weight(u))
+            if not len(content) <= 2 * sum(counts) < 2 * len(content):
+                continue
+            cu = tuple(g for g, k in zip(letters, counts) for _ in range(k))
+            cv = tuple(g for g, k, m in zip(letters, counts, mults) for _ in range(m - k))
+            cands = hall_elements(cv, memo)
+            for u in hall_elements(cu, memo):
+                out.extend(bracket_node(u, v) for v in cands
+                           if v < u and (u.is_generator() or u.right <= v))
+        out.sort(key=HallElement.sort_key)
+    memo[content] = out
+    return out
+
+
 def hall_basis(n: int, c: int) -> list[HallElement]:
     """All Hall elements of weight <= c, in weight order then structural order."""
     if not (1 <= n <= MAX_GENERATORS):
         raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
     if not (1 <= c <= MAX_CLASS):
         raise BoundsExceeded(f"class bound {c} outside 1..{MAX_CLASS}")
-    by_weight: list[list[HallElement]] = [[]]
-    by_weight.append([generator(k) for k in range(n)])
-    for w in range(2, c + 1):
-        layer = []
-        for wu in range(1, w):
-            wv = w - wu
-            for u in by_weight[wu]:
-                for v in by_weight[wv]:
-                    if v < u and (u.is_generator() or u.right <= v):
-                        layer.append(bracket_node(u, v))
-        layer.sort(key=HallElement.sort_key)
-        by_weight.append(layer)
-    out = []
-    for w in range(1, c + 1):
-        out.extend(by_weight[w])
-    return out
+    memo: dict = {}
+    return sorted((h for w in range(1, c + 1)
+                   for content in itertools.combinations_with_replacement(range(n), w)
+                   for h in hall_elements(content, memo)), key=HallElement.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +180,14 @@ def tensor_expansion(h: HallElement) -> Tensor:
 # ---------------------------------------------------------------------------
 # Magnus expansion
 
+# A truncated series by degree: entry d holds the monomials of length d,
+# with no zero coefficients, and the list ends at the truncation degree.
+Graded = list[Tensor]
+
+
+def _one(cap: int) -> Graded:
+    return [{(): 1}] + [{} for _ in range(cap)]
+
 
 def _gbinom(e: int, j: int) -> int:
     num = 1
@@ -161,49 +206,56 @@ def _add(acc: dict, terms: dict, scale=1) -> None:
             acc.pop(key, None)
 
 
-def _multiply(a: Tensor, b: Tensor, cap: int) -> Tensor:
-    """Product of two series, dropping monomials longer than cap."""
-    out: Tensor = {}
-    for ma, xa in a.items():
-        room = cap - len(ma)
-        for mb, xb in b.items():
-            if len(mb) <= room:
-                mon = ma + mb
-                y = out.get(mon, 0) + xa * xb
-                if y:
-                    out[mon] = y
-                else:
-                    out.pop(mon, None)
-    return out
+def _multiply(a: Graded, b: Graded, cap: int) -> Graded:
+    """Product of two series truncated at degree cap: only the degree
+    pairs whose sum fits are multiplied."""
+    out: Graded = [{} for _ in range(cap + 1)]
+    for da, part_a in enumerate(a[:cap + 1]):
+        if not part_a:
+            continue
+        for db in range(min(len(b) - 1, cap - da) + 1):
+            acc = out[da + db]
+            for mb, xb in b[db].items():
+                for ma, xa in part_a.items():
+                    mon = ma + mb
+                    acc[mon] = acc.get(mon, 0) + xa * xb
+    return [{mon: x for mon, x in part.items() if x} for part in out]
 
 
-def _power(series: Tensor, e: int, cap: int) -> Tensor:
+def _power(series: Graded, e: int, cap: int) -> Graded:
     """series^e truncated at cap, as the binomial series sum_j C(e, j) X^j.
 
     series is 1 + X with X free of constant term, as every Magnus series
     of a group element is, so X^j starts in degree j and the sum stops at
     j = cap: the cost does not depend on the size of e.
     """
-    x = {mon: v for mon, v in series.items() if mon}
-    out: Tensor = {(): 1}
-    term: Tensor = {(): 1}
+    x = [{}] + series[1:cap + 1]
+    out = _one(cap)
+    term = x
     for j in range(1, cap + 1):
         coeff = _gbinom(e, j)
         if not coeff:  # 0 <= e < j, and so for every later j too
             break
-        term = _multiply(term, x, cap)
-        if not term:
+        if j > 1:
+            term = _multiply(term, x, cap)
+        if not any(term):
             break
-        _add(out, term, coeff)
+        for acc, part in zip(out, term):
+            _add(acc, part, coeff)
     return out
 
 
 def magnus_expansion(syllables: Sequence[tuple[int, int]], cap: int) -> Tensor:
     """Truncated expansion of a word: each generator power maps to (1+x)^e."""
-    series: Tensor = {(): 1}
+    series = _one(cap)
     for g, e in syllables:
-        series = _multiply(series, _power({(): 1, (g,): 1}, e, cap), cap)
-    return series
+        power = [{(g,) * j: x} if (x := _gbinom(e, j)) else {} for j in range(cap + 1)]
+        series = _multiply(series, power, cap)
+    return {mon: x for part in series for mon, x in part.items()}
+
+
+def graded_component(series: Tensor, m: int) -> Tensor:
+    return {mon: x for mon, x in series.items() if len(mon) == m and x != 0}
 
 
 def _expands_on_tree(word: pres.Word) -> bool:
@@ -226,89 +278,139 @@ def _expands_on_tree(word: pres.Word) -> bool:
     raise TypeError(f"not a word node: {word!r}")
 
 
-def _word_series(word: pres.Word, cap: int, label: dict[int, int]) -> Tensor:
-    """Truncated Magnus series of a word, generator g written as label[g].
+def _bound(word: pres.Word) -> int:
+    """A lower bound for the lowest degree of word - 1 in its series.
 
-    A subtree without commutators and composite powers is flattened to
-    syllables; a composite power is the binomial series of its base's
-    series, and a commutator is multiplied out from its sides' series.
+    [a, b] - 1 = a^-1 b^-1 (XY - YX) starts no lower than X and Y
+    together, a product's terms no lower than its factors', and a power's
+    no lower than its base's.  The empty product is 1, whose series has
+    no such degree: it gets a bound above every class bound.
     """
-    if not _expands_on_tree(word):
-        syllables = pres.reduce_syllables(pres.letters(word))
-        return magnus_expansion([(label[g], e) for g, e in syllables], cap)
     match word:
-        case pres.Inverse(b):
-            return _power(_word_series(b, cap, label), -1, cap)
-        case pres.Power(b, e):
-            return _power(_word_series(b, cap, label), e, cap)
+        case pres.Generator():
+            return 1
+        case pres.Inverse(b) | pres.Power(b, _):
+            return _bound(b)
         case pres.Product(fs):
-            out: Tensor = {(): 1}
-            for f in fs:
-                out = _multiply(out, _word_series(f, cap, label), cap)
-            return out
+            return min((_bound(f) for f in fs), default=MAX_CLASS + 1)
         case pres.Commutator(a, b):
-            sa, sb = _word_series(a, cap, label), _word_series(b, cap, label)
-            out = _multiply(_power(sa, -1, cap), _power(sb, -1, cap), cap)
-            return _multiply(_multiply(out, sa, cap), sb, cap)
+            return _bound(a) + _bound(b)
     raise TypeError(f"not a word node: {word!r}")
 
 
-def graded_component(series: Tensor, m: int) -> Tensor:
-    return {mon: x for mon, x in series.items() if len(mon) == m and x != 0}
+def _word_series(word: pres.Word, cap: int) -> Graded:
+    """Magnus series of a word truncated at cap.
+
+    A subtree without commutators and composite powers is flattened to
+    syllables; a composite power is the binomial series of its base's
+    series, and a commutator is 1 + a^-1 b^-1 (XY - YX), each part
+    expanded only to the degree that can reach cap.
+    """
+    if not _expands_on_tree(word):
+        syllables = pres.reduce_syllables(pres.letters(word))
+        series = magnus_expansion(syllables, cap)
+        return [graded_component(series, d) for d in range(cap + 1)]
+    match word:
+        case pres.Inverse(b):
+            return _power(_word_series(b, cap), -1, cap)
+        case pres.Power(b, e):
+            return _power(_word_series(b, cap), e, cap)
+        case pres.Product(fs):  # not empty: a factor expands on the tree
+            out = _word_series(fs[0], cap)
+            for f in fs[1:]:
+                out = _multiply(out, _word_series(f, cap), cap)
+            return out
+        case pres.Commutator(a, b):
+            va, vb = _bound(a), _bound(b)
+            if va + vb > cap:
+                return _one(cap)
+            x = [{}] + _word_series(a, cap - vb)[1:]
+            y = [{}] + _word_series(b, cap - va)[1:]
+            out = _multiply(x, y, cap)
+            for acc, part in zip(out, _multiply(y, x, cap)):
+                _add(acc, part, -1)
+            rest = cap - va - vb
+            if rest:  # else only the constant 1 of a^-1 b^-1 reaches cap
+                out = _multiply(_multiply(_power(x, -1, rest), _power(y, -1, rest), rest),
+                                out, cap)
+            out[0] = {(): 1}
+            return out
+    raise TypeError(f"not a word node: {word!r}")
 
 
 def tensor_to_hall(component: Tensor, n: int, m: int) -> LieElement:
-    """Express a Lie tensor of weight m on the Hall basis by exact solving.
+    """Express a Lie tensor of weight m on n generators on the Hall basis
+    by exact solving.
 
-    Raises if the component is not in the integer span, which would mean
-    the input was not the graded image of a group element.
+    Hall elements and their expansions are homogeneous in each generator,
+    so the component splits by letter content, and each part is solved
+    on the Hall elements of its content alone.  A monotone relabelling of
+    the letters keeps the Hall order and the order of monomials, so the
+    contents with the same multiplicities share one elimination, made on
+    the letters 0..k-1.  Raises if the component is not in the integer
+    span, which would mean the input was not the graded image of a group
+    element.
     """
-    # Hall elements and their expansions are homogeneous in each generator,
-    # so only elements with the letter content of some monomial can occur.
-    contents = {tuple(sorted(mon)) for mon in component}
-    basis = [h for h in hall_basis(n, min(m, MAX_CLASS))
-             if h.weight == m and _content(h) in contents]
-    coeffs = _solve_exact([tensor_expansion(h) for h in basis], component)
+    if not (1 <= n <= MAX_GENERATORS):
+        raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
+    parts: dict[tuple[int, ...], Tensor] = {}
+    for mon, x in component.items():
+        parts.setdefault(tuple(sorted(mon)), {})[mon] = x
+    memo: dict = {}
+    solvers: dict[tuple[int, ...], tuple[list[HallElement], dict]] = {}
     out: LieElement = {}
-    for i, x in sorted(coeffs.items()):
-        if x.denominator != 1:
-            raise ArithmeticError("non-integral Hall coefficient")
-        out[basis[i]] = int(x)
-    return out
+    for content, part in parts.items():
+        if len(content) != m:
+            raise ArithmeticError("component outside the Lie span")
+        letters = sorted(set(content))
+        mults = tuple(content.count(g) for g in letters)
+        if mults not in solvers:
+            basis = hall_elements(tuple(i for i, k in enumerate(mults) for _ in range(k)), memo)
+            solvers[mults] = basis, _echelon([tensor_expansion(h) for h in basis])
+        basis, pivots = solvers[mults]
+        local = {g: i for i, g in enumerate(letters)}
+        target = {tuple(local[g] for g in mon): x for mon, x in part.items()}
+        for i, x in _coordinates(pivots, target).items():
+            out[_relabel(basis[i], letters)] = x
+    return dict(sorted(out.items(), key=lambda item: item[0].sort_key()))
 
 
-def _content(h: HallElement) -> tuple[int, ...]:
-    """The generator indices of h's leaves, sorted, with repetition."""
-    if h.is_generator():
-        return (h.index,)
-    return tuple(sorted(_content(h.left) + _content(h.right)))
-
-
-def _solve_exact(rows: list[Tensor], target: Tensor) -> dict[int, Fraction]:
-    """Nonzero c_i with sum_i c_i rows[i] = target over Q; raises if inconsistent.
+def _echelon(rows: list[Tensor]) -> dict[tuple[int, ...], tuple[Tensor, dict[int, int]]]:
+    """Pivots for solving sum_i c_i rows[i] = target, by lead monomial.
 
     Sparse echelon elimination: each pivot row is kept scaled to lead with
     coefficient 1 at its least monomial, together with the combination of
     the input rows it equals.  Every other monomial of a pivot row is
     larger than its lead, so a vector in the span leads with some pivot.
+    On the Hall expansions of one letter content every lead is +-1 (the
+    tests check each content within the caps), so the elimination stays
+    in the integers; a lead of another size raises.
     """
-    pivots: dict[tuple[int, ...], tuple[dict, dict]] = {}
+    pivots: dict[tuple[int, ...], tuple[Tensor, dict[int, int]]] = {}
     for i, row in enumerate(rows):
-        vec = {mon: Fraction(x) for mon, x in row.items()}
-        combo = {i: Fraction(1)}
+        vec = dict(row)
+        combo = {i: 1}
         while vec:
             lead = min(vec)
             piv = pivots.get(lead)
             if piv is None:
-                scale = vec[lead]
-                pivots[lead] = ({k: x / scale for k, x in vec.items()},
-                                {k: x / scale for k, x in combo.items()})
+                sign = vec[lead]
+                if sign not in (1, -1):
+                    raise ArithmeticError("Hall expansions without a unit pivot")
+                pivots[lead] = ({k: x * sign for k, x in vec.items()},
+                                {k: x * sign for k, x in combo.items()})
                 break
             f = vec[lead]
             _add(vec, piv[0], -f)
             _add(combo, piv[1], -f)
-    rest = {mon: Fraction(x) for mon, x in target.items()}
-    coeffs: dict[int, Fraction] = {}
+    return pivots
+
+
+def _coordinates(pivots: dict, target: Tensor) -> dict[int, int]:
+    """Nonzero c_i with sum_i c_i rows[i] = target for the rows that
+    _echelon made pivots of; raises if there are none."""
+    rest = dict(target)
+    coeffs: dict[int, int] = {}
     while rest:
         lead = min(rest)
         piv = pivots.get(lead)
@@ -334,26 +436,18 @@ def word_nontriviality_certificate(
     Returns (weight, Hall-basis element) certifying the word is not in
     the (c+1)-st lower central subgroup of the free group, hence not
     trivial.  Returns None when the word is freely trivial or all its
-    components up to weight c vanish.
-
-    The expansion runs over the generators the word uses, relabelled in
-    increasing order to 0..k-1; a monotone relabelling keeps the Hall
-    order, so the Hall basis on k generators maps onto the elements of
-    the basis on n generators that use only those, and the solution,
-    being unique, is the same.
+    components up to weight c vanish; when the tree's lower bound on the
+    weight exceeds c, nothing is expanded.
     """
     if not (1 <= n <= MAX_GENERATORS):
         raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
     if not (1 <= c <= MAX_CLASS):
         raise BoundsExceeded(f"class bound {c} outside 1..{MAX_CLASS}")
-    support = sorted(pres.generator_indices(word))
-    for k in support:
+    for k in pres.generator_indices(word):
         if k >= n:
             raise BoundsExceeded(f"word references generator {k + 1} > n = {n}")
-    label = {g: i for i, g in enumerate(support)}
-    for m in range(1, c + 1):
-        component = graded_component(_word_series(word, m, label), m)
+    for m in range(_bound(word), c + 1):
+        component = _word_series(word, m)[m]
         if component:
-            lie = tensor_to_hall(component, len(support), m)
-            return m, {_relabel(h, support): x for h, x in lie.items()}
+            return m, tensor_to_hall(component, n, m)
     return None

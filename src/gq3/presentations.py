@@ -126,7 +126,8 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
 
     A flat word holds no commutator, and each of its powers has a base of
     at most one syllable, which stays one syllable.  Other words are
-    expanded on their tree (freelie._word_series), never flattened.
+    expanded on their tree by the certificate engine in gq3.freelie,
+    never flattened.
     """
     match word:
         case Generator(k):

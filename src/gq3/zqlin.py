@@ -265,8 +265,9 @@ def vanishing_part(q: int, ambient: int, rows: Iterable[Sequence[int]], lead: in
 
 def kernel(m: ZqMatrix) -> ZqSubspace:
     """{v in (Z/q)^ncols : m v = 0}: the graph span {(m v, v)} where m v vanishes."""
-    graph = [tuple(row[j] for row in m.entries) + tuple(int(i == j) for i in range(m.ncols))
-             for j in range(m.ncols)]
+    n = m.ncols
+    columns = zip(*m.entries) if m.nrows else [()] * n
+    graph = [col + (0,) * j + (1,) + (0,) * (n - 1 - j) for j, col in enumerate(columns)]
     return vanishing_part(m.q, m.nrows + m.ncols, graph, m.nrows)
 
 

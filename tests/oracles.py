@@ -1,7 +1,8 @@
 """Reference helpers that the tests check gq3 against.
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
-syllables, recognise Hall elements, build identity and zero Z/q
+syllables, recognise Hall elements and build Hall bases weight by
+weight, build identity and zero Z/q
 matrices, enumerate small submodules, take Smith diagonals by pivot
 scanning, build central elements, raise powers and take commutators
 by repeated products, build the layer map
@@ -11,10 +12,11 @@ Hilbert symbol and the tame symbol in closed form, so that the
 library's answers can be verified by direct construction.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
-from gq3.freelie import HallElement, hall_basis, tensor_expansion
+from gq3.freelie import HallElement, bracket_node, generator, tensor_expansion
 from gq3.presentations import Commutator, Generator, Inverse, Power, Product
 from gq3.trunc import TruncElement, pair_list
 from gq3.zqlin import ZqMatrix, ZqSubspace
@@ -43,6 +45,19 @@ def is_hall(e: HallElement) -> bool:
     if u.is_generator():
         return True
     return u.right <= v
+
+
+@functools.cache
+def layered_hall_basis(n: int, c: int) -> tuple[HallElement, ...]:
+    """The Hall elements of weight <= c on n generators, in Hall order,
+    built weight by weight from every pair of lighter elements that
+    is_hall accepts, with no regard to letter content."""
+    by_weight = [[], [generator(k) for k in range(n)]]
+    for w in range(2, c + 1):
+        layer = [bracket_node(u, v) for wu in range(1, w)
+                 for u in by_weight[wu] for v in by_weight[w - wu]]
+        by_weight.append(sorted((h for h in layer if is_hall(h)), key=HallElement.sort_key))
+    return tuple(h for layer in by_weight for h in layer)
 
 
 def identity(q: int, n: int) -> ZqMatrix:
@@ -196,7 +211,7 @@ def direct_certificate(word, n, c):
 
 
 def _dense_hall_coordinates(component, n, m):
-    basis = [h for h in hall_basis(n, m) if h.weight == m]
+    basis = [h for h in layered_hall_basis(n, m) if h.weight == m]
     expansions = [tensor_expansion(h) for h in basis]
     monomials = sorted({mon for t in expansions for mon in t} | set(component))
     rows = [[Fraction(t.get(mon, 0)) for mon in monomials] for t in expansions]

@@ -83,8 +83,10 @@ def test_drawn_argvs_parse_alike(argv):
     (["truncate", "--help"], 2 + len(cli.COMMANDS), len(cli.COMMANDS)),
 ])
 def test_parsers_built_per_call(argv, constructed, subparsers, monkeypatch, capsys):
-    """A known command builds its own parser alone; help and usage errors
-    build the full tree, after the one-command parser when it was tried."""
+    """A known command builds its own parser alone, once per process; help
+    and usage errors build the full tree on every call, after the
+    one-command parser when it was tried."""
+    cli._command_parser.cache_clear()
     counts = {"constructed": 0, "subparsers": 0}
     init = argparse.ArgumentParser.__init__
     add_parser = argparse._SubParsersAction.add_parser
@@ -102,3 +104,9 @@ def test_parsers_built_per_call(argv, constructed, subparsers, monkeypatch, caps
     with contextlib.suppress(SystemExit):
         cli.main(argv)
     assert counts == {"constructed": constructed, "subparsers": subparsers}
+    # the second call reuses the one-command parser: on a known command
+    # that parses, it constructs none
+    counts["constructed"] = 0
+    with contextlib.suppress(SystemExit):
+        cli.main(argv)
+    assert counts["constructed"] == constructed - (argv[0] in cli.COMMANDS)

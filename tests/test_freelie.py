@@ -1,13 +1,20 @@
+import functools
+import itertools
+import json
+import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gq3 import freelie
 from gq3.freelie import (
     BoundsExceeded,
     bracket_node,
     generator,
     hall_basis,
+    hall_elements,
     magnus_expansion,
     tensor_expansion,
     tensor_to_hall,
@@ -15,7 +22,7 @@ from gq3.freelie import (
     word_nontriviality_certificate,
 )
 from gq3.presentations import Commutator, Generator, Inverse, Power, Product, parse_word
-from oracles import direct_certificate, is_hall, syllables_to_word
+from oracles import direct_certificate, is_hall, layered_hall_basis, syllables_to_word
 
 NAMES3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -40,6 +47,71 @@ def test_hall_counts_match_witt_formula(n, c):
     for w in range(1, c + 1):
         assert sum(1 for h in basis if h.weight == w) == witt_number(n, w)
     assert all(is_hall(h) for h in basis)
+
+
+def _content(h):
+    """The generator indices of h's leaves, sorted, with repetition."""
+    if h.is_generator():
+        return (h.index,)
+    return tuple(sorted(_content(h.left) + _content(h.right)))
+
+
+@functools.cache
+def _multigraded_witt(mults):
+    """Rank of the free Lie ring's piece with these letter multiplicities,
+    by Moebius inversion of multinomial(alpha) = sum over d | gcd(alpha)
+    of (|alpha| / d) * rank(alpha / d): every word is a power of exactly
+    one primitive word, and a primitive word of length l has l rotations."""
+    w = sum(mults)
+    words = math.factorial(w)
+    for k in mults:
+        words //= math.factorial(k)
+    g = math.gcd(*mults)
+    rest = sum(w // d * _multigraded_witt(tuple(k // d for k in mults))
+               for d in range(2, g + 1) if g % d == 0)
+    return (words - rest) // w
+
+
+def test_hall_elements_match_the_multigraded_witt_count():
+    """Every letter content up to eight generators and weight 6, the caps."""
+    memo = {}
+    for w in range(1, 7):
+        for content in itertools.combinations_with_replacement(range(8), w):
+            got = hall_elements(content, memo)
+            mults = tuple(content.count(g) for g in sorted(set(content)))
+            assert len(got) == _multigraded_witt(mults), content
+            assert all(_content(h) == content and is_hall(h) for h in got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hall_elements_are_the_basis_restricted_to_their_content(n):
+    """In Hall order, against the basis built weight by weight from all
+    pairs of lighter elements."""
+    reference = layered_hall_basis(n, 5)
+    assert hall_basis(n, 5) == list(reference)
+    for m in range(1, 6):
+        for content in itertools.combinations_with_replacement(range(n), m):
+            want = [h for h in reference if _content(h) == content]
+            assert hall_elements(content, {}) == want
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 6])
+def test_hall_coordinates_are_integral_for_every_content(w):
+    """The Hall solve eliminates in the integers, which needs a unit lead
+    at every pivot.  A monotone relabelling reduces each content within
+    the caps to its multiplicities on letters 0..k-1; for each such
+    content, a combination of all its Hall elements comes back exactly."""
+    for cuts in itertools.product((False, True), repeat=w - 1):
+        mults = [1]
+        for cut in cuts:
+            if cut:
+                mults.append(1)
+            else:
+                mults[-1] += 1
+        content = tuple(i for i, k in enumerate(mults) for _ in range(k))
+        basis = hall_elements(content, {})
+        want = {h: i + 1 for i, h in enumerate(basis)}
+        assert tensor_to_hall(_tensor_of(want), len(mults), w) == want
 
 
 def test_hall_basis_bounds():
@@ -321,3 +393,51 @@ def test_deep_relators_at_eight_generators(text, want):
     got = word_nontriviality_certificate(parse_word(text, NAMES8), 8, 5)
     assert time.perf_counter() - start < 2.0
     assert got == want
+
+
+WORST = json.loads((Path(__file__).parent / "worst_certificates.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", WORST, ids=[case["word"] for case in WORST])
+def test_worst_certificates_match_the_recorded_ones(case):
+    """The slowest certificates known inside the caps (n = 8, c = 6), as
+    recorded from an engine that expanded every degree from 1 and solved
+    on the whole Hall basis: 16, 24 and 1.5 s each there.  The Hall
+    coordinates come in the same order, which the report bytes follow."""
+    start = time.perf_counter()
+    got = word_nontriviality_certificate(parse_word(case["word"], NAMES8), case["n"], case["c"])
+    assert time.perf_counter() - start < 2.0
+    assert got[0] == case["weight"]
+    assert [[repr(h), x] for h, x in got[1].items()] == case["coefficients"]
+
+
+def _trees_with_identities(n):
+    """Words on n generators whose leaves include the empty product, and
+    whose exponents include 0 and multiples of q = 2, 3."""
+    exponents = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from((2, 3)).flatmap(lambda q: st.integers(-2, 2).map(lambda k: k * q)))
+    leaves = st.one_of(st.integers(0, n - 1).map(Generator), st.just(Product(())))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Inverse),
+            st.tuples(inner, exponents).map(lambda t: Power(*t)),
+            st.lists(inner, max_size=3).map(lambda fs: Product(tuple(fs))),
+            st.tuples(inner, inner).map(lambda t: Commutator(*t)),
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 2, 1)).flatmap(lambda n: st.tuples(st.just(n), _trees_with_identities(n))),
+       st.sampled_from((4, 3, 2, 1)))
+def test_tree_bound_never_exceeds_the_certified_weight(n_word, c):
+    """The expansion starts at the bound the word's tree gives; a bound
+    above the true weight would skip the certificate."""
+    n, word = n_word
+    want = direct_certificate(word, n, c)
+    if want is not None:
+        assert freelie._bound(word) <= want[0]
+    assert word_nontriviality_certificate(word, n, c) == want
