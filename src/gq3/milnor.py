@@ -4,7 +4,11 @@ A graded algebra is stored through its relation subspaces: degree r
 lives in the q^(rank^r)-element tensor coordinate space and T_r is the
 canonical subspace of relations, so A_r = (Z/q)^(rank^r) / T_r.  The
 quadratic hull generates T_r from the degree-2 relations placed in all
-slot pairs, which is the whole structure of a quadratic algebra.
+slot pairs, which is the whole structure of a quadratic algebra; the
+tensor positions of a placement are computed once per slot pair and
+fill, and every relation row is written through them.  A hull depends
+only on its degree-2 relations, so the comparison builds one hull when
+the field and presentation relations agree.
 
 The field presets compute their degree-2 relations from first
 principles: an exhaustive Steinberg sweep a (x) (1-a) over F_ell, or
@@ -15,7 +19,9 @@ a, class of 1-a) pairs, at most q^4 of them, and canonicalizes their
 distinct rows.  The local sweep doubles its window in the same pass, and
 the pairs the wider window adds must lie in the span already computed;
 the dyadic span must not move at a higher precision.  Otherwise the
-oracle raises rather than returning an unstable answer.
+oracle raises rather than returning an unstable answer.  The square test
+behind a Hilbert symbol tries every pair of values, as integer bitmasks
+ANDed in one step per value of the first set.
 """
 
 from __future__ import annotations
@@ -132,28 +138,22 @@ def quadratic_hull(
 
     m = a1_rank
     components = {2: zero_pairs}
+    # Howell rows are reduced and nonzero, and a placement sends distinct
+    # (a, b) to distinct positions: each placed row is reduced and nonzero.
+    entries = [[(k, x) for k, x in enumerate(zrow) if x] for zrow in zero_pairs.basis]
     for r in range(3, r_max + 1):
         rows = set()  # a relation repeats across slot pairs and fills
         for i, j in itertools.combinations(range(r), 2):
-            rest = [s for s in range(r) if s not in (i, j)]
+            rest = [r - 1 - s for s in range(r) if s not in (i, j)]
+            offsets = [a * m ** (r - 1 - i) + b * m ** (r - 1 - j) for a, b in _monomials(m, 2)]
             for fill in _monomials(m, r - 2):
-                for zrow in zero_pairs.basis:
+                base = sum(g * m**e for g, e in zip(fill, rest))
+                positions = [base + o for o in offsets]
+                for nonzero in entries:
                     out = [0] * m**r
-                    for (a, b) in _monomials(m, 2):
-                        x = zrow[a * m + b]
-                        if not x:
-                            continue
-                        slots = [0] * r
-                        slots[i] = a
-                        slots[j] = b
-                        for s, g in zip(rest, fill):
-                            slots[s] = g
-                        idx = 0
-                        for s in slots:
-                            idx = idx * m + s
-                        out[idx] = (out[idx] + x) % q
-                    if any(out):
-                        rows.add(tuple(out))
+                    for k, x in nonzero:
+                        out[positions[k]] = x
+                    rows.add(tuple(out))
         components[r] = canonicalize(q, m**r, rows)
 
     return GradedAlgebra(q, m, components, basis_names)
@@ -220,8 +220,16 @@ def parse_preset(text: str) -> FieldPreset:
 
 def _primitive_root(ell: int) -> int:
     order = ell - 1
-    prime_factors = {f for f in range(2, order + 1) if order % f == 0 and _is_prime(f)}
-    for g in range(2, ell):
+    prime_factors, rest, f = set(), order, 2
+    while f * f <= rest:  # trial division; what is left above sqrt is prime
+        if rest % f:
+            f += 1
+        else:
+            prime_factors.add(f)
+            rest //= f
+    if rest > 1:
+        prime_factors.add(rest)
+    for g in range(1, ell):  # 1 generates F_2^*
         if all(pow(g, order // f, ell) != 1 for f in prime_factors):
             return g
     raise AssertionError(f"no primitive root modulo {ell}")
@@ -261,7 +269,7 @@ def steinberg_relations_finite(ell: int, q: int) -> ZqSubspace:
     """Span of a (x) (1-a) over all of F_ell, on the rank-1 basis u."""
     units = _unit_classes(ell, q)
     # units[1:] runs over c = 2..ell-1, reversed over 1 - c in the same order
-    pairs = {((a,), (b,)) for a, b in zip(units[1:], reversed(units[1:]))}
+    pairs = {((a,), (b,)) for a, b in set(zip(units[1:], reversed(units[1:])))}
     return canonicalize(q, 1, _pair_rows(q, 1, pairs))
 
 
@@ -320,12 +328,16 @@ def square_class_vector(a: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=8)
-def _square_sets(precision_bits: int) -> tuple[frozenset[int], frozenset[int]]:
+def _square_sets(precision_bits: int) -> tuple[int, frozenset[int], frozenset[int]]:
+    """The squares mod 2^precision_bits as a bitmask, and as sets of all
+    and of odd squares."""
     m = 1 << precision_bits
-    return (
-        frozenset((z * z) % m for z in range(m)),
-        frozenset((z * z) % m for z in range(1, m, 2)),
-    )
+    squares = frozenset((z * z) % m for z in range(m))
+    return _mask(squares), squares, frozenset((z * z) % m for z in range(1, m, 2))
+
+
+def _mask(residues) -> int:
+    return sum(1 << x for x in residues)
 
 
 def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
@@ -334,21 +346,18 @@ def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
     Solvability of z^2 = a x^2 + b y^2 with a primitive triple is decided
     modulo 2^precision_bits; any primitive 2-adic solution survives the
     reduction and Hensel lifting recovers one from a solution mod 2^k for
-    the representatives in use, so the test is exact.
+    the representatives in use, so the test is exact.  Every pair (u, v)
+    of the two value sets is tested: for each u, the squares bitmask
+    rotated down by u has bit v set exactly when u + v is a square, and
+    is ANDed with the bitmask of the v set.
     """
     m = 1 << precision_bits
-    squares, odd_sq = _square_sets(precision_bits)
-    a_odd = {(a * s) % m for s in odd_sq}
-    a_all = {(a * s) % m for s in squares}
-    b_odd = {(b * s) % m for s in odd_sq}
-    b_all = {(b * s) % m for s in squares}
-    for u in a_odd:
-        for v in b_all:
-            if (u + v) % m in squares:
-                return 1
-    for u in a_all:
-        for v in b_odd:
-            if (u + v) % m in squares:
+    sq_mask, squares, odd_sq = _square_sets(precision_bits)
+    b_odd = _mask({(b * s) % m for s in odd_sq})
+    b_all = _mask({(b * s) % m for s in squares})
+    for us, vs in ((odd_sq, b_all), (squares, b_odd)):
+        for u in {(a * s) % m for s in us}:
+            if ((sq_mask >> u) | (sq_mask << (m - u))) & vs:
                 return 1
     return -1
 
@@ -493,8 +502,11 @@ def galois_symbol_compare(
             for b in range(m):
                 out[perm[a] * m + perm[b]] = row[a * m + b]
         mapped_rows.append(out)
-    field_hull = quadratic_hull(q, m, canonicalize(q, m * m, mapped_rows), r_max)
-    pres_hull = quadratic_hull(q, m, presentation_zero_pairs(cd), r_max)
+    mapped_t2 = canonicalize(q, m * m, mapped_rows)
+    pres_t2 = presentation_zero_pairs(cd)
+    # a hull is a function of its degree-2 relations: equal ones share one
+    field_hull = quadratic_hull(q, m, mapped_t2, r_max)
+    pres_hull = field_hull if pres_t2 == mapped_t2 else quadratic_hull(q, m, pres_t2, r_max)
 
     ok = True
     for r in range(2, r_max + 1):

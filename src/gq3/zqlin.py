@@ -20,6 +20,7 @@ tuples of plain ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_Q = 32
@@ -30,6 +31,7 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes or moduli."""
 
 
+@lru_cache(maxsize=None, typed=True)  # only the 31 valid moduli are kept
 def prime_power(q: int) -> tuple[int, int]:
     """Return (p, d) with q = p^d <= MAX_Q, or raise ValueError."""
     if q < 2:
@@ -76,7 +78,7 @@ class ZqMatrix:
         for row in self.entries:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged rows")
-            if any(not (0 <= x < self.q) for x in row):
+            if row and (min(row) < 0 or max(row) >= self.q):
                 raise ValueError("entry not reduced mod q")
 
     @staticmethod
@@ -123,7 +125,7 @@ class ZqSubspace:
                 raise DimensionMismatch("basis row length mismatch")
             if not any(row):
                 raise ValueError("zero basis row")
-            if any(not (0 <= x < self.q) for x in row):
+            if min(row) < 0 or max(row) >= self.q:
                 raise ValueError("basis entry not reduced mod q")
 
     @property

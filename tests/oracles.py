@@ -7,9 +7,10 @@ matrices, enumerate small submodules, take Smith diagonals by pivot
 scanning, build central elements, raise powers and take commutators
 by repeated products, build the layer map
 of a morphism through the group law, substitute words into
-words, compute word certificates the direct way and evaluate the 2-adic
-Hilbert symbol and the tame symbol in closed form, so that the
-library's answers can be verified by direct construction.
+words, compute word certificates the direct way, evaluate the 2-adic
+Hilbert symbol and the tame symbol in closed form, test squares pair by
+pair and place hull relations slot by slot, so that the library's
+answers can be verified by direct construction.
 """
 
 import functools
@@ -19,7 +20,7 @@ from fractions import Fraction
 from gq3.freelie import HallElement, bracket_node, generator, tensor_expansion
 from gq3.presentations import Commutator, Generator, Inverse, Power, Product
 from gq3.trunc import TruncElement, pair_list
-from gq3.zqlin import ZqMatrix, ZqSubspace
+from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize
 
 
 def syllables_to_word(seq):
@@ -272,6 +273,49 @@ def closed_form_hilbert_two_adic(a, b):
         return ((x * x - 1) // 8) % 2
 
     return -1 if (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)) % 2 else 1
+
+
+def pairwise_hilbert_two_adic(a, b, precision_bits):
+    """(a, b)_2 as the square test at 2^precision_bits decides it, one
+    pair (u, v) at a time: 1 iff u + v is a square mod 2^precision_bits
+    for some u in a * (odd squares) and v in b * (squares), or u in
+    a * (squares) and v in b * (odd squares)."""
+    m = 1 << precision_bits
+    squares = {(z * z) % m for z in range(m)}
+    odd = {(z * z) % m for z in range(1, m, 2)}
+    for us, vs in ((odd, squares), (squares, odd)):
+        for u in {(a * s) % m for s in us}:
+            for v in {(b * s) % m for s in vs}:
+                if (u + v) % m in squares:
+                    return 1
+    return -1
+
+
+def slot_hull_component(q, m, zero_pairs, r):
+    """T_r of the quadratic hull of the degree-2 relations zero_pairs on m
+    generators: each relation row placed in slots i < j, with basis
+    vectors in the other slots, one tensor position at a time."""
+    rows = set()
+    for i, j in itertools.combinations(range(r), 2):
+        rest = [s for s in range(r) if s not in (i, j)]
+        for fill in itertools.product(range(m), repeat=r - 2):
+            for zrow in zero_pairs.basis:
+                out = [0] * m**r
+                for a, b in itertools.product(range(m), repeat=2):
+                    x = zrow[a * m + b]
+                    if not x:
+                        continue
+                    slots = [0] * r
+                    slots[i], slots[j] = a, b
+                    for s, g in zip(rest, fill):
+                        slots[s] = g
+                    idx = 0
+                    for s in slots:
+                        idx = idx * m + s
+                    out[idx] = (out[idx] + x) % q
+                if any(out):
+                    rows.add(tuple(out))
+    return canonicalize(q, m**r, rows)
 
 
 def tame_symbol_dlog(ell, q, a, b):

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gq3.milnor import (
+    MAX_ELL,
     FieldPreset,
     GradedAlgebra,
     PresetError,
@@ -19,10 +21,21 @@ from gq3.milnor import (
     quadratic_hull,
     square_class_vector,
     steinberg_relations_tame,
+    _dlog_table,
+    _is_prime,
+    _primitive_root,
 )
 from gq3.cohom import cohomology_data_from_presentation
 from gq3.zqlin import canonicalize, full_subspace, zero_subspace
-from oracles import SQUARE_CLASSES_Q2, closed_form_hilbert_two_adic, tame_symbol_kernel
+from oracles import (
+    SQUARE_CLASSES_Q2,
+    closed_form_hilbert_two_adic,
+    pairwise_hilbert_two_adic,
+    slot_hull_component,
+    tame_symbol_kernel,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def grcomm_subspace(q, m):
@@ -109,6 +122,22 @@ def test_zero_algebra_quadratic():
     comps = {2: full_subspace(2, 4), 3: full_subspace(2, 8)}
     a = GradedAlgebra(2, 2, comps)
     assert quadratic_hull(2, 2, a.components[2], 3).components == a.components
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 32])
+def test_quadratic_hull_matches_the_slot_builder(q):
+    """Every degree of the hull equals the span of the relations placed
+    slot by slot, on seeded random relation subspaces of every rank
+    <= 4 and degree bound with rank^r_max <= 256."""
+    rng = random.Random(q)
+    for m, r_max in [(1, 4), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4)]:
+        for _ in range(2):
+            rows = [[rng.randrange(q) if rng.random() < 0.4 else 0 for _ in range(m * m)]
+                    for _ in range(rng.randint(1, 4))]
+            zp = canonicalize(q, m * m, rows)
+            hull = quadratic_hull(q, m, zp, r_max)
+            for r in range(3, r_max + 1):
+                assert hull.components[r] == slot_hull_component(q, m, zp, r), (m, r, rows)
 
 
 def tensor_shift(row, m, r, i, prepend):
@@ -200,6 +229,17 @@ def test_finite_field_k2_vanishes(ell, q):
         assert a.degree_cardinality(r) == 1
 
 
+def test_primitive_root_generates_every_unit():
+    """The dlog table of _primitive_root(ell) visits each unit of F_ell
+    once, for every prime ell up to the cap.  Trial division leaves a
+    prime factor above the square root of ell - 1 to the end, as in
+    9839 - 1 = 2 * 4919 and 9679 - 1 = 2 * 3 * 1613."""
+    for ell in range(2, MAX_ELL + 1):
+        if _is_prime(ell):
+            table = _dlog_table(ell, _primitive_root(ell))
+            assert sorted(table[1:]) == list(range(ell - 1)), ell
+
+
 def test_finite_field_preset_validation():
     with pytest.raises(PresetError, match="roots of unity"):
         milnor_mod_q(FieldPreset("finite_field", 7), 5)
@@ -286,6 +326,14 @@ def test_hilbert_oracle_matches_classical_formula(bits):
     assert sorted(TWO_ADIC_CLASSES) == sorted(SQUARE_CLASSES_Q2)
     for a, b in itertools.product(SQUARE_CLASSES_Q2, repeat=2):
         assert hilbert_symbol_two_adic(a, b, bits) == closed_form_hilbert_two_adic(a, b), (a, b)
+
+
+@pytest.mark.parametrize("bits", range(3, 11))
+def test_hilbert_symbol_matches_the_pairwise_square_loop(bits):
+    """The bitmask test decides every class pair as the pair-by-pair
+    square test does, also at precisions too low to give the symbol."""
+    for a, b in itertools.product(SQUARE_CLASSES_Q2, repeat=2):
+        assert hilbert_symbol_two_adic(a, b, bits) == pairwise_hilbert_two_adic(a, b, bits), (a, b)
 
 
 def test_hilbert_relation_span_against_closed_form():
@@ -408,6 +456,32 @@ def test_two_adic_matched_presentation_consistent():
     p, corr = preset_presentation(preset, 2)
     report = galois_symbol_compare(preset, p, corr)
     assert report.verdict == "isomorphic", report.to_json()
+
+
+@pytest.mark.parametrize("argv, hulls", [
+    (["galois-check", "--field", "two_adic", "--q", "2"], 1),
+    (["galois-check", "--field", "tame_local:3", "--q", "2", "inputs/tame3_q2.pres",
+      "--map", "u:x2, t:x1"], 2),
+    (["galois-check", "--field", "two_adic", "--q", "2", "--map", "-1:x2, 2:x1, 5:x3"], 2),
+])
+def test_galois_check_builds_one_hull_when_the_relations_agree(capsys, monkeypatch, argv, hulls):
+    """The presentation side reuses the field hull when the degree-2
+    relation subspaces are equal, and builds its own when they differ."""
+    import gq3.milnor
+    from gq3.cli import main
+
+    calls = []
+    original = gq3.milnor.quadratic_hull
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gq3.milnor, "quadratic_hull", counted)
+    monkeypatch.chdir(GOLDEN)
+    code = main(argv)
+    assert code == (0 if hulls == 1 else 1), capsys.readouterr().err
+    assert len(calls) == hulls
 
 
 def test_two_adic_diagonal_rule_matches_hilbert_oracle():

@@ -298,6 +298,17 @@ def test_subspace_construction_validated():
         ZqSubspace(4, 2, ((0, 0),))  # zero basis row
     with pytest.raises(ValueError):
         ZqSubspace(4, 2, ((5, 0),))  # entry not reduced
+    for bad in ((1, -1), (4, 1), (1, 0, 0, 4)):  # negative, equal to q, last entry
+        with pytest.raises(ValueError):
+            ZqSubspace(4, len(bad), (bad,))
+        with pytest.raises(ValueError):
+            ZqMatrix(4, 1, len(bad), (bad,))
+    with pytest.raises(zqlin.DimensionMismatch):
+        ZqSubspace(4, 2, ((1, 0), (0, 1, 0)))  # ragged
+    with pytest.raises(zqlin.DimensionMismatch):
+        ZqMatrix(4, 2, 2, ((1, 0), (0, 1, 0)))
+    empty = ZqMatrix(4, 3, 0, ((), (), ()))  # 0 columns: rows are empty
+    assert kernel(empty) == zero_subspace(4, 0)
 
 
 def test_invariant_factors():
