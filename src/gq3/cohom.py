@@ -18,6 +18,11 @@ form, and morphism_check reads both of its sides off L: the images
 define a morphism when L carries every source relator vector into the
 target's relator subspace, and L^T pulls the target's decomposable
 part of H^2 back onto the source's.
+
+Relator independence and the obstruction screen read one pass,
+trunc.evaluate_relators, which certifies only relators whose free S^[3]
+image is the identity; the screen certifies at most one more relator,
+the dependent one whose witness it words.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .trunc import (
     CentralSubspace,
     MinimalityReport,
     TruncGroup,
+    evaluate_relators,
     free_truncation,
     kappa_constant,
     layer_map,
@@ -237,13 +243,24 @@ class Report:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _certified_images(group: TruncGroup, presentation: pres.Presentation,
-                      certificate_class: int) -> list[tuple]:
-    """(source, image in the free group's S^[3], nontriviality certificate)
-    for each relator, in relator order."""
-    return [(source, group.evaluate_word(word),
-             word_nontriviality_certificate(word, presentation.n, certificate_class))
-            for word, source in zip(presentation.relators, presentation.relator_sources)]
+def _sorted_relators(group: TruncGroup, relators: list[tuple]):
+    """(relator, kind) for each relator of evaluate_relators, in order.  The
+    kind is "non-central", "zero" (identity image, certified nontrivial),
+    "trivial" (identity image, no certificate), "dependent" (a nonzero
+    central image in the span of the other central images) or
+    "independent".  Spans are made lazily, so a caller that stops at its
+    first witness makes none it does not read."""
+    vectors = [group.central_vector(y) if group.is_central(y) else None
+               for _, _, y, _ in relators]
+    for i, (relator, vec) in enumerate(zip(relators, vectors)):
+        if vec is None:
+            yield relator, "non-central"
+        elif not any(vec):
+            yield relator, "trivial" if relator[3] is None else "zero"
+        else:
+            others = [v for j, v in enumerate(vectors) if j != i and v is not None]
+            span = canonicalize(group.q, group.layer_rank, others)
+            yield relator, "dependent" if span.contains(vec) else "independent"
 
 
 def check_relator_independence(
@@ -257,65 +274,33 @@ def check_relator_independence(
     relators are independent in the relation module.  That proviso is
     recorded as an assumption rather than verified.
     """
-    n, q = presentation.n, presentation.q
-    group = free_truncation(n, q)
+    group, relators = evaluate_relators(presentation, certificate_class)
     outcomes = []
-    infos = _certified_images(group, presentation, certificate_class)
-    vectors = [group.central_vector(y) if group.is_central(y) else None for _, y, _ in infos]
-
-    failed = False
-    for i, (vec, (source, _, cert)) in enumerate(zip(vectors, infos)):
-        if vec is None:
-            outcomes.append(
-                TestOutcome(
-                    f"relator[{i}] frattini",
-                    "triggered",
-                    f"{source!r} has nonzero degree-1 image: presentation not minimal",
-                )
-            )
-            failed = True
-            continue
-        others = [v for j, v in enumerate(vectors) if j != i and v is not None]
-        span_others = canonicalize(q, group.layer_rank, others)
-        if all(x == 0 for x in vec):
-            if cert is not None:
-                outcomes.append(
-                    TestOutcome(
-                        f"relator[{i}] zero-image",
-                        "triggered",
-                        f"{source!r} is nontrivial (weight {cert[0]}) but lands in the "
-                        "third term of the series",
-                    )
-                )
-                failed = True
-            else:
-                outcomes.append(
-                    TestOutcome(
-                        f"relator[{i}] zero-image",
-                        "skipped",
-                        f"{source!r} has zero image and no nontriviality certificate "
-                        f"at class {certificate_class}",
-                    )
-                )
-        elif span_others.contains(vec):
-            outcomes.append(
-                TestOutcome(
-                    f"relator[{i}] dependency",
-                    "triggered",
-                    f"{source!r} image lies in the span of the other relator images",
-                )
-            )
-            failed = True
-        else:
+    for i, ((source, _, _, cert), kind) in enumerate(_sorted_relators(group, relators)):
+        if kind == "independent":
             outcomes.append(TestOutcome(f"relator[{i}] independent", "passed"))
+            continue
+        status = "triggered"
+        if kind == "non-central":
+            test, witness = "frattini", "has nonzero degree-1 image: presentation not minimal"
+        elif kind == "zero":
+            test = "zero-image"
+            witness = f"is nontrivial (weight {cert[0]}) but lands in the third term of the series"
+        elif kind == "trivial":
+            test, status = "zero-image", "skipped"
+            witness = ("has zero image and no nontriviality certificate "
+                       f"at class {certificate_class}")
+        else:
+            test, witness = "dependency", "image lies in the span of the other relator images"
+        outcomes.append(TestOutcome(f"relator[{i}] {test}", status, f"{source!r} {witness}"))
 
     assumptions = (
         "a triggered zero-image or dependency witnesses non-injectivity of the "
         "relation module into the central layer only if the relators are "
         "independent in it (user-asserted; plausible for small relator lists)",
     )
-    verdict = "condition-failed" if failed else "consistent"
-    return Report(verdict, tuple(outcomes), assumptions)
+    failed = any(t.status == "triggered" for t in outcomes)
+    return Report("condition-failed" if failed else "consistent", tuple(outcomes), assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -471,41 +456,37 @@ def obstruction_screen(
         raise ValueError(f"cohomological dimension must be at least 1, got {cd_bound}")
 
     n = presentation.n
-    group = free_truncation(n, q)
+    group, relators = evaluate_relators(presentation, certificate_class)
     outcomes: list[TestOutcome] = []
     assumptions = [
         f"nontriviality certificates computed at class bound {certificate_class}",
     ]
 
-    infos = _certified_images(group, presentation, certificate_class)
-    live = [(s, y, c) for (s, y, c) in infos if c is not None or y != group.identity()]
-
     # (i) every relator dies at level 3, some relator provably nontrivial
-    all_in_level3 = bool(live) and all(y == group.identity() for _, y, _ in live)
-    witness_cert = next((s for s, y, c in live if y == group.identity() and c), None)
-    if all_in_level3 and witness_cert is not None:
+    certified = [source for source, _, _, cert in relators if cert is not None]
+    if certified and all(y == group.identity() for _, _, y, _ in relators):
         outcomes.append(
             TestOutcome(
                 "relation-subgroup-inside-level-3",
                 "triggered",
-                f"all relators vanish at level 3; {witness_cert!r} is certified nontrivial",
+                f"all relators vanish at level 3; {certified[0]!r} is certified nontrivial",
             )
         )
         return Report("obstructed", tuple(outcomes), tuple(assumptions))
     outcomes.append(TestOutcome("relation-subgroup-inside-level-3", "passed"))
 
-    # (ii) zero or dependent central images among the live relators, each
-    # certified nontrivial or with a nonzero image
-    central = [(s, group.central_vector(y), c) for s, y, c in live if group.is_central(y)]
+    # (ii) the first certified zero or dependent central image; a dependent
+    # relator is certified here, for the wording of the witness only
     triggered = None
-    for i, (source, vec, cert) in enumerate(central):
-        named = (f"certified relator {source!r}" if cert is not None else f"relator {source!r} "
-                 f"(nonzero central image, no certificate at class bound {certificate_class})")
-        if all(x == 0 for x in vec):
-            triggered = f"{named} has zero image in the central layer"
+    for (source, word, _, _), kind in _sorted_relators(group, relators):
+        if kind == "zero":
+            triggered = f"certified relator {source!r} has zero image in the central layer"
             break
-        others = [v for j, (_, v, _) in enumerate(central) if j != i]
-        if others and canonicalize(q, group.layer_rank, others).contains(vec):
+        if kind == "dependent":
+            named = (f"certified relator {source!r}"
+                     if word_nontriviality_certificate(word, n, certificate_class)
+                     else f"relator {source!r} (nonzero central image, no certificate "
+                     f"at class bound {certificate_class})")
             triggered = f"{named} has image dependent on the other relators"
             break
     if triggered:
@@ -520,7 +501,7 @@ def obstruction_screen(
     # (iii) supplied cohomological dimension against dim H^1: at prime q,
     # relator elimination keeps n minus the rank of the degree-1 images
     if cd_bound is not None:
-        degree1 = ZqMatrix.from_rows(q, [y.e for _, y, _ in infos], n)
+        degree1 = ZqMatrix.from_rows(q, [y.e for _, _, y, _ in relators], n)
         dim_h1 = n - row_space(degree1).nrows
         assumptions.append(f"user-supplied cd(G) = {cd_bound}")
         if dim_h1 < cd_bound:

@@ -47,6 +47,11 @@ class BoundsExceeded(ValueError):
     pass
 
 
+def check_class_bound(c: int) -> None:
+    if not 1 <= c <= MAX_CLASS:
+        raise BoundsExceeded(f"class bound {c} outside 1..{MAX_CLASS}")
+
+
 @dataclass(frozen=True)
 class HallElement:
     """A basic commutator: a generator index or a Hall bracket [left, right]."""
@@ -144,8 +149,7 @@ def hall_basis(n: int, c: int) -> list[HallElement]:
     """All Hall elements of weight <= c, in weight order then structural order."""
     if not (1 <= n <= MAX_GENERATORS):
         raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
-    if not (1 <= c <= MAX_CLASS):
-        raise BoundsExceeded(f"class bound {c} outside 1..{MAX_CLASS}")
+    check_class_bound(c)
     memo: dict = {}
     return sorted((h for w in range(1, c + 1)
                    for content in itertools.combinations_with_replacement(range(n), w)
@@ -441,8 +445,7 @@ def word_nontriviality_certificate(
     """
     if not (1 <= n <= MAX_GENERATORS):
         raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
-    if not (1 <= c <= MAX_CLASS):
-        raise BoundsExceeded(f"class bound {c} outside 1..{MAX_CLASS}")
+    check_class_bound(c)
     for k in pres.generator_indices(word):
         if k >= n:
             raise BoundsExceeded(f"word references generator {k + 1} > n = {n}")

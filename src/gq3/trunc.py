@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import presentations as pres
-from .freelie import MAX_GENERATORS, word_nontriviality_certificate
+from .freelie import MAX_GENERATORS, check_class_bound, word_nontriviality_certificate
 from .zqlin import (
     ZqMatrix,
     ZqSubspace,
@@ -259,6 +259,22 @@ class MinimalityReport:
     images: tuple[TruncElement, ...]  # free S^[3] image of every relator, in order
 
 
+def evaluate_relators(presentation: pres.Presentation, certificate_class: int):
+    """The free S^[3] and (source, word, image, certificate) of each relator,
+    in order.  Each relator is evaluated once, and only an identity image
+    gets a word_nontriviality_certificate: any other image proves the
+    relator nontrivial, and its certificate is None."""
+    group = free_truncation(presentation.n, presentation.q)
+    check_class_bound(certificate_class)
+    relators = []
+    for word, source in zip(presentation.relators, presentation.relator_sources):
+        y = group.evaluate_word(word)
+        cert = (word_nontriviality_certificate(word, presentation.n, certificate_class)
+                if y == group.identity() else None)
+        relators.append((source, word, y, cert))
+    return group, relators
+
+
 def relator_subspace(
     presentation: pres.Presentation,
 ) -> tuple[CentralSubspace, MinimalityReport]:
@@ -268,32 +284,28 @@ def relator_subspace(
     their (t | c) coordinates directly.  A relator with a unit degree-1
     coefficient makes the presentation non-minimal: the corresponding
     generator is eliminated by a change of relator basis, and the span is
-    computed over the surviving generators.  Relators that are trivial in
-    the free group (no nontriviality certificate) are dropped with a
-    warning.  Raises MixedExponentError when elimination stalls on a
-    p-divisible nonzero image.  Each relator is evaluated once; the report
-    carries the free images, dropped relators included.
+    computed over the surviving generators.  A relator with identity image
+    and no nontriviality certificate at TRIVIALITY_CLASS (evaluate_relators
+    certifies only such images) is dropped with a warning.  Raises
+    MixedExponentError when elimination stalls on a p-divisible nonzero
+    image.  The report carries the free image of every relator, dropped
+    ones included.
     """
     n, q = presentation.n, presentation.q
     p, d = prime_power(q)
-    group = free_truncation(n, q)
-    warnings: list[str] = []
+    group, relators = evaluate_relators(presentation, TRIVIALITY_CLASS)
     dropped: list[str] = []
-
-    images = tuple(group.evaluate_word(word) for word in presentation.relators)
     ys: list[TruncElement] = []
     sources: list[str] = []
-    for word, source, y in zip(presentation.relators, presentation.relator_sources, images):
-        if y == group.identity():
-            cert = word_nontriviality_certificate(word, n, TRIVIALITY_CLASS)
-            if cert is None:
-                dropped.append(source)
-                warnings.append(
-                    f"relator {source!r} is trivial up to class {TRIVIALITY_CLASS}; dropped"
-                )
-                continue
-        ys.append(y)
-        sources.append(source)
+    for source, _, y, cert in relators:
+        if y == group.identity() and cert is None:
+            dropped.append(source)
+        else:
+            ys.append(y)
+            sources.append(source)
+    images = tuple(y for _, _, y, _ in relators)
+    warnings = tuple(f"relator {source!r} is trivial up to class {TRIVIALITY_CLASS}; dropped"
+                     for source in dropped)
 
     # Unit-pivot Gauss-Jordan on the degree-1 images, performed by relator
     # replacement inside S^[3] so the normal closure never changes.
@@ -357,7 +369,7 @@ def relator_subspace(
             kept=presentation.generators,
             kept_indices=kept_indices,
             dropped_trivial=tuple(dropped),
-            warnings=tuple(warnings),
+            warnings=warnings,
             images=images,
         )
 
@@ -391,7 +403,7 @@ def relator_subspace(
         kept=tuple(presentation.generators[k] for k in kept_indices),
         kept_indices=kept_indices,
         dropped_trivial=tuple(dropped),
-        warnings=tuple(warnings)
+        warnings=warnings
         + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
         images=images,
     )

@@ -9,18 +9,27 @@ by repeated products, build the layer map
 of a morphism through the group law, substitute words into
 words, compute word certificates the direct way, evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, test squares pair by
-pair and place hull relations slot by slot, so that the library's
-answers can be verified by direct construction.
+pair, place hull relations slot by slot, and build the relator
+independence and obstruction screen reports from relator images that
+are all certified up front, so that the library's answers can be
+verified by direct construction.
 """
 
 import functools
 import itertools
 from fractions import Fraction
 
-from gq3.freelie import HallElement, bracket_node, generator, tensor_expansion
+from gq3.cohom import Report, TestOutcome
+from gq3.freelie import (
+    HallElement,
+    bracket_node,
+    generator,
+    tensor_expansion,
+    word_nontriviality_certificate,
+)
 from gq3.presentations import Commutator, Generator, Inverse, Power, Product
-from gq3.trunc import TruncElement, pair_list
-from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize
+from gq3.trunc import TruncElement, free_truncation, pair_list
+from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, row_space
 
 
 def syllables_to_word(seq):
@@ -337,3 +346,117 @@ def tame_symbol_kernel(ell, q):
     f = [tame_symbol_dlog(ell, q, a, b) for a in basis for b in basis]
     h = (ell - 1) // 2 % q
     return f, [[1, 0, 0, 0], [0, 1, 1, 0], [0, (-h) % q, 0, 1]]
+
+
+def _certified_images(group, presentation, certificate_class):
+    """(source, image in the free group's S^[3], nontriviality certificate)
+    for each relator, in relator order: every relator certified."""
+    return [(source, group.evaluate_word(word),
+             word_nontriviality_certificate(word, presentation.n, certificate_class))
+            for word, source in zip(presentation.relators, presentation.relator_sources)]
+
+
+def eager_relator_independence(presentation, certificate_class=5):
+    """The relator-independence report built from eagerly certified images,
+    with its own loop over zero and dependent images."""
+    n, q = presentation.n, presentation.q
+    group = free_truncation(n, q)
+    outcomes = []
+    infos = _certified_images(group, presentation, certificate_class)
+    vectors = [group.central_vector(y) if group.is_central(y) else None for _, y, _ in infos]
+    failed = False
+    for i, (vec, (source, _, cert)) in enumerate(zip(vectors, infos)):
+        if vec is None:
+            outcomes.append(TestOutcome(
+                f"relator[{i}] frattini", "triggered",
+                f"{source!r} has nonzero degree-1 image: presentation not minimal"))
+            failed = True
+            continue
+        others = [v for j, v in enumerate(vectors) if j != i and v is not None]
+        span_others = canonicalize(q, group.layer_rank, others)
+        if all(x == 0 for x in vec):
+            if cert is not None:
+                outcomes.append(TestOutcome(
+                    f"relator[{i}] zero-image", "triggered",
+                    f"{source!r} is nontrivial (weight {cert[0]}) but lands in the "
+                    "third term of the series"))
+                failed = True
+            else:
+                outcomes.append(TestOutcome(
+                    f"relator[{i}] zero-image", "skipped",
+                    f"{source!r} has zero image and no nontriviality certificate "
+                    f"at class {certificate_class}"))
+        elif span_others.contains(vec):
+            outcomes.append(TestOutcome(
+                f"relator[{i}] dependency", "triggered",
+                f"{source!r} image lies in the span of the other relator images"))
+            failed = True
+        else:
+            outcomes.append(TestOutcome(f"relator[{i}] independent", "passed"))
+    assumptions = (
+        "a triggered zero-image or dependency witnesses non-injectivity of the "
+        "relation module into the central layer only if the relators are "
+        "independent in it (user-asserted; plausible for small relator lists)",
+    )
+    return Report("condition-failed" if failed else "consistent", tuple(outcomes), assumptions)
+
+
+def eager_obstruction_screen(presentation, cd_bound=None, torsion_free=False,
+                             certificate_class=5):
+    """The obstruction screen at prime q built from eagerly certified
+    images, with its own loop over the live central images."""
+    q, n = presentation.q, presentation.n
+    group = free_truncation(n, q)
+    outcomes = []
+    assumptions = [f"nontriviality certificates computed at class bound {certificate_class}"]
+    infos = _certified_images(group, presentation, certificate_class)
+    live = [(s, y, c) for (s, y, c) in infos if c is not None or y != group.identity()]
+
+    all_in_level3 = bool(live) and all(y == group.identity() for _, y, _ in live)
+    witness_cert = next((s for s, y, c in live if y == group.identity() and c), None)
+    if all_in_level3 and witness_cert is not None:
+        outcomes.append(TestOutcome(
+            "relation-subgroup-inside-level-3", "triggered",
+            f"all relators vanish at level 3; {witness_cert!r} is certified nontrivial"))
+        return Report("obstructed", tuple(outcomes), tuple(assumptions))
+    outcomes.append(TestOutcome("relation-subgroup-inside-level-3", "passed"))
+
+    central = [(s, group.central_vector(y), c) for s, y, c in live if group.is_central(y)]
+    triggered = None
+    for i, (source, vec, cert) in enumerate(central):
+        named = (f"certified relator {source!r}" if cert is not None else f"relator {source!r} "
+                 f"(nonzero central image, no certificate at class bound {certificate_class})")
+        if all(x == 0 for x in vec):
+            triggered = f"{named} has zero image in the central layer"
+            break
+        others = [v for j, (_, v, _) in enumerate(central) if j != i]
+        if others and canonicalize(q, group.layer_rank, others).contains(vec):
+            triggered = f"{named} has image dependent on the other relators"
+            break
+    if triggered:
+        outcomes.append(TestOutcome("dependent-relator-image", "triggered", triggered))
+        assumptions.append(
+            "dependency witnesses failure of H^2 decomposability provided the "
+            "relators are independent in the relation module (user-asserted)")
+        return Report("obstructed", tuple(outcomes), tuple(assumptions))
+    outcomes.append(TestOutcome("dependent-relator-image", "passed"))
+
+    if cd_bound is not None:
+        degree1 = ZqMatrix.from_rows(q, [y.e for _, y, _ in infos], n)
+        dim_h1 = n - row_space(degree1).nrows
+        assumptions.append(f"user-supplied cd(G) = {cd_bound}")
+        if dim_h1 < cd_bound:
+            if q == 2 and not torsion_free:
+                outcomes.append(TestOutcome(
+                    "dimension-versus-cd", "skipped",
+                    f"dim H^1 = {dim_h1} < cd = {cd_bound}, but p = 2 requires the "
+                    "torsion-free flag"))
+            else:
+                if q == 2:
+                    assumptions.append("user asserts the group is torsion-free")
+                outcomes.append(TestOutcome("dimension-versus-cd", "triggered",
+                                            f"dim H^1 = {dim_h1} < cd(G) = {cd_bound}"))
+                return Report("obstructed", tuple(outcomes), tuple(assumptions))
+        else:
+            outcomes.append(TestOutcome("dimension-versus-cd", "passed"))
+    return Report("no_obstruction_found", tuple(outcomes), tuple(assumptions))

@@ -263,7 +263,9 @@ NONMIN3 = 'q = 3;\ngens = [x1, x2, x3];\nrels = ["x1 [x2,x3]", "x2^3", "x3 x3^-1
     ("truncate", [NONMIN3], []),
     ("morphism", [SOURCE3, TARGET3], ["--map", "x1 = y2; x2 = y1; x3 = y3"]),
     ("screen", [SOURCE3], ["--cd", "3"]),
-], ids=["truncate", "truncate-nonminimal", "morphism", "screen-cd"])
+    ("equiv", [SOURCE3], []),
+    ("screen", [SOURCE3], []),
+], ids=["truncate", "truncate-nonminimal", "morphism", "screen-cd", "equiv", "screen"])
 def test_each_relator_is_evaluated_once(tmp_path, capsys, monkeypatch, command, texts, extra):
     from gq3.presentations import parse_presentation
     from gq3.trunc import TruncGroup
@@ -278,6 +280,32 @@ def test_each_relator_is_evaluated_once(tmp_path, capsys, monkeypatch, command, 
     assert code == 0, err
     relators = [word for text in texts for word in parse_presentation(text).relators]
     assert [sum(args[1] == word for args in calls) for word in relators] == [1] * len(relators)
+
+
+@pytest.mark.parametrize("command", ["truncate", "equiv", "screen"])
+@pytest.mark.parametrize("rels, identity_images", [
+    (["x1^3 [x1,x2]", "[x2,x3] x3^3"], 0),
+    (["x1^3", "x1^3 [x1,x2] [x2,x1]"], 0),
+    (["[x1,[x1,x2]]", "x1 x1^-1", "[x1,x2]^3", "[x1,x1]", "x2^3"], 4),
+    (["[[x1,x2],x3]", "[x1,x2]", "[x1,x2]^2"], 1),
+], ids=["all-nonzero", "dependent", "mixed", "zero-and-dependent"])
+def test_certificates_only_for_identity_images(tmp_path, capsys, monkeypatch, command, rels,
+                                               identity_images):
+    """One certificate per relator whose free image is the identity, and
+    one more for the dependent relator a screen names as its witness."""
+    import gq3.cohom
+    import gq3.trunc
+
+    path = tmp_path / "p.pres"
+    path.write_text(f"q = 3;\ngens = [x1, x2, x3];\nrels = {json.dumps(rels)};\n")
+    calls = []
+    count_calls(monkeypatch, calls, gq3.trunc, "word_nontriviality_certificate")
+    count_calls(monkeypatch, calls, gq3.cohom, "word_nontriviality_certificate")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code in (0, 1), err
+    named_dependent = (command == "screen"
+                       and "has image dependent" in json.loads(out)["tests"][-1]["witness"])
+    assert len(calls) == identity_images + named_dependent
 
 
 def test_screen_cd_does_not_run_relator_elimination(tame_file, capsys, monkeypatch):

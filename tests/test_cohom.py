@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gq3.cohom import (
     CohomologyData,
@@ -34,7 +34,12 @@ from gq3.trunc import (
     truncated_quotient,
 )
 from gq3.zqlin import row_space
-from oracles import group_law_layer_columns, substitute
+from oracles import (
+    eager_obstruction_screen,
+    eager_relator_independence,
+    group_law_layer_columns,
+    substitute,
+)
 
 
 def cd_from_tables(q, n, h2_rank, cup=None, bockstein=None):
@@ -201,6 +206,57 @@ def test_independence_trivial_relator_skipped():
     report = check_relator_independence(p)
     assert report.verdict == "consistent"
     assert any(t.status == "skipped" for t in report.tests)
+
+
+def random_mixed_relators(rng, n, q, names):
+    """Central products, weight-3 and weight-4 commutators, freely trivial
+    words, words with a nonzero degree-1 image, and repeats and squares of
+    earlier ones."""
+    x = lambda: rng.choice(names)  # noqa: E731
+    rels = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(7)
+        if kind == 0:
+            rels.append(rng.choice([random_central_relator(rng, n, q, names) or f"{x()}^{q}",
+                                    f"[{x()},{x()}]^{rng.randint(1, 2 * q)}"]))
+        elif kind == 1:
+            rels.append(rng.choice([f"[{x()},[{x()},{x()}]]", f"[[{x()},{x()}],{x()}]"]))
+        elif kind == 2:
+            rels.append(rng.choice([f"[[{x()},{x()}],[{x()},{x()}]]",
+                                    f"[{x()},[{x()},[{x()},{x()}]]]"]))
+        elif kind == 3:
+            g = x()
+            rels.append(rng.choice([f"{g} {g}^-1", f"[{g},{g}]"]))
+        elif kind == 4:
+            central = random_central_relator(rng, n, q, names)
+            rels.append(f"{x()}^{rng.choice([1, -1, q + 1])} {central}")
+        elif rels:  # kinds 5 and 6
+            rels.append(rng.choice([rng.choice(rels), f"({rng.choice(rels)})^2"]))
+    return [r.strip() for r in rels]
+
+
+@settings(max_examples=200, deadline=None)
+@example(q=2, class_bound=1, seed=205)  # the screen names an uncertified dependent relator
+@example(q=3, class_bound=1, seed=124)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 9]),
+    class_bound=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**9),
+)
+def test_relator_sorting_matches_the_eager_reports(q, class_bound, seed):
+    """equiv, and the screen at prime q, report exactly what the reports
+    built from every relator certified up front report."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    names = [f"x{k + 1}" for k in range(n)]
+    p = make_presentation(q, names, random_mixed_relators(rng, n, q, names))
+    assert (check_relator_independence(p, class_bound).to_json_dict()
+            == eager_relator_independence(p, class_bound).to_json_dict())
+    if q in (2, 3, 5):
+        cd = rng.choice([None, n, n + 1])
+        torsion_free = rng.random() < 0.5
+        assert (obstruction_screen(p, cd, torsion_free, class_bound).to_json_dict()
+                == eager_obstruction_screen(p, cd, torsion_free, class_bound).to_json_dict())
 
 
 # ---------------------------------------------------------------------------
