@@ -2,10 +2,11 @@
 
 Each criterion returns a CheckResult; run_all executes the corpus in
 order and is what both the test suite and the selftest subcommand call.
-The collection-law exhaustion over n = 2 uses a vectorized engine when
-numpy is importable and falls back to a slower scalar sweep otherwise;
-the batch law is always cross-validated against the scalar group
-arithmetic on a random sample first.
+Criterion 2 sweeps TruncGroup's own multiply, power and commutator over
+every element, pair and triple of the free S^[3] on two generators: when
+numpy is importable, in one pass on elements whose coordinates are arrays
+(TruncGroup's arithmetic is elementwise), otherwise one tuple at a time.
+numpy is imported only then, never at module load.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _timed(fn: Callable[[], tuple[bool, str]], name: str) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Batched n = 2 arithmetic (exponent pairs mod q^2, one commutator mod q)
+# Exhaustive n = 2 sweeps of the group law
 
 
 def _np():
@@ -67,93 +68,78 @@ def _np():
     return numpy
 
 
-def batch_binomial_failures(q: int, sample_check: int = 500) -> int:
-    """Count failures of (ab)^q = a^q b^q [b,a]^C(q,2) over all pairs, n = 2.
+def _power_by_products(g, a, m: int):
+    """a^m for m >= 0 by square-and-multiply through g.multiply."""
+    out = g.identity()
+    while m:
+        if m & 1:
+            out = g.multiply(out, a)
+        a = g.multiply(a, a)
+        m >>= 1
+    return out
 
-    Uses numpy when present; the batched law is first validated against
-    the scalar TruncGroup arithmetic on a random sample.
-    """
+
+def _unit_laws(g, a):
+    """a a^-1 = 1, and the closed-form a^q is the product of q copies of a."""
+    yield g.multiply(a, g.inverse(a)), g.identity()
+    yield g.power(a, g.q), _power_by_products(g, a, g.q)
+
+
+def _pair_laws(g, a, b):
+    """(ab)^q = a^q b^q [b,a]^C(q,2), and the closed-form [a, b] is the
+    product a^-1 b^-1 a b.  The identity holds for every class-2 law with a
+    bilinear deposit, so only the closed-form comparisons see a wrong one."""
+    q = g.q
+    ab = g.multiply(a, b)
+    yield g.power(ab, q), g.multiply(
+        g.multiply(g.power(a, q), g.power(b, q)),
+        g.power(g.commutator(b, a), math.comb(q, 2)),
+    )
+    yield g.commutator(a, b), g.multiply(g.multiply(g.inverse(a), g.inverse(b)), ab)
+
+
+def _associativity(g, a, b, c):
+    yield g.multiply(g.multiply(a, b), c), g.multiply(a, g.multiply(b, c))
+
+
+# (laws, number of elements they take, moduli swept), in the order checked
+COLLECTION_SWEEPS = (
+    (_unit_laws, 1, (2, 3, 4)),
+    (_pair_laws, 2, (2, 3, 4)),
+    (_associativity, 3, (2,)),
+)
+
+
+def _differ(equations):
+    """Where some (x, y) of equations has x != y: a bool for elements with
+    integer coordinates, a bool array for elements with array coordinates."""
+    bad = False
+    for x, y in equations:
+        for u, v in zip(x.e + x.c, y.e + y.c):
+            bad = bad | (u != v)
+    return bad
+
+
+def law_counterexample(laws, arity: int, q: int):
+    """The first tuple of arity elements of the free S^[3] on two generators,
+    in g.elements() order, at which one of laws fails, or None.  With numpy
+    the laws run once through TruncGroup on elements whose coordinates are
+    arrays over every tuple; without it, tuple by tuple."""
+    g = free_truncation(2, q)
+    elements = list(g.elements())
     np = _np()
     if np is None:
-        return _binomial_failures_scalar(q)
-
-    qq = q * q
-    g = free_truncation(2, q)
-    rng = random.Random(q * 12345)
-
-    def mul(ea, eb, ca, ec, ed, cc):
-        # (ea, eb | ca) * (ec, ed | cc); the transposition deposit is -ec*eb
-        return (ea + ec) % qq, (eb + ed) % qq, (ca + cc - ec * eb) % q
-
-    def inv(ea, eb, ca):
-        return (-ea) % qq, (-eb) % qq, (-ca - ea * eb) % q
-
-    def power(ea, eb, ca, m):
-        ra, rb, rc = np.zeros_like(ea), np.zeros_like(ea), np.zeros_like(ea)
-        xa, xb, xc = ea, eb, ca
-        while m:
-            if m & 1:
-                ra, rb, rc = mul(ra, rb, rc, xa, xb, xc)
-            xa, xb, xc = mul(xa, xb, xc, xa, xb, xc)
-            m >>= 1
-        return ra, rb, rc
-
-    order = qq * qq * q
-    idx = np.arange(order, dtype=np.int64)
-    e1 = idx // (qq * q)
-    e2 = (idx // q) % qq
-    cc = idx % q
-
-    # sample validation of the batch law against the scalar arithmetic
-    for _ in range(sample_check):
-        i, j = rng.randrange(order), rng.randrange(order)
-        a = TruncElement((int(e1[i]), int(e2[i])), (int(cc[i]),))
-        b = TruncElement((int(e1[j]), int(e2[j])), (int(cc[j]),))
-        got = mul(e1[i], e2[i], cc[i], e1[j], e2[j], cc[j])
-        want = g.multiply(a, b)
-        assert (int(got[0]), int(got[1])) == want.e and int(got[2]) == want.c[0]
-        gi = inv(e1[i], e2[i], cc[i])
-        want_inv = g.inverse(a)
-        assert (int(gi[0]), int(gi[1])) == want_inv.e and int(gi[2]) == want_inv.c[0]
-
-    # all ordered pairs
-    a1 = np.repeat(e1, order)
-    a2 = np.repeat(e2, order)
-    ac = np.repeat(cc, order)
-    b1 = np.tile(e1, order)
-    b2 = np.tile(e2, order)
-    bc = np.tile(cc, order)
-
-    ab = mul(a1, a2, ac, b1, b2, bc)
-    lhs = power(*ab, q)
-
-    aq = power(a1, a2, ac, q)
-    bq = power(b1, b2, bc, q)
-    ia = inv(a1, a2, ac)
-    ib = inv(b1, b2, bc)
-    ba = mul(*mul(*ib, *ia), *mul(*(b1, b2, bc), *(a1, a2, ac)))
-    comm_pow = power(*ba, math.comb(q, 2))
-    rhs = mul(*mul(*aq, *bq), *comm_pow)
-
-    mismatch = (lhs[0] != rhs[0]) | (lhs[1] != rhs[1]) | (lhs[2] != rhs[2])
-    return int(mismatch.sum())
-
-
-def _binomial_failures_scalar(q: int) -> int:
-    g = free_truncation(2, q)
-    binom = math.comb(q, 2)
-    failures = 0
-    elements = list(g.elements())
-    for a in elements:
-        for b in elements:
-            lhs = g.power(g.multiply(a, b), q)
-            rhs = g.multiply(
-                g.multiply(g.power(a, q), g.power(b, q)),
-                g.power(g.commutator(b, a), binom),
-            )
-            if lhs != rhs:
-                failures += 1
-    return failures
+        for xs in itertools.product(elements, repeat=arity):
+            if _differ(laws(g, *xs)):
+                return xs
+        return None
+    # no intermediate reaches 4000 at q <= 4, so int32 is ample
+    table = np.array([x.e + x.c for x in elements], dtype=np.int32)
+    index = np.indices((len(elements),) * arity).reshape(arity, -1)
+    columns = [table[i].T for i in index]
+    xs = [TruncElement(tuple(col[:g.n]), tuple(col[g.n:])) for col in columns]
+    bad = np.flatnonzero(_differ(laws(g, *xs)))
+    return tuple(elements[i] for i in index[:, bad[0]]) if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -234,38 +220,24 @@ def check_collection_laws(seed: int = 0) -> CheckResult:
     """2. Associativity and the q-th power collection identity."""
 
     def run():
-        np_there = _np() is not None
-        for q in (2, 3, 4):
-            failures = batch_binomial_failures(q)
-            if failures:
-                return False, f"binomial identity failed {failures} times for q={q}"
-        g = free_truncation(2, 2)
-        elements = list(g.elements())
-        for a in elements:
-            for b in elements:
-                ab = g.multiply(a, b)
-                for c in elements:
-                    if g.multiply(ab, c) != g.multiply(a, g.multiply(b, c)):
-                        return False, f"associativity failed at {a}, {b}, {c}"
+        for laws, arity, moduli in COLLECTION_SWEEPS:
+            for q in moduli:
+                xs = law_counterexample(laws, arity, q)
+                if xs is not None:
+                    return False, f"{laws.__name__.strip('_')} failed at q={q} on {xs}"
         rng = random.Random(seed or 202)
         for _ in range(10_000):
             n = rng.randint(1, 4)
             q = rng.choice([2, 3, 4, 5, 8, 9])
             g = free_truncation(n, q)
             a, b, c = (_random_element(g, rng) for _ in range(3))
-            if g.multiply(g.multiply(a, b), c) != g.multiply(a, g.multiply(b, c)):
-                return False, f"associativity failed: n={n} q={q} {a} {b} {c}"
-            lhs = g.power(g.multiply(a, b), q)
-            rhs = g.multiply(
-                g.multiply(g.power(a, q), g.power(b, q)),
-                g.power(g.commutator(b, a), math.comb(q, 2)),
-            )
-            if lhs != rhs:
-                return False, f"binomial identity failed: n={n} q={q} {a} {b}"
+            if _differ(_associativity(g, a, b, c)) or _differ(_pair_laws(g, a, b)):
+                return False, f"collection laws failed: n={n} q={q} {a} {b} {c}"
         detail = (
-            "binomial identity exhaustive over all pairs for n=2, q in {2,3,4} "
-            f"({'vectorized' if np_there else 'scalar fallback'}); associativity "
-            "exhaustive for q=2 and on 10^4 random triples, n <= 4, q <= 9"
+            "inverse, closed-form power and commutator, and (ab)^q = a^q b^q "
+            "[b,a]^C(q,2) exhaustive for n=2, q in {2,3,4} "
+            f"({'vectorized' if _np() is not None else 'scalar fallback'}); associativity "
+            "exhaustive for n=2, q=2 and on 10^4 random triples, n <= 4, q <= 9"
         )
         return True, detail
 

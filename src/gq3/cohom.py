@@ -410,8 +410,8 @@ def morphism_check(
     lrows = list(zip(*columns))
     pulled = [_combination(a, lrows, g1.layer_rank) for a in p2.basis]
     image_span = canonicalize(q, g1.layer_rank, pulled + list(ann1.basis))
-    d2_size_source = p2.cardinality() // ann2.cardinality()
-    d2_size_target = p1.cardinality() // ann1.cardinality()
+    d2_size_source = p1.cardinality() // ann1.cardinality()
+    d2_size_target = p2.cardinality() // ann2.cardinality()
     pidec2_iso = image_span == p1 and d2_size_source == d2_size_target
 
     target_h2_dec = p2 == full_subspace(q, g2.layer_rank)

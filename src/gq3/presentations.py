@@ -180,6 +180,8 @@ class _Token:
 
 
 _PUNCT = set("=;,[]()^*")
+_DIGITS = set("0123456789")  # str.isdigit also admits '²' and other scripts' digits
+_MAX_DIGITS = len(str(MAX_EXPONENT))  # a longer literal exceeds every cap
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -213,10 +215,13 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("NAME", text[i:j], line, col))
             col += j - i
             i = j
-        elif ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+        elif ch in _DIGITS or (ch == "-" and text[i + 1:i + 2] in _DIGITS):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
+            if len(text[i:j].lstrip("-0")) > _MAX_DIGITS:
+                # int() of a long enough string raises its own digit-limit error
+                raise ParseError("integer out of range", line, col)
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
             i = j

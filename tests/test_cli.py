@@ -96,6 +96,17 @@ def test_closed_stdout_keeps_the_verdict(tame_file):
     assert "Traceback" not in err and "cannot open file" not in err
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    """numpy serves only selftest's sweeps; importing it costs more than a
+    query's whole setup, so no module may import it at load time."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gq3.__file__).parents[1])}
+    code = "import sys, gq3.cli, gq3.acceptance; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "truncate", "/nonexistent/x.pres")
     assert code == 2

@@ -105,6 +105,32 @@ def test_nesting_cap(depth):
         assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
 
 
+@pytest.mark.parametrize("text,col", [
+    ("x1^²", 4),  # str.isdigit admits '²', int() does not
+    ("x1^٣", 4),  # int() reads Arabic-Indic digits; the grammar does not
+    ("x1^" + "9" * 5000, 4),  # past int()'s 4300-digit limit on string conversion
+    ("x2 x1^-" + "9" * 20, 7),
+])
+def test_integer_literals_are_ascii_and_bounded(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_word(text, NAMES)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_long_modulus_is_a_parse_error():
+    with pytest.raises(ParseError, match="integer out of range") as err:
+        parse_presentation("gens = [x];\nq = " + "9" * 5000 + ";\nrels = [];")
+    assert (err.value.line, err.value.col) == (2, 5)
+
+
+def test_literal_bound_counts_significant_digits():
+    """Leading zeros do not count, and the widest value still parses."""
+    assert parse_word("x1^" + "0" * 30 + "2", NAMES) == Power(Generator(0), 2)
+    big = 2**63 - 1
+    assert parse_word(f"x1^-{big:0>40}", NAMES) == Power(Generator(0), -big)
+    assert parse_presentation("q = 0003; gens = [x]; rels = [];").q == 3
+
+
 def free_reduce(text):
     return reduce_syllables(flat_letters(parse_word(text, NAMES)))
 
