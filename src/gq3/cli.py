@@ -38,9 +38,10 @@ from .milnor import (
     parse_preset,
     preset_presentation,
 )
-from .presentations import ParseError, PresentationError, parse_presentation, parse_word
+from .presentations import ParseError, PresentationError, parse_labelled_word, parse_presentation
 from .trunc import (
     MixedExponentError,
+    abelianization,
     free_truncation,
     group_invariants,
     relator_subspace,
@@ -171,15 +172,18 @@ def cmd_reconstruct(args) -> int:
     w, report = relator_subspace(p)
     group = reconstruct_g3(cohomology_data_from_subspace(w, len(report.kept_indices)))
     equal = group.w == w
-    group_dict = _group_dict(group, group_invariants(group))
-    # round-trip reports keep their published shape: no center or exponent
-    del group_dict["center_order"], group_dict["exponent"]
     payload = {
         "command": "reconstruct",
         "q": p.q,
         "source": "presentation",
         "round_trip_equal": equal,
-        "group": group_dict,
+        # round-trip reports keep their published shape: no center or exponent
+        "group": {
+            "n": group.n,
+            "order": group.order(),
+            "abelianization": list(abelianization(group)),
+            "relator_subspace": _subspace_dict(group.w),
+        },
         "minimality": _minimality_dict(report),
     }
     _emit(args, payload, "round-trip: " + ("equal" if equal else "MISMATCH"))
@@ -214,7 +218,7 @@ def cmd_morphism(args) -> int:
     for gen in p1.generators:
         if gen not in assignments:
             raise PresentationError(f"no image assigned to generator {gen!r}")
-        images.append(parse_word(assignments[gen], p2))
+        images.append(parse_labelled_word(assignments[gen], p2, f"in --map image of {gen!r}"))
     report = morphism_check(p1, p2, images)
     payload = {
         "command": "morphism",

@@ -171,7 +171,7 @@ def reduce_syllables(seq: Sequence[Syllable]) -> list[Syllable]:
 # Tokenizer
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
     kind: str  # NAME INT PUNCT STRING EOF
     text: str
@@ -356,15 +356,9 @@ def make_presentation(q: int, generators: Sequence[str], relator_texts: Sequence
         dupes = sorted({g for g in gens if list(gens).count(g) > 1})
         raise PresentationError(f"duplicate generator names: {', '.join(dupes)}")
     name_to_index = {name: k for k, name in enumerate(gens)}
-    relators = []
-    for i, text in enumerate(relator_texts):
-        try:
-            relators.append(parse_word(text, name_to_index))
-        except ParseError as exc:
-            quoted = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
-            raise ParseError(f"in relator {i + 1} ({quoted}): {exc.bare_message}",
-                             exc.line, exc.col) from None
-    return Presentation(q, p, d, gens, tuple(relators), tuple(relator_texts))
+    relators = tuple(parse_labelled_word(text, name_to_index, f"in relator {i + 1}")
+                     for i, text in enumerate(relator_texts))
+    return Presentation(q, p, d, gens, relators, tuple(relator_texts))
 
 
 def parse_word(text: str, ctx: Presentation | dict[str, int]) -> Word:
@@ -376,6 +370,16 @@ def parse_word(text: str, ctx: Presentation | dict[str, int]) -> Word:
     if tok.kind != "EOF":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
     return word
+
+
+def parse_labelled_word(text: str, ctx: Presentation | dict[str, int], label: str) -> Word:
+    """parse_word, with a parse error prefixed by the label and the text,
+    quoted up to 40 characters; its column stays relative to the text."""
+    try:
+        return parse_word(text, ctx)
+    except ParseError as exc:
+        quoted = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        raise ParseError(f"{label} ({quoted}): {exc.bare_message}", exc.line, exc.col) from None
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -362,43 +362,32 @@ def relator_subspace(
         for i, col in sorted(pivot_of_row.items(), key=lambda kv: kv[1])
     )
 
-    if not pivot_cols:
-        return big_span, MinimalityReport(
-            minimal=True,
-            eliminated=(),
-            kept=presentation.generators,
-            kept_indices=kept_indices,
-            dropped_trivial=tuple(dropped),
-            warnings=warnings,
-            images=images,
-        )
+    span = big_span
+    if pivot_cols:
+        # Restrict the central span to the coordinates of the kept generators:
+        # the part of it that vanishes on the eliminated ones is exactly what
+        # the relator subgroup meets of the smaller free truncation.
+        kept_set = set(kept_indices)
+        kept_coords = [k for k in range(n) if k in kept_set] + [
+            n + idx for idx, (k, l) in enumerate(group.pairs) if k in kept_set and l in kept_set
+        ]
+        dropped_coords = [c for c in range(group.layer_rank) if c not in kept_coords]
+        columns = dropped_coords + kept_coords
+        span = vanishing_part(q, group.layer_rank,
+                              [[row[c] for c in columns] for row in big_span.basis],
+                              len(dropped_coords))
 
-    # Restrict the central span to the coordinates of the kept generators:
-    # the part of it that vanishes on the eliminated ones is exactly what
-    # the relator subgroup meets of the smaller free truncation.
-    pairs = group.pairs
-    kept_set = set(kept_indices)
-    kept_coords = [k for k in range(n) if k in kept_set] + [
-        n + idx for idx, (k, l) in enumerate(pairs) if k in kept_set and l in kept_set
-    ]
-    dropped_coords = [c for c in range(group.layer_rank) if c not in kept_coords]
-    columns = dropped_coords + kept_coords
-    small_span = vanishing_part(q, group.layer_rank,
-                                [[row[c] for c in columns] for row in big_span.basis],
-                                len(dropped_coords))
-
-    # The quotient order must agree whether computed upstairs or on the
-    # reduced generating set; a mismatch means a bug, not bad input.
-    s = len(pivot_cols)
-    n2 = len(kept_indices)
-    closure_order = q**s * big_span.cardinality()
-    upstairs = group.order() // closure_order
-    downstairs = q ** (2 * n2 + n2 * (n2 - 1) // 2) // small_span.cardinality()
-    if upstairs != downstairs:
-        raise AssertionError("generator elimination produced inconsistent orders")
+        # The quotient order must agree whether computed upstairs or on the
+        # reduced generating set; a mismatch means a bug, not bad input.
+        n2 = len(kept_indices)
+        closure_order = q ** len(pivot_cols) * big_span.cardinality()
+        upstairs = group.order() // closure_order
+        downstairs = q ** (2 * n2 + n2 * (n2 - 1) // 2) // span.cardinality()
+        if upstairs != downstairs:
+            raise AssertionError("generator elimination produced inconsistent orders")
 
     report = MinimalityReport(
-        minimal=False,
+        minimal=not pivot_cols,
         eliminated=eliminated,
         kept=tuple(presentation.generators[k] for k in kept_indices),
         kept_indices=kept_indices,
@@ -407,7 +396,7 @@ def relator_subspace(
         + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
         images=images,
     )
-    return small_span, report
+    return span, report
 
 
 def truncated_quotient(presentation: pres.Presentation) -> tuple[TruncGroup, MinimalityReport]:
@@ -429,17 +418,22 @@ class GroupInvariants:
     exponent: int
 
 
+def abelianization(g: TruncGroup) -> tuple[int, ...]:
+    """Cyclic factor orders of G^ab, ascending: (Z/q^2)^n modulo q times
+    the t-block projection of w."""
+    q, n = g.q, g.n
+    t_rows = [row[:n] for row in g.w.basis]
+    dvals = list(smith_normal_form(ZqMatrix.from_rows(q, t_rows, n)))
+    dvals += [0] * (n - len(dvals))
+    return tuple(sorted(q * (x if x else q) for x in dvals))
+
+
 def group_invariants(g: TruncGroup) -> GroupInvariants:
     q, n = g.q, g.n
     p, d = prime_power(q)
     if n == 0:  # every generator eliminated: the trivial group
         return GroupInvariants(1, (), 1, 1)
-
-    # Abelianization: (Z/q^2)^n modulo q times the t-block projection of w.
-    t_rows = [row[:n] for row in g.w.basis]
-    dvals = list(smith_normal_form(ZqMatrix.from_rows(q, t_rows, n)))
-    dvals += [0] * (n - len(dvals))
-    ab = tuple(sorted(q * (x if x else q) for x in dvals))
+    ab = abelianization(g)
 
     # Center: degree-1 classes e with sum_k e_k [sigma_k, sigma_j] in Wc,
     # the commutator-block part of w, for every j; over Z/q that is

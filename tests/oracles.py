@@ -9,9 +9,10 @@ by repeated products, build the layer map
 of a morphism through the group law, substitute words into
 words, compute word certificates the direct way, evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, test squares pair by
-pair, place hull relations slot by slot, and build the relator
+pair, place hull relations slot by slot, build the relator
 independence and obstruction screen reports from relator images that
-are all certified up front, so that the library's answers can be
+are all certified up front, and compare a K-ring preset with a
+presentation degree by degree, so that the library's answers can be
 verified by direct construction.
 """
 
@@ -19,7 +20,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from gq3.cohom import Report, TestOutcome
+from gq3.cohom import Report, TestOutcome, cohomology_data_from_presentation
 from gq3.freelie import (
     HallElement,
     bracket_node,
@@ -27,6 +28,7 @@ from gq3.freelie import (
     tensor_expansion,
     word_nontriviality_certificate,
 )
+from gq3.milnor import PresetError, presentation_zero_pairs, preset_relations, quadratic_hull
 from gq3.presentations import Commutator, Generator, Inverse, Power, Product
 from gq3.trunc import TruncElement, free_truncation, pair_list
 from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, row_space
@@ -460,3 +462,63 @@ def eager_obstruction_screen(presentation, cd_bound=None, torsion_free=False,
         else:
             outcomes.append(TestOutcome("dimension-versus-cd", "passed"))
     return Report("no_obstruction_found", tuple(outcomes), tuple(assumptions))
+
+
+def degree_by_degree_symbol_compare(preset, presentation, correspondence, r_max=4):
+    """The galois-check report with both hulls built in full and their
+    relation subspaces compared degree by degree, up to the first that
+    differs."""
+    q = presentation.q
+    field_t2, names = preset_relations(preset, q)
+    if not 2 <= r_max <= 4:
+        raise ValueError(f"degree bound {r_max} outside 2..4")
+    cd, report = cohomology_data_from_presentation(presentation)
+    outcomes = []
+    assumptions = [f"preset: {preset.describe()}", f"tested degrees: 1..{r_max}"]
+    if not report.minimal:
+        assumptions.append(f"presentation auto-minimized; kept generators {report.kept}")
+    if set(correspondence) != set(names):
+        raise PresetError(f"correspondence keys {sorted(correspondence)} do not match the "
+                          f"K-ring basis {names}")
+    if len(set(correspondence.values())) != len(correspondence):
+        raise PresetError("correspondence is not injective on generators")
+    name_to_index = {name: i for i, name in enumerate(report.kept)}
+    for target in correspondence.values():
+        if target not in name_to_index:
+            raise PresetError(f"correspondence targets unknown generator {target!r}")
+
+    m = len(names)
+    if m != cd.n:
+        outcomes.append(TestOutcome("degree-1", "triggered", f"K_1 rank {m} != H^1 rank {cd.n}"))
+        return Report("not-isomorphic", tuple(outcomes), tuple(assumptions))
+    outcomes.append(TestOutcome("degree-1", "passed"))
+
+    perm = [name_to_index[correspondence[name]] for name in names]
+    mapped_rows = []
+    for row in field_t2.basis:
+        out = [0] * (m * m)
+        for a, b in itertools.product(range(m), repeat=2):
+            out[perm[a] * m + perm[b]] = row[a * m + b]
+        mapped_rows.append(out)
+    field_hull = quadratic_hull(q, m, canonicalize(q, m * m, mapped_rows), r_max)
+    pres_hull = quadratic_hull(q, m, presentation_zero_pairs(cd), r_max)
+    ok = True
+    for r in range(2, r_max + 1):
+        if field_hull.components[r] == pres_hull.components[r]:
+            outcomes.append(TestOutcome(f"degree-{r}", "passed"))
+            continue
+        ok = False
+        outcomes.append(TestOutcome(
+            f"degree-{r}", "triggered",
+            f"relation subspaces differ in degree {r}: K-ring side has cardinality "
+            f"{q ** m**r // field_hull.components[r].cardinality()}, cohomology side "
+            f"{q ** m**r // pres_hull.components[r].cardinality()}"))
+        break
+    return Report(
+        "isomorphic" if ok else "not-isomorphic",
+        tuple(outcomes),
+        tuple(assumptions),
+        data={"degree_ranks_field": [field_hull.degree_rank(r) for r in range(1, r_max + 1)],
+              "degree_ranks_presentation": [pres_hull.degree_rank(r)
+                                            for r in range(1, r_max + 1)]},
+    )

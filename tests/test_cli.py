@@ -225,6 +225,15 @@ def test_parse_error_quotes_a_short_prefix_of_the_relator(tmp_path, capsys):
     assert f"in relator 1 ({'[' * 40!r}...): nesting deeper than 100" in err
 
 
+def test_map_parse_error_names_the_assignment(tame_file, capsys):
+    code, out, err = run_cli(capsys, "morphism", tame_file, tame_file,
+                             "--map", "x1 = x1; x2 = x2 [x1,")
+    assert code == 2
+    assert out == ""
+    assert err == ("parse error: in --map image of 'x2' ('x2 [x1,'): "
+                   "expected a word atom, found 'EOF' (line 1, column 8)\n")
+
+
 @pytest.mark.parametrize("command", ["truncate", "reconstruct"])
 def test_internal_error_exits_4(tame_file, capsys, monkeypatch, command):
     def broken(*args, **kwargs):

@@ -26,10 +26,12 @@ from gq3.milnor import (
     _primitive_root,
 )
 from gq3.cohom import cohomology_data_from_presentation
+from gq3.presentations import make_presentation
 from gq3.zqlin import canonicalize, full_subspace, zero_subspace
 from oracles import (
     SQUARE_CLASSES_Q2,
     closed_form_hilbert_two_adic,
+    degree_by_degree_symbol_compare,
     pairwise_hilbert_two_adic,
     slot_hull_component,
     tame_symbol_kernel,
@@ -482,6 +484,52 @@ def test_galois_check_builds_one_hull_when_the_relations_agree(capsys, monkeypat
     code = main(argv)
     assert code == (0 if hulls == 1 else 1), capsys.readouterr().err
     assert len(calls) == hulls
+
+
+# (preset, q): finite, tame and dyadic, with q a prime or a prime power
+SYMBOL_CASES = [(FieldPreset("finite_field", 7), 3), (FieldPreset("finite_field", 13), 4),
+                (FieldPreset("tame_local", 3), 2), (FieldPreset("tame_local", 13), 4),
+                (FieldPreset("tame_local", 19), 9), (FieldPreset("two_adic"), 2)]
+
+
+@st.composite
+def symbol_comparisons(draw):
+    """A preset, a presentation on its degree-1 rank (the matched one, or
+    relators drawn from q-th powers, commutators and now and then a
+    generator eliminated), a permuted correspondence and a degree bound."""
+    preset, q = draw(st.sampled_from(SYMBOL_CASES))
+    matched, corr = preset_presentation(preset, q)
+    gens = list(matched.generators)
+    if draw(st.booleans()):
+        p = matched
+    else:
+        small = st.integers(min_value=0, max_value=q - 1)
+        rels = []
+        for _ in range(draw(st.integers(min_value=0, max_value=len(gens)))):
+            terms = [f"{x}^{q * draw(small)}" for x in gens]
+            terms += [f"[{x},{y}]^{draw(small)}" for x, y in itertools.combinations(gens, 2)]
+            if draw(st.integers(min_value=0, max_value=4)) == 0:
+                terms.append(f"{draw(st.sampled_from(gens))}^{draw(small)}")
+            rels.append(" ".join(draw(st.permutations(terms))))
+        p = make_presentation(q, gens, rels)
+    targets = draw(st.permutations(gens))
+    r_max = draw(st.integers(min_value=2, max_value=4))
+    return preset, p, dict(zip(corr, targets)), r_max
+
+
+def _report_or_error(compare, *args):
+    try:
+        return compare(*args)
+    except ValueError as exc:  # PresetError and the presentation's own errors
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbol_comparisons())
+def test_galois_compare_matches_the_degree_by_degree_loop(case):
+    """Deciding in degree 2 gives the report of comparing every degree."""
+    got = _report_or_error(galois_symbol_compare, *case)
+    assert got == _report_or_error(degree_by_degree_symbol_compare, *case)
 
 
 def test_two_adic_diagonal_rule_matches_hilbert_oracle():
