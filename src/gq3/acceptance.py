@@ -399,14 +399,15 @@ def check_morphism_equivalence(seed: int = 0) -> CheckResult:
             q = rng.choice([2, 3, 4, 5])
             p = _random_minimal_presentation(rng, q)
             names = p.generators
-            imgs = []
+            texts = []
             for _ in range(p.n):
                 parts = []
                 for _ in range(rng.randint(1, 3)):
                     k = rng.randrange(p.n)
                     e = rng.choice([-2, -1, 1, 2, q])
                     parts.append(f"{names[k]}^{e}")
-                imgs.append(pres.parse_word(" ".join(parts), p))
+                texts.append(" ".join(parts))
+            imgs = [pres.parse_word(text, p) for text in texts]
             try:
                 report = morphism_check(p, p, imgs)
             except MorphismError:
@@ -414,7 +415,7 @@ def check_morphism_equivalence(seed: int = 0) -> CheckResult:
             if not report.agreement:
                 return False, (
                     f"conditions disagree on q={q}, rels={p.relator_sources}, "
-                    f"images={[pres.pretty(w, names) for w in imgs]}"
+                    f"images={texts}"
                 )
             agreed += 1
         if agreed < 200:

@@ -5,9 +5,11 @@ Exit codes: 0 success or verified, 1 verified-negative (an obstruction
 or a failed comparison is still a successful run), 2 parse error,
 3 validation error, 4 internal error (a bug: no answer is given).
 
-``main`` parses with a parser of the named subcommand alone; anything that
-parser cannot accept silently (no command, an unknown one, help, version, a
-usage error) is parsed again by the full tree, which prints every message.
+The argparse tree is built once per process.  ``main`` hands the
+arguments after a known command to that command's subparser, which
+prints its own help and usage errors; the root parser takes everything
+else (no command, an unknown one, ``--version``) and reports arguments
+the subparser left over.
 """
 
 from __future__ import annotations
@@ -144,6 +146,10 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if not args.file and not args.cd_json:
+        raise PresentationError("reconstruct needs a presentation file or --cd-json")
+    if args.file and args.cd_json:
+        raise PresentationError("reconstruct takes a presentation file or --cd-json, not both")
     if args.cd_json:
         with open(args.cd_json, encoding="utf-8") as fh:
             try:
@@ -166,8 +172,6 @@ def cmd_reconstruct(args) -> int:
         _emit(args, payload, f"reconstructed group of order {inv.order}")
         return EXIT_OK
 
-    if not args.file:
-        raise PresentationError("reconstruct needs a presentation file or --cd-json")
     p = _load_presentation(args.file)
     w, report = relator_subspace(p)
     group = reconstruct_g3(cohomology_data_from_subspace(w, len(report.kept_indices)))
@@ -329,9 +333,8 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-# name -> (handler, help, arguments): the one declaration of each subcommand,
-# read by both the one-command parser and the full tree.  Every subcommand
-# also takes COMMON_ARGUMENTS, after its own.
+# name -> (handler, help, arguments): the one declaration of each subcommand.
+# Every subcommand also takes COMMON_ARGUMENTS, after its own.
 COMMANDS = {
     "truncate": (cmd_truncate, "compute the level-3 quotient of a presentation", [
         _arg("file"),
@@ -378,15 +381,9 @@ COMMON_ARGUMENTS = [
 ]
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    handler, _, arguments = COMMANDS[name]
-    for flags, kwargs in arguments + COMMON_ARGUMENTS:
-        parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(func=handler)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full tree: the root options and every subcommand."""
+@functools.cache
+def _tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each subcommand's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gq3",
         description="third q-central quotients, their cohomology models, "
@@ -394,45 +391,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gq3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
+    commands = {}
+    for name, (handler, help_text, arguments) in COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments + COMMON_ARGUMENTS:
+            command.add_argument(*flags, **kwargs)
+        command.set_defaults(func=handler)
+    return parser, commands
 
 
-class _FullTreeNeeded(Exception):
-    pass
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """One subcommand's arguments, configured as the full tree's subparser
-    is.  It prints nothing: a usage error or a request for help raises
-    _FullTreeNeeded, and the full tree re-parses and speaks instead."""
-
-    def error(self, message):
-        raise _FullTreeNeeded
-
-    def print_help(self, file=None):
-        raise _FullTreeNeeded
-
-
-@functools.cache
-def _command_parser(name: str) -> _OneCommandParser:
-    """The one-command parser of a subcommand, built on first use."""
-    parser = _OneCommandParser(prog=f"gq3 {name}")
-    _add_arguments(parser, name)
-    return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The root of the tree: its options and every subcommand."""
+    return _tree()[0]
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the named subcommand's arguments when ``argv[0]``
-    names one; fall back to ``build_parser()`` for anything else it cannot
-    parse silently.  The namespace carries no ``command`` on the fast path."""
-    if argv and argv[0] in COMMANDS:
-        try:
-            return _command_parser(argv[0]).parse_args(argv[1:])
-        except _FullTreeNeeded:
-            pass
-    return build_parser().parse_args(argv)
+    """Parse with the named subcommand's own parser when ``argv[0]`` names
+    one; the root parses anything else, and reports arguments the
+    subcommand left over.  The namespace carries no ``command`` when the
+    subcommand's parser alone parsed it."""
+    root, commands = _tree()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return root.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -6,17 +6,25 @@ The word grammar:
     factor   := atom ("^" SINT)?
     atom     := NAME | "(" word ")" | "[" word "," word "]"
 
-``[u, v]`` denotes u^-1 v^-1 u v.  Exponents are arbitrary signed
-integers; reduction mod the presentation modulus happens only in the
-truncated-group arithmetic, never here.  At most MAX_NESTING
-parentheses and brackets may be open at once.
+``[u, v]`` denotes u^-1 v^-1 u v.  Exponents are signed integers of
+absolute value at most MAX_EXPONENT; reduction mod the presentation
+modulus happens only in the truncated-group arithmetic, never here.  At
+most MAX_NESTING parentheses and brackets may be open at once.
 
 Presentation files are UTF-8 text of ``q = INT;``, ``gens = [a, b];``
 and ``rels = ["a^2", ...];`` statements, with ``#`` line comments.
+
+One compiled pattern splits text into tokens.  A NAME starts with a
+letter (``str.isalpha``) and goes on with letters, digits or ``_``; an
+integer is ASCII digits after an optional ``-``, at most 19 significant
+ones; a string ends on its own line.  Spaces, tabs, carriage returns
+and newlines separate tokens; any other character is a parse error at
+its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,31 +80,6 @@ class Commutator:
 
 
 Word = Generator | Inverse | Power | Product | Commutator
-
-
-def pretty(word: Word, names: Sequence[str]) -> str:
-    """Render a word in the input grammar; reparsing gives an equal AST."""
-    match word:
-        case Generator(k):
-            return names[k]
-        case Inverse(body):
-            return f"{_atom(body, names)}^-1"
-        case Power(body, e):
-            return f"{_atom(body, names)}^{e}"
-        case Commutator(a, b):
-            return f"[{pretty(a, names)}, {pretty(b, names)}]"
-        case Product(factors):
-            if not factors:
-                return "()"
-            return " ".join(_atom(f, names) if isinstance(f, Product) else pretty(f, names)
-                            for f in factors)
-    raise TypeError(f"not a word node: {word!r}")
-
-
-def _atom(word: Word, names: Sequence[str]) -> str:
-    if isinstance(word, (Generator, Commutator)):
-        return pretty(word, names)
-    return f"({pretty(word, names)})"
 
 
 def generator_indices(word: Word) -> set[int]:
@@ -179,59 +162,42 @@ class _Token:
     col: int
 
 
-_PUNCT = set("=;,[]()^*")
-_DIGITS = set("0123456789")  # str.isdigit also admits '²' and other scripts' digits
 _MAX_DIGITS = len(str(MAX_EXPONENT))  # a longer literal exceeds every cap
+# One alternative per token kind.  Spaces, tabs and carriage returns match
+# none, so finditer passes over them.  \w is str.isalnum() or "_": a NAME
+# match that does not start with a letter (_x, ²) is an unexpected
+# character.  INT, ASCII digits only, is tried before NAME.
+_TOKEN = re.compile(r"""
+    (?P<PUNCT>[=;,\[\]()^*])
+  | (?P<INT>-?[0-9]+)
+  | (?P<NAME>\w+)
+  | (?P<NEWLINE>\n)
+  | (?P<COMMENT>\#[^\n]*)
+  | "(?P<STRING>[^"\n]*)"
+  | (?P<BAD>[^ \t\r])
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i + 1:j]:
-                raise ParseError("unterminated string", start_line, start_col)
-            tokens.append(_Token("STRING", text[i + 1:j], start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch in _DIGITS or (ch == "-" and text[i + 1:i + 2] in _DIGITS):
-            j = i + 1
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if len(text[i:j].lstrip("-0")) > _MAX_DIGITS:
-                # int() of a long enough string raises its own digit-limit error
-                raise ParseError("integer out of range", line, col)
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+            continue
+        if kind == "COMMENT":
+            continue
+        col = m.start() - line_start + 1
+        if kind == "BAD" or (kind == "NAME" and not m[0][0].isalpha()):
+            ch = m[0][0]
+            raise ParseError("unterminated string" if ch == '"' else f"unexpected character {ch!r}",
+                             line, col)
+        if kind == "INT" and len(m[0].lstrip("-0")) > _MAX_DIGITS:
+            # int() of a long enough string raises its own digit-limit error
+            raise ParseError("integer out of range", line, col)
+        tokens.append(_Token(kind, m[kind], line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

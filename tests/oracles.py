@@ -1,8 +1,9 @@
 """Reference helpers that the tests check gq3 against.
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
-syllables, recognise Hall elements and build Hall bases weight by
-weight, build identity and zero Z/q
+syllables, render words in the input grammar, scan presentation text one
+character at a time, recognise Hall elements and build Hall bases weight
+by weight, build identity and zero Z/q
 matrices, enumerate small submodules, take Smith diagonals by pivot
 scanning, build central elements, raise powers and take commutators
 by repeated products, build the layer map
@@ -29,7 +30,16 @@ from gq3.freelie import (
     word_nontriviality_certificate,
 )
 from gq3.milnor import PresetError, presentation_zero_pairs, preset_relations, quadratic_hull
-from gq3.presentations import Commutator, Generator, Inverse, Power, Product
+from gq3.presentations import (
+    MAX_EXPONENT,
+    Commutator,
+    Generator,
+    Inverse,
+    ParseError,
+    Power,
+    Product,
+    _Token,
+)
 from gq3.trunc import TruncElement, free_truncation, pair_list
 from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, row_space
 
@@ -176,6 +186,89 @@ def substitute(word, images):
     if isinstance(word, Commutator):
         return Commutator(substitute(word.left, images), substitute(word.right, images))
     raise TypeError(f"not a word node: {word!r}")
+
+
+def pretty(word, names):
+    """Render a word in the input grammar; reparsing gives an equal AST."""
+    match word:
+        case Generator(k):
+            return names[k]
+        case Inverse(body):
+            return f"{_atom(body, names)}^-1"
+        case Power(body, e):
+            return f"{_atom(body, names)}^{e}"
+        case Commutator(a, b):
+            return f"[{pretty(a, names)}, {pretty(b, names)}]"
+        case Product(factors):
+            if not factors:
+                return "()"
+            return " ".join(_atom(f, names) if isinstance(f, Product) else pretty(f, names)
+                            for f in factors)
+    raise TypeError(f"not a word node: {word!r}")
+
+
+def _atom(word, names):
+    if isinstance(word, (Generator, Commutator)):
+        return pretty(word, names)
+    return f"({pretty(word, names)})"
+
+
+_SCAN_PUNCT = set("=;,[]()^*")
+_SCAN_DIGITS = set("0123456789")  # str.isdigit also admits '²' and other scripts' digits
+_SCAN_MAX_DIGITS = len(str(MAX_EXPONENT))
+
+
+def scanned_tokens(text):
+    """The presentation tokens of text, scanned one character at a time,
+    each branch counting its own columns."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+                col += 1
+        elif ch == '"':
+            start_line, start_col = line, col
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i + 1:j]:
+                raise ParseError("unterminated string", start_line, start_col)
+            tokens.append(_Token("STRING", text[i + 1:j], start_line, start_col))
+            col += j - i + 1
+            i = j + 1
+        elif ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+        elif ch in _SCAN_DIGITS or (ch == "-" and text[i + 1:i + 2] in _SCAN_DIGITS):
+            j = i + 1
+            while j < len(text) and text[j] in _SCAN_DIGITS:
+                j += 1
+            if len(text[i:j].lstrip("-0")) > _SCAN_MAX_DIGITS:
+                raise ParseError("integer out of range", line, col)
+            tokens.append(_Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+        elif ch in _SCAN_PUNCT:
+            tokens.append(_Token("PUNCT", ch, line, col))
+            i += 1
+            col += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

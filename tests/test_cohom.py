@@ -24,7 +24,6 @@ from gq3.presentations import (
     Product,
     make_presentation,
     parse_word,
-    pretty,
 )
 from gq3.trunc import (
     TruncElement,
@@ -38,6 +37,7 @@ from oracles import (
     eager_obstruction_screen,
     eager_relator_independence,
     group_law_layer_columns,
+    pretty,
     substitute,
 )
 

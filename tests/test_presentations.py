@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gq3 import presentations
 from gq3.presentations import (
     Commutator,
     Generator,
@@ -14,10 +15,9 @@ from gq3.presentations import (
     make_presentation,
     parse_presentation,
     parse_word,
-    pretty,
     reduce_syllables,
 )
-from oracles import flat_letters
+from oracles import flat_letters, pretty, scanned_tokens
 
 NAMES = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -129,6 +129,32 @@ def test_literal_bound_counts_significant_digits():
     big = 2**63 - 1
     assert parse_word(f"x1^-{big:0>40}", NAMES) == Power(Generator(0), -big)
     assert parse_presentation("q = 0003; gens = [x]; rels = [];").q == 3
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return exc.bare_message, exc.line, exc.col
+
+
+# ASCII and other scripts' letters and digits ('²' and '٣' are digits to
+# str.isdigit, 'Ⅷ' is numeric but no letter), and every character the
+# grammar treats specially; the runs make long and zero-padded literals.
+TOKEN_TEXT = st.lists(st.one_of(
+    st.sampled_from(list("ax1Z09é٣²Ⅷ_-\"#\t\r\n\x0b =;,[]()^*")),
+    st.sampled_from(["9" * 19, "9" * 20, "0" * 25, "-0", "x1", "\"x1 x2\"", "# c\n"]),
+), max_size=40).map("".join)
+
+
+@settings(max_examples=500)
+@given(TOKEN_TEXT)
+@example("q = 3 # trailing")
+@example('rels = ["x1\n"];')
+@example("q = 3;\r\n#\n")
+def test_tokenizer_matches_the_character_scanner(text):
+    assert (_tokens_or_error(presentations._tokenize, text)
+            == _tokens_or_error(scanned_tokens, text))
 
 
 def free_reduce(text):
