@@ -8,8 +8,8 @@ or a failed comparison is still a successful run), 2 parse error,
 The argparse tree is built once per process.  ``main`` hands the
 arguments after a known command to that command's subparser, which
 prints its own help and usage errors; the root parser takes everything
-else (no command, an unknown one, ``--version``) and reports arguments
-the subparser left over.
+else (no command, an unknown one, ``--version``), and parses argv again
+to report arguments the subparser left over.
 """
 
 from __future__ import annotations
@@ -407,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse with the named subcommand's own parser when ``argv[0]`` names
-    one; the root parses anything else, and reports arguments the
-    subcommand left over.  The namespace carries no ``command`` when the
-    subcommand's parser alone parsed it."""
+    one; the root parses anything else, and parses argv again to report
+    arguments the subcommand left over.  The namespace carries no
+    ``command`` when the subcommand's parser alone parsed it."""
     root, commands = _tree()
     if argv and argv[0] in commands:
         args, rest = commands[argv[0]].parse_known_args(argv[1:])
