@@ -28,7 +28,7 @@ the dependent one whose witness it words.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import presentations as pres
 from .freelie import MAX_GENERATORS, word_nontriviality_certificate
@@ -120,8 +120,10 @@ class CohomologyData:
         """Tables in the to_json_dict layout, checked strictly.
 
         Keys are 1-based: "k,l" with k < l <= n for cup and "k" with
-        k <= n for Bockstein.  Absent entries are zero; anything else
-        malformed raises ValueError.
+        k <= n for Bockstein.  Absent entries are zero.  The derived
+        fields may be absent; when present, kappa must be C(q,2) mod q and
+        h2_divisors the invariant factors of the tables' row span.
+        Anything else malformed raises ValueError.
         """
         if not isinstance(data, dict):
             raise ValueError("cohomology tables must be a JSON object")
@@ -151,11 +153,19 @@ class CohomologyData:
 
         cup = read_table("cup", {f"{k + 1},{l + 1}": (k, l) for k, l in pair_list(n)})
         bockstein = read_table("bockstein", {str(k + 1): k for k in range(n)})
-        divisors = data.get("h2_divisors", [])
+        cd = CohomologyData(q, n, h2_rank, cup, bockstein)
+        if "kappa" in data and _json_int(data["kappa"], "kappa") != cd.kappa:
+            raise ValueError(f"kappa must be C(q,2) mod q = {cd.kappa}")
+        if "h2_divisors" not in data:
+            return cd
+        divisors = data["h2_divisors"]
         if not isinstance(divisors, list):
             raise ValueError("h2_divisors must be a list of integers")
-        return CohomologyData(q, n, h2_rank, cup, bockstein,
-                              tuple(_json_int(x, "h2_divisors entry") for x in divisors))
+        want = invariant_factors(row_space(lambda_matrix(cd)))
+        if tuple(_json_int(x, "h2_divisors entry") for x in divisors) != want:
+            raise ValueError(f"h2_divisors must be {list(want)}, "
+                             "the invariant factors of the tables' row span")
+        return replace(cd, h2_divisors=want)
 
 
 def _json_int(x, what: str) -> int:

@@ -1,11 +1,11 @@
 """Hall bases of free Lie rings and nontriviality certificates for words.
 
-The certificate machinery evaluates a free-group word through its
-truncated Magnus expansion in Z<<x_1..x_n>>: the lowest nonzero
-homogeneous component of w - 1 is the image of w in the graded piece
-gr_m of the lower central series, a Lie element of the free Lie ring.
-A nonzero component at weight m certifies that the word lies outside
-the (m+1)-st lower central subgroup, so in particular is nontrivial.
+A word's certificate is the lowest nonzero homogeneous component of
+w - 1 in its truncated Magnus expansion in Z<<x_1..x_n>>.  It is the
+image of w in the graded piece gr_m of the lower central series, a Lie
+element of the free Lie ring, and when nonzero at weight m it shows
+that the word lies outside the (m+1)-st lower central subgroup, so in
+particular is nontrivial.
 
 The cost of a certificate depends on the shape of the word and the
 caps on generators and class, never on the size of its exponents.  The
@@ -21,13 +21,9 @@ other side's bound leaves room, and a^-1 b^-1 only to the truncation
 less both bounds.  A power x^e or w^e enters as the binomial series
 sum_j C(e, j) X^j, never by writing its base out e times.
 
-Everything is integral: Hall elements expand into the tensor algebra
-with integer coefficients and form a Z-basis of the Lie ring in each
-weight, which lets the certificate be expressed on the Hall basis by
-exact linear solving.  Hall elements and their expansions are
-homogeneous in each generator, so the solve takes only the Hall
-elements with the letter content of the component, generated directly
-from that content.
+tensor_to_hall writes a component on the Hall basis, a Z-basis of the
+Lie ring in each weight, by exact solving.  No certificate calls it;
+the tests use it to check that each component is an integral Lie element.
 """
 
 from __future__ import annotations
@@ -45,6 +41,11 @@ MAX_CLASS = 6
 
 class BoundsExceeded(ValueError):
     pass
+
+
+def check_generator_count(n: int) -> None:
+    if not 1 <= n <= MAX_GENERATORS:
+        raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
 
 
 def check_class_bound(c: int) -> None:
@@ -147,8 +148,7 @@ def hall_elements(content: tuple[int, ...], memo: dict) -> list[HallElement]:
 
 def hall_basis(n: int, c: int) -> list[HallElement]:
     """All Hall elements of weight <= c, in weight order then structural order."""
-    if not (1 <= n <= MAX_GENERATORS):
-        raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
+    check_generator_count(n)
     check_class_bound(c)
     memo: dict = {}
     return sorted((h for w in range(1, c + 1)
@@ -355,8 +355,7 @@ def tensor_to_hall(component: Tensor, n: int, m: int) -> LieElement:
     span, which would mean the input was not the graded image of a group
     element.
     """
-    if not (1 <= n <= MAX_GENERATORS):
-        raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
+    check_generator_count(n)
     parts: dict[tuple[int, ...], Tensor] = {}
     for mon, x in component.items():
         parts.setdefault(tuple(sorted(mon)), {})[mon] = x
@@ -434,17 +433,17 @@ def _relabel(h: HallElement, labels: Sequence[int]) -> HallElement:
 
 def word_nontriviality_certificate(
     word: pres.Word, n: int, c: int
-) -> tuple[int, LieElement] | None:
+) -> tuple[int, Tensor] | None:
     """Lowest-weight nonzero graded image of a word, if visible at class <= c.
 
-    Returns (weight, Hall-basis element) certifying the word is not in
-    the (c+1)-st lower central subgroup of the free group, hence not
-    trivial.  Returns None when the word is freely trivial or all its
-    components up to weight c vanish; when the tree's lower bound on the
-    weight exceeds c, nothing is expanded.
+    Returns (weight, component), the degree-weight Magnus component of
+    word - 1 by monomial, certifying the word is not in the (c+1)-st
+    lower central subgroup of the free group, hence not trivial.  Returns
+    None when the word is freely trivial or all its components up to
+    weight c vanish; when the tree's lower bound on the weight exceeds c,
+    nothing is expanded.
     """
-    if not (1 <= n <= MAX_GENERATORS):
-        raise BoundsExceeded(f"generator count {n} outside 1..{MAX_GENERATORS}")
+    check_generator_count(n)
     check_class_bound(c)
     for k in pres.generator_indices(word):
         if k >= n:
@@ -452,5 +451,5 @@ def word_nontriviality_certificate(
     for m in range(_bound(word), c + 1):
         component = _word_series(word, m)[m]
         if component:
-            return m, tensor_to_hall(component, n, m)
+            return m, component
     return None

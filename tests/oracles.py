@@ -8,7 +8,8 @@ matrices, enumerate small submodules, take Smith diagonals by pivot
 scanning, build central elements, raise powers and take commutators
 by repeated products, build the layer map
 of a morphism through the group law, substitute words into
-words, compute word certificates the direct way, evaluate the 2-adic
+words, compute word certificates the direct way, solve the engine's
+certificates on the Hall basis, evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, test squares pair by
 pair, place hull relations slot by slot, build the relator
 independence and obstruction screen reports from relator images that
@@ -27,6 +28,7 @@ from gq3.freelie import (
     bracket_node,
     generator,
     tensor_expansion,
+    tensor_to_hall,
     word_nontriviality_certificate,
 )
 from gq3.milnor import PresetError, presentation_zero_pairs, preset_relations, quadratic_hull
@@ -297,7 +299,8 @@ def flat_letters(word, sign=1):
 
 
 def direct_certificate(word, n, c):
-    """The lowest nonzero weight of word - 1 and its Hall coordinates, or None."""
+    """The lowest nonzero weight of word - 1, its component of that weight
+    and the component's Hall coordinates, or None."""
     series = {(): 1}
     for g, s in flat_letters(word):
         # 1 + x for the letter, 1 - x + x^2 - ... for its inverse
@@ -311,8 +314,18 @@ def direct_certificate(word, n, c):
     for m in range(1, c + 1):
         component = {mon: x for mon, x in series.items() if len(mon) == m}
         if component:
-            return m, _dense_hall_coordinates(component, n, m)
+            return m, component, _dense_hall_coordinates(component, n, m)
     return None
+
+
+def hall_certificate(word, n, c):
+    """The engine's certificate with its component solved on the Hall
+    basis by tensor_to_hall: (weight, Hall coordinates), or None."""
+    cert = word_nontriviality_certificate(word, n, c)
+    if cert is None:
+        return None
+    weight, component = cert
+    return weight, tensor_to_hall(component, n, weight)
 
 
 def _dense_hall_coordinates(component, n, m):

@@ -164,8 +164,11 @@ TABLES = {"q": 3, "n": 2, "h2_rank": 1, "cup": {"1,2": [1]}, "bockstein": {"1": 
     {"q": None},
     {"n": None},
     {"h2_rank": None},
+    {"h2_divisors": [99999999999999999999999999999999]},
+    {"q": 4, "kappa": 5},
 ], ids=["cup-reversed-key", "bockstein-key-range", "non-integer", "vector-length",
-        "missing-q", "missing-n", "missing-h2_rank"])
+        "missing-q", "missing-n", "missing-h2_rank", "h2_divisors-contradicted",
+        "kappa-contradicted"])
 def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
     tables = {k: v for k, v in {**TABLES, **change}.items() if v is not None}
     cd_path = tmp_path / "cd.json"
@@ -326,6 +329,25 @@ def test_certificates_only_for_identity_images(tmp_path, capsys, monkeypatch, co
     named_dependent = (command == "screen"
                        and "has image dependent" in json.loads(out)["tests"][-1]["witness"])
     assert len(calls) == identity_images + named_dependent
+
+
+@pytest.mark.parametrize("command", ["equiv", "screen"])
+def test_certificates_make_no_hall_solve(tmp_path, capsys, monkeypatch, command):
+    """A certificate is the lowest nonzero Magnus component of its relator:
+    no CLI path writes it on the Hall basis."""
+    import gq3.freelie
+    import gq3.trunc
+
+    rels = ["[x1,[x1,x2]]", "[x1,x2]^3", "[[x1,x2],x3]", "x2^3"]
+    path = tmp_path / "p.pres"
+    path.write_text(f"q = 3;\ngens = [x1, x2, x3];\nrels = {json.dumps(rels)};\n")
+    certificates, solves = [], []
+    count_calls(monkeypatch, certificates, gq3.trunc, "word_nontriviality_certificate")
+    count_calls(monkeypatch, solves, gq3.freelie, "tensor_to_hall")
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code in (0, 1), err
+    assert len(certificates) == 3
+    assert solves == []
 
 
 def test_screen_cd_does_not_run_relator_elimination(tame_file, capsys, monkeypatch):
