@@ -286,6 +286,8 @@ def cmd_kmilnor(args) -> int:
 def cmd_galois_check(args) -> int:
     preset = parse_preset(args.field)
     p = _load_presentation(args.file) if args.file else None
+    if p is not None and p.q != args.q:
+        raise PresentationError(f"--q {args.q} does not match the presentation's modulus q = {p.q}")
     if p is None or args.map is None:
         matched, correspondence = preset_presentation(preset, args.q)
         if p is None:

@@ -6,24 +6,27 @@ canonical subspace of relations, so A_r = (Z/q)^(rank^r) / T_r.  The
 quadratic hull generates T_r from the degree-2 relations placed in all
 slot pairs, which is the whole structure of a quadratic algebra; the
 tensor positions of a placement are computed once per slot pair and
-fill, and every relation row is written through them.  A hull depends
-only on its degree-2 relations, so the comparison with a presentation is
-decided there: equal relations give equal hulls in every degree, and
-unequal ones differ in degree 2 already.  The presentation's own hull is
-built only when they differ, for its degree ranks.
+fill, and every relation row is written through them.  A full T_{r-1}
+makes T_r full, so no rows are placed past the first full degree.  A
+hull depends only on its degree-2 relations, so the comparison with a
+presentation is decided there: equal relations give equal hulls in every
+degree, and unequal ones differ in degree 2 already.  The presentation's
+own hull is built only when they differ, for its degree ranks.
 
 The field presets compute their degree-2 relations from first
-principles: an exhaustive Steinberg sweep a (x) (1-a) over F_ell, or
-over a bounded Laurent-monomial window for the local preset, and 2-adic
-Hilbert symbols on the nine basis pairs, extended by bimultiplicativity,
-for the dyadic one.  A Steinberg sweep collects the distinct (class of
-a, class of 1-a) pairs, at most q^4 of them, and canonicalizes their
-distinct rows.  The local sweep doubles its window in the same pass, and
-the pairs the wider window adds must lie in the span already computed;
-the dyadic span must not move at a higher precision.  Otherwise the
-oracle raises rather than returning an unstable answer.  The square test
-behind a Hilbert symbol tries every pair of values, as integer bitmasks
-ANDed in one step per value of the first set.
+principles: a Steinberg sweep a (x) (1-a) over F_ell, or over a bounded
+Laurent-monomial window for the local preset, and 2-adic Hilbert symbols
+on the nine basis pairs, extended by bimultiplicativity, for the dyadic
+one.  The class dlog(c) mod q of a unit is read off one power of c.  A
+unit a gives class(a) class(1-a) e_uu, so the sweep over F_ell stops at
+the first unit product; a monomial c t^v with v < 0 gives the class pair
+(class(c), class(c) + class(-1)), one row per class.  The local sweep
+doubles its window, and the rows the wider window adds must lie in the
+span already computed; the dyadic span must not move at a higher
+precision.  Otherwise the oracle raises rather than returning an
+unstable answer.  The square test behind a Hilbert symbol tries every
+pair of values, as integer bitmasks ANDed in one step per value of the
+first set.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .zqlin import (
     ZqMatrix,
     ZqSubspace,
     canonicalize,
+    full_subspace,
     invariant_factors,
     kernel,
     prime_power,
@@ -140,6 +144,10 @@ def quadratic_hull(
     # (a, b) to distinct positions: each placed row is reduced and nonzero.
     entries = [[(k, x) for k, x in enumerate(zrow) if x] for zrow in zero_pairs.basis]
     for r in range(3, r_max + 1):
+        if components[r - 1].cardinality() == q ** (m ** (r - 1)):
+            # a full T_{r-1}, tensored with the basis vectors, lies in T_r
+            components[r] = full_subspace(q, m**r)
+            continue
         rows = set()  # a relation repeats across slot pairs and fills
         for i, j in itertools.combinations(range(r), 2):
             rest = [r - 1 - s for s in range(r) if s not in (i, j)]
@@ -233,56 +241,49 @@ def _primitive_root(ell: int) -> int:
     raise AssertionError(f"no primitive root modulo {ell}")
 
 
-def _dlog_table(ell: int, g: int) -> list[int]:
-    """Discrete logarithms to base g, indexed by the element (0 unused)."""
-    table = [0] * ell
-    x = 1
-    for e in range(ell - 1):
-        table[x] = e
-        x = (x * g) % ell
-    return table
+def _class_map(ell: int, q: int):
+    """c -> dlog_g(c) mod q on the units of F_ell, g the primitive root: the
+    index of c^((ell-1)/q) among the q powers of zeta = g^((ell-1)/q)."""
+    e = (ell - 1) // q
+    zeta = pow(_primitive_root(ell), e, ell)
+    index = {pow(zeta, k, ell): k for k in range(q)}
+    return lambda c: index[pow(c, e, ell)]
 
 
-def _outer(q: int, m: int, u, v) -> list[int]:
-    row = [0] * (m * m)
-    for a in range(m):
-        for b in range(m):
-            row[a * m + b] = (u[a] * v[b]) % q
-    return row
+def _outer(q: int, u, v) -> list[int]:
+    return [(x * y) % q for x in u for y in v]
 
 
-def _unit_classes(ell: int, q: int) -> list[int]:
-    """The class dlog(c) mod q of each unit c = 1..ell-1, at index c - 1."""
-    return [e % q for e in _dlog_table(ell, _primitive_root(ell))[1:]]
-
-
-def _pair_rows(q: int, m: int, pairs) -> list:
-    """Graded commutativity and the distinct nonzero rows a (x) b of the
-    class pairs."""
-    rows = {tuple(_outer(q, m, a, b)) for a, b in pairs}
-    return _grcomm_rows(q, m) + [row for row in rows if any(row)]
+def _unit_span(ell: int, q: int, cls) -> int:
+    """The g with g Z/q spanned by class(c) class(1-c), c = 2..ell-1; the
+    sweep stops at the first unit product, since then g = 1."""
+    g = q
+    for c in range(2, ell):
+        g = math.gcd(g, cls(c) * cls(ell + 1 - c))
+        if g == 1:
+            break
+    return g
 
 
 def steinberg_relations_finite(ell: int, q: int) -> ZqSubspace:
     """Span of a (x) (1-a) over all of F_ell, on the rank-1 basis u."""
-    units = _unit_classes(ell, q)
-    # units[1:] runs over c = 2..ell-1, reversed over 1 - c in the same order
-    pairs = {((a,), (b,)) for a, b in set(zip(units[1:], reversed(units[1:])))}
-    return canonicalize(q, 1, _pair_rows(q, 1, pairs))
+    return canonicalize(q, 1, _grcomm_rows(q, 1) + [[_unit_span(ell, q, _class_map(ell, q))]])
 
 
-def _valuation_pairs(q: int, v: int, one_minus: set, minus: set) -> set:
-    """Class pairs of a (x) (1-a) for the monomials a = c t^v, all c.
+def _valuation_rows(q: int, v: int, unit_span: int, s: int) -> list[tuple[int, ...]]:
+    """Nonzero rows of a (x) (1-a) for the monomials a = c t^v, all c.
 
-    The class of 1 - c t^v reads off the valuation and leading unit:
-    v > 0 gives the trivial class (so only zero rows), v = 0 the class
-    of 1 - c, and v < 0 the class of -c t^v.  one_minus and minus hold
-    the unit-class pairs (c, 1 - c) and (c, -c).
+    1 - c t^v has the trivial class for v > 0, the class of 1 - c for
+    v = 0 (rows spanning unit_span e_uu), and that of -c t^v for v < 0,
+    where class(-c) = class(c) + s with s = class(-1).
     """
     if v > 0:
-        return set()
-    units = one_minus if v == 0 else minus
-    return {((a, v % q), (b, v % q)) for a, b in units}
+        return []
+    if v == 0:
+        rows = [(unit_span % q, 0, 0, 0)]
+    else:
+        rows = [tuple(_outer(q, (a, v), (a + s, v))) for a in range(q)]
+    return [row for row in rows if any(row)]
 
 
 def steinberg_relations_tame(ell: int, q: int, window: int = 2) -> ZqSubspace:
@@ -290,21 +291,19 @@ def steinberg_relations_tame(ell: int, q: int, window: int = 2) -> ZqSubspace:
     checked against |v| <= 2 * window.
 
     Classes are (unit dlog mod q, valuation mod q) on the basis (u, t).
-    The sweep keeps the distinct class pairs, at most q^4 of them; the
-    pairs the wider window adds must lie in the span already computed,
-    else the oracle raises.
+    The rows the wider window adds must lie in the span, else the oracle
+    raises.
     """
-    units = _unit_classes(ell, q)
-    one_minus = set(zip(units[1:], reversed(units[1:])))
-    minus = set(zip(units, reversed(units)))
-    pairs = set()
+    cls = _class_map(ell, q)
+    unit_span, s = _unit_span(ell, q, cls), cls(ell - 1)
+    rows = set()
     for v in range(-window, window + 1):
-        pairs |= _valuation_pairs(q, v, one_minus, minus)
-    t2 = canonicalize(q, 4, _pair_rows(q, 2, pairs))
+        rows.update(_valuation_rows(q, v, unit_span, s))
+    t2 = canonicalize(q, 4, _grcomm_rows(q, 2) + list(rows))
     wider = set()
     for v in itertools.chain(range(-2 * window, -window), range(window + 1, 2 * window + 1)):
-        wider |= _valuation_pairs(q, v, one_minus, minus)
-    if not all(t2.contains(_outer(q, 2, a, b)) for a, b in wider - pairs):
+        wider.update(_valuation_rows(q, v, unit_span, s))
+    if not all(t2.contains(row) for row in wider - rows):
         raise OracleInstability("tame Steinberg span changed when the valuation window doubled")
     return t2
 
@@ -369,7 +368,7 @@ def hilbert_relation_span(precision_bits: int = 8) -> ZqSubspace:
     rows = _grcomm_rows(2, 3)
     for a in TWO_ADIC_CLASSES:
         for b in TWO_ADIC_CLASSES:
-            row = _outer(2, 3, square_class_vector(a), square_class_vector(b))
+            row = _outer(2, square_class_vector(a), square_class_vector(b))
             if any(row) and sum(t * s for t, s in zip(row, h)) % 2 == 0:
                 rows.append(row)
     return canonicalize(2, 9, rows)

@@ -9,7 +9,9 @@ scanning, build central elements, raise powers and take commutators
 by repeated products, build the layer map
 of a morphism through the group law, substitute words into
 words, compute word certificates the direct way, solve the engine's
-certificates on the Hall basis, evaluate the 2-adic
+certificates on the Hall basis, sweep the Steinberg
+relations of the finite and tame presets over every unit through a full
+discrete-log table, evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, test squares pair by
 pair, place hull relations slot by slot, build the relator
 independence and obstruction screen reports from relator images that
@@ -31,7 +33,16 @@ from gq3.freelie import (
     tensor_to_hall,
     word_nontriviality_certificate,
 )
-from gq3.milnor import PresetError, presentation_zero_pairs, preset_relations, quadratic_hull
+from gq3.milnor import (
+    OracleInstability,
+    PresetError,
+    _grcomm_rows,
+    _outer,
+    _primitive_root,
+    presentation_zero_pairs,
+    preset_relations,
+    quadratic_hull,
+)
 from gq3.presentations import (
     MAX_EXPONENT,
     Commutator,
@@ -433,6 +444,66 @@ def slot_hull_component(q, m, zero_pairs, r):
                 if any(out):
                     rows.add(tuple(out))
     return canonicalize(q, m**r, rows)
+
+
+def _dlog_table(ell, g):
+    """Discrete logarithms to base g, indexed by the element (0 unused)."""
+    table = [0] * ell
+    x = 1
+    for e in range(ell - 1):
+        table[x] = e
+        x = (x * g) % ell
+    return table
+
+
+def _unit_classes(ell, q):
+    """The class dlog(c) mod q of each unit c = 1..ell-1, at index c - 1."""
+    return [e % q for e in _dlog_table(ell, _primitive_root(ell))[1:]]
+
+
+def _pair_rows(q, m, pairs):
+    """Graded commutativity and the distinct nonzero rows a (x) b of the
+    class pairs."""
+    rows = {tuple(_outer(q, a, b)) for a, b in pairs}
+    return _grcomm_rows(q, m) + [row for row in rows if any(row)]
+
+
+def pair_sweep_finite(ell, q):
+    """Span of a (x) (1-a) over every unit a of F_ell, from the distinct
+    (class of a, class of 1-a) pairs of a full dlog table."""
+    units = _unit_classes(ell, q)
+    # units[1:] runs over c = 2..ell-1, reversed over 1 - c in the same order
+    pairs = {((a,), (b,)) for a, b in set(zip(units[1:], reversed(units[1:])))}
+    return canonicalize(q, 1, _pair_rows(q, 1, pairs))
+
+
+def _valuation_pairs(q, v, one_minus, minus):
+    """Class pairs of a (x) (1-a) for the monomials a = c t^v, all c:
+    none for v > 0, the unit-class pairs (c, 1 - c) at v = 0 and (c, -c)
+    at v < 0."""
+    if v > 0:
+        return set()
+    units = one_minus if v == 0 else minus
+    return {((a, v % q), (b, v % q)) for a, b in units}
+
+
+def pair_sweep_tame(ell, q, window=2):
+    """Span of a (x) (1-a) over Laurent monomials a = c t^v, |v| <= window,
+    from the distinct class pairs of every unit, checked against the pairs
+    |v| <= 2 * window adds."""
+    units = _unit_classes(ell, q)
+    one_minus = set(zip(units[1:], reversed(units[1:])))
+    minus = set(zip(units, reversed(units)))
+    pairs = set()
+    for v in range(-window, window + 1):
+        pairs |= _valuation_pairs(q, v, one_minus, minus)
+    t2 = canonicalize(q, 4, _pair_rows(q, 2, pairs))
+    wider = set()
+    for v in itertools.chain(range(-2 * window, -window), range(window + 1, 2 * window + 1)):
+        wider |= _valuation_pairs(q, v, one_minus, minus)
+    if not all(t2.contains(_outer(q, a, b)) for a, b in wider - pairs):
+        raise OracleInstability("tame Steinberg span changed when the valuation window doubled")
+    return t2
 
 
 def tame_symbol_dlog(ell, q, a, b):

@@ -377,10 +377,12 @@ def test_galois_check_builds_the_matched_presentation_once(capsys, monkeypatch, 
 @pytest.mark.parametrize("command", ["kmilnor", "galois-check"])
 @pytest.mark.parametrize("field", ["tame_local:13", "finite:13"])
 def test_field_preset_builds_the_dlog_table_once(capsys, monkeypatch, command, field):
+    """One query builds one class map, the table of the q-th roots of unity
+    that reads off dlog(c) mod q."""
     import gq3.milnor
 
     calls = []
-    count_calls(monkeypatch, calls, gq3.milnor, "_dlog_table")
+    count_calls(monkeypatch, calls, gq3.milnor, "_class_map")
     code, _, err = run_cli(capsys, command, "--field", field, "--q", "4")
     assert code == 0, err
     assert len(calls) == 1
@@ -389,14 +391,14 @@ def test_field_preset_builds_the_dlog_table_once(capsys, monkeypatch, command, f
 def test_tame_pair_only_in_the_doubled_window_is_an_internal_error(capsys, monkeypatch):
     import gq3.milnor
 
-    original = gq3.milnor._valuation_pairs
+    original = gq3.milnor._valuation_rows
 
-    def with_extra_pair(q, v, one_minus, minus):
-        pairs = original(q, v, one_minus, minus)
-        # (u, t) has a nontrivial tame symbol, so its row is outside the span
-        return pairs | {((1, 0), (0, 1))} if abs(v) in (3, 4) else pairs
+    def with_extra_row(q, v, unit_span, s):
+        rows = original(q, v, unit_span, s)
+        # u (x) t has a nontrivial tame symbol, so its row is outside the span
+        return rows + [(0, 1, 0, 0)] if abs(v) in (3, 4) else rows
 
-    monkeypatch.setattr(gq3.milnor, "_valuation_pairs", with_extra_pair)
+    monkeypatch.setattr(gq3.milnor, "_valuation_rows", with_extra_row)
     code, out, err = run_cli(capsys, "kmilnor", "--field", "tame_local:9973", "--q", "2")
     assert code == 4
     assert out == ""
@@ -458,6 +460,17 @@ def test_galois_check_reports_a_bad_file_before_a_bad_preset(tmp_path, capsys):
                              str(path))
     assert code == 2
     assert err.startswith("parse error:")
+
+
+def test_galois_check_rejects_a_q_other_than_the_files(capsys):
+    """The comparison runs at the file's modulus, so a different --q is a
+    validation error that names both moduli, not a report headed by it."""
+    code, out, err = run_cli(capsys, "galois-check", "--field", "tame_local:19", "--q", "3",
+                             str(Path(__file__).parent / "golden" / "inputs" / "tame9.pres"),
+                             "--map", "u:x1,t:x2")
+    assert code == 3
+    assert out == ""
+    assert err == "validation error: --q 3 does not match the presentation's modulus q = 9\n"
 
 
 def test_reconstruct_cd_json_not_json_exit_2(tmp_path, capsys):

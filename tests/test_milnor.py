@@ -20,8 +20,9 @@ from gq3.milnor import (
     preset_presentation,
     quadratic_hull,
     square_class_vector,
+    steinberg_relations_finite,
     steinberg_relations_tame,
-    _dlog_table,
+    _class_map,
     _is_prime,
     _primitive_root,
 )
@@ -30,8 +31,11 @@ from gq3.presentations import make_presentation
 from gq3.zqlin import canonicalize, full_subspace, zero_subspace
 from oracles import (
     SQUARE_CLASSES_Q2,
+    _dlog_table,
     closed_form_hilbert_two_adic,
     degree_by_degree_symbol_compare,
+    pair_sweep_finite,
+    pair_sweep_tame,
     pairwise_hilbert_two_adic,
     slot_hull_component,
     tame_symbol_kernel,
@@ -130,16 +134,24 @@ def test_zero_algebra_quadratic():
 def test_quadratic_hull_matches_the_slot_builder(q):
     """Every degree of the hull equals the span of the relations placed
     slot by slot, on seeded random relation subspaces of every rank
-    <= 4 and degree bound with rank^r_max <= 256."""
+    <= 4 and degree bound with rank^r_max <= 256, and past a full degree:
+    T_2 full, and the exterior relations x (x) x, x (x) y + y (x) x on two
+    generators, whose T_3 is full while T_2 is not."""
     rng = random.Random(q)
+    cases = []
     for m, r_max in [(1, 4), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4)]:
         for _ in range(2):
             rows = [[rng.randrange(q) if rng.random() < 0.4 else 0 for _ in range(m * m)]
                     for _ in range(rng.randint(1, 4))]
-            zp = canonicalize(q, m * m, rows)
-            hull = quadratic_hull(q, m, zp, r_max)
-            for r in range(3, r_max + 1):
-                assert hull.components[r] == slot_hull_component(q, m, zp, r), (m, r, rows)
+            cases.append((m, r_max, canonicalize(q, m * m, rows)))
+    exterior = canonicalize(q, 4, [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)])
+    ext = quadratic_hull(q, 2, exterior, 3)
+    assert (ext.degree_cardinality(2), ext.degree_cardinality(3)) == (q, 1)
+    cases += [(3, 4, full_subspace(q, 9)), (2, 4, exterior)]
+    for m, r_max, zp in cases:
+        hull = quadratic_hull(q, m, zp, r_max)
+        for r in range(3, r_max + 1):
+            assert hull.components[r] == slot_hull_component(q, m, zp, r), (m, r, zp)
 
 
 def tensor_shift(row, m, r, i, prepend):
@@ -240,6 +252,60 @@ def test_primitive_root_generates_every_unit():
         if _is_prime(ell):
             table = _dlog_table(ell, _primitive_root(ell))
             assert sorted(table[1:]) == list(range(ell - 1)), ell
+
+
+PRIME_POWERS = [q for q in range(2, 33) if len({f for f in range(2, q + 1)
+                                                 if q % f == 0 and _is_prime(f)}) == 1]
+
+
+def _preset_pairs(ell_max):
+    """Every (ell, q) with ell <= ell_max prime and q <= 32 a prime power
+    dividing ell - 1."""
+    return [(ell, q) for ell in range(3, ell_max + 1) if _is_prime(ell)
+            for q in PRIME_POWERS if (ell - 1) % q == 0]
+
+
+def test_class_map_reads_the_dlog_table():
+    """The class of c is dlog(c) mod q for every unit c, to the same
+    primitive root, for every preset pair with ell <= 3000."""
+    for ell, q in _preset_pairs(3000):
+        table, cls = _dlog_table(ell, _primitive_root(ell)), _class_map(ell, q)
+        assert [cls(c) for c in range(1, ell)] == [e % q for e in table[1:]], (ell, q)
+
+
+NEAR_CAP = [(9857, 32), (9973, 2), (9241, 2), (9241, 4), (9241, 8), (9601, 32)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS + ["near-cap"])
+def test_steinberg_sweeps_match_the_full_pair_sweep(q):
+    """The sweeps that stop at the first unit class product give the spans
+    of the sweeps over every class pair of a full dlog table: for every
+    prime ell <= 2000 with q | ell - 1, and near the cap, where 9241/8
+    visits the most units (51)."""
+    pairs = NEAR_CAP if q == "near-cap" else [(ell, q_) for ell, q_ in _preset_pairs(2000)
+                                               if q_ == q]
+    for ell, q_ in pairs:
+        assert steinberg_relations_finite(ell, q_) == pair_sweep_finite(ell, q_), (ell, q_)
+        assert steinberg_relations_tame(ell, q_) == pair_sweep_tame(ell, q_), (ell, q_)
+
+
+def test_steinberg_sweep_stops_within_64_units(monkeypatch):
+    """Over every preset pair inside the caps, the sweep evaluates at most
+    64 values of c before a class product is a unit."""
+    import gq3.milnor
+
+    original = gq3.milnor._class_map
+    calls = []
+
+    def counting_class_map(ell, q):
+        cls = original(ell, q)
+        return lambda c: calls.append(c) or cls(c)
+
+    monkeypatch.setattr(gq3.milnor, "_class_map", counting_class_map)
+    for ell, q in _preset_pairs(MAX_ELL):
+        calls.clear()
+        steinberg_relations_finite(ell, q)
+        assert len(calls) <= 2 * 64, (ell, q, len(calls) // 2)  # class(c) and class(1 - c)
 
 
 def test_finite_field_preset_validation():
