@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .acceptance import run_all
@@ -57,10 +58,45 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 
+def _write(value, out: list[str], newline: str) -> None:
+    """Append to out the text of json.dumps(value, indent=2, sort_keys=True);
+    newline is a line break and the indent of value's own line.  json
+    indents only in pure Python, so ints, strings and lists of ints (one
+    join each) are written here, other scalars and empty containers by json."""
+    inner = newline + "  "
+    if type(value) is int:
+        out.append(str(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key in sorted(value):
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write(value[key], out, inner)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        if all(type(x) is int for x in value):  # not bool, which json prints as true/false
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+        else:
+            sep = "["
+            for item in value:
+                out.append(sep + inner)
+                _write(item, out, inner)
+                sep = ","
+            out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit(args, payload: dict, summary: str) -> None:
+    """Write the report, as json.dumps(indent=2, sort_keys=True) would
+    print it, to --output or stdout, and the summary to stderr."""
     payload = {"tool": "gq3", "version": __version__, **payload}
     payload["seed"] = getattr(args, "seed", 0) or 0
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    out: list[str] = []
+    _write(payload, out, "\n")
+    text = "".join(out)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

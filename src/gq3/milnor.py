@@ -80,9 +80,11 @@ class GradedAlgebra:
         return math.prod(self.degree_divisors(r))
 
     def degree_divisors(self, r: int) -> tuple[int, ...]:
-        """Cyclic factor orders of A_r, descending, trivial ones dropped."""
+        """Cyclic factor orders of A_r, descending, trivial ones dropped; () for a full T_r."""
         if r == 1:
             return (self.q,) * self.gen_count
+        if self.components[r].cardinality() == self.q ** (self.gen_count**r):
+            return ()
         # A factor Z/f of T_r leaves Z/(q/f) in A_r; the coordinates T_r
         # does not reach stay free.
         inv = invariant_factors(self.components[r])

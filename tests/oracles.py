@@ -13,7 +13,8 @@ certificates on the Hall basis, sweep the Steinberg
 relations of the finite and tame presets over every unit through a full
 discrete-log table, evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, test squares pair by
-pair, place hull relations slot by slot, build the relator
+pair, place hull relations slot by slot, read the divisors of every
+hull degree off its invariant factors, build the relator
 independence and obstruction screen reports from relator images that
 are all certified up front, and compare a K-ring preset with a
 presentation degree by degree, so that the library's answers can be
@@ -54,7 +55,7 @@ from gq3.presentations import (
     _Token,
 )
 from gq3.trunc import TruncElement, free_truncation, pair_list
-from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, row_space
+from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, invariant_factors, row_space
 
 
 def syllables_to_word(seq):
@@ -444,6 +445,19 @@ def slot_hull_component(q, m, zero_pairs, r):
                 if any(out):
                     rows.add(tuple(out))
     return canonicalize(q, m**r, rows)
+
+
+def invariant_factor_divisors(algebra, r):
+    """Cyclic factor orders of A_r, descending, read off the invariant
+    factors of T_r in every degree, full or not: a factor Z/f of T_r
+    leaves Z/(q/f) in A_r, and the coordinates T_r does not reach stay
+    free."""
+    q, m = algebra.q, algebra.gen_count
+    if r == 1:
+        return (q,) * m
+    inv = invariant_factors(algebra.components[r])
+    free = [q] * (m**r - len(inv))
+    return tuple(sorted([q // f for f in inv if f < q] + free, reverse=True))
 
 
 def _dlog_table(ell, g):

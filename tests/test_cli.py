@@ -6,9 +6,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gq3
-from gq3.cli import main
+from gq3.cli import _write, main
 
 TAME = 'q = 3;\ngens = [x1, x2];\nrels = ["x1^3 [x1,x2]"];\n'
 FREE = "q = 2;\ngens = [x1, x2];\nrels = [];\n"
@@ -641,3 +642,43 @@ def test_output_file(tame_file, tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["group"]["order"] == 81
+    # one writer feeds both paths: the file holds the bytes stdout would
+    _, plain, _ = run_cli(capsys, "truncate", tame_file)
+    assert out_path.read_bytes() == plain.encode("utf-8")
+
+
+_TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7fé€\u2028😀') | st.characters())
+_SCALARS = (
+    st.integers() | st.integers(min_value=-2**80, max_value=2**80) | st.booleans() | st.none()
+    | st.floats(min_value=-1e6, max_value=1e6).map(lambda x: round(x, 3))
+    | st.sampled_from([1e-07, 0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | _TEXT
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.lists(st.integers() | st.booleans(), max_size=5)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPORTS)
+def test_report_writer_matches_json_dumps(value):
+    out = []
+    _write(value, out, "\n")
+    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_writer_reproduces_every_golden_report():
+    reports = 0
+    for path in sorted((Path(__file__).parent / "golden").glob("*.out")):
+        text = path.read_text(encoding="utf-8")
+        if not text.startswith("{"):
+            continue  # usage and version text, or an empty stdout
+        out = []
+        _write(json.loads(text), out, "\n")
+        assert "".join(out) + "\n" == text, path.name
+        reports += 1
+    assert reports >= 50

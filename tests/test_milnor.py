@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from pathlib import Path
@@ -34,6 +35,7 @@ from oracles import (
     _dlog_table,
     closed_form_hilbert_two_adic,
     degree_by_degree_symbol_compare,
+    invariant_factor_divisors,
     pair_sweep_finite,
     pair_sweep_tame,
     pairwise_hilbert_two_adic,
@@ -228,6 +230,67 @@ def test_hull_functorial_under_degree1_maps(q, seed):
     for r in range(2, 4):
         for row in hull_a.components[r].basis:
             assert hull_b.components[r].contains(map_tensor(row, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 8, 9]),
+    m=st.integers(min_value=1, max_value=3),
+    r_max=st.integers(min_value=2, max_value=4),
+    full_degree2=st.booleans(),
+    data=st.data(),
+)
+def test_degree_divisors_match_the_invariant_factor_oracle(q, m, r_max, full_degree2, data):
+    """degree_divisors, which skips full degrees, equals the invariant
+    factors of T_r read in every degree; half the draws add every unit
+    vector, so that T_2 and each degree after it is full."""
+    row = st.lists(st.integers(min_value=0, max_value=q - 1), min_size=m * m, max_size=m * m)
+    rows = data.draw(st.lists(row, max_size=4))
+    if full_degree2:
+        rows += [[int(i == j) for j in range(m * m)] for i in range(m * m)]
+    hull = quadratic_hull(q, m, canonicalize(q, m * m, rows), r_max)
+    for r in range(1, r_max + 1):
+        assert hull.degree_divisors(r) == invariant_factor_divisors(hull, r), (r, rows)
+
+
+def _golden_preset_queries():
+    from gq3.cli import parse_args
+
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    queries = set()
+    for case in cases.values():
+        if case["argv"][:1] in (["kmilnor"], ["galois-check"]) and case["exit"] in (0, 1):
+            args = parse_args(case["argv"])
+            queries.add((args.field, args.q, args.rmax))
+    return sorted(queries)
+
+
+@pytest.mark.parametrize("field, q, r_max", _golden_preset_queries())
+def test_golden_preset_divisors_match_the_invariant_factor_oracle(field, q, r_max):
+    hull = milnor_mod_q(parse_preset(field), q, r_max)
+    for r in range(1, r_max + 1):
+        assert hull.degree_divisors(r) == invariant_factor_divisors(hull, r), r
+
+
+def test_kmilnor_runs_no_invariant_factors_on_full_degrees(capsys, monkeypatch):
+    """K_r(Q_2)/2 = 0 for r >= 3: degrees 3 and 4 are full, so only the
+    degree-2 relations (9 coordinates) reach invariant_factors."""
+    import gq3.milnor
+    from gq3.cli import main
+
+    ambients = []
+    original = gq3.milnor.invariant_factors
+
+    def counted(w):
+        ambients.append(w.ambient_dim)
+        return original(w)
+
+    monkeypatch.setattr(gq3.milnor, "invariant_factors", counted)
+    code = main(["kmilnor", "--field", "two_adic", "--q", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert [json.loads(out)["degrees"][r]["divisors"] for r in "34"] == [[], []]
+    assert ambients == [9]
 
 
 # ---------------------------------------------------------------------------
