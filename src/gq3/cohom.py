@@ -352,12 +352,17 @@ def _require_minimal(report: MinimalityReport, which: str):
 def _decomposable_part_lift(q: int, n: int, ann: ZqSubspace) -> ZqSubspace:
     """Preimage in the dual layer of the span of the cup classes, given
     the annihilator of the relator subspace: the cup coordinates, kappa
-    times the Bockstein ones, and ann."""
+    times the Bockstein ones, and ann.  The span holds every cup
+    coordinate, so its Howell form is a direct sum: the Howell form of
+    kappa I_n and the Bockstein parts of ann's rows, padded with zeros,
+    then the identity rows on the cup coordinates."""
     layer_rank = n + len(pair_list(n))
     kappa = kappa_constant(q)
-    rows = [[(kappa if i < n else 1) * (i == j) for j in range(layer_rank)]
-            for i in range(layer_rank)]
-    return canonicalize(q, layer_rank, rows + list(ann.basis))
+    units = full_subspace(q, layer_rank).basis
+    head = canonicalize(q, n, [[kappa * x for x in row[:n]] for row in units[:n]]
+                        + [row[:n] for row in ann.basis])
+    pad = (0,) * (layer_rank - n)
+    return ZqSubspace(q, layer_rank, tuple(row + pad for row in head.basis) + units[n:])
 
 
 def _combination(coeffs, vectors, width: int) -> list[int]:
@@ -395,7 +400,8 @@ def morphism_check(
         raise MorphismError(f"expected {n1} generator images, got {len(images)}")
 
     # the map L the images induce on the free central layers
-    degree1 = [free_truncation(n2, q).evaluate_word(w).e for w in images]
+    free2 = free_truncation(n2, q)
+    degree1 = [free2.evaluate_word(w).e for w in images]
     columns = layer_map(q, degree1)
 
     # well-definedness: the source relators, central since the source is
@@ -424,7 +430,7 @@ def morphism_check(
     d2_size_target = p2.cardinality() // ann2.cardinality()
     pidec2_iso = image_span == p1 and d2_size_source == d2_size_target
 
-    target_h2_dec = p2 == full_subspace(q, g2.layer_rank)
+    target_h2_dec = p2.cardinality() == q ** g2.layer_rank
 
     b_holds = pi3_iso
     d_holds = h1_iso and pidec2_iso

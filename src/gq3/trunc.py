@@ -11,13 +11,16 @@ sigma_l^b (k < l) deposits w_kl^{-ab}, so the law is biadditive and
 needs no generic rewriting.  The same rule gives powers and commutators
 in closed form: x^m has exponents m e_k and m c_kl - C(m,2) e_k e_l for
 every integer m, and [x, y] is the central element with commutator part
-x_k y_l - x_l y_k; multiply is the one place the law is written out.
+x_k y_l - x_l y_k.  _product and _power, on plain (e, c) pairs, are the
+one place the law is written out; multiply, power and inverse wrap them.
 
 Quotients G^[3] of S^[3] by a subgroup W of the central layer carry the
 same normal forms with the central part reduced to a canonical coset
-representative mod W.  Presentations whose relators stick out of the
-Frattini subgroup are reduced to that shape by eliminating generators
-with unit pivots; see relator_subspace.
+representative mod W.  W is central, so that representative depends only
+on the coset, and evaluate_word reduces once, after a whole word.
+Presentations whose relators stick out of the Frattini subgroup are
+reduced to that shape by eliminating generators with unit pivots; see
+relator_subspace.
 """
 
 from __future__ import annotations
@@ -64,6 +67,13 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, l) for k in range(n) for l in range(k + 1, n))
 
 
+@functools.cache
+def pair_columns(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pairs k < l of pair_list(n) as two columns (ks, ls)."""
+    pairs = pair_list(n)
+    return tuple(k for k, _ in pairs), tuple(l for _, l in pairs)
+
+
 def kappa_constant(q: int) -> int:
     """kappa = C(q,2) mod q: x^q has commutator part -kappa x_k x_l, which
     makes x cup x = kappa * Bockstein(x)."""
@@ -79,15 +89,15 @@ def power_vector(q: int, a: Sequence[int]) -> tuple[int, ...]:
     """Central vector of x^q for x in S^[3] with degree-1 exponents a:
     (a | -kappa a_k a_l for k < l)."""
     kappa = kappa_constant(q)
-    return tuple(x % q for x in a) + tuple((-kappa * a[k] * a[l]) % q
-                                           for k, l in pair_list(len(a)))
+    ks, ls = pair_columns(len(a))
+    return tuple([x % q for x in a] + [(-kappa * a[k] * a[l]) % q for k, l in zip(ks, ls)])
 
 
 def commutator_vector(q: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Central vector of [x, y] for x, y in S^[3] with degree-1 exponents
     a, b: (0 | a_k b_l - a_l b_k for k < l)."""
-    return (0,) * len(a) + tuple((a[k] * b[l] - a[l] * b[k]) % q
-                                 for k, l in pair_list(len(a)))
+    ks, ls = pair_columns(len(a))
+    return (0,) * len(a) + tuple([(a[k] * b[l] - a[l] * b[k]) % q for k, l in zip(ks, ls)])
 
 
 def layer_map(q: int, images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -97,6 +107,26 @@ def layer_map(q: int, images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     columns = [power_vector(q, a) for a in images]
     return columns + [commutator_vector(q, images[k], images[l])
                       for k, l in pair_list(len(images))]
+
+
+def _product(q: int, n: int, x, y):
+    """x y on (e, c) pairs: transposing sigma_k^(y_k) leftwards past
+    sigma_l^(x_l) (k < l) deposits w_kl^(-y_k x_l).  Elementwise, so the
+    coordinates may be arrays."""
+    (xe, xc), (ye, yc) = x, y
+    ks, ls = pair_columns(n)
+    qq = q * q
+    return ([(a + b) % qq for a, b in zip(xe, ye)],
+            [(a + b - ye[k] * xe[l]) % q for a, b, k, l in zip(xc, yc, ks, ls)])
+
+
+def _power(q: int, n: int, e, c, m: int):
+    """(e, c)^m for every integer m: collecting m copies deposits
+    w_kl^(-C(m,2) e_k e_l), and C(m,2) = m(m-1)/2 holds for m < 0 too."""
+    ks, ls = pair_columns(n)
+    binom = m * (m - 1) // 2
+    return ([(m * a) % (q * q) for a in e],
+            [(m * b - binom * e[k] * e[l]) % q for b, k, l in zip(c, ks, ls)])
 
 
 @dataclass(frozen=True)
@@ -142,12 +172,6 @@ class TruncGroup:
     def identity(self) -> TruncElement:
         return TruncElement((0,) * self.n, (0,) * self.npairs)
 
-    def generator(self, k: int) -> TruncElement:
-        if not 0 <= k < self.n:
-            raise ValueError(f"no generator {k}")
-        e = tuple(1 if i == k else 0 for i in range(self.n))
-        return self.normalize(TruncElement(e, (0,) * self.npairs))
-
     # -- normal forms -----------------------------------------------------
 
     def normalize(self, x: TruncElement) -> TruncElement:
@@ -169,23 +193,13 @@ class TruncGroup:
     def multiply(self, a: TruncElement, b: TruncElement) -> TruncElement:
         self._check(a)
         self._check(b)
-        q, qq = self.q, self.q * self.q
-        e = tuple((x + y) % qq for x, y in zip(a.e, b.e))
-        c = list(x + y for x, y in zip(a.c, b.c))
-        for idx, (k, l) in enumerate(self.pairs):
-            c[idx] = (c[idx] - b.e[k] * a.e[l]) % q
-        return self.normalize(TruncElement(e, tuple(c)))
+        e, c = _product(self.q, self.n, (a.e, a.c), (b.e, b.c))
+        return self.normalize(TruncElement(tuple(e), tuple(c)))
 
     def power(self, a: TruncElement, m: int) -> TruncElement:
-        """a^m for every integer m: collecting m copies of a deposits
-        w_kl^(-C(m,2) e_k e_l), and C(m,2) = m(m-1)/2 holds for m < 0 too."""
         self._check(a)
-        q, qq = self.q, self.q * self.q
-        binom = m * (m - 1) // 2
-        e = tuple((m * x) % qq for x in a.e)
-        c = tuple((m * a.c[idx] - binom * a.e[k] * a.e[l]) % q
-                  for idx, (k, l) in enumerate(self.pairs))
-        return self.normalize(TruncElement(e, c))
+        e, c = _power(self.q, self.n, a.e, a.c, m)
+        return self.normalize(TruncElement(tuple(e), tuple(c)))
 
     def inverse(self, a: TruncElement) -> TruncElement:
         return self.power(a, -1)
@@ -198,21 +212,30 @@ class TruncGroup:
         return self.normalize(TruncElement(vec[:self.n], vec[self.n:]))
 
     def evaluate_word(self, word: pres.Word) -> TruncElement:
-        """Homomorphic evaluation of a word in the generators."""
+        """Homomorphic evaluation of a word in the generators: one pass over
+        its tree on (e, c) pairs, then one reduction mod w."""
+        e, c = self._evaluate(word)
+        return self.normalize(TruncElement(tuple(e), tuple(c)))
+
+    def _evaluate(self, word: pres.Word):
+        q, n = self.q, self.n
         match word:
             case pres.Generator(k):
-                return self.generator(k)
+                if not 0 <= k < n:
+                    raise ValueError(f"no generator {k}")
+                return [0] * k + [1] + [0] * (n - 1 - k), [0] * self.npairs
             case pres.Inverse(b):
-                return self.inverse(self.evaluate_word(b))
+                return _power(q, n, *self._evaluate(b), -1)
             case pres.Power(b, m):
-                return self.power(self.evaluate_word(b), m)
+                return _power(q, n, *self._evaluate(b), m)
             case pres.Product(fs):
-                out = self.identity()
-                for f in fs:
-                    out = self.multiply(out, self.evaluate_word(f))
+                out = self._evaluate(fs[0]) if fs else ([0] * n, [0] * self.npairs)
+                for f in fs[1:]:
+                    out = _product(q, n, out, self._evaluate(f))
                 return out
             case pres.Commutator(a, b):
-                return self.commutator(self.evaluate_word(a), self.evaluate_word(b))
+                vec = commutator_vector(q, self._evaluate(a)[0], self._evaluate(b)[0])
+                return vec[:n], vec[n:]
         raise TypeError(f"not a word node: {word!r}")
 
     # -- central layer ----------------------------------------------------

@@ -166,8 +166,8 @@ def zero_subspace(q: int, ambient_dim: int) -> ZqSubspace:
 
 
 def full_subspace(q: int, ambient_dim: int) -> ZqSubspace:
-    rows = tuple(tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim))
-    return ZqSubspace(q, ambient_dim, rows)
+    m = ambient_dim
+    return ZqSubspace(q, m, tuple((0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)))
 
 
 def canonicalize(q: int, ambient_dim: int, rows: Iterable[Sequence[int]]) -> ZqSubspace:

@@ -6,10 +6,12 @@ character at a time, recognise Hall elements and build Hall bases weight
 by weight, build identity and zero Z/q
 matrices, enumerate small submodules, take Smith diagonals by pivot
 scanning, build central elements, raise powers and take commutators
-by repeated products, build the layer map
-of a morphism through the group law, substitute words into
-words, compute word certificates the direct way, solve the engine's
-certificates on the Hall basis, sweep the Steinberg
+by repeated products, build generators and evaluate words one group
+operation per node, build the layer map of a morphism through the group
+law, form the lift of the decomposable part of H^2 by one Howell form
+over the whole layer, substitute words into words, compute word
+certificates the direct way, solve the engine's certificates on the Hall
+basis, sweep the Steinberg
 relations of the finite and tame presets over every unit through a full
 discrete-log table, evaluate the 2-adic
 Hilbert symbol and the tame symbol in closed form, test squares pair by
@@ -54,7 +56,7 @@ from gq3.presentations import (
     Product,
     _Token,
 )
-from gq3.trunc import TruncElement, free_truncation, pair_list
+from gq3.trunc import TruncElement, free_truncation, kappa_constant, pair_list
 from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, invariant_factors, row_space
 
 
@@ -175,6 +177,44 @@ def reference_power(g, a, m):
 def reference_commutator(g, a, b):
     """[a, b] = a^-1 b^-1 a b in g, as three products."""
     return g.multiply(g.multiply(g.inverse(a), g.inverse(b)), g.multiply(a, b))
+
+
+def generator_element(g, k):
+    """sigma_k in the truncated group g."""
+    if not 0 <= k < g.n:
+        raise ValueError(f"no generator {k}")
+    e = tuple(1 if i == k else 0 for i in range(g.n))
+    return g.normalize(TruncElement(e, (0,) * g.npairs))
+
+
+def node_by_node_evaluation(g, word):
+    """word in g with one operation per node of its tree: generator_element,
+    and g's multiply, power, inverse and commutator, each reducing mod w."""
+    match word:
+        case Generator(k):
+            return generator_element(g, k)
+        case Inverse(b):
+            return g.inverse(node_by_node_evaluation(g, b))
+        case Power(b, m):
+            return g.power(node_by_node_evaluation(g, b), m)
+        case Product(fs):
+            out = g.identity()
+            for f in fs:
+                out = g.multiply(out, node_by_node_evaluation(g, f))
+            return out
+        case Commutator(a, b):
+            return g.commutator(node_by_node_evaluation(g, a), node_by_node_evaluation(g, b))
+    raise TypeError(f"not a word node: {word!r}")
+
+
+def eliminated_decomposable_part_lift(q, n, ann):
+    """The span of kappa times the Bockstein coordinates, the cup
+    coordinates and ann, by one Howell form over the whole layer."""
+    layer_rank = n + len(pair_list(n))
+    kappa = kappa_constant(q)
+    rows = [[(kappa if i < n else 1) * (i == j) for j in range(layer_rank)]
+            for i in range(layer_rank)]
+    return canonicalize(q, layer_rank, rows + list(ann.basis))
 
 
 def group_law_layer_columns(images, target):

@@ -9,6 +9,7 @@ from gq3.cohom import (
     CohomologyData,
     HypothesisViolation,
     MorphismError,
+    _decomposable_part_lift,
     check_relator_independence,
     cohomology_data_from_presentation,
     kappa_constant,
@@ -32,10 +33,11 @@ from gq3.trunc import (
     relator_subspace,
     truncated_quotient,
 )
-from gq3.zqlin import row_space
+from gq3.zqlin import annihilator, canonicalize, prime_power, row_space
 from oracles import (
     eager_obstruction_screen,
     eager_relator_independence,
+    eliminated_decomposable_part_lift,
     group_law_layer_columns,
     pretty,
     substitute,
@@ -361,6 +363,21 @@ def test_layer_map_matches_group_law(q):
             for _ in range(n1)
         ]
         assert layer_map(q, [x.e for x in images]) == group_law_layer_columns(images, free2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_decomposable_part_lift_matches_whole_layer_elimination(q):
+    """The direct-sum lift against one Howell form over the whole layer,
+    on ann(w) for n = 1..8 and relator subspaces w from 0 to about full,
+    with entries of every p-adic valuation."""
+    p = prime_power(q)[0]
+    rng = random.Random(q)
+    for n in range(1, 9):
+        m = n + n * (n - 1) // 2
+        for count in (0, 1, 2, n, m):
+            rows = [[rng.randrange(q) * rng.choice((1, p)) for _ in range(m)] for _ in range(count)]
+            ann = annihilator(canonicalize(q, m, rows))
+            assert _decomposable_part_lift(q, n, ann) == eliminated_decomposable_part_lift(q, n, ann)
 
 
 def random_image_word(rng, n, q):

@@ -5,7 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gq3.presentations import make_presentation, parse_word
+from gq3.presentations import (
+    MAX_EXPONENT,
+    Commutator,
+    Generator,
+    Inverse,
+    Power,
+    Product,
+    make_presentation,
+    parse_word,
+)
 from gq3.trunc import (
     MixedExponentError,
     TruncElement,
@@ -16,7 +25,13 @@ from gq3.trunc import (
     truncated_quotient,
 )
 from gq3.zqlin import canonicalize, full_subspace, prime_power, zero_subspace
-from oracles import central_element, reference_commutator, reference_power
+from oracles import (
+    central_element,
+    generator_element,
+    node_by_node_evaluation,
+    reference_commutator,
+    reference_power,
+)
 
 
 def names(n):
@@ -50,8 +65,8 @@ def test_free_truncation_order_by_closure_enumeration():
     # the claimed element count.
     for n, q in [(2, 2), (1, 3), (2, 3)]:
         g = free_truncation(n, q)
-        gens = [g.generator(k) for k in range(n)] + [
-            g.inverse(g.generator(k)) for k in range(n)
+        gens = [generator_element(g, k) for k in range(n)] + [
+            g.inverse(generator_element(g, k)) for k in range(n)
         ]
         seen = {g.identity()}
         frontier = [g.identity()]
@@ -67,7 +82,7 @@ def test_free_truncation_order_by_closure_enumeration():
 
 def test_multiply_swap_example():
     g = free_truncation(2, 2)
-    s1, s2 = g.generator(0), g.generator(1)
+    s1, s2 = generator_element(g, 0), generator_element(g, 1)
     prod = g.multiply(s2, s1)
     assert prod == TruncElement((1, 1), (1,))
 
@@ -163,7 +178,7 @@ def test_center_is_central_layer():
     g = free_truncation(2, 3)
     layer = [central_element(g, v) for v in itertools.product(range(3), repeat=3)]
     for z in layer:
-        for x in [g.generator(0), g.generator(1)]:
+        for x in [generator_element(g, 0), generator_element(g, 1)]:
             assert g.multiply(z, x) == g.multiply(x, z)
 
 
@@ -274,6 +289,57 @@ def test_evaluate_homomorphism_property():
             assert ab == g.multiply(a, b)
 
 
+@st.composite
+def groups_and_words(draw):
+    """A free S^[3] or a quotient by a random w, n <= 8, and a word of
+    nested products, powers, inverses and commutators; in about half of
+    the draws, generator indices may stray one step out of range."""
+    q = draw(st.sampled_from([2, 3, 4, 8, 9, 27, 32]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    g = free_truncation(n, q)
+    if draw(st.booleans()):
+        row = st.lists(st.integers(0, q - 1), min_size=g.layer_rank, max_size=g.layer_rank)
+        g = TruncGroup(n, q, canonicalize(q, g.layer_rank, draw(st.lists(row, max_size=4))))
+    stray = draw(st.booleans())
+    leaves = st.integers(-1 if stray else 0, n if stray else n - 1).map(Generator)
+    exponents = st.sampled_from([0, -1, MAX_EXPONENT, -MAX_EXPONENT]) | st.integers(-2 * q * q, 2 * q * q)
+
+    def extend(words):
+        return (words.map(Inverse)
+                | st.tuples(words, exponents).map(lambda t: Power(*t))
+                | st.lists(words, max_size=4).map(lambda fs: Product(tuple(fs)))
+                | st.tuples(words, words).map(lambda t: Commutator(*t)))
+
+    word = draw(st.recursive(leaves | st.just(Product(())), extend, max_leaves=12))
+    return g, word
+
+
+def _outcome(evaluate, g, word):
+    try:
+        return evaluate(g, word)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=groups_and_words())
+def test_evaluate_word_matches_node_by_node_evaluation(case):
+    """The one-pass evaluation, reduced once at the end, against one
+    reduced group operation per node: same element, or the same error."""
+    g, word = case
+    want = _outcome(node_by_node_evaluation, g, word)
+    assert _outcome(TruncGroup.evaluate_word, g, word) == want
+
+
+def test_evaluate_word_empty_product_and_stray_generator():
+    g = TruncGroup(2, 4, canonicalize(4, 3, [(1, 2, 3)]))
+    assert g.evaluate_word(Product(())) == g.identity()
+    assert g.evaluate_word(Power(Product(()), MAX_EXPONENT)) == g.identity()
+    for k in (-1, 2):
+        with pytest.raises(ValueError, match=f"^no generator {k}$"):
+            g.evaluate_word(Commutator(Generator(0), Product((Generator(1), Generator(k)))))
+
+
 # ---------------------------------------------------------------------------
 # Relator subspaces
 
@@ -334,7 +400,7 @@ def test_mixed_exponent_after_partial_elimination():
 def normal_closure(g, presentation):
     """Oracle: the normal closure of the relator images, by enumeration in S^[3]."""
     rel_images = [g.evaluate_word(w) for w in presentation.relators]
-    gens = [g.generator(k) for k in range(g.n)]
+    gens = [generator_element(g, k) for k in range(g.n)]
     closure = {g.identity()}
     frontier = list(rel_images)
     for x in frontier:
@@ -531,13 +597,13 @@ def test_group_invariants_against_enumeration(n, q, rels):
 def center_by_group_law(g):
     """|Z(G)|: the classes sigma^e, e mod q, that commute with every
     generator under the group law, times the central layer of G."""
-    powers = [[g.power(g.generator(k), e) for e in range(g.q)] for k in range(g.n)]
+    powers = [[g.power(generator_element(g, k), e) for e in range(g.q)] for k in range(g.n)]
     count = 0
     for e in itertools.product(range(g.q), repeat=g.n):
         x = g.identity()
         for k, ek in enumerate(e):
             x = g.multiply(x, powers[k][ek])
-        if all(g.commutator(x, g.generator(j)) == g.identity() for j in range(g.n)):
+        if all(g.commutator(x, generator_element(g, j)) == g.identity() for j in range(g.n)):
             count += 1
     return count * g.q ** g.layer_rank // g.w.cardinality()
 
