@@ -14,19 +14,28 @@ most MAX_NESTING parentheses and brackets may be open at once.
 Presentation files are UTF-8 text of ``q = INT;``, ``gens = [a, b];``
 and ``rels = ["a^2", ...];`` statements, with ``#`` line comments.
 
-One compiled pattern splits text into tokens.  A NAME starts with a
-letter (``str.isalpha``) and goes on with letters, digits or ``_``; an
-integer is ASCII digits after an optional ``-``, at most 19 significant
-ones; a string ends on its own line.  Spaces, tabs, carriage returns
-and newlines separate tokens; any other character is a parse error at
-its line and column.
+Each text, the file and then each relator string, is split into tokens
+by one ``findall`` call on one compiled pattern.  A token is the matched
+string, and its kind is read off its first character.  A NAME starts
+with a letter (``str.isalpha``) and goes on with letters, digits or
+``_``; an integer is ASCII digits after an optional ``-``, at most 19
+significant ones, leading zeros free; a string ends on its own line and
+keeps its quotes, so a quoted ``","`` is never a separator.  Spaces,
+tabs, carriage returns and newlines separate tokens; any other
+character is a parse error at its line and column.
+
+Line and column are found only when a parse error is raised, by running
+the same pattern again up to the failing token.  A bad token is reported
+before any grammar error, as if the whole text were checked first.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .zqlin import prime_power
 
@@ -151,140 +160,138 @@ def reduce_syllables(seq: Sequence[Syllable]) -> list[Syllable]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-
-
-@dataclass(slots=True)
-class _Token:
-    kind: str  # NAME INT PUNCT STRING EOF
-    text: str
-    line: int
-    col: int
-
+# Scanner
 
 _MAX_DIGITS = len(str(MAX_EXPONENT))  # a longer literal exceeds every cap
-# One alternative per token kind.  Spaces, tabs and carriage returns match
-# none, so finditer passes over them.  \w is str.isalnum() or "_": a NAME
-# match that does not start with a letter (_x, ²) is an unexpected
-# character.  INT, ASCII digits only, is tried before NAME.
+_EOF = "\n"  # closes every token list; no token holds a newline
+_DIGITS = "0123456789"
+_PUNCT = "=;,[]()^*"
+# findall returns group 1, the token, or "" for a comment.  Spaces, tabs,
+# carriage returns and newlines match nothing, so findall passes over
+# them.  \w is str.isalnum() or "_": a \w run that does not start with a
+# letter (_x, ²) is an unexpected character.  INT, ASCII digits only, is
+# tried before \w.  A string keeps its quotes, so it never equals a
+# punctuation token.
 _TOKEN = re.compile(r"""
-    (?P<PUNCT>[=;,\[\]()^*])
-  | (?P<INT>-?[0-9]+)
-  | (?P<NAME>\w+)
-  | (?P<NEWLINE>\n)
-  | (?P<COMMENT>\#[^\n]*)
-  | "(?P<STRING>[^"\n]*)"
-  | (?P<BAD>[^ \t\r])
+    \#[^\n]*
+  | ( [=;,\[\]()^*]
+    | -?[0-9]+
+    | \w+
+    | "[^"\n]*"
+    | [^ \t\r\n] )
 """, re.VERBOSE)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
-        if kind == "COMMENT":
-            continue
-        col = m.start() - line_start + 1
-        if kind == "BAD" or (kind == "NAME" and not m[0][0].isalpha()):
-            ch = m[0][0]
-            raise ParseError("unterminated string" if ch == '"' else f"unexpected character {ch!r}",
-                             line, col)
-        if kind == "INT" and len(m[0].lstrip("-0")) > _MAX_DIGITS:
-            # int() of a long enough string raises its own digit-limit error
-            raise ParseError("integer out of range", line, col)
-        tokens.append(_Token(kind, m[kind], line, col))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+def _scan(text: str) -> list[str]:
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = [t for t in tokens if t]
+    tokens.append(_EOF)
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # open parentheses and brackets
+def _is_string(tok: str) -> bool:
+    return tok[0] == '"' and len(tok) > 1
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _token_error(tok: str) -> str | None:
+    """The message of a token that is none of the grammar's kinds."""
+    ch = tok[0]
+    if ch in "-0123456789" and tok[-1] in _DIGITS:
+        return "integer out of range" if len(tok.lstrip("-0")) > _MAX_DIGITS else None
+    if ch.isalpha() or ch in _PUNCT or _is_string(tok):
+        return None
+    return "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.col)
-        return self.next()
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of token number index of text; the end of
+    the text for the closing EOF."""
+    tokens = (m for m in _TOKEN.finditer(text) if m[1])
+    m = next(itertools.islice(tokens, index, None), None)
+    offset = m.start() if m else len(text)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class _Fail(Exception):
+    """A grammar error at a token index, placed by _parse_error."""
+
+
+def _parse_error(text: str, tokens: list[str], fail: _Fail) -> ParseError:
+    """The error of a failed parse.  The first bad token in text order wins
+    over the grammar error, as if the whole text were checked first."""
+    bad = ((i, message) for i, message in enumerate(map(_token_error, tokens[:-1])) if message)
+    index, message = next(bad, fail.args)
+    return ParseError(message, *_position(text, index))
+
+
+def _found(tok: str) -> str:
+    """A token as an error quotes it: a string's content, or the kind of
+    the EOF and of the empty string."""
+    if tok == _EOF:
+        return "EOF"
+    return (tok[1:-1] or "STRING") if tok[0] == '"' else tok
+
+
+def _expect(tokens: list[str], i: int, punct: str) -> int:
+    if tokens[i] != punct:
+        raise _Fail(i, f"expected {punct!r}, found {_found(tokens[i])!r}")
+    return i + 1
+
+
+def _literal(tok: str) -> int | None:
+    """The value of an INT token; None for any other token, and for a
+    literal past the digit cap.  Leading zeros never reach int()."""
+    if tok[0] not in "-0123456789" or tok[-1] not in _DIGITS:
+        return None
+    digits = tok.lstrip("-0")
+    if len(digits) > _MAX_DIGITS:
+        return None
+    value = int(digits) if digits else 0
+    return -value if tok[0] == "-" else value
 
 
 # ---------------------------------------------------------------------------
 # Word parser
 
 
-def _parse_word_tokens(ts: _TokenStream, name_to_index: dict[str, int]) -> Word:
-    factors = [_parse_factor(ts, name_to_index)]
+def _parse_word_tokens(tokens: list[str], i: int, names: dict[str, int],
+                       depth: int) -> tuple[Word, int]:
+    """The word that starts at tokens[i], and the index after it; depth
+    parentheses and brackets are open around it."""
+    factors = []
     while True:
-        tok = ts.peek()
-        if tok.kind == "PUNCT" and tok.text == "*":
-            ts.next()
-            factors.append(_parse_factor(ts, name_to_index))
-        elif tok.kind == "NAME" or (tok.kind == "PUNCT" and tok.text in "(["):
-            factors.append(_parse_factor(ts, name_to_index))
+        tok = tokens[i]
+        if tok[0].isalpha():
+            k = names.get(tok)
+            if k is None:
+                raise _Fail(i, f"unknown generator {tok!r}")
+            atom = Generator(k)
+            i += 1
+        elif tok == "(" or tok == "[":
+            if depth == MAX_NESTING:
+                raise _Fail(i, f"nesting deeper than {MAX_NESTING}")
+            atom, i = _parse_word_tokens(tokens, i + 1, names, depth + 1)
+            if tok == "[":
+                right, i = _parse_word_tokens(tokens, _expect(tokens, i, ","), names, depth + 1)
+                atom = Commutator(atom, right)
+            i = _expect(tokens, i, ")" if tok == "(" else "]")
         else:
-            break
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
-
-
-def _parse_factor(ts: _TokenStream, name_to_index: dict[str, int]) -> Word:
-    atom = _parse_atom(ts, name_to_index)
-    tok = ts.peek()
-    if tok.kind == "PUNCT" and tok.text == "^":
-        ts.next()
-        e_tok = ts.peek()
-        if e_tok.kind != "INT":
-            raise ParseError("expected integer exponent after '^'", e_tok.line, e_tok.col)
-        ts.next()
-        e = int(e_tok.text)
-        if abs(e) > MAX_EXPONENT:
-            raise ParseError("exponent out of range", e_tok.line, e_tok.col)
-        if e == -1:
-            return Inverse(atom)
-        return Power(atom, e)
-    return atom
-
-
-def _parse_atom(ts: _TokenStream, name_to_index: dict[str, int]) -> Word:
-    tok = ts.peek()
-    if tok.kind == "NAME":
-        ts.next()
-        if tok.text not in name_to_index:
-            raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
-        return Generator(name_to_index[tok.text])
-    if tok.kind == "PUNCT" and tok.text in "([":
-        ts.next()
-        ts.depth += 1
-        if ts.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.col)
-        if tok.text == "(":
-            word = _parse_word_tokens(ts, name_to_index)
-            ts.expect("PUNCT", ")")
-        else:
-            left = _parse_word_tokens(ts, name_to_index)
-            ts.expect("PUNCT", ",")
-            right = _parse_word_tokens(ts, name_to_index)
-            ts.expect("PUNCT", "]")
-            word = Commutator(left, right)
-        ts.depth -= 1
-        return word
-    raise ParseError(f"expected a word atom, found {tok.text or tok.kind!r}", tok.line, tok.col)
+            raise _Fail(i, f"expected a word atom, found {_found(tok)!r}")
+        if tokens[i] == "^":
+            e = _literal(tokens[i + 1])
+            if e is None:
+                raise _Fail(i + 1, "expected integer exponent after '^'")
+            if abs(e) > MAX_EXPONENT:
+                raise _Fail(i + 1, "exponent out of range")
+            atom = Inverse(atom) if e == -1 else Power(atom, e)
+            i += 2
+        factors.append(atom)
+        tok = tokens[i]
+        if tok == "*":
+            i += 1
+        elif not (tok[0].isalpha() or tok == "(" or tok == "["):
+            return (factors[0] if len(factors) == 1 else Product(tuple(factors))), i
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +326,7 @@ def make_presentation(q: int, generators: Sequence[str], relator_texts: Sequence
     if not gens:
         raise PresentationError("at least one generator is required")
     if len(set(gens)) != len(gens):
-        dupes = sorted({g for g in gens if list(gens).count(g) > 1})
+        dupes = sorted(g for g, count in Counter(gens).items() if count > 1)
         raise PresentationError(f"duplicate generator names: {', '.join(dupes)}")
     name_to_index = {name: k for k, name in enumerate(gens)}
     relators = tuple(parse_labelled_word(text, name_to_index, f"in relator {i + 1}")
@@ -330,11 +337,15 @@ def make_presentation(q: int, generators: Sequence[str], relator_texts: Sequence
 def parse_word(text: str, ctx: Presentation | dict[str, int]) -> Word:
     """Parse a single word; ctx supplies the generator names."""
     name_to_index = ctx.name_map() if isinstance(ctx, Presentation) else ctx
-    ts = _TokenStream(_tokenize(text))
-    word = _parse_word_tokens(ts, name_to_index)
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    tokens = _scan(text)
+    try:
+        word, i = _parse_word_tokens(tokens, 0, name_to_index, 0)
+        if tokens[i] != _EOF:
+            tok = tokens[i]
+            shown = tok[1:-1] if tok[0] == '"' else tok
+            raise _Fail(i, f"trailing input {shown!r}")
+    except _Fail as fail:
+        raise _parse_error(text, tokens, fail) from None
     return word
 
 
@@ -348,46 +359,50 @@ def parse_labelled_word(text: str, ctx: Presentation | dict[str, int], label: st
         raise ParseError(f"{label} ({quoted}): {exc.bare_message}", exc.line, exc.col) from None
 
 
+def _list(tokens: list[str], i: int, is_item: Callable[[str], bool],
+          kind: str) -> tuple[list[str], int]:
+    """The items of "[item, ...];" from tokens[i] on, and the index after
+    it; an empty list only where kind is STRING."""
+    i = _expect(tokens, i, "[")
+    items: list[str] = []
+    while is_item(tokens[i]):
+        items.append(tokens[i])
+        if tokens[i + 1] != ",":
+            return items, _expect(tokens, _expect(tokens, i + 1, "]"), ";")
+        i += 2
+    if items or kind != "STRING":
+        raise _Fail(i, f"expected {kind!r}, found {_found(tokens[i])!r}")
+    return items, _expect(tokens, _expect(tokens, i, "]"), ";")
+
+
 def parse_presentation(text: str) -> Presentation:
-    ts = _TokenStream(_tokenize(text))
+    tokens = _scan(text)
     q: int | None = None
     gens: list[str] | None = None
     rel_texts: list[str] | None = None
-    while ts.peek().kind != "EOF":
-        tok = ts.expect("NAME")
-        if tok.text == "q":
-            if q is not None:
-                raise ParseError("duplicate 'q' statement", tok.line, tok.col)
-            ts.expect("PUNCT", "=")
-            q_tok = ts.expect("INT")
-            q = int(q_tok.text)
-            ts.expect("PUNCT", ";")
-        elif tok.text == "gens":
-            if gens is not None:
-                raise ParseError("duplicate 'gens' statement", tok.line, tok.col)
-            ts.expect("PUNCT", "=")
-            ts.expect("PUNCT", "[")
-            gens = [ts.expect("NAME").text]
-            while ts.peek().text == ",":
-                ts.next()
-                gens.append(ts.expect("NAME").text)
-            ts.expect("PUNCT", "]")
-            ts.expect("PUNCT", ";")
-        elif tok.text == "rels":
-            if rel_texts is not None:
-                raise ParseError("duplicate 'rels' statement", tok.line, tok.col)
-            ts.expect("PUNCT", "=")
-            ts.expect("PUNCT", "[")
-            rel_texts = []
-            if ts.peek().kind == "STRING":
-                rel_texts.append(ts.next().text)
-                while ts.peek().text == ",":
-                    ts.next()
-                    rel_texts.append(ts.expect("STRING").text)
-            ts.expect("PUNCT", "]")
-            ts.expect("PUNCT", ";")
-        else:
-            raise ParseError(f"unknown statement {tok.text!r}", tok.line, tok.col)
+    i = 0
+    try:
+        while tokens[i] != _EOF:
+            key = tokens[i]
+            if not key[0].isalpha():
+                raise _Fail(i, f"expected 'NAME', found {_found(key)!r}")
+            if key not in ("q", "gens", "rels"):
+                raise _Fail(i, f"unknown statement {key!r}")
+            if {"q": q, "gens": gens, "rels": rel_texts}[key] is not None:
+                raise _Fail(i, f"duplicate {key!r} statement")
+            i = _expect(tokens, i + 1, "=")
+            if key == "q":
+                q = _literal(tokens[i])
+                if q is None:
+                    raise _Fail(i, f"expected 'INT', found {_found(tokens[i])!r}")
+                i = _expect(tokens, i + 1, ";")
+            elif key == "gens":
+                gens, i = _list(tokens, i, lambda tok: tok[0].isalpha(), "NAME")
+            else:
+                strings, i = _list(tokens, i, _is_string, "STRING")
+                rel_texts = [tok[1:-1] for tok in strings]
+    except _Fail as fail:
+        raise _parse_error(text, tokens, fail) from None
     if q is None:
         raise ParseError("missing 'q' statement", 1, 1)
     if gens is None:

@@ -2,9 +2,9 @@
 
 None of these is on a path the gq3 CLI runs: they rebuild words from
 syllables, render words in the input grammar, scan presentation text one
-character at a time, recognise Hall elements and build Hall bases weight
-by weight, build identity and zero Z/q
-matrices, enumerate small submodules, take Smith diagonals by pivot
+character at a time, parse it through a list of token records, recognise
+Hall elements and build Hall bases weight by weight, build identity and
+zero Z/q matrices, enumerate small submodules, take Smith diagonals by pivot
 scanning, build central elements, raise powers and take commutators
 by repeated products, build generators and evaluate words one group
 operation per node, build the layer map of a morphism through the group
@@ -25,6 +25,8 @@ verified by direct construction.
 
 import functools
 import itertools
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from gq3.cohom import Report, TestOutcome, cohomology_data_from_presentation
@@ -48,16 +50,18 @@ from gq3.milnor import (
 )
 from gq3.presentations import (
     MAX_EXPONENT,
+    MAX_NESTING,
     Commutator,
     Generator,
     Inverse,
     ParseError,
     Power,
+    Presentation,
+    PresentationError,
     Product,
-    _Token,
 )
 from gq3.trunc import TruncElement, free_truncation, kappa_constant, pair_list
-from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, invariant_factors, row_space
+from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, invariant_factors, prime_power, row_space
 
 
 def syllables_to_word(seq):
@@ -323,6 +327,210 @@ def scanned_tokens(text):
             raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Presentation text parsed through token records: each token a record of
+# kind, text, line and column, the whole text checked before any grammar
+# rule, and the descent reading the records through a stream object.
+
+
+@dataclass(slots=True)
+class _Token:
+    kind: str  # NAME INT PUNCT STRING EOF
+    text: str
+    line: int
+    col: int
+
+
+_TOKEN = re.compile(r"""
+    (?P<PUNCT>[=;,\[\]()^*])
+  | (?P<INT>-?[0-9]+)
+  | (?P<NAME>\w+)
+  | (?P<NEWLINE>\n)
+  | (?P<COMMENT>\#[^\n]*)
+  | "(?P<STRING>[^"\n]*)"
+  | (?P<BAD>[^ \t\r])
+""", re.VERBOSE)
+
+
+def _tokenize(text):
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+            continue
+        if kind == "COMMENT":
+            continue
+        col = m.start() - line_start + 1
+        if kind == "BAD" or (kind == "NAME" and not m[0][0].isalpha()):
+            ch = m[0][0]
+            raise ParseError("unterminated string" if ch == '"' else f"unexpected character {ch!r}",
+                             line, col)
+        if kind == "INT" and len(m[0].lstrip("-0")) > _SCAN_MAX_DIGITS:
+            raise ParseError("integer out of range", line, col)
+        tokens.append(_Token(kind, m[kind], line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0  # open parentheses and brackets
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, text=None):
+        tok = self.peek()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.col)
+        return self.next()
+
+    def at_comma(self):
+        tok = self.peek()
+        return tok.kind == "PUNCT" and tok.text == ","
+
+
+def _stream_word(ts, name_to_index):
+    factors = [_stream_factor(ts, name_to_index)]
+    while True:
+        tok = ts.peek()
+        if tok.kind == "PUNCT" and tok.text == "*":
+            ts.next()
+            factors.append(_stream_factor(ts, name_to_index))
+        elif tok.kind == "NAME" or (tok.kind == "PUNCT" and tok.text in "(["):
+            factors.append(_stream_factor(ts, name_to_index))
+        else:
+            break
+    if len(factors) == 1:
+        return factors[0]
+    return Product(tuple(factors))
+
+
+def _stream_factor(ts, name_to_index):
+    atom = _stream_atom(ts, name_to_index)
+    tok = ts.peek()
+    if tok.kind == "PUNCT" and tok.text == "^":
+        ts.next()
+        e_tok = ts.peek()
+        if e_tok.kind != "INT":
+            raise ParseError("expected integer exponent after '^'", e_tok.line, e_tok.col)
+        ts.next()
+        e = int(e_tok.text)
+        if abs(e) > MAX_EXPONENT:
+            raise ParseError("exponent out of range", e_tok.line, e_tok.col)
+        if e == -1:
+            return Inverse(atom)
+        return Power(atom, e)
+    return atom
+
+
+def _stream_atom(ts, name_to_index):
+    tok = ts.peek()
+    if tok.kind == "NAME":
+        ts.next()
+        if tok.text not in name_to_index:
+            raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.col)
+        return Generator(name_to_index[tok.text])
+    if tok.kind == "PUNCT" and tok.text in "([":
+        ts.next()
+        ts.depth += 1
+        if ts.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.col)
+        if tok.text == "(":
+            word = _stream_word(ts, name_to_index)
+            ts.expect("PUNCT", ")")
+        else:
+            left = _stream_word(ts, name_to_index)
+            ts.expect("PUNCT", ",")
+            right = _stream_word(ts, name_to_index)
+            ts.expect("PUNCT", "]")
+            word = Commutator(left, right)
+        ts.depth -= 1
+        return word
+    raise ParseError(f"expected a word atom, found {tok.text or tok.kind!r}", tok.line, tok.col)
+
+
+def token_parse_word(text, name_to_index):
+    """parse_word through token records."""
+    ts = _TokenStream(_tokenize(text))
+    word = _stream_word(ts, name_to_index)
+    tok = ts.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    return word
+
+
+def token_parse_presentation(text):
+    """parse_presentation through token records, relators included."""
+    ts = _TokenStream(_tokenize(text))
+    q = gens = rel_texts = None
+    while ts.peek().kind != "EOF":
+        tok = ts.expect("NAME")
+        if tok.text == "q":
+            if q is not None:
+                raise ParseError("duplicate 'q' statement", tok.line, tok.col)
+            ts.expect("PUNCT", "=")
+            q = int(ts.expect("INT").text)
+            ts.expect("PUNCT", ";")
+        elif tok.text == "gens":
+            if gens is not None:
+                raise ParseError("duplicate 'gens' statement", tok.line, tok.col)
+            ts.expect("PUNCT", "=")
+            ts.expect("PUNCT", "[")
+            gens = [ts.expect("NAME").text]
+            while ts.at_comma():
+                ts.next()
+                gens.append(ts.expect("NAME").text)
+            ts.expect("PUNCT", "]")
+            ts.expect("PUNCT", ";")
+        elif tok.text == "rels":
+            if rel_texts is not None:
+                raise ParseError("duplicate 'rels' statement", tok.line, tok.col)
+            ts.expect("PUNCT", "=")
+            ts.expect("PUNCT", "[")
+            rel_texts = []
+            if ts.peek().kind == "STRING":
+                rel_texts.append(ts.next().text)
+                while ts.at_comma():
+                    ts.next()
+                    rel_texts.append(ts.expect("STRING").text)
+            ts.expect("PUNCT", "]")
+            ts.expect("PUNCT", ";")
+        else:
+            raise ParseError(f"unknown statement {tok.text!r}", tok.line, tok.col)
+    if q is None:
+        raise ParseError("missing 'q' statement", 1, 1)
+    if gens is None:
+        raise ParseError("missing 'gens' statement", 1, 1)
+    try:
+        p, d = prime_power(q)
+    except ValueError as exc:
+        raise PresentationError(str(exc)) from None
+    if len(set(gens)) != len(gens):
+        dupes = sorted({g for g in gens if gens.count(g) > 1})
+        raise PresentationError(f"duplicate generator names: {', '.join(dupes)}")
+    name_to_index = {name: k for k, name in enumerate(gens)}
+    relators = []
+    for i, rel in enumerate(rel_texts or []):
+        try:
+            relators.append(token_parse_word(rel, name_to_index))
+        except ParseError as exc:
+            quoted = repr(rel) if len(rel) <= 40 else repr(rel[:40]) + "..."
+            raise ParseError(f"in relator {i + 1} ({quoted}): {exc.bare_message}",
+                             exc.line, exc.col) from None
+    return Presentation(q, p, d, tuple(gens), tuple(relators), tuple(rel_texts or []))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,15 @@ from gq3.presentations import (
     parse_word,
     reduce_syllables,
 )
-from oracles import flat_letters, pretty, scanned_tokens
+from oracles import (
+    _Token,
+    flat_letters,
+    pretty,
+    scanned_tokens,
+    token_parse_presentation,
+    token_parse_word,
+)
+from test_cli_fuzz import nested, token_soup, well_formed
 
 NAMES = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -43,6 +51,25 @@ def test_parse_presentation_bad_modulus():
 def test_parse_presentation_duplicate_generators():
     with pytest.raises(PresentationError, match="duplicate"):
         make_presentation(2, ["x", "x"], [])
+
+
+def test_duplicate_generator_names_among_many():
+    """The names are counted once: 20,000 of them take no quadratic time."""
+    names = [f"g{k}" for k in range(20000)] + ["g19999", "g7"]
+    with pytest.raises(PresentationError) as err:
+        make_presentation(2, names, [])
+    assert str(err.value) == "duplicate generator names: g19999, g7"
+
+
+@pytest.mark.parametrize("text,col", [
+    ('q = 3; gens = [x1 "," x2]; rels = [];', 19),
+    ('q = 3; gens = [x1, x2]; rels = ["x1^3" "," "x2^3"];', 40),
+])
+def test_quoted_comma_is_no_separator(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.bare_message, err.value.line, err.value.col) == (
+        "expected ']', found ','", 1, col)
 
 
 def test_parse_presentation_unknown_generator_positioned():
@@ -129,6 +156,10 @@ def test_literal_bound_counts_significant_digits():
     big = 2**63 - 1
     assert parse_word(f"x1^-{big:0>40}", NAMES) == Power(Generator(0), -big)
     assert parse_presentation("q = 0003; gens = [x]; rels = [];").q == 3
+    # more leading zeros than int() converts from a string
+    assert parse_presentation("q = " + "0" * 5000 + "3; gens = [x]; rels = [];").q == 3
+    assert parse_word("x1^" + "0" * 5000 + "3", NAMES) == Power(Generator(0), 3)
+    assert parse_word("x1^-" + "0" * 5000 + "1", NAMES) == Inverse(Generator(0))
 
 
 def _tokens_or_error(tokenize, text):
@@ -136,6 +167,29 @@ def _tokens_or_error(tokenize, text):
         return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
     except ParseError as exc:
         return exc.bare_message, exc.line, exc.col
+
+
+def _token_records(text):
+    """The scanner's plain-string tokens as token records: kind from the
+    first character, a string's text without its quotes, and positions
+    and the first token error placed as the error path places them."""
+    tokens = presentations._scan(text)
+    for i, tok in enumerate(tokens[:-1]):
+        message = presentations._token_error(tok)
+        if message:
+            raise ParseError(message, *presentations._position(text, i))
+    records = []
+    for i, tok in enumerate(tokens):
+        if tok == presentations._EOF:
+            kind, tok = "EOF", ""
+        elif tok[0] == '"':
+            kind, tok = "STRING", tok[1:-1]
+        elif tok[0].isalpha():
+            kind = "NAME"
+        else:
+            kind = "PUNCT" if len(tok) == 1 and tok in "=;,[]()^*" else "INT"
+        records.append(_Token(kind, tok, *presentations._position(text, i)))
+    return records
 
 
 # ASCII and other scripts' letters and digits ('²' and '٣' are digits to
@@ -153,8 +207,66 @@ TOKEN_TEXT = st.lists(st.one_of(
 @example('rels = ["x1\n"];')
 @example("q = 3;\r\n#\n")
 def test_tokenizer_matches_the_character_scanner(text):
-    assert (_tokens_or_error(presentations._tokenize, text)
-            == _tokens_or_error(scanned_tokens, text))
+    assert _tokens_or_error(_token_records, text) == _tokens_or_error(scanned_tokens, text)
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the error it raises."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return exc.bare_message, exc.line, exc.col
+    except PresentationError as exc:
+        return str(exc)
+
+
+# Pieces that the exit-code fuzz does not draw: comments, CRLF line ends,
+# the empty string, a lone quote and minus, digits and numerals int() or
+# the grammar reads differently, a name that starts with "_", 20-digit
+# and zero-padded literals, and the statement grammar's own tokens.
+ODD_PIECES = ["# c\n", "#", "\r\n", '""', '"', "-", "²", "٣", "Ⅷ", "_x", "9" * 20, "1" + "0" * 19,
+              "0" * 30 + "7", "-" + "0" * 25 + "1", "9" * 19, "-" + "9" * 19, " ", "\n", "x1", "^",
+              "q", "gens", "rels", "=", ";", ",", "[", "]", '","', '"x1"', '"x1 x2^2"']
+odd_soup = st.lists(st.sampled_from(ODD_PIECES), max_size=14).map("".join)
+parser_words = st.one_of(well_formed, token_soup, nested, odd_soup,
+                         st.tuples(well_formed, odd_soup, well_formed).map("".join))
+
+
+@st.composite
+def presentation_texts(draw):
+    """Presentation files, mostly well formed: statements in any order,
+    separators quoted or missing, now and then a statement left out or
+    doubled, odd pieces inserted, and three kinds of line end."""
+    q = draw(st.sampled_from(["2", "3", "9", "32", "6", "-3", "0" * 25 + "3", "9" * 20]))
+    sep = draw(st.sampled_from([", ", ",", " , ", '","', " "]))
+    gens = draw(st.lists(st.sampled_from(["x1", "x2", "x3"]), min_size=1, max_size=3))
+    rels = draw(st.lists(parser_words, max_size=3))
+    statements = [f"q = {q};", f"gens = [{sep.join(gens)}];",
+                  "rels = [" + sep.join(f'"{w}"' for w in rels) + "];"]
+    statements = draw(st.permutations(statements))
+    if draw(st.booleans()):
+        statements.insert(draw(st.integers(0, 3)), draw(odd_soup))
+    if draw(st.booleans()):
+        statements[draw(st.integers(0, 2))] = draw(st.sampled_from(statements + [""]))
+    return draw(st.sampled_from(["\n", "\r\n", "  # note\n"])).join(statements)
+
+
+@settings(max_examples=400, deadline=None)
+@given(parser_words)
+@example("x1 ^ " + "0" * 30 + "2")
+@example("[x1, x2 # comment")
+@example("x1 \"\"")
+def test_word_parser_matches_the_token_record_parser(text):
+    assert _outcome(parse_word, text, NAMES) == _outcome(token_parse_word, text, NAMES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentation_texts())
+@example('q = 3; gens = [x1 "," x2]; rels = [];')
+@example('q = 3; gens = [x1]; rels = [""];')
+@example('q = 3; gens = [x1]; rels = ["x1", "x1^²"]; _x')
+def test_presentation_parser_matches_the_token_record_parser(text):
+    assert _outcome(parse_presentation, text) == _outcome(token_parse_presentation, text)
 
 
 def free_reduce(text):
