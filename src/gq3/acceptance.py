@@ -324,14 +324,14 @@ def check_tame_symbol_isomorphisms(seed: int = 0) -> CheckResult:
             p, corr = preset_presentation(preset, q)
             report = galois_symbol_compare(preset, p, corr)
             if report.verdict != "isomorphic":
-                return False, f"comparison failed for ell={ell}, q={q}: {report.to_json()}"
+                return False, f"comparison failed for ell={ell}, q={q}: {report.to_json_dict()}"
         # when q exactly divides ell - 1 the relator exponent is q itself,
         # so the literal one-relator shape must also match
         preset = FieldPreset("tame_local", 7)
         literal = pres.make_presentation(3, ["x1", "x2"], ["x1^3 [x1,x2]"])
         report = galois_symbol_compare(preset, literal, {"u": "x1", "t": "x2"})
         if report.verdict != "isomorphic":
-            return False, f"literal x1^q[x1,x2] comparison failed: {report.to_json()}"
+            return False, f"literal x1^q[x1,x2] comparison failed: {report.to_json_dict()}"
         return True, (
             "ranks (2,1,0,0) and graded isomorphism for (5,2), (13,2), (7,3); "
             "relator exponent is the p-part of ell-1 (vanishing at this level "
@@ -377,7 +377,7 @@ def check_two_adic(seed: int = 0) -> CheckResult:
                 return False, f"diagonal rule mismatch on class {name}"
         report = galois_symbol_compare(preset, p, corr)
         if report.verdict != "isomorphic":
-            return False, f"dyadic comparison failed: {report.to_json()}"
+            return False, f"dyadic comparison failed: {report.to_json_dict()}"
         return True, (
             "(-1,-1) nontrivial; span stable at precisions 2^8 and 2^10; "
             "diagonal rule matches the symbol table"

@@ -43,6 +43,7 @@ from .milnor import (
 )
 from .presentations import ParseError, PresentationError, parse_labelled_word, parse_presentation
 from .trunc import (
+    TRIVIALITY_CLASS,
     MixedExponentError,
     abelianization,
     free_truncation,
@@ -386,7 +387,7 @@ COMMANDS = {
     ]),
     "equiv": (cmd_equiv, "relator independence report", [
         _arg("file"),
-        _arg("--class-bound", type=int, default=5),
+        _arg("--class-bound", type=int, default=TRIVIALITY_CLASS),
     ]),
     "morphism": (cmd_morphism, "check the isomorphism-condition equivalence", [
         _arg("source"),
@@ -397,7 +398,7 @@ COMMANDS = {
         _arg("file"),
         _arg("--cd", type=int, default=None, help="user-supplied cohomological dimension"),
         _arg("--torsion-free", action="store_true"),
-        _arg("--class-bound", type=int, default=5),
+        _arg("--class-bound", type=int, default=TRIVIALITY_CLASS),
     ]),
     "kmilnor": (cmd_kmilnor, "mod-q Milnor K-ring of a field preset", [
         _arg("--field", required=True, help="finite:ell | tame_local:ell | two_adic"),

@@ -27,12 +27,12 @@ the dependent one whose witness it words.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import presentations as pres
 from .freelie import MAX_GENERATORS, word_nontriviality_certificate
 from .trunc import (
+    TRIVIALITY_CLASS,
     CentralSubspace,
     MinimalityReport,
     TruncGroup,
@@ -72,7 +72,8 @@ class CohomologyData:
 
     cup[(k, l)] for k < l and bockstein[k] are coordinate vectors in the
     rank-h2_rank H^2 model.  The sign rule cup(l,k) = -cup(k,l) and the
-    diagonal rule cup(k,k) = kappa * bockstein(k) are implied, not stored.
+    diagonal rule cup(k,k) = kappa * bockstein(k) are implied, not stored,
+    and so are the invariant factors of H^2, which are read off the tables.
     """
 
     q: int
@@ -80,7 +81,6 @@ class CohomologyData:
     h2_rank: int
     cup: dict[tuple[int, int], tuple[int, ...]]
     bockstein: dict[int, tuple[int, ...]]
-    h2_divisors: tuple[int, ...] = ()
 
     def __post_init__(self):
         prime_power(self.q)
@@ -96,6 +96,11 @@ class CohomologyData:
     @property
     def kappa(self) -> int:
         return kappa_constant(self.q)
+
+    @property
+    def h2_divisors(self) -> tuple[int, ...]:
+        """Invariant factors of the row span of lambda_matrix."""
+        return invariant_factors(row_space(lambda_matrix(self)))
 
     def cup_entry(self, k: int, l: int) -> tuple[int, ...]:
         if k < l:
@@ -156,16 +161,15 @@ class CohomologyData:
         cd = CohomologyData(q, n, h2_rank, cup, bockstein)
         if "kappa" in data and _json_int(data["kappa"], "kappa") != cd.kappa:
             raise ValueError(f"kappa must be C(q,2) mod q = {cd.kappa}")
-        if "h2_divisors" not in data:
-            return cd
-        divisors = data["h2_divisors"]
-        if not isinstance(divisors, list):
-            raise ValueError("h2_divisors must be a list of integers")
-        want = invariant_factors(row_space(lambda_matrix(cd)))
-        if tuple(_json_int(x, "h2_divisors entry") for x in divisors) != want:
-            raise ValueError(f"h2_divisors must be {list(want)}, "
-                             "the invariant factors of the tables' row span")
-        return replace(cd, h2_divisors=want)
+        if "h2_divisors" in data:
+            divisors = data["h2_divisors"]
+            if not isinstance(divisors, list):
+                raise ValueError("h2_divisors must be a list of integers")
+            want = cd.h2_divisors
+            if tuple(_json_int(x, "h2_divisors entry") for x in divisors) != want:
+                raise ValueError(f"h2_divisors must be {list(want)}, "
+                                 "the invariant factors of the tables' row span")
+        return cd
 
 
 def _json_int(x, what: str) -> int:
@@ -217,7 +221,7 @@ def cohomology_data_from_subspace(w: CentralSubspace, n: int) -> CohomologyData:
     cup = {}
     for idx, (k, l) in enumerate(pair_list(n)):
         cup[(k, l)] = tuple(row[n + idx] for row in w.basis)
-    return CohomologyData(w.q, n, w.nrows, cup, bockstein, invariant_factors(w))
+    return CohomologyData(w.q, n, w.nrows, cup, bockstein)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +253,6 @@ class Report:
             **self.data,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def _sorted_relators(group: TruncGroup, relators: list[tuple]):
     """(relator, kind) for each relator of evaluate_relators, in order.  The
@@ -274,7 +275,7 @@ def _sorted_relators(group: TruncGroup, relators: list[tuple]):
 
 
 def check_relator_independence(
-    presentation: pres.Presentation, certificate_class: int = 5
+    presentation: pres.Presentation, certificate_class: int = TRIVIALITY_CLASS
 ) -> Report:
     """Per-relator independence of the images in the central layer.
 
@@ -454,7 +455,7 @@ def obstruction_screen(
     presentation: pres.Presentation,
     cd_bound: int | None = None,
     torsion_free: bool = False,
-    certificate_class: int = 5,
+    certificate_class: int = TRIVIALITY_CLASS,
 ) -> Report:
     """Screen a pro-p presentation against the known obstructions to
     being a maximal pro-p Galois group (prime modulus only).

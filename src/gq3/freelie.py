@@ -22,8 +22,9 @@ less both bounds.  A power x^e or w^e enters as the binomial series
 sum_j C(e, j) X^j, never by writing its base out e times.
 
 tensor_to_hall writes a component on the Hall basis, a Z-basis of the
-Lie ring in each weight, by exact solving.  No certificate calls it;
-the tests use it to check that each component is an integral Lie element.
+Lie ring in each weight, by exact solving, one solve per letter content
+of the component.  No certificate calls it; the tests use it to check
+that each component is an integral Lie element.
 """
 
 from __future__ import annotations
@@ -348,33 +349,23 @@ def tensor_to_hall(component: Tensor, n: int, m: int) -> LieElement:
 
     Hall elements and their expansions are homogeneous in each generator,
     so the component splits by letter content, and each part is solved
-    on the Hall elements of its content alone.  A monotone relabelling of
-    the letters keeps the Hall order and the order of monomials, so the
-    contents with the same multiplicities share one elimination, made on
-    the letters 0..k-1.  Raises if the component is not in the integer
-    span, which would mean the input was not the graded image of a group
-    element.
+    on the Hall elements of its content alone.  Raises if the component
+    is not in the integer span, which would mean the input was not the
+    graded image of a group element.
     """
     check_generator_count(n)
     parts: dict[tuple[int, ...], Tensor] = {}
     for mon, x in component.items():
         parts.setdefault(tuple(sorted(mon)), {})[mon] = x
     memo: dict = {}
-    solvers: dict[tuple[int, ...], tuple[list[HallElement], dict]] = {}
     out: LieElement = {}
     for content, part in parts.items():
         if len(content) != m:
             raise ArithmeticError("component outside the Lie span")
-        letters = sorted(set(content))
-        mults = tuple(content.count(g) for g in letters)
-        if mults not in solvers:
-            basis = hall_elements(tuple(i for i, k in enumerate(mults) for _ in range(k)), memo)
-            solvers[mults] = basis, _echelon([tensor_expansion(h) for h in basis])
-        basis, pivots = solvers[mults]
-        local = {g: i for i, g in enumerate(letters)}
-        target = {tuple(local[g] for g in mon): x for mon, x in part.items()}
-        for i, x in _coordinates(pivots, target).items():
-            out[_relabel(basis[i], letters)] = x
+        basis = hall_elements(content, memo)
+        pivots = _echelon([tensor_expansion(h) for h in basis])
+        for i, x in _coordinates(pivots, part).items():
+            out[basis[i]] = x
     return dict(sorted(out.items(), key=lambda item: item[0].sort_key()))
 
 
@@ -423,12 +414,6 @@ def _coordinates(pivots: dict, target: Tensor) -> dict[int, int]:
         _add(rest, piv[0], -f)
         _add(coeffs, piv[1], f)
     return coeffs
-
-
-def _relabel(h: HallElement, labels: Sequence[int]) -> HallElement:
-    if h.is_generator():
-        return generator(labels[h.index])
-    return bracket_node(_relabel(h.left, labels), _relabel(h.right, labels))
 
 
 def word_nontriviality_certificate(

@@ -303,8 +303,6 @@ class Presentation:
     """Data of 1 -> R -> S -> G -> 1: modulus, generators, relators."""
 
     q: int
-    p: int
-    d: int
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     relator_sources: tuple[str, ...]
@@ -319,7 +317,7 @@ class Presentation:
 
 def make_presentation(q: int, generators: Sequence[str], relator_texts: Sequence[str]) -> Presentation:
     try:
-        p, d = prime_power(q)
+        prime_power(q)
     except ValueError as exc:
         raise PresentationError(str(exc)) from None
     gens = tuple(generators)
@@ -331,7 +329,7 @@ def make_presentation(q: int, generators: Sequence[str], relator_texts: Sequence
     name_to_index = {name: k for k, name in enumerate(gens)}
     relators = tuple(parse_labelled_word(text, name_to_index, f"in relator {i + 1}")
                      for i, text in enumerate(relator_texts))
-    return Presentation(q, p, d, gens, relators, tuple(relator_texts))
+    return Presentation(q, gens, relators, tuple(relator_texts))
 
 
 def parse_word(text: str, ctx: Presentation | dict[str, int]) -> Word:

@@ -58,7 +58,8 @@ class MixedExponentError(ValueError):
     """
 
 
-# a relator trivial in S^[3] is kept if certified nontrivial up to this class
+# The one default class bound of certificates: a relator trivial in S^[3] is
+# kept if certified nontrivial up to it, and equiv and screen certify at it.
 TRIVIALITY_CLASS = 5
 
 

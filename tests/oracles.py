@@ -515,7 +515,7 @@ def token_parse_presentation(text):
     if gens is None:
         raise ParseError("missing 'gens' statement", 1, 1)
     try:
-        p, d = prime_power(q)
+        prime_power(q)
     except ValueError as exc:
         raise PresentationError(str(exc)) from None
     if len(set(gens)) != len(gens):
@@ -530,7 +530,7 @@ def token_parse_presentation(text):
             quoted = repr(rel) if len(rel) <= 40 else repr(rel[:40]) + "..."
             raise ParseError(f"in relator {i + 1} ({quoted}): {exc.bare_message}",
                              exc.line, exc.col) from None
-    return Presentation(q, p, d, tuple(gens), tuple(relators), tuple(rel_texts or []))
+    return Presentation(q, tuple(gens), tuple(relators), tuple(rel_texts or []))
 
 
 # ---------------------------------------------------------------------------

@@ -266,13 +266,15 @@ def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatc
     import gq3.cli
     import gq3.cohom
 
-    calls = []
+    calls, factors = [], []
     count_calls(monkeypatch, calls, gq3.cli, "relator_subspace")
     count_calls(monkeypatch, calls, gq3.cohom, "relator_subspace")
+    count_calls(monkeypatch, factors, gq3.cohom, "invariant_factors")
     code, out, _ = run_cli(capsys, "reconstruct", tame_file)
     assert code == 0
     assert json.loads(out)["round_trip_equal"] is True
     assert len(calls) == 1
+    assert factors == []  # no report of reconstruct FILE prints H^2's divisors
 
 
 # every relator differs from the others and from their subwords, so the

@@ -39,6 +39,7 @@ from oracles import (
     eager_relator_independence,
     eliminated_decomposable_part_lift,
     group_law_layer_columns,
+    pivot_scan_smith_diagonal,
     pretty,
     substitute,
 )
@@ -161,8 +162,8 @@ def random_central_relator(rng, n, q, names):
     return " ".join(parts)
 
 
-@pytest.mark.parametrize("q", RANDOM_MODULI)
-def test_round_trip_random_presentations(q):
+def random_central_presentations(q):
+    """60 seeded presentations on 1..4 generators with central relators."""
     rng = random.Random(q * 23)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -172,11 +173,39 @@ def test_round_trip_random_presentations(q):
             text = random_central_relator(rng, n, q, names)
             if text:
                 rels.append(text)
-        p = make_presentation(q, names, rels)
+        yield make_presentation(q, names, rels)
+
+
+@pytest.mark.parametrize("q", RANDOM_MODULI)
+def test_round_trip_random_presentations(q):
+    for p in random_central_presentations(q):
         w, report = relator_subspace(p)
         assert report.minimal
         cd, _ = cohomology_data_from_presentation(p)
         assert reconstruct_g3(cd).w == w
+
+
+def test_h2_divisors_are_read_off_the_tables():
+    """The invariant factors of H^2 are those of the tables' row span,
+    whether the JSON gives them or not."""
+    tables = {"q": 2, "n": 1, "h2_rank": 1, "bockstein": {"1": [1]}}
+    bare = CohomologyData.from_json_dict(tables)
+    assert bare.to_json_dict()["h2_divisors"] == [2]
+    assert CohomologyData.from_json_dict({**tables, "h2_divisors": [2]}) == bare
+
+
+@pytest.mark.parametrize("q", RANDOM_MODULI)
+def test_cohomology_tables_round_trip_through_json(q):
+    """The printed divisors match a Smith diagonal of the tables, and the
+    printed tables parse back to the same data, with or without them."""
+    for p in random_central_presentations(q):
+        cd, _ = cohomology_data_from_presentation(p)
+        data = cd.to_json_dict()
+        diag = pivot_scan_smith_diagonal(lambda_matrix(cd))
+        assert data["h2_divisors"] == [q // x for x in diag if x]
+        assert CohomologyData.from_json_dict(data) == cd
+        del data["h2_divisors"]
+        assert CohomologyData.from_json_dict(data) == cd
 
 
 # ---------------------------------------------------------------------------

@@ -556,7 +556,7 @@ def test_galois_compare_tame_examples():
         preset = FieldPreset("tame_local", ell)
         p, corr = preset_presentation(preset, q)
         report = galois_symbol_compare(preset, p, corr)
-        assert report.verdict == "isomorphic", (ell, q, report.to_json())
+        assert report.verdict == "isomorphic", (ell, q, report.to_json_dict())
         assert report.data["degree_ranks_field"] == [2, 1, 0, 0]
 
 
@@ -586,7 +586,7 @@ def test_two_adic_matched_presentation_consistent():
     preset = FieldPreset("two_adic")
     p, corr = preset_presentation(preset, 2)
     report = galois_symbol_compare(preset, p, corr)
-    assert report.verdict == "isomorphic", report.to_json()
+    assert report.verdict == "isomorphic", report.to_json_dict()
 
 
 @pytest.mark.parametrize("argv, hulls", [

@@ -32,7 +32,7 @@ NAMES = {"x1": 0, "x2": 1, "x3": 2}
 
 def test_parse_presentation_basic():
     pres = parse_presentation('q=2; gens=[x1,x2]; rels=["x1^2"];')
-    assert pres.q == 2 and pres.p == 2 and pres.d == 1
+    assert pres.q == 2
     assert pres.n == 2
     assert len(pres.relators) == 1
     assert pres.relators[0] == Power(Generator(0), 2)
