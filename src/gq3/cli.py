@@ -29,7 +29,6 @@ from .cohom import (
     MorphismError,
     check_relator_independence,
     cohomology_data_from_presentation,
-    cohomology_data_from_subspace,
     morphism_check,
     obstruction_screen,
     reconstruct_g3,
@@ -211,7 +210,7 @@ def cmd_reconstruct(args) -> int:
 
     p = _load_presentation(args.file)
     w, report = relator_subspace(p)
-    group = reconstruct_g3(cohomology_data_from_subspace(w, len(report.kept_indices)))
+    group = reconstruct_g3(CohomologyData(w.q, len(report.kept), w.basis))
     equal = group.w == w
     payload = {
         "command": "reconstruct",
@@ -437,11 +436,6 @@ def _tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
             command.add_argument(*flags, **kwargs)
         command.set_defaults(func=handler)
     return parser, commands
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The root of the tree: its options and every subcommand."""
-    return _tree()[0]
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:

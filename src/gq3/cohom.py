@@ -7,10 +7,12 @@ its elements are linear functionals on that subgroup, coordinatized
 against the canonical basis of the relator subspace.
 
 The combined cup/Bockstein map out of the dual central layer has the
-relator pairing matrix as its matrix; its kernel annihilates exactly
-the relator subspace, so by Z/q duality that subspace is its row span,
-which is what makes the quotient reconstructible from the tables alone
-(reconstruct_g3).
+relator pairing matrix lambda as its matrix: the basis rows of the
+relator subspace are its rows, and CohomologyData stores that one table,
+reading the cup and Bockstein tables off its columns.  Its kernel
+annihilates exactly the relator subspace, so by Z/q duality that
+subspace is its row span, which is what makes the quotient
+reconstructible from the tables alone (reconstruct_g3).
 
 A morphism given by degree-1 images acts on the free central layers
 as the Z/q-linear map L whose columns trunc.layer_map gives in closed
@@ -33,7 +35,6 @@ from . import presentations as pres
 from .freelie import MAX_GENERATORS, word_nontriviality_certificate
 from .trunc import (
     TRIVIALITY_CLASS,
-    CentralSubspace,
     MinimalityReport,
     TruncGroup,
     evaluate_relators,
@@ -68,30 +69,28 @@ class HypothesisViolation(ValueError):
 
 @dataclass(frozen=True)
 class CohomologyData:
-    """Tables of H^1/H^2 data: ranks, cup products, and Bockstein values.
+    """The H^1/H^2 tables as one table: the rows of lambda_matrix.
 
-    cup[(k, l)] for k < l and bockstein[k] are coordinate vectors in the
-    rank-h2_rank H^2 model.  The sign rule cup(l,k) = -cup(k,l) and the
-    diagonal rule cup(k,k) = kappa * bockstein(k) are implied, not stored,
-    and so are the invariant factors of H^2, which are read off the tables.
+    rows holds one row over Z/q per coordinate of the rank-h2_rank H^2
+    model: the n Bockstein columns, then one cup column per pair k < l of
+    pair_list(n).  The sign rule cup(l,k) = -cup(k,l) and the diagonal
+    rule cup(k,k) = kappa * bockstein(k) are implied, not stored, and so
+    are the invariant factors of H^2, which are read off the rows.
     """
 
     q: int
     n: int
-    h2_rank: int
-    cup: dict[tuple[int, int], tuple[int, ...]]
-    bockstein: dict[int, tuple[int, ...]]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         prime_power(self.q)
-        for k in range(self.n):
-            vec = self.bockstein.get(k)
-            if vec is None or len(vec) != self.h2_rank:
-                raise ValueError(f"bockstein table missing or malformed at {k}")
-        for k, l in pair_list(self.n):
-            vec = self.cup.get((k, l))
-            if vec is None or len(vec) != self.h2_rank:
-                raise ValueError(f"cup table missing or malformed at ({k},{l})")
+        width = self.n + len(pair_list(self.n))
+        if any(len(row) != width for row in self.rows):
+            raise ValueError(f"table rows must have n + C(n,2) = {width} entries")
+
+    @property
+    def h2_rank(self) -> int:
+        return len(self.rows)
 
     @property
     def kappa(self) -> int:
@@ -103,20 +102,22 @@ class CohomologyData:
         return invariant_factors(row_space(lambda_matrix(self)))
 
     def cup_entry(self, k: int, l: int) -> tuple[int, ...]:
-        if k < l:
-            return self.cup[(k, l)]
-        if k > l:
-            return tuple((-x) % self.q for x in self.cup[(l, k)])
-        return tuple((self.kappa * x) % self.q for x in self.bockstein[k])
+        if k == l:
+            return tuple((self.kappa * row[k]) % self.q for row in self.rows)
+        col = self.n + pair_list(self.n).index((min(k, l), max(k, l)))
+        sign = 1 if k < l else -1
+        return tuple((sign * row[col]) % self.q for row in self.rows)
 
     def to_json_dict(self) -> dict:
+        n = self.n
+        columns = [[row[j] for row in self.rows] for j in range(n + len(pair_list(n)))]
         return {
             "q": self.q,
-            "n": self.n,
+            "n": n,
             "h2_rank": self.h2_rank,
             "h2_divisors": list(self.h2_divisors),
-            "cup": {f"{k + 1},{l + 1}": list(v) for (k, l), v in sorted(self.cup.items())},
-            "bockstein": {str(k + 1): list(v) for k, v in sorted(self.bockstein.items())},
+            "cup": {f"{k + 1},{l + 1}": col for (k, l), col in zip(pair_list(n), columns[n:])},
+            "bockstein": {str(k + 1): col for k, col in enumerate(columns[:n])},
             "kappa": self.kappa,
         }
 
@@ -142,23 +143,23 @@ class CohomologyData:
             raise ValueError(f"n = {n} outside 0..{MAX_GENERATORS}")
         if not 0 <= h2_rank <= MAX_AMBIENT:
             raise ValueError(f"h2_rank = {h2_rank} outside 0..{MAX_AMBIENT}")
+        rows = [[0] * (n + len(pair_list(n))) for _ in range(h2_rank)]
 
-        def read_table(name: str, keys: dict) -> dict:
+        def read_columns(name: str, keys: dict):
             table = data.get(name, {})
             if not isinstance(table, dict):
                 raise ValueError(f"{name} table must be a JSON object")
-            out = dict.fromkeys(keys.values(), (0,) * h2_rank)
             for key, vec in table.items():
                 if key not in keys:
                     raise ValueError(f"{name} key {key!r} out of range for n = {n}")
                 if not isinstance(vec, list) or len(vec) != h2_rank:
                     raise ValueError(f"{name}[{key!r}] must be a list of {h2_rank} integers")
-                out[keys[key]] = tuple(_json_int(x, f"{name}[{key!r}] entry") % q for x in vec)
-            return out
+                for row, x in zip(rows, vec):
+                    row[keys[key]] = _json_int(x, f"{name}[{key!r}] entry") % q
 
-        cup = read_table("cup", {f"{k + 1},{l + 1}": (k, l) for k, l in pair_list(n)})
-        bockstein = read_table("bockstein", {str(k + 1): k for k in range(n)})
-        cd = CohomologyData(q, n, h2_rank, cup, bockstein)
+        read_columns("cup", {f"{k + 1},{l + 1}": n + i for i, (k, l) in enumerate(pair_list(n))})
+        read_columns("bockstein", {str(k + 1): k for k in range(n)})
+        cd = CohomologyData(q, n, tuple(map(tuple, rows)))
         if "kappa" in data and _json_int(data["kappa"], "kappa") != cd.kappa:
             raise ValueError(f"kappa must be C(q,2) mod q = {cd.kappa}")
         if "h2_divisors" in data:
@@ -186,10 +187,7 @@ def lambda_matrix(cd: CohomologyData) -> ZqMatrix:
     Bockstein columns, then one cup column per pair (k,l), k < l.  The
     kernel of this matrix is the kernel of the map to H^2.
     """
-    cols = [cd.bockstein[k] for k in range(cd.n)]
-    cols += [cd.cup[(k, l)] for k, l in pair_list(cd.n)]
-    rows = [tuple(col[i] for col in cols) for i in range(cd.h2_rank)]
-    return ZqMatrix.from_rows(cd.q, rows, len(cols))
+    return ZqMatrix.from_rows(cd.q, cd.rows, cd.n + len(pair_list(cd.n)))
 
 
 def reconstruct_g3(cd: CohomologyData) -> TruncGroup:
@@ -207,21 +205,12 @@ def cohomology_data_from_presentation(
     """Extract the H^1/H^2 tables of the presented group.
 
     The presentation is minimized first; the H^2 model is coordinatized
-    against the canonical basis of the relator subspace, so bockstein(k)
-    reads off the sigma_k^q-coordinates of the basis rows and cup(k,l)
-    the commutator coordinates.
+    against the canonical basis of the relator subspace, whose rows are
+    the rows of the tables: bockstein(k) reads off their sigma_k^q
+    coordinates and cup(k,l) their commutator coordinates.
     """
     w, report = relator_subspace(presentation)
-    return cohomology_data_from_subspace(w, len(report.kept_indices)), report
-
-
-def cohomology_data_from_subspace(w: CentralSubspace, n: int) -> CohomologyData:
-    """The H^1/H^2 tables of S^[3]/w on n generators, against the basis of w."""
-    bockstein = {k: tuple(row[k] for row in w.basis) for k in range(n)}
-    cup = {}
-    for idx, (k, l) in enumerate(pair_list(n)):
-        cup[(k, l)] = tuple(row[n + idx] for row in w.basis)
-    return CohomologyData(w.q, n, w.nrows, cup, bockstein)
+    return CohomologyData(w.q, len(report.kept), w.basis), report
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +275,20 @@ def check_relator_independence(
     recorded as an assumption rather than verified.
     """
     group, relators = evaluate_relators(presentation, certificate_class)
+    p = prime_power(group.q)[0]
     outcomes = []
-    for i, ((source, _, _, cert), kind) in enumerate(_sorted_relators(group, relators)):
+    for i, ((source, _, y, cert), kind) in enumerate(_sorted_relators(group, relators)):
         if kind == "independent":
             outcomes.append(TestOutcome(f"relator[{i}] independent", "passed"))
             continue
         status = "triggered"
-        if kind == "non-central":
+        if kind == "non-central" and any(x % p for x in y.e):
             test, witness = "frattini", "has nonzero degree-1 image: presentation not minimal"
+        elif kind == "non-central":
+            # a p-divisible image lies in the Frattini subgroup: the
+            # presentation is minimal, but the relator is not central
+            test = "non-central"
+            witness = "has p-divisible nonzero degree-1 image: not central in S^[3]"
         elif kind == "zero":
             test = "zero-image"
             witness = f"is nontrivial (weight {cert[0]}) but lands in the third term of the series"

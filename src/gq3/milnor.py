@@ -117,10 +117,6 @@ def _check_degree_bound(r_max: int):
         raise ValueError(f"degree bound {r_max} outside 2..{MAX_DEGREE}")
 
 
-def _monomials(m: int, r: int):
-    return itertools.product(range(m), repeat=r)
-
-
 def quadratic_hull(
     q: int,
     a1_rank: int,
@@ -153,8 +149,9 @@ def quadratic_hull(
         rows = set()  # a relation repeats across slot pairs and fills
         for i, j in itertools.combinations(range(r), 2):
             rest = [r - 1 - s for s in range(r) if s not in (i, j)]
-            offsets = [a * m ** (r - 1 - i) + b * m ** (r - 1 - j) for a, b in _monomials(m, 2)]
-            for fill in _monomials(m, r - 2):
+            offsets = [a * m ** (r - 1 - i) + b * m ** (r - 1 - j)
+                       for a in range(m) for b in range(m)]
+            for fill in itertools.product(range(m), repeat=r - 2):
                 base = sum(g * m**e for g, e in zip(fill, rest))
                 positions = [base + o for o in offsets]
                 for nonzero in entries:

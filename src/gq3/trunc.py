@@ -45,9 +45,6 @@ from .zqlin import (
     zero_subspace,
 )
 
-CentralSubspace = ZqSubspace
-
-
 class MixedExponentError(ValueError):
     """Relator images are p-divisible but nonzero in the degree-1 layer.
 
@@ -144,7 +141,7 @@ class TruncGroup:
 
     n: int
     q: int
-    w: CentralSubspace
+    w: ZqSubspace
 
     def __post_init__(self):
         p, d = prime_power(self.q)
@@ -277,7 +274,6 @@ class MinimalityReport:
     minimal: bool
     eliminated: tuple[tuple[str, str], ...]  # (generator name, pivot relator)
     kept: tuple[str, ...]
-    kept_indices: tuple[int, ...]
     dropped_trivial: tuple[str, ...]
     warnings: tuple[str, ...]
     images: tuple[TruncElement, ...]  # free S^[3] image of every relator, in order
@@ -301,7 +297,7 @@ def evaluate_relators(presentation: pres.Presentation, certificate_class: int):
 
 def relator_subspace(
     presentation: pres.Presentation,
-) -> tuple[CentralSubspace, MinimalityReport]:
+) -> tuple[ZqSubspace, MinimalityReport]:
     """Span of the relator images in the central layer, after minimization.
 
     Relators whose image already lies in the Frattini subgroup contribute
@@ -380,7 +376,7 @@ def relator_subspace(
 
     big_span = canonicalize(q, group.layer_rank, central_rows)
 
-    kept_indices = tuple(k for k in range(n) if k not in pivot_cols)
+    kept_indices = [k for k in range(n) if k not in pivot_cols]
     eliminated = tuple(
         (presentation.generators[col], sources[i])
         for i, col in sorted(pivot_of_row.items(), key=lambda kv: kv[1])
@@ -391,9 +387,9 @@ def relator_subspace(
         # Restrict the central span to the coordinates of the kept generators:
         # the part of it that vanishes on the eliminated ones is exactly what
         # the relator subgroup meets of the smaller free truncation.
-        kept_set = set(kept_indices)
-        kept_coords = [k for k in range(n) if k in kept_set] + [
-            n + idx for idx, (k, l) in enumerate(group.pairs) if k in kept_set and l in kept_set
+        kept_coords = kept_indices + [
+            n + idx for idx, (k, l) in enumerate(group.pairs)
+            if k not in pivot_cols and l not in pivot_cols
         ]
         dropped_coords = [c for c in range(group.layer_rank) if c not in kept_coords]
         columns = dropped_coords + kept_coords
@@ -414,7 +410,6 @@ def relator_subspace(
         minimal=not pivot_cols,
         eliminated=eliminated,
         kept=tuple(presentation.generators[k] for k in kept_indices),
-        kept_indices=kept_indices,
         dropped_trivial=tuple(dropped),
         warnings=warnings
         + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
@@ -426,8 +421,7 @@ def relator_subspace(
 def truncated_quotient(presentation: pres.Presentation) -> tuple[TruncGroup, MinimalityReport]:
     """G^[3] for a finitely presented pro-p group, with the minimality log."""
     w, report = relator_subspace(presentation)
-    n2 = len(report.kept_indices)
-    return TruncGroup(n2, presentation.q, w), report
+    return TruncGroup(len(report.kept), presentation.q, w), report
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ scanning, build central elements, raise powers and take commutators
 by repeated products, build generators and evaluate words one group
 operation per node, build the layer map of a morphism through the group
 law, form the lift of the decomposable part of H^2 by one Howell form
-over the whole layer, substitute words into words, compute word
+over the whole layer, keep the cohomology tables as cup and Bockstein
+dicts and transpose them into lambda's rows, compute the coboundaries
+among the Bockstein and cup cocycles on the elements of a finite G^[3]
+and the null space of printed tables by enumeration, substitute words
+into words, compute word
 certificates the direct way, solve the engine's certificates on the Hall
 basis, sweep the Steinberg
 relations of the finite and tame presets over every unit through a full
@@ -219,6 +223,143 @@ def eliminated_decomposable_part_lift(q, n, ann):
     rows = [[(kappa if i < n else 1) * (i == j) for j in range(layer_rank)]
             for i in range(layer_rank)]
     return canonicalize(q, layer_rank, rows + list(ann.basis))
+
+
+@dataclass(frozen=True)
+class DictCohomologyTables:
+    """The cohomology tables as two dicts: cup[(k, l)] for k < l and
+    bockstein[k], each a vector in the rank-h2_rank H^2 model."""
+
+    q: int
+    n: int
+    h2_rank: int
+    cup: dict
+    bockstein: dict
+
+    @staticmethod
+    def from_json_dict(data):
+        """Valid tables in the cohomology report layout; absent entries are zero."""
+        q, n, h2_rank = data["q"], data["n"], data["h2_rank"]
+
+        def column(name, key):
+            return tuple(x % q for x in data.get(name, {}).get(key, [0] * h2_rank))
+
+        cup = {(k, l): column("cup", f"{k + 1},{l + 1}") for k, l in pair_list(n)}
+        bockstein = {k: column("bockstein", str(k + 1)) for k in range(n)}
+        return DictCohomologyTables(q, n, h2_rank, cup, bockstein)
+
+    @property
+    def kappa(self):
+        return kappa_constant(self.q)
+
+    def cup_entry(self, k, l):
+        if k < l:
+            return self.cup[(k, l)]
+        if k > l:
+            return tuple((-x) % self.q for x in self.cup[(l, k)])
+        return tuple((self.kappa * x) % self.q for x in self.bockstein[k])
+
+    def to_json_dict(self):
+        return {
+            "q": self.q,
+            "n": self.n,
+            "h2_rank": self.h2_rank,
+            "h2_divisors": list(invariant_factors(row_space(dict_lambda_matrix(self)))),
+            "cup": {f"{k + 1},{l + 1}": list(v) for (k, l), v in sorted(self.cup.items())},
+            "bockstein": {str(k + 1): list(v) for k, v in sorted(self.bockstein.items())},
+            "kappa": self.kappa,
+        }
+
+
+def dict_lambda_matrix(cd):
+    """lambda's rows, by transposing the Bockstein columns, then the cup
+    columns in pair order."""
+    cols = [cd.bockstein[k] for k in range(cd.n)]
+    cols += [cd.cup[(k, l)] for k, l in pair_list(cd.n)]
+    rows = [tuple(col[i] for col in cols) for i in range(cd.h2_rank)]
+    return ZqMatrix.from_rows(cd.q, rows, len(cols))
+
+
+def table_null_space(tables):
+    """Every (b | c) in the dual central layer that the printed tables send
+    to zero: sum_k b_k bockstein[k] + sum_{k<l} c_kl cup[(k, l)] = 0."""
+    q, n, h2_rank = tables["q"], tables["n"], tables["h2_rank"]
+    columns = [tables["bockstein"][str(k + 1)] for k in range(n)]
+    columns += [tables["cup"][f"{k + 1},{l + 1}"] for k, l in pair_list(n)]
+    return {v for v in itertools.product(range(q), repeat=len(columns))
+            if all(sum(x * col[i] for x, col in zip(v, columns)) % q == 0
+                   for i in range(h2_rank))}
+
+
+def coboundary_classes(presentation):
+    """(|G|, the (b | c) for which sum_k b_k beta_k + sum_{k<l} c_kl
+    chi_k cup chi_l is a coboundary on G), where G is S^[3] modulo the
+    subgroup N generated by the relator images, which must be central.
+
+    chi_k(g) is g's degree-1 exponent mod q, L_k(g) its lift to 0..q-1,
+    beta_k(g, h) = (L_k(g) + L_k(h) - L_k(gh)) / q the Bockstein cocycle and
+    (chi_k cup chi_l)(g, h) = chi_k(g) chi_l(h).  A normalized cocycle Z is
+    the coboundary of f exactly when f(gs) = f(g) + f(s) - Z(g, s) for every
+    g and every generator s, which is linear in the unknowns
+    (b, c, f(s_1), ..., f(s_n)): one walk over G writes f(g) as a linear
+    form in them and collects an equation per edge off the walk's tree,
+    and every assignment of the unknowns is tried.  An element of S^[3] is
+    x = (e mod q, 0) * u with u central, and multiplying by N moves only
+    u, so G's elements are keyed by (e mod q, least vector of u's coset).
+    """
+    q, n = presentation.q, presentation.n
+    free = free_truncation(n, q)
+    layer_rank, pairs = free.layer_rank, free.pairs
+    vectors = []
+    for word in presentation.relators:
+        y = node_by_node_evaluation(free, word)
+        if not free.is_central(y):
+            raise ValueError("relator image is not central")
+        vectors.append(free.central_vector(y))
+    span, frontier = {(0,) * layer_rank}, [(0,) * layer_rank]
+    while frontier:
+        u = frontier.pop()
+        for v in vectors:
+            w = tuple((a + b) % q for a, b in zip(u, v))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    least = {}
+    for u in itertools.product(range(q), repeat=layer_rank):
+        if u not in least:
+            for v in span:
+                least[tuple((a + b) % q for a, b in zip(u, v))] = u
+
+    def key(x):
+        return tuple(a % q for a in x.e), least[tuple(a // q for a in x.e) + x.c]
+
+    unknowns = layer_rank + n
+    gens = [generator_element(free, s) for s in range(n)]
+    start = free.identity()
+    forms = {key(start): (0,) * unknowns}
+    queue, equations = [start], set()
+    for g in queue:
+        chi, form = key(g)[0], forms[key(g)]
+        for s, gen in enumerate(gens):
+            h = free.multiply(g, gen)
+            chi_h = key(h)[0]
+            # -Z(g, s): the Bockstein carries and the cup values chi_k(g) chi_l(s)
+            minus_z = [-((chi[k] + (k == s) - chi_h[k]) // q) for k in range(n)]
+            minus_z += [-chi[k] * (l == s) for k, l in pairs]
+            step = [a + b for a, b in zip(form, minus_z + [int(t == s) for t in range(n)])]
+            step = tuple(x % q for x in step)
+            if key(h) not in forms:
+                forms[key(h)] = step
+                queue.append(h)
+            else:
+                equations.add(tuple((a - b) % q for a, b in zip(step, forms[key(h)])))
+    equations.discard((0,) * unknowns)
+    coboundaries = set()
+    for u in itertools.product(range(q), repeat=unknowns):
+        if u[:layer_rank] not in coboundaries and all(
+                sum(a * x for a, x in zip(eq, u)) % q == 0 for eq in equations):
+            coboundaries.add(u[:layer_rank])
+    return len(forms), coboundaries
 
 
 def group_law_layer_columns(images, target):
@@ -806,7 +947,14 @@ def eager_relator_independence(presentation, certificate_class=5):
     infos = _certified_images(group, presentation, certificate_class)
     vectors = [group.central_vector(y) if group.is_central(y) else None for _, y, _ in infos]
     failed = False
-    for i, (vec, (source, _, cert)) in enumerate(zip(vectors, infos)):
+    p = prime_power(q)[0]
+    for i, (vec, (source, y, cert)) in enumerate(zip(vectors, infos)):
+        if vec is None and all(x % p == 0 for x in y.e):
+            outcomes.append(TestOutcome(
+                f"relator[{i}] non-central", "triggered",
+                f"{source!r} has p-divisible nonzero degree-1 image: not central in S^[3]"))
+            failed = True
+            continue
         if vec is None:
             outcomes.append(TestOutcome(
                 f"relator[{i}] frattini", "triggered",

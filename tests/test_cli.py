@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import gq3
 from gq3.cli import _write, main
+from gq3.presentations import parse_presentation
+from oracles import eager_relator_independence
 
 TAME = 'q = 3;\ngens = [x1, x2];\nrels = ["x1^3 [x1,x2]"];\n'
 FREE = "q = 2;\ngens = [x1, x2];\nrels = [];\n"
@@ -505,6 +507,26 @@ def test_equiv_flags_dependency(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "equiv", str(path))
     assert code == 1
     assert json.loads(out)["verdict"] == "condition-failed"
+
+
+@pytest.mark.parametrize("relator, test, witness", [
+    ("a^2", "non-central", "'a^2' has p-divisible nonzero degree-1 image: not central in S^[3]"),
+    ("a^6 b^4", "non-central",
+     "'a^6 b^4' has p-divisible nonzero degree-1 image: not central in S^[3]"),
+    ("a^2 b", "frattini", "'a^2 b' has nonzero degree-1 image: presentation not minimal"),
+], ids=["p-divisible", "p-divisible-two-letters", "unit"])
+def test_equiv_names_a_p_divisible_image_non_central(relator, test, witness, tmp_path, capsys):
+    """A p-divisible degree-1 image lies in the Frattini subgroup, so it does
+    not make the presentation non-minimal; only a unit coefficient does."""
+    path = tmp_path / "rel.pres"
+    path.write_text(f'q = 4;\ngens = [a, b];\nrels = ["{relator}"];\n')
+    code, out, _ = run_cli(capsys, "equiv", str(path))
+    assert code == 1
+    data = json.loads(out)
+    assert data["tests"] == [{"name": f"relator[0] {test}", "status": "triggered",
+                              "witness": witness}]
+    assert data["tests"] == eager_relator_independence(
+        parse_presentation(path.read_text())).to_json_dict()["tests"]
 
 
 def test_morphism_identity(tame_file, capsys):

@@ -1,8 +1,8 @@
 """Direct subcommand dispatch agrees with the root of the argparse tree.
 
 ``cli.parse_args`` hands the arguments after a known command to that
-command's subparser, and anything else to the root,
-``cli.build_parser()``.  On every argv the two give the same namespace
+command's subparser, and anything else to the root of the tree,
+``cli._tree()[0]``.  On every argv the two give the same namespace
 (``command`` aside, which direct dispatch omits), or the same exit code,
 stdout and stderr.
 """
@@ -36,7 +36,7 @@ def _outcome(parse, argv):
 def _assert_agree(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     fast = _outcome(cli.parse_args, argv)
-    full = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    full = _outcome(lambda a: cli._tree()[0].parse_args(a), argv)
     assert fast == full
 
 

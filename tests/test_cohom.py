@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gq3.cli import main
 from gq3.cohom import (
     CohomologyData,
     HypothesisViolation,
@@ -24,17 +30,22 @@ from gq3.presentations import (
     Power,
     Product,
     make_presentation,
+    parse_presentation,
     parse_word,
 )
 from gq3.trunc import (
     TruncElement,
     free_truncation,
     layer_map,
+    pair_list,
     relator_subspace,
     truncated_quotient,
 )
 from gq3.zqlin import annihilator, canonicalize, prime_power, row_space
 from oracles import (
+    DictCohomologyTables,
+    coboundary_classes,
+    dict_lambda_matrix,
     eager_obstruction_screen,
     eager_relator_independence,
     eliminated_decomposable_part_lift,
@@ -42,19 +53,16 @@ from oracles import (
     pivot_scan_smith_diagonal,
     pretty,
     substitute,
+    table_null_space,
 )
 
 
 def cd_from_tables(q, n, h2_rank, cup=None, bockstein=None):
-    from gq3.trunc import pair_list
-
-    cup = dict(cup or {})
-    bockstein = dict(bockstein or {})
-    for pair in pair_list(n):
-        cup.setdefault(pair, (0,) * h2_rank)
-    for k in range(n):
-        bockstein.setdefault(k, (0,) * h2_rank)
-    return CohomologyData(q, n, h2_rank, cup, bockstein)
+    """CohomologyData from its cup and Bockstein columns; absent ones are zero."""
+    cup, bockstein = cup or {}, bockstein or {}
+    columns = [bockstein.get(k, (0,) * h2_rank) for k in range(n)]
+    columns += [cup.get(pair, (0,) * h2_rank) for pair in pair_list(n)]
+    return CohomologyData(q, n, tuple(tuple(col[i] for col in columns) for i in range(h2_rank)))
 
 
 def test_kappa_values():
@@ -113,8 +121,10 @@ def test_extraction_free_presentation():
     p = make_presentation(2, ["x1", "x2"], [])
     cd, report = cohomology_data_from_presentation(p)
     assert cd.h2_rank == 0
-    assert all(v == () for v in cd.cup.values())
-    assert all(v == () for v in cd.bockstein.values())
+    assert cd.rows == ()
+    tables = cd.to_json_dict()
+    assert tables["cup"] == {"1,2": []}
+    assert tables["bockstein"] == {"1": [], "2": []}
 
 
 def test_extraction_two_relators():
@@ -123,9 +133,10 @@ def test_extraction_two_relators():
     assert cd.h2_rank == 2
     # canonical basis rows are (u1), (w12): bockstein(1) pairs the first,
     # cup(1,2) the second
-    assert cd.bockstein[0] == (1, 0)
-    assert cd.bockstein[1] == (0, 0)
-    assert cd.cup[(0, 1)] == (0, 1)
+    assert cd.rows == ((1, 0, 0), (0, 0, 1))
+    tables = cd.to_json_dict()
+    assert tables["bockstein"] == {"1": [1, 0], "2": [0, 0]}
+    assert tables["cup"] == {"1,2": [0, 1]}
 
 
 def test_extraction_round_trip_demushkin():
@@ -206,6 +217,94 @@ def test_cohomology_tables_round_trip_through_json(q):
         assert CohomologyData.from_json_dict(data) == cd
         del data["h2_divisors"]
         assert CohomologyData.from_json_dict(data) == cd
+
+
+PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+@st.composite
+def json_tables(draw):
+    """Cohomology tables as JSON: absent entries, and entries negative or
+    at least q."""
+    q = draw(st.sampled_from(PRIME_POWERS_TO_32))
+    n = draw(st.integers(min_value=0, max_value=4))
+    h2_rank = draw(st.integers(min_value=0, max_value=3))
+    vector = st.lists(st.integers(min_value=-2 * q, max_value=3 * q),
+                      min_size=h2_rank, max_size=h2_rank)
+
+    def table(keys):
+        present = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+        return {key: draw(vector) for key in present}
+
+    return {"q": q, "n": n, "h2_rank": h2_rank,
+            "cup": table([f"{k + 1},{l + 1}" for k, l in pair_list(n)]),
+            "bockstein": table([str(k + 1) for k in range(n)])}
+
+
+@settings(max_examples=200, deadline=None)
+@example(tables={"q": 5, "n": 0, "h2_rank": 2, "cup": {}, "bockstein": {}})
+@given(tables=json_tables())
+def test_one_table_reads_like_the_dict_tables(tables):
+    """The rows of lambda give the tables, cup entries and lambda that the
+    cup and Bockstein dicts give, and the printed tables parse back equal
+    with and without the derived fields."""
+    cd = CohomologyData.from_json_dict(tables)
+    ref = DictCohomologyTables.from_json_dict(tables)
+    printed = cd.to_json_dict()
+    assert printed == ref.to_json_dict()
+    for k in range(cd.n):
+        for l in range(cd.n):
+            assert cd.cup_entry(k, l) == ref.cup_entry(k, l)
+    assert lambda_matrix(cd).entries == dict_lambda_matrix(ref).entries
+    assert CohomologyData.from_json_dict(printed) == cd
+    bare = {key: printed[key] for key in ("q", "n", "h2_rank", "cup", "bockstein")}
+    assert CohomologyData.from_json_dict(bare) == cd
+
+
+@st.composite
+def central_relator_texts(draw):
+    """Presentation text whose relators each have a nonzero power part and
+    a nonzero commutator part, on a G^[3] of at most 3125 elements."""
+    q, n = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]))
+    names = [f"x{k + 1}" for k in range(n)]
+    pairs = pair_list(n)
+    rels = []
+    for _ in range(draw(st.integers(min_value=n - 1, max_value=3))):
+        t = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n).filter(any))
+        c = draw(st.lists(st.integers(0, q - 1), min_size=len(pairs), max_size=len(pairs))
+                 .filter(any))
+        parts = [f"{names[k]}^{q * x}" for k, x in enumerate(t) if x]
+        parts += [f"[{names[k]},{names[l]}]^{x}" for (k, l), x in zip(pairs, c) if x]
+        rels.append(f'"{" ".join(parts)}"')
+    text = f"q = {q};\ngens = [{', '.join(names)}];\nrels = [{', '.join(rels)}];\n"
+    assume(truncated_quotient(parse_presentation(text))[0].order() <= 3125)
+    return text
+
+
+def _cli_report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@example(text='q = 5;\ngens = [x1, x2];\nrels = ["x1^5 x2^10 [x1,x2]^3"];\n')
+@example(text='q = 3;\ngens = [x1, x2, x3];\nrels = ["x1^3 [x1,x2]", "x2^6 [x2,x3]^2 [x1,x3]"];\n')
+@given(text=central_relator_texts())
+def test_cohomology_tables_match_the_coboundaries_of_the_group(text):
+    """A combination sum b_k beta_k + sum c_kl chi_k cup chi_l of cocycles on
+    the elements of G is a coboundary exactly when the printed tables send
+    (b | c) to zero, and the tables rebuild a group of order |G|."""
+    order, coboundaries = coboundary_classes(parse_presentation(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        pres_path, cd_path = Path(tmp) / "g.pres", Path(tmp) / "cd.json"
+        pres_path.write_text(text, encoding="utf-8")
+        report = _cli_report(["cohomology", str(pres_path)])
+        assert table_null_space(report["cohomology"]) == coboundaries
+        cd_path.write_text(json.dumps(report), encoding="utf-8")
+        rebuilt = _cli_report(["reconstruct", "--cd-json", str(cd_path)])
+    assert rebuilt["group"]["order"] == order
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +668,7 @@ def test_screen_dim_h1_matches_relator_elimination(q, seed):
     witnesses = [t.witness for t in report.tests if t.name == "dimension-versus-cd"]
     assume(witnesses)
     dim_h1 = int(re.match(r"dim H\^1 = (\d+) < ", witnesses[0]).group(1))
-    assert dim_h1 == len(relator_subspace(p)[1].kept_indices)
+    assert dim_h1 == len(relator_subspace(p)[1].kept)
 
 
 def test_screen_rejects_prime_powers():
