@@ -18,8 +18,11 @@ A morphism given by degree-1 images acts on the free central layers
 as the Z/q-linear map L whose columns trunc.layer_map gives in closed
 form, and morphism_check reads both of its sides off L: the images
 define a morphism when L carries every source relator vector into the
-target's relator subspace, and L^T pulls the target's decomposable
-part of H^2 back onto the source's.
+target's relator subspace W_2.  The decomposable part of H^2 is read
+through the pairing: with V = {t : kappa t = 0 and (t|0) in W} it has
+order |W| / |V|, and L^T pulls the target's part onto the source's
+exactly when every x in W_1 with Lx in V_2 x 0 lies in V_1 x 0; the
+converse holds for every morphism, as L carries W_1 into W_2.
 
 Relator independence and the obstruction screen read one pass,
 trunc.evaluate_relators, which certifies only relators whose free S^[3]
@@ -50,12 +53,11 @@ from .zqlin import (
     MAX_Q,
     ZqMatrix,
     ZqSubspace,
-    annihilator,
     canonicalize,
-    full_subspace,
     invariant_factors,
     prime_power,
     row_space,
+    vanishing_part,
 )
 
 
@@ -345,20 +347,14 @@ def _require_minimal(report: MinimalityReport, which: str):
         )
 
 
-def _decomposable_part_lift(q: int, n: int, ann: ZqSubspace) -> ZqSubspace:
-    """Preimage in the dual layer of the span of the cup classes, given
-    the annihilator of the relator subspace: the cup coordinates, kappa
-    times the Bockstein ones, and ann.  The span holds every cup
-    coordinate, so its Howell form is a direct sum: the Howell form of
-    kappa I_n and the Bockstein parts of ann's rows, padded with zeros,
-    then the identity rows on the cup coordinates."""
-    layer_rank = n + len(pair_list(n))
+def _cup_free_fibre(q: int, n: int, pairs, width: int) -> ZqSubspace:
+    """The x of the span of the pairs (y, x) whose central vector y on n
+    generators has zero cup part and kappa t(y) = 0, x having width
+    entries: one vanishing_part of the graph rows (cup(y) | kappa t(y) | x)."""
     kappa = kappa_constant(q)
-    units = full_subspace(q, layer_rank).basis
-    head = canonicalize(q, n, [[kappa * x for x in row[:n]] for row in units[:n]]
-                        + [row[:n] for row in ann.basis])
-    pad = (0,) * (layer_rank - n)
-    return ZqSubspace(q, layer_rank, tuple(row + pad for row in head.basis) + units[n:])
+    lead = n + len(pair_list(n))
+    graph = [[*y[n:], *(kappa * a for a in y[:n]), *x] for y, x in pairs]
+    return vanishing_part(q, lead + width, graph, lead)
 
 
 def _combination(coeffs, vectors, width: int) -> list[int]:
@@ -414,19 +410,21 @@ def morphism_check(
     pi3_iso = surjective and g1.order() == g2.order()
     h1_iso = pi2_iso
 
-    # induced map on the decomposable part of H^2: the pullback L^T p2 of
-    # the target's lift, plus ann1, must fill the source's lift p1
-    ann1, ann2 = annihilator(g1.w), annihilator(g2.w)
-    p1 = _decomposable_part_lift(q, n1, ann1)
-    p2 = _decomposable_part_lift(q, n2, ann2)
-    lrows = list(zip(*columns))
-    pulled = [_combination(a, lrows, g1.layer_rank) for a in p2.basis]
-    image_span = canonicalize(q, g1.layer_rank, pulled + list(ann1.basis))
-    d2_size_source = p1.cardinality() // ann1.cardinality()
-    d2_size_target = p2.cardinality() // ann2.cardinality()
-    pidec2_iso = image_span == p1 and d2_size_source == d2_size_target
-
-    target_h2_dec = p2.cardinality() == q ** g2.layer_rank
+    # decomposable part of H^2 = p / W^perp, p = W^perp + the cup classes:
+    # p^perp = V x 0 gives its order |W| / |V|, and L^T p2 + W1^perp fills p1
+    # iff the fibre {x in W1 : Lx in V2 x 0} lies in V1 x 0.  It holds V1 x 0:
+    # for t in V1, L(t|0) is in W2 as L W1 is, its cup part is kappa times
+    # integer multiples of t, and kappa A t = A (kappa t) = 0.
+    v1 = _cup_free_fibre(q, n1, [(w, w[:n1]) for w in g1.w.basis], n1)
+    v2 = _cup_free_fibre(q, n2, [(w, w[:n2]) for w in g2.w.basis], n2)
+    images = [_combination(w, columns, g2.layer_rank) for w in g1.w.basis]
+    fibre = _cup_free_fibre(q, n2, zip(images, g1.w.basis), g1.layer_rank)
+    kappa = kappa_constant(q)
+    pidec2_iso = (all(not any(x[n1:]) and not any(kappa * a % q for a in x[:n1])
+                      for x in fibre.basis)
+                  and g1.w.cardinality() // v1.cardinality()
+                  == g2.w.cardinality() // v2.cardinality())
+    target_h2_dec = not v2.basis
 
     b_holds = pi3_iso
     d_holds = h1_iso and pidec2_iso

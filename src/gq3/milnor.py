@@ -38,6 +38,7 @@ from functools import lru_cache
 
 from . import presentations as pres
 from .cohom import CohomologyData, Report, TestOutcome, cohomology_data_from_presentation
+from .trunc import pair_list
 from .zqlin import (
     ZqMatrix,
     ZqSubspace,
@@ -433,11 +434,12 @@ def preset_presentation(preset: FieldPreset, q: int) -> tuple[pres.Presentation,
 
 
 def presentation_zero_pairs(cd: CohomologyData) -> ZqSubspace:
-    """Kernel of the degree-(1,1) cup map of a cohomology model."""
-    n = cd.n
-    cups = [cd.cup_entry(a, b) for a in range(n) for b in range(n)]
-    rows = [tuple(cup[i] for cup in cups) for i in range(cd.h2_rank)]
-    return kernel(ZqMatrix.from_rows(cd.q, rows, n * n))
+    """Kernel of the degree-(1,1) cup map of a cohomology model, whose rows
+    are the table's rows read with the sign and kappa rules."""
+    col = {pair: cd.n + i for i, pair in enumerate(pair_list(cd.n))}
+    rows = [[cd.kappa * row[a] if a == b else row[col[a, b]] if a < b else -row[col[b, a]]
+             for a, b in itertools.product(range(cd.n), repeat=2)] for row in cd.rows]
+    return kernel(ZqMatrix.from_rows(cd.q, rows, cd.n**2))
 
 
 def galois_symbol_compare(

@@ -8,9 +8,11 @@ zero Z/q matrices, enumerate small submodules, take Smith diagonals by pivot
 scanning, build central elements, raise powers and take commutators
 by repeated products, build generators and evaluate words one group
 operation per node, build the layer map of a morphism through the group
-law, form the lift of the decomposable part of H^2 by one Howell form
-over the whole layer, keep the cohomology tables as cup and Bockstein
-dicts and transpose them into lambda's rows, compute the coboundaries
+law, form the lift of the decomposable part of H^2 as a direct sum and
+by one Howell form over the whole layer, decide the morphism H^2
+condition on the annihilators of the relator subspaces, keep the
+cohomology tables as cup and Bockstein dicts and transpose them into
+lambda's rows, compute the coboundaries
 among the Bockstein and cup cocycles on the elements of a finite G^[3]
 and the null space of printed tables by enumeration, substitute words
 into words, compute word
@@ -33,7 +35,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gq3.cohom import Report, TestOutcome, cohomology_data_from_presentation
+from gq3.cohom import (
+    MorphismError,
+    MorphismReport,
+    Report,
+    TestOutcome,
+    _combination,
+    _require_minimal,
+    cohomology_data_from_presentation,
+)
 from gq3.freelie import (
     HallElement,
     bracket_node,
@@ -64,8 +74,24 @@ from gq3.presentations import (
     PresentationError,
     Product,
 )
-from gq3.trunc import TruncElement, free_truncation, kappa_constant, pair_list
-from gq3.zqlin import ZqMatrix, ZqSubspace, canonicalize, invariant_factors, prime_power, row_space
+from gq3.trunc import (
+    TruncElement,
+    free_truncation,
+    kappa_constant,
+    layer_map,
+    pair_list,
+    truncated_quotient,
+)
+from gq3.zqlin import (
+    ZqMatrix,
+    ZqSubspace,
+    annihilator,
+    canonicalize,
+    full_subspace,
+    invariant_factors,
+    prime_power,
+    row_space,
+)
 
 
 def syllables_to_word(seq):
@@ -223,6 +249,81 @@ def eliminated_decomposable_part_lift(q, n, ann):
     rows = [[(kappa if i < n else 1) * (i == j) for j in range(layer_rank)]
             for i in range(layer_rank)]
     return canonicalize(q, layer_rank, rows + list(ann.basis))
+
+
+def _decomposable_part_lift(q: int, n: int, ann: ZqSubspace) -> ZqSubspace:
+    """Preimage in the dual layer of the span of the cup classes, given
+    the annihilator of the relator subspace: the cup coordinates, kappa
+    times the Bockstein ones, and ann.  The span holds every cup
+    coordinate, so its Howell form is a direct sum: the Howell form of
+    kappa I_n and the Bockstein parts of ann's rows, padded with zeros,
+    then the identity rows on the cup coordinates."""
+    layer_rank = n + len(pair_list(n))
+    kappa = kappa_constant(q)
+    units = full_subspace(q, layer_rank).basis
+    head = canonicalize(q, n, [[kappa * x for x in row[:n]] for row in units[:n]]
+                        + [row[:n] for row in ann.basis])
+    pad = (0,) * (layer_rank - n)
+    return ZqSubspace(q, layer_rank, tuple(row + pad for row in head.basis) + units[n:])
+
+
+def annihilator_morphism_check(pres1, pres2, images):
+    """morphism_check with the H^2 condition decided on the annihilators:
+    the pullback L^T p2 of the target's lift of the decomposable part of
+    H^2, plus ann1, must fill the source's lift p1, and the two parts
+    must have the same order |p| / |ann|."""
+    if pres1.q != pres2.q:
+        raise MorphismError("presentations have different moduli")
+    q = pres1.q
+    p = prime_power(q)[0]
+    g1, rep1 = truncated_quotient(pres1)
+    g2, rep2 = truncated_quotient(pres2)
+    _require_minimal(rep1, "source")
+    _require_minimal(rep2, "target")
+    n1, n2 = g1.n, g2.n
+    if len(images) != n1:
+        raise MorphismError(f"expected {n1} generator images, got {len(images)}")
+
+    free2 = free_truncation(n2, q)
+    degree1 = [free2.evaluate_word(w).e for w in images]
+    columns = layer_map(q, degree1)
+
+    free1 = free_truncation(n1, q)
+    for source, y in zip(pres1.relator_sources, rep1.images):
+        v = free1.central_vector(y)
+        if not g2.w.contains(_combination(v, columns, g2.layer_rank)):
+            raise MorphismError(f"images do not respect relator {source!r}")
+
+    deg1_mod_p = ZqMatrix.from_rows(p, [[x % p for x in a] for a in degree1], n2)
+    surjective = row_space(deg1_mod_p).cardinality() == p**n2
+    pi2_iso = n1 == n2 and surjective
+    pi3_iso = surjective and g1.order() == g2.order()
+    h1_iso = pi2_iso
+
+    ann1, ann2 = annihilator(g1.w), annihilator(g2.w)
+    p1 = _decomposable_part_lift(q, n1, ann1)
+    p2 = _decomposable_part_lift(q, n2, ann2)
+    lrows = list(zip(*columns))
+    pulled = [_combination(a, lrows, g1.layer_rank) for a in p2.basis]
+    image_span = canonicalize(q, g1.layer_rank, pulled + list(ann1.basis))
+    d2_size_source = p1.cardinality() // ann1.cardinality()
+    d2_size_target = p2.cardinality() // ann2.cardinality()
+    pidec2_iso = image_span == p1 and d2_size_source == d2_size_target
+
+    target_h2_dec = p2.cardinality() == q ** g2.layer_rank
+
+    b_holds = pi3_iso
+    d_holds = h1_iso and pidec2_iso
+    return MorphismReport(
+        pi2_isomorphism=pi2_iso,
+        pi3_isomorphism=pi3_iso,
+        h1_isomorphism=h1_iso,
+        h2_decomposable_isomorphism=pidec2_iso,
+        b_holds=b_holds,
+        d_holds=d_holds,
+        agreement=b_holds == d_holds,
+        target_h2_decomposable=target_h2_dec,
+    )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from gq3.cohom import (
     CohomologyData,
     HypothesisViolation,
     MorphismError,
-    _decomposable_part_lift,
     check_relator_independence,
     cohomology_data_from_presentation,
     kappa_constant,
@@ -44,6 +43,8 @@ from gq3.trunc import (
 from gq3.zqlin import annihilator, canonicalize, prime_power, row_space
 from oracles import (
     DictCohomologyTables,
+    _decomposable_part_lift,
+    annihilator_morphism_check,
     coboundary_classes,
     dict_lambda_matrix,
     eager_obstruction_screen,
@@ -495,9 +496,9 @@ def test_layer_map_matches_group_law(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
 def test_decomposable_part_lift_matches_whole_layer_elimination(q):
-    """The direct-sum lift against one Howell form over the whole layer,
-    on ann(w) for n = 1..8 and relator subspaces w from 0 to about full,
-    with entries of every p-adic valuation."""
+    """The reference's direct-sum lift against one Howell form over the
+    whole layer, on ann(w) for n = 1..8 and relator subspaces w from 0 to
+    about full, with entries of every p-adic valuation."""
     p = prime_power(q)[0]
     rng = random.Random(q)
     for n in range(1, 9):
@@ -590,6 +591,102 @@ def test_morphism_between_presentations_related_by_a_change_of_generators(q):
         report = morphism_check(p1, p2, images)
         assert report.pi3_isomorphism and report.b_holds and report.d_holds
         assert report.agreement
+
+
+def random_sparse_central_relator(rng, n, q, names):
+    """A central relator in which each power and each commutator occurs
+    with probability 1/3."""
+    parts = [f"{names[k]}^{q * rng.randrange(1, q)}" for k in range(n) if rng.random() < 1 / 3]
+    parts += [f"[{names[k]},{names[l]}]^{rng.randrange(1, q)}"
+              for k, l in pair_list(n) if rng.random() < 1 / 3]
+    return " ".join(parts)
+
+
+def random_morphism(q, n1, n2, seed):
+    """Source, target and images.  The source relators are central, dense
+    or sparse.  Each image is a random word, a Frattini word, or y_f(k) to
+    a unit power times a Frattini word, with f a permutation or any map.
+    The target presents the source group again, for n1 = n2 two times in
+    five, or else has the source relators with the images substituted,
+    some of them dropped, plus extra central ones."""
+    rng = random.Random(seed)
+    names1 = [f"x{k + 1}" for k in range(n1)]
+    names2 = [f"y{k + 1}" for k in range(n2)]
+    relator = rng.choice([random_central_relator, random_sparse_central_relator])
+    rels1 = [t for t in (relator(rng, n1, q, names1) for _ in range(rng.randint(0, 4))) if t]
+    p1 = make_presentation(q, names1, rels1)
+
+    def frattini():
+        return Product((Power(Generator(rng.randrange(n2)), q * rng.choice([-1, 1, 2])),
+                        Commutator(Generator(rng.randrange(n2)), Generator(rng.randrange(n2)))))
+
+    f = rng.choice([rng.choices(range(n2), k=n1)]
+                   + [rng.sample(range(n2), n2), list(range(n2))] * (n1 == n2))
+    units = [1] * q + [u for u in range(1, 2 * q) if u % prime_power(q)[0]]
+    kinds = rng.choice([(0,), (1, 2, 2), (2,), (0, 1, 2)])
+    images = []
+    for k in range(n1):
+        kind = rng.choice(kinds)
+        images.append(random_image_word(rng, n2, q) if kind == 0 else frattini() if kind == 1
+                      else Product((Power(Generator(f[k]), rng.choice(units)), frattini())))
+    if n1 == n2 and rng.random() < 0.4:
+        return p1, make_presentation(q, names2, [t.replace("x", "y") for t in rels1]), images
+    rels2 = [pretty(substitute(w, images), names2) for w in p1.relators if rng.random() < 0.8]
+    rels2 += [t for t in (relator(rng, n2, q, names2) for _ in range(rng.choice([0, 0, 1, 2])))
+              if t]
+    return p1, make_presentation(q, names2, rels2), images
+
+
+def _morphism_outcome(check, *args):
+    try:
+        return check(*args).to_json_dict()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@example(q=2, n1=2, n2=None, seed=1)  # (t|0) in W with kappa t != 0
+@example(q=2, n1=2, n2=None, seed=35)  # x1 -> y1^2 kills the relator [x1,x2]
+@given(
+    q=st.sampled_from([2, 3, 4, 8, 9, 27, 32]),
+    n1=st.integers(1, 5) | st.integers(1, 8),
+    n2=st.none() | st.integers(1, 5) | st.integers(1, 8),
+    seed=st.integers(min_value=0, max_value=10**9),
+)
+def test_morphism_matches_the_annihilator_reference(q, n1, n2, seed):
+    """The H^2 condition decided on the relator subspaces gives the report,
+    or the error, of the reference that decides it on their annihilators.
+    n2 = None maps n1 generators to n1."""
+    args = random_morphism(q, n1, n1 if n2 is None else n2, seed)
+    assert (_morphism_outcome(morphism_check, *args)
+            == _morphism_outcome(annihilator_morphism_check, *args))
+
+
+def test_morphism_check_builds_no_annihilator(monkeypatch):
+    """An n = 8, q = 32 morphism query takes no kernel and no annihilator;
+    the spies do see the reference's."""
+    import gq3.cohom
+    import gq3.zqlin
+
+    calls = []
+    for name in ("kernel", "annihilator"):
+        def spy(*args, _inner=getattr(gq3.zqlin, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(gq3.zqlin, name, spy)
+        monkeypatch.setattr(gq3.cohom, name, spy, raising=False)
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    mapping = ("x1 = y1 y2; x2 = y2 y3^-1; x3 = y3; x4 = y4 y1^2; x5 = y5 y6; x6 = y6; "
+               "x7 = y7 y8 y1; x8 = y8^3 y2")
+    report = _cli_report(["morphism", str(inputs / "n8_q32.pres"),
+                          str(inputs / "n8_q32_moved.pres"), "--map", mapping])
+    assert report["pi3_isomorphism"] and report["condition_d"]
+    assert calls == []
+    p1 = parse_presentation((inputs / "n8_q32.pres").read_text())
+    p2 = parse_presentation((inputs / "n8_q32_moved.pres").read_text())
+    images = [parse_word(part.partition("=")[2], p2) for part in mapping.split(";")]
+    annihilator_morphism_check(p1, p2, images)
+    assert calls
 
 
 # ---------------------------------------------------------------------------

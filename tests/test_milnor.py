@@ -19,6 +19,7 @@ from gq3.milnor import (
     milnor_mod_q,
     parse_preset,
     preset_presentation,
+    presentation_zero_pairs,
     quadratic_hull,
     square_class_vector,
     steinberg_relations_finite,
@@ -27,9 +28,10 @@ from gq3.milnor import (
     _is_prime,
     _primitive_root,
 )
-from gq3.cohom import cohomology_data_from_presentation
+from gq3.cohom import CohomologyData, cohomology_data_from_presentation
 from gq3.presentations import make_presentation
-from gq3.zqlin import canonicalize, full_subspace, zero_subspace
+from gq3.trunc import pair_list
+from gq3.zqlin import ZqMatrix, canonicalize, full_subspace, kernel, zero_subspace
 from oracles import (
     SQUARE_CLASSES_Q2,
     _dlog_table,
@@ -674,6 +676,21 @@ def test_two_adic_diagonal_rule_matches_hilbert_oracle():
         diag = cd.cup_entry(k, k)
         symbol = hilbert_symbol_two_adic(a, a)
         assert (symbol == -1) == any(diag), (name, symbol, diag)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 32])
+def test_zero_pairs_read_the_cup_entries(q):
+    """The degree-(1,1) rows read off the table rows give the kernel of the
+    matrix whose column (a, b) is cup_entry(a, b), on 40 random tables
+    with n <= 5 and up to 4 rows."""
+    rng = random.Random(q)
+    for _ in range(40):
+        n, h2_rank = rng.randint(0, 5), rng.randint(0, 4)
+        cd = CohomologyData(q, n, tuple(tuple(rng.randrange(q) for _ in range(n + len(pair_list(n))))
+                                        for _ in range(h2_rank)))
+        cups = [cd.cup_entry(a, b) for a in range(n) for b in range(n)]
+        columns = ZqMatrix.from_rows(q, [[cup[i] for cup in cups] for i in range(h2_rank)], n * n)
+        assert presentation_zero_pairs(cd) == kernel(columns)
 
 
 def test_parse_preset():
