@@ -15,8 +15,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import presentations as pres
 from .cohom import (
@@ -34,13 +33,14 @@ from .milnor import (
     milnor_mod_q,
     preset_presentation,
 )
+from .records import record
 from .trunc import TruncElement, free_truncation, pair_list, relator_subspace
 from .zqlin import annihilator, canonicalize
 from .cohom import MorphismError
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(record("name passed detail seconds")):
+    __slots__ = ()
     name: str
     passed: bool
     detail: str

@@ -32,10 +32,9 @@ the dependent one whose witness it words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import presentations as pres
 from .freelie import MAX_GENERATORS, word_nontriviality_certificate
+from .records import record
 from .trunc import (
     TRIVIALITY_CLASS,
     MinimalityReport,
@@ -69,8 +68,7 @@ class HypothesisViolation(ValueError):
     """Input falls outside the elementary-quotient hypothesis."""
 
 
-@dataclass(frozen=True)
-class CohomologyData:
+class CohomologyData(record("q n rows")):
     """The H^1/H^2 tables as one table: the rows of lambda_matrix.
 
     rows holds one row over Z/q per coordinate of the rank-h2_rank H^2
@@ -80,15 +78,17 @@ class CohomologyData:
     are the invariant factors of H^2, which are read off the rows.
     """
 
+    __slots__ = ()
     q: int
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        prime_power(self.q)
-        width = self.n + len(pair_list(self.n))
-        if any(len(row) != width for row in self.rows):
+    def __new__(cls, q: int, n: int, rows: tuple[tuple[int, ...], ...]):
+        prime_power(q)
+        width = n + len(pair_list(n))
+        if any(len(row) != width for row in rows):
             raise ValueError(f"table rows must have n + C(n,2) = {width} entries")
+        return super().__new__(cls, q, n, rows)
 
     @property
     def h2_rank(self) -> int:
@@ -219,19 +219,23 @@ def cohomology_data_from_presentation(
 # Structured reports
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(record("name status witness", defaults=("",))):
+    __slots__ = ()
     name: str
     status: str  # "passed" | "triggered" | "skipped"
-    witness: str = ""
+    witness: str  # "" by default
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(record("verdict tests assumptions data")):
+    __slots__ = ()
     verdict: str
     tests: tuple[TestOutcome, ...]
     assumptions: tuple[str, ...]
-    data: dict = field(default_factory=dict)
+    data: dict  # a fresh dict by default, never one shared between reports
+
+    def __new__(cls, verdict: str, tests: tuple[TestOutcome, ...], assumptions: tuple[str, ...],
+                data: dict | None = None):
+        return super().__new__(cls, verdict, tests, assumptions, {} if data is None else data)
 
     def to_json_dict(self) -> dict:
         return {
@@ -315,8 +319,10 @@ def check_relator_independence(
 # Morphisms
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(record("pi2_isomorphism pi3_isomorphism h1_isomorphism "
+                            "h2_decomposable_isomorphism b_holds d_holds agreement "
+                            "target_h2_decomposable")):
+    __slots__ = ()
     pi2_isomorphism: bool
     pi3_isomorphism: bool
     h1_isomorphism: bool

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import presentations as pres
+from .records import record
 
 MAX_GENERATORS = 8
 MAX_CLASS = 6
@@ -54,34 +54,35 @@ def check_class_bound(c: int) -> None:
         raise BoundsExceeded(f"class bound {c} outside 1..{MAX_CLASS}")
 
 
-@dataclass(frozen=True)
-class HallElement:
+class HallElement(record("key weight index left right")):
     """A basic commutator: a generator index or a Hall bracket [left, right]."""
 
+    __slots__ = ()
+    # The sort key, built once from the children's keys: generating and
+    # sorting a basis compares elements many times over.  It comes first
+    # and determines the other fields, so tuple order is Hall order.
+    key: tuple
     weight: int
-    index: int | None = None
-    left: "HallElement | None" = None
-    right: "HallElement | None" = None
-    # Built once from the children's keys: generating and sorting a basis
-    # compares elements many times over.
-    _key: tuple = field(init=False, repr=False, compare=False)
+    index: int | None
+    left: HallElement | None
+    right: HallElement | None
 
-    def __post_init__(self):
-        key = ((self.weight, 0, self.index) if self.index is not None
-               else (self.weight, 1, self.left._key, self.right._key))
-        object.__setattr__(self, "_key", key)
+    __match_args__ = ("weight", "index", "left", "right")
+
+    def __new__(cls, weight: int, index: int | None = None,
+                left: HallElement | None = None, right: HallElement | None = None):
+        key = ((weight, 0, index) if index is not None
+               else (weight, 1, left.key, right.key))
+        return super().__new__(cls, key, weight, index, left, right)
 
     def is_generator(self) -> bool:
         return self.index is not None
 
     def sort_key(self):
-        return self._key
+        return self.key
 
-    def __lt__(self, other: "HallElement") -> bool:
-        return self._key < other._key
-
-    def __le__(self, other: "HallElement") -> bool:
-        return self._key <= other._key
+    def __getnewargs__(self):  # copy and pickle call __new__ without the key
+        return self[1:]
 
     def __repr__(self):
         if self.is_generator():

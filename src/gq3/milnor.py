@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import presentations as pres
 from .cohom import CohomologyData, Report, TestOutcome, cohomology_data_from_presentation
+from .records import record
 from .trunc import pair_list
 from .zqlin import (
     ZqMatrix,
@@ -66,14 +66,14 @@ class PresetError(ValueError):
 # Graded algebras
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class GradedAlgebra(record("q gen_count components basis_names", defaults=((),))):
     """Relation subspaces T_2..T_r_max; built by quadratic_hull."""
 
+    __slots__ = ()
     q: int
     gen_count: int
     components: dict[int, ZqSubspace]  # degree -> relation subspace
-    basis_names: tuple[str, ...] = ()
+    basis_names: tuple[str, ...]  # () by default
 
     def degree_cardinality(self, r: int) -> int:
         if r == 0:
@@ -169,17 +169,18 @@ def quadratic_hull(
 # Field presets
 
 
-@dataclass(frozen=True)
-class FieldPreset:
+class FieldPreset(record("kind ell")):
+    __slots__ = ()
     kind: str  # "finite_field" | "tame_local" | "two_adic"
-    ell: int = 0
+    ell: int  # 0 by default
 
-    def __post_init__(self):
-        if self.kind not in ("finite_field", "tame_local", "two_adic"):
-            raise PresetError(f"unknown preset {self.kind!r}")
-        if self.kind in ("finite_field", "tame_local"):
-            if not (2 <= self.ell <= MAX_ELL) or not _is_prime(self.ell):
-                raise PresetError(f"residue characteristic {self.ell} must be a prime <= {MAX_ELL}")
+    def __new__(cls, kind: str, ell: int = 0):
+        if kind not in ("finite_field", "tame_local", "two_adic"):
+            raise PresetError(f"unknown preset {kind!r}")
+        if kind in ("finite_field", "tame_local"):
+            if not (2 <= ell <= MAX_ELL) or not _is_prime(ell):
+                raise PresetError(f"residue characteristic {ell} must be a prime <= {MAX_ELL}")
+        return super().__new__(cls, kind, ell)
 
     def validate_modulus(self, q: int):
         p, d = prime_power(q)
@@ -215,7 +216,7 @@ def parse_preset(text: str) -> FieldPreset:
         return FieldPreset("two_adic")
     kind = {"finite": "finite_field", "finite_field": "finite_field",
             "tame": "tame_local", "tame_local": "tame_local"}.get(name)
-    if kind is None or not arg.strip().isdecimal():
+    if kind is None or not (arg.strip().isascii() and arg.strip().isdecimal()):
         raise PresetError(f"preset {text!r} is not finite:ell, tame_local:ell or two_adic")
     digits = arg.strip().lstrip("0") or "0"
     if len(digits) > len(str(MAX_ELL)):

@@ -34,9 +34,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from .records import record
 from .zqlin import prime_power
 
 MAX_EXPONENT = 2**63 - 1
@@ -61,31 +61,31 @@ class PresentationError(ValueError):
 # Word AST
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(record("index")):
+    __slots__ = ()
     index: int
 
 
-@dataclass(frozen=True)
-class Inverse:
-    body: "Word"
+class Inverse(record("body")):
+    __slots__ = ()
+    body: Word
 
 
-@dataclass(frozen=True)
-class Power:
-    body: "Word"
+class Power(record("body exponent")):
+    __slots__ = ()
+    body: Word
     exponent: int
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["Word", ...]
+class Product(record("factors")):
+    __slots__ = ()
+    factors: tuple[Word, ...]
 
 
-@dataclass(frozen=True)
-class Commutator:
-    left: "Word"
-    right: "Word"
+class Commutator(record("left right")):
+    __slots__ = ()
+    left: Word
+    right: Word
 
 
 Word = Generator | Inverse | Power | Product | Commutator
@@ -298,10 +298,10 @@ def _parse_word_tokens(tokens: list[str], i: int, names: dict[str, int],
 # Presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(record("q generators relators relator_sources")):
     """Data of 1 -> R -> S -> G -> 1: modulus, generators, relators."""
 
+    __slots__ = ()
     q: int
     generators: tuple[str, ...]
     relators: tuple[Word, ...]

@@ -28,11 +28,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import presentations as pres
 from .freelie import MAX_GENERATORS, check_class_bound, word_nontriviality_certificate
+from .records import record
 from .zqlin import (
     ZqMatrix,
     ZqSubspace,
@@ -127,30 +127,32 @@ def _power(q: int, n: int, e, c, m: int):
             [(m * b - binom * e[k] * e[l]) % q for b, k, l in zip(c, ks, ls)])
 
 
-@dataclass(frozen=True)
-class TruncElement:
+class TruncElement(record("e c")):
     """Normal form: generator exponents mod q^2, commutator exponents mod q."""
 
+    __slots__ = ()
     e: tuple[int, ...]
     c: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TruncGroup:
+class TruncGroup(record("n q w")):
     """S^[3] (w = 0) or a central quotient G^[3] = S^[3]/w."""
 
+    __slots__ = ()
     n: int
     q: int
     w: ZqSubspace
 
-    def __post_init__(self):
-        p, d = prime_power(self.q)
+    def __new__(cls, n: int, q: int, w: ZqSubspace):
+        self = super().__new__(cls, n, q, w)
+        prime_power(q)
         # n = 0 is allowed so that fully eliminated presentations still
         # have a home (the trivial group).
-        if not (0 <= self.n <= MAX_GENERATORS):
-            raise ValueError(f"generator count {self.n} outside 0..{MAX_GENERATORS}")
-        if self.w.ambient_dim != self.layer_rank or self.w.q != self.q:
+        if not (0 <= n <= MAX_GENERATORS):
+            raise ValueError(f"generator count {n} outside 0..{MAX_GENERATORS}")
+        if w.ambient_dim != self.layer_rank or w.q != q:
             raise ValueError("central subspace has wrong ambient dimension or modulus")
+        return self
 
     @property
     def npairs(self) -> int:
@@ -269,8 +271,8 @@ def free_truncation(n: int, q: int) -> TruncGroup:
 # Relator subspaces and minimization
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(record("minimal eliminated kept dropped_trivial warnings images")):
+    __slots__ = ()
     minimal: bool
     eliminated: tuple[tuple[str, str], ...]  # (generator name, pivot relator)
     kept: tuple[str, ...]
@@ -428,8 +430,8 @@ def truncated_quotient(presentation: pres.Presentation) -> tuple[TruncGroup, Min
 # Invariants
 
 
-@dataclass(frozen=True)
-class GroupInvariants:
+class GroupInvariants(record("order abelianization center_order exponent")):
+    __slots__ = ()
     order: int
     abelianization: tuple[int, ...]  # cyclic factor orders, ascending
     center_order: int

@@ -19,9 +19,10 @@ tuples of plain ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
+
+from .records import record
 
 MAX_Q = 32
 MAX_AMBIENT = 256
@@ -60,26 +61,27 @@ def pvaluation(a: int, p: int, d: int) -> int:
     return min(v, d)
 
 
-@dataclass(frozen=True)
-class ZqMatrix:
+class ZqMatrix(record("q nrows ncols entries")):
     """Immutable matrix over Z/q with q a prime power, entries in [0, q)."""
 
+    __slots__ = ()
     q: int
     nrows: int
     ncols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        p, _ = prime_power(self.q)  # validates q
-        if not (0 <= self.ncols <= MAX_AMBIENT):
-            raise ValueError(f"column count {self.ncols} out of range")
-        if len(self.entries) != self.nrows:
+    def __new__(cls, q: int, nrows: int, ncols: int, entries: tuple[tuple[int, ...], ...]):
+        prime_power(q)  # validates q
+        if not (0 <= ncols <= MAX_AMBIENT):
+            raise ValueError(f"column count {ncols} out of range")
+        if len(entries) != nrows:
             raise DimensionMismatch("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.ncols:
+        for row in entries:
+            if len(row) != ncols:
                 raise DimensionMismatch("ragged rows")
-            if row and (min(row) < 0 or max(row) >= self.q):
+            if row and (min(row) < 0 or max(row) >= q):
                 raise ValueError("entry not reduced mod q")
+        return super().__new__(cls, q, nrows, ncols, entries)
 
     @staticmethod
     def from_rows(q: int, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "ZqMatrix":
@@ -102,31 +104,32 @@ class ZqMatrix:
         return tuple(sum(row[k] * v[k] for k in range(self.ncols)) % q for row in self.entries)
 
 
-@dataclass(frozen=True)
-class ZqSubspace:
+class ZqSubspace(record("q ambient_dim basis")):
     """Submodule of (Z/q)^ambient_dim in Howell canonical form.
 
-    Two subspaces are equal as submodules iff the dataclasses compare
-    equal; the basis rows are nonzero, pivot columns strictly increase,
-    pivots are powers of p, and entries above a pivot are reduced below
-    it.
+    Two subspaces are equal as submodules iff the records compare equal
+    (same q, ambient dimension and basis rows); the basis rows are
+    nonzero, pivot columns strictly increase, pivots are powers of p,
+    and entries above a pivot are reduced below it.
     """
 
+    __slots__ = ()
     q: int
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        prime_power(self.q)
-        if not (0 <= self.ambient_dim <= MAX_AMBIENT):
-            raise ValueError(f"ambient dimension {self.ambient_dim} out of range")
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
+    def __new__(cls, q: int, ambient_dim: int, basis: tuple[tuple[int, ...], ...]):
+        prime_power(q)
+        if not (0 <= ambient_dim <= MAX_AMBIENT):
+            raise ValueError(f"ambient dimension {ambient_dim} out of range")
+        for row in basis:
+            if len(row) != ambient_dim:
                 raise DimensionMismatch("basis row length mismatch")
             if not any(row):
                 raise ValueError("zero basis row")
-            if min(row) < 0 or max(row) >= self.q:
+            if min(row) < 0 or max(row) >= q:
                 raise ValueError("basis entry not reduced mod q")
+        return super().__new__(cls, q, ambient_dim, basis)
 
     @property
     def nrows(self) -> int:

@@ -100,10 +100,16 @@ def test_closed_stdout_keeps_the_verdict(tame_file):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """numpy serves only selftest's sweeps; importing it costs more than a
-    query's whole setup, so no module may import it at load time."""
+    """Every one-shot gq3 run pays for importing gq3.cli.  numpy serves only
+    selftest's sweeps and costs more than a query's whole setup; gq3's
+    records are named tuples, so no module needs dataclasses (which loads
+    inspect, ast and dis) or typing.  Importing gq3.cli may load none of
+    them that the bare interpreter had not already loaded (site may load
+    typing, through a .pth file)."""
     env = {**os.environ, "PYTHONPATH": str(Path(gq3.__file__).parents[1])}
-    code = "import sys, gq3.cli, gq3.acceptance; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    code = ("import sys; bare = set(sys.modules); import gq3.cli, gq3.acceptance; "
+            "heavy = ('numpy', 'dataclasses', 'inspect', 'typing'); "
+            "print(sorted(m for m in set(sys.modules) - bare if m.split('.')[0] in heavy))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -440,7 +446,10 @@ def test_galois_check_map_rejects_repeated_and_empty_maps(capsys, mapping, messa
     assert err == f"validation error: {message}\n"
 
 
-@pytest.mark.parametrize("field", ["tame_local:", "finite:abc", "two_adic:5"])
+# Arabic-Indic digits are decimal to str.isdecimal, but the preset syntax,
+# like a presentation file, takes ASCII digits only.
+@pytest.mark.parametrize("field", ["tame_local:", "finite:abc", "two_adic:5",
+                                   "finite:\u0667", "tame_local:\u0661\u0663"])
 def test_malformed_presets_name_the_expected_forms(capsys, field):
     code, out, err = run_cli(capsys, "kmilnor", "--field", field, "--q", "2")
     assert code == 3
