@@ -12,6 +12,7 @@ numpy is imported only then, never at module load.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import time
@@ -19,6 +20,8 @@ from collections.abc import Callable
 
 from . import presentations as pres
 from .cohom import (
+    CohomologyData,
+    MorphismError,
     cohomology_data_from_presentation,
     morphism_check,
     obstruction_screen,
@@ -36,7 +39,6 @@ from .milnor import (
 from .records import record
 from .trunc import TruncElement, free_truncation, pair_list, relator_subspace
 from .zqlin import annihilator, canonicalize
-from .cohom import MorphismError
 
 
 class CheckResult(record("name passed detail seconds")):
@@ -245,7 +247,8 @@ def check_collection_laws(seed: int = 0) -> CheckResult:
 
 
 def check_reconstruction_round_trip(seed: int = 0) -> CheckResult:
-    """3. Extraction then reconstruction returns the exact relator subspace."""
+    """3. Extraction, the tables' JSON round trip, then reconstruction
+    return the exact relator subspace."""
 
     def run():
         rng = random.Random(seed or 303)
@@ -256,6 +259,8 @@ def check_reconstruction_round_trip(seed: int = 0) -> CheckResult:
             if not report.minimal:
                 return False, f"corpus presentation {i} unexpectedly non-minimal"
             cd, _ = cohomology_data_from_presentation(p)
+            # the tables as `cohomology` prints them and `reconstruct --cd-json` reads them
+            cd = CohomologyData.from_json_dict(json.loads(json.dumps(cd.to_json_dict())))
             got = reconstruct_g3(cd).w
             if got != w:
                 return False, (

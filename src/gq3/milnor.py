@@ -38,7 +38,6 @@ from functools import lru_cache
 from . import presentations as pres
 from .cohom import CohomologyData, Report, TestOutcome, cohomology_data_from_presentation
 from .records import record
-from .trunc import pair_list
 from .zqlin import (
     ZqMatrix,
     ZqSubspace,
@@ -76,8 +75,6 @@ class GradedAlgebra(record("q gen_count components basis_names", defaults=((),))
     basis_names: tuple[str, ...]  # () by default
 
     def degree_cardinality(self, r: int) -> int:
-        if r == 0:
-            return self.q
         return math.prod(self.degree_divisors(r))
 
     def degree_divisors(self, r: int) -> tuple[int, ...]:
@@ -435,12 +432,8 @@ def preset_presentation(preset: FieldPreset, q: int) -> tuple[pres.Presentation,
 
 
 def presentation_zero_pairs(cd: CohomologyData) -> ZqSubspace:
-    """Kernel of the degree-(1,1) cup map of a cohomology model, whose rows
-    are the table's rows read with the sign and kappa rules."""
-    col = {pair: cd.n + i for i, pair in enumerate(pair_list(cd.n))}
-    rows = [[cd.kappa * row[a] if a == b else row[col[a, b]] if a < b else -row[col[b, a]]
-             for a, b in itertools.product(range(cd.n), repeat=2)] for row in cd.rows]
-    return kernel(ZqMatrix.from_rows(cd.q, rows, cd.n**2))
+    """Kernel of the degree-(1,1) cup map of a cohomology model."""
+    return kernel(ZqMatrix.from_rows(cd.q, cd.cup_rows(), cd.n**2))
 
 
 def galois_symbol_compare(

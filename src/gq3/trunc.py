@@ -401,11 +401,8 @@ def relator_subspace(
 
         # The quotient order must agree whether computed upstairs or on the
         # reduced generating set; a mismatch means a bug, not bad input.
-        n2 = len(kept_indices)
         closure_order = q ** len(pivot_cols) * big_span.cardinality()
-        upstairs = group.order() // closure_order
-        downstairs = q ** (2 * n2 + n2 * (n2 - 1) // 2) // span.cardinality()
-        if upstairs != downstairs:
+        if group.order() // closure_order != TruncGroup(len(kept_indices), q, span).order():
             raise AssertionError("generator elimination produced inconsistent orders")
 
     report = MinimalityReport(

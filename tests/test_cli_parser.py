@@ -110,3 +110,26 @@ def test_parsers_built_per_call(argv, monkeypatch, capsys):
     with contextlib.suppress(SystemExit):
         cli.main(argv)
     assert counts == {"constructed": 0, "subparsers": 0}
+
+
+OPTION_TYPES = {flags[0]: (name, kwargs["type"]) for name, (_, _, arguments) in cli.COMMANDS.items()
+                for flags, kwargs in arguments + cli.COMMON_ARGUMENTS if "type" in kwargs}
+
+
+def test_integer_options_share_one_type():
+    assert {flag: kind for flag, (_, kind) in OPTION_TYPES.items()} == dict.fromkeys(
+        ["--class-bound", "--cd", "--q", "--rmax", "--seed"], cli._int)
+    texts = ("0", "-7", "007", "-0", str(10**40))
+    assert [cli._int(text) for text in texts] == [0, -7, 7, 0, 10**40]
+
+
+@pytest.mark.parametrize("flag", sorted(OPTION_TYPES))
+@pytest.mark.parametrize("text", ["٢", "²", " 3", "3 ", "1_0", "+4", "--4", "0x10", ""])
+def test_integer_options_read_the_grammar_int_only(flag, text, monkeypatch):
+    """Every integer option takes -?[0-9]+, as presentation files do: other
+    Unicode digits, spaces, underscores and a plus sign are usage errors."""
+    monkeypatch.setenv("COLUMNS", "80")
+    command = OPTION_TYPES[flag][0]
+    kind, code, _, err = _outcome(cli.parse_args, [command, f"{flag}={text}"])
+    assert (kind, code) == ("exit", 2)
+    assert f"argument {flag}: invalid int value: {text!r}" in err

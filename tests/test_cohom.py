@@ -22,7 +22,9 @@ from gq3.cohom import (
     morphism_check,
     obstruction_screen,
     reconstruct_g3,
+    _cup_order,
 )
+from gq3.milnor import presentation_zero_pairs
 from gq3.presentations import (
     Commutator,
     Generator,
@@ -260,6 +262,18 @@ def test_one_table_reads_like_the_dict_tables(tables):
     assert CohomologyData.from_json_dict(printed) == cd
     bare = {key: printed[key] for key in ("q", "n", "h2_rank", "cup", "bockstein")}
     assert CohomologyData.from_json_dict(bare) == cd
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=json_tables())
+def test_decomposable_order_and_the_zero_pairs_split_the_cup_square(tables):
+    """The cup map out of the n^2 degree-(1,1) products has image of the
+    order morphism_check reads, |C(rows)|, and kernel
+    presentation_zero_pairs: two eliminations of one map, whose orders
+    multiply to q^(n^2)."""
+    cd = CohomologyData.from_json_dict(tables)
+    q, n = cd.q, cd.n
+    assert _cup_order(q, n, cd.rows) * presentation_zero_pairs(cd).cardinality() == q ** (n * n)
 
 
 @st.composite

@@ -34,6 +34,7 @@ from gq3.trunc import pair_list
 from gq3.zqlin import ZqMatrix, canonicalize, full_subspace, kernel, zero_subspace
 from oracles import (
     SQUARE_CLASSES_Q2,
+    DictCohomologyTables,
     _dlog_table,
     closed_form_hilbert_two_adic,
     degree_by_degree_symbol_compare,
@@ -681,14 +682,15 @@ def test_two_adic_diagonal_rule_matches_hilbert_oracle():
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 32])
 def test_zero_pairs_read_the_cup_entries(q):
     """The degree-(1,1) rows read off the table rows give the kernel of the
-    matrix whose column (a, b) is cup_entry(a, b), on 40 random tables
-    with n <= 5 and up to 4 rows."""
+    matrix whose column (a, b) is the dict tables' cup_entry(a, b), on 40
+    random tables with n <= 5 and up to 4 rows."""
     rng = random.Random(q)
     for _ in range(40):
         n, h2_rank = rng.randint(0, 5), rng.randint(0, 4)
         cd = CohomologyData(q, n, tuple(tuple(rng.randrange(q) for _ in range(n + len(pair_list(n))))
                                         for _ in range(h2_rank)))
-        cups = [cd.cup_entry(a, b) for a in range(n) for b in range(n)]
+        ref = DictCohomologyTables.from_json_dict(cd.to_json_dict())
+        cups = [ref.cup_entry(a, b) for a in range(n) for b in range(n)]
         columns = ZqMatrix.from_rows(q, [[cup[i] for cup in cups] for i in range(h2_rank)], n * n)
         assert presentation_zero_pairs(cd) == kernel(columns)
 
