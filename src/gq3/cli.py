@@ -47,6 +47,7 @@ from .trunc import (
     relator_subspace,
     truncated_quotient,
 )
+from .zqlin import DimensionMismatch
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -472,6 +473,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot open file: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except DimensionMismatch as exc:  # a shape bug: every input width is checked first
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,14 +14,15 @@ annihilates exactly the relator subspace, so by Z/q duality that
 subspace is its row span, which is what makes the quotient
 reconstructible from the tables alone (reconstruct_g3).
 
-A morphism given by degree-1 images acts on the free central layers
-as the Z/q-linear map L whose columns trunc.layer_map gives in closed
-form, and morphism_check reads both of its sides off L: the images
-define a morphism when L carries every source relator vector into the
-target's relator subspace W_2.  The decomposable part of H^2 pairs with
-W through the cup part C(t|c) = (kappa t | c), so its order is |C(W)|,
-and L^T maps the target's part onto the source's exactly when
-|C(L W_1)| = |C(W_1)|, as ker C always lies in ker(C L) on W_1.
+A morphism given by degree-1 images (trunc.degree_one reads them off the
+image words) acts on the free central layers as the Z/q-linear map L
+whose columns trunc.layer_map gives in closed form, and morphism_check
+reads both of its sides off L: the images define a morphism when L
+carries every source relator vector into the target's relator subspace
+W_2.  The decomposable part of H^2 pairs with W through the cup part
+C(t|c) = (kappa t | c), so its order is |C(W)|, and L^T maps the
+target's part onto the source's exactly when |C(L W_1)| = |C(W_1)|, as
+ker C always lies in ker(C L) on W_1.
 
 Relator independence and the obstruction screen read one pass,
 trunc.evaluate_relators, which certifies only relators whose free S^[3]
@@ -38,6 +39,7 @@ from .trunc import (
     TRIVIALITY_CLASS,
     MinimalityReport,
     TruncGroup,
+    degree_one,
     evaluate_relators,
     free_truncation,
     kappa_constant,
@@ -397,8 +399,7 @@ def morphism_check(
         raise MorphismError(f"expected {n1} generator images, got {len(images)}")
 
     # the map L the images induce on the free central layers
-    free2 = free_truncation(n2, q)
-    degree1 = [free2.evaluate_word(w).e for w in images]
+    degree1 = [degree_one(q, n2, w) for w in images]
     columns = layer_map(q, degree1)
 
     # well-definedness: the source relators, central since the source is

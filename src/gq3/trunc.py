@@ -11,8 +11,13 @@ sigma_l^b (k < l) deposits w_kl^{-ab}, so the law is biadditive and
 needs no generic rewriting.  The same rule gives powers and commutators
 in closed form: x^m has exponents m e_k and m c_kl - C(m,2) e_k e_l for
 every integer m, and [x, y] is the central element with commutator part
-x_k y_l - x_l y_k.  _product and _power, on plain (e, c) pairs, are the
-one place the law is written out; multiply, power and inverse wrap them.
+x_k y_l - x_l y_k, which depends only on the degree-1 exponents of x and
+y.  The law is written once, on sparse maps of exponents (_product,
+_power, _commutator): a word's image involves only the generators it
+uses and their pairs, so evaluate_word costs O(support^2) per node, and
+the sides of a commutator go through a degree-1-only pass (degree_one)
+that forms no commutator part.  multiply, power, inverse and commutator
+wrap the same functions on dense normal forms.
 
 Quotients G^[3] of S^[3] by a subgroup W of the central layer carry the
 same normal forms with the central part reduced to a canonical coset
@@ -65,13 +70,6 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, l) for k in range(n) for l in range(k + 1, n))
 
 
-@functools.cache
-def pair_columns(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pairs k < l of pair_list(n) as two columns (ks, ls)."""
-    pairs = pair_list(n)
-    return tuple(k for k, _ in pairs), tuple(l for _, l in pairs)
-
-
 def kappa_constant(q: int) -> int:
     """kappa = C(q,2) mod q: x^q has commutator part -kappa x_k x_l, which
     makes x cup x = kappa * Bockstein(x)."""
@@ -79,23 +77,147 @@ def kappa_constant(q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The law on sparse maps: e maps a generator k to its exponent mod q^2, c a
+# pair (k, l), k < l, to its exponent mod q; absent keys are 0.  A word's
+# image involves only the generators it uses, so these cost O(support^2).
+# Values are never truth-tested, so they may be arrays.
+
+
+def _add(mod: int, x, y):
+    """x + y on maps mod mod, folded into x in place."""
+    for k, b in y.items():
+        x[k] = (x.get(k, 0) + b) % mod
+    return x
+
+
+def _scale(mod: int, x, m: int):
+    """m x on a map, mod mod."""
+    m %= mod
+    return {k: (m * a) % mod for k, a in x.items()}
+
+
+def _product(q: int, x, y):
+    """x y, folded into x in place: transposing sigma_k^(y_k) leftwards past
+    sigma_l^(x_l) (k < l) deposits w_kl^(-y_k x_l)."""
+    (xe, xc), (ye, yc) = x, y
+    for k, b in ye.items():
+        for l, a in xe.items():
+            if k < l:
+                xc[k, l] = (xc.get((k, l), 0) - b * a) % q
+    _add(q, xc, yc)
+    _add(q * q, xe, ye)
+    return x
+
+
+def _power(q: int, x, m: int):
+    """x^m for every integer m: collecting m copies deposits
+    w_kl^(-C(m,2) e_k e_l), and C(m,2) = m(m-1)/2 holds for m < 0 too."""
+    e, c = x
+    binom = m * (m - 1) // 2 % q
+    out = _scale(q, c, m)
+    for k, a in e.items():
+        for l, b in e.items():
+            if k < l:
+                out[k, l] = (out.get((k, l), 0) - binom * a * b) % q
+    return _scale(q * q, e, m), out
+
+
+def _commutator(q: int, a, b):
+    """The commutator part of [x, y] from the degree-1 maps a, b of x, y:
+    a_k b_l - a_l b_k at k < l.  [x, y] has no degree-1 part."""
+    c = {}
+    for k, x in a.items():
+        for l, y in b.items():
+            if k < l:
+                c[k, l] = (c.get((k, l), 0) + x * y) % q
+            elif l < k:
+                c[l, k] = (c.get((l, k), 0) - x * y) % q
+    return c
+
+
+def _evaluate(q: int, n: int, word):
+    """(e, c) of word in S^[3], fresh maps of the generators and pairs it
+    uses; each node reduces its exponents.  Raises ValueError on a leaf out
+    of range 0..n-1, wherever it sits in the tree."""
+    kind = type(word)
+    if kind is pres.Generator:
+        return {_leaf(n, word): 1}, {}
+    if kind is pres.Power:
+        return _power(q, _evaluate(q, n, word[0]), word[1])
+    if kind is pres.Product:
+        out = None
+        for f in word[0]:
+            y = _evaluate(q, n, f)
+            out = y if out is None else _product(q, out, y)
+        return ({}, {}) if out is None else out
+    if kind is pres.Commutator:
+        return {}, _commutator(q, _degree_one(q, n, word[0]), _degree_one(q, n, word[1]))
+    if kind is pres.Inverse:
+        return _power(q, _evaluate(q, n, word[0]), -1)
+    raise TypeError(f"not a word node: {word!r}")
+
+
+def _degree_one(q: int, n: int, word) -> dict[int, int]:
+    """The e map of _evaluate(q, n, word) alone: no commutator part is
+    formed, but every leaf is still checked."""
+    kind = type(word)
+    if kind is pres.Generator:
+        return {_leaf(n, word): 1}
+    if kind is pres.Power:
+        return _scale(q * q, _degree_one(q, n, word[0]), word[1])
+    if kind is pres.Product:
+        out = None
+        for f in word[0]:
+            y = _degree_one(q, n, f)
+            out = y if out is None else _add(q * q, out, y)
+        return {} if out is None else out
+    if kind is pres.Commutator:
+        _degree_one(q, n, word[0])
+        _degree_one(q, n, word[1])
+        return {}
+    if kind is pres.Inverse:
+        return _scale(q * q, _degree_one(q, n, word[0]), -1)
+    raise TypeError(f"not a word node: {word!r}")
+
+
+def _leaf(n: int, word) -> int:
+    k = word[0]
+    if not 0 <= k < n:
+        raise ValueError(f"no generator {k}")
+    return k
+
+
+def degree_one(q: int, n: int, word: pres.Word) -> tuple[int, ...]:
+    """Degree-1 exponents mod q^2 of word's image in the free S^[3] on n
+    generators, without forming its commutator part."""
+    return _dense(range(n), _degree_one(q, n, word))
+
+
+def _dense(keys, x) -> tuple:
+    """The values of the map x at keys, 0 where x has none."""
+    return tuple(map(x.get, keys, itertools.repeat(0)))
+
+
+# ---------------------------------------------------------------------------
 # The central layer in closed form: x^q and [x, y] depend only on the
 # degree-1 exponents a, b of x, y, mod q.
 
 
+def _support(a: Sequence[int]) -> dict[int, int]:
+    return {k: x for k, x in enumerate(a) if x}
+
+
 def power_vector(q: int, a: Sequence[int]) -> tuple[int, ...]:
-    """Central vector of x^q for x in S^[3] with degree-1 exponents a:
-    (a | -kappa a_k a_l for k < l)."""
-    kappa = kappa_constant(q)
-    ks, ls = pair_columns(len(a))
-    return tuple([x % q for x in a] + [(-kappa * a[k] * a[l]) % q for k, l in zip(ks, ls)])
+    """Central vector of x^q for x in S^[3] with integer degree-1
+    exponents a: (a | -kappa a_k a_l for k < l)."""
+    e, c = _power(q, (_support(a), {}), q)
+    return tuple([x // q for x in _dense(range(len(a)), e)]) + _dense(pair_list(len(a)), c)
 
 
 def commutator_vector(q: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Central vector of [x, y] for x, y in S^[3] with degree-1 exponents
-    a, b: (0 | a_k b_l - a_l b_k for k < l)."""
-    ks, ls = pair_columns(len(a))
-    return (0,) * len(a) + tuple([(a[k] * b[l] - a[l] * b[k]) % q for k, l in zip(ks, ls)])
+    """Central vector of [x, y] for x, y in S^[3] with integer degree-1
+    exponents a, b: (0 | a_k b_l - a_l b_k for k < l)."""
+    return (0,) * len(a) + _dense(pair_list(len(a)), _commutator(q, _support(a), _support(b)))
 
 
 def layer_map(q: int, images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -105,26 +227,6 @@ def layer_map(q: int, images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     columns = [power_vector(q, a) for a in images]
     return columns + [commutator_vector(q, images[k], images[l])
                       for k, l in pair_list(len(images))]
-
-
-def _product(q: int, n: int, x, y):
-    """x y on (e, c) pairs: transposing sigma_k^(y_k) leftwards past
-    sigma_l^(x_l) (k < l) deposits w_kl^(-y_k x_l).  Elementwise, so the
-    coordinates may be arrays."""
-    (xe, xc), (ye, yc) = x, y
-    ks, ls = pair_columns(n)
-    qq = q * q
-    return ([(a + b) % qq for a, b in zip(xe, ye)],
-            [(a + b - ye[k] * xe[l]) % q for a, b, k, l in zip(xc, yc, ks, ls)])
-
-
-def _power(q: int, n: int, e, c, m: int):
-    """(e, c)^m for every integer m: collecting m copies deposits
-    w_kl^(-C(m,2) e_k e_l), and C(m,2) = m(m-1)/2 holds for m < 0 too."""
-    ks, ls = pair_columns(n)
-    binom = m * (m - 1) // 2
-    return ([(m * a) % (q * q) for a in e],
-            [(m * b - binom * e[k] * e[l]) % q for b, k, l in zip(c, ks, ls)])
 
 
 class TruncElement(record("e c")):
@@ -184,59 +286,36 @@ class TruncGroup(record("n q w")):
         e = tuple((x.e[k] % q) + q * red[k] for k in range(self.n))
         return TruncElement(e, tuple(red[self.n:]))
 
-    def _check(self, x: TruncElement):
-        if len(x.e) != self.n or len(x.c) != self.npairs:
-            raise ValueError("element has wrong shape for this group")
-
     # -- group law --------------------------------------------------------
 
+    def _maps(self, x: TruncElement):
+        """The sparse maps (e, c) of a normal form of this group."""
+        pairs = pair_list(self.n)
+        if len(x.e) != self.n or len(x.c) != len(pairs):
+            raise ValueError("element has wrong shape for this group")
+        return dict(enumerate(x.e)), dict(zip(pairs, x.c))
+
+    def _element(self, e, c) -> TruncElement:
+        """The normal form of sparse maps (e, c), reduced mod w."""
+        return self.normalize(TruncElement(_dense(range(self.n), e), _dense(pair_list(self.n), c)))
+
     def multiply(self, a: TruncElement, b: TruncElement) -> TruncElement:
-        self._check(a)
-        self._check(b)
-        e, c = _product(self.q, self.n, (a.e, a.c), (b.e, b.c))
-        return self.normalize(TruncElement(tuple(e), tuple(c)))
+        return self._element(*_product(self.q, self._maps(a), self._maps(b)))
 
     def power(self, a: TruncElement, m: int) -> TruncElement:
-        self._check(a)
-        e, c = _power(self.q, self.n, a.e, a.c, m)
-        return self.normalize(TruncElement(tuple(e), tuple(c)))
+        return self._element(*_power(self.q, self._maps(a), m))
 
     def inverse(self, a: TruncElement) -> TruncElement:
         return self.power(a, -1)
 
     def commutator(self, a: TruncElement, b: TruncElement) -> TruncElement:
         """[a, b] = a^-1 b^-1 a b, the central element (0 | a_k b_l - a_l b_k)."""
-        self._check(a)
-        self._check(b)
-        vec = commutator_vector(self.q, a.e, b.e)
-        return self.normalize(TruncElement(vec[:self.n], vec[self.n:]))
+        return self._element({}, _commutator(self.q, self._maps(a)[0], self._maps(b)[0]))
 
     def evaluate_word(self, word: pres.Word) -> TruncElement:
         """Homomorphic evaluation of a word in the generators: one pass over
-        its tree on (e, c) pairs, then one reduction mod w."""
-        e, c = self._evaluate(word)
-        return self.normalize(TruncElement(tuple(e), tuple(c)))
-
-    def _evaluate(self, word: pres.Word):
-        q, n = self.q, self.n
-        match word:
-            case pres.Generator(k):
-                if not 0 <= k < n:
-                    raise ValueError(f"no generator {k}")
-                return [0] * k + [1] + [0] * (n - 1 - k), [0] * self.npairs
-            case pres.Inverse(b):
-                return _power(q, n, *self._evaluate(b), -1)
-            case pres.Power(b, m):
-                return _power(q, n, *self._evaluate(b), m)
-            case pres.Product(fs):
-                out = self._evaluate(fs[0]) if fs else ([0] * n, [0] * self.npairs)
-                for f in fs[1:]:
-                    out = _product(q, n, out, self._evaluate(f))
-                return out
-            case pres.Commutator(a, b):
-                vec = commutator_vector(q, self._evaluate(a)[0], self._evaluate(b)[0])
-                return vec[:n], vec[n:]
-        raise TypeError(f"not a word node: {word!r}")
+        its tree on sparse maps, then one reduction mod w."""
+        return self._element(*_evaluate(self.q, self.n, word))
 
     # -- central layer ----------------------------------------------------
 
@@ -455,9 +534,12 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
     # Center: degree-1 classes e with sum_k e_k [sigma_k, sigma_j] in Wc,
     # the commutator-block part of w, for every j; over Z/q that is
     # a . [sigma_e, sigma_j] = 0 for every a in ann(Wc), where
-    # [sigma_k, sigma_j] = w_kj for k < j and -w_jk for k > j.
+    # [sigma_k, sigma_j] = w_kj for k < j and -w_jk for k > j.  The Howell
+    # rows of w that vanish on the t block span Wc, and their tails are
+    # Howell rows (see zqlin.vanishing_part).
     npairs = g.npairs
-    dual = annihilator(vanishing_part(q, g.layer_rank, g.w.basis, n)).basis
+    wc = ZqSubspace(q, npairs, tuple(row[n:] for row in g.w.basis if not any(row[:n])))
+    dual = annihilator(wc).basis
     index = {pair: idx for idx, pair in enumerate(g.pairs)}
     rows = []
     for j in range(n):

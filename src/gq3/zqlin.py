@@ -186,6 +186,8 @@ def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[
             raise DimensionMismatch("row length mismatch")
     r = 0
     for c in range(ambient):
+        if r == len(work):  # every row holds a pivot: no later column gets one
+            break
         # Pivot on an entry of least valuation: every other entry of the
         # column is a multiple of it.
         best, least = None, d

@@ -4,29 +4,27 @@ None of these is on a path the gq3 CLI runs: they rebuild words from
 syllables, render words in the input grammar, scan presentation text one
 character at a time, parse it through a list of token records, recognise
 Hall elements and build Hall bases weight by weight, build identity and
-zero Z/q matrices, enumerate small submodules, take Smith diagonals by pivot
-scanning, build central elements, raise powers and take commutators
-by repeated products, build generators and evaluate words one group
-operation per node, build the layer map of a morphism through the group
-law, form the lift of the decomposable part of H^2 as a direct sum and
-by one Howell form over the whole layer, decide the morphism H^2
-condition on the annihilators of the relator subspaces, keep the
-cohomology tables as cup and Bockstein dicts and transpose them into
-lambda's rows, compute the coboundaries
-among the Bockstein and cup cocycles on the elements of a finite G^[3]
-and the null space of printed tables by enumeration, substitute words
-into words, compute word
-certificates the direct way, solve the engine's certificates on the Hall
-basis, sweep the Steinberg
+zero Z/q matrices, enumerate small submodules, take Smith diagonals by
+pivot scanning, build central elements, raise powers and take
+commutators by repeated products, build generators and evaluate words
+one group operation per node or in one pass on dense exponent lists,
+build the layer map of a morphism through the group law, form the lift
+of the decomposable part of H^2 as a direct sum and by one Howell form
+over the whole layer, decide the morphism H^2 condition on the
+annihilators of the relator subspaces, keep the cohomology tables as cup
+and Bockstein dicts and transpose them into lambda's rows, compute the
+coboundaries among the Bockstein and cup cocycles on the elements of a
+finite G^[3] and the null space of printed tables by enumeration,
+substitute words into words, compute word certificates the direct way,
+solve the engine's certificates on the Hall basis, sweep the Steinberg
 relations of the finite and tame presets over every unit through a full
-discrete-log table, evaluate the 2-adic
-Hilbert symbol and the tame symbol in closed form, test squares pair by
-pair, place hull relations slot by slot, read the divisors of every
-hull degree off its invariant factors, build the relator
-independence and obstruction screen reports from relator images that
-are all certified up front, and compare a K-ring preset with a
-presentation degree by degree, so that the library's answers can be
-verified by direct construction.
+discrete-log table, evaluate the 2-adic Hilbert symbol and the tame
+symbol in closed form, test squares pair by pair, place hull relations
+slot by slot, read the divisors of every hull degree off its invariant
+factors, build the relator independence and obstruction screen reports
+from relator images that are all certified up front, and compare a
+K-ring preset with a presentation degree by degree, so that the
+library's answers can be verified by direct construction.
 """
 
 import functools
@@ -239,6 +237,64 @@ def node_by_node_evaluation(g, word):
         case Commutator(a, b):
             return g.commutator(node_by_node_evaluation(g, a), node_by_node_evaluation(g, b))
     raise TypeError(f"not a word node: {word!r}")
+
+
+def _pair_columns(n):
+    """The pairs k < l of pair_list(n) as two columns (ks, ls)."""
+    pairs = pair_list(n)
+    return tuple(k for k, _ in pairs), tuple(l for _, l in pairs)
+
+
+def dense_product(q, n, x, y):
+    """x y on dense (e, c) lists of n and C(n, 2) exponents: transposing
+    sigma_k^(y_k) leftwards past sigma_l^(x_l) (k < l) deposits
+    w_kl^(-y_k x_l)."""
+    (xe, xc), (ye, yc) = x, y
+    ks, ls = _pair_columns(n)
+    qq = q * q
+    return ([(a + b) % qq for a, b in zip(xe, ye)],
+            [(a + b - ye[k] * xe[l]) % q for a, b, k, l in zip(xc, yc, ks, ls)])
+
+
+def dense_power(q, n, e, c, m):
+    """(e, c)^m on dense lists for every integer m: collecting m copies
+    deposits w_kl^(-C(m,2) e_k e_l)."""
+    ks, ls = _pair_columns(n)
+    binom = m * (m - 1) // 2
+    return ([(m * a) % (q * q) for a in e],
+            [(m * b - binom * e[k] * e[l]) % q for b, k, l in zip(c, ks, ls)])
+
+
+def _dense_evaluate(g, word):
+    q, n = g.q, g.n
+    npairs = len(pair_list(n))
+    match word:
+        case Generator(k):
+            if not 0 <= k < n:
+                raise ValueError(f"no generator {k}")
+            return [0] * k + [1] + [0] * (n - 1 - k), [0] * npairs
+        case Inverse(b):
+            return dense_power(q, n, *_dense_evaluate(g, b), -1)
+        case Power(b, m):
+            return dense_power(q, n, *_dense_evaluate(g, b), m)
+        case Product(fs):
+            out = _dense_evaluate(g, fs[0]) if fs else ([0] * n, [0] * npairs)
+            for f in fs[1:]:
+                out = dense_product(q, n, out, _dense_evaluate(g, f))
+            return out
+        case Commutator(a, b):
+            xa, _ = _dense_evaluate(g, a)
+            xb, _ = _dense_evaluate(g, b)
+            ks, ls = _pair_columns(n)
+            return [0] * n, [(xa[k] * xb[l] - xa[l] * xb[k]) % q for k, l in zip(ks, ls)]
+    raise TypeError(f"not a word node: {word!r}")
+
+
+def dense_evaluation(g, word):
+    """word in g by one pass over its tree on dense (e, c) lists, both sides
+    of a commutator evaluated in full, then one reduction mod w."""
+    e, c = _dense_evaluate(g, word)
+    return g.normalize(TruncElement(tuple(e), tuple(c)))
 
 
 def eliminated_decomposable_part_lift(q, n, ann):

@@ -259,6 +259,22 @@ def test_internal_error_exits_4(tame_file, capsys, monkeypatch, command):
     assert err == "internal error: AssertionError('inconsistent\\norders')\n"
 
 
+@pytest.mark.parametrize("command", ["truncate", "cohomology", "reconstruct"])
+def test_shape_mismatch_inside_zqlin_is_an_internal_error(tame_file, capsys, monkeypatch, command):
+    """DimensionMismatch is a ValueError, but no input reaches it: the
+    widths of every table are checked before any elimination runs."""
+    import gq3.zqlin
+
+    def broken(*args, **kwargs):
+        raise gq3.zqlin.DimensionMismatch("row length mismatch")
+
+    monkeypatch.setattr(gq3.zqlin, "_howell", broken)
+    code, out, err = run_cli(capsys, command, tame_file)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: DimensionMismatch('row length mismatch')\n"
+
+
 def count_calls(monkeypatch, calls, module, name):
     """Record in calls the positional arguments of every call to module.name."""
     original = getattr(module, name)

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gq3.presentations import (
     MAX_EXPONENT,
@@ -19,6 +19,7 @@ from gq3.trunc import (
     MixedExponentError,
     TruncElement,
     TruncGroup,
+    degree_one,
     free_truncation,
     group_invariants,
     relator_subspace,
@@ -27,6 +28,7 @@ from gq3.trunc import (
 from gq3.zqlin import canonicalize, full_subspace, prime_power, zero_subspace
 from oracles import (
     central_element,
+    dense_evaluation,
     generator_element,
     node_by_node_evaluation,
     reference_commutator,
@@ -321,14 +323,53 @@ def _outcome(evaluate, g, word):
         return "ValueError", str(exc)
 
 
+# Words on n = 1 with a stray generator 1 where an evaluator that works
+# on the support of a word could skip it: under a nested commutator, under
+# a zero exponent, and on a commutator side whose other factors cancel.
+STRAY_WORDS = [
+    Commutator(Generator(0), Commutator(Generator(1), Product(()))),
+    Product((Generator(0), Power(Product((Generator(0), Generator(1))), 0))),
+    Commutator(Product((Generator(0), Generator(1), Inverse(Generator(0)))), Generator(0)),
+]
+
+
+def with_stray_examples(test):
+    for word in STRAY_WORDS:
+        test = example(case=(free_truncation(1, 3), word))(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=groups_and_words())
+@with_stray_examples
 def test_evaluate_word_matches_node_by_node_evaluation(case):
     """The one-pass evaluation, reduced once at the end, against one
     reduced group operation per node: same element, or the same error."""
     g, word = case
     want = _outcome(node_by_node_evaluation, g, word)
     assert _outcome(TruncGroup.evaluate_word, g, word) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=groups_and_words())
+@with_stray_examples
+def test_evaluate_word_matches_dense_evaluation(case):
+    """The law on sparse maps against the dense law it replaced, which
+    shares no arithmetic with it: same element, or the same error.  The
+    degree-1 pass gives the dense e of the word in the free S^[3]."""
+    g, word = case
+    assert _outcome(TruncGroup.evaluate_word, g, word) == _outcome(dense_evaluation, g, word)
+    free = free_truncation(g.n, g.q)
+    want = _outcome(lambda _, w: dense_evaluation(free, w).e, g, word)
+    assert _outcome(lambda _, w: degree_one(g.q, g.n, w), g, word) == want
+
+
+@pytest.mark.parametrize("word", STRAY_WORDS)
+def test_stray_generator_is_found_wherever_it_sits(word):
+    g = free_truncation(1, 3)
+    for evaluate in (g.evaluate_word, lambda w: degree_one(3, 1, w)):
+        with pytest.raises(ValueError, match="^no generator 1$"):
+            evaluate(word)
 
 
 def test_evaluate_word_empty_product_and_stray_generator():
