@@ -43,9 +43,9 @@ from .zqlin import (
     ZqSubspace,
     annihilator,
     canonicalize,
-    kernel,
     prime_power,
     smith_normal_form,
+    unit_inverse,
     vanishing_part,
     zero_subspace,
 )
@@ -423,7 +423,7 @@ def relator_subspace(
         if found is None:
             continue
         i = found
-        u = pow(ys[i].e[col] % q, -1, q)
+        u = unit_inverse(ys[i].e[col] % q, q)
         if u != 1:
             ys[i] = group.power(ys[i], u)
         for j in range(len(ys)):
@@ -531,40 +531,42 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
         return GroupInvariants(1, (), 1, 1)
     ab = abelianization(g)
 
-    # Center: degree-1 classes e with sum_k e_k [sigma_k, sigma_j] in Wc,
-    # the commutator-block part of w, for every j; over Z/q that is
-    # a . [sigma_e, sigma_j] = 0 for every a in ann(Wc), where
-    # [sigma_k, sigma_j] = w_kj for k < j and -w_jk for k > j.  The Howell
-    # rows of w that vanish on the t block span Wc, and their tails are
-    # Howell rows (see zqlin.vanishing_part).
+    # Center: its degree-1 part E holds the e with sum_k e_k [sigma_k, sigma_j]
+    # in Wc, the commutator block of w, for every j ([sigma_k, sigma_j] is
+    # w_kj for k < j and -w_jk for k > j).  As Wc = ann(ann(Wc)) over Z/q,
+    # E is the kernel of the rows (a . [sigma_k, sigma_j])_k over j and the a
+    # in ann(Wc); they are linear in a, and |E| = q^n / |their span|.  The
+    # unit functional of a pair (k, l) that no row of Wc touches gives the
+    # units at k and l, so the span is built on the other columns only, from
+    # the Howell rows of ann(Wc) until it is full.  The Howell rows of w that
+    # vanish on the t block span Wc (zqlin.vanishing_part).
     npairs = g.npairs
-    wc = ZqSubspace(q, npairs, tuple(row[n:] for row in g.w.basis if not any(row[:n])))
-    dual = annihilator(wc).basis
-    index = {pair: idx for idx, pair in enumerate(g.pairs)}
-    rows = []
-    for j in range(n):
-        for a in dual:
-            rows.append([a[index[k, j]] if k < j else -a[index[j, k]] if k > j else 0
-                         for k in range(n)])
-    size_e = kernel(ZqMatrix.from_rows(q, rows, n)).cardinality()
+    wc = tuple(row[n:] for row in g.w.basis if not any(row[:n]))
+    touched = {idx for row in wc for idx, x in enumerate(row) if x}
+    seeded = {k for idx, pair in enumerate(g.pairs) if idx not in touched for k in pair}
+    rest = [k for k in range(n) if k not in seeded]
+    size_e = q ** len(rest)
+    if rest:
+        index = {pair: idx for idx, pair in enumerate(g.pairs)}
+        span = zero_subspace(q, len(rest))
+        for a in annihilator(ZqSubspace(q, npairs, wc)).basis:
+            rows = [[a[index[k, j]] if k < j else -a[index[j, k]] if k > j else 0
+                     for k in rest] for j in range(n)]
+            span = canonicalize(q, len(rest), [*span.basis, *rows])
+            if span.cardinality() == size_e:
+                break
+        size_e //= span.cardinality()
     center = size_e * q ** (n + npairs) // g.w.cardinality()
 
-    # Exponent: q * smallest p-power j with p^j u_k in w for all k and,
-    # for p = 2, p^j (q/2) w_kl in w for all pairs.
-    tests = []
-    for k in range(n):
-        vec = [0] * g.layer_rank
-        vec[k] = 1
-        tests.append(vec)
-    if p == 2:
-        for idx in range(npairs):
-            vec = [0] * g.layer_rank
-            vec[n + idx] = q // 2
-            tests.append(vec)
-    exponent = q * q
-    for j in range(d + 1):
-        if all(g.w.contains([(x * p**j) % q for x in vec]) for vec in tests):
-            exponent = q * p**j
-            break
+    # Exponent: q * the least p^j with p^j u_k in w for every k and, for
+    # p = 2, p^j (q/2) w_kl in w for every pair; p (q/2) w_kl = 0, so the
+    # pair tests count only at j = 0, and at j = d every test is 0.
+    units = [[int(i == k) for i in range(g.layer_rank)] for k in range(n)]
+    halves = [[q // 2 * int(i == n + idx) for i in range(g.layer_rank)]
+              for idx in range(npairs)] if p == 2 else []
+    j = next(j for j in range(d + 1)
+             if all(g.w.contains([x * p**j % q for x in u]) for u in units)
+             and (j or all(g.w.contains(h) for h in halves)))
+    exponent = q * p**j
 
     return GroupInvariants(g.order(), ab, center, exponent)

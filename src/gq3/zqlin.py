@@ -50,6 +50,16 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, d
 
 
+def unit_inverse(x: int, q: int) -> int:
+    """x^-1 mod q.  Every caller passes a unit by construction, so a
+    non-unit is a bug: it raises AssertionError (an internal error), not
+    the ValueError that pow raises and that marks bad input."""
+    try:
+        return pow(x, -1, q)
+    except ValueError:
+        raise AssertionError(f"{x} is not a unit mod {q}") from None
+
+
 def pvaluation(a: int, p: int, d: int) -> int:
     """p-adic valuation of the representative a, capped at d (val of 0)."""
     if a == 0:
@@ -203,7 +213,7 @@ def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[
         # Normalize the pivot to p^least: that pins down the canonical form.
         top = work[best]
         if top[c] != p**least:
-            x = pow(top[c] // p**least, -1, q)
+            x = unit_inverse(top[c] // p**least, q)
             top = [(x * e) % q for e in top]
         work[best], work[r] = work[r], top
         pivot = top[c]

@@ -8,6 +8,8 @@ zero Z/q matrices, enumerate small submodules, take Smith diagonals by
 pivot scanning, build central elements, raise powers and take
 commutators by repeated products, build generators and evaluate words
 one group operation per node or in one pass on dense exponent lists,
+find the center of a G^[3] from one kernel of all its stacked commutator
+rows,
 build the layer map of a morphism through the group law, form the lift
 of the decomposable part of H^2 as a direct sum and by one Howell form
 over the whole layer, decide the morphism H^2 condition on the
@@ -73,7 +75,9 @@ from gq3.presentations import (
     Product,
 )
 from gq3.trunc import (
+    GroupInvariants,
     TruncElement,
+    abelianization,
     free_truncation,
     kappa_constant,
     layer_map,
@@ -87,6 +91,7 @@ from gq3.zqlin import (
     canonicalize,
     full_subspace,
     invariant_factors,
+    kernel,
     prime_power,
     row_space,
 )
@@ -296,6 +301,34 @@ def dense_evaluation(g, word):
     e, c = _dense_evaluate(g, word)
     return g.normalize(TruncElement(tuple(e), tuple(c)))
 
+
+def stacked_group_invariants(g):
+    """group_invariants with the center's degree-1 part read off one kernel
+    of all n |ann(Wc)| rows (a . [sigma_k, sigma_j])_k, stacked for every
+    j and every Howell row a of ann(Wc), and the exponent's p = 2 tests of
+    (q/2) w_kl made at every power of p."""
+    q, n = g.q, g.n
+    p, d = prime_power(q)
+    if n == 0:
+        return GroupInvariants(1, (), 1, 1)
+    npairs = g.npairs
+    wc = ZqSubspace(q, npairs, tuple(row[n:] for row in g.w.basis if not any(row[:n])))
+    dual = annihilator(wc).basis
+    index = {pair: idx for idx, pair in enumerate(g.pairs)}
+    rows = [[a[index[k, j]] if k < j else -a[index[j, k]] if k > j else 0 for k in range(n)]
+            for j in range(n) for a in dual]
+    size_e = kernel(ZqMatrix.from_rows(q, rows, n)).cardinality()
+    center = size_e * q ** (n + npairs) // g.w.cardinality()
+    tests = [[int(i == k) for i in range(g.layer_rank)] for k in range(n)]
+    if p == 2:
+        tests += [[q // 2 * int(i == n + idx) for i in range(g.layer_rank)]
+                  for idx in range(npairs)]
+    exponent = q * q
+    for j in range(d + 1):
+        if all(g.w.contains([(x * p**j) % q for x in vec]) for vec in tests):
+            exponent = q * p**j
+            break
+    return GroupInvariants(g.order(), abelianization(g), center, exponent)
 
 def eliminated_decomposable_part_lift(q, n, ann):
     """The span of kappa times the Bockstein coordinates, the cup

@@ -275,6 +275,24 @@ def test_shape_mismatch_inside_zqlin_is_an_internal_error(tame_file, capsys, mon
     assert err == "internal error: DimensionMismatch('row length mismatch')\n"
 
 
+@pytest.mark.parametrize("module,name,fake,rels,message", [
+    # every entry of valuation 0: the Howell pivot 2 mod 4 is taken for a unit
+    ("gq3.zqlin", "pvaluation", lambda a, p, d: 0, '"x1^8"', "2 is not a unit mod 4"),
+    # the elimination's p-divisibility test done at the wrong prime
+    ("gq3.trunc", "prime_power", lambda q: (3, 2), '"x1^2"', "2 is not a unit mod 4"),
+], ids=["howell", "elimination"])
+def test_non_unit_pivot_is_an_internal_error(tmp_path, capsys, monkeypatch, module, name, fake,
+                                             rels, message):
+    """Only units are inverted, by construction: a non-unit pivot is a bug
+    and exits 4, not 3, though pow raises ValueError on it."""
+    path = tmp_path / "q4.pres"
+    path.write_text(f"q = 4;\ngens = [x1, x2];\nrels = [{rels}];\n")
+    monkeypatch.setattr(f"{module}.{name}", fake)
+    code, out, err = run_cli(capsys, "truncate", str(path))
+    assert (code, out) == (4, "")
+    assert err == f"internal error: AssertionError('{message}')\n"
+
+
 def count_calls(monkeypatch, calls, module, name):
     """Record in calls the positional arguments of every call to module.name."""
     original = getattr(module, name)

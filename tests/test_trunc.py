@@ -33,6 +33,7 @@ from oracles import (
     node_by_node_evaluation,
     reference_commutator,
     reference_power,
+    stacked_group_invariants,
 )
 
 
@@ -622,6 +623,8 @@ def _coset_power_trivial(g, x, m, derived):
         (2, 3, ["x1^3 [x1,x2]"]),
         (2, 2, ["x1^2 [x1,x2]", "x2^2"]),
         (2, 4, ["x1^4", "[x1,x2]"]),
+        (2, 2, ["x1^2", "x2^2"]),
+        (2, 4, ["x1^4", "x2^4"]),
     ],
 )
 def test_group_invariants_against_enumeration(n, q, rels):
@@ -660,6 +663,72 @@ def test_center_against_group_law(n, q):
                  for k in range(s.layer_rank)] for _ in range(rng.randint(1, 3))]
         g = TruncGroup(n, q, canonicalize(q, s.layer_rank, rows))
         assert group_invariants(g).center_order == center_by_group_law(g)
+
+
+@st.composite
+def central_subspaces(draw):
+    """G^[3] = S^[3]/W for W = 0, W full, commutator rows that touch every
+    pair, W_c holding a multiple of every w_kl of one generator k, the u_k with some of
+    the (q/2) w_kl, or random t|c rows."""
+    shape = draw(st.sampled_from(("zero", "full", "every_pair", "star", "halves", "mixed")))
+    n = draw(st.integers(1, 8))
+    q = draw(st.sampled_from((2, 4, 8, 32) if shape == "halves" else (2, 3, 4, 5, 8, 9, 27, 32)))
+    g = free_truncation(n, q)
+    pairs = g.pairs
+    rank = g.layer_rank
+    units = full_subspace(q, rank).basis
+    coeff = st.integers(0, q - 1)
+    if shape == "zero":
+        rows = []
+    elif shape == "full":
+        rows = list(units)
+    elif shape == "every_pair":
+        tails = [draw(st.lists(coeff, min_size=len(pairs), max_size=len(pairs)))
+                 for _ in range(draw(st.integers(1, 3)))]
+        for idx in range(len(pairs)):
+            tails[draw(st.integers(0, len(tails) - 1))][idx] = draw(st.integers(1, q - 1))
+        rows = [[0] * n + tail for tail in tails]
+    elif shape == "star":
+        k = draw(st.integers(0, n - 1))
+        rows = [[draw(st.integers(1, q - 1)) * x for x in units[n + idx]]
+                for idx, pair in enumerate(pairs) if k in pair]
+        rows += [[0] * n + draw(st.lists(coeff, min_size=len(pairs), max_size=len(pairs)))
+                 for _ in range(draw(st.integers(0, 1)))]
+    elif shape == "halves":
+        rows = list(units[:n]) + [[q // 2 * x for x in units[n + idx]]
+                                  for idx in range(len(pairs)) if draw(st.booleans())]
+    else:
+        rows = [draw(st.lists(coeff, min_size=rank, max_size=rank))
+                for _ in range(draw(st.integers(1, 4)))]
+    return TruncGroup(n, q, canonicalize(q, rank, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(central_subspaces())
+def test_group_invariants_match_the_stacked_kernel(g):
+    """The center from the pairs W leaves free and the annihilator rows
+    added until the span is full, and the exponent's (q/2) w_kl tests made
+    at j = 0 only, against one kernel of every stacked row."""
+    assert group_invariants(g) == stacked_group_invariants(g)
+
+
+def test_center_from_untouched_pairs_needs_no_kernel(monkeypatch):
+    """At n = 8 every generator lies on a pair that no commutator row of W
+    touches, so the center is found with no annihilator and no kernel."""
+    import gq3.trunc
+    import gq3.zqlin
+
+    rels = [f"x{k}^32 [x{k},x{k % 8 + 1}]" for k in range(1, 9)]
+    rels += ["[x1,x2]", "[x3,x4]^2", "[x5,x6] [x7,x8]^3"]
+    g, _ = truncated_quotient(make_presentation(32, [f"x{k}" for k in range(1, 9)], rels))
+    expected = stacked_group_invariants(g)
+    calls = []
+    for module, name in [(gq3.trunc, "annihilator"), (gq3.zqlin, "kernel")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    assert group_invariants(g) == expected
+    assert calls == []
 
 
 def test_invariants_spec_examples():
