@@ -2,19 +2,20 @@
 
 Each criterion returns a CheckResult; run_all executes the corpus in
 order and is what both the test suite and the selftest subcommand call.
-Criterion 2 sweeps TruncGroup's own multiply, power and commutator over
-every element, pair and triple of the free S^[3] on two generators: when
-numpy is importable, in one pass on elements whose coordinates are arrays
-(TruncGroup's arithmetic is elementwise), otherwise one tuple at a time.
-numpy is imported only then, never at module load.
+Criterion 2 runs its laws once per sweep through TruncGroup, on elements
+whose coordinates are columns over every tuple swept: numpy arrays if numpy
+imports (only then, never at module load), else the stdlib _Column.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import random
+import sys
 import time
 from collections.abc import Callable
 
@@ -59,15 +60,7 @@ def _timed(fn: Callable[[], tuple[bool, str]], name: str) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive n = 2 sweeps of the group law
-
-
-def _np():
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
+# Criterion 2: sweeps of the group law on column coordinates
 
 
 def _power_by_products(g, a, m: int):
@@ -104,6 +97,10 @@ def _associativity(g, a, b, c):
     yield g.multiply(g.multiply(a, b), c), g.multiply(a, g.multiply(b, c))
 
 
+def _random_laws(g, a, b, c):
+    return itertools.chain(_associativity(g, a, b, c), _pair_laws(g, a, b))
+
+
 # (laws, number of elements they take, moduli swept), in the order checked
 COLLECTION_SWEEPS = (
     (_unit_laws, 1, (2, 3, 4)),
@@ -114,7 +111,7 @@ COLLECTION_SWEEPS = (
 
 def _differ(equations):
     """Where some (x, y) of equations has x != y: a bool for elements with
-    integer coordinates, a bool array for elements with array coordinates."""
+    integer coordinates, a bool column for elements with column coordinates."""
     bad = False
     for x, y in equations:
         for u, v in zip(x.e + x.c, y.e + y.c):
@@ -122,26 +119,57 @@ def _differ(equations):
     return bad
 
 
+class _Column(list):
+    """Ints with numpy's elementwise + - * % != |, unary - and take:
+    criterion 2's column when numpy is missing."""
+
+    def take(self, i):
+        return _Column(map(self.__getitem__, i))
+
+    def _apply(self, op, y):
+        return _Column(map(op, self, y if type(y) is _Column else itertools.repeat(y)))
+
+    __add__ = __radd__ = lambda x, y: x._apply(operator.add, y)
+    __sub__ = lambda x, y: x._apply(operator.sub, y)
+    __neg__ = lambda x: x * -1
+    __rsub__ = lambda x, y: -x + y
+    __mul__ = __rmul__ = lambda x, y: x._apply(operator.mul, y)
+    __mod__ = lambda x, y: x._apply(operator.mod, y)
+    __ne__ = lambda x, y: x._apply(operator.ne, y)
+    __or__ = __ror__ = lambda x, y: x._apply(operator.or_, y)
+
+
+def sweep(g, laws, elements, index):
+    """The first t at which one of laws fails in g on (elements[i[t]] for i
+    in index), or None, from one run of the laws through TruncGroup on
+    column coordinates: numpy int32 arrays if numpy imports (inputs lie
+    below q^2 and each step reduces after a product of at most three, so
+    values stay below 6 * 10^4 at q <= 9), else _Column."""
+    try:
+        import numpy
+        column = functools.partial(numpy.fromiter, dtype=numpy.int32)
+    except ImportError:
+        column = _Column
+    table, xs = list(zip(*(x.e + x.c for x in elements))), []
+    for i in map(column, index):
+        coords = [column(values).take(i) for values in table]
+        xs.append(TruncElement(tuple(coords[:g.n]), tuple(coords[g.n:])))
+    bad = _differ(laws(g, *xs))
+    if isinstance(bad, bool):  # no coordinate of either side depends on the tuple
+        return 0 if bad else None
+    t = bytes(bad).find(1)  # the bools as bytes 0 and 1
+    return None if t < 0 else t
+
+
 def law_counterexample(laws, arity: int, q: int):
     """The first tuple of arity elements of the free S^[3] on two generators,
-    in g.elements() order, at which one of laws fails, or None.  With numpy
-    the laws run once through TruncGroup on elements whose coordinates are
-    arrays over every tuple; without it, tuple by tuple."""
+    in itertools.product order, at which one of laws fails, or None."""
     g = free_truncation(2, q)
-    elements = list(g.elements())
-    np = _np()
-    if np is None:
-        for xs in itertools.product(elements, repeat=arity):
-            if _differ(laws(g, *xs)):
-                return xs
-        return None
-    # no intermediate reaches 4000 at q <= 4, so int32 is ample
-    table = np.array([x.e + x.c for x in elements], dtype=np.int32)
-    index = np.indices((len(elements),) * arity).reshape(arity, -1)
-    columns = [table[i].T for i in index]
-    xs = [TruncElement(tuple(col[:g.n]), tuple(col[g.n:])) for col in columns]
-    bad = np.flatnonzero(_differ(laws(g, *xs)))
-    return tuple(elements[i] for i in index[:, bad[0]]) if bad.size else None
+    elements, size = list(g.elements()), g.order()
+    index = [[k for k in range(size) for _ in range(size ** (arity - 1 - p))] * size ** p
+             for p in range(arity)]
+    t = sweep(g, laws, elements, index)
+    return None if t is None else tuple(elements[i[t]] for i in index)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +178,8 @@ def law_counterexample(laws, arity: int, q: int):
 
 def _random_element(g, rng):
     qq = g.q * g.q
-    return g.normalize(
-        TruncElement(
-            tuple(rng.randrange(qq) for _ in range(g.n)),
-            tuple(rng.randrange(g.q) for _ in range(g.npairs)),
-        )
-    )
+    return TruncElement(tuple(rng.randrange(qq) for _ in range(g.n)),
+                        tuple(rng.randrange(g.q) for _ in range(g.npairs)))
 
 
 def _random_central_relator(rng, n, q, names) -> str:
@@ -227,19 +251,25 @@ def check_collection_laws(seed: int = 0) -> CheckResult:
                 xs = law_counterexample(laws, arity, q)
                 if xs is not None:
                     return False, f"{laws.__name__.strip('_')} failed at q={q} on {xs}"
-        rng = random.Random(seed or 202)
-        for _ in range(10_000):
-            n = rng.randint(1, 4)
-            q = rng.choice([2, 3, 4, 5, 8, 9])
-            g = free_truncation(n, q)
-            a, b, c = (_random_element(g, rng) for _ in range(3))
-            if _differ(_associativity(g, a, b, c)) or _differ(_pair_laws(g, a, b)):
-                return False, f"collection laws failed: n={n} q={q} {a} {b} {c}"
+        rng, free = random.Random(seed or 202), functools.cache(free_truncation)
+        draws = {}  # each free S^[3] drawn -> its (draw, a, b, c), in draw order
+        for draw in range(10_000):
+            g = free(rng.randint(1, 4), rng.choice([2, 3, 4, 5, 8, 9]))
+            draws.setdefault(g, []).append((draw, *(_random_element(g, rng) for _ in range(3))))
+        failures = []
+        for g, triples in draws.items():
+            elements = [x for _, *xs in triples for x in xs]
+            t = sweep(g, _random_laws, elements, [range(p, len(elements), 3) for p in range(3)])
+            if t is not None:
+                failures.append((triples[t], g))
+        if failures:
+            (draw, a, b, c), g = min(failures)
+            return False, f"collection laws failed at draw {draw}: n={g.n} q={g.q} {a} {b} {c}"
         detail = (
             "inverse, closed-form power and commutator, and (ab)^q = a^q b^q "
-            "[b,a]^C(q,2) exhaustive for n=2, q in {2,3,4} "
-            f"({'vectorized' if _np() is not None else 'scalar fallback'}); associativity "
-            "exhaustive for n=2, q=2 and on 10^4 random triples, n <= 4, q <= 9"
+            "[b,a]^C(q,2) exhaustive for n=2, q in {2,3,4}; associativity "
+            "exhaustive for n=2, q=2 and on 10^4 random triples, n <= 4, q <= 9 "
+            f"({'numpy' if sys.modules.get('numpy') else 'stdlib'} columns)"
         )
         return True, detail
 

@@ -208,6 +208,8 @@ def cmd_reconstruct(args) -> int:
 
     p = _load_presentation(args.file)
     w, report = relator_subspace(p)
+    # round_trip_equal compares W with the Howell form of its own rows: it is
+    # always true, so this mode never exits 1
     group = reconstruct_g3(CohomologyData(w.q, len(report.kept), w.basis))
     equal = group.w == w
     payload = {

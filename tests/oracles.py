@@ -9,7 +9,8 @@ pivot scanning, build central elements, raise powers and take
 commutators by repeated products, build generators and evaluate words
 one group operation per node or in one pass on dense exponent lists,
 find the center of a G^[3] from one kernel of all its stacked commutator
-rows,
+rows, run selftest criterion 2's laws one tuple and one random triple at
+a time,
 build the layer map of a morphism through the group law, form the lift
 of the decomposable part of H^2 as a direct sum and by one Howell form
 over the whole layer, decide the morphism H^2 condition on the
@@ -31,10 +32,12 @@ library's answers can be verified by direct construction.
 
 import functools
 import itertools
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from gq3.acceptance import _associativity, _pair_laws
 from gq3.cohom import (
     MorphismError,
     MorphismReport,
@@ -214,6 +217,33 @@ def reference_power(g, a, m):
 def reference_commutator(g, a, b):
     """[a, b] = a^-1 b^-1 a b in g, as three products."""
     return g.multiply(g.multiply(g.inverse(a), g.inverse(b)), g.multiply(a, b))
+
+
+def per_tuple_law_counterexample(laws, arity, q):
+    """The first tuple of arity elements of the free S^[3] on two generators,
+    in itertools.product order over its elements, at which one of laws
+    fails, or None: the laws run on one tuple at a time."""
+    g = free_truncation(2, q)
+    for xs in itertools.product(list(g.elements()), repeat=arity):
+        if any(x != y for x, y in laws(g, *xs)):
+            return xs
+    return None
+
+
+def per_triple_random_failure(seed):
+    """(draw, g, a, b, c) for the first of selftest criterion 2's 10^4 seeded
+    random triples at which associativity or the pair laws fail, or None:
+    the draws are replayed one at a time, each checked as it is drawn."""
+    rng = random.Random(seed or 202)
+    for draw in range(10_000):
+        g = free_truncation(rng.randint(1, 4), rng.choice([2, 3, 4, 5, 8, 9]))
+        a, b, c = (TruncElement(tuple(rng.randrange(g.q * g.q) for _ in range(g.n)),
+                                tuple(rng.randrange(g.q) for _ in range(g.npairs)))
+                   for _ in range(3))
+        laws = itertools.chain(_associativity(g, a, b, c), _pair_laws(g, a, b))
+        if any(x != y for x, y in laws):
+            return draw, g, a, b, c
+    return None
 
 
 def generator_element(g, k):

@@ -109,7 +109,7 @@ def _binomial_law(g, a, b):
 
 
 def test_binomial_collection_law_exhaustive_q2():
-    """(ab)^q = a^q b^q [b,a]^C(q,2) over every pair, scalar path."""
+    """(ab)^q = a^q b^q [b,a]^C(q,2) over every pair, one pair at a time."""
     q = 2
     g = free_truncation(2, q)
     elements = list(g.elements())
@@ -122,8 +122,9 @@ def test_binomial_collection_law_exhaustive_q2():
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_binomial_collection_law_exhaustive_batched(q):
-    """Same law over every pair for q in {2,3,4}, in one pass on elements
-    whose coordinates are arrays when numpy is present."""
+    """Same law over every pair for q in {2,3,4}, in one sweep on elements
+    whose coordinates are columns: numpy arrays when numpy imports, stdlib
+    columns otherwise."""
     from gq3.acceptance import law_counterexample
 
     assert law_counterexample(_binomial_law, 2, q) is None
