@@ -27,7 +27,8 @@ ker C always lies in ker(C L) on W_1.
 Relator independence and the obstruction screen read one pass,
 trunc.evaluate_relators, which certifies only relators whose free S^[3]
 image is the identity; the screen certifies at most one more relator,
-the dependent one whose witness it words.
+the dependent one whose witness it words.  Both sort the relators by one
+Howell form of the graph of their central images (_sorted_relators).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .zqlin import (
     MAX_AMBIENT,
     MAX_Q,
     ZqMatrix,
+    _howell,
     canonicalize,
     invariant_factors,
     prime_power,
@@ -257,19 +259,29 @@ def _sorted_relators(group: TruncGroup, relators: list[tuple]):
     kind is "non-central", "zero" (identity image, certified nontrivial),
     "trivial" (identity image, no certificate), "dependent" (a nonzero
     central image in the span of the other central images) or
-    "independent".  Spans are made lazily, so a caller that stops at its
-    first witness makes none it does not read."""
+    "independent".  One Howell form decides every dependency: v_i is in the
+    span of the others exactly when a relation sum_j a_j v_j = 0 has a_i = 1,
+    the Howell rows of the graph rows (v_j | e_j) that vanish on the layer
+    generate the relations, and as Z/q is local, a relation has a unit at i
+    exactly when one of those rows does.  The unit block is reversed so that
+    each relation row leads at its own relator's column; with many relators
+    the graph is wider than MAX_AMBIENT, hence the bare _howell."""
+    q, m = group.q, group.layer_rank
+    p = prime_power(q)[0]
     vectors = [group.central_vector(y) if group.is_central(y) else None
                for _, _, y, _ in relators]
+    live = [i for i, vec in enumerate(vectors) if vec is not None and any(vec)]
+    r = len(live)
+    graph = [vectors[i] + (0,) * (r - 1 - j) + (1,) + (0,) * j for j, i in enumerate(live)]
+    dependent = {live[r - 1 - k] for row in _howell(q, m + r, graph) if not any(row[:m])
+                 for k, a in enumerate(row[m:]) if a % p}
     for i, (relator, vec) in enumerate(zip(relators, vectors)):
         if vec is None:
             yield relator, "non-central"
         elif not any(vec):
             yield relator, "trivial" if relator[3] is None else "zero"
         else:
-            others = [v for j, v in enumerate(vectors) if j != i and v is not None]
-            span = canonicalize(group.q, group.layer_rank, others)
-            yield relator, "dependent" if span.contains(vec) else "independent"
+            yield relator, "dependent" if i in dependent else "independent"
 
 
 def check_relator_independence(
@@ -410,8 +422,7 @@ def morphism_check(
         if not g2.w.contains(_combination(v, columns, g2.layer_rank)):
             raise MorphismError(f"images do not respect relator {source!r}")
 
-    deg1_mod_p = ZqMatrix.from_rows(p, [[x % p for x in a] for a in degree1], n2)
-    surjective = row_space(deg1_mod_p).cardinality() == p**n2
+    surjective = canonicalize(p, n2, degree1).cardinality() == p**n2
     pi2_iso = n1 == n2 and surjective
     pi3_iso = surjective and g1.order() == g2.order()
     h1_iso = pi2_iso
@@ -513,8 +524,7 @@ def obstruction_screen(
     # (iii) supplied cohomological dimension against dim H^1: at prime q,
     # relator elimination keeps n minus the rank of the degree-1 images
     if cd_bound is not None:
-        degree1 = ZqMatrix.from_rows(q, [y.e for _, _, y, _ in relators], n)
-        dim_h1 = n - row_space(degree1).nrows
+        dim_h1 = n - canonicalize(q, n, [y.e for _, _, y, _ in relators]).nrows
         assumptions.append(f"user-supplied cd(G) = {cd_bound}")
         if dim_h1 < cd_bound:
             if p_ == 2 and not torsion_free:

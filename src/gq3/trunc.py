@@ -46,7 +46,6 @@ from .zqlin import (
     prime_power,
     smith_normal_form,
     unit_inverse,
-    vanishing_part,
     zero_subspace,
 )
 
@@ -413,16 +412,9 @@ def relator_subspace(
     pivot_of_row: dict[int, int] = {}
     pivot_cols: set[int] = set()
     for col in range(n):
-        found = None
-        for i in range(len(ys)):
-            if i in pivot_of_row:
-                continue
-            if ys[i].e[col] % p != 0:
-                found = i
-                break
-        if found is None:
+        i = next((i for i, y in enumerate(ys) if i not in pivot_of_row and y.e[col] % p), None)
+        if i is None:
             continue
-        i = found
         u = unit_inverse(ys[i].e[col] % q, q)
         if u != 1:
             ys[i] = group.power(ys[i], u)
@@ -436,9 +428,7 @@ def relator_subspace(
         pivot_cols.add(col)
 
     for i, y in enumerate(ys):
-        if i in pivot_of_row:
-            continue
-        if not group.is_central(y):
+        if i not in pivot_of_row and not group.is_central(y):
             raise MixedExponentError(
                 f"relator {sources[i]!r} has p-divisible nonzero degree-1 image; "
                 "the mod-q abelianization is not elementary of exponent q"
@@ -455,34 +445,28 @@ def relator_subspace(
         else:
             central_rows.append(group.central_vector(y))
 
-    big_span = canonicalize(q, group.layer_rank, central_rows)
-
     kept_indices = [k for k in range(n) if k not in pivot_cols]
-    eliminated = tuple(
-        (presentation.generators[col], sources[i])
-        for i, col in sorted(pivot_of_row.items(), key=lambda kv: kv[1])
-    )
+    eliminated = tuple((presentation.generators[col], sources[i])
+                       for i, col in sorted(pivot_of_row.items(), key=lambda kv: kv[1]))
 
-    span = big_span
-    if pivot_cols:
-        # Restrict the central span to the coordinates of the kept generators:
-        # the part of it that vanishes on the eliminated ones is exactly what
-        # the relator subgroup meets of the smaller free truncation.
-        kept_coords = kept_indices + [
-            n + idx for idx, (k, l) in enumerate(group.pairs)
-            if k not in pivot_cols and l not in pivot_cols
-        ]
-        dropped_coords = [c for c in range(group.layer_rank) if c not in kept_coords]
-        columns = dropped_coords + kept_coords
-        span = vanishing_part(q, group.layer_rank,
-                              [[row[c] for c in columns] for row in big_span.basis],
-                              len(dropped_coords))
+    # Restrict the central span to the coordinates of the kept generators:
+    # the part of it that vanishes on the eliminated ones is exactly what
+    # the relator subgroup meets of the smaller free truncation.  With the
+    # eliminated coordinates first, the tails of the Howell rows that vanish
+    # on them span that part; with none eliminated, that is the whole span.
+    kept_coords = kept_indices + [n + idx for idx, pair in enumerate(group.pairs)
+                                  if pivot_cols.isdisjoint(pair)]
+    lead = group.layer_rank - len(kept_coords)
+    columns = sorted(set(range(group.layer_rank)).difference(kept_coords)) + kept_coords
+    big_span = canonicalize(q, group.layer_rank, [[row[c] for c in columns] for row in central_rows])
+    span = ZqSubspace(q, len(kept_coords),
+                      tuple(row[lead:] for row in big_span.basis if not any(row[:lead])))
 
-        # The quotient order must agree whether computed upstairs or on the
-        # reduced generating set; a mismatch means a bug, not bad input.
-        closure_order = q ** len(pivot_cols) * big_span.cardinality()
-        if group.order() // closure_order != TruncGroup(len(kept_indices), q, span).order():
-            raise AssertionError("generator elimination produced inconsistent orders")
+    # The quotient order must agree whether computed upstairs or on the
+    # reduced generating set; a mismatch means a bug, not bad input.
+    closure_order = q ** len(pivot_cols) * big_span.cardinality()
+    if group.order() // closure_order != TruncGroup(len(kept_indices), q, span).order():
+        raise AssertionError("generator elimination produced inconsistent orders")
 
     report = MinimalityReport(
         minimal=not pivot_cols,

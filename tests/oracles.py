@@ -25,9 +25,10 @@ discrete-log table, evaluate the 2-adic Hilbert symbol and the tame
 symbol in closed form, test squares pair by pair, place hull relations
 slot by slot, read the divisors of every hull degree off its invariant
 factors, build the relator independence and obstruction screen reports
-from relator images that are all certified up front, and compare a
-K-ring preset with a presentation degree by degree, so that the
-library's answers can be verified by direct construction.
+from relator images that are all certified up front, sort relators
+into kinds with one span of the other central images per relator, and
+compare a K-ring preset with a presentation degree by degree, so that
+the library's answers can be verified by direct construction.
 """
 
 import functools
@@ -1156,6 +1157,25 @@ def _certified_images(group, presentation, certificate_class):
     return [(source, group.evaluate_word(word),
              word_nontriviality_certificate(word, presentation.n, certificate_class))
             for word, source in zip(presentation.relators, presentation.relator_sources)]
+
+
+def quadratic_sorted_relators(group, relators):
+    """(relator, kind) as cohom._sorted_relators gives them, each nonzero
+    central image tested against one Howell form of the other central
+    images: r spans for r relators."""
+    vectors = [group.central_vector(y) if group.is_central(y) else None
+               for _, _, y, _ in relators]
+    kinds = []
+    for i, (relator, vec) in enumerate(zip(relators, vectors)):
+        if vec is None:
+            kinds.append((relator, "non-central"))
+        elif not any(vec):
+            kinds.append((relator, "trivial" if relator[3] is None else "zero"))
+        else:
+            others = [v for j, v in enumerate(vectors) if j != i and v is not None]
+            span = canonicalize(group.q, group.layer_rank, others)
+            kinds.append((relator, "dependent" if span.contains(vec) else "independent"))
+    return kinds
 
 
 def eager_relator_independence(presentation, certificate_class=5):

@@ -4,12 +4,14 @@ import json
 import math
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import gq3.zqlin
 from gq3.cli import main
 from gq3.cohom import (
     CohomologyData,
@@ -23,6 +25,7 @@ from gq3.cohom import (
     obstruction_screen,
     reconstruct_g3,
     _cup_order,
+    _sorted_relators,
 )
 from gq3.milnor import presentation_zero_pairs
 from gq3.presentations import (
@@ -36,13 +39,14 @@ from gq3.presentations import (
 )
 from gq3.trunc import (
     TruncElement,
+    evaluate_relators,
     free_truncation,
     layer_map,
     pair_list,
     relator_subspace,
     truncated_quotient,
 )
-from gq3.zqlin import annihilator, canonicalize, prime_power, row_space
+from gq3.zqlin import MAX_AMBIENT, annihilator, canonicalize, prime_power, row_space
 from oracles import (
     DictCohomologyTables,
     _decomposable_part_lift,
@@ -55,6 +59,7 @@ from oracles import (
     group_law_layer_columns,
     pivot_scan_smith_diagonal,
     pretty,
+    quadratic_sorted_relators,
     substitute,
     table_null_space,
 )
@@ -402,6 +407,92 @@ def test_relator_sorting_matches_the_eager_reports(q, class_bound, seed):
         torsion_free = rng.random() < 0.5
         assert (obstruction_screen(p, cd, torsion_free, class_bound).to_json_dict()
                 == eager_obstruction_screen(p, cd, torsion_free, class_bound).to_json_dict())
+
+
+def many_relators(rng, n, q, r):
+    """r relators on n generators: central images, combinations of two
+    earlier central relators (dependent ones, some p-divisible), identity
+    images with and without a certificate, and non-central words."""
+    names = [f"x{k + 1}" for k in range(n)]
+    x = lambda: rng.choice(names)  # noqa: E731
+    p = prime_power(q)[0]
+    central, rels = [], []
+    for _ in range(r):
+        kind = rng.randrange(6)
+        if kind <= 1 or not central:
+            central.append(random_central_relator(rng, n, q, names) or f"{x()}^{q}")
+            rels.append(central[-1])
+        elif kind <= 3:
+            a, b = rng.choice(central), rng.choice(central)
+            rels.append(f"({a})^{rng.choice([1, p, rng.randrange(q)])} ({b})^{rng.randrange(q)}")
+        elif kind == 4:
+            g = x()
+            rels.append(rng.choice([f"[{x()},[{x()},{x()}]]", f"{g}^{q * q}", f"{g} {g}^-1"]))
+        else:
+            rels.append(f"{x()}^{rng.choice([1, p])} {rng.choice(central)}")
+    return make_presentation(q, names, rels)
+
+
+def checked_kinds(presentation):
+    """The relator kinds, asserted equal to the quadratic reference's."""
+    group, relators = evaluate_relators(presentation, 3)
+    kinds = list(_sorted_relators(group, relators))
+    assert kinds == quadratic_sorted_relators(group, relators)
+    return [kind for _, kind in kinds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    q=st.sampled_from([2, 3, 4, 5, 8, 9, 27, 32]),
+    seed=st.integers(min_value=0, max_value=10**9),
+)
+def test_relator_kinds_match_the_quadratic_reference(n, q, seed):
+    """One Howell form of the graph rows sorts the relators as one span of
+    the other central images per relator does, for up to twice the layer
+    rank plus 2 relators."""
+    rng = random.Random(seed)
+    layer_rank = n + n * (n - 1) // 2
+    checked_kinds(many_relators(rng, n, q, rng.randint(0, 2 * layer_rank + 2)))
+
+
+@pytest.mark.parametrize("presentation", [
+    parse_presentation((Path(__file__).parent / "golden/inputs/many_relators_q3.pres").read_text()),
+    many_relators(random.Random(32), 3, 32, 400),
+], ids=["golden-q3", "drawn-q32"])
+def test_relator_kinds_past_max_ambient(presentation):
+    """More nonzero central images than MAX_AMBIENT: the graph rows are
+    wider than any ZqSubspace, and the kinds still match the reference."""
+    kinds = checked_kinds(presentation)
+    assert kinds.count("dependent") + kinds.count("independent") > MAX_AMBIENT
+
+
+HOWELL = gq3.zqlin._howell
+
+
+def count_howell_calls(monkeypatch, call):
+    """Run call with every gq3 binding of zqlin._howell counted."""
+    calls = []
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("gq3") and getattr(module, "_howell", None) is HOWELL:
+            monkeypatch.setattr(module, "_howell",
+                                lambda *args: calls.append(args) or HOWELL(*args))
+    call()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_each_relator_list_takes_one_howell_form(monkeypatch):
+    """relator_subspace on a non-minimal presentation, and equiv and the
+    screen on 50 relators, eliminate their relator list once."""
+    nonmin = make_presentation(4, ["x1", "x2", "x3"], ["x1 [x2,x3]^2", "x2^4 [x1,x2]", "[x1,x3]^3"])
+    assert not relator_subspace(nonmin)[1].minimal
+    assert count_howell_calls(monkeypatch, lambda: relator_subspace(nonmin)) == 1
+    rng, names = random.Random(50), ["x1", "x2", "x3", "x4"]
+    fifty = make_presentation(3, names, [random_central_relator(rng, 4, 3, names) or "x1^3"
+                                         for _ in range(50)])
+    assert count_howell_calls(monkeypatch, lambda: check_relator_independence(fifty)) == 1
+    assert count_howell_calls(monkeypatch, lambda: obstruction_screen(fifty)) == 1
 
 
 # ---------------------------------------------------------------------------
