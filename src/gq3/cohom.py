@@ -27,8 +27,9 @@ ker C always lies in ker(C L) on W_1.
 Relator independence and the obstruction screen read one pass,
 trunc.evaluate_relators, which certifies only relators whose free S^[3]
 image is the identity; the screen certifies at most one more relator,
-the dependent one whose witness it words.  Both sort the relators by one
-Howell form of the graph of their central images (_sorted_relators).
+the dependent one whose witness it words.  Both sort the relators by the
+relations among their central images, one zqlin.relations call
+(_sorted_relators).
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from .zqlin import (
     MAX_AMBIENT,
     MAX_Q,
     ZqMatrix,
-    _howell,
     canonicalize,
     invariant_factors,
     prime_power,
+    relations,
     row_space,
 )
 
@@ -261,20 +262,17 @@ def _sorted_relators(group: TruncGroup, relators: list[tuple]):
     central image in the span of the other central images) or
     "independent".  One Howell form decides every dependency: v_i is in the
     span of the others exactly when a relation sum_j a_j v_j = 0 has a_i = 1,
-    the Howell rows of the graph rows (v_j | e_j) that vanish on the layer
-    generate the relations, and as Z/q is local, a relation has a unit at i
-    exactly when one of those rows does.  The unit block is reversed so that
-    each relation row leads at its own relator's column; with many relators
-    the graph is wider than MAX_AMBIENT, hence the bare _howell."""
+    and as Z/q is local, that holds exactly when a Howell row of the
+    relations (zqlin.relations) has a unit at i.  The live images are passed
+    in reverse order, so that each relation row leads at its own column."""
     q, m = group.q, group.layer_rank
     p = prime_power(q)[0]
     vectors = [group.central_vector(y) if group.is_central(y) else None
                for _, _, y, _ in relators]
     live = [i for i, vec in enumerate(vectors) if vec is not None and any(vec)]
     r = len(live)
-    graph = [vectors[i] + (0,) * (r - 1 - j) + (1,) + (0,) * j for j, i in enumerate(live)]
-    dependent = {live[r - 1 - k] for row in _howell(q, m + r, graph) if not any(row[:m])
-                 for k, a in enumerate(row[m:]) if a % p}
+    rows = relations(q, m, [vectors[i] for i in reversed(live)])
+    dependent = {live[r - 1 - k] for row in rows for k, a in enumerate(row) if a % p}
     for i, (relator, vec) in enumerate(zip(relators, vectors)):
         if vec is None:
             yield relator, "non-central"

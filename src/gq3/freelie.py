@@ -19,7 +19,9 @@ truncation.  A commutator [a, b] with a = 1 + X, b = 1 + Y enters as
 1 + a^-1 b^-1 (XY - YX): each side is expanded only as far as the
 other side's bound leaves room, and a^-1 b^-1 only to the truncation
 less both bounds.  A power x^e or w^e enters as the binomial series
-sum_j C(e, j) X^j, never by writing its base out e times.
+sum_j C(e, j) X^j, never by writing its base out e times.  A flat word,
+one that presentations.letters writes out as generator powers, enters
+syllable by syllable.
 
 tensor_to_hall writes a component on the Hall basis, a Z-basis of the
 Lie ring in each weight, by exact solving, one solve per letter content
@@ -264,26 +266,6 @@ def graded_component(series: Tensor, m: int) -> Tensor:
     return {mon: x for mon, x in series.items() if len(mon) == m and x != 0}
 
 
-def _expands_on_tree(word: pres.Word) -> bool:
-    """Whether the word's series is built on its tree rather than from its
-    syllables: it holds a commutator, or a power of a base of more than
-    one syllable.  Flattening either repeats the base, so a commutator
-    nested k deep would become about 4^k syllables.
-    """
-    match word:
-        case pres.Generator():
-            return False
-        case pres.Inverse(b):
-            return _expands_on_tree(b)
-        case pres.Power(b, _):
-            return _expands_on_tree(b) or len(pres.letters(b)) > 1
-        case pres.Product(fs):
-            return any(_expands_on_tree(f) for f in fs)
-        case pres.Commutator():
-            return True
-    raise TypeError(f"not a word node: {word!r}")
-
-
 def _bound(word: pres.Word) -> int:
     """A lower bound for the lowest degree of word - 1 in its series.
 
@@ -307,21 +289,26 @@ def _bound(word: pres.Word) -> int:
 def _word_series(word: pres.Word, cap: int) -> Graded:
     """Magnus series of a word truncated at cap.
 
-    A subtree without commutators and composite powers is flattened to
-    syllables; a composite power is the binomial series of its base's
-    series, and a commutator is 1 + a^-1 b^-1 (XY - YX), each part
+    A word that pres.letters flattens is expanded from its syllables.
+    letters refuses a commutator and a power of a composite base, since
+    flattening either repeats the base (a commutator nested k deep would
+    become about 4^k syllables).  Such a power is the binomial series of its
+    base's series, and a commutator is 1 + a^-1 b^-1 (XY - YX), each part
     expanded only to the degree that can reach cap.
     """
-    if not _expands_on_tree(word):
-        syllables = pres.reduce_syllables(pres.letters(word))
-        series = magnus_expansion(syllables, cap)
+    try:
+        syllables = pres.letters(word)
+    except TypeError:
+        pass
+    else:
+        series = magnus_expansion(pres.reduce_syllables(syllables), cap)
         return [graded_component(series, d) for d in range(cap + 1)]
     match word:
         case pres.Inverse(b):
             return _power(_word_series(b, cap), -1, cap)
         case pres.Power(b, e):
             return _power(_word_series(b, cap), e, cap)
-        case pres.Product(fs):  # not empty: a factor expands on the tree
+        case pres.Product(fs):  # not empty: some factor is not flat
             out = _word_series(fs[0], cap)
             for f in fs[1:]:
                 out = _multiply(out, _word_series(f, cap), cap)

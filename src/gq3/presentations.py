@@ -117,9 +117,10 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
     """Flatten a flat word to generator powers.
 
     A flat word holds no commutator, and each of its powers has a base of
-    at most one syllable, which stays one syllable.  Other words are
-    expanded on their tree by the certificate engine in gq3.freelie,
-    never flattened.
+    at most one syllable, which stays one syllable.  Any other word raises
+    TypeError, and the certificate engine in gq3.freelie expands it on its
+    tree instead; the engine tries letters on every subtree, so the error
+    message does not repr the word.
     """
     match word:
         case Generator(k):
@@ -129,7 +130,7 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
         case Power(b, e):
             seq = letters(b, sign)
             if len(seq) > 1:
-                raise TypeError(f"not a flat word: power of a composite base {b!r}")
+                raise TypeError("not a flat word: power of a composite base")
             return [(g, x * e) for g, x in seq if e]
         case Product(fs):
             if sign > 0:
@@ -141,7 +142,7 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
             for f in reversed(fs):
                 out.extend(letters(f, -1))
             return out
-    raise TypeError(f"not a flat word node: {word!r}")
+    raise TypeError(f"not a flat word node: {type(word).__name__}")
 
 
 def reduce_syllables(seq: Sequence[Syllable]) -> list[Syllable]:

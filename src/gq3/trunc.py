@@ -24,8 +24,9 @@ same normal forms with the central part reduced to a canonical coset
 representative mod W.  W is central, so that representative depends only
 on the coset, and evaluate_word reduces once, after a whole word.
 Presentations whose relators stick out of the Frattini subgroup are
-reduced to that shape by eliminating generators with unit pivots; see
-relator_subspace.
+reduced to that shape by eliminating generators with unit pivots, and the
+relator span is then cut to the kept generators by zqlin.vanishing_part;
+see relator_subspace.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .zqlin import (
     prime_power,
     smith_normal_form,
     unit_inverse,
+    vanishing_part,
     zero_subspace,
 )
 
@@ -450,17 +452,14 @@ def relator_subspace(
                        for i, col in sorted(pivot_of_row.items(), key=lambda kv: kv[1]))
 
     # Restrict the central span to the coordinates of the kept generators:
-    # the part of it that vanishes on the eliminated ones is exactly what
-    # the relator subgroup meets of the smaller free truncation.  With the
-    # eliminated coordinates first, the tails of the Howell rows that vanish
-    # on them span that part; with none eliminated, that is the whole span.
+    # with the eliminated ones put first, its vanishing part is exactly what
+    # the relator subgroup meets of the smaller free truncation.
     kept_coords = kept_indices + [n + idx for idx, pair in enumerate(group.pairs)
                                   if pivot_cols.isdisjoint(pair)]
     lead = group.layer_rank - len(kept_coords)
     columns = sorted(set(range(group.layer_rank)).difference(kept_coords)) + kept_coords
     big_span = canonicalize(q, group.layer_rank, [[row[c] for c in columns] for row in central_rows])
-    span = ZqSubspace(q, len(kept_coords),
-                      tuple(row[lead:] for row in big_span.basis if not any(row[:lead])))
+    span = vanishing_part(big_span, lead)
 
     # The quotient order must agree whether computed upstairs or on the
     # reduced generating set; a mismatch means a bug, not bad input.
@@ -522,18 +521,17 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
     # in ann(Wc); they are linear in a, and |E| = q^n / |their span|.  The
     # unit functional of a pair (k, l) that no row of Wc touches gives the
     # units at k and l, so the span is built on the other columns only, from
-    # the Howell rows of ann(Wc) until it is full.  The Howell rows of w that
-    # vanish on the t block span Wc (zqlin.vanishing_part).
+    # the Howell rows of ann(Wc) until it is full.
     npairs = g.npairs
-    wc = tuple(row[n:] for row in g.w.basis if not any(row[:n]))
-    touched = {idx for row in wc for idx, x in enumerate(row) if x}
+    wc = vanishing_part(g.w, n)
+    touched = {idx for row in wc.basis for idx, x in enumerate(row) if x}
     seeded = {k for idx, pair in enumerate(g.pairs) if idx not in touched for k in pair}
     rest = [k for k in range(n) if k not in seeded]
     size_e = q ** len(rest)
     if rest:
         index = {pair: idx for idx, pair in enumerate(g.pairs)}
         span = zero_subspace(q, len(rest))
-        for a in annihilator(ZqSubspace(q, npairs, wc)).basis:
+        for a in annihilator(wc).basis:
             rows = [[a[index[k, j]] if k < j else -a[index[j, k]] if k > j else 0
                      for k in rest] for j in range(n)]
             span = canonicalize(q, len(rest), [*span.basis, *rows])

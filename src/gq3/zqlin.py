@@ -7,11 +7,15 @@ the missing annihilator rows and is the unique canonical form for
 submodules of (Z/q)^n, which is what makes subspace equality a plain
 tuple comparison everywhere else in this package.
 
-The Howell form is the one elimination here: canonical spans, sums,
-kernels and annihilators, and the part of a span that vanishes on given
-coordinates (vanishing_part), all read off it.  Invariant factors are
-counted from the cardinalities of the Howell forms of p^k W, and the
-Smith diagonal is read off the same count.
+The Howell form is the one elimination here, and canonical spans, sums
+and annihilators are read off it.  Its rows that vanish on the leading
+coordinates span the part of the span that vanishes there (the Howell
+property): vanishing_part reads that part off a Howell form, and
+relations reads the relation module of any number of vectors off the
+Howell form of their graph rows (v_j | e_j); kernel is the relations
+among a matrix's columns.  Invariant factors are counted from the
+cardinalities of the Howell forms of p^k W, and the Smith diagonal is
+read off the same count.
 
 All matrices are immutable, eagerly reduced mod q, and stored as nested
 tuples of plain ints.
@@ -269,23 +273,32 @@ def smith_normal_form(m: ZqMatrix) -> tuple[int, ...]:
     return diag + (0,) * (min(m.nrows, m.ncols) - len(diag))
 
 
-def vanishing_part(q: int, ambient: int, rows: Iterable[Sequence[int]], lead: int) -> ZqSubspace:
-    """Elements of the row span that vanish on the first lead coordinates,
-    as a submodule of the remaining ambient - lead coordinates.
+def _vanishing(rows: Iterable[Sequence[int]], lead: int) -> tuple[tuple[int, ...], ...]:
+    """Tails past lead of the Howell rows that vanish on the first lead
+    coordinates: by the Howell property they span the part of the span
+    that vanishes there, and are themselves in Howell form."""
+    return tuple(row[lead:] for row in rows if not any(row[:lead]))
 
-    The Howell rows that are zero on those coordinates span that part (the
-    Howell property), and their tails are themselves in Howell form.
-    """
-    tails = tuple(row[lead:] for row in _howell(q, ambient, rows) if not any(row[:lead]))
-    return ZqSubspace(q, ambient - lead, tails)
+
+def vanishing_part(w: ZqSubspace, lead: int) -> ZqSubspace:
+    """Elements of w that vanish on its first lead coordinates, as a
+    submodule of the remaining ambient_dim - lead coordinates."""
+    return ZqSubspace(w.q, w.ambient_dim - lead, _vanishing(w.basis, lead))
+
+
+def relations(q: int, width: int, vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Howell rows of {a : sum_j a_j v_j = 0} for vectors v_j in (Z/q)^width,
+    read off the graph rows (v_j | e_j).  len(vectors) is not capped, so
+    the rows may be longer than MAX_AMBIENT."""
+    r = len(vectors)
+    graph = [tuple(v) + (0,) * j + (1,) + (0,) * (r - 1 - j) for j, v in enumerate(vectors)]
+    return _vanishing(_howell(q, width + r, graph), width)
 
 
 def kernel(m: ZqMatrix) -> ZqSubspace:
-    """{v in (Z/q)^ncols : m v = 0}: the graph span {(m v, v)} where m v vanishes."""
-    n = m.ncols
-    columns = zip(*m.entries) if m.nrows else [()] * n
-    graph = [col + (0,) * j + (1,) + (0,) * (n - 1 - j) for j, col in enumerate(columns)]
-    return vanishing_part(m.q, m.nrows + m.ncols, graph, m.nrows)
+    """{v in (Z/q)^ncols : m v = 0}: the relations among m's columns."""
+    columns = list(zip(*m.entries)) if m.nrows else [()] * m.ncols
+    return ZqSubspace(m.q, m.ncols, relations(m.q, m.nrows, columns))
 
 
 def row_space(m: ZqMatrix) -> ZqSubspace:

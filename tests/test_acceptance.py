@@ -152,8 +152,9 @@ def test_collection_laws_catch_multiply_mutants(mutant, path, monkeypatch):
     _patch_multiply(monkeypatch, mutant)
     result = check_collection_laws(0)
     assert not result.passed and "failed at q=" in result.detail, result.detail
-    for q in (3, 4):
-        assert _caught_at(q), q
+    assert _caught_at(3)
+    if path == "array":  # the q = 4 pair sweep takes seconds on stdlib columns
+        assert _caught_at(4)
 
 
 def _flipped_product(q, x, y):

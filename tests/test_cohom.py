@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import gq3.zqlin
+from gq3 import trunc
 from gq3.cli import main
 from gq3.cohom import (
     CohomologyData,
@@ -46,7 +47,7 @@ from gq3.trunc import (
     relator_subspace,
     truncated_quotient,
 )
-from gq3.zqlin import MAX_AMBIENT, annihilator, canonicalize, prime_power, row_space
+from gq3.zqlin import MAX_AMBIENT, annihilator, canonicalize, prime_power, relations, row_space
 from oracles import (
     DictCohomologyTables,
     _decomposable_part_lift,
@@ -63,6 +64,9 @@ from oracles import (
     substitute,
     table_null_space,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def cd_from_tables(q, n, h2_rank, cup=None, bockstein=None):
@@ -493,6 +497,73 @@ def test_each_relator_list_takes_one_howell_form(monkeypatch):
                                          for _ in range(50)])
     assert count_howell_calls(monkeypatch, lambda: check_relator_independence(fifty)) == 1
     assert count_howell_calls(monkeypatch, lambda: obstruction_screen(fifty)) == 1
+
+
+# ---------------------------------------------------------------------------
+# A witness for every dependent relator
+
+
+def called_dependent(presentation, relators):
+    """Indices of the relators that equiv calls dependent and, at prime q,
+    of the relator that the screen's dependency witness names."""
+    report = check_relator_independence(presentation, 3)
+    called = {int(m[1]) for t in report.tests
+              if (m := re.fullmatch(r"relator\[(\d+)\] dependency", t.name))}
+    if prime_power(presentation.q)[1] == 1:
+        for t in obstruction_screen(presentation, certificate_class=3).tests:
+            if t.name == "dependent-relator-image" and "has image dependent" in t.witness:
+                called.add(next(i for i, (source, *_) in enumerate(relators)
+                                if f"relator {source!r} " in t.witness))
+    return called
+
+
+def assert_dependent_witnesses(presentation):
+    """Each relator called dependent has a relation a with a unit at its
+    index, and prod_j y_j^(a_j) is the identity of the free S^[3], checked
+    by the sparse group law alone.  Returns how many were checked."""
+    group, relators = evaluate_relators(presentation, 3)
+    q = group.q
+    p = prime_power(q)[0]
+    live = [j for j, (_, _, y, _) in enumerate(relators)
+            if group.is_central(y) and y != group.identity()]
+    rows = relations(q, group.layer_rank, [group.central_vector(relators[j][2]) for j in live])
+    called = called_dependent(presentation, relators)
+    for i in called:
+        a = next((row for row in rows if row[live.index(i)] % p), None)
+        assert a is not None, f"relator {i} is called dependent, but no relation has a unit there"
+        product = ({}, {})
+        for j, aj in zip(live, a):
+            y = relators[j][2]
+            maps = ({k: x for k, x in enumerate(y.e) if x},
+                    {pair: x for pair, x in zip(group.pairs, y.c) if x})
+            product = trunc._product(q, product, trunc._power(q, maps, aj))
+        assert not any(product[0].values()) and not any(product[1].values()), i
+    return len(called)
+
+
+GOLDEN_DEPENDENCY_INPUTS = sorted({
+    case["argv"][1] for case in json.loads((GOLDEN / "cases.json").read_text()).values()
+    if case["argv"][:1] in (["equiv"], ["screen"]) and case["exit"] != 3})
+
+
+@pytest.mark.parametrize("path", GOLDEN_DEPENDENCY_INPUTS)
+def test_dependent_relators_have_group_law_witnesses_on_golden_inputs(path):
+    presentation = parse_presentation((GOLDEN / path).read_text())
+    checked = assert_dependent_witnesses(presentation)
+    if path.endswith("many_relators_q3.pres"):  # more live relators than MAX_AMBIENT
+        assert checked == 256
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 27])
+def test_dependent_relators_have_group_law_witnesses(q):
+    rng = random.Random(q)
+    checked = 0
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        layer_rank = n + n * (n - 1) // 2
+        presentation = many_relators(rng, n, q, rng.randint(0, 2 * layer_rank + 2))
+        checked += assert_dependent_witnesses(presentation)
+    assert checked
 
 
 # ---------------------------------------------------------------------------

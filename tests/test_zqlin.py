@@ -1,5 +1,8 @@
+import ast
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from gq3.zqlin import (
     invariant_factors,
     kernel,
     prime_power,
+    relations,
     row_space,
     smith_normal_form,
     subspace_intersect,
@@ -228,11 +232,49 @@ def test_vanishing_part_against_enumeration(q):
         ambient = rng.randint(1, 4)
         lead = rng.randint(0, ambient)
         rows = [[rng.randrange(q) for _ in range(ambient)] for _ in range(rng.randint(0, 3))]
-        got = vanishing_part(q, ambient, rows, lead)
+        got = vanishing_part(canonicalize(q, ambient, rows), lead)
         assert got.ambient_dim == ambient - lead
         want = {v[lead:] for v in brute_span(q, ambient, rows) if not any(v[:lead])}
         assert set(subspace_vectors(got)) == want
         assert canonicalize(q, ambient - lead, got.basis) == got
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("width", [0, 1, 2])
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_relations_against_enumeration(q, width, count):
+    """The Howell rows of the relations among every list of count vectors
+    span exactly the coefficient vectors whose combination vanishes."""
+    vectors = list(itertools.product(range(q), repeat=width))
+    for vs in itertools.product(vectors, repeat=count):
+        rows = relations(q, width, vs)
+        want = {a for a in itertools.product(range(q), repeat=count)
+                if all(sum(x * v[k] for x, v in zip(a, vs)) % q == 0 for k in range(width))}
+        assert set(subspace_vectors(ZqSubspace(q, count, rows))) == want
+        assert canonicalize(q, count, rows).basis == rows
+
+
+@pytest.mark.parametrize("q", MODULI)
+def test_kernel_is_the_relations_among_the_columns(q):
+    rng = random.Random(q * 31)
+    for nrows, ncols in [(0, 0), (0, 3), (2, 0), *((rng.randint(1, 4), rng.randint(1, 4))
+                                                   for _ in range(30))]:
+        m = ZqMatrix.from_rows(q, [[rng.randrange(q) for _ in range(ncols)]
+                                   for _ in range(nrows)], ncols)
+        columns = [tuple(row[j] for row in m.entries) for j in range(ncols)]
+        assert kernel(m) == ZqSubspace(q, ncols, relations(q, nrows, columns))
+
+
+def test_relations_past_max_ambient():
+    """More vectors than MAX_AMBIENT: the relation rows are longer than any
+    ZqSubspace, and each one is a relation."""
+    rng = random.Random(300)
+    vs = [[rng.randrange(4) for _ in range(3)] for _ in range(300)]
+    rows = relations(4, 3, vs)
+    orders = [4 // next(x for x in row if x) for row in rows]
+    assert math.prod(orders) * canonicalize(4, 3, vs).cardinality() == 4**300
+    for row in rows:
+        assert all(sum(a * v[k] for a, v in zip(row, vs)) % 4 == 0 for k in range(3))
 
 
 def test_kernel_examples():
@@ -333,3 +375,42 @@ def test_double_annihilator_property(q, data):
     w = canonicalize(q, ambient, rows)
     assert annihilator(annihilator(w)) == w
     assert w.cardinality() * annihilator(w).cardinality() == q**ambient
+
+
+def private_zqlin_uses(source: str) -> list[str]:
+    """The _-prefixed zqlin names that a module's source imports or reads
+    as an attribute of the zqlin module, under any name it binds it to."""
+    tree = ast.parse(source)
+    aliases, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("zqlin", "gq3.zqlin"):
+                uses += [a.name for a in node.names if a.name.startswith("_")]
+            elif node.module in (None, "gq3"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "zqlin"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "gq3.zqlin" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            value = node.value
+            if (isinstance(value, ast.Name) and value.id in aliases
+                    or ast.unparse(value) == "gq3.zqlin"):
+                uses.append(node.attr)
+    return uses
+
+
+def test_private_zqlin_names_stay_in_zqlin():
+    """Howell rows, graph rows and vanishing parts are read through public
+    zqlin functions only."""
+    sources = sorted(Path(zqlin.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        if path.name != "zqlin.py":
+            assert private_zqlin_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_private_zqlin_use_is_found():
+    assert private_zqlin_uses("from .zqlin import _howell, canonicalize") == ["_howell"]
+    assert private_zqlin_uses("from . import zqlin as z\nz._vanishing(rows, 2)") == ["_vanishing"]
+    assert private_zqlin_uses("import gq3.zqlin\ngq3.zqlin._howell(2, 1, [])") == ["_howell"]
+    assert private_zqlin_uses("from .zqlin import canonicalize\nx._howell") == []
