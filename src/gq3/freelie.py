@@ -277,7 +277,7 @@ def _bound(word: pres.Word) -> int:
     match word:
         case pres.Generator():
             return 1
-        case pres.Inverse(b) | pres.Power(b, _):
+        case pres.Power(b, _):
             return _bound(b)
         case pres.Product(fs):
             return min((_bound(f) for f in fs), default=MAX_CLASS + 1)
@@ -289,12 +289,12 @@ def _bound(word: pres.Word) -> int:
 def _word_series(word: pres.Word, cap: int) -> Graded:
     """Magnus series of a word truncated at cap.
 
-    A word that pres.letters flattens is expanded from its syllables.
-    letters refuses a commutator and a power of a composite base, since
-    flattening either repeats the base (a commutator nested k deep would
-    become about 4^k syllables).  Such a power is the binomial series of its
-    base's series, and a commutator is 1 + a^-1 b^-1 (XY - YX), each part
-    expanded only to the degree that can reach cap.
+    A flat word, a -1 power of one included, is expanded from the
+    syllables pres.letters gives.  letters refuses a commutator and any
+    other power of a composite base: flattening either repeats the base
+    (a commutator nested k deep becomes about 4^k syllables).  Such a power
+    is the binomial series of its base's series, and a commutator is
+    1 + a^-1 b^-1 (XY - YX), each part expanded only as far as can reach cap.
     """
     try:
         syllables = pres.letters(word)
@@ -304,8 +304,6 @@ def _word_series(word: pres.Word, cap: int) -> Graded:
         series = magnus_expansion(pres.reduce_syllables(syllables), cap)
         return [graded_component(series, d) for d in range(cap + 1)]
     match word:
-        case pres.Inverse(b):
-            return _power(_word_series(b, cap), -1, cap)
         case pres.Power(b, e):
             return _power(_word_series(b, cap), e, cap)
         case pres.Product(fs):  # not empty: some factor is not flat

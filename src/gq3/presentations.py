@@ -6,7 +6,8 @@ The word grammar:
     factor   := atom ("^" SINT)?
     atom     := NAME | "(" word ")" | "[" word "," word "]"
 
-``[u, v]`` denotes u^-1 v^-1 u v.  Exponents are signed integers of
+``[u, v]`` denotes u^-1 v^-1 u v, and ``w^-1`` is Power(w, -1), the
+inverse having no node of its own.  Exponents are signed integers of
 absolute value at most MAX_EXPONENT; reduction mod the presentation
 modulus happens only in the truncated-group arithmetic, never here.  At
 most MAX_NESTING parentheses and brackets may be open at once.
@@ -66,11 +67,6 @@ class Generator(record("index")):
     index: int
 
 
-class Inverse(record("body")):
-    __slots__ = ()
-    body: Word
-
-
 class Power(record("body exponent")):
     __slots__ = ()
     body: Word
@@ -88,14 +84,14 @@ class Commutator(record("left right")):
     right: Word
 
 
-Word = Generator | Inverse | Power | Product | Commutator
+Word = Generator | Power | Product | Commutator
 
 
 def generator_indices(word: Word) -> set[int]:
     match word:
         case Generator(k):
             return {k}
-        case Inverse(b) | Power(b, _):
+        case Power(b, _):
             return generator_indices(b)
         case Product(fs):
             out: set[int] = set()
@@ -116,16 +112,16 @@ Syllable = tuple[int, int]  # (generator index, nonzero exponent)
 def letters(word: Word, sign: int = 1) -> list[Syllable]:
     """Flatten a flat word to generator powers.
 
-    A flat word holds no commutator, and each of its powers has a base of
-    at most one syllable, which stays one syllable.  Any other word raises
-    TypeError, and the certificate engine in gq3.freelie expands it on its
-    tree instead; the engine tries letters on every subtree, so the error
-    message does not repr the word.
+    A flat word holds no commutator, and each of its powers is a -1 power
+    (its base's syllables reversed and negated) or has a base of at most
+    one syllable, which stays one syllable.  Any other word raises
+    TypeError and gq3.freelie expands it on its tree; as freelie tries
+    letters on every subtree, the error message does not repr the word.
     """
     match word:
         case Generator(k):
             return [(k, sign)]
-        case Inverse(b):
+        case Power(b, -1):
             return letters(b, -sign)
         case Power(b, e):
             seq = letters(b, sign)
@@ -285,7 +281,7 @@ def _parse_word_tokens(tokens: list[str], i: int, names: dict[str, int],
                 raise _Fail(i + 1, "expected integer exponent after '^'")
             if abs(e) > MAX_EXPONENT:
                 raise _Fail(i + 1, "exponent out of range")
-            atom = Inverse(atom) if e == -1 else Power(atom, e)
+            atom = Power(atom, e)
             i += 2
         factors.append(atom)
         tok = tokens[i]

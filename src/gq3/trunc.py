@@ -153,8 +153,6 @@ def _evaluate(q: int, n: int, word):
         return ({}, {}) if out is None else out
     if kind is pres.Commutator:
         return {}, _commutator(q, _degree_one(q, n, word[0]), _degree_one(q, n, word[1]))
-    if kind is pres.Inverse:
-        return _power(q, _evaluate(q, n, word[0]), -1)
     raise TypeError(f"not a word node: {word!r}")
 
 
@@ -176,8 +174,6 @@ def _degree_one(q: int, n: int, word) -> dict[int, int]:
         _degree_one(q, n, word[0])
         _degree_one(q, n, word[1])
         return {}
-    if kind is pres.Inverse:
-        return _scale(q * q, _degree_one(q, n, word[0]), -1)
     raise TypeError(f"not a word node: {word!r}")
 
 

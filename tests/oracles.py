@@ -71,7 +71,6 @@ from gq3.presentations import (
     MAX_NESTING,
     Commutator,
     Generator,
-    Inverse,
     ParseError,
     Power,
     Presentation,
@@ -257,12 +256,10 @@ def generator_element(g, k):
 
 def node_by_node_evaluation(g, word):
     """word in g with one operation per node of its tree: generator_element,
-    and g's multiply, power, inverse and commutator, each reducing mod w."""
+    and g's multiply, power and commutator, each reducing mod w."""
     match word:
         case Generator(k):
             return generator_element(g, k)
-        case Inverse(b):
-            return g.inverse(node_by_node_evaluation(g, b))
         case Power(b, m):
             return g.power(node_by_node_evaluation(g, b), m)
         case Product(fs):
@@ -309,8 +306,6 @@ def _dense_evaluate(g, word):
             if not 0 <= k < n:
                 raise ValueError(f"no generator {k}")
             return [0] * k + [1] + [0] * (n - 1 - k), [0] * npairs
-        case Inverse(b):
-            return dense_power(q, n, *_dense_evaluate(g, b), -1)
         case Power(b, m):
             return dense_power(q, n, *_dense_evaluate(g, b), m)
         case Product(fs):
@@ -597,8 +592,6 @@ def substitute(word, images):
     """word with every generator k replaced by the word images[k]."""
     if isinstance(word, Generator):
         return images[word.index]
-    if isinstance(word, Inverse):
-        return Inverse(substitute(word.body, images))
     if isinstance(word, Power):
         return Power(substitute(word.body, images), word.exponent)
     if isinstance(word, Product):
@@ -613,8 +606,6 @@ def pretty(word, names):
     match word:
         case Generator(k):
             return names[k]
-        case Inverse(body):
-            return f"{_atom(body, names)}^-1"
         case Power(body, e):
             return f"{_atom(body, names)}^{e}"
         case Commutator(a, b):
@@ -792,8 +783,6 @@ def _stream_factor(ts, name_to_index):
         e = int(e_tok.text)
         if abs(e) > MAX_EXPONENT:
             raise ParseError("exponent out of range", e_tok.line, e_tok.col)
-        if e == -1:
-            return Inverse(atom)
         return Power(atom, e)
     return atom
 
@@ -906,8 +895,6 @@ def flat_letters(word, sign=1):
     """The letters (generator, +-1) of word^sign, every power written out."""
     if isinstance(word, Generator):
         return [(word.index, sign)]
-    if isinstance(word, Inverse):
-        return flat_letters(word.body, -sign)
     if isinstance(word, Power):
         e = word.exponent
         return flat_letters(word.body, sign if e > 0 else -sign) * abs(e)
@@ -916,7 +903,7 @@ def flat_letters(word, sign=1):
         return [x for f in factors for x in flat_letters(f, sign)]
     if isinstance(word, Commutator):
         a, b = word.left, word.right
-        return flat_letters(Product((Inverse(a), Inverse(b), a, b)), sign)
+        return flat_letters(Product((Power(a, -1), Power(b, -1), a, b)), sign)
     raise TypeError(f"not a word node: {word!r}")
 
 

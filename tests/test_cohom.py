@@ -64,6 +64,7 @@ from oracles import (
     substitute,
     table_null_space,
 )
+from test_bench_reports import _load_workloads_module
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -564,6 +565,68 @@ def test_dependent_relators_have_group_law_witnesses(q):
         presentation = many_relators(rng, n, q, rng.randint(0, 2 * layer_rank + 2))
         checked += assert_dependent_witnesses(presentation)
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# A witness for every independent relator
+
+
+def assert_independent_witnesses(presentation):
+    """Each relator that equiv calls independent has a functional phi, a row
+    of the annihilator of the other live central images, with phi . v_i
+    nonzero mod q; phi is checked by plain dot products.  At q = p^d, at
+    most d times the layer rank relators are independent, since each one
+    lengthens the span of those before it.  Returns how many were checked."""
+    group, relators = evaluate_relators(presentation, 3)
+    q, m = group.q, group.layer_rank
+    live = {j: group.central_vector(y) for j, (_, _, y, _) in enumerate(relators)
+            if group.is_central(y) and y != group.identity()}
+    called = [int(mt[1]) for t in check_relator_independence(presentation, 3).tests
+              if (mt := re.fullmatch(r"relator\[(\d+)\] independent", t.name))]
+    assert len(called) <= prime_power(q)[1] * m
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b)) % q  # noqa: E731
+    for i in called:
+        assert i in live, f"relator {i} is called independent, but its image is not live"
+        others = [v for j, v in live.items() if j != i]
+        phi = next((row for row in annihilator(canonicalize(q, m, others)).basis
+                    if dot(row, live[i])), None)
+        assert phi is not None, f"relator {i} is called independent, but no functional separates it"
+        assert not any(dot(phi, v) for v in others), i
+    return len(called)
+
+
+@pytest.mark.parametrize("path", GOLDEN_DEPENDENCY_INPUTS)
+def test_independent_relators_have_separating_functionals_on_golden_inputs(path):
+    assert_independent_witnesses(parse_presentation((GOLDEN / path).read_text()))
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 27])
+def test_independent_relators_have_separating_functionals(q):
+    """The presentations the dependent witness test draws, drawn again."""
+    rng = random.Random(q)
+    checked = 0
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        layer_rank = n + n * (n - 1) // 2
+        presentation = many_relators(rng, n, q, rng.randint(0, 2 * layer_rank + 2))
+        checked += assert_independent_witnesses(presentation)
+    assert checked
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_bench_certificate_presentations_have_witnesses(seed, tmp_path):
+    """Every equiv and screen input of the certificates bench corpus: each
+    independent relator has a separating functional and each dependent one
+    a group-law relation.  No bench presentation has a dependent relator."""
+    corpus = _load_workloads_module().build("certificates", seed, str(tmp_path))
+    paths = sorted({query.argv[1] for query in corpus.queries
+                    if query.argv[0] in ("equiv", "screen")})
+    independent = dependent = 0
+    for path in paths:
+        presentation = parse_presentation(corpus.files[path])
+        independent += assert_independent_witnesses(presentation)
+        dependent += assert_dependent_witnesses(presentation)
+    assert len(paths) == 51 and independent == 64 and dependent == 0
 
 
 # ---------------------------------------------------------------------------

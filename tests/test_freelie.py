@@ -21,7 +21,7 @@ from gq3.freelie import (
     witt_number,
     word_nontriviality_certificate,
 )
-from gq3.presentations import Commutator, Generator, Inverse, Power, Product, parse_word
+from gq3.presentations import Commutator, Generator, Power, Product, letters, parse_word
 from oracles import (
     direct_certificate,
     hall_certificate,
@@ -308,7 +308,7 @@ def _word_trees(n):
     trees = st.recursive(
         st.integers(0, n - 1).map(Generator),
         lambda inner: st.one_of(
-            inner.map(Inverse),
+            inner.map(lambda w: Power(w, -1)),
             st.tuples(inner, exponents).map(lambda t: Power(*t)),
             st.lists(inner, min_size=2, max_size=3).map(lambda fs: Product(tuple(fs))),
             st.tuples(inner, inner).map(lambda t: Commutator(*t)),
@@ -365,6 +365,29 @@ def test_nested_commutator_expands_on_the_tree():
     got = word_nontriviality_certificate(parse_word(text, {"a": 0, "b": 1}), 2, 5)
     assert time.perf_counter() - start < 1.0
     assert got is None
+
+
+def test_inverse_of_a_flat_word_is_flat(monkeypatch):
+    """x^-1 is the power Power(x, -1), and a -1 power of a flat word is
+    flat, composite base or not: its syllables are the base's reversed and
+    negated, and the certificate expands them without a binomial series."""
+    x1, x2, x3 = map(Generator, range(3))
+    assert parse_word("x1^-1", NAMES3) == Power(x1, -1)
+    base = Product((x1, Power(x2, 3)))
+    assert letters(Power(base, -1)) == [(1, -3), (0, -1)]
+    with pytest.raises(TypeError, match="not a flat word"):
+        letters(Power(base, 2))
+    calls = []
+
+    def counted(syllables, cap):
+        calls.append(list(syllables))
+        return magnus_expansion(syllables, cap)
+
+    monkeypatch.setattr(freelie, "magnus_expansion", counted)
+    word = Commutator(Power(Product((x1, x2)), -1), Commutator(x2, x3))
+    got = word_nontriviality_certificate(word, 3, 3)
+    assert got is not None and got[0] == 3
+    assert calls == [[(1, -1), (0, -1)], [(1, 1)], [(2, 1)]]
 
 
 NAMES8 = {f"x{k + 1}": k for k in range(8)}
@@ -442,7 +465,7 @@ def _trees_with_identities(n):
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
-            inner.map(Inverse),
+            inner.map(lambda w: Power(w, -1)),
             st.tuples(inner, exponents).map(lambda t: Power(*t)),
             st.lists(inner, max_size=3).map(lambda fs: Product(tuple(fs))),
             st.tuples(inner, inner).map(lambda t: Commutator(*t)),

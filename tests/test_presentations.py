@@ -1,3 +1,8 @@
+import ast
+import builtins
+import typing
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -5,12 +10,12 @@ from gq3 import presentations
 from gq3.presentations import (
     Commutator,
     Generator,
-    Inverse,
     MAX_NESTING,
     ParseError,
     Power,
     PresentationError,
     Product,
+    Word,
     letters,
     make_presentation,
     parse_presentation,
@@ -159,7 +164,7 @@ def test_literal_bound_counts_significant_digits():
     # more leading zeros than int() converts from a string
     assert parse_presentation("q = " + "0" * 5000 + "3; gens = [x]; rels = [];").q == 3
     assert parse_word("x1^" + "0" * 5000 + "3", NAMES) == Power(Generator(0), 3)
-    assert parse_word("x1^-" + "0" * 5000 + "1", NAMES) == Inverse(Generator(0))
+    assert parse_word("x1^-" + "0" * 5000 + "1", NAMES) == Power(Generator(0), -1)
 
 
 def _tokens_or_error(tokenize, text):
@@ -301,7 +306,7 @@ def test_letters_rejects_words_that_are_not_flat(text):
 words = st.deferred(
     lambda: st.one_of(
         st.integers(min_value=0, max_value=2).map(Generator),
-        st.tuples(words).map(lambda t: Inverse(t[0])),
+        st.tuples(words).map(lambda t: Power(t[0], -1)),
         st.tuples(words, st.integers(min_value=-4, max_value=4).filter(lambda e: e != -1)).map(
             lambda t: Power(*t)
         ),
@@ -322,7 +327,7 @@ def test_pretty_parse_round_trip(ast):
 syllable_words = st.deferred(
     lambda: st.one_of(
         st.integers(min_value=0, max_value=2).map(Generator),
-        st.tuples(syllable_words).map(lambda t: Inverse(t[0])),
+        st.tuples(syllable_words).map(lambda t: Power(t[0], -1)),
         st.tuples(syllable_words, st.integers(min_value=-4, max_value=4)).map(
             lambda t: Power(*t)
         ),
@@ -331,7 +336,7 @@ syllable_words = st.deferred(
 flat_words = st.deferred(
     lambda: st.one_of(
         syllable_words,
-        st.tuples(flat_words).map(lambda t: Inverse(t[0])),
+        st.tuples(flat_words).map(lambda t: Power(t[0], -1)),
         st.lists(flat_words, min_size=1, max_size=3).map(lambda fs: Product(tuple(fs))),
     )
 )
@@ -345,4 +350,96 @@ def test_free_reduce_idempotent_and_nonincreasing(ast):
     assert all(e for _, e in reduced)
     assert all(a[0] != b[0] for a, b in zip(reduced, reduced[1:]))
     assert sum(abs(e) for _, e in reduced) <= sum(abs(e) for _, e in flat)
-    assert letters(Inverse(ast)) == [(g, -e) for g, e in reversed(flat)]
+    assert letters(Power(ast, -1)) == [(g, -e) for g, e in reversed(flat)]
+
+
+# ---------------------------------------------------------------------------
+# Word-node guard: a class pattern or an `is` test looks its class up only
+# when its branch is reached, so a stale node name would hide until a rare
+# word reached it.
+
+WORD_NODES = ("Generator", "Power", "Product", "Commutator")
+
+
+def word_node_names(source: str, home: bool = False) -> list[str]:
+    """The gq3.presentations names that a module's class patterns, `is`
+    tests and isinstance(word, X) calls name: attributes of that module
+    under any name the source binds it to, names imported from it, and in
+    presentations itself (home) its own classes.  A class pattern or an
+    isinstance class that is a bare name bound nowhere in the module counts
+    too: it can only be a stale node name."""
+    tree = ast.parse(source)
+    aliases, imported = set(), {}
+    bound, classes = set(dir(builtins)), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("presentations", "gq3.presentations"):
+                imported |= {a.asname or a.name: a.name for a in node.names}
+            elif node.module in (None, "gq3"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "presentations"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "gq3.presentations" and a.asname}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            bound.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                classes.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+    def named(expr, strict):
+        if isinstance(expr, ast.Attribute):
+            value = expr.value
+            if (isinstance(value, ast.Name) and value.id in aliases
+                    or ast.unparse(value) == "gq3.presentations"):
+                return [expr.attr]
+        elif isinstance(expr, ast.Name):
+            if expr.id in imported:
+                return [imported[expr.id]]
+            if home and expr.id in classes or strict and expr.id not in bound:
+                return [expr.id]
+        elif isinstance(expr, ast.Tuple) and strict:
+            return [name for elt in expr.elts for name in named(elt, strict)]
+        return []
+
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.MatchClass):
+            names += named(node.cls, True)
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            for expr in [node.left, *node.comparators]:
+                names += named(expr, False)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+              and len(node.args) == 2 and ast.unparse(node.args[0]) == "word"):
+            names += named(node.args[1], True)
+    return names
+
+
+def test_word_walkers_name_only_word_nodes():
+    assert typing.get_args(Word) == tuple(getattr(presentations, name) for name in WORD_NODES)
+    paths = sorted(Path(presentations.__file__).parent.glob("*.py"))
+    paths.append(Path(__file__).parent / "oracles.py")
+    named = {}
+    for path in paths:
+        named[path.name] = word_node_names(path.read_text(encoding="utf-8"),
+                                           home=path.name == "presentations.py")
+        assert set(named[path.name]) <= set(WORD_NODES), path.name
+    for name in ("presentations.py", "trunc.py", "freelie.py", "oracles.py"):
+        assert set(named[name]) == set(WORD_NODES), name  # every walker is read
+
+
+def test_stale_word_node_names_are_found():
+    alias = "from . import presentations as pres\n"
+    assert word_node_names(alias + "match w:\n    case pres.Stale(b): pass") == ["Stale"]
+    assert word_node_names(alias + "kind is pres.Stale") == ["Stale"]
+    assert word_node_names("import gq3.presentations\nt is gq3.presentations.Stale") == ["Stale"]
+    assert sorted(word_node_names("from gq3.presentations import Power as P\n"
+                                  "isinstance(word, (P, Stale))")) == ["Power", "Stale"]
+    home = "class Power: pass\nmatch w:\n    case Stale(b): pass\n    case Power(b, -1): pass"
+    assert sorted(word_node_names(home, home=True)) == ["Power", "Stale"]
+    assert word_node_names("class Presentation: pass\nisinstance(ctx, Presentation)", home=True) == []
+    assert word_node_names("from gq3.freelie import HallElement\n"
+                           "match h:\n    case HallElement(): pass\nx is None") == []

@@ -9,7 +9,6 @@ from gq3.presentations import (
     MAX_EXPONENT,
     Commutator,
     Generator,
-    Inverse,
     Power,
     Product,
     make_presentation,
@@ -309,7 +308,7 @@ def groups_and_words(draw):
     exponents = st.sampled_from([0, -1, MAX_EXPONENT, -MAX_EXPONENT]) | st.integers(-2 * q * q, 2 * q * q)
 
     def extend(words):
-        return (words.map(Inverse)
+        return (words.map(lambda w: Power(w, -1))
                 | st.tuples(words, exponents).map(lambda t: Power(*t))
                 | st.lists(words, max_size=4).map(lambda fs: Product(tuple(fs)))
                 | st.tuples(words, words).map(lambda t: Commutator(*t)))
@@ -331,7 +330,7 @@ def _outcome(evaluate, g, word):
 STRAY_WORDS = [
     Commutator(Generator(0), Commutator(Generator(1), Product(()))),
     Product((Generator(0), Power(Product((Generator(0), Generator(1))), 0))),
-    Commutator(Product((Generator(0), Generator(1), Inverse(Generator(0)))), Generator(0)),
+    Commutator(Product((Generator(0), Generator(1), Power(Generator(0), -1))), Generator(0)),
 ]
 
 
