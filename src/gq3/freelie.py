@@ -37,6 +37,7 @@ from collections.abc import Sequence
 
 from . import presentations as pres
 from .records import record
+from .zqlin import factorize
 
 MAX_GENERATORS = 8
 MAX_CLASS = 6
@@ -101,14 +102,8 @@ def bracket_node(u: HallElement, v: HallElement) -> HallElement:
 
 
 def mobius(m: int) -> int:
-    out = 1
-    for f in range(2, m + 1):
-        if m % f == 0:
-            if (m // f) % f == 0:
-                return 0
-            out = -out
-            m //= f
-    return out
+    exponents = factorize(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def witt_number(n: int, w: int) -> int:

@@ -42,6 +42,7 @@ from .zqlin import (
     ZqMatrix,
     ZqSubspace,
     canonicalize,
+    factorize,
     full_subspace,
     invariant_factors,
     kernel,
@@ -180,7 +181,7 @@ class FieldPreset(record("kind ell")):
         return super().__new__(cls, kind, ell)
 
     def validate_modulus(self, q: int):
-        p, d = prime_power(q)
+        prime_power(q)
         if self.kind == "two_adic":
             if q != 2:
                 raise PresetError("the dyadic preset is defined for q = 2 only")
@@ -200,9 +201,7 @@ class FieldPreset(record("kind ell")):
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    return all(m % f for f in range(2, int(math.isqrt(m)) + 1))
+    return factorize(m) == {m: 1}
 
 
 def parse_preset(text: str) -> FieldPreset:
@@ -224,17 +223,9 @@ def parse_preset(text: str) -> FieldPreset:
 
 def _primitive_root(ell: int) -> int:
     order = ell - 1
-    prime_factors, rest, f = set(), order, 2
-    while f * f <= rest:  # trial division; what is left above sqrt is prime
-        if rest % f:
-            f += 1
-        else:
-            prime_factors.add(f)
-            rest //= f
-    if rest > 1:
-        prime_factors.add(rest)
+    primes = factorize(order)
     for g in range(1, ell):  # 1 generates F_2^*
-        if all(pow(g, order // f, ell) != 1 for f in prime_factors):
+        if all(pow(g, order // f, ell) != 1 for f in primes):
             return g
     raise AssertionError(f"no primitive root modulo {ell}")
 
@@ -411,16 +402,11 @@ def preset_presentation(preset: FieldPreset, q: int) -> tuple[pres.Presentation,
     entirely when q^2 divides ell - 1.
     """
     preset.validate_modulus(q)
-    p, d = prime_power(q)
+    p = prime_power(q)[0]
     if preset.kind == "finite_field":
         return pres.make_presentation(q, ["x1"], []), {"u": "x1"}
     if preset.kind == "tame_local":
-        v = 0
-        m = preset.ell - 1
-        while m % p == 0:
-            m //= p
-            v += 1
-        q_f = p**v
+        q_f = p ** factorize(preset.ell - 1).get(p, 0)
         return (
             pres.make_presentation(q, ["x1", "x2"], [f"x2^{q_f} [x1,x2]"]),
             {"u": "x1", "t": "x2"},

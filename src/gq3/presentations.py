@@ -223,16 +223,17 @@ def _parse_error(text: str, tokens: list[str], fail: _Fail) -> ParseError:
 
 
 def _found(tok: str) -> str:
-    """A token as an error quotes it: a string's content, or the kind of
-    the EOF and of the empty string."""
+    """A token as an error names it: 'EOF', string 'text' for a string
+    token, so that a quoted ',' never reads as a bare one, or the token
+    quoted."""
     if tok == _EOF:
-        return "EOF"
-    return (tok[1:-1] or "STRING") if tok[0] == '"' else tok
+        return "'EOF'"
+    return f"string {tok[1:-1]!r}" if tok[0] == '"' else repr(tok)
 
 
 def _expect(tokens: list[str], i: int, punct: str) -> int:
     if tokens[i] != punct:
-        raise _Fail(i, f"expected {punct!r}, found {_found(tokens[i])!r}")
+        raise _Fail(i, f"expected {punct!r}, found {_found(tokens[i])}")
     return i + 1
 
 
@@ -274,7 +275,7 @@ def _parse_word_tokens(tokens: list[str], i: int, names: dict[str, int],
                 atom = Commutator(atom, right)
             i = _expect(tokens, i, ")" if tok == "(" else "]")
         else:
-            raise _Fail(i, f"expected a word atom, found {_found(tok)!r}")
+            raise _Fail(i, f"expected a word atom, found {_found(tok)}")
         if tokens[i] == "^":
             e = _literal(tokens[i + 1])
             if e is None:
@@ -336,9 +337,7 @@ def parse_word(text: str, ctx: Presentation | dict[str, int]) -> Word:
     try:
         word, i = _parse_word_tokens(tokens, 0, name_to_index, 0)
         if tokens[i] != _EOF:
-            tok = tokens[i]
-            shown = tok[1:-1] if tok[0] == '"' else tok
-            raise _Fail(i, f"trailing input {shown!r}")
+            raise _Fail(i, f"trailing input {_found(tokens[i])}")
     except _Fail as fail:
         raise _parse_error(text, tokens, fail) from None
     return word
@@ -366,7 +365,7 @@ def _list(tokens: list[str], i: int, is_item: Callable[[str], bool],
             return items, _expect(tokens, _expect(tokens, i + 1, "]"), ";")
         i += 2
     if items or kind != "STRING":
-        raise _Fail(i, f"expected {kind!r}, found {_found(tokens[i])!r}")
+        raise _Fail(i, f"expected {kind!r}, found {_found(tokens[i])}")
     return items, _expect(tokens, _expect(tokens, i, "]"), ";")
 
 
@@ -380,7 +379,7 @@ def parse_presentation(text: str) -> Presentation:
         while tokens[i] != _EOF:
             key = tokens[i]
             if not key[0].isalpha():
-                raise _Fail(i, f"expected 'NAME', found {_found(key)!r}")
+                raise _Fail(i, f"expected 'NAME', found {_found(key)}")
             if key not in ("q", "gens", "rels"):
                 raise _Fail(i, f"unknown statement {key!r}")
             if {"q": q, "gens": gens, "rels": rel_texts}[key] is not None:
@@ -389,7 +388,7 @@ def parse_presentation(text: str) -> Presentation:
             if key == "q":
                 q = _literal(tokens[i])
                 if q is None:
-                    raise _Fail(i, f"expected 'INT', found {_found(tokens[i])!r}")
+                    raise _Fail(i, f"expected 'INT', found {_found(tokens[i])}")
                 i = _expect(tokens, i + 1, ";")
             elif key == "gens":
                 gens, i = _list(tokens, i, lambda tok: tok[0].isalpha(), "NAME")

@@ -19,6 +19,10 @@ read off the same count.
 
 All matrices are immutable, eagerly reduced mod q, and stored as nested
 tuples of plain ints.
+
+factorize is the package's one integer factorization: prime_power reads
+q = p^d off it, and milnor and freelie read primes, primitive roots,
+p-parts and the Mobius function off it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,22 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes or moduli."""
 
 
+def factorize(m: int) -> dict[int, int]:
+    """{p: e} with m = prod p^e for m >= 1, primes ascending; {} for 1."""
+    if m < 1:
+        raise ValueError(f"cannot factorize {m}")
+    factors: dict[int, int] = {}
+    f = 2
+    while f * f <= m:  # trial division; what is left above sqrt is prime
+        while m % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            m //= f
+        f += 1
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
 @lru_cache(maxsize=None, typed=True)  # only the 31 valid moduli are kept
 def prime_power(q: int) -> tuple[int, int]:
     """Return (p, d) with q = p^d <= MAX_Q, or raise ValueError."""
@@ -43,13 +63,8 @@ def prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"modulus must be at least 2, got {q}")
     if q > MAX_Q:
         raise ValueError(f"modulus {q} exceeds cap {MAX_Q}")
-    p = min(f for f in range(2, q + 1) if q % f == 0)
-    d = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        d += 1
-    if m != 1:
+    (p, d), *others = factorize(q).items()
+    if others:
         raise ValueError(f"{q} is not a prime power")
     return p, d
 

@@ -729,6 +729,14 @@ def _tokenize(text):
     return tokens
 
 
+def _shown(tok):
+    """A token record as an error names it: a string by kind and quoted
+    text, the EOF by kind, any other token by its quoted text."""
+    if tok.kind == "STRING":
+        return f"string {tok.text!r}"
+    return repr(tok.text or tok.kind)
+
+
 class _TokenStream:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -747,7 +755,7 @@ class _TokenStream:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.col)
+            raise ParseError(f"expected {want!r}, found {_shown(tok)}", tok.line, tok.col)
         return self.next()
 
     def at_comma(self):
@@ -810,7 +818,7 @@ def _stream_atom(ts, name_to_index):
             word = Commutator(left, right)
         ts.depth -= 1
         return word
-    raise ParseError(f"expected a word atom, found {tok.text or tok.kind!r}", tok.line, tok.col)
+    raise ParseError(f"expected a word atom, found {_shown(tok)}", tok.line, tok.col)
 
 
 def token_parse_word(text, name_to_index):
@@ -819,7 +827,7 @@ def token_parse_word(text, name_to_index):
     word = _stream_word(ts, name_to_index)
     tok = ts.peek()
     if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        raise ParseError(f"trailing input {_shown(tok)}", tok.line, tok.col)
     return word
 
 

@@ -12,6 +12,7 @@ import gq3
 from gq3.cli import _write, main
 from gq3.presentations import parse_presentation
 from oracles import eager_relator_independence
+from test_bench_reports import _load_workloads_module
 
 TAME = 'q = 3;\ngens = [x1, x2];\nrels = ["x1^3 [x1,x2]"];\n'
 FREE = "q = 2;\ngens = [x1, x2];\nrels = [];\n"
@@ -160,6 +161,44 @@ def test_reconstruct_from_cd_json(tmp_path, tame_file, capsys):
     assert code == 0
     data = json.loads(out2)
     assert data["group"]["order"] == 81
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _rebuilt_and_truncated(capsys, tmp_path, path):
+    """The group blocks that reconstruct --cd-json prints from path's
+    cohomology report and that truncate prints for path; None where
+    cohomology rejects path."""
+    code, tables, _ = run_cli(capsys, "cohomology", path)
+    if code != 0:
+        return None
+    cd_path = tmp_path / "cd.json"
+    cd_path.write_text(tables, encoding="utf-8")
+    code, rebuilt, _ = run_cli(capsys, "reconstruct", "--cd-json", str(cd_path))
+    assert code == 0, path
+    code, truncated, _ = run_cli(capsys, "truncate", path)
+    assert code == 0, path
+    return json.loads(rebuilt)["group"], json.loads(truncated)["group"]
+
+
+@pytest.mark.parametrize("corpus, accepted", [("golden", 28), ("groups-seed-1", 96)])
+def test_cohomology_tables_rebuild_the_truncated_group(corpus, accepted, tmp_path, capsys):
+    """The tables a user passes from cohomology to reconstruct --cd-json
+    rebuild the group that truncate prints, on every golden input and
+    every file of the seed-1 groups bench corpus that cohomology accepts."""
+    if corpus == "golden":
+        paths = sorted(map(str, GOLDEN_INPUTS.glob("*.pres")))
+    else:
+        files = _load_workloads_module().build("groups", 1, str(tmp_path)).files
+        for path, text in files.items():
+            Path(path).write_text(text, encoding="utf-8")
+        paths = sorted(files)
+    blocks = {path: _rebuilt_and_truncated(capsys, tmp_path, path) for path in paths}
+    accepted_blocks = {path: pair for path, pair in blocks.items() if pair}
+    assert len(accepted_blocks) == accepted
+    for path, (rebuilt, truncated) in accepted_blocks.items():
+        assert rebuilt == truncated, path
 
 
 TABLES = {"q": 3, "n": 2, "h2_rank": 1, "cup": {"1,2": [1]}, "bockstein": {"1": [1]}}

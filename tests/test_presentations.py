@@ -74,7 +74,7 @@ def test_quoted_comma_is_no_separator(text, col):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert (err.value.bare_message, err.value.line, err.value.col) == (
-        "expected ']', found ','", 1, col)
+        "expected ']', found string ','", 1, col)
 
 
 def test_parse_presentation_unknown_generator_positioned():

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gq3 import zqlin
+from gq3.freelie import mobius
+from gq3.milnor import MAX_ELL, _is_prime
 from gq3.zqlin import (
     ZqMatrix,
     ZqSubspace,
@@ -63,6 +65,65 @@ def test_prime_power_validation():
     for q in (33, 64, 1000000007):
         with pytest.raises(ValueError, match="exceeds cap"):
             prime_power(q)
+
+
+def sieve(limit):
+    """Oracle: is_prime[m] for 0 <= m <= limit, by Eratosthenes."""
+    is_prime = [False, False] + [True] * (limit - 1)
+    for f in range(2, math.isqrt(limit) + 1):
+        if is_prime[f]:
+            is_prime[f * f::f] = [False] * len(range(f * f, limit + 1, f))
+    return is_prime
+
+
+def test_factorize_against_a_sieve():
+    """Every m up to 20,000 is the product of its factors' powers, over
+    primes in ascending order; 1 is the empty product."""
+    is_prime = sieve(20_000)
+    assert zqlin.factorize(1) == {}
+    for m in range(1, 20_001):
+        factors = zqlin.factorize(m)
+        assert math.prod(p**e for p, e in factors.items()) == m, m
+        assert all(is_prime[p] and e >= 1 for p, e in factors.items()), m
+        assert list(factors) == sorted(factors), m
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            zqlin.factorize(m)
+
+
+PRIME_POWER_TABLE = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+                     9: (3, 2), 11: (11, 1), 13: (13, 1), 16: (2, 4), 17: (17, 1),
+                     19: (19, 1), 23: (23, 1), 25: (5, 2), 27: (3, 3), 29: (29, 1),
+                     31: (31, 1), 32: (2, 5)}
+
+
+@pytest.mark.parametrize("q", range(-1, 65))
+def test_prime_power_table(q):
+    if q in PRIME_POWER_TABLE:
+        assert prime_power(q) == PRIME_POWER_TABLE[q]
+        return
+    with pytest.raises(ValueError) as err:
+        prime_power(q)
+    if q < 2:
+        assert str(err.value) == f"modulus must be at least 2, got {q}"
+    elif q > 32:
+        assert str(err.value) == f"modulus {q} exceeds cap 32"
+    else:
+        assert str(err.value) == f"{q} is not a prime power"
+
+
+def test_mobius_by_the_divisor_sum():
+    """mu(1) = 1 and the sum of mu(d) over the divisors d of m > 1 is 0."""
+    mu = {1: 1}
+    for m in range(2, 501):
+        mu[m] = -sum(mu[d] for d in range(1, m) if m % d == 0)
+    assert [mobius(m) for m in range(1, 501)] == [mu[m] for m in range(1, 501)]
+
+
+def test_is_prime_against_a_sieve():
+    is_prime = sieve(MAX_ELL)
+    assert [m for m in range(1, MAX_ELL + 1) if _is_prime(m)] == [
+        m for m in range(1, MAX_ELL + 1) if is_prime[m]]
 
 
 def multiple_sizes(q, span):
