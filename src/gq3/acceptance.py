@@ -1,7 +1,9 @@
-"""Self-check corpus: one callable per verification criterion.
+"""Self-check corpus: one table of the verification criteria.
 
-Each criterion returns a CheckResult; run_all executes the corpus in
-order and is what both the test suite and the selftest subcommand call.
+Each criterion is a plain function of the seed returning (passed, detail).
+CRITERIA names them in selftest order, run_criterion times one call (an
+exception is a failure), and run_all runs the table; only the selftest
+subcommand loads this module, and the test suite runs the same table.
 Criterion 2 runs its laws once per sweep through TruncGroup, on elements
 whose coordinates are columns over every tuple swept: numpy arrays if numpy
 imports (only then, never at module load), else the stdlib _Column.
@@ -39,7 +41,7 @@ from .milnor import (
 )
 from .records import record
 from .trunc import TruncElement, free_truncation, pair_list, relator_subspace
-from .zqlin import annihilator, canonicalize
+from .zqlin import ZqSubspace, annihilator, canonicalize
 
 
 class CheckResult(record("name passed detail seconds")):
@@ -48,15 +50,6 @@ class CheckResult(record("name passed detail seconds")):
     passed: bool
     detail: str
     seconds: float
-
-
-def _timed(fn: Callable[[], tuple[bool, str]], name: str) -> CheckResult:
-    start = time.perf_counter()
-    try:
-        passed, detail = fn()
-    except Exception as exc:  # a crash is a failure, not an abort
-        return CheckResult(name, False, f"exception: {exc!r}", time.perf_counter() - start)
-    return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -210,287 +203,258 @@ def _random_minimal_presentation(rng, q) -> pres.Presentation:
 # The criteria
 
 
-def check_duality_perfectness(seed: int = 0) -> CheckResult:
-    """1. |W| * |ann W| = q^m and ann(ann W) = W, random plus exhaustive."""
-
-    def run():
-        rng = random.Random(seed or 101)
-        cases = 0
-        for _ in range(1000):
-            q = rng.choice([2, 3, 4, 5, 8, 9])
-            m = rng.randint(1, 4)
-            rows = [
-                [rng.randrange(q) for _ in range(m)] for _ in range(rng.randint(0, 3))
-            ]
-            w = canonicalize(q, m, rows)
+def check_duality_perfectness(seed: int) -> tuple[bool, str]:
+    """|W| * |ann W| = q^m and ann(ann W) = W, random plus exhaustive."""
+    rng = random.Random(seed or 101)
+    cases = 0
+    for _ in range(1000):
+        q = rng.choice([2, 3, 4, 5, 8, 9])
+        m = rng.randint(1, 4)
+        rows = [
+            [rng.randrange(q) for _ in range(m)] for _ in range(rng.randint(0, 3))
+        ]
+        w = canonicalize(q, m, rows)
+        a = annihilator(w)
+        if w.cardinality() * a.cardinality() != q**m:
+            return False, f"cardinality identity failed: q={q} m={m} rows={rows}"
+        if annihilator(a) != w:
+            return False, f"double annihilator failed: q={q} m={m} rows={rows}"
+        cases += 1
+    for m in (1, 2, 3):
+        vectors = list(itertools.product(range(2), repeat=m))
+        for rows in itertools.product(vectors, repeat=3):
+            w = canonicalize(2, m, rows)
             a = annihilator(w)
-            if w.cardinality() * a.cardinality() != q**m:
-                return False, f"cardinality identity failed: q={q} m={m} rows={rows}"
-            if annihilator(a) != w:
-                return False, f"double annihilator failed: q={q} m={m} rows={rows}"
+            if w.cardinality() * a.cardinality() != 2**m or annihilator(a) != w:
+                return False, f"exhaustive q=2 case failed: m={m} rows={rows}"
             cases += 1
-        for m in (1, 2, 3):
-            vectors = list(itertools.product(range(2), repeat=m))
-            for rows in itertools.product(vectors, repeat=3):
-                w = canonicalize(2, m, rows)
-                a = annihilator(w)
-                if w.cardinality() * a.cardinality() != 2**m or annihilator(a) != w:
-                    return False, f"exhaustive q=2 case failed: m={m} rows={rows}"
-                cases += 1
-        return True, f"{cases} subspaces checked (1000 random + exhaustive q=2, m <= 3)"
-
-    return _timed(run, "1 duality perfectness")
+    return True, f"{cases} subspaces checked (1000 random + exhaustive q=2, m <= 3)"
 
 
-def check_collection_laws(seed: int = 0) -> CheckResult:
-    """2. Associativity and the q-th power collection identity."""
-
-    def run():
-        for laws, arity, moduli in COLLECTION_SWEEPS:
-            for q in moduli:
-                xs = law_counterexample(laws, arity, q)
-                if xs is not None:
-                    return False, f"{laws.__name__.strip('_')} failed at q={q} on {xs}"
-        rng, free = random.Random(seed or 202), functools.cache(free_truncation)
-        draws = {}  # each free S^[3] drawn -> its (draw, a, b, c), in draw order
-        for draw in range(10_000):
-            g = free(rng.randint(1, 4), rng.choice([2, 3, 4, 5, 8, 9]))
-            draws.setdefault(g, []).append((draw, *(_random_element(g, rng) for _ in range(3))))
-        failures = []
-        for g, triples in draws.items():
-            elements = [x for _, *xs in triples for x in xs]
-            t = sweep(g, _random_laws, elements, [range(p, len(elements), 3) for p in range(3)])
-            if t is not None:
-                failures.append((triples[t], g))
-        if failures:
-            (draw, a, b, c), g = min(failures)
-            return False, f"collection laws failed at draw {draw}: n={g.n} q={g.q} {a} {b} {c}"
-        detail = (
-            "inverse, closed-form power and commutator, and (ab)^q = a^q b^q "
-            "[b,a]^C(q,2) exhaustive for n=2, q in {2,3,4}; associativity "
-            "exhaustive for n=2, q=2 and on 10^4 random triples, n <= 4, q <= 9 "
-            f"({'numpy' if sys.modules.get('numpy') else 'stdlib'} columns)"
-        )
-        return True, detail
-
-    return _timed(run, "2 collection laws")
+def check_collection_laws(seed: int) -> tuple[bool, str]:
+    """Associativity and the q-th power collection identity."""
+    for laws, arity, moduli in COLLECTION_SWEEPS:
+        for q in moduli:
+            xs = law_counterexample(laws, arity, q)
+            if xs is not None:
+                return False, f"{laws.__name__.strip('_')} failed at q={q} on {xs}"
+    rng, free = random.Random(seed or 202), functools.cache(free_truncation)
+    draws = {}  # each free S^[3] drawn -> its (draw, a, b, c), in draw order
+    for draw in range(10_000):
+        g = free(rng.randint(1, 4), rng.choice([2, 3, 4, 5, 8, 9]))
+        draws.setdefault(g, []).append((draw, *(_random_element(g, rng) for _ in range(3))))
+    failures = []
+    for g, triples in draws.items():
+        elements = [x for _, *xs in triples for x in xs]
+        t = sweep(g, _random_laws, elements, [range(p, len(elements), 3) for p in range(3)])
+        if t is not None:
+            failures.append((triples[t], g))
+    if failures:
+        (draw, a, b, c), g = min(failures)
+        return False, f"collection laws failed at draw {draw}: n={g.n} q={g.q} {a} {b} {c}"
+    detail = (
+        "inverse, closed-form power and commutator, and (ab)^q = a^q b^q "
+        "[b,a]^C(q,2) exhaustive for n=2, q in {2,3,4}; associativity "
+        "exhaustive for n=2, q=2 and on 10^4 random triples, n <= 4, q <= 9 "
+        f"({'numpy' if sys.modules.get('numpy') else 'stdlib'} columns)"
+    )
+    return True, detail
 
 
-def check_reconstruction_round_trip(seed: int = 0) -> CheckResult:
-    """3. Extraction, the tables' JSON round trip, then reconstruction
+def check_reconstruction_round_trip(seed: int) -> tuple[bool, str]:
+    """Extraction, the tables' JSON round trip, then reconstruction
     return the exact relator subspace."""
-
-    def run():
-        rng = random.Random(seed or 303)
-        for i in range(500):
-            q = rng.choice([2, 3, 4, 5])
-            p = _random_minimal_presentation(rng, q)
-            w, report = relator_subspace(p)
-            if not report.minimal:
-                return False, f"corpus presentation {i} unexpectedly non-minimal"
-            cd, _ = cohomology_data_from_presentation(p)
-            # the tables as `cohomology` prints them and `reconstruct --cd-json` reads them
-            cd = CohomologyData.from_json_dict(json.loads(json.dumps(cd.to_json_dict())))
-            got = reconstruct_g3(cd).w
-            if got != w:
-                return False, (
-                    f"round trip failed on q={q}, rels={p.relator_sources}: "
-                    f"{got.basis} != {w.basis}"
-                )
-        return True, "500 random minimal presentations reconstructed exactly"
-
-    return _timed(run, "3 reconstruction round trip")
+    rng = random.Random(seed or 303)
+    for i in range(500):
+        q = rng.choice([2, 3, 4, 5])
+        p = _random_minimal_presentation(rng, q)
+        cd, report = cohomology_data_from_presentation(p)
+        if not report.minimal:
+            return False, f"corpus presentation {i} unexpectedly non-minimal"
+        w = ZqSubspace(q, p.n + math.comb(p.n, 2), cd.rows)  # W as relator_subspace gave it
+        # the tables as `cohomology` prints them and `reconstruct --cd-json` reads them
+        cd = CohomologyData.from_json_dict(json.loads(json.dumps(cd.to_json_dict())))
+        got = reconstruct_g3(cd).w
+        if got != w:
+            return False, (
+                f"round trip failed on q={q}, rels={p.relator_sources}: "
+                f"{got.basis} != {w.basis}"
+            )
+    return True, "500 random minimal presentations reconstructed exactly"
 
 
-def check_deep_relator_example(seed: int = 0) -> CheckResult:
-    """4. x1^p and x1^p[x1,[x1,x2]] give identical quotients; the extra
+def check_deep_relator_example(seed: int) -> tuple[bool, str]:
+    """x1^p and x1^p[x1,[x1,x2]] give identical quotients; the extra
     factor is certified nontrivial at class 3."""
-
-    def run():
-        for p_ in (2, 3, 5):
-            pr1 = pres.make_presentation(p_, ["x1", "x2"], [f"x1^{p_}"])
-            pr2 = pres.make_presentation(p_, ["x1", "x2"], [f"x1^{p_} [x1,[x1,x2]]"])
-            w1, _ = relator_subspace(pr1)
-            w2, _ = relator_subspace(pr2)
-            if w1 != w2:
-                return False, f"central subspaces differ for p={p_}"
-            word = pres.parse_word("[x1,[x1,x2]]", {"x1": 0, "x2": 1})
-            cert = word_nontriviality_certificate(word, 2, 3)
-            if cert is None or cert[0] != 3:
-                return False, f"no weight-3 certificate for the commutator factor, p={p_}"
-        return True, "equal subspaces and weight-3 certificates for p in {2, 3, 5}"
-
-    return _timed(run, "4 deep relator example")
+    for p_ in (2, 3, 5):
+        pr1 = pres.make_presentation(p_, ["x1", "x2"], [f"x1^{p_}"])
+        pr2 = pres.make_presentation(p_, ["x1", "x2"], [f"x1^{p_} [x1,[x1,x2]]"])
+        w1, _ = relator_subspace(pr1)
+        w2, _ = relator_subspace(pr2)
+        if w1 != w2:
+            return False, f"central subspaces differ for p={p_}"
+        word = pres.parse_word("[x1,[x1,x2]]", {"x1": 0, "x2": 1})
+        cert = word_nontriviality_certificate(word, 2, 3)
+        if cert is None or cert[0] != 3:
+            return False, f"no weight-3 certificate for the commutator factor, p={p_}"
+    return True, "equal subspaces and weight-3 certificates for p in {2, 3, 5}"
 
 
-def check_obstruction_verdicts(seed: int = 0) -> CheckResult:
-    """5. Exact screening verdicts on the standard examples."""
-
-    def run():
-        for p_ in (2, 3, 5):
-            pr = pres.make_presentation(p_, ["x1", "x2"], ["[x1,[x1,x2]]"])
-            if obstruction_screen(pr).verdict != "obstructed":
-                return False, f"inner commutator not flagged at p={p_}"
-            pr = pres.make_presentation(p_, ["x1", "x2", "x3"], ["[[x1,x2],x3]"])
-            if obstruction_screen(pr).verdict != "obstructed":
-                return False, f"iterated commutator not flagged at p={p_}"
-        free_pr = pres.make_presentation(3, ["x1", "x2"], [])
-        if obstruction_screen(free_pr).verdict != "no_obstruction_found":
-            return False, "free presentation wrongly flagged"
-        pr = pres.make_presentation(2, ["x1", "x2"], ["x1^2"])
-        if obstruction_screen(pr).verdict != "no_obstruction_found":
-            return False, "x1^2 at p=2 wrongly flagged"
-        return True, "verdicts exact on the obstruction corpus"
-
-    return _timed(run, "5 obstruction screening")
+def check_obstruction_verdicts(seed: int) -> tuple[bool, str]:
+    """Exact screening verdicts on the standard examples."""
+    for p_ in (2, 3, 5):
+        pr = pres.make_presentation(p_, ["x1", "x2"], ["[x1,[x1,x2]]"])
+        if obstruction_screen(pr).verdict != "obstructed":
+            return False, f"inner commutator not flagged at p={p_}"
+        pr = pres.make_presentation(p_, ["x1", "x2", "x3"], ["[[x1,x2],x3]"])
+        if obstruction_screen(pr).verdict != "obstructed":
+            return False, f"iterated commutator not flagged at p={p_}"
+    free_pr = pres.make_presentation(3, ["x1", "x2"], [])
+    if obstruction_screen(free_pr).verdict != "no_obstruction_found":
+        return False, "free presentation wrongly flagged"
+    pr = pres.make_presentation(2, ["x1", "x2"], ["x1^2"])
+    if obstruction_screen(pr).verdict != "no_obstruction_found":
+        return False, "x1^2 at p=2 wrongly flagged"
+    return True, "verdicts exact on the obstruction corpus"
 
 
-def check_tame_symbol_isomorphisms(seed: int = 0) -> CheckResult:
-    """6. Laurent-series K-rings have ranks (2,1,0,0) and match the
+def check_tame_symbol_isomorphisms(seed: int) -> tuple[bool, str]:
+    """Laurent-series K-rings have ranks (2,1,0,0) and match the
     quadratic hull of the matched one-relator presentation."""
-
-    def run():
-        for ell, q in ((5, 2), (13, 2), (7, 3)):
-            preset = FieldPreset("tame_local", ell)
-            algebra = milnor_mod_q(preset, q)
-            ranks = [algebra.degree_rank(r) for r in range(1, 5)]
-            if ranks != [2, 1, 0, 0]:
-                return False, f"ranks {ranks} for ell={ell}, q={q}"
-            p, corr = preset_presentation(preset, q)
-            report = galois_symbol_compare(preset, p, corr)
-            if report.verdict != "isomorphic":
-                return False, f"comparison failed for ell={ell}, q={q}: {report.to_json_dict()}"
-        # when q exactly divides ell - 1 the relator exponent is q itself,
-        # so the literal one-relator shape must also match
-        preset = FieldPreset("tame_local", 7)
-        literal = pres.make_presentation(3, ["x1", "x2"], ["x1^3 [x1,x2]"])
-        report = galois_symbol_compare(preset, literal, {"u": "x1", "t": "x2"})
-        if report.verdict != "isomorphic":
-            return False, f"literal x1^q[x1,x2] comparison failed: {report.to_json_dict()}"
-        return True, (
-            "ranks (2,1,0,0) and graded isomorphism for (5,2), (13,2), (7,3); "
-            "relator exponent is the p-part of ell-1 (vanishing at this level "
-            "for ell in {5,13}, q=2)"
-        )
-
-    return _timed(run, "6 tame local symbol isomorphism")
-
-
-def check_finite_field_degeneration(seed: int = 0) -> CheckResult:
-    """7. K_2/q of the finite-field presets vanishes: the Steinberg
-    relations T_2 fill degree 2 for four (ell, q) pairs."""
-
-    def run():
-        for ell, q in ((5, 2), (7, 2), (7, 3), (13, 3)):
-            algebra = milnor_mod_q(FieldPreset("finite_field", ell), q)
-            if algebra.degree_cardinality(2) != 1:
-                return False, f"K_2 of F_{ell} mod {q} nonzero"
-        return True, "T_2 fills degree 2 for (5,2), (7,2), (7,3), (13,3)"
-
-    return _timed(run, "7 finite field degeneration")
-
-
-def check_two_adic(seed: int = 0) -> CheckResult:
-    """8. Dyadic Hilbert oracle: (-1,-1) nontrivial, precision-stable
-    span, and the diagonal rule in the matched cohomology tables."""
-
-    def run():
-        if hilbert_symbol_two_adic(-1, -1) != -1:
-            return False, "(-1,-1) computed as trivial"
-        if hilbert_relation_span(8) != hilbert_relation_span(10):
-            return False, "relation span moved between precisions 2^8 and 2^10"
-        preset = FieldPreset("two_adic")
-        p, corr = preset_presentation(preset, 2)
-        cd, _ = cohomology_data_from_presentation(p)
-        gen_of = {name: idx for idx, name in enumerate(p.generators)}
-        for name, a in zip(("-1", "2", "5"), (-1, 2, 5)):
-            k = gen_of[corr[name]]
-            diag_nonzero = any(cd.cup_entry(k, k))
-            if diag_nonzero != (hilbert_symbol_two_adic(a, a) == -1):
-                return False, f"diagonal rule mismatch on class {name}"
+    for ell, q in ((5, 2), (13, 2), (7, 3)):
+        preset = FieldPreset("tame_local", ell)
+        algebra = milnor_mod_q(preset, q)
+        ranks = [algebra.degree_rank(r) for r in range(1, 5)]
+        if ranks != [2, 1, 0, 0]:
+            return False, f"ranks {ranks} for ell={ell}, q={q}"
+        p, corr = preset_presentation(preset, q)
         report = galois_symbol_compare(preset, p, corr)
         if report.verdict != "isomorphic":
-            return False, f"dyadic comparison failed: {report.to_json_dict()}"
-        return True, (
-            "(-1,-1) nontrivial; span stable at precisions 2^8 and 2^10; "
-            "diagonal rule matches the symbol table"
-        )
+            return False, f"comparison failed for ell={ell}, q={q}: {report.to_json_dict()}"
+    # when q exactly divides ell - 1 the relator exponent is q itself,
+    # so the literal one-relator shape must also match
+    preset = FieldPreset("tame_local", 7)
+    literal = pres.make_presentation(3, ["x1", "x2"], ["x1^3 [x1,x2]"])
+    report = galois_symbol_compare(preset, literal, {"u": "x1", "t": "x2"})
+    if report.verdict != "isomorphic":
+        return False, f"literal x1^q[x1,x2] comparison failed: {report.to_json_dict()}"
+    return True, (
+        "ranks (2,1,0,0) and graded isomorphism for (5,2), (13,2), (7,3); "
+        "relator exponent is the p-part of ell-1 (vanishing at this level "
+        "for ell in {5,13}, q=2)"
+    )
 
-    return _timed(run, "8 dyadic field check")
+
+def check_finite_field_degeneration(seed: int) -> tuple[bool, str]:
+    """K_2/q of the finite-field presets vanishes: the Steinberg
+    relations T_2 fill degree 2 for four (ell, q) pairs."""
+    for ell, q in ((5, 2), (7, 2), (7, 3), (13, 3)):
+        algebra = milnor_mod_q(FieldPreset("finite_field", ell), q)
+        if algebra.degree_cardinality(2) != 1:
+            return False, f"K_2 of F_{ell} mod {q} nonzero"
+    return True, "T_2 fills degree 2 for (5,2), (7,2), (7,3), (13,3)"
 
 
-def check_morphism_equivalence(seed: int = 0) -> CheckResult:
-    """9. Group-level and cohomology-level isomorphism conditions agree
+def check_two_adic(seed: int) -> tuple[bool, str]:
+    """Dyadic Hilbert oracle: (-1,-1) nontrivial, precision-stable
+    span, and the diagonal rule in the matched cohomology tables."""
+    if hilbert_symbol_two_adic(-1, -1) != -1:
+        return False, "(-1,-1) computed as trivial"
+    if hilbert_relation_span(8) != hilbert_relation_span(10):
+        return False, "relation span moved between precisions 2^8 and 2^10"
+    preset = FieldPreset("two_adic")
+    p, corr = preset_presentation(preset, 2)
+    cd, _ = cohomology_data_from_presentation(p)
+    gen_of = {name: idx for idx, name in enumerate(p.generators)}
+    for name, a in zip(("-1", "2", "5"), (-1, 2, 5)):
+        k = gen_of[corr[name]]
+        diag_nonzero = any(cd.cup_entry(k, k))
+        if diag_nonzero != (hilbert_symbol_two_adic(a, a) == -1):
+            return False, f"diagonal rule mismatch on class {name}"
+    report = galois_symbol_compare(preset, p, corr)
+    if report.verdict != "isomorphic":
+        return False, f"dyadic comparison failed: {report.to_json_dict()}"
+    return True, (
+        "(-1,-1) nontrivial; span stable at precisions 2^8 and 2^10; "
+        "diagonal rule matches the symbol table"
+    )
+
+
+def check_morphism_equivalence(seed: int) -> tuple[bool, str]:
+    """Group-level and cohomology-level isomorphism conditions agree
     on random endomorphism instances."""
-
-    def run():
-        rng = random.Random(seed or 909)
-        agreed = 0
-        attempts = 0
-        while agreed < 200 and attempts < 5000:
-            attempts += 1
-            q = rng.choice([2, 3, 4, 5])
-            p = _random_minimal_presentation(rng, q)
-            names = p.generators
-            texts = []
-            for _ in range(p.n):
-                parts = []
-                for _ in range(rng.randint(1, 3)):
-                    k = rng.randrange(p.n)
-                    e = rng.choice([-2, -1, 1, 2, q])
-                    parts.append(f"{names[k]}^{e}")
-                texts.append(" ".join(parts))
-            imgs = [pres.parse_word(text, p) for text in texts]
-            try:
-                report = morphism_check(p, p, imgs)
-            except MorphismError:
-                continue
-            if not report.agreement:
-                return False, (
-                    f"conditions disagree on q={q}, rels={p.relator_sources}, "
-                    f"images={texts}"
-                )
-            agreed += 1
-        if agreed < 200:
-            return False, f"only {agreed} usable instances generated"
-        return True, f"conditions agreed on {agreed} endomorphism instances"
-
-    return _timed(run, "9 morphism equivalence")
+    rng = random.Random(seed or 909)
+    agreed = 0
+    attempts = 0
+    while agreed < 200 and attempts < 5000:
+        attempts += 1
+        q = rng.choice([2, 3, 4, 5])
+        p = _random_minimal_presentation(rng, q)
+        names = p.generators
+        texts = []
+        for _ in range(p.n):
+            parts = []
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(p.n)
+                e = rng.choice([-2, -1, 1, 2, q])
+                parts.append(f"{names[k]}^{e}")
+            texts.append(" ".join(parts))
+        imgs = [pres.parse_word(text, p) for text in texts]
+        try:
+            report = morphism_check(p, p, imgs)
+        except MorphismError:
+            continue
+        if not report.agreement:
+            return False, (
+                f"conditions disagree on q={q}, rels={p.relator_sources}, "
+                f"images={texts}"
+            )
+        agreed += 1
+    if agreed < 200:
+        return False, f"only {agreed} usable instances generated"
+    return True, f"conditions agreed on {agreed} endomorphism instances"
 
 
-def check_witt_counts(seed: int = 0) -> CheckResult:
-    """10. Hall basis sizes match the Witt numbers; the commutator block
+def check_witt_counts(seed: int) -> tuple[bool, str]:
+    """Hall basis sizes match the Witt numbers; the commutator block
     of the central layer has the weight-2 rank."""
-
-    def run():
-        for n in range(1, 5):
-            basis = hall_basis(n, 5)
-            for w in range(1, 6):
-                got = sum(1 for h in basis if h.weight == w)
-                want = witt_number(n, w)
-                if got != want:
-                    return False, f"weight-{w} count {got} != Witt {want} at n={n}"
-            g = free_truncation(n, 2)
-            if g.npairs != witt_number(n, 2):
-                return False, f"commutator block rank mismatch at n={n}"
-        return True, "Witt counts match for n <= 4, c <= 5, and the layer block agrees"
-
-    return _timed(run, "10 Witt counts")
+    for n in range(1, 5):
+        basis = hall_basis(n, 5)
+        for w in range(1, 6):
+            got = sum(1 for h in basis if h.weight == w)
+            want = witt_number(n, w)
+            if got != want:
+                return False, f"weight-{w} count {got} != Witt {want} at n={n}"
+        g = free_truncation(n, 2)
+        if g.npairs != witt_number(n, 2):
+            return False, f"commutator block rank mismatch at n={n}"
+    return True, "Witt counts match for n <= 4, c <= 5, and the layer block agrees"
 
 
-ALL_CHECKS = (
-    check_duality_perfectness,
-    check_collection_laws,
-    check_reconstruction_round_trip,
-    check_deep_relator_example,
-    check_obstruction_verdicts,
-    check_tame_symbol_isomorphisms,
-    check_finite_field_degeneration,
-    check_two_adic,
-    check_morphism_equivalence,
-    check_witt_counts,
+# (name, check) for each criterion, in the order selftest runs them
+CRITERIA = (
+    ("1 duality perfectness", check_duality_perfectness),
+    ("2 collection laws", check_collection_laws),
+    ("3 reconstruction round trip", check_reconstruction_round_trip),
+    ("4 deep relator example", check_deep_relator_example),
+    ("5 obstruction screening", check_obstruction_verdicts),
+    ("6 tame local symbol isomorphism", check_tame_symbol_isomorphisms),
+    ("7 finite field degeneration", check_finite_field_degeneration),
+    ("8 dyadic field check", check_two_adic),
+    ("9 morphism equivalence", check_morphism_equivalence),
+    ("10 Witt counts", check_witt_counts),
 )
 
 
+def run_criterion(name: str, check: Callable[[int], tuple[bool, str]], seed: int) -> CheckResult:
+    """One timed call of check; an exception is a failure, not an abort."""
+    start = time.perf_counter()
+    try:
+        passed, detail = check(seed)
+    except Exception as exc:
+        passed, detail = False, f"exception: {exc!r}"
+    return CheckResult(name, passed, detail, time.perf_counter() - start)
+
+
 def run_all(seed: int = 0) -> list[CheckResult]:
-    return [check(seed) for check in ALL_CHECKS]
+    return [run_criterion(name, check, seed) for name, check in CRITERIA]

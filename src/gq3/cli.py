@@ -22,7 +22,6 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .acceptance import run_all
 from .cohom import (
     CohomologyData,
     check_relator_independence,
@@ -350,6 +349,7 @@ def cmd_galois_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import run_all  # the corpus, and random with it, only for selftest
     results = run_all(args.seed or 0)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

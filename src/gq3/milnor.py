@@ -130,8 +130,6 @@ def quadratic_hull(
     if not (1 <= a1_rank <= MAX_RANK):
         raise ValueError(f"rank {a1_rank} outside 1..{MAX_RANK}")
     _check_degree_bound(r_max)
-    if a1_rank**r_max > 256:
-        raise ValueError("tensor coordinate space exceeds the hard cap")
     if zero_pairs.ambient_dim != a1_rank * a1_rank or zero_pairs.q != q:
         raise ValueError("zero_pairs has wrong ambient dimension or modulus")
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gq3
+from gq3 import acceptance
 from gq3.cli import _write, main
 from gq3.presentations import parse_presentation
 from oracles import eager_relator_independence
@@ -115,6 +116,54 @@ def test_cli_import_leaves_numpy_unloaded():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_leaves_the_selftest_corpus_unloaded():
+    """Only selftest loads gq3.acceptance, and random with it.  The
+    interpreter runs without site, whose .pth files may import random."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gq3.__file__).parents[1])}
+    code = "import sys, gq3.cli; print(sorted({'gq3.acceptance', 'random'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _raises(seed):
+    raise RuntimeError(f"stub at seed {seed}")
+
+
+def test_selftest_reports_each_criterion(monkeypatch, capsys):
+    """A failed or raising criterion fails the run, and each has its line."""
+    stubs = (("passes", lambda seed: (True, f"seed {seed}")),
+             ("fails", lambda seed: (False, "wrong")),
+             ("raises", _raises))
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    code, out, err = run_cli(capsys, "selftest", "--seed", "7")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["command"], report["seed"], report["all_passed"]) == ("selftest", 7, False)
+    assert [(r["name"], r["passed"], r["detail"]) for r in report["results"]] == [
+        ("passes", True, "seed 7"),
+        ("fails", False, "wrong"),
+        ("raises", False, "exception: RuntimeError('stub at seed 7')"),
+    ]
+    lines = err.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in lines[:3]] == [
+        "[PASS] passes: seed 7",
+        "[FAIL] fails: wrong",
+        "[FAIL] raises: exception: RuntimeError('stub at seed 7')",
+    ]
+    assert lines[3:] == ["1/3 checks passed"]
+
+
+def test_selftest_runs_every_criterion(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--seed", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_passed"] is True
+    assert [r["name"] for r in report["results"]] == [name for name, _ in acceptance.CRITERIA]
+    assert err.endswith(f"{len(acceptance.CRITERIA)}/{len(acceptance.CRITERIA)} checks passed\n")
 
 
 def test_missing_file_exits_2(capsys):

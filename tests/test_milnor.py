@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gq3.milnor import (
+    MAX_DEGREE,
     MAX_ELL,
+    MAX_RANK,
     FieldPreset,
     GradedAlgebra,
     PresetError,
@@ -31,7 +33,7 @@ from gq3.milnor import (
 from gq3.cohom import CohomologyData, cohomology_data_from_presentation
 from gq3.presentations import make_presentation
 from gq3.trunc import pair_list
-from gq3.zqlin import ZqMatrix, canonicalize, full_subspace, kernel, zero_subspace
+from gq3.zqlin import MAX_AMBIENT, ZqMatrix, canonicalize, full_subspace, kernel, zero_subspace
 from oracles import (
     SQUARE_CLASSES_Q2,
     DictCohomologyTables,
@@ -133,6 +135,13 @@ def test_zero_algebra_quadratic():
     comps = {2: full_subspace(2, 4), 3: full_subspace(2, 8)}
     a = GradedAlgebra(2, 2, comps)
     assert quadratic_hull(2, 2, a.components[2], 3).components == a.components
+
+
+def test_hull_caps_bound_the_tensor_space():
+    """quadratic_hull checks only the rank and the degree bound against
+    their caps: every degree's tensor space, of dimension rank^r, must stay
+    within the ambient cap of ZqSubspace."""
+    assert MAX_RANK**MAX_DEGREE <= MAX_AMBIENT
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 32])
