@@ -20,10 +20,11 @@ on the nine basis pairs, extended by bimultiplicativity, for the dyadic
 one.  The class dlog(c) mod q of a unit is read off one power of c.  A
 unit a gives class(a) class(1-a) e_uu, so the sweep over F_ell stops at
 the first unit product; a monomial c t^v with v < 0 gives the class pair
-(class(c), class(c) + class(-1)), one row per class.  The local sweep
-doubles its window, and the rows the wider window adds must lie in the
-span already computed; the dyadic span must not move at a higher
-precision.  Otherwise the oracle raises rather than returning an
+(class(c), class(c) + class(-1)), and three rows per negative valuation,
+those of class(c) = 0, 1 and -1, span the rows of all q classes.  The
+local sweep doubles its window, and the rows the wider window adds must
+lie in the span already computed; the dyadic span must not move at a
+higher precision.  Otherwise the oracle raises rather than returning an
 unstable answer.  The square test behind a Hilbert symbol tries every
 pair of values, as integer bitmasks ANDed in one step per value of the
 first set.
@@ -258,18 +259,22 @@ def steinberg_relations_finite(ell: int, q: int) -> ZqSubspace:
 
 
 def _valuation_rows(q: int, v: int, unit_span: int, s: int) -> list[tuple[int, ...]]:
-    """Nonzero rows of a (x) (1-a) for the monomials a = c t^v, all c.
+    """Nonzero rows spanning a (x) (1-a) for the monomials a = c t^v, all c.
 
     1 - c t^v has the trivial class for v > 0, the class of 1 - c for
     v = 0 (rows spanning unit_span e_uu), and that of -c t^v for v < 0,
-    where class(-c) = class(c) + s with s = class(-1).
+    where class(-c) = class(c) + s with s = class(-1).  For v < 0 the
+    row of class a is R(a) = (a, v) (x) (a + s, v) = a^2 E + a B + C with
+    E = (1,0,0,0), B = (s,v,v,0), C = (0,0,vs,v^2), so R(0), R(1), R(-1)
+    span every R(a): R(a) - C = a (E + B) + (a^2 - a) E, a^2 - a is even,
+    and 2E = (R(1) - C) + (R(-1) - C).
     """
     if v > 0:
         return []
     if v == 0:
         rows = [(unit_span % q, 0, 0, 0)]
     else:
-        rows = [tuple(_outer(q, (a, v), (a + s, v))) for a in range(q)]
+        rows = [tuple(_outer(q, (a, v), (a + s, v))) for a in (0, 1, q - 1)]
     return [row for row in rows if any(row)]
 
 

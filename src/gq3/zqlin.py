@@ -237,11 +237,15 @@ def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[
         work[best], work[r] = work[r], top
         pivot = top[c]
         # One subtraction clears the entries below the pivot and reduces
-        # those above it into [0, pivot); the pivot row is zero left of c.
+        # those above it into [0, pivot), over the pivot row's nonzero
+        # columns: it is zero left of c, and elsewhere entries stay reduced.
+        support = None
         for i, row in enumerate(work):
             f = row[c] // pivot
             if f and i != r:
-                for k in range(c, ambient):
+                if support is None:
+                    support = [k for k in range(c, ambient) if top[k]]
+                for k in support:
                     row[k] = (row[k] - f * top[k]) % q
         # Closure row: the annihilator multiple of the pivot row may have
         # support strictly to the right and must itself be spanned.

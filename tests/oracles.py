@@ -4,7 +4,8 @@ None of these is on a path the gq3 CLI runs: they rebuild words from
 syllables, render words in the input grammar, scan presentation text one
 character at a time, parse it through a list of token records, recognise
 Hall elements and build Hall bases weight by weight, build identity and
-zero Z/q matrices, enumerate small submodules, take Smith diagonals by
+zero Z/q matrices, take Howell forms subtracting each pivot row over the
+whole width, enumerate small submodules, take Smith diagonals by
 pivot scanning, build central elements, raise powers and take
 commutators by repeated products, build generators and evaluate words
 one group operation per node or in one pass on dense exponent lists,
@@ -21,7 +22,8 @@ finite G^[3] and the null space of printed tables by enumeration,
 substitute words into words, compute word certificates the direct way,
 solve the engine's certificates on the Hall basis, sweep the Steinberg
 relations of the finite and tame presets over every unit through a full
-discrete-log table, evaluate the 2-adic Hilbert symbol and the tame
+discrete-log table, write a negative valuation's Steinberg rows for
+every class, evaluate the 2-adic Hilbert symbol and the tame
 symbol in closed form, test squares pair by pair, place hull relations
 slot by slot, read the divisors of every hull degree off its invariant
 factors, build the relator independence and obstruction screen reports
@@ -96,7 +98,9 @@ from gq3.zqlin import (
     invariant_factors,
     kernel,
     prime_power,
+    pvaluation,
     row_space,
+    unit_inverse,
 )
 
 
@@ -144,6 +148,44 @@ def identity(q: int, n: int) -> ZqMatrix:
 
 def zero(q: int, nrows: int, ncols: int) -> ZqMatrix:
     return ZqMatrix(q, nrows, ncols, tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)))
+
+
+def dense_howell(q, ambient, rows):
+    """Howell rows of the span, each pivot row subtracted from the others
+    over every column from the pivot's to the last, zero or not."""
+    p, d = prime_power(q)
+    work = [[x % q for x in row] for row in rows]
+    r = 0
+    for c in range(ambient):
+        if r == len(work):
+            break
+        best, least = None, d
+        for i in range(r, len(work)):
+            if work[i][c]:
+                v = pvaluation(work[i][c], p, d)
+                if v < least:
+                    best, least = i, v
+                    if not v:
+                        break
+        if best is None:
+            continue
+        top = work[best]
+        if top[c] != p**least:
+            x = unit_inverse(top[c] // p**least, q)
+            top = [(x * e) % q for e in top]
+        work[best], work[r] = work[r], top
+        pivot = top[c]
+        for i, row in enumerate(work):
+            f = row[c] // pivot
+            if f and i != r:
+                for k in range(c, ambient):
+                    row[k] = (row[k] - f * top[k]) % q
+        if pivot != 1:
+            extra = [(q // pivot * e) % q for e in top]
+            if any(extra):
+                work.append(extra)
+        r += 1
+    return tuple(tuple(row) for row in work[:r] if any(row))
 
 
 def pivot_scan_smith_diagonal(m: ZqMatrix) -> tuple[int, ...]:
@@ -1104,6 +1146,18 @@ def _valuation_pairs(q, v, one_minus, minus):
         return set()
     units = one_minus if v == 0 else minus
     return {((a, v % q), (b, v % q)) for a, b in units}
+
+
+def valuation_rows_every_class(q, v, unit_span, s):
+    """Nonzero rows of a (x) (1-a) for the monomials a = c t^v, one row
+    per class of c: (class(c), v) (x) (class(c) + s, v) for v < 0."""
+    if v > 0:
+        return []
+    if v == 0:
+        rows = [(unit_span % q, 0, 0, 0)]
+    else:
+        rows = [tuple(_outer(q, (a, v), (a + s, v))) for a in range(q)]
+    return [row for row in rows if any(row)]
 
 
 def pair_sweep_tame(ell, q, window=2):

@@ -29,11 +29,20 @@ from gq3.milnor import (
     _class_map,
     _is_prime,
     _primitive_root,
+    _valuation_rows,
 )
 from gq3.cohom import CohomologyData, cohomology_data_from_presentation
 from gq3.presentations import make_presentation
 from gq3.trunc import pair_list
-from gq3.zqlin import MAX_AMBIENT, ZqMatrix, canonicalize, full_subspace, kernel, zero_subspace
+from gq3.zqlin import (
+    MAX_AMBIENT,
+    ZqMatrix,
+    ZqSubspace,
+    canonicalize,
+    full_subspace,
+    kernel,
+    zero_subspace,
+)
 from oracles import (
     SQUARE_CLASSES_Q2,
     DictCohomologyTables,
@@ -46,6 +55,7 @@ from oracles import (
     pairwise_hilbert_two_adic,
     slot_hull_component,
     tame_symbol_kernel,
+    valuation_rows_every_class,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -458,6 +468,45 @@ def test_tame_sweep_canonicalizes_one_row_per_class_pair(monkeypatch):
     steinberg_relations_tame(ell, q)
     grcomm_rows = 3  # x(x)y + y(x)x for the pair (u, t), 2 x(x)x for u and t
     assert 0 < sum(sizes) <= grcomm_rows + q**4
+
+
+def test_three_rows_span_every_class_of_a_valuation():
+    """For every prime power q <= 32, every s = class(-1) in Z/q and every
+    v in -4..-1, the rows of the classes 0, 1 and -1 span the rows of all q
+    classes."""
+    for q in PRIME_POWERS:
+        for s in range(q):
+            for v in range(-4, 0):
+                three = _valuation_rows(q, v, 1, s)
+                assert len(three) <= 3
+                assert canonicalize(q, 4, three) == canonicalize(
+                    q, 4, valuation_rows_every_class(q, v, 1, s)), (q, s, v)
+
+
+def test_tame_sweep_at_q32_handles_three_rows_per_valuation(monkeypatch):
+    """At (ell, q) = (9857, 32) the sweep hands canonicalize the graded
+    commutativity rows, the unit row and three rows per negative valuation,
+    and tests at most three rows per valuation the wider window adds."""
+    import gq3.milnor
+
+    sizes, tested = [], []
+    original_canonicalize, original_contains = gq3.milnor.canonicalize, ZqSubspace.contains
+
+    def counting_canonicalize(q, ambient, rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return original_canonicalize(q, ambient, rows)
+
+    def counting_contains(self, vec):
+        tested.append(tuple(vec))
+        return original_contains(self, vec)
+
+    monkeypatch.setattr(gq3.milnor, "canonicalize", counting_canonicalize)
+    monkeypatch.setattr(ZqSubspace, "contains", counting_contains)
+    window = 2
+    steinberg_relations_tame(9857, 32, window)
+    assert 0 < sum(sizes) <= 3 + 1 + 3 * window
+    assert 0 < len(tested) <= 3 * window
 
 
 # ---------------------------------------------------------------------------

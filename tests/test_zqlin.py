@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from gq3 import zqlin
 from gq3.freelie import mobius
@@ -27,7 +27,7 @@ from gq3.zqlin import (
     vanishing_part,
     zero_subspace,
 )
-from oracles import identity, pivot_scan_smith_diagonal, subspace_vectors, zero
+from oracles import dense_howell, identity, pivot_scan_smith_diagonal, subspace_vectors, zero
 
 MODULI = [2, 3, 4, 5, 8, 9]
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -243,6 +243,33 @@ def test_canonicalize_representation_independent_exhaustive(q, ambient):
             by_span[span] = sub
         # Idempotence
         assert canonicalize(q, ambient, sub.basis) == sub
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_howell_matches_the_dense_subtraction_on_dense_rows(q, data):
+    ambient = data.draw(st.integers(min_value=0, max_value=8))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=ambient,
+                                       max_size=ambient), max_size=8))
+    assert zqlin._howell(q, ambient, rows) == dense_howell(q, ambient, rows)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+@settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(width=st.integers(1, 36), count=st.integers(0, 400), seed=st.integers(0, 2**32))
+def test_howell_matches_the_dense_subtraction_on_graph_rows(q, width, count, seed):
+    """Graph rows (v_j | e_j) of sparse vectors, as relations builds them,
+    up to 436 columns: past MAX_AMBIENT.  A failure reports the drawn
+    (width, count, seed) unshrunk, since each try takes up to 0.3 s."""
+    rng = random.Random(seed)
+    rows = []
+    for j in range(count):
+        v = [0] * width
+        for k in rng.sample(range(width), rng.randint(0, min(3, width))):
+            v[k] = rng.randrange(q)
+        rows.append(v + [0] * j + [1] + [0] * (count - 1 - j))
+    assert zqlin._howell(q, width + count, rows) == dense_howell(q, width + count, rows)
 
 
 @pytest.mark.parametrize("q", MODULI)
