@@ -89,7 +89,7 @@ def _write(value, out: list[str], newline: str) -> None:
 def _emit(args, payload: dict, summary: str) -> None:
     """Write the report, as json.dumps(indent=2, sort_keys=True) would
     print it, to --output or stdout, and the summary to stderr."""
-    payload = {"tool": "gq3", "version": __version__, **payload}
+    payload = {"tool": "gq3", "version": __version__, "command": args.command, **payload}
     payload["seed"] = getattr(args, "seed", 0) or 0
     out: list[str] = []
     _write(payload, out, "\n")
@@ -119,24 +119,13 @@ def _subspace_dict(w) -> dict:
 
 
 def _minimality_dict(report) -> dict:
-    return {
-        "minimal": report.minimal,
-        "eliminated": [[g, r] for g, r in report.eliminated],
-        "kept_generators": list(report.kept),
-        "dropped_trivial_relators": list(report.dropped_trivial),
-        "warnings": list(report.warnings),
-    }
+    out = report._asdict()
+    del out["images"]
+    return out
 
 
 def _group_dict(group, inv) -> dict:
-    return {
-        "n": group.n,
-        "order": inv.order,
-        "abelianization": sorted(inv.abelianization),
-        "center_order": inv.center_order,
-        "exponent": inv.exponent,
-        "relator_subspace": _subspace_dict(group.w),
-    }
+    return {"n": group.n, **inv._asdict(), "relator_subspace": _subspace_dict(group.w)}
 
 
 def _relator_images(p, report) -> list[dict]:
@@ -155,7 +144,6 @@ def cmd_truncate(args) -> int:
     group, report = truncated_quotient(p)
     inv = group_invariants(group)
     payload = {
-        "command": "truncate",
         "q": p.q,
         "generators": list(p.generators),
         "relator_images": _relator_images(p, report),
@@ -169,11 +157,7 @@ def cmd_truncate(args) -> int:
 def cmd_cohomology(args) -> int:
     p = _load_presentation(args.file)
     cd, report = cohomology_data_from_presentation(p)
-    payload = {
-        "command": "cohomology",
-        "cohomology": cd.to_json_dict(),
-        "minimality": _minimality_dict(report),
-    }
+    payload = {"cohomology": cd.to_json_dict(), "minimality": _minimality_dict(report)}
     _emit(args, payload, f"H^1 rank {cd.n}, H^2 model rank {cd.h2_rank}")
     return EXIT_OK
 
@@ -196,12 +180,7 @@ def cmd_reconstruct(args) -> int:
         cd = CohomologyData.from_json_dict(raw)
         group = reconstruct_g3(cd)
         inv = group_invariants(group)
-        payload = {
-            "command": "reconstruct",
-            "q": cd.q,
-            "source": "cohomology-tables",
-            "group": _group_dict(group, inv),
-        }
+        payload = {"q": cd.q, "source": "cohomology-tables", "group": _group_dict(group, inv)}
         _emit(args, payload, f"reconstructed group of order {inv.order}")
         return EXIT_OK
 
@@ -209,10 +188,9 @@ def cmd_reconstruct(args) -> int:
     w, report = relator_subspace(p)
     # round_trip_equal compares W with the Howell form of its own rows: it is
     # always true, so this mode never exits 1
-    group = reconstruct_g3(CohomologyData(w.q, len(report.kept), w.basis))
+    group = reconstruct_g3(CohomologyData(w.q, len(report.kept_generators), w.basis))
     equal = group.w == w
     payload = {
-        "command": "reconstruct",
         "q": p.q,
         "source": "presentation",
         "round_trip_equal": equal,
@@ -232,8 +210,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_equiv(args) -> int:
     p = _load_presentation(args.file)
     report = check_relator_independence(p, certificate_class=args.class_bound)
-    payload = {"command": "equiv", "q": p.q, "n": p.n,
-               "class_bound": args.class_bound, **report.to_json_dict()}
+    payload = {"q": p.q, "n": p.n, "class_bound": args.class_bound, **report.to_json_dict()}
     _emit(args, payload, f"relator independence: {report.verdict}")
     return EXIT_OK if report.verdict == "consistent" else EXIT_NEGATIVE
 
@@ -260,11 +237,10 @@ def cmd_morphism(args) -> int:
         images.append(parse_labelled_word(assignments[gen], p2, f"in --map image of {gen!r}"))
     report = morphism_check(p1, p2, images)
     payload = {
-        "command": "morphism",
         "q": p1.q,
         "source_generators": list(p1.generators),
         "target_generators": list(p2.generators),
-        **report.to_json_dict(),
+        **report._asdict(),
     }
     summary = (
         f"level-3 isomorphism: {report.pi3_isomorphism}; "
@@ -283,7 +259,6 @@ def cmd_screen(args) -> int:
         certificate_class=args.class_bound,
     )
     payload = {
-        "command": "screen",
         "q": p.q,
         "n": p.n,
         "class_bound": args.class_bound,
@@ -307,7 +282,6 @@ def cmd_kmilnor(args) -> int:
             "relations": [] if r == 1 else [list(row) for row in algebra.components[r].basis],
         }
     payload = {
-        "command": "kmilnor",
         "field": preset.describe(),
         "q": args.q,
         "rmax": args.rmax,
@@ -337,7 +311,6 @@ def cmd_galois_check(args) -> int:
             correspondence[name] = target.strip()
     report = galois_symbol_compare(preset, p, correspondence, r_max=args.rmax)
     payload = {
-        "command": "galois-check",
         "field": preset.describe(),
         "q": args.q,
         "rmax": args.rmax,
@@ -355,12 +328,7 @@ def cmd_selftest(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: {r.detail} ({r.seconds:.2f}s)", file=sys.stderr)
     payload = {
-        "command": "selftest",
-        "results": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail,
-             "seconds": round(r.seconds, 3)}
-            for r in results
-        ],
+        "results": [{**r._asdict(), "seconds": round(r.seconds, 3)} for r in results],
         "all_passed": all(r.passed for r in results),
     }
     _emit(args, payload, f"{sum(r.passed for r in results)}/{len(results)} checks passed")
@@ -445,15 +413,15 @@ def _tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
         command = commands[name] = sub.add_parser(name, help=help_text)
         for flags, kwargs in arguments + COMMON_ARGUMENTS:
             command.add_argument(*flags, **kwargs)
-        command.set_defaults(func=handler)
+        command.set_defaults(func=handler, command=name)
     return parser, commands
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse with the named subcommand's own parser when ``argv[0]`` names
     one; the root parses anything else, and parses argv again to report
-    arguments the subcommand left over.  The namespace carries no
-    ``command`` when the subcommand's parser alone parsed it."""
+    arguments the subcommand left over.  Either way the namespace
+    carries ``command``, the subcommand's name in COMMANDS."""
     root, commands = _tree()
     if argv and argv[0] in commands:
         args, rest = commands[argv[0]].parse_known_args(argv[1:])

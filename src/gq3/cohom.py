@@ -218,7 +218,7 @@ def cohomology_data_from_presentation(
     coordinates and cup(k,l) their commutator coordinates.
     """
     w, report = relator_subspace(presentation)
-    return CohomologyData(w.q, len(report.kept), w.basis), report
+    return CohomologyData(w.q, len(report.kept_generators), w.basis), report
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +246,7 @@ class Report(record("verdict tests assumptions data")):
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "tests": [
-                {"name": t.name, "status": t.status, "witness": t.witness}
-                for t in self.tests
-            ],
+            "tests": [t._asdict() for t in self.tests],
             "assumptions": list(self.assumptions),
             **self.data,
         }
@@ -333,29 +330,17 @@ def check_relator_independence(
 
 
 class MorphismReport(record("pi2_isomorphism pi3_isomorphism h1_isomorphism "
-                            "h2_decomposable_isomorphism b_holds d_holds agreement "
-                            "target_h2_decomposable")):
+                            "h2_decomposable_isomorphism condition_b condition_d agreement "
+                            "target_h2_decomposable_model")):
     __slots__ = ()
     pi2_isomorphism: bool
     pi3_isomorphism: bool
     h1_isomorphism: bool
     h2_decomposable_isomorphism: bool
-    b_holds: bool
-    d_holds: bool
+    condition_b: bool
+    condition_d: bool
     agreement: bool
-    target_h2_decomposable: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pi2_isomorphism": self.pi2_isomorphism,
-            "pi3_isomorphism": self.pi3_isomorphism,
-            "h1_isomorphism": self.h1_isomorphism,
-            "h2_decomposable_isomorphism": self.h2_decomposable_isomorphism,
-            "condition_b": self.b_holds,
-            "condition_d": self.d_holds,
-            "agreement": self.agreement,
-            "target_h2_decomposable_model": self.target_h2_decomposable,
-        }
+    target_h2_decomposable_model: bool
 
 
 def _require_minimal(report: MinimalityReport, which: str):
@@ -437,17 +422,17 @@ def morphism_check(
     pidec2_iso = dec1 == dec2 == pulled
     target_h2_dec = dec2 == g2.w.cardinality()
 
-    b_holds = pi3_iso
-    d_holds = h1_iso and pidec2_iso
+    condition_b = pi3_iso
+    condition_d = h1_iso and pidec2_iso
     return MorphismReport(
         pi2_isomorphism=pi2_iso,
         pi3_isomorphism=pi3_iso,
         h1_isomorphism=h1_iso,
         h2_decomposable_isomorphism=pidec2_iso,
-        b_holds=b_holds,
-        d_holds=d_holds,
-        agreement=b_holds == d_holds,
-        target_h2_decomposable=target_h2_dec,
+        condition_b=condition_b,
+        condition_d=condition_d,
+        agreement=condition_b == condition_d,
+        target_h2_decomposable_model=target_h2_dec,
     )
 
 

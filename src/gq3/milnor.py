@@ -444,7 +444,7 @@ def galois_symbol_compare(
     assumptions = [f"preset: {preset.describe()}", f"tested degrees: 1..{r_max}"]
     if not report.minimal:
         assumptions.append(
-            f"presentation auto-minimized; kept generators {report.kept}"
+            f"presentation auto-minimized; kept generators {report.kept_generators}"
         )
 
     if set(correspondence.keys()) != set(names):
@@ -454,7 +454,7 @@ def galois_symbol_compare(
         )
     if len(set(correspondence.values())) != len(correspondence):
         raise PresetError("correspondence is not injective on generators")
-    name_to_index = {name: i for i, name in enumerate(report.kept)}
+    name_to_index = {name: i for i, name in enumerate(report.kept_generators)}
     for target in correspondence.values():
         if target not in name_to_index:
             raise PresetError(f"correspondence targets unknown generator {target!r}")

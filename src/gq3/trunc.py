@@ -16,8 +16,11 @@ y.  The law is written once, on sparse maps of exponents (_product,
 _power, _commutator): a word's image involves only the generators it
 uses and their pairs, so evaluate_word costs O(support^2) per node, and
 the sides of a commutator go through a degree-1-only pass (degree_one)
-that forms no commutator part.  multiply, power, inverse and commutator
-wrap the same functions on dense normal forms.
+that forms no commutator part; reading them off _evaluate instead would
+save its lines but form commutator parts only to drop them, which costs
+the benchmark corpora about a tenth more evaluation time.  multiply,
+power, inverse and commutator wrap the same functions on dense normal
+forms.
 
 Quotients G^[3] of S^[3] by a subgroup W of the central layer carry the
 same normal forms with the central part reduced to a canonical coset
@@ -347,12 +350,13 @@ def free_truncation(n: int, q: int) -> TruncGroup:
 # Relator subspaces and minimization
 
 
-class MinimalityReport(record("minimal eliminated kept dropped_trivial warnings images")):
+class MinimalityReport(record("minimal eliminated kept_generators dropped_trivial_relators "
+                              "warnings images")):
     __slots__ = ()
     minimal: bool
     eliminated: tuple[tuple[str, str], ...]  # (generator name, pivot relator)
-    kept: tuple[str, ...]
-    dropped_trivial: tuple[str, ...]
+    kept_generators: tuple[str, ...]
+    dropped_trivial_relators: tuple[str, ...]
     warnings: tuple[str, ...]
     images: tuple[TruncElement, ...]  # free S^[3] image of every relator, in order
 
@@ -466,8 +470,8 @@ def relator_subspace(
     report = MinimalityReport(
         minimal=not pivot_cols,
         eliminated=eliminated,
-        kept=tuple(presentation.generators[k] for k in kept_indices),
-        dropped_trivial=tuple(dropped),
+        kept_generators=tuple(presentation.generators[k] for k in kept_indices),
+        dropped_trivial_relators=tuple(dropped),
         warnings=warnings
         + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
         images=images,
@@ -478,7 +482,7 @@ def relator_subspace(
 def truncated_quotient(presentation: pres.Presentation) -> tuple[TruncGroup, MinimalityReport]:
     """G^[3] for a finitely presented pro-p group, with the minimality log."""
     w, report = relator_subspace(presentation)
-    return TruncGroup(len(report.kept), presentation.q, w), report
+    return TruncGroup(len(report.kept_generators), presentation.q, w), report
 
 
 # ---------------------------------------------------------------------------

@@ -469,17 +469,17 @@ def annihilator_morphism_check(pres1, pres2, images):
 
     target_h2_dec = p2.cardinality() == q ** g2.layer_rank
 
-    b_holds = pi3_iso
-    d_holds = h1_iso and pidec2_iso
+    condition_b = pi3_iso
+    condition_d = h1_iso and pidec2_iso
     return MorphismReport(
         pi2_isomorphism=pi2_iso,
         pi3_isomorphism=pi3_iso,
         h1_isomorphism=h1_iso,
         h2_decomposable_isomorphism=pidec2_iso,
-        b_holds=b_holds,
-        d_holds=d_holds,
-        agreement=b_holds == d_holds,
-        target_h2_decomposable=target_h2_dec,
+        condition_b=condition_b,
+        condition_d=condition_d,
+        agreement=condition_b == condition_d,
+        target_h2_decomposable_model=target_h2_dec,
     )
 
 
@@ -1352,13 +1352,13 @@ def degree_by_degree_symbol_compare(preset, presentation, correspondence, r_max=
     outcomes = []
     assumptions = [f"preset: {preset.describe()}", f"tested degrees: 1..{r_max}"]
     if not report.minimal:
-        assumptions.append(f"presentation auto-minimized; kept generators {report.kept}")
+        assumptions.append(f"presentation auto-minimized; kept generators {report.kept_generators}")
     if set(correspondence) != set(names):
         raise PresetError(f"correspondence keys {sorted(correspondence)} do not match the "
                           f"K-ring basis {names}")
     if len(set(correspondence.values())) != len(correspondence):
         raise PresetError("correspondence is not injective on generators")
-    name_to_index = {name: i for i, name in enumerate(report.kept)}
+    name_to_index = {name: i for i, name in enumerate(report.kept_generators)}
     for target in correspondence.values():
         if target not in name_to_index:
             raise PresetError(f"correspondence targets unknown generator {target!r}")

@@ -784,6 +784,19 @@ def test_galois_check_explicit_file_and_map(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "isomorphic"
 
 
+def test_galois_check_dash_led_map_needs_an_equals_sign(capsys):
+    """argparse reads a value that starts with '-' and holds no space as an
+    option, so the dyadic map "-1:x1,..." is given as --map=... (README)."""
+    code, out, _ = run_cli(capsys, "galois-check", "--field", "two_adic", "--q", "2",
+                           "--map=-1:x1,2:x2,5:x3")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "isomorphic"
+    with pytest.raises(SystemExit) as info:
+        main(["galois-check", "--field", "two_adic", "--q", "2", "--map", "-1:x1,2:x2,5:x3"])
+    assert info.value.code == 2
+    assert "argument --map: expected one argument" in capsys.readouterr().err
+
+
 def test_reports_byte_deterministic(tame_file, capsys):
     _, out1, _ = run_cli(capsys, "truncate", tame_file, "--seed", "7")
     _, out2, _ = run_cli(capsys, "truncate", tame_file, "--seed", "7")

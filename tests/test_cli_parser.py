@@ -2,15 +2,15 @@
 
 ``cli.parse_args`` hands the arguments after a known command to that
 command's subparser, and anything else to the root of the tree,
-``cli._tree()[0]``.  On every argv the two give the same namespace
-(``command`` aside, which direct dispatch omits), or the same exit code,
-stdout and stderr.
+``cli._tree()[0]``.  On every argv the two give the same namespace,
+``command`` included, or the same exit code, stdout and stderr.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gq3 import cli
 
+README = Path(__file__).parents[1] / "README.md"
 GOLDEN_ARGVS = [case["argv"] for case in json.loads(
     (Path(__file__).parent / "golden" / "cases.json").read_text(encoding="utf-8")).values()]
 
@@ -29,7 +30,6 @@ def _outcome(parse, argv):
             namespace = vars(parse(argv))
         except SystemExit as exc:
             return "exit", exc.code, out.getvalue(), err.getvalue()
-    namespace.pop("command", None)
     return "namespace", namespace, out.getvalue(), err.getvalue()
 
 
@@ -110,6 +110,49 @@ def test_parsers_built_per_call(argv, monkeypatch, capsys):
     with contextlib.suppress(SystemExit):
         cli.main(argv)
     assert counts == {"constructed": 0, "subparsers": 0}
+
+
+def _required_argv(arguments):
+    """The least argv a subcommand accepts: a value for each required
+    positional and option.  Parsing opens no file, so none need exist."""
+    argv = []
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-") and kwargs.get("nargs") != "?":
+            argv.append("f.pres")
+        elif kwargs.get("required"):
+            argv += [flags[0], "2"]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_direct_dispatch_names_the_command(name, monkeypatch):
+    """The subparser alone parses a complete argv, and its namespace names
+    the command by its key in COMMANDS, which the report prints."""
+    def no_root(argv):
+        raise AssertionError(f"the root parser parsed {argv}")
+
+    monkeypatch.setattr(cli._tree()[0], "parse_args", no_root)
+    argv = [name, *_required_argv(cli.COMMANDS[name][2])]
+    assert cli.parse_args(argv).command == name
+
+
+def _readme_cli_lines():
+    """The gq3 lines of the sh block under README's ## CLI heading."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("gq3 ")]
+
+
+def test_readme_cli_examples_parse():
+    """Every documented invocation parses (its files are never opened)."""
+    lines = _readme_cli_lines()
+    assert len(lines) == 11
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            cli.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 OPTION_TYPES = {flags[0]: (name, kwargs["type"]) for name, (_, _, arguments) in cli.COMMANDS.items()

@@ -13,11 +13,12 @@ import pytest
 
 import gq3
 from gq3 import cohom, records
+from gq3.acceptance import CheckResult
 from gq3.cohom import CohomologyData, MorphismReport, Report
 from gq3.freelie import HallElement, bracket_node, generator
 from gq3.milnor import FieldPreset, GradedAlgebra, PresetError
 from gq3.presentations import Commutator, Generator, Power, Product, Presentation
-from gq3.trunc import TruncElement, TruncGroup, free_truncation
+from gq3.trunc import GroupInvariants, MinimalityReport, TruncElement, TruncGroup, free_truncation
 from gq3.zqlin import DimensionMismatch, ZqMatrix, ZqSubspace, zero_subspace
 
 
@@ -142,6 +143,21 @@ def test_copies_and_pickles_are_equal():
                   Report("v", (cohom.TestOutcome("t", "passed"),), ("a",), {"k": [1]})):
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("cls, keys", [
+    (MorphismReport, "pi2_isomorphism pi3_isomorphism h1_isomorphism h2_decomposable_isomorphism "
+                     "condition_b condition_d agreement target_h2_decomposable_model"),
+    (MinimalityReport, "minimal eliminated kept_generators dropped_trivial_relators warnings images"),
+    (GroupInvariants, "order abelianization center_order exponent"),
+    (cohom.TestOutcome, "name status witness"),
+    (CheckResult, "name passed detail seconds"),
+])
+def test_printed_records_name_their_published_keys(cls, keys):
+    """The CLI prints these records by _asdict() (a MinimalityReport
+    without its images): each field name is the key of a published report,
+    so a new field is a new key."""
+    assert cls._fields == tuple(keys.split())
 
 
 @pytest.mark.parametrize("build, error, message", [

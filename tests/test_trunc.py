@@ -406,13 +406,13 @@ def test_relator_subspace_deep_relator_is_zero():
     w, report = relator_subspace(p)
     assert w == zero_subspace(3, 6)
     assert report.minimal
-    assert not report.dropped_trivial
+    assert not report.dropped_trivial_relators
 
 
 def test_relator_subspace_drops_trivial_relator():
     p = make_presentation(2, ["x1", "x2"], ["x1 x1^-1", "x1^2"])
     w, report = relator_subspace(p)
-    assert report.dropped_trivial == ("x1 x1^-1",)
+    assert report.dropped_trivial_relators == ("x1 x1^-1",)
     assert w == canonicalize(2, 3, [(1, 0, 0)])
 
 
@@ -537,7 +537,7 @@ def test_elimination_reports_generators():
     p = make_presentation(2, ["a", "b"], ["a b^2"])
     w, report = relator_subspace(p)
     assert report.eliminated[0][0] == "a"
-    assert report.kept == ("b",)
+    assert report.kept_generators == ("b",)
 
 
 def test_full_elimination_gives_trivial_group():
