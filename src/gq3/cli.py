@@ -1,9 +1,10 @@
 """Command-line front end: deterministic JSON reports on stdout, human
 summaries on stderr.
 
-Exit codes: 0 success or verified, 1 verified-negative (an obstruction
-or a failed comparison is still a successful run), 2 parse error,
-3 validation error, 4 internal error (a bug: no answer is given).
+Handlers return (payload, summary, positive); ``main`` alone prints the
+report and picks the exit code: 0 success or verified, 1 verified-negative
+(an obstruction or a failed comparison is still a successful run), 2 parse
+error, 3 validation error, 4 internal error (a bug: no answer is given).
 
 The argparse tree is built once per process.  ``main`` hands the
 arguments after a known command to that command's subparser, which
@@ -90,11 +91,11 @@ def _emit(args, payload: dict, summary: str) -> None:
     """Write the report, as json.dumps(indent=2, sort_keys=True) would
     print it, to --output or stdout, and the summary to stderr."""
     payload = {"tool": "gq3", "version": __version__, "command": args.command, **payload}
-    payload["seed"] = getattr(args, "seed", 0) or 0
+    payload["seed"] = args.seed or 0
     out: list[str] = []
     _write(payload, out, "\n")
     text = "".join(out)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -139,7 +140,7 @@ def _relator_images(p, report) -> list[dict]:
     return out
 
 
-def cmd_truncate(args) -> int:
+def cmd_truncate(args) -> tuple[dict, str, bool]:
     p = _load_presentation(args.file)
     group, report = truncated_quotient(p)
     inv = group_invariants(group)
@@ -150,39 +151,39 @@ def cmd_truncate(args) -> int:
         "group": _group_dict(group, inv),
         "minimality": _minimality_dict(report),
     }
-    _emit(args, payload, f"level-3 quotient of order {inv.order} on {group.n} generators")
-    return EXIT_OK
+    return payload, f"level-3 quotient of order {inv.order} on {group.n} generators", True
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> tuple[dict, str, bool]:
     p = _load_presentation(args.file)
     cd, report = cohomology_data_from_presentation(p)
     payload = {"cohomology": cd.to_json_dict(), "minimality": _minimality_dict(report)}
-    _emit(args, payload, f"H^1 rank {cd.n}, H^2 model rank {cd.h2_rank}")
-    return EXIT_OK
+    return payload, f"H^1 rank {cd.n}, H^2 model rank {cd.h2_rank}", True
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> tuple[dict, str, bool]:
     if not args.file and not args.cd_json:
         raise PresentationError("reconstruct needs a presentation file or --cd-json")
     if args.file and args.cd_json:
         raise PresentationError("reconstruct takes a presentation file or --cd-json, not both")
     if args.cd_json:
         with open(args.cd_json, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
-            except RecursionError:
-                raise ParseError("not JSON: nested too deep", 1, 1) from None
+            text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError too
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        except RecursionError:
+            raise ParseError("not JSON: nested too deep", 1, 1) from None
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            raise ParseError("not JSON: integer literal too long", 1, 1) from None
         if isinstance(raw, dict) and "cohomology" in raw:
             raw = raw["cohomology"]
         cd = CohomologyData.from_json_dict(raw)
         group = reconstruct_g3(cd)
         inv = group_invariants(group)
         payload = {"q": cd.q, "source": "cohomology-tables", "group": _group_dict(group, inv)}
-        _emit(args, payload, f"reconstructed group of order {inv.order}")
-        return EXIT_OK
+        return payload, f"reconstructed group of order {inv.order}", True
 
     p = _load_presentation(args.file)
     w, report = relator_subspace(p)
@@ -203,19 +204,17 @@ def cmd_reconstruct(args) -> int:
         },
         "minimality": _minimality_dict(report),
     }
-    _emit(args, payload, "round-trip: " + ("equal" if equal else "MISMATCH"))
-    return EXIT_OK if equal else EXIT_NEGATIVE
+    return payload, "round-trip: " + ("equal" if equal else "MISMATCH"), equal
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple[dict, str, bool]:
     p = _load_presentation(args.file)
     report = check_relator_independence(p, certificate_class=args.class_bound)
     payload = {"q": p.q, "n": p.n, "class_bound": args.class_bound, **report.to_json_dict()}
-    _emit(args, payload, f"relator independence: {report.verdict}")
-    return EXIT_OK if report.verdict == "consistent" else EXIT_NEGATIVE
+    return payload, f"relator independence: {report.verdict}", report.verdict == "consistent"
 
 
-def cmd_morphism(args) -> int:
+def cmd_morphism(args) -> tuple[dict, str, bool]:
     p1 = _load_presentation(args.source)
     p2 = _load_presentation(args.target)
     images = []
@@ -246,11 +245,10 @@ def cmd_morphism(args) -> int:
         f"level-3 isomorphism: {report.pi3_isomorphism}; "
         f"cohomology conditions agree: {report.agreement}"
     )
-    _emit(args, payload, summary)
-    return EXIT_OK if report.agreement else EXIT_NEGATIVE
+    return payload, summary, report.agreement
 
 
-def cmd_screen(args) -> int:
+def cmd_screen(args) -> tuple[dict, str, bool]:
     p = _load_presentation(args.file)
     report = obstruction_screen(
         p,
@@ -264,11 +262,10 @@ def cmd_screen(args) -> int:
         "class_bound": args.class_bound,
         **report.to_json_dict(),
     }
-    _emit(args, payload, f"screen verdict: {report.verdict}")
-    return EXIT_OK if report.verdict == "no_obstruction_found" else EXIT_NEGATIVE
+    return payload, f"screen verdict: {report.verdict}", report.verdict == "no_obstruction_found"
 
 
-def cmd_kmilnor(args) -> int:
+def cmd_kmilnor(args) -> tuple[dict, str, bool]:
     preset = parse_preset(args.field)
     algebra = milnor_mod_q(preset, args.q, args.rmax)
     degrees = {}
@@ -288,11 +285,10 @@ def cmd_kmilnor(args) -> int:
         "basis": list(algebra.basis_names),
         "degrees": degrees,
     }
-    _emit(args, payload, f"K-ring ranks by degree: {ranks}")
-    return EXIT_OK
+    return payload, f"K-ring ranks by degree: {ranks}", True
 
 
-def cmd_galois_check(args) -> int:
+def cmd_galois_check(args) -> tuple[dict, str, bool]:
     preset = parse_preset(args.field)
     p = _load_presentation(args.file) if args.file else None
     if p is not None and p.q != args.q:
@@ -317,11 +313,10 @@ def cmd_galois_check(args) -> int:
         "correspondence": correspondence,
         **report.to_json_dict(),
     }
-    _emit(args, payload, f"graded comparison: {report.verdict}")
-    return EXIT_OK if report.verdict == "isomorphic" else EXIT_NEGATIVE
+    return payload, f"graded comparison: {report.verdict}", report.verdict == "isomorphic"
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[dict, str, bool]:
     from .acceptance import run_all  # the corpus, and random with it, only for selftest
     results = run_all(args.seed or 0)
     for r in results:
@@ -331,8 +326,8 @@ def cmd_selftest(args) -> int:
         "results": [{**r._asdict(), "seconds": round(r.seconds, 3)} for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(args, payload, f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return EXIT_OK if payload["all_passed"] else EXIT_NEGATIVE
+    summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"
+    return payload, summary, payload["all_passed"]
 
 
 def _int(text: str) -> int:
@@ -433,7 +428,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        payload, summary, positive = args.func(args)
+        _emit(args, payload, summary)
+        return EXIT_OK if positive else EXIT_NEGATIVE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -96,7 +96,7 @@ def generator_indices(word: Word) -> set[int]:
         case Product(fs):
             out: set[int] = set()
             for f in fs:
-               out |= generator_indices(f)
+                out |= generator_indices(f)
             return out
         case Commutator(a, b):
             return generator_indices(a) | generator_indices(b)
@@ -129,14 +129,9 @@ def letters(word: Word, sign: int = 1) -> list[Syllable]:
                 raise TypeError("not a flat word: power of a composite base")
             return [(g, x * e) for g, x in seq if e]
         case Product(fs):
-            if sign > 0:
-                out = []
-                for f in fs:
-                    out.extend(letters(f, 1))
-                return out
             out = []
-            for f in reversed(fs):
-                out.extend(letters(f, -1))
+            for f in fs if sign > 0 else reversed(fs):
+                out.extend(letters(f, sign))
             return out
     raise TypeError(f"not a flat word node: {type(word).__name__}")
 

@@ -394,7 +394,7 @@ def relator_subspace(
     ones included.
     """
     n, q = presentation.n, presentation.q
-    p, d = prime_power(q)
+    p = prime_power(q)[0]
     group, relators = evaluate_relators(presentation, TRIVIALITY_CLASS)
     dropped: list[str] = []
     ys: list[TruncElement] = []

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import gq3
 from gq3 import acceptance
-from gq3.cli import _write, main
+from gq3.cli import COMMANDS, _write, main, parse_args
 from gq3.presentations import parse_presentation
 from oracles import eager_relator_independence
 from test_bench_reports import _load_workloads_module
+from test_golden import CASES, GOLDEN
 
 TAME = 'q = 3;\ngens = [x1, x2];\nrels = ["x1^3 [x1,x2]"];\n'
 FREE = "q = 2;\ngens = [x1, x2];\nrels = [];\n"
@@ -164,6 +165,37 @@ def test_selftest_runs_every_criterion(capsys):
     assert report["all_passed"] is True
     assert [r["name"] for r in report["results"]] == [name for name, _ in acceptance.CRITERIA]
     assert err.endswith(f"{len(acceptance.CRITERIA)}/{len(acceptance.CRITERIA)} checks passed\n")
+
+
+# one golden case per subcommand, negative verdicts included; selftest runs a stub
+HANDLER_CASES = {
+    "truncate": "truncate_tame3",
+    "cohomology": "cohomology_tame3",
+    "reconstruct": "reconstruct_cd_tame3",
+    "equiv": "equiv_dep_q3",
+    "morphism": "morphism_tame9_renamed",
+    "screen": "screen_deep_q2",
+    "kmilnor": "kmilnor_finite7_q3",
+    "galois-check": "galois_tame3_q2_swapped",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_handlers_return_their_report(name, monkeypatch, capsys):
+    """A handler returns (payload, summary, positive) and prints no report;
+    main prints it and exits 0 exactly when positive is true."""
+    monkeypatch.chdir(GOLDEN)
+    stub = [acceptance.CheckResult("stub", False, "stubbed", 0.0)]
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: stub)
+    argv = CASES[HANDLER_CASES[name]]["argv"] if name in HANDLER_CASES else [name]
+    result = COMMANDS[name][0](parse_args(argv))
+    assert capsys.readouterr().out == ""
+    assert type(result) is tuple and [type(x) for x in result] == [dict, str, bool]
+    payload, summary, positive = result
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (0 if positive else 1)
+    assert json.loads(out)["command"] == name
+    assert err.endswith(summary + "\n")
 
 
 def test_missing_file_exits_2(capsys):
