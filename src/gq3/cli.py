@@ -319,15 +319,14 @@ def cmd_galois_check(args) -> tuple[dict, str, bool]:
 def cmd_selftest(args) -> tuple[dict, str, bool]:
     from .acceptance import run_all  # the corpus, and random with it, only for selftest
     results = run_all(args.seed or 0)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail} ({r.seconds:.2f}s)", file=sys.stderr)
     payload = {
         "results": [{**r._asdict(), "seconds": round(r.seconds, 3)} for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    summary = f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-    return payload, summary, payload["all_passed"]
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail} ({r.seconds:.2f}s)"
+             for r in results]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    return payload, "\n".join(lines), payload["all_passed"]
 
 
 def _int(text: str) -> int:

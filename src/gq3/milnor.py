@@ -16,18 +16,20 @@ own hull is built only when they differ, for its degree ranks.
 The field presets compute their degree-2 relations from first
 principles: a Steinberg sweep a (x) (1-a) over F_ell, or over a bounded
 Laurent-monomial window for the local preset, and 2-adic Hilbert symbols
-on the nine basis pairs, extended by bimultiplicativity, for the dyadic
-one.  The class dlog(c) mod q of a unit is read off one power of c.  A
-unit a gives class(a) class(1-a) e_uu, so the sweep over F_ell stops at
-the first unit product; a monomial c t^v with v < 0 gives the class pair
-(class(c), class(c) + class(-1)), and three rows per negative valuation,
-those of class(c) = 0, 1 and -1, span the rows of all q classes.  The
-local sweep doubles its window, and the rows the wider window adds must
-lie in the span already computed; the dyadic span must not move at a
-higher precision.  Otherwise the oracle raises rather than returning an
-unstable answer.  The square test behind a Hilbert symbol tries every
-pair of values, as integer bitmasks ANDed in one step per value of the
-first set.
+on the nine basis pairs, extended by bimultiplicativity to every pair
+of square classes x, y in F_2^3, for the dyadic one.  By Kummer theory a
+unit c is seen mod q = p^d only through the root of unity c^((ell-1)/q),
+and no generator is chosen: a unit a gives class(a) class(1-a) e_uu,
+which the p-adic valuations of the two classes decide, so the sweep over
+F_ell stops at the first unit product; a monomial c t^v with v < 0 gives
+the class pair (class(c), class(c) + class(-1)), class(-1) in closed
+form, and three rows per negative valuation, those of class(c) = 0, 1
+and -1, span the rows of all q classes.  The local sweep doubles its
+window, and the rows the wider window adds must lie in the span already
+computed; the dyadic span must not move at a higher precision.
+Otherwise the oracle raises rather than returning an unstable answer.
+The square test behind a Hilbert symbol tries every pair of values, as
+integer bitmasks ANDed in one step per value of the first set.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .zqlin import (
 MAX_RANK = 4
 MAX_DEGREE = 4
 MAX_ELL = 10_000
+TAME_WINDOW = 2  # valuations |v| <= TAME_WINDOW, checked against twice as many
 
 
 class OracleInstability(AssertionError):
@@ -220,51 +223,53 @@ def parse_preset(text: str) -> FieldPreset:
     return FieldPreset(kind, int(digits))
 
 
-def _primitive_root(ell: int) -> int:
-    order = ell - 1
-    primes = factorize(order)
-    for g in range(1, ell):  # 1 generates F_2^*
-        if all(pow(g, order // f, ell) != 1 for f in primes):
-            return g
-    raise AssertionError(f"no primitive root modulo {ell}")
-
-
-def _class_map(ell: int, q: int):
-    """c -> dlog_g(c) mod q on the units of F_ell, g the primitive root: the
-    index of c^((ell-1)/q) among the q powers of zeta = g^((ell-1)/q)."""
+def _unit_valuations(ell: int, q: int):
+    """c -> v_p(class(c)) on the units of F_ell, q = p^d, with d for class 0.
+    c^((ell-1)/q) is a q-th root of unity of order p^k, where k counts the
+    p-th powerings that reach 1, and class(c) has valuation d - k."""
+    p, d = prime_power(q)
     e = (ell - 1) // q
-    zeta = pow(_primitive_root(ell), e, ell)
-    index = {pow(zeta, k, ell): k for k in range(q)}
-    return lambda c: index[pow(c, e, ell)]
+
+    def valuation(c: int) -> int:
+        z, k = pow(c, e, ell), 0
+        while z != 1:
+            z, k = pow(z, p, ell), k + 1
+        return d - k
+
+    return valuation
 
 
 def _outer(q: int, u, v) -> list[int]:
     return [(x * y) % q for x in u for y in v]
 
 
-def _unit_span(ell: int, q: int, cls) -> int:
-    """The g with g Z/q spanned by class(c) class(1-c), c = 2..ell-1; the
-    sweep stops at the first unit product, since then g = 1."""
-    g = q
+def _unit_span(ell: int, q: int) -> int:
+    """The g with g Z/q spanned by class(c) class(1-c), c = 2..ell-1: p to
+    the least v(c) + v(1-c), capped at d.  The sweep stops at the first
+    unit product, where that sum is 0."""
+    p, d = prime_power(q)
+    val, least = _unit_valuations(ell, q), d
     for c in range(2, ell):
-        g = math.gcd(g, cls(c) * cls(ell + 1 - c))
-        if g == 1:
+        least = min(least, val(c) + val(ell + 1 - c))
+        if least == 0:
             break
-    return g
+    return p**least
 
 
 def steinberg_relations_finite(ell: int, q: int) -> ZqSubspace:
     """Span of a (x) (1-a) over all of F_ell, on the rank-1 basis u."""
-    return canonicalize(q, 1, _grcomm_rows(q, 1) + [[_unit_span(ell, q, _class_map(ell, q))]])
+    return canonicalize(q, 1, _grcomm_rows(q, 1) + [[_unit_span(ell, q)]])
 
 
 def _valuation_rows(q: int, v: int, unit_span: int, s: int) -> list[tuple[int, ...]]:
     """Nonzero rows spanning a (x) (1-a) for the monomials a = c t^v, all c.
 
+    The field enters only through unit_span and s = class(-1): the rows
+    read the fixed classes 0, 1 and -1 of c, never a unit of F_ell.
     1 - c t^v has the trivial class for v > 0, the class of 1 - c for
     v = 0 (rows spanning unit_span e_uu), and that of -c t^v for v < 0,
-    where class(-c) = class(c) + s with s = class(-1).  For v < 0 the
-    row of class a is R(a) = (a, v) (x) (a + s, v) = a^2 E + a B + C with
+    where class(-c) = class(c) + s.  For v < 0 the row of class a is
+    R(a) = (a, v) (x) (a + s, v) = a^2 E + a B + C with
     E = (1,0,0,0), B = (s,v,v,0), C = (0,0,vs,v^2), so R(0), R(1), R(-1)
     span every R(a): R(a) - C = a (E + B) + (a^2 - a) E, a^2 - a is even,
     and 2E = (R(1) - C) + (R(-1) - C).
@@ -278,16 +283,17 @@ def _valuation_rows(q: int, v: int, unit_span: int, s: int) -> list[tuple[int, .
     return [row for row in rows if any(row)]
 
 
-def steinberg_relations_tame(ell: int, q: int, window: int = 2) -> ZqSubspace:
-    """Span of a (x) (1-a) over Laurent monomials a = c t^v, |v| <= window,
-    checked against |v| <= 2 * window.
+def steinberg_relations_tame(ell: int, q: int) -> ZqSubspace:
+    """Span of a (x) (1-a) over Laurent monomials a = c t^v, |v| <=
+    TAME_WINDOW, checked against |v| <= 2 * TAME_WINDOW.
 
     Classes are (unit dlog mod q, valuation mod q) on the basis (u, t).
-    The rows the wider window adds must lie in the span, else the oracle
-    raises.
+    class(-1) = dlog(-1) = (ell-1)/2 mod q is q/2 when (ell-1)/q is odd
+    and 0 otherwise (always 0 for odd q).  The rows the wider window adds
+    must lie in the span, else the oracle raises.
     """
-    cls = _class_map(ell, q)
-    unit_span, s = _unit_span(ell, q, cls), cls(ell - 1)
+    window = TAME_WINDOW
+    unit_span, s = _unit_span(ell, q), q // 2 if (ell - 1) // q % 2 else 0
     rows = set()
     for v in range(-window, window + 1):
         rows.update(_valuation_rows(q, v, unit_span, s))
@@ -302,18 +308,7 @@ def steinberg_relations_tame(ell: int, q: int, window: int = 2) -> ZqSubspace:
 
 # -- dyadic Hilbert symbol ---------------------------------------------------
 
-TWO_ADIC_CLASSES = (1, -1, 2, -2, 5, -5, 10, -10)
 TWO_ADIC_BASIS = (-1, 2, 5)
-
-
-def square_class_vector(a: int) -> tuple[int, int, int]:
-    """Coordinates of a square class over the basis (-1, 2, 5)."""
-    if a not in TWO_ADIC_CLASSES:
-        raise ValueError(f"{a} is not a square-class representative")
-    sign = 1 if a < 0 else 0
-    two = 1 if a % 2 == 0 else 0
-    five = 1 if abs(a) in (5, 10) else 0
-    return (sign, two, five)
 
 
 @lru_cache(maxsize=8)
@@ -353,16 +348,17 @@ def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
 
 def hilbert_relation_span(precision_bits: int = 8) -> ZqSubspace:
     """Span mod 2 of a (x) b over the square-class pairs with trivial symbol.
-    Only the nine basis pairs are square-tested; the symbol is bimultiplicative,
-    so (a, b) = (-1)^(x^T H y) for the class vectors x, y and basis symbols H."""
+    The square classes of Q_2 are the vectors x of F_2^3 over the basis
+    (-1, 2, 5).  Only the nine basis pairs are square-tested; the symbol is
+    bimultiplicative, so (a, b) = (-1)^(x^T H y) for the class vectors x, y
+    and basis symbols H."""
     h = [hilbert_symbol_two_adic(a, b, precision_bits) == -1
          for a in TWO_ADIC_BASIS for b in TWO_ADIC_BASIS]
     rows = _grcomm_rows(2, 3)
-    for a in TWO_ADIC_CLASSES:
-        for b in TWO_ADIC_CLASSES:
-            row = _outer(2, square_class_vector(a), square_class_vector(b))
-            if any(row) and sum(t * s for t, s in zip(row, h)) % 2 == 0:
-                rows.append(row)
+    for x, y in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
+        row = _outer(2, x, y)
+        if any(row) and sum(t * s for t, s in zip(row, h)) % 2 == 0:
+            rows.append(row)
     return canonicalize(2, 9, rows)
 
 

@@ -20,10 +20,12 @@ and Bockstein dicts and transpose them into lambda's rows, compute the
 coboundaries among the Bockstein and cup cocycles on the elements of a
 finite G^[3] and the null space of printed tables by enumeration,
 substitute words into words, compute word certificates the direct way,
-solve the engine's certificates on the Hall basis, sweep the Steinberg
-relations of the finite and tame presets over every unit through a full
-discrete-log table, write a negative valuation's Steinberg rows for
-every class, evaluate the 2-adic Hilbert symbol and the tame
+solve the engine's certificates on the Hall basis, find a primitive
+root by their own trial division, sweep the Steinberg relations of the
+finite and tame presets over every unit through a full discrete-log
+table, write a negative valuation's Steinberg rows for every class,
+sweep the dyadic relations over the eight square-class representatives,
+evaluate the 2-adic Hilbert symbol and the tame
 symbol in closed form, test squares pair by pair, place hull relations
 slot by slot, read the divisors of every hull degree off its invariant
 factors, build the relator independence and obstruction screen reports
@@ -63,7 +65,7 @@ from gq3.milnor import (
     PresetError,
     _grcomm_rows,
     _outer,
-    _primitive_root,
+    hilbert_symbol_two_adic,
     presentation_zero_pairs,
     preset_relations,
     quadratic_hull,
@@ -1026,6 +1028,27 @@ def _dense_hall_coordinates(component, n, m):
 SQUARE_CLASSES_Q2 = (1, -1, 2, -2, 5, -5, 10, -10)
 
 
+def square_class_vector(a):
+    """Coordinates of a square-class representative over the basis (-1, 2, 5)."""
+    if a not in SQUARE_CLASSES_Q2:
+        raise ValueError(f"{a} is not a square-class representative")
+    return (1 if a < 0 else 0, 1 if a % 2 == 0 else 0, 1 if abs(a) in (5, 10) else 0)
+
+
+def representative_hilbert_rows(precision_bits):
+    """The rows a dyadic sweep over the eight representatives hands to
+    canonicalize: graded commutativity, then a (x) b for each pair with
+    trivial symbol, read off the nine basis symbols by bimultiplicativity."""
+    basis = (-1, 2, 5)
+    h = [hilbert_symbol_two_adic(a, b, precision_bits) == -1 for a in basis for b in basis]
+    rows = _grcomm_rows(2, 3)
+    for a, b in itertools.product(SQUARE_CLASSES_Q2, repeat=2):
+        row = _outer(2, square_class_vector(a), square_class_vector(b))
+        if any(row) and sum(t * s for t, s in zip(row, h)) % 2 == 0:
+            rows.append(row)
+    return rows
+
+
 def _split_two(a):
     """(alpha, u) with a = 2^alpha u, u odd."""
     alpha = 0
@@ -1105,6 +1128,21 @@ def invariant_factor_divisors(algebra, r):
     inv = invariant_factors(algebra.components[r])
     free = [q] * (m**r - len(inv))
     return tuple(sorted([q // f for f in inv if f < q] + free, reverse=True))
+
+
+def _primitive_root(ell):
+    """The least generator of F_ell^*: no power g^((ell-1)/f) is 1 for a
+    prime f dividing ell - 1, the primes found by trial division."""
+    order = m = ell - 1
+    primes, f = set(), 2
+    while f * f <= m:
+        while m % f == 0:
+            primes.add(f)
+            m //= f
+        f += 1
+    if m > 1:
+        primes.add(m)
+    return next(g for g in range(1, ell) if all(pow(g, order // f, ell) != 1 for f in primes))
 
 
 def _dlog_table(ell, g):

@@ -182,14 +182,14 @@ HANDLER_CASES = {
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_handlers_return_their_report(name, monkeypatch, capsys):
-    """A handler returns (payload, summary, positive) and prints no report;
-    main prints it and exits 0 exactly when positive is true."""
+    """A handler returns (payload, summary, positive) and prints nothing;
+    main prints the report and exits 0 exactly when positive is true."""
     monkeypatch.chdir(GOLDEN)
     stub = [acceptance.CheckResult("stub", False, "stubbed", 0.0)]
     monkeypatch.setattr(acceptance, "run_all", lambda seed: stub)
     argv = CASES[HANDLER_CASES[name]]["argv"] if name in HANDLER_CASES else [name]
     result = COMMANDS[name][0](parse_args(argv))
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", "")
     assert type(result) is tuple and [type(x) for x in result] == [dict, str, bool]
     payload, summary, positive = result
     code, out, err = run_cli(capsys, *argv)
@@ -542,12 +542,12 @@ def test_galois_check_builds_the_matched_presentation_once(capsys, monkeypatch, 
 @pytest.mark.parametrize("command", ["kmilnor", "galois-check"])
 @pytest.mark.parametrize("field", ["tame_local:13", "finite:13"])
 def test_field_preset_builds_the_dlog_table_once(capsys, monkeypatch, command, field):
-    """One query builds one class map, the table of the q-th roots of unity
-    that reads off dlog(c) mod q."""
+    """One query builds one valuation map, which reads v_p(class(c)) off
+    the q-th root of unity c^((ell-1)/q)."""
     import gq3.milnor
 
     calls = []
-    count_calls(monkeypatch, calls, gq3.milnor, "_class_map")
+    count_calls(monkeypatch, calls, gq3.milnor, "_unit_valuations")
     code, _, err = run_cli(capsys, command, "--field", field, "--q", "4")
     assert code == 0, err
     assert len(calls) == 1

@@ -14,7 +14,6 @@ from gq3.milnor import (
     FieldPreset,
     GradedAlgebra,
     PresetError,
-    TWO_ADIC_CLASSES,
     galois_symbol_compare,
     hilbert_relation_span,
     hilbert_symbol_two_adic,
@@ -23,12 +22,10 @@ from gq3.milnor import (
     preset_presentation,
     presentation_zero_pairs,
     quadratic_hull,
-    square_class_vector,
     steinberg_relations_finite,
     steinberg_relations_tame,
-    _class_map,
     _is_prime,
-    _primitive_root,
+    _unit_valuations,
     _valuation_rows,
 )
 from gq3.cohom import CohomologyData, cohomology_data_from_presentation
@@ -47,13 +44,16 @@ from oracles import (
     SQUARE_CLASSES_Q2,
     DictCohomologyTables,
     _dlog_table,
+    _primitive_root,
     closed_form_hilbert_two_adic,
     degree_by_degree_symbol_compare,
     invariant_factor_divisors,
     pair_sweep_finite,
     pair_sweep_tame,
     pairwise_hilbert_two_adic,
+    representative_hilbert_rows,
     slot_hull_component,
+    square_class_vector,
     tame_symbol_kernel,
     valuation_rows_every_class,
 )
@@ -329,10 +329,10 @@ def test_finite_field_k2_vanishes(ell, q):
 
 
 def test_primitive_root_generates_every_unit():
-    """The dlog table of _primitive_root(ell) visits each unit of F_ell
-    once, for every prime ell up to the cap.  Trial division leaves a
-    prime factor above the square root of ell - 1 to the end, as in
-    9839 - 1 = 2 * 4919 and 9679 - 1 = 2 * 3 * 1613."""
+    """The dlog table of the oracles' _primitive_root(ell) visits each unit
+    of F_ell once, for every prime ell up to the cap.  Trial division
+    leaves a prime factor above the square root of ell - 1 to the end, as
+    in 9839 - 1 = 2 * 4919 and 9679 - 1 = 2 * 3 * 1613."""
     for ell in range(2, MAX_ELL + 1):
         if _is_prime(ell):
             table = _dlog_table(ell, _primitive_root(ell))
@@ -350,12 +350,37 @@ def _preset_pairs(ell_max):
             for q in PRIME_POWERS if (ell - 1) % q == 0]
 
 
-def test_class_map_reads_the_dlog_table():
-    """The class of c is dlog(c) mod q for every unit c, to the same
-    primitive root, for every preset pair with ell <= 3000."""
+def test_unit_valuations_read_the_dlog_table():
+    """v_p(class(c)) is the valuation of dlog(c) mod q, d for class 0, for
+    every unit c of every preset pair with ell <= 3000, the dlog taken to
+    the oracles' primitive root."""
     for ell, q in _preset_pairs(3000):
-        table, cls = _dlog_table(ell, _primitive_root(ell)), _class_map(ell, q)
-        assert [cls(c) for c in range(1, ell)] == [e % q for e in table[1:]], (ell, q)
+        p = min(f for f in PRIME_POWERS if q % f == 0)
+        # gcd(x, q) = p^v(x), and gcd(0, q) = q = p^d
+        by_class = [round(math.log(math.gcd(x, q), p)) for x in range(q)]
+        table, val = _dlog_table(ell, _primitive_root(ell)), _unit_valuations(ell, q)
+        assert [val(c) for c in range(1, ell)] == [by_class[e % q] for e in table[1:]], (ell, q)
+
+
+def test_minus_one_class_is_in_closed_form(monkeypatch):
+    """The tame sweep's s = class(-1) is dlog(-1) mod q, to the oracles'
+    primitive root, on every preset pair inside the caps."""
+    import gq3.milnor
+
+    seen = set()
+    original = gq3.milnor._valuation_rows
+
+    def recording(q, v, unit_span, s):
+        seen.add(s)
+        return original(q, v, unit_span, s)
+
+    monkeypatch.setattr(gq3.milnor, "_valuation_rows", recording)
+    for ell, pairs in itertools.groupby(_preset_pairs(MAX_ELL), key=lambda pair: pair[0]):
+        minus_one = _dlog_table(ell, _primitive_root(ell))[ell - 1]
+        for _, q in pairs:
+            seen.clear()
+            steinberg_relations_tame(ell, q)
+            assert seen == {minus_one % q}, (ell, q)
 
 
 NEAR_CAP = [(9857, 32), (9973, 2), (9241, 2), (9241, 4), (9241, 8), (9601, 32)]
@@ -379,18 +404,18 @@ def test_steinberg_sweep_stops_within_64_units(monkeypatch):
     64 values of c before a class product is a unit."""
     import gq3.milnor
 
-    original = gq3.milnor._class_map
+    original = gq3.milnor._unit_valuations
     calls = []
 
-    def counting_class_map(ell, q):
-        cls = original(ell, q)
-        return lambda c: calls.append(c) or cls(c)
+    def counting_unit_valuations(ell, q):
+        val = original(ell, q)
+        return lambda c: calls.append(c) or val(c)
 
-    monkeypatch.setattr(gq3.milnor, "_class_map", counting_class_map)
+    monkeypatch.setattr(gq3.milnor, "_unit_valuations", counting_unit_valuations)
     for ell, q in _preset_pairs(MAX_ELL):
         calls.clear()
         steinberg_relations_finite(ell, q)
-        assert len(calls) <= 2 * 64, (ell, q, len(calls) // 2)  # class(c) and class(1 - c)
+        assert len(calls) <= 2 * 64, (ell, q, len(calls) // 2)  # v(c) and v(1 - c)
 
 
 def test_finite_field_preset_validation():
@@ -426,11 +451,15 @@ def test_tame_local_unit_uniformizer_symbol_nonzero():
         assert not t2.contains(e_ut)
 
 
-def test_tame_window_doubling_stable():
+def test_tame_window_doubling_stable(monkeypatch):
+    import gq3.milnor
+
+    assert gq3.milnor.TAME_WINDOW == 2
     for ell, q in [(5, 2), (7, 3)]:
-        assert steinberg_relations_tame(ell, q, window=2) == steinberg_relations_tame(
-            ell, q, window=4
-        )
+        t2 = steinberg_relations_tame(ell, q)
+        with monkeypatch.context() as m:
+            m.setattr(gq3.milnor, "TAME_WINDOW", 4)
+            assert steinberg_relations_tame(ell, q) == t2
 
 
 def _tame_oracle_cases():
@@ -503,8 +532,8 @@ def test_tame_sweep_at_q32_handles_three_rows_per_valuation(monkeypatch):
 
     monkeypatch.setattr(gq3.milnor, "canonicalize", counting_canonicalize)
     monkeypatch.setattr(ZqSubspace, "contains", counting_contains)
-    window = 2
-    steinberg_relations_tame(9857, 32, window)
+    window = gq3.milnor.TAME_WINDOW
+    steinberg_relations_tame(9857, 32)
     assert 0 < sum(sizes) <= 3 + 1 + 3 * window
     assert 0 < len(tested) <= 3 * window
 
@@ -515,7 +544,6 @@ def test_tame_sweep_at_q32_handles_three_rows_per_valuation(monkeypatch):
 
 @pytest.mark.parametrize("bits", [8, 10])
 def test_hilbert_oracle_matches_classical_formula(bits):
-    assert sorted(TWO_ADIC_CLASSES) == sorted(SQUARE_CLASSES_Q2)
     for a, b in itertools.product(SQUARE_CLASSES_Q2, repeat=2):
         assert hilbert_symbol_two_adic(a, b, bits) == closed_form_hilbert_two_adic(a, b), (a, b)
 
@@ -556,14 +584,37 @@ def test_hilbert_precision_stability():
     assert hilbert_relation_span(8) == hilbert_relation_span(10)
 
 
+@pytest.mark.parametrize("bits", [8, 10])
+def test_dyadic_sweep_is_the_representative_sweep(monkeypatch, bits):
+    """The eight representatives' class vectors are all of F_2^3, so the
+    sweep over the vectors hands canonicalize the rows the sweep over the
+    representatives does, and spans what it spans."""
+    import gq3.milnor
+
+    assert sorted(map(square_class_vector, SQUARE_CLASSES_Q2)) == sorted(
+        itertools.product((0, 1), repeat=3))
+    handed = []
+    original = gq3.milnor.canonicalize
+
+    def recording(q, ambient, rows):
+        handed.append(sorted(map(tuple, rows)))
+        return original(q, ambient, rows)
+
+    monkeypatch.setattr(gq3.milnor, "canonicalize", recording)
+    span = hilbert_relation_span(bits)
+    rows = representative_hilbert_rows(bits)
+    assert handed == [sorted(map(tuple, rows))]
+    assert span == original(2, 9, rows)
+
+
 def test_hilbert_symbol_is_bimultiplicative():
     """(ab, c) = (a, c)(b, c) and (c, ab) = (c, a)(c, b) over all 8^3 class
     triples at 8 bits, ab reduced to its class representative: what lets
     hilbert_relation_span read every pair off the basis pairs."""
-    by_vector = {square_class_vector(a): a for a in TWO_ADIC_CLASSES}
+    by_vector = {square_class_vector(a): a for a in SQUARE_CLASSES_Q2}
     symbol = {(a, b): hilbert_symbol_two_adic(a, b, 8)
-              for a, b in itertools.product(TWO_ADIC_CLASSES, repeat=2)}
-    for a, b, c in itertools.product(TWO_ADIC_CLASSES, repeat=3):
+              for a, b in itertools.product(SQUARE_CLASSES_Q2, repeat=2)}
+    for a, b, c in itertools.product(SQUARE_CLASSES_Q2, repeat=3):
         ab = by_vector[tuple((x + y) % 2 for x, y in
                              zip(square_class_vector(a), square_class_vector(b)))]
         assert symbol[ab, c] == symbol[a, c] * symbol[b, c], (a, b, c)
