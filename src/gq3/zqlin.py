@@ -21,8 +21,9 @@ All matrices are immutable, eagerly reduced mod q, and stored as nested
 tuples of plain ints.
 
 factorize is the package's one integer factorization: prime_power reads
-q = p^d off it, and milnor and freelie read primes, primitive roots,
-p-parts and the Mobius function off it.
+q = p^d off it, milnor tests primes with it and reads the p-part of
+ell - 1 off it for a preset presentation, and freelie reads the Mobius
+function off it.
 """
 
 from __future__ import annotations

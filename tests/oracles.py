@@ -597,22 +597,23 @@ def coboundary_classes(presentation):
     gens = [generator_element(free, s) for s in range(n)]
     start = free.identity()
     forms = {key(start): (0,) * unknowns}
-    queue, equations = [start], set()
-    for g in queue:
-        chi, form = key(g)[0], forms[key(g)]
+    queue, equations = [(start, key(start))], set()
+    for g, g_key in queue:
+        chi, form = g_key[0], forms[g_key]
         for s, gen in enumerate(gens):
             h = free.multiply(g, gen)
-            chi_h = key(h)[0]
+            h_key = key(h)
+            chi_h = h_key[0]
             # -Z(g, s): the Bockstein carries and the cup values chi_k(g) chi_l(s)
             minus_z = [-((chi[k] + (k == s) - chi_h[k]) // q) for k in range(n)]
             minus_z += [-chi[k] * (l == s) for k, l in pairs]
             step = [a + b for a, b in zip(form, minus_z + [int(t == s) for t in range(n)])]
             step = tuple(x % q for x in step)
-            if key(h) not in forms:
-                forms[key(h)] = step
-                queue.append(h)
+            if h_key not in forms:
+                forms[h_key] = step
+                queue.append((h, h_key))
             else:
-                equations.add(tuple((a - b) % q for a, b in zip(step, forms[key(h)])))
+                equations.add(tuple((a - b) % q for a, b in zip(step, forms[h_key])))
     equations.discard((0,) * unknowns)
     coboundaries = set()
     for u in itertools.product(range(q), repeat=unknowns):

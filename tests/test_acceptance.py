@@ -211,5 +211,6 @@ def test_random_failure_is_reported_at_its_draw(monkeypatch):
     draw, g, a, b, c = per_triple_random_failure(0)
     assert (draw, g.n, g.q) == (74, 3, 2)
     passed, detail = check_collection_laws(0)
+    assert not passed
     assert detail == (f"collection laws failed at draw {draw}: "
                       f"n={g.n} q={g.q} {a} {b} {c}"), detail

@@ -191,7 +191,7 @@ def test_handlers_return_their_report(name, monkeypatch, capsys):
     result = COMMANDS[name][0](parse_args(argv))
     assert capsys.readouterr() == ("", "")
     assert type(result) is tuple and [type(x) for x in result] == [dict, str, bool]
-    payload, summary, positive = result
+    _, summary, positive = result
     code, out, err = run_cli(capsys, *argv)
     assert code == (0 if positive else 1)
     assert json.loads(out)["command"] == name
@@ -199,7 +199,7 @@ def test_handlers_return_their_report(name, monkeypatch, capsys):
 
 
 def test_missing_file_exits_2(capsys):
-    code, _, err = run_cli(capsys, "truncate", "/nonexistent/x.pres")
+    code, _, _ = run_cli(capsys, "truncate", "/nonexistent/x.pres")
     assert code == 2
 
 
@@ -329,7 +329,7 @@ def test_utf16_cd_json_exits_2(tmp_path, capsys):
 def test_deeply_nested_cd_json_exits_2(tmp_path, capsys):
     cd_path = tmp_path / "deep.json"
     cd_path.write_text("[" * 100000)
-    code, out, err = run_cli(capsys, "reconstruct", "--cd-json", str(cd_path))
+    code, _, err = run_cli(capsys, "reconstruct", "--cd-json", str(cd_path))
     assert code == 2
     assert err.startswith("parse error: not JSON: nested too deep")
 
@@ -351,7 +351,7 @@ def test_deep_nesting_exits_2(tmp_path, capsys, word, command):
 def test_parse_error_quotes_a_short_prefix_of_the_relator(tmp_path, capsys):
     path = tmp_path / "deep.pres"
     path.write_text(f'q = 3;\ngens = [x1, x2];\nrels = ["{"[" * 1000}"];\n')
-    code, out, err = run_cli(capsys, "truncate", str(path))
+    code, _, err = run_cli(capsys, "truncate", str(path))
     assert code == 2
     assert len(err.encode()) < 300
     assert f"in relator 1 ({'[' * 40!r}...): nesting deeper than 100" in err
@@ -541,7 +541,7 @@ def test_galois_check_builds_the_matched_presentation_once(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("command", ["kmilnor", "galois-check"])
 @pytest.mark.parametrize("field", ["tame_local:13", "finite:13"])
-def test_field_preset_builds_the_dlog_table_once(capsys, monkeypatch, command, field):
+def test_field_preset_builds_the_valuation_map_once(capsys, monkeypatch, command, field):
     """One query builds one valuation map, which reads v_p(class(c)) off
     the q-th root of unity c^((ell-1)/q)."""
     import gq3.milnor
@@ -624,7 +624,7 @@ def test_galois_check_reports_a_bad_file_before_a_bad_preset(tmp_path, capsys):
     path = tmp_path / "bad.pres"
     path.write_text(BAD)
     # q = 5 does not divide 7 - 1: the preset is bad too
-    code, out, err = run_cli(capsys, "galois-check", "--field", "tame_local:7", "--q", "5",
+    code, _, err = run_cli(capsys, "galois-check", "--field", "tame_local:7", "--q", "5",
                              str(path))
     assert code == 2
     assert err.startswith("parse error:")
@@ -730,7 +730,7 @@ def test_morphism_bad_images_exit_3(tame_file, tmp_path, capsys):
 def test_screen_obstructed(tmp_path, capsys):
     path = tmp_path / "deep.pres"
     path.write_text(DEEP)
-    code, out, err = run_cli(capsys, "screen", str(path))
+    code, out, _ = run_cli(capsys, "screen", str(path))
     assert code == 1
     assert json.loads(out)["verdict"] == "obstructed"
 
@@ -774,7 +774,7 @@ def test_screen_exponent_at_the_parser_cap(tmp_path, capsys):
 def test_screen_nonprime_exit_3(tmp_path, capsys):
     path = tmp_path / "q4.pres"
     path.write_text('q = 4;\ngens = [x1];\nrels = [];\n')
-    code, _, err = run_cli(capsys, "screen", str(path))
+    code, _, _ = run_cli(capsys, "screen", str(path))
     assert code == 3
 
 
@@ -795,7 +795,7 @@ def test_kmilnor_finite(capsys):
 
 
 def test_kmilnor_bad_preset_exit_3(capsys):
-    code, _, err = run_cli(capsys, "kmilnor", "--field", "finite:7", "--q", "5")
+    code, _, _ = run_cli(capsys, "kmilnor", "--field", "finite:7", "--q", "5")
     assert code == 3
 
 

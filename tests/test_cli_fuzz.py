@@ -30,8 +30,9 @@ MODULI = [2, 3, 4, 5, 8, 9, 27, 32]
 BAD_MODULI = [0, 1, -3, 6, 33, 2**61 - 1, 10**30]
 TOKENS = NAMES + EXPONENTS + ["y", "(", ")", "[", "]", ",", "^", "*", " ", "^-", "é"]
 
+names = st.sampled_from(NAMES)
 well_formed = st.recursive(
-    st.sampled_from(NAMES),
+    names,
     lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from(EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
         st.tuples(inner, inner).map(lambda t: f"[{t[0]}, {t[1]}]"),
@@ -45,16 +46,15 @@ nested = st.tuples(st.integers(MAX_NESTING - 2, 1000), st.booleans()).map(
 words = st.one_of(well_formed, well_formed, well_formed, token_soup, nested)
 
 
-def _rarely(draw):
-    """True about one time in eight (hypothesis favours the ends of a range)."""
-    return draw(st.sampled_from([False] * 7 + [True]))
+# True about one time in eight (hypothesis favours the ends of a range)
+rarely = st.sampled_from([False] * 7 + [True])
+moduli, bad_moduli = st.sampled_from(MODULI), st.sampled_from(BAD_MODULI)
 
 
 @st.composite
 def presentation_bytes(draw):
-    q = draw(st.sampled_from(BAD_MODULI if _rarely(draw) else MODULI))
-    gens = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
-                         unique=not _rarely(draw)))
+    q = draw(bad_moduli if draw(rarely) else moduli)
+    gens = draw(st.lists(names, min_size=1, max_size=3, unique=not draw(rarely)))
     rels = draw(st.lists(words, max_size=3))
     statements = [
         f"q = {q};",
@@ -62,10 +62,10 @@ def presentation_bytes(draw):
         "rels = [" + ", ".join(f'"{w}"' for w in rels) + "];",
     ]
     statements = draw(st.permutations(statements))
-    if _rarely(draw):
+    if draw(rarely):
         statements.insert(draw(st.integers(0, 3)), draw(token_soup))
-    data = ("\n".join(statements) + "\n").encode("utf-16" if _rarely(draw) else "utf-8")
-    if _rarely(draw):
+    data = ("\n".join(statements) + "\n").encode("utf-16" if draw(rarely) else "utf-8")
+    if draw(rarely):
         cut = draw(st.integers(0, len(data)))
         data = data[:cut] + b"\xff\xfe" + data[cut:]
     return data

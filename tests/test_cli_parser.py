@@ -57,7 +57,8 @@ def _abbreviations(flag):
     return [flag] if not flag.startswith("--") else [flag[:k] for k in range(3, len(flag) + 1)]
 
 
-flag = st.sampled_from(FLAGS).flatmap(lambda f: st.sampled_from(_abbreviations(f)))
+abbreviations = {f: st.sampled_from(_abbreviations(f)) for f in FLAGS}
+flag = st.sampled_from(FLAGS).flatmap(abbreviations.__getitem__)
 value = st.sampled_from(VALUES)
 token_group = st.one_of(
     flag.map(lambda f: [f]),

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -132,7 +133,7 @@ def test_reconstruct_rank1_q2():
 
 def test_extraction_free_presentation():
     p = make_presentation(2, ["x1", "x2"], [])
-    cd, report = cohomology_data_from_presentation(p)
+    cd, _ = cohomology_data_from_presentation(p)
     assert cd.h2_rank == 0
     assert cd.rows == ()
     tables = cd.to_json_dict()
@@ -286,6 +287,11 @@ def test_decomposable_order_and_the_zero_pairs_split_the_cup_square(tables):
     assert _cup_order(q, n, cd.rows) * presentation_zero_pairs(cd).cardinality() == q ** (n * n)
 
 
+@functools.cache
+def _nonzero_vectors(q, size):
+    return st.lists(st.integers(0, q - 1), min_size=size, max_size=size).filter(any)
+
+
 @st.composite
 def central_relator_texts(draw):
     """Presentation text whose relators each have a nonzero power part and
@@ -295,9 +301,8 @@ def central_relator_texts(draw):
     pairs = pair_list(n)
     rels = []
     for _ in range(draw(st.integers(min_value=n - 1, max_value=3))):
-        t = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n).filter(any))
-        c = draw(st.lists(st.integers(0, q - 1), min_size=len(pairs), max_size=len(pairs))
-                 .filter(any))
+        t = draw(_nonzero_vectors(q, n))
+        c = draw(_nonzero_vectors(q, len(pairs)))
         parts = [f"{names[k]}^{q * x}" for k, x in enumerate(t) if x]
         parts += [f"[{names[k]},{names[l]}]^{x}" for (k, l), x in zip(pairs, c) if x]
         rels.append(f'"{" ".join(parts)}"')
@@ -700,7 +705,6 @@ def test_morphism_b_equivalent_d_on_random_endomorphisms(q, seed):
         if text:
             rels.append(text)
     p = make_presentation(q, names, rels)
-    g, _ = truncated_quotient(p)
     # random endomorphism: generator images are random words
     imgs = []
     for _ in range(n):

@@ -300,6 +300,7 @@ def test_certificate_matches_brute_commutator_filtration(syllables):
         assert got[0] >= 2
 
 
+@functools.cache
 def _word_trees(n):
     """Words on n generators, with powers of composite bases and negative
     exponents; most lie in the commutator subgroup, so that weights above
@@ -455,6 +456,7 @@ def test_worst_certificates_match_the_recorded_ones(case):
         assert len(got[1]) == case["monomials"]
 
 
+@functools.cache
 def _trees_with_identities(n):
     """Words on n generators whose leaves include the empty product, and
     whose exponents include 0 and multiples of q = 2, 3."""

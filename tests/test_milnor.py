@@ -57,6 +57,7 @@ from oracles import (
     tame_symbol_kernel,
     valuation_rows_every_class,
 )
+from test_cli import count_calls
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -300,19 +301,13 @@ def test_kmilnor_runs_no_invariant_factors_on_full_degrees(capsys, monkeypatch):
     import gq3.milnor
     from gq3.cli import main
 
-    ambients = []
-    original = gq3.milnor.invariant_factors
-
-    def counted(w):
-        ambients.append(w.ambient_dim)
-        return original(w)
-
-    monkeypatch.setattr(gq3.milnor, "invariant_factors", counted)
+    calls = []
+    count_calls(monkeypatch, calls, gq3.milnor, "invariant_factors")
     code = main(["kmilnor", "--field", "two_adic", "--q", "2"])
     out, err = capsys.readouterr()
     assert code == 0, err
     assert [json.loads(out)["degrees"][r]["divisors"] for r in "34"] == [[], []]
-    assert ambients == [9]
+    assert [args[0].ambient_dim for args in calls] == [9]
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +349,14 @@ def test_unit_valuations_read_the_dlog_table():
     """v_p(class(c)) is the valuation of dlog(c) mod q, d for class 0, for
     every unit c of every preset pair with ell <= 3000, the dlog taken to
     the oracles' primitive root."""
-    for ell, q in _preset_pairs(3000):
-        p = min(f for f in PRIME_POWERS if q % f == 0)
-        # gcd(x, q) = p^v(x), and gcd(0, q) = q = p^d
-        by_class = [round(math.log(math.gcd(x, q), p)) for x in range(q)]
-        table, val = _dlog_table(ell, _primitive_root(ell)), _unit_valuations(ell, q)
-        assert [val(c) for c in range(1, ell)] == [by_class[e % q] for e in table[1:]], (ell, q)
+    for ell, pairs in itertools.groupby(_preset_pairs(3000), key=lambda pair: pair[0]):
+        table = _dlog_table(ell, _primitive_root(ell))
+        for _, q in pairs:
+            p = min(f for f in PRIME_POWERS if q % f == 0)
+            # gcd(x, q) = p^v(x), and gcd(0, q) = q = p^d
+            by_class = [round(math.log(math.gcd(x, q), p)) for x in range(q)]
+            val = _unit_valuations(ell, q)
+            assert [val(c) for c in range(1, ell)] == [by_class[e % q] for e in table[1:]], (ell, q)
 
 
 def test_minus_one_class_is_in_closed_form(monkeypatch):
@@ -367,20 +364,14 @@ def test_minus_one_class_is_in_closed_form(monkeypatch):
     primitive root, on every preset pair inside the caps."""
     import gq3.milnor
 
-    seen = set()
-    original = gq3.milnor._valuation_rows
-
-    def recording(q, v, unit_span, s):
-        seen.add(s)
-        return original(q, v, unit_span, s)
-
-    monkeypatch.setattr(gq3.milnor, "_valuation_rows", recording)
+    calls = []
+    count_calls(monkeypatch, calls, gq3.milnor, "_valuation_rows")
     for ell, pairs in itertools.groupby(_preset_pairs(MAX_ELL), key=lambda pair: pair[0]):
         minus_one = _dlog_table(ell, _primitive_root(ell))[ell - 1]
         for _, q in pairs:
-            seen.clear()
+            calls.clear()
             steinberg_relations_tame(ell, q)
-            assert seen == {minus_one % q}, (ell, q)
+            assert {s for *_, s in calls} == {minus_one % q}, (ell, q)
 
 
 NEAR_CAP = [(9857, 32), (9973, 2), (9241, 2), (9241, 4), (9241, 8), (9601, 32)]
@@ -484,19 +475,12 @@ def test_tame_span_is_the_kernel_of_the_tame_symbol(ell, q):
 def test_tame_sweep_canonicalizes_one_row_per_class_pair(monkeypatch):
     import gq3.milnor
 
-    sizes = []
-    original = gq3.milnor.canonicalize
-
-    def counting(q, ambient, rows):
-        rows = list(rows)
-        sizes.append(len(rows))
-        return original(q, ambient, rows)
-
-    monkeypatch.setattr(gq3.milnor, "canonicalize", counting)
+    calls = []
+    count_calls(monkeypatch, calls, gq3.milnor, "canonicalize")
     ell, q = 9973, 2
     steinberg_relations_tame(ell, q)
     grcomm_rows = 3  # x(x)y + y(x)x for the pair (u, t), 2 x(x)x for u and t
-    assert 0 < sum(sizes) <= grcomm_rows + q**4
+    assert 0 < sum(len(rows) for *_, rows in calls) <= grcomm_rows + q**4
 
 
 def test_three_rows_span_every_class_of_a_valuation():
@@ -593,17 +577,12 @@ def test_dyadic_sweep_is_the_representative_sweep(monkeypatch, bits):
 
     assert sorted(map(square_class_vector, SQUARE_CLASSES_Q2)) == sorted(
         itertools.product((0, 1), repeat=3))
-    handed = []
+    calls = []
     original = gq3.milnor.canonicalize
-
-    def recording(q, ambient, rows):
-        handed.append(sorted(map(tuple, rows)))
-        return original(q, ambient, rows)
-
-    monkeypatch.setattr(gq3.milnor, "canonicalize", recording)
+    count_calls(monkeypatch, calls, gq3.milnor, "canonicalize")
     span = hilbert_relation_span(bits)
     rows = representative_hilbert_rows(bits)
-    assert handed == [sorted(map(tuple, rows))]
+    assert [sorted(map(tuple, handed)) for *_, handed in calls] == [sorted(map(tuple, rows))]
     assert span == original(2, 9, rows)
 
 
@@ -627,13 +606,7 @@ def test_dyadic_query_square_tests_the_basis_pairs_only(capsys, monkeypatch, com
     from gq3.cli import main
 
     calls = []
-    original = gq3.milnor.hilbert_symbol_two_adic
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(gq3.milnor, "hilbert_symbol_two_adic", counted)
+    count_calls(monkeypatch, calls, gq3.milnor, "hilbert_symbol_two_adic")
     code = main([command, "--field", "two_adic", "--q", "2"])
     assert code == 0, capsys.readouterr().err
     assert len(calls) <= 18  # nine basis pairs at 8 bits and again at 10
@@ -714,13 +687,7 @@ def test_galois_check_builds_one_hull_when_the_relations_agree(capsys, monkeypat
     from gq3.cli import main
 
     calls = []
-    original = gq3.milnor.quadratic_hull
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(gq3.milnor, "quadratic_hull", counted)
+    count_calls(monkeypatch, calls, gq3.milnor, "quadratic_hull")
     monkeypatch.chdir(GOLDEN)
     code = main(argv)
     assert code == (0 if hulls == 1 else 1), capsys.readouterr().err
@@ -728,9 +695,10 @@ def test_galois_check_builds_one_hull_when_the_relations_agree(capsys, monkeypat
 
 
 # (preset, q): finite, tame and dyadic, with q a prime or a prime power
-SYMBOL_CASES = [(FieldPreset("finite_field", 7), 3), (FieldPreset("finite_field", 13), 4),
-                (FieldPreset("tame_local", 3), 2), (FieldPreset("tame_local", 13), 4),
-                (FieldPreset("tame_local", 19), 9), (FieldPreset("two_adic"), 2)]
+symbol_cases = st.sampled_from([
+    (FieldPreset("finite_field", 7), 3), (FieldPreset("finite_field", 13), 4),
+    (FieldPreset("tame_local", 3), 2), (FieldPreset("tame_local", 13), 4),
+    (FieldPreset("tame_local", 19), 9), (FieldPreset("two_adic"), 2)])
 
 
 @st.composite
@@ -738,7 +706,7 @@ def symbol_comparisons(draw):
     """A preset, a presentation on its degree-1 rank (the matched one, or
     relators drawn from q-th powers, commutators and now and then a
     generator eliminated), a permuted correspondence and a degree bound."""
-    preset, q = draw(st.sampled_from(SYMBOL_CASES))
+    preset, q = draw(symbol_cases)
     matched, corr = preset_presentation(preset, q)
     gens = list(matched.generators)
     if draw(st.booleans()):

@@ -237,14 +237,20 @@ parser_words = st.one_of(well_formed, token_soup, nested, odd_soup,
                          st.tuples(well_formed, odd_soup, well_formed).map("".join))
 
 
+moduli = st.sampled_from(["2", "3", "9", "32", "6", "-3", "0" * 25 + "3", "9" * 20])
+separators = st.sampled_from([", ", ",", " , ", '","', " "])
+generator_lists = st.lists(st.sampled_from(["x1", "x2", "x3"]), min_size=1, max_size=3)
+line_ends = st.sampled_from(["\n", "\r\n", "  # note\n"])
+
+
 @st.composite
 def presentation_texts(draw):
     """Presentation files, mostly well formed: statements in any order,
     separators quoted or missing, now and then a statement left out or
     doubled, odd pieces inserted, and three kinds of line end."""
-    q = draw(st.sampled_from(["2", "3", "9", "32", "6", "-3", "0" * 25 + "3", "9" * 20]))
-    sep = draw(st.sampled_from([", ", ",", " , ", '","', " "]))
-    gens = draw(st.lists(st.sampled_from(["x1", "x2", "x3"]), min_size=1, max_size=3))
+    q = draw(moduli)
+    sep = draw(separators)
+    gens = draw(generator_lists)
     rels = draw(st.lists(parser_words, max_size=3))
     statements = [f"q = {q};", f"gens = [{sep.join(gens)}];",
                   "rels = [" + sep.join(f'"{w}"' for w in rels) + "];"]
@@ -253,7 +259,7 @@ def presentation_texts(draw):
         statements.insert(draw(st.integers(0, 3)), draw(odd_soup))
     if draw(st.booleans()):
         statements[draw(st.integers(0, 2))] = draw(st.sampled_from(statements + [""]))
-    return draw(st.sampled_from(["\n", "\r\n", "  # note\n"])).join(statements)
+    return draw(line_ends).join(statements)
 
 
 @settings(max_examples=400, deadline=None)

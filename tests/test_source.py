@@ -1,14 +1,15 @@
-"""No name in src/gq3 is bound and then never read: no function keeps a
-local that nothing in it reads (``_`` names a value thrown away), and no
-module imports a name it never uses.  No linter is installed, so this
-reads the syntax tree with the standard library's ast."""
+"""No name in src/gq3 or tests is bound and then never read: no function
+keeps a local that nothing in it reads (``_`` names a value thrown away),
+and no module imports a name it never uses.  No linter is installed, so
+this reads the syntax tree with the standard library's ast."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gq3"
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted([*(TESTS.parent / "src" / "gq3").glob("*.py"), *TESTS.glob("*.py")])
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -61,9 +62,9 @@ def unread_bindings(path: Path) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("name", sorted(path.name for path in SRC.glob("*.py")))
-def test_no_unread_bindings(name):
-    assert unread_bindings(SRC / name) == []
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unread_bindings(path):
+    assert unread_bindings(path) == []
 
 
 @pytest.mark.parametrize("source, finding", [

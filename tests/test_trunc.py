@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -34,6 +35,7 @@ from oracles import (
     reference_power,
     stacked_group_invariants,
 )
+from test_cli import count_calls
 
 
 def names(n):
@@ -282,7 +284,6 @@ def test_evaluate_commutator_exponent_arithmetic():
 def test_evaluate_homomorphism_property():
     g = free_truncation(3, 4)
     nm = names(3)
-    rng = random.Random(5)
     words = ["x1 x2^3", "[x1,x3] x2^-2", "x3^9 [x2,x1]", "(x1 x2)^-3"]
     for w1 in words:
         for w2 in words:
@@ -290,6 +291,22 @@ def test_evaluate_homomorphism_property():
             b = g.evaluate_word(parse_word(w2, nm))
             ab = g.evaluate_word(parse_word(f"({w1}) ({w2})", nm))
             assert ab == g.multiply(a, b)
+
+
+@functools.cache
+def _words(q, n, stray):
+    """Words of nested products, powers, inverses and commutators on n
+    generators, with indices one step out of range when stray."""
+    leaves = st.integers(-1 if stray else 0, n if stray else n - 1).map(Generator)
+    exponents = st.sampled_from([0, -1, MAX_EXPONENT, -MAX_EXPONENT]) | st.integers(-2 * q * q, 2 * q * q)
+
+    def extend(words):
+        return (words.map(lambda w: Power(w, -1))
+                | st.tuples(words, exponents).map(lambda t: Power(*t))
+                | st.lists(words, max_size=4).map(lambda fs: Product(tuple(fs)))
+                | st.tuples(words, words).map(lambda t: Commutator(*t)))
+
+    return st.recursive(leaves | st.just(Product(())), extend, max_leaves=12)
 
 
 @st.composite
@@ -303,18 +320,7 @@ def groups_and_words(draw):
     if draw(st.booleans()):
         row = st.lists(st.integers(0, q - 1), min_size=g.layer_rank, max_size=g.layer_rank)
         g = TruncGroup(n, q, canonicalize(q, g.layer_rank, draw(st.lists(row, max_size=4))))
-    stray = draw(st.booleans())
-    leaves = st.integers(-1 if stray else 0, n if stray else n - 1).map(Generator)
-    exponents = st.sampled_from([0, -1, MAX_EXPONENT, -MAX_EXPONENT]) | st.integers(-2 * q * q, 2 * q * q)
-
-    def extend(words):
-        return (words.map(lambda w: Power(w, -1))
-                | st.tuples(words, exponents).map(lambda t: Power(*t))
-                | st.lists(words, max_size=4).map(lambda fs: Product(tuple(fs)))
-                | st.tuples(words, words).map(lambda t: Commutator(*t)))
-
-    word = draw(st.recursive(leaves | st.just(Product(())), extend, max_leaves=12))
-    return g, word
+    return g, draw(_words(q, n, draw(st.booleans())))
 
 
 def _outcome(evaluate, g, word):
@@ -535,14 +541,14 @@ def test_elimination_invariants_against_enumeration(q, gens, rels):
 
 def test_elimination_reports_generators():
     p = make_presentation(2, ["a", "b"], ["a b^2"])
-    w, report = relator_subspace(p)
+    _, report = relator_subspace(p)
     assert report.eliminated[0][0] == "a"
     assert report.kept_generators == ("b",)
 
 
 def test_full_elimination_gives_trivial_group():
     p = make_presentation(2, ["x1"], ["x1"])
-    group, report = truncated_quotient(p)
+    group, _ = truncated_quotient(p)
     assert group.order() == 1 and group.n == 0
 
 
@@ -665,14 +671,19 @@ def test_center_against_group_law(n, q):
         assert group_invariants(g).center_order == center_by_group_law(g)
 
 
+shapes = st.sampled_from(("zero", "full", "every_pair", "star", "halves", "mixed"))
+subspace_moduli = st.sampled_from((2, 3, 4, 5, 8, 9, 27, 32))
+halves_moduli = st.sampled_from((2, 4, 8, 32))
+
+
 @st.composite
 def central_subspaces(draw):
     """G^[3] = S^[3]/W for W = 0, W full, commutator rows that touch every
     pair, W_c holding a multiple of every w_kl of one generator k, the u_k with some of
     the (q/2) w_kl, or random t|c rows."""
-    shape = draw(st.sampled_from(("zero", "full", "every_pair", "star", "halves", "mixed")))
+    shape = draw(shapes)
     n = draw(st.integers(1, 8))
-    q = draw(st.sampled_from((2, 4, 8, 32) if shape == "halves" else (2, 3, 4, 5, 8, 9, 27, 32)))
+    q = draw(halves_moduli if shape == "halves" else subspace_moduli)
     g = free_truncation(n, q)
     pairs = g.pairs
     rank = g.layer_rank
@@ -723,10 +734,8 @@ def test_center_from_untouched_pairs_needs_no_kernel(monkeypatch):
     g, _ = truncated_quotient(make_presentation(32, [f"x{k}" for k in range(1, 9)], rels))
     expected = stacked_group_invariants(g)
     calls = []
-    for module, name in [(gq3.trunc, "annihilator"), (gq3.zqlin, "kernel")]:
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, name=name, original=original:
-                            calls.append(name) or original(*args))
+    count_calls(monkeypatch, calls, gq3.trunc, "annihilator")
+    count_calls(monkeypatch, calls, gq3.zqlin, "kernel")
     assert group_invariants(g) == expected
     assert calls == []
 
@@ -763,7 +772,6 @@ def test_order_times_subspace_is_free_order():
 
 def test_truncation_of_truncation_is_smaller_level():
     # the central layer is everything the level-2 quotient kills
-    g = free_truncation(2, 3)
     h = TruncGroup(2, 3, full_subspace(3, 3))
     assert h.order() == 9
     inv = group_invariants(h)
