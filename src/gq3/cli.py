@@ -5,6 +5,9 @@ Handlers return (payload, summary, positive); ``main`` alone prints the
 report and picks the exit code: 0 success or verified, 1 verified-negative
 (an obstruction or a failed comparison is still a successful run), 2 parse
 error, 3 validation error, 4 internal error (a bug: no answer is given).
+``reconstruct`` reads tables only through cohom.CohomologyData.from_json:
+``--cd-json`` reads a user's file, FILE mode the tables it has just printed
+(cohom.tables_round_trip), so a rejection there is a bug and exits 4.
 
 The argparse tree is built once per process.  ``main`` hands the
 arguments after a known command to that command's subparser, which
@@ -30,6 +33,7 @@ from .cohom import (
     morphism_check,
     obstruction_screen,
     reconstruct_g3,
+    tables_round_trip,
 )
 from .milnor import (
     PresetError,
@@ -44,7 +48,6 @@ from .trunc import (
     abelianization,
     free_truncation,
     group_invariants,
-    relator_subspace,
     truncated_quotient,
 )
 from .zqlin import DimensionMismatch
@@ -95,7 +98,7 @@ def _emit(args, payload: dict, summary: str) -> None:
     out: list[str] = []
     _write(payload, out, "\n")
     text = "".join(out)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -162,35 +165,20 @@ def cmd_cohomology(args) -> tuple[dict, str, bool]:
 
 
 def cmd_reconstruct(args) -> tuple[dict, str, bool]:
-    if not args.file and not args.cd_json:
+    if args.file is None and args.cd_json is None:
         raise PresentationError("reconstruct needs a presentation file or --cd-json")
-    if args.file and args.cd_json:
+    if args.file is not None and args.cd_json is not None:
         raise PresentationError("reconstruct takes a presentation file or --cd-json, not both")
-    if args.cd_json:
+    if args.cd_json is not None:
         with open(args.cd_json, encoding="utf-8") as fh:
-            text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError too
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
-        except RecursionError:
-            raise ParseError("not JSON: nested too deep", 1, 1) from None
-        except ValueError:  # an integer past sys.get_int_max_str_digits()
-            raise ParseError("not JSON: integer literal too long", 1, 1) from None
-        if isinstance(raw, dict) and "cohomology" in raw:
-            raw = raw["cohomology"]
-        cd = CohomologyData.from_json_dict(raw)
+            cd = CohomologyData.from_json(fh.read())
         group = reconstruct_g3(cd)
         inv = group_invariants(group)
         payload = {"q": cd.q, "source": "cohomology-tables", "group": _group_dict(group, inv)}
         return payload, f"reconstructed group of order {inv.order}", True
 
     p = _load_presentation(args.file)
-    w, report = relator_subspace(p)
-    # round_trip_equal compares W with the Howell form of its own rows: it is
-    # always true, so this mode never exits 1
-    group = reconstruct_g3(CohomologyData(w.q, len(report.kept_generators), w.basis))
-    equal = group.w == w
+    group, equal, report = tables_round_trip(p)
     payload = {
         "q": p.q,
         "source": "presentation",
@@ -290,7 +278,7 @@ def cmd_kmilnor(args) -> tuple[dict, str, bool]:
 
 def cmd_galois_check(args) -> tuple[dict, str, bool]:
     preset = parse_preset(args.field)
-    p = _load_presentation(args.file) if args.file else None
+    p = None if args.file is None else _load_presentation(args.file)
     if p is not None and p.q != args.q:
         raise PresentationError(f"--q {args.q} does not match the presentation's modulus q = {p.q}")
     if p is None or args.map is None:

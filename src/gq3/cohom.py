@@ -12,7 +12,8 @@ relator subspace are its rows, and CohomologyData stores that one table,
 reading the cup and Bockstein tables off its columns.  Its kernel
 annihilates exactly the relator subspace, so by Z/q duality that
 subspace is its row span, which is what makes the quotient
-reconstructible from the tables alone (reconstruct_g3).
+reconstructible from the tables alone (reconstruct_g3).  tables_round_trip
+rebuilds W through CohomologyData.from_json, the one reader of their JSON.
 
 A morphism given by degree-1 images (trunc.degree_one reads them off the
 image words) acts on the free central layers as the Z/q-linear map L
@@ -33,6 +34,8 @@ relations among their central images, one zqlin.relations call
 """
 
 from __future__ import annotations
+
+import json
 
 from . import presentations as pres
 from .freelie import MAX_GENERATORS, word_nontriviality_certificate
@@ -130,15 +133,26 @@ class CohomologyData(record("q n rows")):
         }
 
     @staticmethod
-    def from_json_dict(data) -> "CohomologyData":
-        """Tables in the to_json_dict layout, checked strictly.
+    def from_json(text: str) -> "CohomologyData":
+        """Tables from JSON text in the to_json_dict layout, alone or as the
+        cohomology object of a `cohomology` report, checked strictly.
 
         Keys are 1-based: "k,l" with k < l <= n for cup and "k" with
         k <= n for Bockstein.  Absent entries are zero.  The derived
         fields may be absent; when present, kappa must be C(q,2) mod q and
-        h2_divisors the invariant factors of the tables' row span.
-        Anything else malformed raises ValueError.
+        h2_divisors the invariant factors of the tables' row span.  Text that
+        is not JSON raises ParseError, anything else malformed ValueError.
         """
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise pres.ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        except RecursionError:
+            raise pres.ParseError("not JSON: nested too deep", 1, 1) from None
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            raise pres.ParseError("not JSON: integer literal too long", 1, 1) from None
+        if isinstance(data, dict) and "cohomology" in data:
+            data = data["cohomology"]
         if not isinstance(data, dict):
             raise ValueError("cohomology tables must be a JSON object")
         missing = [key for key in ("q", "n", "h2_rank") if key not in data]
@@ -219,6 +233,20 @@ def cohomology_data_from_presentation(
     """
     w, report = relator_subspace(presentation)
     return CohomologyData(w.q, len(report.kept_generators), w.basis), report
+
+
+def tables_round_trip(presentation: pres.Presentation) -> tuple[TruncGroup, bool, MinimalityReport]:
+    """The group rebuilt from the presentation's tables as printed and read
+    back by from_json, whether its relator subspace is W, and the minimality
+    report.  Rejecting tables gq3 has just printed is a bug: RuntimeError."""
+    cd, report = cohomology_data_from_presentation(presentation)
+    try:
+        printed = CohomologyData.from_json(json.dumps(cd.to_json_dict()))
+    except ValueError as exc:
+        raise RuntimeError(f"gq3 rejects its own cohomology tables: {exc}") from None
+    group = reconstruct_g3(printed)
+    # cd.rows are W's Howell rows, and the ambient dimension follows from n
+    return group, (group.q, group.n, group.w.basis) == (cd.q, cd.n, cd.rows), report
 
 
 # ---------------------------------------------------------------------------
@@ -509,28 +537,17 @@ def obstruction_screen(
     if cd_bound is not None:
         dim_h1 = n - canonicalize(q, n, [y.e for _, _, y, _ in relators]).nrows
         assumptions.append(f"user-supplied cd(G) = {cd_bound}")
-        if dim_h1 < cd_bound:
-            if p_ == 2 and not torsion_free:
-                outcomes.append(
-                    TestOutcome(
-                        "dimension-versus-cd",
-                        "skipped",
-                        f"dim H^1 = {dim_h1} < cd = {cd_bound}, but p = 2 requires the "
-                        "torsion-free flag",
-                    )
-                )
-            else:
-                if p_ == 2:
-                    assumptions.append("user asserts the group is torsion-free")
-                outcomes.append(
-                    TestOutcome(
-                        "dimension-versus-cd",
-                        "triggered",
-                        f"dim H^1 = {dim_h1} < cd(G) = {cd_bound}",
-                    )
-                )
-                return Report("obstructed", tuple(outcomes), tuple(assumptions))
-        else:
+        if dim_h1 >= cd_bound:
             outcomes.append(TestOutcome("dimension-versus-cd", "passed"))
+        elif p_ == 2 and not torsion_free:
+            witness = (f"dim H^1 = {dim_h1} < cd = {cd_bound}, but p = 2 requires the "
+                       "torsion-free flag")
+            outcomes.append(TestOutcome("dimension-versus-cd", "skipped", witness))
+        else:
+            if p_ == 2:
+                assumptions.append("user asserts the group is torsion-free")
+            witness = f"dim H^1 = {dim_h1} < cd(G) = {cd_bound}"
+            outcomes.append(TestOutcome("dimension-versus-cd", "triggered", witness))
+            return Report("obstructed", tuple(outcomes), tuple(assumptions))
 
     return Report("no_obstruction_found", tuple(outcomes), tuple(assumptions))

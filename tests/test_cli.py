@@ -250,7 +250,8 @@ GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 def _rebuilt_and_truncated(capsys, tmp_path, path):
     """The group blocks that reconstruct --cd-json prints from path's
     cohomology report and that truncate prints for path; None where
-    cohomology rejects path."""
+    cohomology rejects path.  reconstruct path must find the round trip
+    equal."""
     code, tables, _ = run_cli(capsys, "cohomology", path)
     if code != 0:
         return None
@@ -260,14 +261,18 @@ def _rebuilt_and_truncated(capsys, tmp_path, path):
     assert code == 0, path
     code, truncated, _ = run_cli(capsys, "truncate", path)
     assert code == 0, path
+    code, round_trip, _ = run_cli(capsys, "reconstruct", path)
+    assert code == 0, path
+    assert json.loads(round_trip)["round_trip_equal"] is True, path
     return json.loads(rebuilt)["group"], json.loads(truncated)["group"]
 
 
 @pytest.mark.parametrize("corpus, accepted", [("golden", 28), ("groups-seed-1", 96)])
 def test_cohomology_tables_rebuild_the_truncated_group(corpus, accepted, tmp_path, capsys):
     """The tables a user passes from cohomology to reconstruct --cd-json
-    rebuild the group that truncate prints, on every golden input and
-    every file of the seed-1 groups bench corpus that cohomology accepts."""
+    rebuild the group that truncate prints, and reconstruct FILE finds its
+    round trip equal, on every golden input and every file of the seed-1
+    groups bench corpus that cohomology accepts."""
     if corpus == "golden":
         paths = sorted(map(str, GOLDEN_INPUTS.glob("*.pres")))
     else:
@@ -280,6 +285,29 @@ def test_cohomology_tables_rebuild_the_truncated_group(corpus, accepted, tmp_pat
     assert len(accepted_blocks) == accepted
     for path, (rebuilt, truncated) in accepted_blocks.items():
         assert rebuilt == truncated, path
+
+
+def test_reconstruct_file_checks_the_printed_tables(capsys, monkeypatch):
+    """reconstruct FILE and selftest criterion 3 rebuild W from the tables
+    as printed.  With the Bockstein table left out of them, tame3_q2's
+    tables rebuild another W (exit 1), and nonmin4_q4's printed divisors
+    no longer match its tables, which the reader rejects: gq3 rejecting
+    its own tables is a bug (exit 4)."""
+    from gq3.cohom import CohomologyData
+
+    printed = CohomologyData.to_json_dict
+    monkeypatch.setattr(CohomologyData, "to_json_dict",
+                        lambda cd: {k: v for k, v in printed(cd).items() if k != "bockstein"})
+    code, out, err = run_cli(capsys, "reconstruct", str(GOLDEN_INPUTS / "tame3_q2.pres"))
+    assert code == 1
+    assert json.loads(out)["round_trip_equal"] is False
+    assert err == "round-trip: MISMATCH\n"
+    code, out, err = run_cli(capsys, "reconstruct", str(GOLDEN_INPUTS / "nonmin4_q4.pres"))
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: RuntimeError(")
+    assert "gq3 rejects its own cohomology tables: h2_divisors must be" in err
+    check = acceptance.check_reconstruction_round_trip
+    assert not acceptance.run_criterion("3", check, 0).passed
 
 
 TABLES = {"q": 3, "n": 2, "h2_rank": 1, "cup": {"1,2": [1]}, "bockstein": {"1": [1]}}
@@ -306,6 +334,25 @@ def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "validation error" in err
+
+
+NOT_BOTH = "validation error: reconstruct takes a presentation file or --cd-json, not both"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["reconstruct", "FILE", "--cd-json", ""], 3, NOT_BOTH),
+    (["reconstruct", "", "--cd-json", "FILE"], 3, NOT_BOTH),
+    (["reconstruct", ""], 2, "cannot open file: "),
+    (["reconstruct", "--cd-json", ""], 2, "cannot open file: "),
+    (["galois-check", "--field", "two_adic", "--q", "2", ""], 2, "cannot open file: "),
+    (["truncate", "FILE", "--output", ""], 2, "cannot open file: "),
+], ids=["reconstruct-empty-cd-json", "reconstruct-empty-file", "reconstruct-file",
+        "reconstruct-cd-json", "galois-check-file", "truncate-output"])
+def test_an_empty_path_is_given(tame_file, capsys, argv, code, err):
+    """An empty path is a path that cannot be opened, not an absent one."""
+    got, out, got_err = run_cli(capsys, *[tame_file if a == "FILE" else a for a in argv])
+    assert (got, out) == (code, "")
+    assert got_err.startswith(err)
 
 
 def test_utf16_presentation_exits_2(tmp_path, capsys):
@@ -372,7 +419,7 @@ def test_internal_error_exits_4(tame_file, capsys, monkeypatch, command):
         raise AssertionError("inconsistent\norders")
 
     monkeypatch.setattr("gq3.cli.truncated_quotient", broken)
-    monkeypatch.setattr("gq3.cli.relator_subspace", broken)
+    monkeypatch.setattr("gq3.cohom.relator_subspace", broken)
     code, out, err = run_cli(capsys, command, tame_file)
     assert code == 4
     assert out == ""
@@ -425,18 +472,16 @@ def count_calls(monkeypatch, calls, module, name):
 
 
 def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatch):
-    import gq3.cli
     import gq3.cohom
 
     calls, factors = [], []
-    count_calls(monkeypatch, calls, gq3.cli, "relator_subspace")
     count_calls(monkeypatch, calls, gq3.cohom, "relator_subspace")
     count_calls(monkeypatch, factors, gq3.cohom, "invariant_factors")
     code, out, _ = run_cli(capsys, "reconstruct", tame_file)
     assert code == 0
     assert json.loads(out)["round_trip_equal"] is True
     assert len(calls) == 1
-    assert factors == []  # no report of reconstruct FILE prints H^2's divisors
+    assert len(factors) == 2  # H^2's divisors printed into the tables, then checked on reading
 
 
 # every relator differs from the others and from their subwords, so the
