@@ -5,9 +5,10 @@ Handlers return (payload, summary, positive); ``main`` alone prints the
 report and picks the exit code: 0 success or verified, 1 verified-negative
 (an obstruction or a failed comparison is still a successful run), 2 parse
 error, 3 validation error, 4 internal error (a bug: no answer is given).
-``reconstruct`` reads tables only through cohom.CohomologyData.from_json:
-``--cd-json`` reads a user's file, FILE mode the tables it has just printed
-(cohom.tables_round_trip), so a rejection there is a bug and exits 4.
+``reconstruct`` reads tables only through cohom.CohomologyData.from_json,
+which eliminates their rows once: ``--cd-json`` reads a user's file, FILE
+mode the tables it has just printed (cohom.tables_round_trip), so a
+rejection there is a bug and exits 4.
 
 The argparse tree is built once per process.  ``main`` hands the
 arguments after a known command to that command's subparser, which

@@ -7,13 +7,13 @@ its elements are linear functionals on that subgroup, coordinatized
 against the canonical basis of the relator subspace.
 
 The combined cup/Bockstein map out of the dual central layer has the
-relator pairing matrix lambda as its matrix: the basis rows of the
-relator subspace are its rows, and CohomologyData stores that one table,
-reading the cup and Bockstein tables off its columns.  Its kernel
-annihilates exactly the relator subspace, so by Z/q duality that
-subspace is its row span, which is what makes the quotient
-reconstructible from the tables alone (reconstruct_g3).  tables_round_trip
-rebuilds W through CohomologyData.from_json, the one reader of their JSON.
+relator pairing matrix lambda as its matrix, with the Howell rows of the
+relator subspace W as its rows.  Its kernel annihilates exactly W, so by
+Z/q duality W is its row span, and the tables determine the quotient.
+CohomologyData stores the tables as W and reads cup and Bockstein off its
+columns; W is eliminated once, where tables enter (relator_subspace, or
+CohomologyData.from_json, the one reader of their JSON), and
+reconstruct_g3 and h2_divisors read it as it is.
 
 A morphism given by degree-1 images (trunc.degree_one reads them off the
 image words) acts on the free central layers as the Z/q-linear map L
@@ -57,11 +57,11 @@ from .zqlin import (
     MAX_AMBIENT,
     MAX_Q,
     ZqMatrix,
+    ZqSubspace,
     canonicalize,
     invariant_factors,
     prime_power,
     relations,
-    row_space,
 )
 
 
@@ -73,31 +73,33 @@ class HypothesisViolation(ValueError):
     """Input falls outside the elementary-quotient hypothesis."""
 
 
-class CohomologyData(record("q n rows")):
-    """The H^1/H^2 tables as one table: the rows of lambda_matrix.
+class CohomologyData(record("q n w")):
+    """The H^1/H^2 tables as one table: the Howell rows of their span W.
 
-    rows holds one row over Z/q per coordinate of the rank-h2_rank H^2
+    w.basis holds one row over Z/q per coordinate of the rank-h2_rank H^2
     model: the n Bockstein columns, then one cup column per pair k < l of
     pair_list(n).  The sign rule cup(l,k) = -cup(k,l) and the diagonal
     rule cup(k,k) = kappa * bockstein(k) are implied, not stored, and so
-    are the invariant factors of H^2, which are read off the rows.
+    are the invariant factors of H^2, which are read off w.
     """
 
     __slots__ = ()
     q: int
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    w: ZqSubspace
 
-    def __new__(cls, q: int, n: int, rows: tuple[tuple[int, ...], ...]):
+    def __new__(cls, q: int, n: int, w: ZqSubspace):
         prime_power(q)
         width = n + len(pair_list(n))
-        if any(len(row) != width for row in rows):
+        if w.ambient_dim != width:
             raise ValueError(f"table rows must have n + C(n,2) = {width} entries")
-        return super().__new__(cls, q, n, rows)
+        if w.q != q:
+            raise ValueError(f"table rows must be over Z/{q}, not Z/{w.q}")
+        return super().__new__(cls, q, n, w)
 
     @property
     def h2_rank(self) -> int:
-        return len(self.rows)
+        return self.w.nrows
 
     @property
     def kappa(self) -> int:
@@ -105,8 +107,8 @@ class CohomologyData(record("q n rows")):
 
     @property
     def h2_divisors(self) -> tuple[int, ...]:
-        """Invariant factors of the row span of lambda_matrix."""
-        return invariant_factors(row_space(lambda_matrix(self)))
+        """Invariant factors of W, the tables' row span."""
+        return invariant_factors(self.w)
 
     def cup_rows(self) -> list[list[int]]:
         """Each row's n^2 cup products, cup(k,l) at index k n + l, read with
@@ -114,14 +116,14 @@ class CohomologyData(record("q n rows")):
         n, q, kappa = self.n, self.q, self.kappa
         col = {pair: n + i for i, pair in enumerate(pair_list(n))}
         return [[kappa * row[k] % q if k == l else row[col[k, l]] if k < l else -row[col[l, k]] % q
-                 for k in range(n) for l in range(n)] for row in self.rows]
+                 for k in range(n) for l in range(n)] for row in self.w.basis]
 
     def cup_entry(self, k: int, l: int) -> tuple[int, ...]:
         return tuple(row[k * self.n + l] for row in self.cup_rows())
 
     def to_json_dict(self) -> dict:
         n = self.n
-        columns = [[row[j] for row in self.rows] for j in range(n + len(pair_list(n)))]
+        columns = [[row[j] for row in self.w.basis] for j in range(self.w.ambient_dim)]
         return {
             "q": self.q,
             "n": n,
@@ -181,7 +183,7 @@ class CohomologyData(record("q n rows")):
 
         read_columns("cup", {f"{k + 1},{l + 1}": n + i for i, (k, l) in enumerate(pair_list(n))})
         read_columns("bockstein", {str(k + 1): k for k in range(n)})
-        cd = CohomologyData(q, n, tuple(map(tuple, rows)))
+        cd = CohomologyData(q, n, canonicalize(q, n + len(pair_list(n)), rows))
         if "kappa" in data and _json_int(data["kappa"], "kappa") != cd.kappa:
             raise ValueError(f"kappa must be C(q,2) mod q = {cd.kappa}")
         if "h2_divisors" in data:
@@ -209,30 +211,27 @@ def lambda_matrix(cd: CohomologyData) -> ZqMatrix:
     Bockstein columns, then one cup column per pair (k,l), k < l.  The
     kernel of this matrix is the kernel of the map to H^2.
     """
-    return ZqMatrix.from_rows(cd.q, cd.rows, cd.n + len(pair_list(cd.n)))
+    return ZqMatrix.from_rows(cd.q, cd.w.basis, cd.w.ambient_dim)
 
 
 def reconstruct_g3(cd: CohomologyData) -> TruncGroup:
     """The third q-central quotient determined by the cohomology tables.
 
     The relator subspace is the annihilator of the kernel of the
-    cup+Bockstein matrix, which over Z/q is just its row span.
+    cup+Bockstein matrix, which over Z/q is its row span: cd.w itself.
     """
-    return TruncGroup(cd.n, cd.q, row_space(lambda_matrix(cd)))
+    return TruncGroup(cd.n, cd.q, cd.w)
 
 
 def cohomology_data_from_presentation(
     presentation: pres.Presentation,
 ) -> tuple[CohomologyData, MinimalityReport]:
-    """Extract the H^1/H^2 tables of the presented group.
-
-    The presentation is minimized first; the H^2 model is coordinatized
-    against the canonical basis of the relator subspace, whose rows are
-    the rows of the tables: bockstein(k) reads off their sigma_k^q
-    coordinates and cup(k,l) their commutator coordinates.
+    """The H^1/H^2 tables of the presented group: its relator subspace W,
+    after the presentation is minimized.  bockstein(k) reads the sigma_k^q
+    coordinates of W's Howell rows, and cup(k,l) their commutator ones.
     """
     w, report = relator_subspace(presentation)
-    return CohomologyData(w.q, len(report.kept_generators), w.basis), report
+    return CohomologyData(w.q, len(report.kept_generators), w), report
 
 
 def tables_round_trip(presentation: pres.Presentation) -> tuple[TruncGroup, bool, MinimalityReport]:
@@ -245,8 +244,7 @@ def tables_round_trip(presentation: pres.Presentation) -> tuple[TruncGroup, bool
     except ValueError as exc:
         raise RuntimeError(f"gq3 rejects its own cohomology tables: {exc}") from None
     group = reconstruct_g3(printed)
-    # cd.rows are W's Howell rows, and the ambient dimension follows from n
-    return group, (group.q, group.n, group.w.basis) == (cd.q, cd.n, cd.rows), report
+    return group, group == reconstruct_g3(cd), report
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from . import presentations as pres
 from .cohom import CohomologyData, Report, TestOutcome, cohomology_data_from_presentation
 from .records import record
 from .zqlin import (
-    ZqMatrix,
     ZqSubspace,
     canonicalize,
     factorize,
@@ -418,7 +417,7 @@ def preset_presentation(preset: FieldPreset, q: int) -> tuple[pres.Presentation,
 
 def presentation_zero_pairs(cd: CohomologyData) -> ZqSubspace:
     """Kernel of the degree-(1,1) cup map of a cohomology model."""
-    return kernel(ZqMatrix.from_rows(cd.q, cd.cup_rows(), cd.n**2))
+    return kernel(cd.q, cd.n**2, cd.cup_rows())
 
 
 def galois_symbol_compare(

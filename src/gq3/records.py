@@ -1,7 +1,7 @@
 """Immutable records: named tuples that compare like frozen dataclasses.
 
 A plain named tuple equals every tuple with the same items, so
-ZqSubspace(2, 1, ()) would equal CohomologyData(2, 1, ()).  A record
+TruncGroup(2, 2, w) would equal CohomologyData(2, 2, w).  A record
 equals only records of its own class.  Each record class derives from
 record(fields) and declares ``__slots__ = ()`` (the fields are read-only,
 and with no instance dict nothing else can be set) and its fields as

@@ -13,12 +13,13 @@ coordinates span the part of the span that vanishes there (the Howell
 property): vanishing_part reads that part off a Howell form, and
 relations reads the relation module of any number of vectors off the
 Howell form of their graph rows (v_j | e_j); kernel is the relations
-among a matrix's columns.  Invariant factors are counted from the
+among the columns of bare rows.  Invariant factors are counted from the
 cardinalities of the Howell forms of p^k W, and the Smith diagonal is
 read off the same count.
 
 All matrices are immutable, eagerly reduced mod q, and stored as nested
-tuples of plain ints.
+tuples of plain ints.  No answer builds a ZqMatrix but the one that
+trunc.abelianization hands smith_normal_form; the rest pass bare rows.
 
 factorize is the package's one integer factorization: prime_power reads
 q = p^d off it, milnor tests primes with it and reads the p-part of
@@ -315,10 +316,11 @@ def relations(q: int, width: int, vectors: Sequence[Sequence[int]]) -> tuple[tup
     return _vanishing(_howell(q, width + r, graph), width)
 
 
-def kernel(m: ZqMatrix) -> ZqSubspace:
-    """{v in (Z/q)^ncols : m v = 0}: the relations among m's columns."""
-    columns = list(zip(*m.entries)) if m.nrows else [()] * m.ncols
-    return ZqSubspace(m.q, m.ncols, relations(m.q, m.nrows, columns))
+def kernel(q: int, ncols: int, rows: Sequence[Sequence[int]]) -> ZqSubspace:
+    """{v in (Z/q)^ncols : r.v = 0 for each row r}: the columns' relations."""
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch("ragged rows")
+    return ZqSubspace(q, ncols, relations(q, len(rows), list(zip(*rows)) if rows else [()] * ncols))
 
 
 def row_space(m: ZqMatrix) -> ZqSubspace:
@@ -327,7 +329,7 @@ def row_space(m: ZqMatrix) -> ZqSubspace:
 
 def annihilator(w: ZqSubspace) -> ZqSubspace:
     """{v : v.b = 0 for every basis row b}, under the standard dot pairing."""
-    return kernel(ZqMatrix.from_rows(w.q, w.basis, w.ambient_dim))
+    return kernel(w.q, w.ambient_dim, w.basis)
 
 
 def subspace_sum(a: ZqSubspace, b: ZqSubspace) -> ZqSubspace:

@@ -387,7 +387,7 @@ def stacked_group_invariants(g):
     index = {pair: idx for idx, pair in enumerate(g.pairs)}
     rows = [[a[index[k, j]] if k < j else -a[index[j, k]] if k > j else 0 for k in range(n)]
             for j in range(n) for a in dual]
-    size_e = kernel(ZqMatrix.from_rows(q, rows, n)).cardinality()
+    size_e = kernel(q, n, rows).cardinality()
     center = size_e * q ** (n + npairs) // g.w.cardinality()
     tests = [[int(i == k) for i in range(g.layer_rank)] for k in range(n)]
     if p == 2:

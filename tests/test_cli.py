@@ -472,9 +472,15 @@ def count_calls(monkeypatch, calls, module, name):
 
 
 def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatch):
+    """One relator elimination, and the tables' rows eliminated only where
+    they enter: `reconstruct` runs the Howell forms of relator_subspace, of
+    the reader's canonicalize and of the printed abelianization, and at
+    q = 4 one more per invariant factor count (the printed and the read
+    h2_divisors, the abelianization); `cohomology` runs relator_subspace's."""
     import gq3.cohom
+    import gq3.zqlin
 
-    calls, factors = [], []
+    calls, factors, howell = [], [], []
     count_calls(monkeypatch, calls, gq3.cohom, "relator_subspace")
     count_calls(monkeypatch, factors, gq3.cohom, "invariant_factors")
     code, out, _ = run_cli(capsys, "reconstruct", tame_file)
@@ -482,6 +488,12 @@ def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatc
     assert json.loads(out)["round_trip_equal"] is True
     assert len(calls) == 1
     assert len(factors) == 2  # H^2's divisors printed into the tables, then checked on reading
+    count_calls(monkeypatch, howell, gq3.zqlin, "_howell")
+    for argv, count in [(["reconstruct", "tame3_q2.pres"], 3), (["reconstruct", "nonmin4_q4.pres"], 6),
+                        (["cohomology", "tame3.pres"], 1)]:
+        howell.clear()
+        code, _, err = run_cli(capsys, argv[0], str(GOLDEN_INPUTS / argv[1]))
+        assert (code, len(howell)) == (0, count), (argv, err)
 
 
 # every relator differs from the others and from their subwords, so the

@@ -49,7 +49,15 @@ from gq3.trunc import (
     relator_subspace,
     truncated_quotient,
 )
-from gq3.zqlin import MAX_AMBIENT, annihilator, canonicalize, prime_power, relations, row_space
+from gq3.zqlin import (
+    MAX_AMBIENT,
+    annihilator,
+    canonicalize,
+    prime_power,
+    relations,
+    row_space,
+    zero_subspace,
+)
 from oracles import (
     DictCohomologyTables,
     _decomposable_part_lift,
@@ -73,11 +81,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def cd_from_tables(q, n, h2_rank, cup=None, bockstein=None):
-    """CohomologyData from its cup and Bockstein columns; absent ones are zero."""
+    """CohomologyData spanned by its cup and Bockstein columns; absent ones
+    are zero."""
     cup, bockstein = cup or {}, bockstein or {}
     columns = [bockstein.get(k, (0,) * h2_rank) for k in range(n)]
     columns += [cup.get(pair, (0,) * h2_rank) for pair in pair_list(n)]
-    return CohomologyData(q, n, tuple(tuple(col[i] for col in columns) for i in range(h2_rank)))
+    rows = [tuple(col[i] for col in columns) for i in range(h2_rank)]
+    return CohomologyData(q, n, canonicalize(q, len(columns), rows))
 
 
 def test_kappa_values():
@@ -97,9 +107,11 @@ def test_sign_and_diagonal_rules():
 
 
 def test_lambda_matrix_zero_tables():
+    """A zero table row spans nothing: lambda has no rows, and the tables
+    rebuild the free S^[3]."""
     cd = cd_from_tables(2, 2, 1)
-    m = lambda_matrix(cd)
-    assert m.entries == ((0, 0, 0),)
+    assert cd.w == zero_subspace(2, 3) and cd.h2_rank == 0
+    assert lambda_matrix(cd).entries == ()
     g = reconstruct_g3(cd)
     assert g.order() == free_truncation(2, 2).order()
 
@@ -136,7 +148,7 @@ def test_extraction_free_presentation():
     p = make_presentation(2, ["x1", "x2"], [])
     cd, _ = cohomology_data_from_presentation(p)
     assert cd.h2_rank == 0
-    assert cd.rows == ()
+    assert cd.w.basis == ()
     tables = cd.to_json_dict()
     assert tables["cup"] == {"1,2": []}
     assert tables["bockstein"] == {"1": [], "2": []}
@@ -148,7 +160,7 @@ def test_extraction_two_relators():
     assert cd.h2_rank == 2
     # canonical basis rows are (u1), (w12): bockstein(1) pairs the first,
     # cup(1,2) the second
-    assert cd.rows == ((1, 0, 0), (0, 0, 1))
+    assert cd.w.basis == ((1, 0, 0), (0, 0, 1))
     tables = cd.to_json_dict()
     assert tables["bockstein"] == {"1": [1, 0], "2": [0, 0]}
     assert tables["cup"] == {"1,2": [0, 1]}
@@ -262,17 +274,21 @@ def json_tables(draw):
 @example(tables={"q": 5, "n": 0, "h2_rank": 2, "cup": {}, "bockstein": {}})
 @given(tables=json_tables())
 def test_one_table_reads_like_the_dict_tables(tables):
-    """The rows of lambda give the tables, cup entries and lambda that the
-    cup and Bockstein dicts give, and the printed tables parse back equal
-    with and without the derived fields."""
+    """The tables read as one table are the Howell form of the span of the
+    rows of the cup and Bockstein dicts, their n^2 cup products span what
+    the dicts' cup entries span, the dicts read off the printed tables give
+    back the Howell rows and the same report, and the printed tables parse
+    back equal with and without the derived fields."""
     cd = CohomologyData.from_json(json.dumps(tables))
     ref = DictCohomologyTables.from_json_dict(tables)
+    q, n, m = cd.q, cd.n, dict_lambda_matrix(ref)
+    assert cd.w == canonicalize(q, m.ncols, m.entries)
+    cups = [[ref.cup_entry(k, l)[i] for k in range(n) for l in range(n)] for i in range(ref.h2_rank)]
+    assert canonicalize(q, n * n, cd.cup_rows()) == canonicalize(q, n * n, cups)
     printed = cd.to_json_dict()
-    assert printed == ref.to_json_dict()
-    for k in range(cd.n):
-        for l in range(cd.n):
-            assert cd.cup_entry(k, l) == ref.cup_entry(k, l)
-    assert lambda_matrix(cd).entries == dict_lambda_matrix(ref).entries
+    reread = DictCohomologyTables.from_json_dict(printed)
+    assert dict_lambda_matrix(reread).entries == lambda_matrix(cd).entries == cd.w.basis
+    assert reread.to_json_dict() == printed
     assert CohomologyData.from_json(json.dumps(printed)) == cd
     bare = {key: printed[key] for key in ("q", "n", "h2_rank", "cup", "bockstein")}
     assert CohomologyData.from_json(json.dumps(bare)) == cd
@@ -287,7 +303,7 @@ def test_decomposable_order_and_the_zero_pairs_split_the_cup_square(tables):
     multiply to q^(n^2)."""
     cd = CohomologyData.from_json(json.dumps(tables))
     q, n = cd.q, cd.n
-    assert _cup_order(q, n, cd.rows) * presentation_zero_pairs(cd).cardinality() == q ** (n * n)
+    assert _cup_order(q, n, cd.w.basis) * presentation_zero_pairs(cd).cardinality() == q ** (n * n)
 
 
 @functools.cache

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import json
 import math
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,6 @@ from gq3.presentations import make_presentation
 from gq3.trunc import pair_list
 from gq3.zqlin import (
     MAX_AMBIENT,
-    ZqMatrix,
     ZqSubspace,
     canonicalize,
     full_subspace,
@@ -323,6 +324,14 @@ def test_finite_field_k2_vanishes(ell, q):
         assert a.degree_cardinality(r) == 1
 
 
+@functools.cache
+def _prime_dlog_table(ell):
+    """The dlog table of F_ell to the oracles' _primitive_root(ell), built
+    once per prime for every test that reads it: 2-byte entries, as
+    ell <= MAX_ELL < 2^16, so about 11 MB for all primes inside the cap."""
+    return array("H", _dlog_table(ell, _primitive_root(ell)))
+
+
 def test_primitive_root_generates_every_unit():
     """The dlog table of the oracles' _primitive_root(ell) visits each unit
     of F_ell once, for every prime ell up to the cap.  Trial division
@@ -330,8 +339,7 @@ def test_primitive_root_generates_every_unit():
     in 9839 - 1 = 2 * 4919 and 9679 - 1 = 2 * 3 * 1613."""
     for ell in range(2, MAX_ELL + 1):
         if _is_prime(ell):
-            table = _dlog_table(ell, _primitive_root(ell))
-            assert sorted(table[1:]) == list(range(ell - 1)), ell
+            assert sorted(_prime_dlog_table(ell)[1:]) == list(range(ell - 1)), ell
 
 
 PRIME_POWERS = [q for q in range(2, 33) if len({f for f in range(2, q + 1)
@@ -350,7 +358,7 @@ def test_unit_valuations_read_the_dlog_table():
     every unit c of every preset pair with ell <= 3000, the dlog taken to
     the oracles' primitive root."""
     for ell, pairs in itertools.groupby(_preset_pairs(3000), key=lambda pair: pair[0]):
-        table = _dlog_table(ell, _primitive_root(ell))
+        table = _prime_dlog_table(ell)
         for _, q in pairs:
             p = min(f for f in PRIME_POWERS if q % f == 0)
             # gcd(x, q) = p^v(x), and gcd(0, q) = q = p^d
@@ -367,7 +375,7 @@ def test_minus_one_class_is_in_closed_form(monkeypatch):
     calls = []
     count_calls(monkeypatch, calls, gq3.milnor, "_valuation_rows")
     for ell, pairs in itertools.groupby(_preset_pairs(MAX_ELL), key=lambda pair: pair[0]):
-        minus_one = _dlog_table(ell, _primitive_root(ell))[ell - 1]
+        minus_one = _prime_dlog_table(ell)[ell - 1]
         for _, q in pairs:
             calls.clear()
             steinberg_relations_tame(ell, q)
@@ -758,18 +766,21 @@ def test_two_adic_diagonal_rule_matches_hilbert_oracle():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 32])
 def test_zero_pairs_read_the_cup_entries(q):
-    """The degree-(1,1) rows read off the table rows give the kernel of the
-    matrix whose column (a, b) is the dict tables' cup_entry(a, b), on 40
-    random tables with n <= 5 and up to 4 rows."""
+    """The degree-(1,1) rows read off the Howell rows of the tables' span
+    give the kernel of the matrix whose column (a, b) is cup_entry(a, b) of
+    the dict tables of the raw rows, on 40 random tables with n <= 5 and up
+    to 4 rows."""
     rng = random.Random(q)
     for _ in range(40):
         n, h2_rank = rng.randint(0, 5), rng.randint(0, 4)
-        cd = CohomologyData(q, n, tuple(tuple(rng.randrange(q) for _ in range(n + len(pair_list(n))))
-                                        for _ in range(h2_rank)))
-        ref = DictCohomologyTables.from_json_dict(cd.to_json_dict())
+        rows = [tuple(rng.randrange(q) for _ in range(n + len(pair_list(n)))) for _ in range(h2_rank)]
+        cd = CohomologyData(q, n, canonicalize(q, n + len(pair_list(n)), rows))
+        ref = DictCohomologyTables(
+            q, n, h2_rank, {pair: tuple(row[n + i] for row in rows) for i, pair in enumerate(pair_list(n))},
+            {k: tuple(row[k] for row in rows) for k in range(n)})
         cups = [ref.cup_entry(a, b) for a in range(n) for b in range(n)]
-        columns = ZqMatrix.from_rows(q, [[cup[i] for cup in cups] for i in range(h2_rank)], n * n)
-        assert presentation_zero_pairs(cd) == kernel(columns)
+        assert presentation_zero_pairs(cd) == kernel(q, n * n, [[cup[i] for cup in cups]
+                                                                for i in range(h2_rank)])
 
 
 def test_parse_preset():

@@ -310,8 +310,8 @@ def test_duality_perfectness_random(q):
 
 
 def test_kernel_and_annihilator_of_empty_input():
-    assert kernel(ZqMatrix.from_rows(4, [], 3)) == full_subspace(4, 3)
-    assert kernel(ZqMatrix.from_rows(4, [[], []], 0)) == zero_subspace(4, 0)
+    assert kernel(4, 3, []) == full_subspace(4, 3)
+    assert kernel(4, 0, [[], []]) == zero_subspace(4, 0)
     assert annihilator(zero_subspace(9, 2)) == full_subspace(9, 2)
     assert annihilator(zero_subspace(9, 0)) == zero_subspace(9, 0)
     assert smith_normal_form(ZqMatrix.from_rows(4, [], 3)) == ()
@@ -352,10 +352,18 @@ def test_kernel_is_the_relations_among_the_columns(q):
     rng = random.Random(q * 31)
     for nrows, ncols in [(0, 0), (0, 3), (2, 0), *((rng.randint(1, 4), rng.randint(1, 4))
                                                    for _ in range(30))]:
-        m = ZqMatrix.from_rows(q, [[rng.randrange(q) for _ in range(ncols)]
-                                   for _ in range(nrows)], ncols)
-        columns = [tuple(row[j] for row in m.entries) for j in range(ncols)]
-        assert kernel(m) == ZqSubspace(q, ncols, relations(q, nrows, columns))
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        columns = [tuple(row[j] for row in rows) for j in range(ncols)]
+        assert kernel(q, ncols, rows) == ZqSubspace(q, ncols, relations(q, nrows, columns))
+
+
+def test_kernel_rejects_ragged_rows():
+    """A row of any other length than ncols raises, as a ZqMatrix of the
+    rows did: the columns are read by zip, which would drop the entries
+    past the shortest row."""
+    for rows in ([(1, 0), (0, 1, 0)], [(1, 0, 0), (1,)], [(), (1, 0)], [(1, 2, 3)]):
+        with pytest.raises(zqlin.DimensionMismatch, match="ragged rows"):
+            kernel(4, 2, rows)
 
 
 def test_relations_past_max_ambient():
@@ -371,9 +379,9 @@ def test_relations_past_max_ambient():
 
 
 def test_kernel_examples():
-    assert kernel(identity(3, 3)) == zero_subspace(3, 3)
+    assert kernel(3, 3, identity(3, 3).entries) == zero_subspace(3, 3)
     m = ZqMatrix.from_rows(4, [[2, 0], [0, 0]])
-    got = kernel(m)
+    got = kernel(4, 2, m.entries)
     oracle = {v for v in itertools.product(range(4), repeat=2)
               if all(x == 0 for x in m.apply_to_vector(v))}
     assert set(subspace_vectors(got)) == oracle
@@ -388,7 +396,7 @@ def test_kernel_image_cardinality(q):
         nr = rng.randint(1, 3)
         nc = rng.randint(1, 3)
         m = ZqMatrix.from_rows(q, [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)])
-        k = kernel(m)
+        k = kernel(q, nc, m.entries)
         im = row_space(m.transpose())
         assert k.cardinality() * im.cardinality() == q**nc
         for v in subspace_vectors(k):
@@ -443,7 +451,7 @@ def test_subspace_construction_validated():
     with pytest.raises(zqlin.DimensionMismatch):
         ZqMatrix(4, 2, 2, ((1, 0), (0, 1, 0)))
     empty = ZqMatrix(4, 3, 0, ((), (), ()))  # 0 columns: rows are empty
-    assert kernel(empty) == zero_subspace(4, 0)
+    assert kernel(4, 0, empty.entries) == zero_subspace(4, 0)
 
 
 def test_invariant_factors():
