@@ -46,6 +46,7 @@ from .zqlin import (
     ZqMatrix,
     ZqSubspace,
     annihilator,
+    axis,
     canonicalize,
     prime_power,
     smith_normal_form,
@@ -438,12 +439,11 @@ def relator_subspace(
 
     # A pivot relator y contributes the central elements y^q and
     # [y, sigma_j] of its normal closure; any other relator is central.
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     central_rows: list[tuple[int, ...]] = []
     for i, y in enumerate(ys):
         if i in pivot_of_row:
             central_rows.append(power_vector(q, y.e))
-            central_rows.extend(commutator_vector(q, y.e, u) for u in units)
+            central_rows.extend(commutator_vector(q, y.e, axis(n, j)) for j in range(n))
         else:
             central_rows.append(group.central_vector(y))
 
@@ -522,7 +522,6 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
     # unit functional of a pair (k, l) that no row of Wc touches gives the
     # units at k and l, so the span is built on the other columns only, from
     # the Howell rows of ann(Wc) until it is full.
-    npairs = g.npairs
     wc = vanishing_part(g.w, n)
     touched = {idx for row in wc.basis for idx, x in enumerate(row) if x}
     seeded = {k for idx, pair in enumerate(g.pairs) if idx not in touched for k in pair}
@@ -538,17 +537,15 @@ def group_invariants(g: TruncGroup) -> GroupInvariants:
             if span.cardinality() == size_e:
                 break
         size_e //= span.cardinality()
-    center = size_e * q ** (n + npairs) // g.w.cardinality()
+    center = size_e * q ** g.layer_rank // g.w.cardinality()
 
     # Exponent: q * the least p^j with p^j u_k in w for every k and, for
     # p = 2, p^j (q/2) w_kl in w for every pair; p (q/2) w_kl = 0, so the
     # pair tests count only at j = 0, and at j = d every test is 0.
-    units = [[int(i == k) for i in range(g.layer_rank)] for k in range(n)]
-    halves = [[q // 2 * int(i == n + idx) for i in range(g.layer_rank)]
-              for idx in range(npairs)] if p == 2 else []
+    rank = g.layer_rank
     j = next(j for j in range(d + 1)
-             if all(g.w.contains([x * p**j % q for x in u]) for u in units)
-             and (j or all(g.w.contains(h) for h in halves)))
+             if all(g.w.contains(axis(rank, k, p**j % q)) for k in range(n))
+             and (j or p != 2 or all(g.w.contains(axis(rank, k, q // 2)) for k in range(n, rank))))
     exponent = q * p**j
 
     return GroupInvariants(g.order(), ab, center, exponent)

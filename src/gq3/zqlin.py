@@ -7,15 +7,15 @@ the missing annihilator rows and is the unique canonical form for
 submodules of (Z/q)^n, which is what makes subspace equality a plain
 tuple comparison everywhere else in this package.
 
-The Howell form is the one elimination here, and canonical spans, sums
-and annihilators are read off it.  Its rows that vanish on the leading
-coordinates span the part of the span that vanishes there (the Howell
-property): vanishing_part reads that part off a Howell form, and
+The Howell form is the one canonical form here, and canonical spans,
+sums and annihilators are read off it.  Its rows that vanish on the
+leading coordinates span the part of the span that vanishes there (the
+Howell property): vanishing_part reads that part off a Howell form, and
 relations reads the relation module of any number of vectors off the
 Howell form of their graph rows (v_j | e_j); kernel is the relations
-among the columns of bare rows.  Invariant factors are counted from the
-cardinalities of the Howell forms of p^k W, and the Smith diagonal is
-read off the same count.
+among the columns of bare rows.  The Smith diagonal and invariant factors
+of a span take one Smith pass over its Howell rows and no other Howell
+form: a row with a unit pivot splits off, the rest take one elimination.
 
 All matrices are immutable, eagerly reduced mod q, and stored as nested
 tuples of plain ints.  No answer builds a ZqMatrix but the one that
@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from math import gcd
+from operator import itemgetter
 
 from .records import record
 
@@ -200,8 +202,12 @@ def zero_subspace(q: int, ambient_dim: int) -> ZqSubspace:
 
 
 def full_subspace(q: int, ambient_dim: int) -> ZqSubspace:
-    m = ambient_dim
-    return ZqSubspace(q, m, tuple((0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)))
+    return ZqSubspace(q, ambient_dim, tuple(axis(ambient_dim, i) for i in range(ambient_dim)))
+
+
+def axis(size: int, k: int, x: int = 1) -> tuple[int, ...]:
+    """(0, ..., x, ..., 0): x at coordinate k of size, 0 elsewhere."""
+    return (0,) * k + (x,) + (0,) * (size - 1 - k)
 
 
 def canonicalize(q: int, ambient_dim: int, rows: Iterable[Sequence[int]]) -> ZqSubspace:
@@ -259,26 +265,41 @@ def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[
     return tuple(tuple(row) for row in work[:r] if any(row))
 
 
-def _cyclic_exponents(q: int, ambient: int, basis: Sequence[Sequence[int]]) -> list[int]:
-    """Exponents a_i, descending, with the span W of the Howell rows basis
-    isomorphic to the sum of the Z/p^(a_i).
+def _smith_diagonal(q: int, basis: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero Smith diagonal p^v, ascending, of the span of the Howell rows
+    basis, the sum of the Z/p^(d - v), in one pass.
 
-    Read off cardinalities: log_p |p^k W| = sum_i max(a_i - k, 0), whose
-    second difference in k counts the a_i equal to k.  That takes d - 1
-    more Howell forms, none for prime q.
-    """
-    p, d = prime_power(q)
-    logs = [_log_order(basis, p, d)]
-    for _ in range(1, d):
-        basis = _howell(q, ambient, [[p * x % q for x in row] for row in basis])
-        logs.append(_log_order(basis, p, d))
-    logs += [0, 0]
-    return [a for a in range(d, 0, -1) for _ in range(logs[a - 1] - 2 * logs[a] + logs[a + 1])]
-
-
-def _log_order(basis: Sequence[Sequence[int]], p: int, d: int) -> int:
-    """log_p of the order of the span of Howell rows (pivot p^v adds d - v)."""
-    return sum(d - pvaluation(next(x for x in row if x), p, d) for row in basis)
+    gcd(q, *row) is p to the least valuation in the row.  A row alone in its
+    pivot column whose pivot is that gcd splits off: column operations clear
+    the rest of it and touch no other row.  Each row with pivot 1 does (the
+    entries above a Howell pivot are reduced below it), so at prime q all
+    rows do.  The others take one elimination: pivot on an entry of least
+    valuation, clear its column from the other rows, drop the pivot row;
+    every entry left is a multiple of the pivot, so no column operation is
+    needed."""
+    diag, rows = [], []
+    for i, row in enumerate(basis):
+        pivot = next(filter(None, row))
+        if pivot == 1 or (gcd(q, *row) == pivot
+                          and not any(map(itemgetter(row.index(pivot)), basis[:i]))):
+            diag.append(pivot)
+        else:
+            rows.append(list(row))
+    least = [gcd(q, *row) for row in rows]
+    while rows and (g := min(least)) < q:
+        i = least.index(g)
+        top, _ = rows.pop(i), least.pop(i)
+        diag.append(g)
+        c = next(k for k, x in enumerate(top) if gcd(q, x) == g)
+        inverse = unit_inverse(top[c] // g, q)
+        support = [k for k, x in enumerate(top) if x]
+        for i, row in enumerate(rows):
+            if row[c]:
+                f = row[c] // g * inverse
+                for k in support:
+                    row[k] = (row[k] - f * top[k]) % q
+                least[i] = gcd(q, *row)
+    return sorted(diag)
 
 
 def smith_normal_form(m: ZqMatrix) -> tuple[int, ...]:
@@ -288,9 +309,7 @@ def smith_normal_form(m: ZqMatrix) -> tuple[int, ...]:
     ascending divisibility order: p^(d - a) for each cyclic factor
     Z/p^a of the row span.
     """
-    p, d = prime_power(m.q)
-    exponents = _cyclic_exponents(m.q, m.ncols, _howell(m.q, m.ncols, m.entries))
-    diag = tuple(p ** (d - a) for a in exponents)
+    diag = tuple(_smith_diagonal(m.q, _howell(m.q, m.ncols, m.entries)))
     return diag + (0,) * (min(m.nrows, m.ncols) - len(diag))
 
 
@@ -312,7 +331,7 @@ def relations(q: int, width: int, vectors: Sequence[Sequence[int]]) -> tuple[tup
     read off the graph rows (v_j | e_j).  len(vectors) is not capped, so
     the rows may be longer than MAX_AMBIENT."""
     r = len(vectors)
-    graph = [tuple(v) + (0,) * j + (1,) + (0,) * (r - 1 - j) for j, v in enumerate(vectors)]
+    graph = [tuple(v) + axis(r, j) for j, v in enumerate(vectors)]
     return _vanishing(_howell(q, width + r, graph), width)
 
 
@@ -346,5 +365,4 @@ def subspace_intersect(a: ZqSubspace, b: ZqSubspace) -> ZqSubspace:
 
 def invariant_factors(w: ZqSubspace) -> tuple[int, ...]:
     """Orders of the cyclic factors of w, descending (its divisor chain)."""
-    p, _ = prime_power(w.q)
-    return tuple(p**a for a in _cyclic_exponents(w.q, w.ambient_dim, w.basis))
+    return tuple(w.q // x for x in _smith_diagonal(w.q, w.basis))

@@ -224,6 +224,25 @@ def pivot_scan_smith_diagonal(m: ZqMatrix) -> tuple[int, ...]:
     return tuple(diag) + (0,) * (min(m.nrows, m.ncols) - len(diag))
 
 
+def multiple_count_invariant_factors(w: ZqSubspace) -> tuple[int, ...]:
+    """Orders of the cyclic factors of w, descending, counted from the
+    orders of its multiples: for w the sum of the Z/p^(a_i),
+    log_p |p^k w| = sum_i max(a_i - k, 0), whose second difference in k
+    counts the a_i equal to k.  Each |p^k w| is read off the Howell form
+    of p^k times w's rows, so no step is shared with the Smith pass."""
+    q = w.q
+    p = min(f for f in range(2, q + 1) if q % f == 0)
+    d = next(d for d in itertools.count(1) if p**d == q)
+
+    def log_order(k):
+        rows = [[p**k * x % q for x in row] for row in w.basis]
+        size = canonicalize(q, w.ambient_dim, rows).cardinality()
+        return next(e for e in itertools.count() if p**e == size)
+
+    logs = [log_order(k) for k in range(d)] + [0, 0]
+    return tuple(p**a for a in range(d, 0, -1) for _ in range(logs[a - 1] - 2 * logs[a] + logs[a + 1]))
+
+
 def subspace_vectors(w: ZqSubspace):
     """Every element of w, as combinations of its Howell basis (small w only)."""
     orders = [w.q // next(x for x in row if x != 0) for row in w.basis]

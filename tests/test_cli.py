@@ -474,9 +474,10 @@ def count_calls(monkeypatch, calls, module, name):
 def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatch):
     """One relator elimination, and the tables' rows eliminated only where
     they enter: `reconstruct` runs the Howell forms of relator_subspace, of
-    the reader's canonicalize and of the printed abelianization, and at
-    q = 4 one more per invariant factor count (the printed and the read
-    h2_divisors, the abelianization); `cohomology` runs relator_subspace's."""
+    the reader's canonicalize and of the printed abelianization, at every
+    q (the invariant factors take none); `cohomology` runs
+    relator_subspace's, and `kmilnor` those of its Steinberg relations and
+    of its quadratic hull."""
     import gq3.cohom
     import gq3.zqlin
 
@@ -489,10 +490,13 @@ def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatc
     assert len(calls) == 1
     assert len(factors) == 2  # H^2's divisors printed into the tables, then checked on reading
     count_calls(monkeypatch, howell, gq3.zqlin, "_howell")
-    for argv, count in [(["reconstruct", "tame3_q2.pres"], 3), (["reconstruct", "nonmin4_q4.pres"], 6),
-                        (["cohomology", "tame3.pres"], 1)]:
+    for argv, count in [(["reconstruct", "tame3_q2.pres"], 3), (["reconstruct", "nonmin4_q4.pres"], 3),
+                        (["reconstruct", "n8_q32.pres"], 3), (["cohomology", "tame3.pres"], 1),
+                        (["cohomology", "n8_q32.pres"], 1),
+                        (["kmilnor", "--field", "tame_local:97", "--q", "32"], 2)]:
         howell.clear()
-        code, _, err = run_cli(capsys, argv[0], str(GOLDEN_INPUTS / argv[1]))
+        code, _, err = run_cli(capsys, *[str(GOLDEN_INPUTS / a) if a.endswith(".pres") else a
+                                         for a in argv])
         assert (code, len(howell)) == (0, count), (argv, err)
 
 

@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from gq3 import zqlin
 from gq3.freelie import mobius
@@ -27,7 +27,14 @@ from gq3.zqlin import (
     vanishing_part,
     zero_subspace,
 )
-from oracles import dense_howell, identity, pivot_scan_smith_diagonal, subspace_vectors, zero
+from oracles import (
+    dense_howell,
+    identity,
+    multiple_count_invariant_factors,
+    pivot_scan_smith_diagonal,
+    subspace_vectors,
+    zero,
+)
 
 MODULI = [2, 3, 4, 5, 8, 9]
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -205,15 +212,54 @@ def test_cyclic_factor_count_against_pivot_scan_smith(q):
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_invariant_factors_reuse_the_howell_basis(q, monkeypatch):
-    """The count takes the Howell forms of p^k W for k = 1..d-1 only:
-    none for prime q, and never a second one of W itself."""
-    _, d = prime_power(q)
+    """The factors take one Smith pass over W's Howell rows and no Howell
+    form: a row with a unit pivot splits off as Z/q, and the other rows
+    take one elimination on an entry of least valuation."""
     w = canonicalize(q, 6, mixed_valuation_rows(random.Random(q), q, 6, 6) + [[1, 0, 0, 0, 0, 0]])
     calls = []
     howell = zqlin._howell
     monkeypatch.setattr(zqlin, "_howell", lambda *args: calls.append(args) or howell(*args))
     assert invariant_factors(w)[0] == q
-    assert len(calls) <= d - 1
+    assert calls == []
+
+
+def drawn_rows(shape, q, ambient, rng):
+    """Rows of one shape: mixed valuations, unit pivots only (1 at each
+    pivot column, 0 at the others), a multiple of p leading each row with
+    entries of any valuation after it, every entry a multiple of q/p (so
+    pW = 0), or none."""
+    p, _ = prime_power(q)
+    nrows = rng.randint(0, ambient)
+    if shape == "mixed":
+        return mixed_valuation_rows(rng, q, nrows, ambient)
+    if shape == "unit_pivots":
+        pivots = sorted(rng.sample(range(ambient), nrows))
+        return [[int(k == c) if k in pivots else rng.randrange(q) * (k > c) for k in range(ambient)]
+                for c in pivots]
+    if shape == "non_unit_pivots":
+        return [[0] * c + [p * rng.randrange(q) % q] + [rng.randrange(q) for _ in range(ambient - 1 - c)]
+                for c in sorted(rng.sample(range(ambient), nrows))]
+    if shape == "p_divisible":
+        return [[q // p * rng.randrange(p) for _ in range(ambient)] for _ in range(nrows)]
+    return []
+
+
+SHAPES = ("mixed", "unit_pivots", "non_unit_pivots", "p_divisible", "zero")
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+@settings(max_examples=16, deadline=None)
+@given(shape=st.sampled_from(SHAPES), ambient=st.integers(1, 36), seed=st.integers(0, 2**32))
+@example(shape="unit_pivots", ambient=36, seed=0)
+@example(shape="p_divisible", ambient=36, seed=0)
+@example(shape="zero", ambient=1, seed=0)
+def test_invariant_factors_match_the_multiple_count(q, shape, ambient, seed):
+    """The Smith pass against the orders of p^k W, each read off its own
+    Howell form, on drawn Howell spans of up to 36 columns."""
+    w = canonicalize(q, ambient, drawn_rows(shape, q, ambient, random.Random(seed)))
+    if shape == "unit_pivots":
+        assert all(next(filter(None, row)) == 1 for row in w.basis)
+    assert invariant_factors(w) == multiple_count_invariant_factors(w)
 
 
 def test_canonicalize_examples():
