@@ -24,7 +24,9 @@ trunc.abelianization hands smith_normal_form; the rest pass bare rows.
 factorize is the package's one integer factorization: prime_power reads
 q = p^d off it, milnor tests primes with it and reads the p-part of
 ell - 1 off it for a preset presentation, and freelie reads the Mobius
-function off it.
+function off it.  Likewise gcd(q, x) = p^v(x) is the one valuation here,
+which the Howell pivot search and the Smith pass both read, and
+next(filter(None, row)) the one read of a Howell row's pivot.
 """
 
 from __future__ import annotations
@@ -81,17 +83,6 @@ def unit_inverse(x: int, q: int) -> int:
         return pow(x, -1, q)
     except ValueError:
         raise AssertionError(f"{x} is not a unit mod {q}") from None
-
-
-def pvaluation(a: int, p: int, d: int) -> int:
-    """p-adic valuation of the representative a, capped at d (val of 0)."""
-    if a == 0:
-        return d
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return min(v, d)
 
 
 class ZqMatrix(record("q nrows ncols entries")):
@@ -171,8 +162,7 @@ class ZqSubspace(record("q ambient_dim basis")):
     def cardinality(self) -> int:
         total = 1
         for row in self.basis:
-            pivot = next(x for x in row if x != 0)
-            total *= self.q // pivot
+            total *= self.q // next(filter(None, row))
         return total
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -189,8 +179,9 @@ class ZqSubspace(record("q ambient_dim basis")):
         q = self.q
         v = [x % q for x in vec]
         for row in self.basis:
-            j = next(k for k, x in enumerate(row) if x != 0)
-            coeff = v[j] // row[j]
+            pivot = next(filter(None, row))
+            j = row.index(pivot)
+            coeff = v[j] // pivot
             if coeff:
                 for k in range(j, self.ambient_dim):
                     v[k] = (v[k] - coeff * row[k]) % q
@@ -216,7 +207,7 @@ def canonicalize(q: int, ambient_dim: int, rows: Iterable[Sequence[int]]) -> ZqS
 
 
 def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    p, d = prime_power(q)
+    prime_power(q)  # validates q
     work = [[x % q for x in row] for row in rows]
     for row in work:
         if len(row) != ambient:
@@ -225,25 +216,24 @@ def _howell(q: int, ambient: int, rows: Iterable[Sequence[int]]) -> tuple[tuple[
     for c in range(ambient):
         if r == len(work):  # every row holds a pivot: no later column gets one
             break
-        # Pivot on an entry of least valuation: every other entry of the
-        # column is a multiple of it.
-        best, least = None, d
+        # Pivot on an entry of least valuation, p^v = gcd(q, x): every
+        # other entry of the column is a multiple of it.
+        best, pivot = None, q
         for i in range(r, len(work)):
             if work[i][c]:
-                v = pvaluation(work[i][c], p, d)
-                if v < least:
-                    best, least = i, v
-                    if not v:
+                g = gcd(q, work[i][c])
+                if g < pivot:
+                    best, pivot = i, g
+                    if g == 1:
                         break
         if best is None:
             continue
-        # Normalize the pivot to p^least: that pins down the canonical form.
+        # Normalize the pivot to p^v: that pins down the canonical form.
         top = work[best]
-        if top[c] != p**least:
-            x = unit_inverse(top[c] // p**least, q)
+        if top[c] != pivot:
+            x = unit_inverse(top[c] // pivot, q)
             top = [(x * e) % q for e in top]
         work[best], work[r] = work[r], top
-        pivot = top[c]
         # One subtraction clears the entries below the pivot and reduces
         # those above it into [0, pivot), over the pivot row's nonzero
         # columns: it is zero left of c, and elsewhere entries stay reduced.

@@ -5,8 +5,9 @@ syllables, render words in the input grammar, scan presentation text one
 character at a time, parse it through a list of token records, recognise
 Hall elements and build Hall bases weight by weight, build identity and
 zero Z/q matrices, take Howell forms subtracting each pivot row over the
-whole width, enumerate small submodules, take Smith diagonals by
-pivot scanning, build central elements, raise powers and take
+whole width, with their own valuations and pivot inverses (none of
+zqlin's prime_power or unit_inverse), enumerate small submodules, take
+Smith diagonals by pivot scanning, build central elements, raise powers and take
 commutators by repeated products, build generators and evaluate words
 one group operation per node or in one pass on dense exponent lists,
 find the center of a G^[3] from one kernel of all its stacked commutator
@@ -100,9 +101,7 @@ from gq3.zqlin import (
     invariant_factors,
     kernel,
     prime_power,
-    pvaluation,
     row_space,
-    unit_inverse,
 )
 
 
@@ -154,8 +153,19 @@ def zero(q: int, nrows: int, ncols: int) -> ZqMatrix:
 
 def dense_howell(q, ambient, rows):
     """Howell rows of the span, each pivot row subtracted from the others
-    over every column from the pivot's to the last, zero or not."""
-    p, d = prime_power(q)
+    over every column from the pivot's to the last, zero or not.  It finds
+    p, d, the valuations (by division) and the pivot inverses itself,
+    sharing no arithmetic with zqlin._howell."""
+    p = min(f for f in range(2, q + 1) if q % f == 0)
+    d = next(d for d in itertools.count(1) if p**d == q)
+
+    def valuation(x):
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
     work = [[x % q for x in row] for row in rows]
     r = 0
     for c in range(ambient):
@@ -164,7 +174,7 @@ def dense_howell(q, ambient, rows):
         best, least = None, d
         for i in range(r, len(work)):
             if work[i][c]:
-                v = pvaluation(work[i][c], p, d)
+                v = valuation(work[i][c])
                 if v < least:
                     best, least = i, v
                     if not v:
@@ -173,7 +183,7 @@ def dense_howell(q, ambient, rows):
             continue
         top = work[best]
         if top[c] != p**least:
-            x = unit_inverse(top[c] // p**least, q)
+            x = pow(top[c] // p**least, -1, q)
             top = [(x * e) % q for e in top]
         work[best], work[r] = work[r], top
         pivot = top[c]
@@ -237,7 +247,8 @@ def multiple_count_invariant_factors(w: ZqSubspace) -> tuple[int, ...]:
     def log_order(k):
         rows = [[p**k * x % q for x in row] for row in w.basis]
         size = canonicalize(q, w.ambient_dim, rows).cardinality()
-        return next(e for e in itertools.count() if p**e == size)
+        # |p^k w| <= q^ambient_dim; a size that is no power of p raises KeyError
+        return {p**e: e for e in range(d * w.ambient_dim + 1)}[size]
 
     logs = [log_order(k) for k in range(d)] + [0, 0]
     return tuple(p**a for a in range(d, 0, -1) for _ in range(logs[a - 1] - 2 * logs[a] + logs[a + 1]))

@@ -323,9 +323,10 @@ TABLES = {"q": 3, "n": 2, "h2_rank": 1, "cup": {"1,2": [1]}, "bockstein": {"1": 
     {"h2_rank": None},
     {"h2_divisors": [99999999999999999999999999999999]},
     {"q": 4, "kappa": 5},
+    {"q": 12, "bockstein": {"1": [9]}},
 ], ids=["cup-reversed-key", "bockstein-key-range", "non-integer", "vector-length",
         "missing-q", "missing-n", "missing-h2_rank", "h2_divisors-contradicted",
-        "kappa-contradicted"])
+        "kappa-contradicted", "q-not-a-prime-power"])
 def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
     tables = {k: v for k, v in {**TABLES, **change}.items() if v is not None}
     cd_path = tmp_path / "cd.json"
@@ -443,8 +444,8 @@ def test_shape_mismatch_inside_zqlin_is_an_internal_error(tame_file, capsys, mon
 
 
 @pytest.mark.parametrize("module,name,fake,rels,message", [
-    # every entry of valuation 0: the Howell pivot 2 mod 4 is taken for a unit
-    ("gq3.zqlin", "pvaluation", lambda a, p, d: 0, '"x1^8"', "2 is not a unit mod 4"),
+    # every gcd(q, x) 1: the Howell pivot 2 mod 4 is taken for a unit
+    ("gq3.zqlin", "gcd", lambda *args: 1, '"x1^8"', "2 is not a unit mod 4"),
     # the elimination's p-divisibility test done at the wrong prime
     ("gq3.trunc", "prime_power", lambda q: (3, 2), '"x1^2"', "2 is not a unit mod 4"),
 ], ids=["howell", "elimination"])
