@@ -63,8 +63,11 @@ EXIT_INTERNAL = 4
 def _write(value, out: list[str], newline: str) -> None:
     """Append to out the text of json.dumps(value, indent=2, sort_keys=True);
     newline is a line break and the indent of value's own line.  json
-    indents only in pure Python, so ints, strings and lists of ints (one
-    join each) are written here, other scalars and empty containers by json."""
+    indents only in pure Python, so ints, strings and lists of ints are
+    written here, other scalars and empty containers by json.  A list or
+    tuple whose items are all exact ints (not bools, which json prints as
+    true/false) is written from the list's repr, its ", " separators
+    replaced, with no Python step per int."""
     inner = newline + "  "
     if type(value) is int:
         out.append(str(value))
@@ -78,8 +81,9 @@ def _write(value, out: list[str], newline: str) -> None:
             sep = ","
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
-        if all(type(x) is int for x in value):  # not bool, which json prints as true/false
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+        if set(map(type, value)) == {int}:
+            items = repr(list(value))[1:-1].replace(", ", "," + inner)
+            out.append("[" + inner + items + newline + "]")
         else:
             sep = "["
             for item in value:

@@ -28,8 +28,10 @@ and -1, span the rows of all q classes.  The local sweep doubles its
 window, and the rows the wider window adds must lie in the span already
 computed; the dyadic span must not move at a higher precision.
 Otherwise the oracle raises rather than returning an unstable answer.
-The square test behind a Hilbert symbol tries every pair of values, as
-integer bitmasks ANDed in one step per value of the first set.
+The Hilbert symbols come from one square-test table per precision,
+which builds each class's value sets and bitmasks once and tries every
+pair of values: the squares bitmask rotated by each value of a's sets,
+ORed, and ANDed with the bitmask of b's.
 """
 
 from __future__ import annotations
@@ -323,40 +325,61 @@ def _mask(residues) -> int:
     return sum(1 << x for x in residues)
 
 
-def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
-    """(a, b)_2 via exhaustive square testing at the given 2-power modulus.
+def _symbol_table(left: tuple[int, ...], right: tuple[int, ...],
+                  precision_bits: int) -> list[list[int]]:
+    """(a, b)_2 for every a in left (rows) and b in right (columns), by
+    exhaustive square testing at the modulus 2^precision_bits.
 
     Solvability of z^2 = a x^2 + b y^2 with a primitive triple is decided
     modulo 2^precision_bits; any primitive 2-adic solution survives the
     reduction and Hensel lifting recovers one from a solution mod 2^k for
-    the representatives in use, so the test is exact.  Every pair (u, v)
-    of the two value sets is tested: for each u, the squares bitmask
-    rotated down by u has bit v set exactly when u + v is a square, and
-    is ANDed with the bitmask of the v set.
+    the representatives in use, so the test is exact.  A primitive triple
+    has x or y odd, so (a, b) = 1 iff u + v is a square for some u in
+    a (odd squares) and v in b (squares), or u in a (squares) and v in
+    b (odd squares).  Every such pair is tested: the squares bitmask
+    rotated down by u has bit v set exactly when u + v is a square, the
+    rotations over all u of one of a's sets are ORed, and the result is
+    ANDed with the bitmask of b's matching set.  Each class's value sets
+    and bitmasks are built once per call.
     """
     m = 1 << precision_bits
     sq_mask, squares, odd_sq = _square_sets(precision_bits)
-    b_odd = _mask({(b * s) % m for s in odd_sq})
-    b_all = _mask({(b * s) % m for s in squares})
-    for us, vs in ((odd_sq, b_all), (squares, b_odd)):
-        for u in {(a * s) % m for s in us}:
-            if ((sq_mask >> u) | (sq_mask << (m - u))) & vs:
-                return 1
-    return -1
+    wrapped = sq_mask | sq_mask << m  # >> u: the squares mask rotated down by u, in bits < m
+    columns = [(_mask({(b * s) % m for s in squares}), _mask({(b * s) % m for s in odd_sq}))
+               for b in right]
+    table = []
+    for a in left:
+        odd_u = {(a * s) % m for s in odd_sq}
+        from_odd = 0
+        for u in odd_u:
+            from_odd |= wrapped >> u
+        from_all = from_odd  # a (squares) contains a (odd squares)
+        for u in {(a * s) % m for s in squares} - odd_u:
+            from_all |= wrapped >> u
+        table.append([1 if from_odd & v_all or from_all & v_odd else -1
+                      for v_all, v_odd in columns])
+    return table
+
+
+def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
+    """(a, b)_2 via exhaustive square testing at the given 2-power modulus:
+    the one-pair case of _symbol_table.  The dyadic preset reads its nine
+    basis symbols off one table per precision instead."""
+    return _symbol_table((a,), (b,), precision_bits)[0][0]
 
 
 def hilbert_relation_span(precision_bits: int = 8) -> ZqSubspace:
     """Span mod 2 of a (x) b over the square-class pairs with trivial symbol.
     The square classes of Q_2 are the vectors x of F_2^3 over the basis
-    (-1, 2, 5).  Only the nine basis pairs are square-tested; the symbol is
-    bimultiplicative, so (a, b) = (-1)^(x^T H y) for the class vectors x, y
-    and basis symbols H."""
-    h = [hilbert_symbol_two_adic(a, b, precision_bits) == -1
-         for a in TWO_ADIC_BASIS for b in TWO_ADIC_BASIS]
+    (-1, 2, 5).  Only the nine basis pairs are square-tested, in one
+    table; the symbol is bimultiplicative, so (a, b) = (-1)^(x^T H y) for
+    the class vectors x, y and basis symbols H."""
+    h = [symbol == -1 for row in _symbol_table(TWO_ADIC_BASIS, TWO_ADIC_BASIS, precision_bits)
+         for symbol in row]
     rows = _grcomm_rows(2, 3)
     for x, y in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
         row = _outer(2, x, y)
-        if any(row) and sum(t * s for t, s in zip(row, h)) % 2 == 0:
+        if any(row) and sum(itertools.compress(row, h)) % 2 == 0:
             rows.append(row)
     return canonicalize(2, 9, rows)
 

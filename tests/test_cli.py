@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gq3
 from gq3 import acceptance
@@ -636,13 +636,16 @@ def test_tame_pair_only_in_the_doubled_window_is_an_internal_error(capsys, monke
 def test_dyadic_symbol_moving_with_precision_is_an_internal_error(capsys, monkeypatch):
     import gq3.milnor
 
-    original = gq3.milnor.hilbert_symbol_two_adic
+    original = gq3.milnor._symbol_table
 
-    def flipped_at_ten_bits(a, b, precision_bits=8):
-        symbol = original(a, b, precision_bits)
-        return -symbol if (a, b, precision_bits) == (-1, -1, 10) else symbol
+    def flipped_at_ten_bits(left, right, precision_bits):
+        table = original(left, right, precision_bits)
+        if precision_bits == 10:
+            i, j = left.index(-1), right.index(-1)
+            table[i][j] = -table[i][j]
+        return table
 
-    monkeypatch.setattr(gq3.milnor, "hilbert_symbol_two_adic", flipped_at_ten_bits)
+    monkeypatch.setattr(gq3.milnor, "_symbol_table", flipped_at_ten_bits)
     code, out, err = run_cli(capsys, "kmilnor", "--field", "two_adic", "--q", "2")
     assert code == 4
     assert out == ""
@@ -927,6 +930,11 @@ _REPORTS = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(_REPORTS)
+@example((5,))  # a one-int tuple's repr ends in ",)"
+@example([1, True])  # bools are ints to isinstance, and json prints true
+@example([True])
+@example([2**64, -2**64 - 1, 2**100, -(2**100)])
+@example({"4": [[int(i == j) for j in range(81)] for i in range(81)]})  # the dyadic degree-4 block
 def test_report_writer_matches_json_dumps(value):
     out = []
     _write(value, out, "\n")

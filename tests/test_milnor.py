@@ -610,14 +610,17 @@ def test_hilbert_symbol_is_bimultiplicative():
 
 @pytest.mark.parametrize("command", ["kmilnor", "galois-check"])
 def test_dyadic_query_square_tests_the_basis_pairs_only(capsys, monkeypatch, command):
+    """One square-test table at 8 bits and one at 10, each over the three
+    basis classes on both sides: nine pairs per precision."""
     import gq3.milnor
     from gq3.cli import main
 
     calls = []
-    count_calls(monkeypatch, calls, gq3.milnor, "hilbert_symbol_two_adic")
+    count_calls(monkeypatch, calls, gq3.milnor, "_symbol_table")
     code = main([command, "--field", "two_adic", "--q", "2"])
     assert code == 0, capsys.readouterr().err
-    assert len(calls) <= 18  # nine basis pairs at 8 bits and again at 10
+    basis = (-1, 2, 5)
+    assert calls == [(basis, basis, 8), (basis, basis, 10)]
 
 
 def test_two_adic_algebra_shape():

@@ -1,15 +1,18 @@
 """No name in src/gq3 or tests is bound and then never read: no function
 keeps a local that nothing in it reads (``_`` names a value thrown away),
-and no module imports a name it never uses.  No linter is installed, so
+and no module imports a name it never uses.  No function, class or method
+of src/gq3 goes unreferenced in src/gq3.  No linter is installed, so
 this reads the syntax tree with the standard library's ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SOURCES = sorted([*(TESTS.parent / "src" / "gq3").glob("*.py"), *TESTS.glob("*.py")])
+PACKAGE = sorted((TESTS.parent / "src" / "gq3").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *TESTS.glob("*.py")])
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -92,3 +95,64 @@ def test_read_bindings_are_not_found(tmp_path, source):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert unread_bindings(path) == []
+
+
+# The CLI entry point, which the package's script table names.
+ENTRY_POINTS = {"cli.main"}
+# Referenced only from tests or the bench; this list may only shrink.
+UNREFERENCED = {
+    "cohom.lambda_matrix",
+    "freelie.tensor_to_hall",
+    "zqlin.ZqMatrix.transpose",
+    "zqlin.ZqMatrix.apply_to_vector",
+    "zqlin.row_space",
+    "zqlin.subspace_intersect",
+}
+
+
+def _references(tree) -> Counter:
+    """Each name read, and each attribute named, in the tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+
+
+def unreferenced_definitions(paths) -> set[str]:
+    """module.name of each top-level function and class, and each method
+    (dunder methods aside), that the modules never name outside its own body."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    references = sum(map(_references, trees.values()), Counter())
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, SCOPES):
+                continue
+            definitions = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{module}.{node.name}.{method.name}", method)
+                                for method in node.body
+                                if isinstance(method, SCOPES) and not method.name.startswith("__")]
+            found.update(name for name, definition in definitions
+                         if references[definition.name] == _references(definition)[definition.name])
+    return found
+
+
+def test_every_definition_is_referenced():
+    found = unreferenced_definitions(PACKAGE) - ENTRY_POINTS
+    assert found - UNREFERENCED == set(), "unreferenced in src/gq3"
+    assert UNREFERENCED - found == set(), "referenced or gone now: drop from UNREFERENCED"
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    return 1\n", {"m.f"}),
+    ("def f(n):\n    return f(n - 1) if n else 0\n", {"m.f"}),
+    ("def f():\n    return 1\n\ndef g():\n    return f()\n", {"m.g"}),
+    ("class C:\n    def __len__(self):\n        return 0\n\n    def size(self):\n"
+     "        return len(self)\n\nC\n", {"m.C.size"}),
+    ("class C:\n    def size(self):\n        return 0\n\nC().size\n", set()),
+])
+def test_unreferenced_definitions_are_found(tmp_path, source, found):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert unreferenced_definitions([path]) == found
