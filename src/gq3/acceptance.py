@@ -24,6 +24,7 @@ from . import presentations as pres
 from .cohom import (
     MorphismError,
     cohomology_data_from_presentation,
+    cup_rows,
     morphism_check,
     obstruction_screen,
     tables_round_trip,
@@ -355,11 +356,11 @@ def check_two_adic(seed: int) -> tuple[bool, str]:
         return False, "relation span moved between precisions 2^8 and 2^10"
     preset = FieldPreset("two_adic")
     p, corr = preset_presentation(preset, 2)
-    cd, _ = cohomology_data_from_presentation(p)
+    group, _ = cohomology_data_from_presentation(p)
     gen_of = {name: idx for idx, name in enumerate(p.generators)}
     for name, a in zip(("-1", "2", "5"), (-1, 2, 5)):
         k = gen_of[corr[name]]
-        diag_nonzero = any(cd.cup_entry(k, k))
+        diag_nonzero = any(row[k * group.n + k] for row in cup_rows(group))
         if diag_nonzero != (hilbert_symbol_two_adic(a, a) == -1):
             return False, f"diagonal rule mismatch on class {name}"
     report = galois_symbol_compare(preset, p, corr)

@@ -5,10 +5,10 @@ Handlers return (payload, summary, positive); ``main`` alone prints the
 report and picks the exit code: 0 success or verified, 1 verified-negative
 (an obstruction or a failed comparison is still a successful run), 2 parse
 error, 3 validation error, 4 internal error (a bug: no answer is given).
-``reconstruct`` reads tables only through cohom.CohomologyData.from_json,
-which eliminates their rows once: ``--cd-json`` reads a user's file, FILE
-mode the tables it has just printed (cohom.tables_round_trip), so a
-rejection there is a bug and exits 4.
+The cohomology tables are a group's W, printed by cohom.tables_json and
+read only by cohom.reconstruct_g3: ``--cd-json`` a user's file, FILE mode
+the tables ``reconstruct`` has just printed (cohom.tables_round_trip), so
+a rejection there is a bug and exits 4.
 
 The argparse tree is built once per process.  ``main`` hands the
 arguments after a known command to that command's subparser, which
@@ -28,12 +28,12 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cohom import (
-    CohomologyData,
     check_relator_independence,
     cohomology_data_from_presentation,
     morphism_check,
     obstruction_screen,
     reconstruct_g3,
+    tables_json,
     tables_round_trip,
 )
 from .milnor import (
@@ -164,9 +164,9 @@ def cmd_truncate(args) -> tuple[dict, str, bool]:
 
 def cmd_cohomology(args) -> tuple[dict, str, bool]:
     p = _load_presentation(args.file)
-    cd, report = cohomology_data_from_presentation(p)
-    payload = {"cohomology": cd.to_json_dict(), "minimality": _minimality_dict(report)}
-    return payload, f"H^1 rank {cd.n}, H^2 model rank {cd.h2_rank}", True
+    group, report = cohomology_data_from_presentation(p)
+    payload = {"cohomology": tables_json(group), "minimality": _minimality_dict(report)}
+    return payload, f"H^1 rank {group.n}, H^2 model rank {group.w.nrows}", True
 
 
 def cmd_reconstruct(args) -> tuple[dict, str, bool]:
@@ -176,10 +176,9 @@ def cmd_reconstruct(args) -> tuple[dict, str, bool]:
         raise PresentationError("reconstruct takes a presentation file or --cd-json, not both")
     if args.cd_json is not None:
         with open(args.cd_json, encoding="utf-8") as fh:
-            cd = CohomologyData.from_json(fh.read())
-        group = reconstruct_g3(cd)
+            group = reconstruct_g3(fh.read())
         inv = group_invariants(group)
-        payload = {"q": cd.q, "source": "cohomology-tables", "group": _group_dict(group, inv)}
+        payload = {"q": group.q, "source": "cohomology-tables", "group": _group_dict(group, inv)}
         return payload, f"reconstructed group of order {inv.order}", True
 
     p = _load_presentation(args.file)

@@ -9,11 +9,10 @@ against the canonical basis of the relator subspace.
 The combined cup/Bockstein map out of the dual central layer has the
 relator pairing matrix lambda as its matrix, with the Howell rows of the
 relator subspace W as its rows.  Its kernel annihilates exactly W, so by
-Z/q duality W is its row span, and the tables determine the quotient.
-CohomologyData stores the tables as W and reads cup and Bockstein off its
-columns; W is eliminated once, where tables enter (relator_subspace, or
-CohomologyData.from_json, the one reader of their JSON), and
-reconstruct_g3 and h2_divisors read it as it is.
+Z/q duality W is its row span, and the tables are the group G^[3] =
+TruncGroup(n, q, W): tables_json prints them off W's columns, and
+reconstruct_g3, the one reader of their JSON, eliminates their rows once
+into W, as relator_subspace does a presentation's relators.
 
 A morphism given by degree-1 images (trunc.degree_one reads them off the
 image words) acts on the free central layers as the Z/q-linear map L
@@ -50,14 +49,12 @@ from .trunc import (
     kappa_constant,
     layer_map,
     pair_list,
-    relator_subspace,
     truncated_quotient,
 )
 from .zqlin import (
     MAX_AMBIENT,
     MAX_Q,
     ZqMatrix,
-    ZqSubspace,
     canonicalize,
     invariant_factors,
     prime_power,
@@ -73,128 +70,34 @@ class HypothesisViolation(ValueError):
     """Input falls outside the elementary-quotient hypothesis."""
 
 
-class CohomologyData(record("q n w")):
-    """The H^1/H^2 tables as one table: the Howell rows of their span W.
+TABLE_KEYS = ("q", "n", "h2_rank", "h2_divisors", "cup", "bockstein", "kappa")
 
-    w.basis holds one row over Z/q per coordinate of the rank-h2_rank H^2
-    model: the n Bockstein columns, then one cup column per pair k < l of
-    pair_list(n).  The sign rule cup(l,k) = -cup(k,l) and the diagonal
-    rule cup(k,k) = kappa * bockstein(k) are implied, not stored, and so
-    are the invariant factors of H^2, which are read off w.
-    """
 
-    __slots__ = ()
-    q: int
-    n: int
-    w: ZqSubspace
+def tables_json(g: TruncGroup) -> dict:
+    """The H^1/H^2 tables of g, with the keys TABLE_KEYS: each Howell row of
+    W is a coordinate of the rank-h2_rank H^2 model, its first n entries
+    the Bockstein columns, then one cup column per pair k < l.  The rules
+    cup(l,k) = -cup(k,l) and cup(k,k) = kappa * bockstein(k) are implied."""
+    n = g.n
+    columns = [[row[j] for row in g.w.basis] for j in range(g.layer_rank)]
+    return {
+        "q": g.q,
+        "n": n,
+        "h2_rank": g.w.nrows,
+        "h2_divisors": list(invariant_factors(g.w)),
+        "cup": {f"{k + 1},{l + 1}": col for (k, l), col in zip(g.pairs, columns[n:])},
+        "bockstein": {str(k + 1): col for k, col in enumerate(columns[:n])},
+        "kappa": kappa_constant(g.q),
+    }
 
-    def __new__(cls, q: int, n: int, w: ZqSubspace):
-        prime_power(q)
-        width = n + len(pair_list(n))
-        if w.ambient_dim != width:
-            raise ValueError(f"table rows must have n + C(n,2) = {width} entries")
-        if w.q != q:
-            raise ValueError(f"table rows must be over Z/{q}, not Z/{w.q}")
-        return super().__new__(cls, q, n, w)
 
-    @property
-    def h2_rank(self) -> int:
-        return self.w.nrows
-
-    @property
-    def kappa(self) -> int:
-        return kappa_constant(self.q)
-
-    @property
-    def h2_divisors(self) -> tuple[int, ...]:
-        """Invariant factors of W, the tables' row span."""
-        return invariant_factors(self.w)
-
-    def cup_rows(self) -> list[list[int]]:
-        """Each row's n^2 cup products, cup(k,l) at index k n + l, read with
-        the diagonal and sign rules."""
-        n, q, kappa = self.n, self.q, self.kappa
-        col = {pair: n + i for i, pair in enumerate(pair_list(n))}
-        return [[kappa * row[k] % q if k == l else row[col[k, l]] if k < l else -row[col[l, k]] % q
-                 for k in range(n) for l in range(n)] for row in self.w.basis]
-
-    def cup_entry(self, k: int, l: int) -> tuple[int, ...]:
-        return tuple(row[k * self.n + l] for row in self.cup_rows())
-
-    def to_json_dict(self) -> dict:
-        n = self.n
-        columns = [[row[j] for row in self.w.basis] for j in range(self.w.ambient_dim)]
-        return {
-            "q": self.q,
-            "n": n,
-            "h2_rank": self.h2_rank,
-            "h2_divisors": list(self.h2_divisors),
-            "cup": {f"{k + 1},{l + 1}": col for (k, l), col in zip(pair_list(n), columns[n:])},
-            "bockstein": {str(k + 1): col for k, col in enumerate(columns[:n])},
-            "kappa": self.kappa,
-        }
-
-    @staticmethod
-    def from_json(text: str) -> "CohomologyData":
-        """Tables from JSON text in the to_json_dict layout, alone or as the
-        cohomology object of a `cohomology` report, checked strictly.
-
-        Keys are 1-based: "k,l" with k < l <= n for cup and "k" with
-        k <= n for Bockstein.  Absent entries are zero.  The derived
-        fields may be absent; when present, kappa must be C(q,2) mod q and
-        h2_divisors the invariant factors of the tables' row span.  Text that
-        is not JSON raises ParseError, anything else malformed ValueError.
-        """
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise pres.ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
-        except RecursionError:
-            raise pres.ParseError("not JSON: nested too deep", 1, 1) from None
-        except ValueError:  # an integer past sys.get_int_max_str_digits()
-            raise pres.ParseError("not JSON: integer literal too long", 1, 1) from None
-        if isinstance(data, dict) and "cohomology" in data:
-            data = data["cohomology"]
-        if not isinstance(data, dict):
-            raise ValueError("cohomology tables must be a JSON object")
-        missing = [key for key in ("q", "n", "h2_rank") if key not in data]
-        if missing:
-            raise ValueError(f"cohomology tables lack {', '.join(missing)}")
-        q, n, h2_rank = (_json_int(data[key], key) for key in ("q", "n", "h2_rank"))
-        if not 2 <= q <= MAX_Q:
-            raise ValueError(f"modulus {q} outside 2..{MAX_Q}")
-        if not 0 <= n <= MAX_GENERATORS:
-            raise ValueError(f"n = {n} outside 0..{MAX_GENERATORS}")
-        if not 0 <= h2_rank <= MAX_AMBIENT:
-            raise ValueError(f"h2_rank = {h2_rank} outside 0..{MAX_AMBIENT}")
-        rows = [[0] * (n + len(pair_list(n))) for _ in range(h2_rank)]
-
-        def read_columns(name: str, keys: dict):
-            table = data.get(name, {})
-            if not isinstance(table, dict):
-                raise ValueError(f"{name} table must be a JSON object")
-            for key, vec in table.items():
-                if key not in keys:
-                    raise ValueError(f"{name} key {key!r} out of range for n = {n}")
-                if not isinstance(vec, list) or len(vec) != h2_rank:
-                    raise ValueError(f"{name}[{key!r}] must be a list of {h2_rank} integers")
-                for row, x in zip(rows, vec):
-                    row[keys[key]] = _json_int(x, f"{name}[{key!r}] entry") % q
-
-        read_columns("cup", {f"{k + 1},{l + 1}": n + i for i, (k, l) in enumerate(pair_list(n))})
-        read_columns("bockstein", {str(k + 1): k for k in range(n)})
-        cd = CohomologyData(q, n, canonicalize(q, n + len(pair_list(n)), rows))
-        if "kappa" in data and _json_int(data["kappa"], "kappa") != cd.kappa:
-            raise ValueError(f"kappa must be C(q,2) mod q = {cd.kappa}")
-        if "h2_divisors" in data:
-            divisors = data["h2_divisors"]
-            if not isinstance(divisors, list):
-                raise ValueError("h2_divisors must be a list of integers")
-            want = cd.h2_divisors
-            if tuple(_json_int(x, "h2_divisors entry") for x in divisors) != want:
-                raise ValueError(f"h2_divisors must be {list(want)}, "
-                                 "the invariant factors of the tables' row span")
-        return cd
+def cup_rows(g: TruncGroup) -> list[list[int]]:
+    """Each row of W's n^2 cup products, cup(k,l) at index k n + l, read
+    with the diagonal and sign rules."""
+    n, q, kappa = g.n, g.q, kappa_constant(g.q)
+    col = {pair: n + i for i, pair in enumerate(g.pairs)}
+    return [[kappa * row[k] % q if k == l else row[col[k, l]] if k < l else -row[col[l, k]] % q
+             for k in range(n) for l in range(n)] for row in g.w.basis]
 
 
 def _json_int(x, what: str) -> int:
@@ -204,47 +107,112 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-def lambda_matrix(cd: CohomologyData) -> ZqMatrix:
+def lambda_matrix(g: TruncGroup) -> ZqMatrix:
     """Matrix of the cup+Bockstein map out of the dual central layer.
 
     Columns are indexed by the dual basis of the layer: first the n
     Bockstein columns, then one cup column per pair (k,l), k < l.  The
     kernel of this matrix is the kernel of the map to H^2.
     """
-    return ZqMatrix.from_rows(cd.q, cd.w.basis, cd.w.ambient_dim)
+    return ZqMatrix.from_rows(g.q, g.w.basis, g.w.ambient_dim)
 
 
-def reconstruct_g3(cd: CohomologyData) -> TruncGroup:
-    """The third q-central quotient determined by the cohomology tables.
+def reconstruct_g3(text: str) -> TruncGroup:
+    """The third q-central quotient determined by the cohomology tables, from
+    JSON text in the tables_json layout, alone or as the cohomology object of
+    a `cohomology` report, checked strictly.
 
-    The relator subspace is the annihilator of the kernel of the
-    cup+Bockstein matrix, which over Z/q is its row span: cd.w itself.
+    Its relator subspace W, the annihilator of the kernel of the
+    cup+Bockstein matrix, is over Z/q the row span of the tables.  Keys are
+    1-based: "k,l" with k < l <= n for cup and "k" with k <= n for
+    Bockstein.  Absent entries are zero.  The derived fields may be absent;
+    when present, kappa must be C(q,2) mod q and h2_divisors the invariant
+    factors of W.  No key repeats in an object, and the tables have no key
+    but TABLE_KEYS.  Text that is not JSON raises ParseError, anything else
+    malformed ValueError.
     """
-    return TruncGroup(cd.n, cd.q, cd.w)
+    repeated = []
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            repeated.append(next(key for key, _ in pairs if key in seen or seen.add(key)))
+        return obj
+
+    try:
+        data = json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise pres.ParseError(f"not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise pres.ParseError("not JSON: nested too deep", 1, 1) from None
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise pres.ParseError("not JSON: integer literal too long", 1, 1) from None
+    if repeated:
+        raise ValueError(f"JSON object repeats key {repeated[0]!r}")
+    if isinstance(data, dict) and "cohomology" in data:
+        data = data["cohomology"]
+    if not isinstance(data, dict):
+        raise ValueError("cohomology tables must be a JSON object")
+    unknown = [key for key in data if key not in TABLE_KEYS]
+    if unknown:
+        raise ValueError(f"cohomology tables have unknown key {unknown[0]!r}")
+    missing = [key for key in ("q", "n", "h2_rank") if key not in data]
+    if missing:
+        raise ValueError(f"cohomology tables lack {', '.join(missing)}")
+    q, n, h2_rank = (_json_int(data[key], key) for key in ("q", "n", "h2_rank"))
+    if not 2 <= q <= MAX_Q:
+        raise ValueError(f"modulus {q} outside 2..{MAX_Q}")
+    if not 0 <= n <= MAX_GENERATORS:
+        raise ValueError(f"n = {n} outside 0..{MAX_GENERATORS}")
+    if not 0 <= h2_rank <= MAX_AMBIENT:
+        raise ValueError(f"h2_rank = {h2_rank} outside 0..{MAX_AMBIENT}")
+    rows = [[0] * (n + len(pair_list(n))) for _ in range(h2_rank)]
+
+    def read_columns(name: str, keys: dict):
+        table = data.get(name, {})
+        if not isinstance(table, dict):
+            raise ValueError(f"{name} table must be a JSON object")
+        for key, vec in table.items():
+            if key not in keys:
+                raise ValueError(f"{name} key {key!r} out of range for n = {n}")
+            if not isinstance(vec, list) or len(vec) != h2_rank:
+                raise ValueError(f"{name}[{key!r}] must be a list of {h2_rank} integers")
+            for row, x in zip(rows, vec):
+                row[keys[key]] = _json_int(x, f"{name}[{key!r}] entry") % q
+
+    read_columns("cup", {f"{k + 1},{l + 1}": n + i for i, (k, l) in enumerate(pair_list(n))})
+    read_columns("bockstein", {str(k + 1): k for k in range(n)})
+    group = TruncGroup(n, q, canonicalize(q, n + len(pair_list(n)), rows))
+    kappa = kappa_constant(q)
+    if "kappa" in data and _json_int(data["kappa"], "kappa") != kappa:
+        raise ValueError(f"kappa must be C(q,2) mod q = {kappa}")
+    if "h2_divisors" in data:
+        divisors = data["h2_divisors"]
+        if not isinstance(divisors, list):
+            raise ValueError("h2_divisors must be a list of integers")
+        want = invariant_factors(group.w)
+        if tuple(_json_int(x, "h2_divisors entry") for x in divisors) != want:
+            raise ValueError(f"h2_divisors must be {list(want)}, "
+                             "the invariant factors of the tables' row span")
+    return group
 
 
-def cohomology_data_from_presentation(
-    presentation: pres.Presentation,
-) -> tuple[CohomologyData, MinimalityReport]:
-    """The H^1/H^2 tables of the presented group: its relator subspace W,
-    after the presentation is minimized.  bockstein(k) reads the sigma_k^q
-    coordinates of W's Howell rows, and cup(k,l) their commutator ones.
-    """
-    w, report = relator_subspace(presentation)
-    return CohomologyData(w.q, len(report.kept_generators), w), report
+def cohomology_data_from_presentation(presentation: pres.Presentation) -> tuple[TruncGroup, MinimalityReport]:
+    """The presented group's G^[3], whose W is its H^1/H^2 tables."""
+    return truncated_quotient(presentation)
 
 
 def tables_round_trip(presentation: pres.Presentation) -> tuple[TruncGroup, bool, MinimalityReport]:
-    """The group rebuilt from the presentation's tables as printed and read
-    back by from_json, whether its relator subspace is W, and the minimality
+    """The group read back by reconstruct_g3 from the presentation's tables as
+    printed, whether it is the presentation's G^[3], and the minimality
     report.  Rejecting tables gq3 has just printed is a bug: RuntimeError."""
-    cd, report = cohomology_data_from_presentation(presentation)
+    group, report = cohomology_data_from_presentation(presentation)
     try:
-        printed = CohomologyData.from_json(json.dumps(cd.to_json_dict()))
+        printed = reconstruct_g3(json.dumps(tables_json(group)))
     except ValueError as exc:
         raise RuntimeError(f"gq3 rejects its own cohomology tables: {exc}") from None
-    group = reconstruct_g3(printed)
-    return group, group == reconstruct_g3(cd), report
+    return printed, printed == group, report
 
 
 # ---------------------------------------------------------------------------

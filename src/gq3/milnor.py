@@ -41,8 +41,9 @@ import math
 from functools import lru_cache
 
 from . import presentations as pres
-from .cohom import CohomologyData, Report, TestOutcome, cohomology_data_from_presentation
+from .cohom import Report, TestOutcome, cohomology_data_from_presentation, cup_rows
 from .records import record
+from .trunc import TruncGroup
 from .zqlin import (
     ZqSubspace,
     canonicalize,
@@ -438,9 +439,9 @@ def preset_presentation(preset: FieldPreset, q: int) -> tuple[pres.Presentation,
     )
 
 
-def presentation_zero_pairs(cd: CohomologyData) -> ZqSubspace:
-    """Kernel of the degree-(1,1) cup map of a cohomology model."""
-    return kernel(cd.q, cd.n**2, cd.cup_rows())
+def presentation_zero_pairs(g: TruncGroup) -> ZqSubspace:
+    """Kernel of the degree-(1,1) cup map of a group's cohomology tables."""
+    return kernel(g.q, g.n**2, cup_rows(g))
 
 
 def galois_symbol_compare(
@@ -456,7 +457,7 @@ def galois_symbol_compare(
     q = presentation.q
     field_t2, names = preset_relations(preset, q)
     _check_degree_bound(r_max)
-    cd, report = cohomology_data_from_presentation(presentation)
+    group, report = cohomology_data_from_presentation(presentation)
 
     outcomes: list[TestOutcome] = []
     assumptions = [f"preset: {preset.describe()}", f"tested degrees: 1..{r_max}"]
@@ -479,9 +480,9 @@ def galois_symbol_compare(
 
     # degree 1: bijection on the free module bases
     m = len(names)
-    if m != cd.n:
+    if m != group.n:
         outcomes.append(
-            TestOutcome("degree-1", "triggered", f"K_1 rank {m} != H^1 rank {cd.n}")
+            TestOutcome("degree-1", "triggered", f"K_1 rank {m} != H^1 rank {group.n}")
         )
         return Report("not-isomorphic", tuple(outcomes), tuple(assumptions))
     outcomes.append(TestOutcome("degree-1", "passed"))
@@ -497,7 +498,7 @@ def galois_symbol_compare(
                 out[perm[a] * m + perm[b]] = row[a * m + b]
         mapped_rows.append(out)
     mapped_t2 = canonicalize(q, m * m, mapped_rows)
-    pres_t2 = presentation_zero_pairs(cd)
+    pres_t2 = presentation_zero_pairs(group)
     # A hull is a function of its degree-2 relations: equal ones give equal
     # hulls in every degree, and unequal ones already differ in degree 2.
     ok = pres_t2 == mapped_t2

@@ -1,8 +1,8 @@
 """Immutable records: named tuples that compare like frozen dataclasses.
 
 A plain named tuple equals every tuple with the same items, so
-TruncGroup(2, 2, w) would equal CohomologyData(2, 2, w).  A record
-equals only records of its own class.  Each record class derives from
+Power(g, h) would equal Commutator(g, h).  A record equals only records
+of its own class.  Each record class derives from
 record(fields) and declares ``__slots__ = ()`` (the fields are read-only,
 and with no instance dict nothing else can be set) and its fields as
 bare annotations, for documentation only: a class attribute of a

@@ -518,7 +518,9 @@ def annihilator_morphism_check(pres1, pres2, images):
 @dataclass(frozen=True)
 class DictCohomologyTables:
     """The cohomology tables as two dicts: cup[(k, l)] for k < l and
-    bockstein[k], each a vector in the rank-h2_rank H^2 model."""
+    bockstein[k], each a vector in the rank-h2_rank H^2 model; the
+    reference that cohom.tables_json and cohom.reconstruct_g3, which hold
+    the tables as a group's W, are checked against."""
 
     q: int
     n: int
@@ -528,7 +530,7 @@ class DictCohomologyTables:
 
     @staticmethod
     def from_json_dict(data):
-        """Valid tables in the cohomology report layout; absent entries are zero."""
+        """Valid tables in the tables_json layout; absent entries are zero."""
         q, n, h2_rank = data["q"], data["n"], data["h2_rank"]
 
         def column(name, key):
@@ -549,7 +551,7 @@ class DictCohomologyTables:
             return tuple((-x) % self.q for x in self.cup[(l, k)])
         return tuple((self.kappa * x) % self.q for x in self.bockstein[k])
 
-    def to_json_dict(self):
+    def tables_json(self):
         return {
             "q": self.q,
             "n": self.n,
@@ -561,13 +563,13 @@ class DictCohomologyTables:
         }
 
 
-def dict_lambda_matrix(cd):
+def dict_lambda_matrix(tables):
     """lambda's rows, by transposing the Bockstein columns, then the cup
     columns in pair order."""
-    cols = [cd.bockstein[k] for k in range(cd.n)]
-    cols += [cd.cup[(k, l)] for k, l in pair_list(cd.n)]
-    rows = [tuple(col[i] for col in cols) for i in range(cd.h2_rank)]
-    return ZqMatrix.from_rows(cd.q, rows, len(cols))
+    cols = [tables.bockstein[k] for k in range(tables.n)]
+    cols += [tables.cup[(k, l)] for k, l in pair_list(tables.n)]
+    rows = [tuple(col[i] for col in cols) for i in range(tables.h2_rank)]
+    return ZqMatrix.from_rows(tables.q, rows, len(cols))
 
 
 def table_null_space(tables):
@@ -1417,7 +1419,7 @@ def degree_by_degree_symbol_compare(preset, presentation, correspondence, r_max=
     field_t2, names = preset_relations(preset, q)
     if not 2 <= r_max <= 4:
         raise ValueError(f"degree bound {r_max} outside 2..4")
-    cd, report = cohomology_data_from_presentation(presentation)
+    group, report = cohomology_data_from_presentation(presentation)
     outcomes = []
     assumptions = [f"preset: {preset.describe()}", f"tested degrees: 1..{r_max}"]
     if not report.minimal:
@@ -1433,8 +1435,8 @@ def degree_by_degree_symbol_compare(preset, presentation, correspondence, r_max=
             raise PresetError(f"correspondence targets unknown generator {target!r}")
 
     m = len(names)
-    if m != cd.n:
-        outcomes.append(TestOutcome("degree-1", "triggered", f"K_1 rank {m} != H^1 rank {cd.n}"))
+    if m != group.n:
+        outcomes.append(TestOutcome("degree-1", "triggered", f"K_1 rank {m} != H^1 rank {group.n}"))
         return Report("not-isomorphic", tuple(outcomes), tuple(assumptions))
     outcomes.append(TestOutcome("degree-1", "passed"))
 
@@ -1446,7 +1448,7 @@ def degree_by_degree_symbol_compare(preset, presentation, correspondence, r_max=
             out[perm[a] * m + perm[b]] = row[a * m + b]
         mapped_rows.append(out)
     field_hull = quadratic_hull(q, m, canonicalize(q, m * m, mapped_rows), r_max)
-    pres_hull = quadratic_hull(q, m, presentation_zero_pairs(cd), r_max)
+    pres_hull = quadratic_hull(q, m, presentation_zero_pairs(group), r_max)
     ok = True
     for r in range(2, r_max + 1):
         if field_hull.components[r] == pres_hull.components[r]:

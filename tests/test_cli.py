@@ -293,11 +293,11 @@ def test_reconstruct_file_checks_the_printed_tables(capsys, monkeypatch):
     tables rebuild another W (exit 1), and nonmin4_q4's printed divisors
     no longer match its tables, which the reader rejects: gq3 rejecting
     its own tables is a bug (exit 4)."""
-    from gq3.cohom import CohomologyData
+    from gq3 import cohom
 
-    printed = CohomologyData.to_json_dict
-    monkeypatch.setattr(CohomologyData, "to_json_dict",
-                        lambda cd: {k: v for k, v in printed(cd).items() if k != "bockstein"})
+    printed = cohom.tables_json
+    monkeypatch.setattr(cohom, "tables_json",
+                        lambda g: {k: v for k, v in printed(g).items() if k != "bockstein"})
     code, out, err = run_cli(capsys, "reconstruct", str(GOLDEN_INPUTS / "tame3_q2.pres"))
     assert code == 1
     assert json.loads(out)["round_trip_equal"] is False
@@ -324,9 +324,10 @@ TABLES = {"q": 3, "n": 2, "h2_rank": 1, "cup": {"1,2": [1]}, "bockstein": {"1": 
     {"h2_divisors": [99999999999999999999999999999999]},
     {"q": 4, "kappa": 5},
     {"q": 12, "bockstein": {"1": [9]}},
+    {"cup": None, "bockstein": None, "cupp": {"1,2": [1]}, "bockstien": {"1": [1]}},
 ], ids=["cup-reversed-key", "bockstein-key-range", "non-integer", "vector-length",
         "missing-q", "missing-n", "missing-h2_rank", "h2_divisors-contradicted",
-        "kappa-contradicted", "q-not-a-prime-power"])
+        "kappa-contradicted", "q-not-a-prime-power", "unknown-keys"])
 def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
     tables = {k: v for k, v in {**TABLES, **change}.items() if v is not None}
     cd_path = tmp_path / "cd.json"
@@ -335,6 +336,25 @@ def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "validation error" in err
+
+
+@pytest.mark.parametrize("text, err", [
+    ('{"q": 3, "n": 2, "h2_rank": 1, "cupp": {"1,2": [1]}, "bockstien": {"1": [1]}}',
+     "cohomology tables have unknown key 'cupp'"),
+    ('{"q": 3, "q": 2, "n": 2, "h2_rank": 1, "cup": {"1,2": [1]}}', "JSON object repeats key 'q'"),
+    ('{"q": 3, "n": 2, "h2_rank": 1, "cup": {"1,2": [1], "1,2": [0]}}',
+     "JSON object repeats key '1,2'"),
+    ('{"cohomology": {"q": 3, "n": 1, "h2_rank": 0}, "minimality": {"a": 1, "a": 2}}',
+     "JSON object repeats key 'a'"),
+], ids=["unknown-keys", "repeated-q", "repeated-cup-key", "repeated-key-around-the-tables"])
+def test_reconstruct_cd_json_names_an_unknown_or_repeated_key(text, err, tmp_path, capsys):
+    """The reader takes no key tables_json does not print, and no key twice
+    in any object; without the checks, the first and third texts rebuild
+    groups of order 243 and 32, and the second reads q = 2."""
+    cd_path = tmp_path / "cd.json"
+    cd_path.write_text(text)
+    assert run_cli(capsys, "reconstruct", "--cd-json", str(cd_path)) == (
+        3, "", f"validation error: {err}\n")
 
 
 NOT_BOTH = "validation error: reconstruct takes a presentation file or --cd-json, not both"
@@ -420,7 +440,7 @@ def test_internal_error_exits_4(tame_file, capsys, monkeypatch, command):
         raise AssertionError("inconsistent\norders")
 
     monkeypatch.setattr("gq3.cli.truncated_quotient", broken)
-    monkeypatch.setattr("gq3.cohom.relator_subspace", broken)
+    monkeypatch.setattr("gq3.trunc.relator_subspace", broken)
     code, out, err = run_cli(capsys, command, tame_file)
     assert code == 4
     assert out == ""
@@ -480,10 +500,11 @@ def test_reconstruct_runs_relator_elimination_once(tame_file, capsys, monkeypatc
     relator_subspace's, and `kmilnor` those of its Steinberg relations and
     of its quadratic hull."""
     import gq3.cohom
+    import gq3.trunc
     import gq3.zqlin
 
     calls, factors, howell = [], [], []
-    count_calls(monkeypatch, calls, gq3.cohom, "relator_subspace")
+    count_calls(monkeypatch, calls, gq3.trunc, "relator_subspace")
     count_calls(monkeypatch, factors, gq3.cohom, "invariant_factors")
     code, out, _ = run_cli(capsys, "reconstruct", tame_file)
     assert code == 0
@@ -578,10 +599,10 @@ def test_certificates_make_no_hall_solve(tmp_path, capsys, monkeypatch, command)
 
 
 def test_screen_cd_does_not_run_relator_elimination(tame_file, capsys, monkeypatch):
-    import gq3.cohom
+    import gq3.trunc
 
     calls = []
-    count_calls(monkeypatch, calls, gq3.cohom, "relator_subspace")
+    count_calls(monkeypatch, calls, gq3.trunc, "relator_subspace")
     code, out, _ = run_cli(capsys, "screen", tame_file, "--cd", "3")
     assert code == 1
     assert "dim H^1 = 2 < cd(G) = 3" in out

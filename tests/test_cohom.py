@@ -16,16 +16,17 @@ import gq3.zqlin
 from gq3 import trunc
 from gq3.cli import main
 from gq3.cohom import (
-    CohomologyData,
     HypothesisViolation,
     MorphismError,
     check_relator_independence,
     cohomology_data_from_presentation,
+    cup_rows,
     kappa_constant,
     lambda_matrix,
     morphism_check,
     obstruction_screen,
     reconstruct_g3,
+    tables_json,
     tables_round_trip,
     _cup_order,
     _sorted_relators,
@@ -80,14 +81,18 @@ from test_bench_reports import _load_workloads_module
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def cd_from_tables(q, n, h2_rank, cup=None, bockstein=None):
-    """CohomologyData spanned by its cup and Bockstein columns; absent ones
-    are zero."""
+def group_from_tables(q, n, h2_rank, cup=None, bockstein=None):
+    """The group reconstruct_g3 reads off the tables whose cup and Bockstein
+    columns are given with 0-based keys; absent ones are zero."""
     cup, bockstein = cup or {}, bockstein or {}
-    columns = [bockstein.get(k, (0,) * h2_rank) for k in range(n)]
-    columns += [cup.get(pair, (0,) * h2_rank) for pair in pair_list(n)]
-    rows = [tuple(col[i] for col in columns) for i in range(h2_rank)]
-    return CohomologyData(q, n, canonicalize(q, len(columns), rows))
+    return reconstruct_g3(json.dumps({
+        "q": q, "n": n, "h2_rank": h2_rank,
+        "cup": {f"{k + 1},{l + 1}": list(col) for (k, l), col in cup.items()},
+        "bockstein": {str(k + 1): list(col) for k, col in bockstein.items()}}))
+
+
+def cup_entry(g, k, l):
+    return tuple(row[k * g.n + l] for row in cup_rows(g))
 
 
 def test_kappa_values():
@@ -100,35 +105,33 @@ def test_kappa_values():
 
 
 def test_sign_and_diagonal_rules():
-    cd = cd_from_tables(4, 2, 1, cup={(0, 1): (3,)}, bockstein={0: (1,)})
-    assert cd.cup_entry(1, 0) == (1,)
-    assert cd.cup_entry(0, 0) == (2,)  # kappa = 2 over q = 4
-    assert cd.cup_entry(1, 1) == (0,)
+    g = group_from_tables(4, 2, 1, cup={(0, 1): (3,)}, bockstein={0: (1,)})
+    assert cup_entry(g, 1, 0) == (1,)
+    assert cup_entry(g, 0, 0) == (2,)  # kappa = 2 over q = 4
+    assert cup_entry(g, 1, 1) == (0,)
 
 
 def test_lambda_matrix_zero_tables():
     """A zero table row spans nothing: lambda has no rows, and the tables
     rebuild the free S^[3]."""
-    cd = cd_from_tables(2, 2, 1)
-    assert cd.w == zero_subspace(2, 3) and cd.h2_rank == 0
-    assert lambda_matrix(cd).entries == ()
-    g = reconstruct_g3(cd)
-    assert g.order() == free_truncation(2, 2).order()
+    g = group_from_tables(2, 2, 1)
+    assert g.w == zero_subspace(2, 3)
+    assert lambda_matrix(g).entries == ()
+    assert g == free_truncation(2, 2)
 
 
 def test_lambda_matrix_tame_shape():
-    cd = cd_from_tables(3, 2, 1, cup={(0, 1): (1,)}, bockstein={0: (1,)})
-    assert lambda_matrix(cd).entries == ((1, 0, 1),)
+    g = group_from_tables(3, 2, 1, cup={(0, 1): (1,)}, bockstein={0: (1,)})
+    assert lambda_matrix(g).entries == ((1, 0, 1),)
 
 
 def test_lambda_matrix_rank_one():
-    cd = cd_from_tables(2, 1, 1, bockstein={0: (1,)})
-    assert lambda_matrix(cd).entries == ((1,),)
+    g = group_from_tables(2, 1, 1, bockstein={0: (1,)})
+    assert lambda_matrix(g).entries == ((1,),)
 
 
 def test_reconstruct_tame_local():
-    cd = cd_from_tables(3, 2, 1, cup={(0, 1): (1,)}, bockstein={0: (1,)})
-    g = reconstruct_g3(cd)
+    g = group_from_tables(3, 2, 1, cup={(0, 1): (1,)}, bockstein={0: (1,)})
     assert g.order() == 3**5 // 3
     p = make_presentation(3, ["x1", "x2"], ["x1^3 [x1,x2]"])
     w, _ = relator_subspace(p)
@@ -136,8 +139,7 @@ def test_reconstruct_tame_local():
 
 
 def test_reconstruct_rank1_q2():
-    cd = cd_from_tables(2, 1, 1, bockstein={0: (1,)})
-    g = reconstruct_g3(cd)
+    g = group_from_tables(2, 1, 1, bockstein={0: (1,)})
     assert g.order() == 2
     p = make_presentation(2, ["x1"], ["x1^2"])
     w, _ = relator_subspace(p)
@@ -146,22 +148,22 @@ def test_reconstruct_rank1_q2():
 
 def test_extraction_free_presentation():
     p = make_presentation(2, ["x1", "x2"], [])
-    cd, _ = cohomology_data_from_presentation(p)
-    assert cd.h2_rank == 0
-    assert cd.w.basis == ()
-    tables = cd.to_json_dict()
+    g, _ = cohomology_data_from_presentation(p)
+    assert g.w.basis == ()
+    tables = tables_json(g)
+    assert tables["h2_rank"] == 0
     assert tables["cup"] == {"1,2": []}
     assert tables["bockstein"] == {"1": [], "2": []}
 
 
 def test_extraction_two_relators():
     p = make_presentation(2, ["x1", "x2"], ["[x1,x2]", "x1^2"])
-    cd, _ = cohomology_data_from_presentation(p)
-    assert cd.h2_rank == 2
+    g, _ = cohomology_data_from_presentation(p)
     # canonical basis rows are (u1), (w12): bockstein(1) pairs the first,
     # cup(1,2) the second
-    assert cd.w.basis == ((1, 0, 0), (0, 0, 1))
-    tables = cd.to_json_dict()
+    assert g.w.basis == ((1, 0, 0), (0, 0, 1))
+    tables = tables_json(g)
+    assert tables["h2_rank"] == 2
     assert tables["bockstein"] == {"1": [1, 0], "2": [0, 0]}
     assert tables["cup"] == {"1,2": [0, 1]}
 
@@ -169,16 +171,16 @@ def test_extraction_two_relators():
 def test_extraction_round_trip_demushkin():
     for q in (2, 3, 4, 5):
         p = make_presentation(q, ["x1", "x2"], [f"x1^{q} [x1,x2]"])
-        cd, _ = cohomology_data_from_presentation(p)
+        g, _ = cohomology_data_from_presentation(p)
         w, _ = relator_subspace(p)
-        assert reconstruct_g3(cd).w == w
+        assert reconstruct_g3(json.dumps(tables_json(g))).w == w
 
 
 def test_lambda_surjectivity_rank_equality():
     p = make_presentation(4, ["x1", "x2", "x3"], ["x1^4 [x2,x3]", "x2^8 [x1,x3]"])
-    cd, _ = cohomology_data_from_presentation(p)
+    g, _ = cohomology_data_from_presentation(p)
     w, _ = relator_subspace(p)
-    assert row_space(lambda_matrix(cd).transpose()).cardinality() == w.cardinality()
+    assert row_space(lambda_matrix(g).transpose()).cardinality() == w.cardinality()
 
 
 RANDOM_MODULI = [2, 3, 4, 5]
@@ -219,8 +221,7 @@ def test_round_trip_random_presentations(q):
     for p in random_central_presentations(q):
         w, report = relator_subspace(p)
         assert report.minimal
-        cd, _ = cohomology_data_from_presentation(p)
-        assert reconstruct_g3(cd).w == w
+        assert cohomology_data_from_presentation(p)[0].w == w
         group, equal, _ = tables_round_trip(p)  # through the printed tables
         assert equal and group.w == w
 
@@ -229,9 +230,9 @@ def test_h2_divisors_are_read_off_the_tables():
     """The invariant factors of H^2 are those of the tables' row span,
     whether the JSON gives them or not."""
     tables = {"q": 2, "n": 1, "h2_rank": 1, "bockstein": {"1": [1]}}
-    bare = CohomologyData.from_json(json.dumps(tables))
-    assert bare.to_json_dict()["h2_divisors"] == [2]
-    assert CohomologyData.from_json(json.dumps({**tables, "h2_divisors": [2]})) == bare
+    bare = reconstruct_g3(json.dumps(tables))
+    assert tables_json(bare)["h2_divisors"] == [2]
+    assert reconstruct_g3(json.dumps({**tables, "h2_divisors": [2]})) == bare
 
 
 @pytest.mark.parametrize("q", RANDOM_MODULI)
@@ -239,13 +240,13 @@ def test_cohomology_tables_round_trip_through_json(q):
     """The printed divisors match a Smith diagonal of the tables, and the
     printed tables parse back to the same data, with or without them."""
     for p in random_central_presentations(q):
-        cd, _ = cohomology_data_from_presentation(p)
-        data = cd.to_json_dict()
-        diag = pivot_scan_smith_diagonal(lambda_matrix(cd))
+        g, _ = cohomology_data_from_presentation(p)
+        data = tables_json(g)
+        diag = pivot_scan_smith_diagonal(lambda_matrix(g))
         assert data["h2_divisors"] == [q // x for x in diag if x]
-        assert CohomologyData.from_json(json.dumps(data)) == cd
+        assert reconstruct_g3(json.dumps(data)) == g
         del data["h2_divisors"]
-        assert CohomologyData.from_json(json.dumps(data)) == cd
+        assert reconstruct_g3(json.dumps(data)) == g
 
 
 PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -279,19 +280,19 @@ def test_one_table_reads_like_the_dict_tables(tables):
     the dicts' cup entries span, the dicts read off the printed tables give
     back the Howell rows and the same report, and the printed tables parse
     back equal with and without the derived fields."""
-    cd = CohomologyData.from_json(json.dumps(tables))
+    g = reconstruct_g3(json.dumps(tables))
     ref = DictCohomologyTables.from_json_dict(tables)
-    q, n, m = cd.q, cd.n, dict_lambda_matrix(ref)
-    assert cd.w == canonicalize(q, m.ncols, m.entries)
+    q, n, m = g.q, g.n, dict_lambda_matrix(ref)
+    assert g.w == canonicalize(q, m.ncols, m.entries)
     cups = [[ref.cup_entry(k, l)[i] for k in range(n) for l in range(n)] for i in range(ref.h2_rank)]
-    assert canonicalize(q, n * n, cd.cup_rows()) == canonicalize(q, n * n, cups)
-    printed = cd.to_json_dict()
+    assert canonicalize(q, n * n, cup_rows(g)) == canonicalize(q, n * n, cups)
+    printed = tables_json(g)
     reread = DictCohomologyTables.from_json_dict(printed)
-    assert dict_lambda_matrix(reread).entries == lambda_matrix(cd).entries == cd.w.basis
-    assert reread.to_json_dict() == printed
-    assert CohomologyData.from_json(json.dumps(printed)) == cd
+    assert dict_lambda_matrix(reread).entries == lambda_matrix(g).entries == g.w.basis
+    assert reread.tables_json() == printed
+    assert reconstruct_g3(json.dumps(printed)) == g
     bare = {key: printed[key] for key in ("q", "n", "h2_rank", "cup", "bockstein")}
-    assert CohomologyData.from_json(json.dumps(bare)) == cd
+    assert reconstruct_g3(json.dumps(bare)) == g
 
 
 @settings(max_examples=300, deadline=None)
@@ -301,9 +302,9 @@ def test_decomposable_order_and_the_zero_pairs_split_the_cup_square(tables):
     order morphism_check reads, |C(rows)|, and kernel
     presentation_zero_pairs: two eliminations of one map, whose orders
     multiply to q^(n^2)."""
-    cd = CohomologyData.from_json(json.dumps(tables))
-    q, n = cd.q, cd.n
-    assert _cup_order(q, n, cd.w.basis) * presentation_zero_pairs(cd).cardinality() == q ** (n * n)
+    g = reconstruct_g3(json.dumps(tables))
+    q, n = g.q, g.n
+    assert _cup_order(q, n, g.w.basis) * presentation_zero_pairs(g).cardinality() == q ** (n * n)
 
 
 @functools.cache

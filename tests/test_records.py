@@ -14,7 +14,7 @@ import pytest
 import gq3
 from gq3 import cohom, records
 from gq3.acceptance import CheckResult
-from gq3.cohom import CohomologyData, MorphismReport, Report
+from gq3.cohom import MorphismReport, Report
 from gq3.freelie import HallElement, bracket_node, generator
 from gq3.milnor import FieldPreset, GradedAlgebra, PresetError
 from gq3.presentations import Commutator, Generator, Power, Product, Presentation
@@ -36,7 +36,7 @@ RECORDS = _record_classes()
 
 
 def test_every_record_is_built_by_the_helper():
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 18
     for cls in RECORDS:
         assert cls.__eq__ is records._eq and cls.__ne__ is records._ne, cls
         assert cls.__dict__["__slots__"] == (), cls
@@ -47,11 +47,10 @@ def test_every_record_is_built_by_the_helper():
 
 
 def test_equality_is_type_strict():
-    g = Generator(0)
-    w = ZqSubspace(2, 3, ((1, 0, 0),))
-    assert tuple(TruncGroup(2, 2, w)) == tuple(CohomologyData(2, 2, w))
-    assert TruncGroup(2, 2, w) != CohomologyData(2, 2, w)
-    assert not TruncGroup(2, 2, w) == CohomologyData(2, 2, w)
+    g, h = Generator(0), Generator(1)
+    assert tuple(Power(g, h)) == tuple(Commutator(g, h))
+    assert Power(g, h) != Commutator(g, h)
+    assert not Power(g, h) == Commutator(g, h)
     assert Generator(0) != (0,) and (0,) != Generator(0)
     assert not Generator(0) == (0,) and not (0,) == Generator(0)
     x = TruncElement((1, 2), (3,))
@@ -92,7 +91,6 @@ def test_defaults_and_keyword_construction():
     assert ZqMatrix(q=2, nrows=1, ncols=2, entries=((1, 0),)) == ZqMatrix(2, 1, 2, ((1, 0),))
     assert ZqSubspace(q=4, ambient_dim=1, basis=((2,),)).basis == ((2,),)
     assert TruncGroup(n=2, q=3, w=zero_subspace(3, 3)) == free_truncation(2, 3)
-    assert CohomologyData(q=2, n=1, w=zero_subspace(2, 1)).w == zero_subspace(2, 1)
     p = Presentation(q=2, generators=("x",), relators=(), relator_sources=())
     assert p.n == 1 and p.name_map() == {"x": 0}
 
@@ -180,10 +178,6 @@ def test_printed_records_name_their_published_keys(cls, keys):
      "central subspace has wrong ambient dimension or modulus"),
     (lambda: TruncGroup(2, 2, zero_subspace(4, 3)), ValueError,
      "central subspace has wrong ambient dimension or modulus"),
-    (lambda: CohomologyData(12, 1, zero_subspace(2, 1)), ValueError, "12 is not a prime power"),
-    (lambda: CohomologyData(2, 2, zero_subspace(2, 2)), ValueError,
-     "table rows must have n + C(n,2) = 3 entries"),
-    (lambda: CohomologyData(4, 2, zero_subspace(2, 3)), ValueError, "table rows must be over Z/4, not Z/2"),
     (lambda: FieldPreset("p_adic", 5), PresetError, "unknown preset 'p_adic'"),
     (lambda: FieldPreset("finite_field"), PresetError, "residue characteristic 0 must be a prime <= 10000"),
     (lambda: FieldPreset("tame_local", 9), PresetError, "residue characteristic 9 must be a prime <= 10000"),
