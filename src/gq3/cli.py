@@ -63,36 +63,39 @@ EXIT_INTERNAL = 4
 def _write(value, out: list[str], newline: str) -> None:
     """Append to out the text of json.dumps(value, indent=2, sort_keys=True);
     newline is a line break and the indent of value's own line.  json
-    indents only in pure Python, so ints, strings and lists of ints are
-    written here, other scalars and empty containers by json.  A list or
-    tuple whose items are all exact ints (not bools, which json prints as
-    true/false) is written from the list's repr, its ", " separators
-    replaced, with no Python step per int."""
-    inner = newline + "  "
-    if type(value) is int:
+    indents only in pure Python, so values are written here, by exact type:
+    ints, strings, bools, None and empty containers as literals, and only
+    other scalars by json; list, tuple and dict subclasses as their bases.
+    A list or tuple whose items are all exact ints (not bools, which json
+    prints as true/false) is written from the list's repr, its ", "
+    separators replaced, with no Python step per int."""
+    kind, inner = type(value), newline + "  "
+    if kind is int:
         out.append(str(value))
-    elif isinstance(value, str):
+    elif kind is str:
         out.append(encode_basestring_ascii(value))
-    elif isinstance(value, dict) and value:
+    elif kind is bool or value is None:
+        out.append("null" if value is None else "true" if value else "false")
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
         sep = "{"
         for key in sorted(value):
             out.append(sep + inner + encode_basestring_ascii(key) + ": ")
             _write(value[key], out, inner)
             sep = ","
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {int}:
-            items = repr(list(value))[1:-1].replace(", ", "," + inner)
-            out.append("[" + inner + items + newline + "]")
-        else:
-            sep = "["
-            for item in value:
-                out.append(sep + inner)
-                _write(item, out, inner)
-                sep = ","
-            out.append(newline + "]")
+    elif set(map(type, value)) == {int}:
+        out.append("[" + inner + repr(list(value))[1:-1].replace(", ", "," + inner) + newline + "]")
     else:
-        out.append(json.dumps(value))
+        sep = "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, out, inner)
+            sep = ","
+        out.append(newline + "]")
 
 
 def _emit(args, payload: dict, summary: str) -> None:

@@ -178,8 +178,11 @@ def reconstruct_g3(text: str) -> TruncGroup:
                 raise ValueError(f"{name} key {key!r} out of range for n = {n}")
             if not isinstance(vec, list) or len(vec) != h2_rank:
                 raise ValueError(f"{name}[{key!r}] must be a list of {h2_rank} integers")
+            if not all(type(x) is int for x in vec):  # JSON gives no other int type
+                for x in vec:
+                    _json_int(x, f"{name}[{key!r}] entry")
             for row, x in zip(rows, vec):
-                row[keys[key]] = _json_int(x, f"{name}[{key!r}] entry") % q
+                row[keys[key]] = x % q
 
     read_columns("cup", {f"{k + 1},{l + 1}": n + i for i, (k, l) in enumerate(pair_list(n))})
     read_columns("bockstein", {str(k + 1): k for k in range(n)})
@@ -464,7 +467,8 @@ def obstruction_screen(
 
     # (i) every relator dies at level 3, some relator provably nontrivial
     certified = [source for source, _, _, cert in relators if cert is not None]
-    if certified and all(y == group.identity() for _, _, y, _ in relators):
+    identity = group.identity()
+    if certified and all(y == identity for _, _, y, _ in relators):
         outcomes.append(
             TestOutcome(
                 "relation-subgroup-inside-level-3",

@@ -30,10 +30,10 @@ Quotients G^[3] of S^[3] by a subgroup W of the central layer carry the
 same normal forms with the central part reduced to a canonical coset
 representative mod W.  W is central, so that representative depends only
 on the coset, and evaluate_word reduces once, after a whole word.
-Presentations whose relators stick out of the Frattini subgroup are
-reduced to that shape by eliminating generators with unit pivots, and the
-relator span is then cut to the kept generators by zqlin.vanishing_part;
-see relator_subspace.
+Presentations whose relators stick out of the Frattini subgroup are reduced
+to that shape by eliminating generators with unit pivots, sought only where
+some relator has a unit entry; the relator span is then cut to the kept
+generators by zqlin.vanishing_part, if any were eliminated.
 """
 
 from __future__ import annotations
@@ -373,11 +373,12 @@ def evaluate_relators(presentation: pres.Presentation, certificate_class: int):
     relator nontrivial, and its certificate is None."""
     group = free_truncation(presentation.n, presentation.q)
     check_class_bound(certificate_class)
+    identity = group.identity()
     relators = []
     for word, source in zip(presentation.relators, presentation.relator_sources):
         y = group.evaluate_word(word)
         cert = (word_nontriviality_certificate(word, presentation.n, certificate_class)
-                if y == group.identity() else None)
+                if y == identity else None)
         relators.append((source, word, y, cert))
     return group, relators
 
@@ -391,79 +392,70 @@ def relator_subspace(
     their (t | c) coordinates directly.  A relator with a unit degree-1
     coefficient makes the presentation non-minimal: the corresponding
     generator is eliminated by a change of relator basis, and the span is
-    computed over the surviving generators.  A relator with identity image
-    and no nontriviality certificate at TRIVIALITY_CLASS (evaluate_relators
-    certifies only such images) is dropped with a warning.  Raises
-    MixedExponentError when elimination stalls on a p-divisible nonzero
-    image.  The report carries the free image of every relator, dropped
-    ones included.
+    computed over the surviving generators.  Pivots are sought only in the
+    columns where some relator has a unit entry: replacement adds multiples
+    of relators, and sums and multiples of p-divisible entries stay
+    p-divisible.  A relator with identity image and no nontriviality
+    certificate at TRIVIALITY_CLASS (evaluate_relators certifies only such
+    images) is dropped with a warning.  Raises MixedExponentError when
+    elimination stalls on a p-divisible nonzero image.  The report carries
+    the free image of every relator, dropped ones included.
     """
     n, q = presentation.n, presentation.q
     p = prime_power(q)[0]
     group, relators = evaluate_relators(presentation, TRIVIALITY_CLASS)
-    dropped: list[str] = []
-    ys: list[TruncElement] = []
-    sources: list[str] = []
+    identity = group.identity()
+    dropped, ys, sources = [], [], []
     for source, _, y, cert in relators:
-        if y == group.identity() and cert is None:
+        if cert is None and y == identity:
             dropped.append(source)
         else:
             ys.append(y)
             sources.append(source)
-    images = tuple(y for _, _, y, _ in relators)
-    warnings = tuple(f"relator {source!r} is trivial up to class {TRIVIALITY_CLASS}; dropped"
-                     for source in dropped)
 
-    # Unit-pivot Gauss-Jordan on the degree-1 images, performed by relator
-    # replacement inside S^[3] so the normal closure never changes.
+    # Unit-pivot Gauss-Jordan on the degree-1 images, column by column, by
+    # relator replacement inside S^[3] so the normal closure never changes.
     pivot_of_row: dict[int, int] = {}
-    pivot_cols: set[int] = set()
-    for col in range(n):
+    for col in sorted({k for y in ys for k, x in enumerate(y.e) if x % p}):
         i = next((i for i, y in enumerate(ys) if i not in pivot_of_row and y.e[col] % p), None)
         if i is None:
             continue
         u = unit_inverse(ys[i].e[col] % q, q)
         if u != 1:
             ys[i] = group.power(ys[i], u)
-        for j in range(len(ys)):
-            if j == i:
-                continue
-            alpha = ys[j].e[col] % q
-            if alpha:
-                ys[j] = group.multiply(ys[j], group.power(ys[i], -alpha))
+        for j, y in enumerate(ys):
+            alpha = y.e[col] % q
+            if alpha and j != i:
+                ys[j] = group.multiply(y, group.power(ys[i], -alpha))
         pivot_of_row[i] = col
-        pivot_cols.add(col)
+    pivot_cols = set(pivot_of_row.values())
 
-    for i, y in enumerate(ys):
-        if i not in pivot_of_row and not group.is_central(y):
-            raise MixedExponentError(
-                f"relator {sources[i]!r} has p-divisible nonzero degree-1 image; "
-                "the mod-q abelianization is not elementary of exponent q"
-            )
+    # The span is cut to the coordinates of the kept generators: with the
+    # eliminated ones put first, its vanishing part is exactly what the
+    # relator subgroup meets of the smaller free truncation.
+    kept_indices = [k for k in range(n) if k not in pivot_cols]
+    lead = group.layer_rank - len(kept_indices) - len(pair_list(len(kept_indices)))
+    if lead:
+        kept = [k not in pivot_cols for k in range(n)] + [pivot_cols.isdisjoint(c) for c in group.pairs]
+        columns = sorted(range(group.layer_rank), key=kept.__getitem__)
 
     # A pivot relator y contributes the central elements y^q and
-    # [y, sigma_j] of its normal closure; any other relator is central.
-    central_rows: list[tuple[int, ...]] = []
+    # [y, sigma_j] of its normal closure; any other relator must be central.
+    # Each row is written once, in the order of columns.
+    central_rows = []
     for i, y in enumerate(ys):
         if i in pivot_of_row:
-            central_rows.append(power_vector(q, y.e))
-            central_rows.extend(commutator_vector(q, y.e, axis(n, j)) for j in range(n))
+            rows = [power_vector(q, y.e), *(commutator_vector(q, y.e, axis(n, j)) for j in range(n))]
+        elif any(x % q for x in y.e):
+            raise MixedExponentError(f"relator {sources[i]!r} has p-divisible nonzero degree-1 "
+                                     "image; the mod-q abelianization is not elementary of exponent q")
         else:
-            central_rows.append(group.central_vector(y))
+            rows = [[x // q for x in y.e] + list(y.c)]
+        central_rows += [[row[c] for c in columns] for row in rows] if lead else rows
 
-    kept_indices = [k for k in range(n) if k not in pivot_cols]
-    eliminated = tuple((presentation.generators[col], sources[i])
-                       for i, col in sorted(pivot_of_row.items(), key=lambda kv: kv[1]))
-
-    # Restrict the central span to the coordinates of the kept generators:
-    # with the eliminated ones put first, its vanishing part is exactly what
-    # the relator subgroup meets of the smaller free truncation.
-    kept_coords = kept_indices + [n + idx for idx, pair in enumerate(group.pairs)
-                                  if pivot_cols.isdisjoint(pair)]
-    lead = group.layer_rank - len(kept_coords)
-    columns = sorted(set(range(group.layer_rank)).difference(kept_coords)) + kept_coords
-    big_span = canonicalize(q, group.layer_rank, [[row[c] for c in columns] for row in central_rows])
-    span = vanishing_part(big_span, lead)
+    eliminated = tuple((presentation.generators[col], sources[i]) for i, col in pivot_of_row.items())
+    big_span = canonicalize(q, group.layer_rank, central_rows)
+    span = vanishing_part(big_span, lead) if lead else big_span
 
     # The quotient order must agree whether computed upstairs or on the
     # reduced generating set; a mismatch means a bug, not bad input.
@@ -476,9 +468,10 @@ def relator_subspace(
         eliminated=eliminated,
         kept_generators=tuple(presentation.generators[k] for k in kept_indices),
         dropped_trivial_relators=tuple(dropped),
-        warnings=warnings
+        warnings=tuple(f"relator {source!r} is trivial up to class {TRIVIALITY_CLASS}; dropped"
+                       for source in dropped)
         + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
-        images=images,
+        images=tuple(y for _, _, y, _ in relators),
     )
     return span, report
 

@@ -10,6 +10,8 @@ zqlin's prime_power or unit_inverse), enumerate small submodules, take
 Smith diagonals by pivot scanning, build central elements, raise powers and take
 commutators by repeated products, build generators and evaluate words
 one group operation per node or in one pass on dense exponent lists,
+take relator subspaces with a pivot search over every column and a
+vanishing part cut even where no generator is eliminated,
 find the center of a G^[3] from one kernel of all its stacked commutator
 rows, run selftest criterion 2's laws one tuple and one random triple at
 a time,
@@ -83,25 +85,34 @@ from gq3.presentations import (
     Product,
 )
 from gq3.trunc import (
+    TRIVIALITY_CLASS,
     GroupInvariants,
+    MinimalityReport,
+    MixedExponentError,
     TruncElement,
+    TruncGroup,
     abelianization,
+    commutator_vector,
+    evaluate_relators,
     free_truncation,
     kappa_constant,
     layer_map,
     pair_list,
+    power_vector,
     truncated_quotient,
 )
 from gq3.zqlin import (
     ZqMatrix,
     ZqSubspace,
     annihilator,
+    axis,
     canonicalize,
     full_subspace,
     invariant_factors,
     kernel,
     prime_power,
     row_space,
+    vanishing_part,
 )
 
 
@@ -344,6 +355,74 @@ def node_by_node_evaluation(g, word):
         case Commutator(a, b):
             return g.commutator(node_by_node_evaluation(g, a), node_by_node_evaluation(g, b))
     raise TypeError(f"not a word node: {word!r}")
+
+
+def every_column_relator_subspace(presentation):
+    """relator_subspace, pass by pass: the unit-pivot search visits every
+    column, the non-pivot relators are tested central before any row is
+    written, each row is written in the order of the layer and then
+    permuted, and the span is cut by vanishing_part even when no generator
+    is eliminated.  Pivots are inverted by pow, not zqlin's unit_inverse."""
+    n, q = presentation.n, presentation.q
+    p = prime_power(q)[0]
+    group, relators = evaluate_relators(presentation, TRIVIALITY_CLASS)
+    dropped, ys, sources = [], [], []
+    for source, _, y, cert in relators:
+        if y == group.identity() and cert is None:
+            dropped.append(source)
+        else:
+            ys.append(y)
+            sources.append(source)
+    pivot_of_row = {}
+    for col in range(n):
+        i = next((i for i, y in enumerate(ys) if i not in pivot_of_row and y.e[col] % p), None)
+        if i is None:
+            continue
+        u = pow(ys[i].e[col] % q, -1, q)
+        if u != 1:
+            ys[i] = group.power(ys[i], u)
+        for j in range(len(ys)):
+            alpha = ys[j].e[col] % q
+            if j != i and alpha:
+                ys[j] = group.multiply(ys[j], group.power(ys[i], -alpha))
+        pivot_of_row[i] = col
+    pivot_cols = set(pivot_of_row.values())
+    for i, y in enumerate(ys):
+        if i not in pivot_of_row and not group.is_central(y):
+            raise MixedExponentError(
+                f"relator {sources[i]!r} has p-divisible nonzero degree-1 image; "
+                "the mod-q abelianization is not elementary of exponent q"
+            )
+    central_rows = []
+    for i, y in enumerate(ys):
+        if i in pivot_of_row:
+            central_rows.append(power_vector(q, y.e))
+            central_rows.extend(commutator_vector(q, y.e, axis(n, j)) for j in range(n))
+        else:
+            central_rows.append(group.central_vector(y))
+    kept = [k for k in range(n) if k not in pivot_cols]
+    kept_coords = kept + [n + idx for idx, pair in enumerate(group.pairs)
+                          if pivot_cols.isdisjoint(pair)]
+    lead = group.layer_rank - len(kept_coords)
+    columns = sorted(set(range(group.layer_rank)).difference(kept_coords)) + kept_coords
+    big_span = canonicalize(q, group.layer_rank, [[row[c] for c in columns] for row in central_rows])
+    span = vanishing_part(big_span, lead)
+    closure_order = q ** len(pivot_cols) * big_span.cardinality()
+    if group.order() // closure_order != TruncGroup(len(kept), q, span).order():
+        raise AssertionError("generator elimination produced inconsistent orders")
+    eliminated = tuple((presentation.generators[col], sources[i])
+                       for i, col in sorted(pivot_of_row.items(), key=lambda kv: kv[1]))
+    report = MinimalityReport(
+        minimal=not pivot_cols,
+        eliminated=eliminated,
+        kept_generators=tuple(presentation.generators[k] for k in kept),
+        dropped_trivial_relators=tuple(dropped),
+        warnings=tuple(f"relator {source!r} is trivial up to class {TRIVIALITY_CLASS}; dropped"
+                       for source in dropped)
+        + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
+        images=tuple(y for _, _, y, _ in relators),
+    )
+    return span, report
 
 
 def _pair_columns(n):

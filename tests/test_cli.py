@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import gq3
 from gq3 import acceptance
 from gq3.cli import COMMANDS, _write, main, parse_args
-from gq3.presentations import parse_presentation
+from gq3.presentations import Commutator, Generator, Power, Product, parse_presentation
 from oracles import eager_relator_independence
 from test_bench_reports import _load_workloads_module
 from test_golden import CASES, GOLDEN
@@ -346,11 +347,20 @@ def test_reconstruct_cd_json_malformed_exit_3(change, tmp_path, capsys):
      "JSON object repeats key '1,2'"),
     ('{"cohomology": {"q": 3, "n": 1, "h2_rank": 0}, "minimality": {"a": 1, "a": 2}}',
      "JSON object repeats key 'a'"),
-], ids=["unknown-keys", "repeated-q", "repeated-cup-key", "repeated-key-around-the-tables"])
+    ('{"q": 3, "n": 2, "h2_rank": 3, "cup": {"1,2": [1, 0, true]}}',
+     "cup['1,2'] entry must be an integer, got True"),
+    ('{"q": 3, "n": 2, "h2_rank": 3, "bockstein": {"1": [0, 0, 1], "2": [1, 1.5, null]}}',
+     "bockstein['2'] entry must be an integer, got 1.5"),
+    ('{"q": 3, "n": 2, "h2_rank": 3, "cup": {"1,2": [1, 2, 3]}, "bockstein": {"1": ["1", 0, 0]}}',
+     "bockstein['1'] entry must be an integer, got '1'"),
+], ids=["unknown-keys", "repeated-q", "repeated-cup-key", "repeated-key-around-the-tables",
+        "bool-entry", "float-entry-before-null", "string-entry"])
 def test_reconstruct_cd_json_names_an_unknown_or_repeated_key(text, err, tmp_path, capsys):
     """The reader takes no key tables_json does not print, and no key twice
     in any object; without the checks, the first and third texts rebuild
-    groups of order 243 and 32, and the second reads q = 2."""
+    groups of order 243 and 32, and the second reads q = 2.  A cup or
+    Bockstein column is checked whole, and its first entry that is not a
+    JSON integer is named."""
     cd_path = tmp_path / "cd.json"
     cd_path.write_text(text)
     assert run_cli(capsys, "reconstruct", "--cd-json", str(cd_path)) == (
@@ -955,6 +965,9 @@ _REPORTS = st.recursive(
 @example([1, True])  # bools are ints to isinstance, and json prints true
 @example([True])
 @example([2**64, -2**64 - 1, 2**100, -(2**100)])
+# tuple and dict subclasses are written as their bases: records, nested and empty
+@example({"words": [Power(Generator(1), -2), Product(()), Commutator(Generator(0), Product(()))],
+          "tables": OrderedDict([("b", OrderedDict()), ("a", [])])})
 @example({"4": [[int(i == j) for j in range(81)] for i in range(81)]})  # the dyadic degree-4 block
 def test_report_writer_matches_json_dumps(value):
     out = []

@@ -29,6 +29,7 @@ from gq3.zqlin import canonicalize, full_subspace, prime_power, zero_subspace
 from oracles import (
     central_element,
     dense_evaluation,
+    every_column_relator_subspace,
     generator_element,
     node_by_node_evaluation,
     reference_commutator,
@@ -550,6 +551,85 @@ def test_full_elimination_gives_trivial_group():
     p = make_presentation(2, ["x1"], ["x1"])
     group, _ = truncated_quotient(p)
     assert group.order() == 1 and group.n == 0
+
+
+@st.composite
+def relator_presentations(draw):
+    """Presentations at q in {4, 8, 9}, n <= 4, whose relators are drawn by
+    kind: Frattini (q-th powers and commutators), with a unit exponent on
+    one generator, with a p-divisible exponent that is not a multiple of q
+    (mixed), with an identity image (trivial or certified), or a pair
+    x_a x_b, x_a x_b^p whose second member has a unit in column b only
+    after the first eliminates x_a; then shuffled."""
+    q = draw(st.sampled_from((4, 8, 9)))
+    p = prime_power(q)[0]
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+
+    def commutators():
+        if n == 1:
+            return ""
+        k, l = draw(index), draw(index)
+        return f" [x{k + 1},x{l + 1}]^{draw(st.integers(-q, q))}" if k != l else ""
+
+    rels = []
+    for kind in draw(st.lists(st.sampled_from(["frattini", "unit", "mixed", "identity", "chain"]),
+                              min_size=1, max_size=5)):
+        k = draw(index)
+        if kind == "frattini":
+            rels.append(f"x{k + 1}^{q * draw(st.integers(-q, q))}{commutators()}")
+        elif kind == "unit":
+            u = draw(st.integers(1, q * q - 1).filter(lambda x: x % p))
+            rels.append(f"x{k + 1}^{u} x{draw(index) + 1}^{draw(st.integers(-q, q))}{commutators()}")
+        elif kind == "mixed":
+            rels.append(f"x{k + 1}^{p * draw(st.integers(1, q // p - 1))}{commutators()}")
+        elif kind == "identity":
+            l = draw(index)
+            rels.append(draw(st.sampled_from([f"x{k + 1} x{k + 1}^-1", f"[x{k + 1},x{l + 1}]",
+                                              f"[x{k + 1},[x{k + 1},x{l + 1}]]",
+                                              f"[x{k + 1},x{l + 1}]^{q}"])))
+        elif n > 1:
+            b = draw(index.filter(lambda b: b != k))
+            rels += [f"x{k + 1} x{b + 1}", f"x{k + 1} x{b + 1}^{p}"]
+    return make_presentation(q, [f"x{k + 1}" for k in range(n)], draw(st.permutations(rels)))
+
+
+def _subspace_outcome(presentation, eliminate):
+    try:
+        return eliminate(presentation)
+    except MixedExponentError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relator_presentations())
+# the first relator has no unit entry; x1 x2^2 gets its pivot at x2 only
+# after x1 x2 eliminates x1
+@example(make_presentation(9, ["x1", "x2", "x3"], ["x3^9", "x1 x2^3", "x1 x2"]))
+@example(make_presentation(4, ["x1", "x2", "x3"], ["x3^4 [x1,x2]", "x1 x2", "x1 x2^2"]))
+def test_relator_subspace_matches_the_every_column_search(presentation):
+    """The span and report, or the MixedExponentError and its message, of
+    relator_subspace against the reference that searches every column for
+    a pivot and cuts every span by vanishing_part."""
+    assert (_subspace_outcome(presentation, relator_subspace)
+            == _subspace_outcome(presentation, every_column_relator_subspace))
+
+
+def test_minimal_presentation_runs_no_elimination(monkeypatch):
+    """A minimal presentation multiplies no relators and cuts no span:
+    no TruncGroup.power or multiply, and no vanishing_part."""
+    import gq3.trunc
+
+    calls = []
+    count_calls(monkeypatch, calls, TruncGroup, "power")
+    count_calls(monkeypatch, calls, TruncGroup, "multiply")
+    count_calls(monkeypatch, calls, gq3.trunc, "vanishing_part")
+    p = make_presentation(32, [f"x{k}" for k in range(1, 9)],
+                          ["x1^32 [x2,x3]", "x4^64 [x5,x6]^3 [x7,x8]", "[x1,x8]^5 x2^96",
+                           "[x3,x4]^16 x7^-32"])
+    _, report = relator_subspace(p)
+    assert report.minimal and len(report.kept_generators) == 8
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
