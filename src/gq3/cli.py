@@ -145,8 +145,8 @@ def _relator_images(p, report) -> list[dict]:
     out = []
     for source, y in zip(p.relator_sources, report.images):
         entry = {"relator": source, "degree1_mod_q": [e % p.q for e in y.e]}
-        if free.is_central(y):
-            entry["central_vector"] = list(free.central_vector(y))
+        if (vec := free.central_vector(y)) is not None:
+            entry["central_vector"] = list(vec)
         out.append(entry)
     return out
 

@@ -15,14 +15,14 @@ reconstruct_g3, the one reader of their JSON, eliminates their rows once
 into W, as relator_subspace does a presentation's relators.
 
 A morphism given by degree-1 images (trunc.degree_one reads them off the
-image words) acts on the free central layers as the Z/q-linear map L
-whose columns trunc.layer_map gives in closed form, and morphism_check
-reads both of its sides off L: the images define a morphism when L
-carries every source relator vector into the target's relator subspace
-W_2.  The decomposable part of H^2 pairs with W through the cup part
-C(t|c) = (kappa t | c), so its order is |C(W)|, and L^T maps the
-target's part onto the source's exactly when |C(L W_1)| = |C(W_1)|, as
-ker C always lies in ker(C L) on W_1.
+image words) acts on the free central layers as the Z/q-linear map L,
+which trunc.layer_image applies to one vector at a time from the images'
+degree-1 maps, and morphism_check reads both of its sides off L: the
+images define a morphism when L carries every source relator vector into
+the target's relator subspace W_2.  The decomposable part of H^2 pairs
+with W through the cup part C(t|c) = (kappa t | c), so its order is
+|C(W)|, and L^T maps the target's part onto the source's exactly when
+|C(L W_1)| = |C(W_1)|, as ker C always lies in ker(C L) on W_1.
 
 Relator independence and the obstruction screen read one pass,
 trunc.evaluate_relators, which certifies only relators whose free S^[3]
@@ -45,9 +45,8 @@ from .trunc import (
     TruncGroup,
     degree_one,
     evaluate_relators,
-    free_truncation,
     kappa_constant,
-    layer_map,
+    layer_image,
     pair_list,
     truncated_quotient,
 )
@@ -261,8 +260,7 @@ def _sorted_relators(group: TruncGroup, relators: list[tuple]):
     in reverse order, so that each relation row leads at its own column."""
     q, m = group.q, group.layer_rank
     p = prime_power(q)[0]
-    vectors = [group.central_vector(y) if group.is_central(y) else None
-               for _, _, y, _ in relators]
+    vectors = [group.central_vector(y) for _, _, y, _ in relators]
     live = [i for i, vec in enumerate(vectors) if vec is not None and any(vec)]
     r = len(live)
     rows = relations(q, m, [vectors[i] for i in reversed(live)])
@@ -356,15 +354,6 @@ def _cup_order(q: int, n: int, vectors) -> int:
     return canonicalize(q, n + len(pair_list(n)), cups).cardinality()
 
 
-def _combination(coeffs, vectors, width: int) -> list[int]:
-    """sum_i coeffs[i] * vectors[i], unreduced; zero coefficients are skipped."""
-    out = [0] * width
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            out = [x + c * y for x, y in zip(out, vec)]
-    return out
-
-
 def morphism_check(
     pres1: pres.Presentation,
     pres2: pres.Presentation,
@@ -390,19 +379,16 @@ def morphism_check(
     if len(images) != n1:
         raise MorphismError(f"expected {n1} generator images, got {len(images)}")
 
-    # the map L the images induce on the free central layers
     degree1 = [degree_one(q, n2, w) for w in images]
-    columns = layer_map(q, degree1)
 
-    # well-definedness: the source relators, central since the source is
-    # minimal, must map into the target's relator subspace
-    free1 = free_truncation(n1, q)
+    # well-definedness: every source relator, central as the source is
+    # minimal, must map into W_2 (its layer coordinates do not depend on W_1)
     for source, y in zip(pres1.relator_sources, rep1.images):
-        v = free1.central_vector(y)
-        if not g2.w.contains(_combination(v, columns, g2.layer_rank)):
+        if not g2.w.contains(layer_image(q, n2, degree1, g1.central_vector(y))):
             raise MorphismError(f"images do not respect relator {source!r}")
 
-    surjective = canonicalize(p, n2, degree1).cardinality() == p**n2
+    rows = [[a.get(k, 0) for k in range(n2)] for a in degree1]
+    surjective = canonicalize(p, n2, rows).cardinality() == p**n2
     pi2_iso = n1 == n2 and surjective
     pi3_iso = surjective and g1.order() == g2.order()
     h1_iso = pi2_iso
@@ -415,7 +401,7 @@ def morphism_check(
     # and kappa A t = A (kappa t) = 0.
     dec1 = _cup_order(q, n1, g1.w.basis)
     dec2 = _cup_order(q, n2, g2.w.basis)
-    pulled = _cup_order(q, n2, (_combination(w, columns, g2.layer_rank) for w in g1.w.basis))
+    pulled = _cup_order(q, n2, (layer_image(q, n2, degree1, w) for w in g1.w.basis))
     pidec2_iso = dec1 == dec2 == pulled
     target_h2_dec = dec2 == g2.w.cardinality()
 

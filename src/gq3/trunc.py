@@ -23,8 +23,10 @@ times as much at the caps.  At n = 8, q = 32 evaluate_word took 99 and
 192 us in place of 41 and 68 us on the two dense words of
 tests/worst_certificates.json, and 4.4 ms in place of 1.4 ms on a
 30-deep commutator of 40-syllable products (timeit, min of 5; Python
-3.11, 2 shared vCPUs).  multiply, power, inverse and commutator wrap the
-same functions on dense normal forms.
+3.11, 2 shared vCPUs).  _write_layer writes x^q and [x, y] into rows from
+degree-1 maps, for relator elimination and layer_image (a morphism's map
+on central layers).  multiply, power, inverse and commutator wrap the
+law on dense normal forms for selftest criterion 2.
 
 Quotients G^[3] of S^[3] by a subgroup W of the central layer carry the
 same normal forms with the central part reduced to a canonical coset
@@ -32,8 +34,8 @@ representative mod W.  W is central, so that representative depends only
 on the coset, and evaluate_word reduces once, after a whole word.
 Presentations whose relators stick out of the Frattini subgroup are reduced
 to that shape by eliminating generators with unit pivots, sought only where
-some relator has a unit entry; the relator span is then cut to the kept
-generators by zqlin.vanishing_part, if any were eliminated.
+some relator has a unit entry, on the sparse maps; the relator span is then
+cut to the kept generators by zqlin.vanishing_part, if any were eliminated.
 """
 
 from __future__ import annotations
@@ -152,6 +154,8 @@ def _evaluate(q: int, n: int, word):
     if kind is pres.Generator:
         return {_leaf(n, word): 1}, {}
     if kind is pres.Power:
+        if type(word[0]) is pres.Generator:
+            return {_leaf(n, word[0]): word[1] % (q * q)}, {}
         return _power(q, _evaluate(q, n, word[0]), word[1])
     if kind is pres.Product:
         out = None
@@ -160,27 +164,30 @@ def _evaluate(q: int, n: int, word):
             out = y if out is None else _product(q, out, y)
         return ({}, {}) if out is None else out
     if kind is pres.Commutator:
-        return {}, _commutator(q, _degree_one(q, n, word[0]), _degree_one(q, n, word[1]))
+        return {}, _commutator(q, degree_one(q, n, word[0]), degree_one(q, n, word[1]))
     raise TypeError(f"not a word node: {word!r}")
 
 
-def _degree_one(q: int, n: int, word) -> dict[int, int]:
-    """The e map of _evaluate(q, n, word) alone: no commutator part is
-    formed, but every leaf is still checked."""
+def degree_one(q: int, n: int, word) -> dict[int, int]:
+    """The e map of _evaluate(q, n, word) alone, exponents mod q^2 of the
+    word's image in the free S^[3]: no commutator part is formed, but every
+    leaf is still checked."""
     kind = type(word)
     if kind is pres.Generator:
         return {_leaf(n, word): 1}
     if kind is pres.Power:
-        return _scale(q * q, _degree_one(q, n, word[0]), word[1])
+        if type(word[0]) is pres.Generator:
+            return {_leaf(n, word[0]): word[1] % (q * q)}
+        return _scale(q * q, degree_one(q, n, word[0]), word[1])
     if kind is pres.Product:
         out = None
         for f in word[0]:
-            y = _degree_one(q, n, f)
+            y = degree_one(q, n, f)
             out = y if out is None else _add(q * q, out, y)
         return {} if out is None else out
     if kind is pres.Commutator:
-        _degree_one(q, n, word[0])
-        _degree_one(q, n, word[1])
+        degree_one(q, n, word[0])
+        degree_one(q, n, word[1])
         return {}
     raise TypeError(f"not a word node: {word!r}")
 
@@ -192,46 +199,49 @@ def _leaf(n: int, word) -> int:
     return k
 
 
-def degree_one(q: int, n: int, word: pres.Word) -> tuple[int, ...]:
-    """Degree-1 exponents mod q^2 of word's image in the free S^[3] on n
-    generators, without forming its commutator part."""
-    return _dense(range(n), _degree_one(q, n, word))
-
-
 def _dense(keys, x) -> tuple:
     """The values of the map x at keys, 0 where x has none."""
     return tuple(map(x.get, keys, itertools.repeat(0)))
 
 
-# ---------------------------------------------------------------------------
-# The central layer in closed form: x^q and [x, y] depend only on the
-# degree-1 exponents a, b of x, y, mod q.
+@functools.cache
+def _layer_positions(n: int) -> dict:
+    """The layer's coordinates in order, keyed by the generators each
+    involves: u_k = sigma_k^q as (k,), then w_kl as (k, l).  Shared: read only."""
+    return dict(zip([(k,) for k in range(n)] + list(pair_list(n)), itertools.count()))
 
 
-def _support(a: Sequence[int]) -> dict[int, int]:
-    return {k: x for k, x in enumerate(a) if x}
+def _write_layer(q: int, kappa: int, row: list, at: dict, m: int, a, b=None) -> None:
+    """Add m times into row, mod q, the central vector of x^q,
+    (a | -kappa a_k a_l), if b is None, else of [x, y], (0 | a_k b_l - a_l b_k),
+    for x, y with degree-1 maps a, b (read mod q, zeros may be left out);
+    the coordinate with key K (see _layer_positions) is row[at[K]]."""
+    if b is None:
+        for k, x in a.items():
+            row[at[k,]] = (row[at[k,]] + m * x) % q
+            if kappa:
+                for l, y in a.items():
+                    if k < l:
+                        row[at[k, l]] = (row[at[k, l]] - kappa * m * x * y) % q
+        return
+    for k, x in a.items():
+        for l, y in b.items():
+            if k < l:
+                row[at[k, l]] = (row[at[k, l]] + m * x * y) % q
+            elif l < k:
+                row[at[l, k]] = (row[at[l, k]] - m * x * y) % q
 
 
-def power_vector(q: int, a: Sequence[int]) -> tuple[int, ...]:
-    """Central vector of x^q for x in S^[3] with integer degree-1
-    exponents a: (a | -kappa a_k a_l for k < l)."""
-    e, c = _power(q, (_support(a), {}), q)
-    return tuple([x // q for x in _dense(range(len(a)), e)]) + _dense(pair_list(len(a)), c)
-
-
-def commutator_vector(q: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Central vector of [x, y] for x, y in S^[3] with integer degree-1
-    exponents a, b: (0 | a_k b_l - a_l b_k for k < l)."""
-    return (0,) * len(a) + _dense(pair_list(len(a)), _commutator(q, _support(a), _support(b)))
-
-
-def layer_map(q: int, images: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Columns of the map on central layers induced by sigma_k -> x_k, where
-    x_k has degree-1 exponents images[k]: the images of u_k = sigma_k^q,
-    then of w_kl = [sigma_k, sigma_l] for k < l."""
-    columns = [power_vector(q, a) for a in images]
-    return columns + [commutator_vector(q, images[k], images[l])
-                      for k, l in pair_list(len(images))]
+def layer_image(q: int, n: int, images: Sequence[dict], v: Sequence[int]) -> list[int]:
+    """L v mod q, for the map L on central layers that sigma_k -> x_k, x_k
+    with degree-1 map images[k], induces into the free S^[3] on n generators:
+    only v's nonzero entries are read, each weighting x_k^q or [x_k, x_l]."""
+    at, kappa = _layer_positions(n), kappa_constant(q)
+    row = [0] * len(at)
+    for key, x in zip(_layer_positions(len(images)), v):
+        if x:
+            _write_layer(q, kappa, row, at, x, *(images[k] for k in key))
+    return row
 
 
 class TruncElement(record("e c")):
@@ -324,14 +334,10 @@ class TruncGroup(record("n q w")):
 
     # -- central layer ----------------------------------------------------
 
-    def is_central(self, x: TruncElement) -> bool:
-        return all(ek % self.q == 0 for ek in x.e)
-
-    def central_vector(self, x: TruncElement) -> tuple[int, ...]:
-        """Coordinates (t | c) of a central element in the layer (Z/q)^{n + C(n,2)}."""
-        if not self.is_central(x):
-            raise ValueError("element is not in the central layer")
-        return tuple(ek // self.q for ek in x.e) + x.c
+    def central_vector(self, x: TruncElement) -> tuple[int, ...] | None:
+        """Coordinates (t | c) of x in the layer (Z/q)^{n + C(n,2)}, or None
+        if x is not central."""
+        return None if any(ek % self.q for ek in x.e) else tuple(ek // self.q for ek in x.e) + x.c
 
     def elements(self):
         """Iterate all canonical normal forms (small groups only)."""
@@ -395,38 +401,41 @@ def relator_subspace(
     computed over the surviving generators.  Pivots are sought only in the
     columns where some relator has a unit entry: replacement adds multiples
     of relators, and sums and multiples of p-divisible entries stay
-    p-divisible.  A relator with identity image and no nontriviality
-    certificate at TRIVIALITY_CLASS (evaluate_relators certifies only such
-    images) is dropped with a warning.  Raises MixedExponentError when
+    p-divisible.  Replacement runs on _evaluate's sparse maps, and rows are
+    written once, in final column order.  A relator with identity image and
+    no nontriviality certificate at TRIVIALITY_CLASS (only such images are
+    certified) is dropped with a warning.  Raises MixedExponentError when
     elimination stalls on a p-divisible nonzero image.  The report carries
     the free image of every relator, dropped ones included.
     """
     n, q = presentation.n, presentation.q
     p = prime_power(q)[0]
-    group, relators = evaluate_relators(presentation, TRIVIALITY_CLASS)
+    group = free_truncation(n, q)
     identity = group.identity()
-    dropped, ys, sources = [], [], []
-    for source, _, y, cert in relators:
-        if cert is None and y == identity:
+    images, dropped, ys, sources = [], [], [], []
+    for word, source in zip(presentation.relators, presentation.relator_sources):
+        maps = _evaluate(q, n, word)
+        images.append(group._element(*maps))
+        if images[-1] == identity and word_nontriviality_certificate(word, n, TRIVIALITY_CLASS) is None:
             dropped.append(source)
         else:
-            ys.append(y)
+            ys.append(maps)
             sources.append(source)
 
-    # Unit-pivot Gauss-Jordan on the degree-1 images, column by column, by
+    # Unit-pivot Gauss-Jordan on the degree-1 maps, column by column, by
     # relator replacement inside S^[3] so the normal closure never changes.
     pivot_of_row: dict[int, int] = {}
-    for col in sorted({k for y in ys for k, x in enumerate(y.e) if x % p}):
-        i = next((i for i, y in enumerate(ys) if i not in pivot_of_row and y.e[col] % p), None)
+    for col in sorted({k for e, _ in ys for k, x in e.items() if x % p}):
+        i = next((i for i, y in enumerate(ys) if i not in pivot_of_row and y[0].get(col, 0) % p), None)
         if i is None:
             continue
-        u = unit_inverse(ys[i].e[col] % q, q)
+        u = unit_inverse(ys[i][0][col] % q, q)
         if u != 1:
-            ys[i] = group.power(ys[i], u)
-        for j, y in enumerate(ys):
-            alpha = y.e[col] % q
+            ys[i] = _power(q, ys[i], u)
+        for j, (e, _) in enumerate(ys):
+            alpha = e.get(col, 0) % q
             if alpha and j != i:
-                ys[j] = group.multiply(y, group.power(ys[i], -alpha))
+                ys[j] = _product(q, ys[j], _power(q, ys[i], -alpha))
         pivot_of_row[i] = col
     pivot_cols = set(pivot_of_row.values())
 
@@ -435,23 +444,28 @@ def relator_subspace(
     # relator subgroup meets of the smaller free truncation.
     kept_indices = [k for k in range(n) if k not in pivot_cols]
     lead = group.layer_rank - len(kept_indices) - len(pair_list(len(kept_indices)))
-    if lead:
-        kept = [k not in pivot_cols for k in range(n)] + [pivot_cols.isdisjoint(c) for c in group.pairs]
-        columns = sorted(range(group.layer_rank), key=kept.__getitem__)
+    at = (dict(zip(sorted(_layer_positions(n), key=pivot_cols.isdisjoint), itertools.count()))
+          if lead else _layer_positions(n))
 
     # A pivot relator y contributes the central elements y^q and
     # [y, sigma_j] of its normal closure; any other relator must be central.
-    # Each row is written once, in the order of columns.
-    central_rows = []
-    for i, y in enumerate(ys):
+    kappa, central_rows = kappa_constant(q), []
+    for i, (e, c) in enumerate(ys):
         if i in pivot_of_row:
-            rows = [power_vector(q, y.e), *(commutator_vector(q, y.e, axis(n, j)) for j in range(n))]
-        elif any(x % q for x in y.e):
+            y = {k: x for k, x in e.items() if x % q}
+            rows = [[0] * group.layer_rank for _ in range(n + 1)]
+            for row, sigma in zip(rows, [None, *({j: 1} for j in range(n))]):
+                _write_layer(q, kappa, row, at, 1, y, sigma)
+        elif any(x % q for x in e.values()):
             raise MixedExponentError(f"relator {sources[i]!r} has p-divisible nonzero degree-1 "
                                      "image; the mod-q abelianization is not elementary of exponent q")
         else:
-            rows = [[x // q for x in y.e] + list(y.c)]
-        central_rows += [[row[c] for c in columns] for row in rows] if lead else rows
+            rows = [[0] * group.layer_rank]
+            for k, x in e.items():
+                rows[0][at[k,]] = x // q
+            for pair, x in c.items():
+                rows[0][at[pair]] = x
+        central_rows += rows
 
     eliminated = tuple((presentation.generators[col], sources[i]) for i, col in pivot_of_row.items())
     big_span = canonicalize(q, group.layer_rank, central_rows)
@@ -471,7 +485,7 @@ def relator_subspace(
         warnings=tuple(f"relator {source!r} is trivial up to class {TRIVIALITY_CLASS}; dropped"
                        for source in dropped)
         + tuple(f"eliminated generator {g!r} using relator {r!r}" for g, r in eliminated),
-        images=tuple(y for _, _, y, _ in relators),
+        images=tuple(images),
     )
     return span, report
 

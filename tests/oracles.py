@@ -14,12 +14,14 @@ take relator subspaces with a pivot search over every column and a
 vanishing part cut even where no generator is eliminated,
 find the center of a G^[3] from one kernel of all its stacked commutator
 rows, run selftest criterion 2's laws one tuple and one random triple at
-a time,
-build the layer map of a morphism through the group law, form the lift
-of the decomposable part of H^2 as a direct sum and by one Howell form
-over the whole layer, decide the morphism H^2 condition on the
-annihilators of the relator subspaces, keep the cohomology tables as cup
-and Bockstein dicts and transpose them into lambda's rows, compute the
+a time, write the central vectors of q-th powers and commutators and
+the columns of a morphism's layer map densely through the law's closed
+forms and combine those columns, build the layer map through the group
+law, form the lift of the decomposable part of H^2 as a direct sum and
+by one Howell form over the whole layer, decide the morphism H^2
+condition on the annihilators of the relator subspaces, keep the
+cohomology tables as cup and Bockstein dicts and transpose them into
+lambda's rows, compute the
 coboundaries among the Bockstein and cup cocycles on the elements of a
 finite G^[3] and the null space of printed tables by enumeration,
 substitute words into words, compute word certificates the direct way,
@@ -51,7 +53,6 @@ from gq3.cohom import (
     MorphismReport,
     Report,
     TestOutcome,
-    _combination,
     _require_minimal,
     cohomology_data_from_presentation,
 )
@@ -91,14 +92,14 @@ from gq3.trunc import (
     MixedExponentError,
     TruncElement,
     TruncGroup,
+    _commutator,
+    _dense,
+    _power,
     abelianization,
-    commutator_vector,
     evaluate_relators,
     free_truncation,
     kappa_constant,
-    layer_map,
     pair_list,
-    power_vector,
     truncated_quotient,
 )
 from gq3.zqlin import (
@@ -357,6 +358,41 @@ def node_by_node_evaluation(g, word):
     raise TypeError(f"not a word node: {word!r}")
 
 
+def _support(a):
+    return {k: x for k, x in enumerate(a) if x}
+
+
+def power_vector(q, a):
+    """Central vector of x^q for x in S^[3] with integer degree-1
+    exponents a: (a | -kappa a_k a_l for k < l)."""
+    e, c = _power(q, (_support(a), {}), q)
+    return tuple([x // q for x in _dense(range(len(a)), e)]) + _dense(pair_list(len(a)), c)
+
+
+def commutator_vector(q, a, b):
+    """Central vector of [x, y] for x, y in S^[3] with integer degree-1
+    exponents a, b: (0 | a_k b_l - a_l b_k for k < l)."""
+    return (0,) * len(a) + _dense(pair_list(len(a)), _commutator(q, _support(a), _support(b)))
+
+
+def layer_map(q, images):
+    """Columns of the map on central layers induced by sigma_k -> x_k, where
+    x_k has degree-1 exponents images[k]: the images of u_k = sigma_k^q,
+    then of w_kl = [sigma_k, sigma_l] for k < l."""
+    columns = [power_vector(q, a) for a in images]
+    return columns + [commutator_vector(q, images[k], images[l])
+                      for k, l in pair_list(len(images))]
+
+
+def _combination(coeffs, vectors, width):
+    """sum_i coeffs[i] * vectors[i], unreduced; zero coefficients are skipped."""
+    out = [0] * width
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, vec)]
+    return out
+
+
 def every_column_relator_subspace(presentation):
     """relator_subspace, pass by pass: the unit-pivot search visits every
     column, the non-pivot relators are tested central before any row is
@@ -388,7 +424,7 @@ def every_column_relator_subspace(presentation):
         pivot_of_row[i] = col
     pivot_cols = set(pivot_of_row.values())
     for i, y in enumerate(ys):
-        if i not in pivot_of_row and not group.is_central(y):
+        if i not in pivot_of_row and group.central_vector(y) is None:
             raise MixedExponentError(
                 f"relator {sources[i]!r} has p-divisible nonzero degree-1 image; "
                 "the mod-q abelianization is not elementary of exponent q"
@@ -683,10 +719,10 @@ def coboundary_classes(presentation):
     layer_rank, pairs = free.layer_rank, free.pairs
     vectors = []
     for word in presentation.relators:
-        y = node_by_node_evaluation(free, word)
-        if not free.is_central(y):
+        vec = free.central_vector(node_by_node_evaluation(free, word))
+        if vec is None:
             raise ValueError("relator image is not central")
-        vectors.append(free.central_vector(y))
+        vectors.append(vec)
     span, frontier = {(0,) * layer_rank}, [(0,) * layer_rank]
     while frontier:
         u = frontier.pop()
@@ -1362,8 +1398,7 @@ def quadratic_sorted_relators(group, relators):
     """(relator, kind) as cohom._sorted_relators gives them, each nonzero
     central image tested against one Howell form of the other central
     images: r spans for r relators."""
-    vectors = [group.central_vector(y) if group.is_central(y) else None
-               for _, _, y, _ in relators]
+    vectors = [group.central_vector(y) for _, _, y, _ in relators]
     kinds = []
     for i, (relator, vec) in enumerate(zip(relators, vectors)):
         if vec is None:
@@ -1384,7 +1419,7 @@ def eager_relator_independence(presentation, certificate_class=5):
     group = free_truncation(n, q)
     outcomes = []
     infos = _certified_images(group, presentation, certificate_class)
-    vectors = [group.central_vector(y) if group.is_central(y) else None for _, y, _ in infos]
+    vectors = [group.central_vector(y) for _, y, _ in infos]
     failed = False
     p = prime_power(q)[0]
     for i, (vec, (source, y, cert)) in enumerate(zip(vectors, infos)):
@@ -1449,7 +1484,8 @@ def eager_obstruction_screen(presentation, cd_bound=None, torsion_free=False,
         return Report("obstructed", tuple(outcomes), tuple(assumptions))
     outcomes.append(TestOutcome("relation-subgroup-inside-level-3", "passed"))
 
-    central = [(s, group.central_vector(y), c) for s, y, c in live if group.is_central(y)]
+    central = [(s, group.central_vector(y), c) for s, y, c in live
+               if group.central_vector(y) is not None]
     triggered = None
     for i, (source, vec, cert) in enumerate(central):
         named = (f"certified relator {source!r}" if cert is not None else f"relator {source!r} "

@@ -548,19 +548,22 @@ NONMIN3 = 'q = 3;\ngens = [x1, x2, x3];\nrels = ["x1 [x2,x3]", "x2^3", "x3 x3^-1
     ("screen", [SOURCE3], []),
 ], ids=["truncate", "truncate-nonminimal", "morphism", "screen-cd", "equiv", "screen"])
 def test_each_relator_is_evaluated_once(tmp_path, capsys, monkeypatch, command, texts, extra):
+    """Every evaluation of a word in S^[3] walks its tree through
+    trunc._evaluate, whether from TruncGroup.evaluate_word or from relator
+    elimination, so each relator is seen there exactly once."""
+    import gq3.trunc
     from gq3.presentations import parse_presentation
-    from gq3.trunc import TruncGroup
 
     paths = []
     for i, text in enumerate(texts):
         paths.append(tmp_path / f"p{i}.pres")
         paths[-1].write_text(text)
     calls = []
-    count_calls(monkeypatch, calls, TruncGroup, "evaluate_word")
+    count_calls(monkeypatch, calls, gq3.trunc, "_evaluate")
     code, _, err = run_cli(capsys, command, *map(str, paths), *extra)
     assert code == 0, err
     relators = [word for text in texts for word in parse_presentation(text).relators]
-    assert [sum(args[1] == word for args in calls) for word in relators] == [1] * len(relators)
+    assert [sum(args[2] == word for args in calls) for word in relators] == [1] * len(relators)
 
 
 @pytest.mark.parametrize("command", ["truncate", "equiv", "screen"])

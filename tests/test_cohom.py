@@ -45,7 +45,7 @@ from gq3.trunc import (
     TruncElement,
     evaluate_relators,
     free_truncation,
-    layer_map,
+    layer_image,
     pair_list,
     relator_subspace,
     truncated_quotient,
@@ -61,6 +61,7 @@ from gq3.zqlin import (
 )
 from oracles import (
     DictCohomologyTables,
+    _combination,
     _decomposable_part_lift,
     annihilator_morphism_check,
     coboundary_classes,
@@ -69,6 +70,7 @@ from oracles import (
     eager_relator_independence,
     eliminated_decomposable_part_lift,
     group_law_layer_columns,
+    layer_map,
     pivot_scan_smith_diagonal,
     pretty,
     quadratic_sorted_relators,
@@ -551,7 +553,7 @@ def assert_dependent_witnesses(presentation):
     q = group.q
     p = prime_power(q)[0]
     live = [j for j, (_, _, y, _) in enumerate(relators)
-            if group.is_central(y) and y != group.identity()]
+            if group.central_vector(y) is not None and y != group.identity()]
     rows = relations(q, group.layer_rank, [group.central_vector(relators[j][2]) for j in live])
     called = called_dependent(presentation, relators)
     for i in called:
@@ -605,7 +607,7 @@ def assert_independent_witnesses(presentation):
     group, relators = evaluate_relators(presentation, 3)
     q, m = group.q, group.layer_rank
     live = {j: group.central_vector(y) for j, (_, _, y, _) in enumerate(relators)
-            if group.is_central(y) and y != group.identity()}
+            if group.central_vector(y) is not None and y != group.identity()}
     called = [int(mt[1]) for t in check_relator_independence(presentation, 3).tests
               if (mt := re.fullmatch(r"relator\[(\d+)\] independent", t.name))]
     assert len(called) <= prime_power(q)[1] * m
@@ -755,6 +757,34 @@ def test_layer_map_matches_group_law(q):
             for _ in range(n1)
         ]
         assert layer_map(q, [x.e for x in images]) == group_law_layer_columns(images, free2)
+
+
+@st.composite
+def layer_images_and_vectors(draw):
+    """A modulus q <= 32, degree-1 images mod q^2 of n1 <= 8 generators in
+    the free S^[3] on n2 <= 8, and a vector of the source layer mod q, each
+    entry zero about half the time."""
+    q = draw(st.sampled_from(PRIME_POWERS_TO_32))
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def entries(size, bound):
+        return draw(st.lists(st.one_of(st.just(0), st.integers(1, bound - 1)),
+                             min_size=size, max_size=size))
+
+    images = [entries(n2, q * q) for _ in range(n1)]
+    return q, n2, images, entries(n1 + len(pair_list(n1)), q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer_images_and_vectors())
+def test_layer_image_matches_the_layer_map_columns(case):
+    """L v written per vector from the images' maps, dense or cut to their
+    support mod q, against the combination of the closed-form columns."""
+    q, n2, images, v = case
+    want = [x % q for x in _combination(v, layer_map(q, images), n2 + len(pair_list(n2)))]
+    assert layer_image(q, n2, [dict(enumerate(a)) for a in images], v) == want
+    supports = [{k: x for k, x in enumerate(a) if x % q} for a in images]
+    assert layer_image(q, n2, supports, v) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])

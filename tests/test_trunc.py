@@ -369,7 +369,8 @@ def test_evaluate_word_matches_dense_evaluation(case):
     assert _outcome(TruncGroup.evaluate_word, g, word) == _outcome(dense_evaluation, g, word)
     free = free_truncation(g.n, g.q)
     want = _outcome(lambda _, w: dense_evaluation(free, w).e, g, word)
-    assert _outcome(lambda _, w: degree_one(g.q, g.n, w), g, word) == want
+    dense_degree_one = lambda _, w: tuple(degree_one(g.q, g.n, w).get(k, 0) for k in range(g.n))  # noqa: E731
+    assert _outcome(dense_degree_one, g, word) == want
 
 
 @pytest.mark.parametrize("word", STRAY_WORDS)
@@ -555,15 +556,16 @@ def test_full_elimination_gives_trivial_group():
 
 @st.composite
 def relator_presentations(draw):
-    """Presentations at q in {4, 8, 9}, n <= 4, whose relators are drawn by
-    kind: Frattini (q-th powers and commutators), with a unit exponent on
-    one generator, with a p-divisible exponent that is not a multiple of q
-    (mixed), with an identity image (trivial or certified), or a pair
-    x_a x_b, x_a x_b^p whose second member has a unit in column b only
-    after the first eliminates x_a; then shuffled."""
-    q = draw(st.sampled_from((4, 8, 9)))
+    """Presentations at q in {2, 3, 4, 8, 9, 32}, n <= 8, whose relators
+    are drawn by kind: Frattini (q-th powers and commutators), with a unit
+    exponent on one generator and any on two more, with a p-divisible
+    exponent that is not a multiple of q (mixed, at q > p only), with an
+    identity image (trivial or certified), or a pair x_a x_b, x_a x_b^p
+    whose second member has a unit in column b only after the first
+    eliminates x_a; then shuffled."""
+    q = draw(st.sampled_from((2, 3, 4, 8, 9, 32)))
     p = prime_power(q)[0]
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
     index = st.integers(0, n - 1)
 
     def commutators():
@@ -573,14 +575,15 @@ def relator_presentations(draw):
         return f" [x{k + 1},x{l + 1}]^{draw(st.integers(-q, q))}" if k != l else ""
 
     rels = []
-    for kind in draw(st.lists(st.sampled_from(["frattini", "unit", "mixed", "identity", "chain"]),
-                              min_size=1, max_size=5)):
+    kinds = ["frattini", "unit", "identity", "chain"] + ["mixed"] * (q > p)
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
         k = draw(index)
         if kind == "frattini":
             rels.append(f"x{k + 1}^{q * draw(st.integers(-q, q))}{commutators()}")
         elif kind == "unit":
             u = draw(st.integers(1, q * q - 1).filter(lambda x: x % p))
-            rels.append(f"x{k + 1}^{u} x{draw(index) + 1}^{draw(st.integers(-q, q))}{commutators()}")
+            rels.append(f"x{k + 1}^{u} x{draw(index) + 1}^{draw(st.integers(-q, q))} "
+                        f"x{draw(index) + 1}^{draw(st.integers(-q, q))}{commutators()}")
         elif kind == "mixed":
             rels.append(f"x{k + 1}^{p * draw(st.integers(1, q // p - 1))}{commutators()}")
         elif kind == "identity":
@@ -607,6 +610,11 @@ def _subspace_outcome(presentation, eliminate):
 # after x1 x2 eliminates x1
 @example(make_presentation(9, ["x1", "x2", "x3"], ["x3^9", "x1 x2^3", "x1 x2"]))
 @example(make_presentation(4, ["x1", "x2", "x3"], ["x3^4 [x1,x2]", "x1 x2", "x1 x2^2"]))
+# at n = 8 the second relator is eliminated against the first's pivot at x1
+# and left central with t_1 = 1, so the pivot's y^q row, with its
+# -kappa y_2 y_3 entry, reaches the span of the kept generators
+@example(make_presentation(8, [f"x{k}" for k in range(1, 9)],
+                           ["x1 x2 x3 [x4,x5]", "x1^9 x2 x3 [x6,x7]", "x8^8 [x1,x8] [x2,x7]^3"]))
 def test_relator_subspace_matches_the_every_column_search(presentation):
     """The span and report, or the MixedExponentError and its message, of
     relator_subspace against the reference that searches every column for
@@ -630,6 +638,22 @@ def test_minimal_presentation_runs_no_elimination(monkeypatch):
     _, report = relator_subspace(p)
     assert report.minimal and len(report.kept_generators) == 8
     assert calls == []
+
+
+def test_elimination_runs_on_maps_only(monkeypatch):
+    """A non-minimal presentation is eliminated on sparse maps: no
+    TruncGroup.power or multiply, and the span is cut once."""
+    import gq3.trunc
+
+    calls, cuts = [], []
+    count_calls(monkeypatch, calls, TruncGroup, "power")
+    count_calls(monkeypatch, calls, TruncGroup, "multiply")
+    count_calls(monkeypatch, cuts, gq3.trunc, "vanishing_part")
+    p = make_presentation(8, [f"x{k}" for k in range(1, 9)],
+                          ["x1^3 x2 [x3,x4]", "x1 x2^6 [x5,x6]", "x3^8 x4^16 [x1,x8]", "x7^3 x8^-8"])
+    _, report = relator_subspace(p)
+    assert [g for g, _ in report.eliminated] == ["x1", "x2", "x7"]
+    assert calls == [] and len(cuts) == 1
 
 
 # ---------------------------------------------------------------------------
