@@ -28,14 +28,16 @@ degree-1 maps, for relator elimination and layer_image (a morphism's map
 on central layers).  multiply, power, inverse and commutator wrap the
 law on dense normal forms for selftest criterion 2.
 
-Quotients G^[3] of S^[3] by a subgroup W of the central layer carry the
-same normal forms with the central part reduced to a canonical coset
-representative mod W.  W is central, so that representative depends only
-on the coset, and evaluate_word reduces once, after a whole word.
-Presentations whose relators stick out of the Frattini subgroup are reduced
-to that shape by eliminating generators with unit pivots, sought only where
-some relator has a unit entry, on the sparse maps; the relator span is then
-cut to the kept generators by zqlin.vanishing_part, if any were eliminated.
+A quotient G^[3] of S^[3] by a subgroup W of the central layer is its W:
+order and invariants are read off W, and a morphism's H^2 condition asks
+W to contain layer images.  Element arithmetic (multiply, power, inverse,
+commutator, evaluate_word, elements) is S^[3]'s alone: on a group with
+nonzero W it raises ValueError, since no answer names a coset of W.
+Presentations whose relators stick out of the Frattini subgroup are
+reduced to that shape by eliminating generators with unit pivots, sought
+only where some relator has a unit entry, on the sparse maps; the relator
+span is then cut to the kept generators by zqlin.vanishing_part, if any
+were eliminated.
 """
 
 from __future__ import annotations
@@ -252,8 +254,13 @@ class TruncElement(record("e c")):
     c: tuple[int, ...]
 
 
+# The one message of element arithmetic on a group with nonzero w.
+QUOTIENT_ARITHMETIC = "element arithmetic is S^[3]'s alone; this group has nonzero w"
+
+
 class TruncGroup(record("n q w")):
-    """S^[3] (w = 0) or a central quotient G^[3] = S^[3]/w."""
+    """S^[3] (w = 0) or a central quotient G^[3] = S^[3]/w, held as w: its
+    element arithmetic runs only at w = 0."""
 
     __slots__ = ()
     n: int
@@ -289,18 +296,6 @@ class TruncGroup(record("n q w")):
     def identity(self) -> TruncElement:
         return TruncElement((0,) * self.n, (0,) * self.npairs)
 
-    # -- normal forms -----------------------------------------------------
-
-    def normalize(self, x: TruncElement) -> TruncElement:
-        """Reduce the central (t|c) part of x to its canonical coset rep."""
-        q = self.q
-        if self.w.nrows == 0:
-            return x
-        vec = tuple(ek // q for ek in x.e) + x.c
-        red = self.w.reduce_vector(vec)
-        e = tuple((x.e[k] % q) + q * red[k] for k in range(self.n))
-        return TruncElement(e, tuple(red[self.n:]))
-
     # -- group law --------------------------------------------------------
 
     def _maps(self, x: TruncElement):
@@ -311,8 +306,10 @@ class TruncGroup(record("n q w")):
         return dict(enumerate(x.e)), dict(zip(pairs, x.c))
 
     def _element(self, e, c) -> TruncElement:
-        """The normal form of sparse maps (e, c), reduced mod w."""
-        return self.normalize(TruncElement(_dense(range(self.n), e), _dense(pair_list(self.n), c)))
+        """The normal form of sparse maps (e, c); ValueError if w is nonzero."""
+        if self.w.nrows:
+            raise ValueError(QUOTIENT_ARITHMETIC)
+        return TruncElement(_dense(range(self.n), e), _dense(pair_list(self.n), c))
 
     def multiply(self, a: TruncElement, b: TruncElement) -> TruncElement:
         return self._element(*_product(self.q, self._maps(a), self._maps(b)))
@@ -329,7 +326,7 @@ class TruncGroup(record("n q w")):
 
     def evaluate_word(self, word: pres.Word) -> TruncElement:
         """Homomorphic evaluation of a word in the generators: one pass over
-        its tree on sparse maps, then one reduction mod w."""
+        its tree on sparse maps, then one dense normal form."""
         return self._element(*_evaluate(self.q, self.n, word))
 
     # -- central layer ----------------------------------------------------
@@ -340,15 +337,13 @@ class TruncGroup(record("n q w")):
         return None if any(ek % self.q for ek in x.e) else tuple(ek // self.q for ek in x.e) + x.c
 
     def elements(self):
-        """Iterate all canonical normal forms (small groups only)."""
-        q, qq = self.q, self.q * self.q
-        seen = set()
-        for e in itertools.product(range(qq), repeat=self.n):
-            for c in itertools.product(range(q), repeat=self.npairs):
-                x = self.normalize(TruncElement(e, c))
-                if x not in seen:
-                    seen.add(x)
-                    yield x
+        """An iterator over the q^(2n + C(n,2)) normal forms of S^[3] (small
+        groups only); ValueError at the call if w is nonzero."""
+        if self.w.nrows:
+            raise ValueError(QUOTIENT_ARITHMETIC)
+        q = self.q
+        return (TruncElement(e, c) for e in itertools.product(range(q * q), repeat=self.n)
+                for c in itertools.product(range(q), repeat=self.npairs))
 
 
 def free_truncation(n: int, q: int) -> TruncGroup:

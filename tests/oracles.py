@@ -7,7 +7,10 @@ Hall elements and build Hall bases weight by weight, build identity and
 zero Z/q matrices, take Howell forms subtracting each pivot row over the
 whole width, with their own valuations and pivot inverses (none of
 zqlin's prime_power or unit_inverse), enumerate small submodules, take
-Smith diagonals by pivot scanning, build central elements, raise powers and take
+Smith diagonals by pivot scanning, reduce normal forms mod W to their
+cosets' canonical representatives (QuotientReference, the element
+arithmetic of a quotient G^[3] that the enumeration oracles walk, since
+gq3's is S^[3]'s alone), build central elements, raise powers and take
 commutators by repeated products, build generators and evaluate words
 one group operation per node or in one pass on dense exponent lists,
 take relator subspaces with a pivot search over every column and a
@@ -277,13 +280,47 @@ def subspace_vectors(w: ZqSubspace):
         yield tuple(acc)
 
 
+def normalize(g, x):
+    """Reduce the central (t|c) part of x to its canonical coset rep mod g.w."""
+    q = g.q
+    if g.w.nrows == 0:
+        return x
+    vec = tuple(ek // q for ek in x.e) + x.c
+    red = g.w.reduce_vector(vec)
+    e = tuple((x.e[k] % q) + q * red[k] for k in range(g.n))
+    return TruncElement(e, tuple(red[g.n:]))
+
+
+class QuotientReference(TruncGroup):
+    """G^[3] = S^[3]/w with element arithmetic, which gq3 keeps for S^[3]:
+    every normal form is reduced by normalize to its coset's canonical
+    representative.  W is central, so that representative depends only on
+    the coset, and evaluate_word reduces once, after a whole word."""
+
+    __slots__ = ()
+
+    def _element(self, e, c):
+        return normalize(self, TruncElement(_dense(range(self.n), e), _dense(pair_list(self.n), c)))
+
+    def elements(self):
+        """Iterate all canonical normal forms (small groups only)."""
+        q, qq = self.q, self.q * self.q
+        seen = set()
+        for e in itertools.product(range(qq), repeat=self.n):
+            for c in itertools.product(range(q), repeat=self.npairs):
+                x = normalize(self, TruncElement(e, c))
+                if x not in seen:
+                    seen.add(x)
+                    yield x
+
+
 def central_element(g, vec):
-    """The element of the truncated group g with central coordinates vec = (t | c)."""
+    """The element of the free S^[3] g with central coordinates vec = (t | c)."""
     if len(vec) != g.layer_rank:
         raise ValueError("central vector has wrong length")
     e = tuple((g.q * t) % (g.q * g.q) for t in vec[: g.n])
     c = tuple(x % g.q for x in vec[g.n:])
-    return g.normalize(TruncElement(e, c))
+    return TruncElement(e, c)
 
 
 def reference_power(g, a, m):
@@ -333,16 +370,18 @@ def per_triple_random_failure(seed):
 
 
 def generator_element(g, k):
-    """sigma_k in the truncated group g."""
+    """sigma_k in the truncated group g: its central part is 0, so it is
+    its coset's canonical representative in every quotient."""
     if not 0 <= k < g.n:
         raise ValueError(f"no generator {k}")
     e = tuple(1 if i == k else 0 for i in range(g.n))
-    return g.normalize(TruncElement(e, (0,) * g.npairs))
+    return TruncElement(e, (0,) * g.npairs)
 
 
 def node_by_node_evaluation(g, word):
     """word in g with one operation per node of its tree: generator_element,
-    and g's multiply, power and commutator, each reducing mod w."""
+    and g's multiply, power and commutator (each reducing mod w in a
+    QuotientReference)."""
     match word:
         case Generator(k):
             return generator_element(g, k)
@@ -514,7 +553,7 @@ def dense_evaluation(g, word):
     """word in g by one pass over its tree on dense (e, c) lists, both sides
     of a commutator evaluated in full, then one reduction mod w."""
     e, c = _dense_evaluate(g, word)
-    return g.normalize(TruncElement(tuple(e), tuple(c)))
+    return normalize(g, TruncElement(tuple(e), tuple(c)))
 
 
 def stacked_group_invariants(g):

@@ -116,7 +116,7 @@ def _patch_multiply(monkeypatch, mutant):
         e = tuple((x + y) % q**power for x, y in zip(a.e, b.e))
         c = tuple((a.c[idx] + b.c[idx] - deposit(a, b, k, l)) % q
                   for idx, (k, l) in enumerate(self.pairs))
-        return self.normalize(TruncElement(e, c))
+        return TruncElement(e, c)
 
     monkeypatch.setattr(TruncGroup, "multiply", multiply)
 

@@ -2,9 +2,12 @@
 keeps a local that nothing in it reads (``_`` names a value thrown away),
 and no module imports a name it never uses.  No function, class or method
 of src/gq3 goes unreferenced in src/gq3.  No linter is installed, so
-this reads the syntax tree with the standard library's ast."""
+this reads the syntax tree with the standard library's ast.  Each entry
+of the mutant ledger still applies, and README's python example runs."""
 
 import ast
+import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -156,3 +159,26 @@ def test_unreferenced_definitions_are_found(tmp_path, source, found):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert unreferenced_definitions([path]) == found
+
+
+MUTANTS = json.loads((TESTS / "mutants.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", MUTANTS, ids=lambda entry: entry["id"])
+def test_each_mutant_applies_exactly_once(entry):
+    """The old text of each ledger entry (tests/run_mutants.py runs them)
+    occurs exactly once in its file, and the entry names tests that exist:
+    code that moves takes its mutants with it."""
+    root = TESTS.parent
+    assert (root / entry["file"]).read_text(encoding="utf-8").count(entry["old"]) == 1
+    assert entry["old"] != entry["new"] and entry["tests"]
+    for test in entry["tests"]:
+        path, _, name = test.partition("::")
+        assert f"def {name.partition('[')[0]}(" in (root / path).read_text(encoding="utf-8"), test
+
+
+def test_readme_python_example_runs():
+    """README's one python block runs as written."""
+    (code,) = re.findall(r"```python\n(.*?)```", (TESTS.parent / "README.md").read_text(encoding="utf-8"),
+                         re.DOTALL)
+    exec(compile(code, "README.md", "exec"), {})

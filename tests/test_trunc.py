@@ -16,6 +16,7 @@ from gq3.presentations import (
     parse_word,
 )
 from gq3.trunc import (
+    QUOTIENT_ARITHMETIC,
     MixedExponentError,
     TruncElement,
     TruncGroup,
@@ -27,11 +28,13 @@ from gq3.trunc import (
 )
 from gq3.zqlin import canonicalize, full_subspace, prime_power, zero_subspace
 from oracles import (
+    QuotientReference,
     central_element,
     dense_evaluation,
     every_column_relator_subspace,
     generator_element,
     node_by_node_evaluation,
+    normalize,
     reference_commutator,
     reference_power,
     stacked_group_invariants,
@@ -45,7 +48,8 @@ def names(n):
 
 def random_element(g, rng):
     qq = g.q * g.q
-    return g.normalize(
+    return normalize(
+        g,
         TruncElement(
             tuple(rng.randrange(qq) for _ in range(g.n)),
             tuple(rng.randrange(g.q) for _ in range(g.npairs)),
@@ -160,14 +164,15 @@ def test_associativity_random(nq, seed):
 def test_closed_forms_match_repeated_products(q, quotient):
     """power, inverse and commutator against the group law written out:
     inverses by a a^-1 = a^-1 a = 1, powers by square-and-multiply and
-    commutators as a^-1 b^-1 a b, on n = 1..8 in S^[3] and in quotients."""
+    commutators as a^-1 b^-1 a b, on n = 1..8 in S^[3] and in quotients
+    (the tests' QuotientReference)."""
     rng = random.Random(100 * q + quotient)
     for n in range(1, 9):
         g = free_truncation(n, q)
         if quotient:
             rows = [[rng.randrange(q) for _ in range(g.layer_rank)]
                     for _ in range(rng.randint(1, 3))]
-            g = TruncGroup(n, q, canonicalize(q, g.layer_rank, rows))
+            g = QuotientReference(n, q, canonicalize(q, g.layer_rank, rows))
         for _ in range(5):
             a, b = random_element(g, rng), random_element(g, rng)
             inv = g.inverse(a)
@@ -312,15 +317,15 @@ def _words(q, n, stray):
 
 @st.composite
 def groups_and_words(draw):
-    """A free S^[3] or a quotient by a random w, n <= 8, and a word of
-    nested products, powers, inverses and commutators; in about half of
-    the draws, generator indices may stray one step out of range."""
+    """A free S^[3] or a QuotientReference by a random w, n <= 8, and a
+    word of nested products, powers, inverses and commutators; in about
+    half of the draws, generator indices may stray one step out of range."""
     q = draw(st.sampled_from([2, 3, 4, 8, 9, 27, 32]))
     n = draw(st.integers(min_value=1, max_value=8))
     g = free_truncation(n, q)
     if draw(st.booleans()):
         row = st.lists(st.integers(0, q - 1), min_size=g.layer_rank, max_size=g.layer_rank)
-        g = TruncGroup(n, q, canonicalize(q, g.layer_rank, draw(st.lists(row, max_size=4))))
+        g = QuotientReference(n, q, canonicalize(q, g.layer_rank, draw(st.lists(row, max_size=4))))
     return g, draw(_words(q, n, draw(st.booleans())))
 
 
@@ -355,7 +360,7 @@ def test_evaluate_word_matches_node_by_node_evaluation(case):
     reduced group operation per node: same element, or the same error."""
     g, word = case
     want = _outcome(node_by_node_evaluation, g, word)
-    assert _outcome(TruncGroup.evaluate_word, g, word) == want
+    assert _outcome(type(g).evaluate_word, g, word) == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -366,7 +371,7 @@ def test_evaluate_word_matches_dense_evaluation(case):
     shares no arithmetic with it: same element, or the same error.  The
     degree-1 pass gives the dense e of the word in the free S^[3]."""
     g, word = case
-    assert _outcome(TruncGroup.evaluate_word, g, word) == _outcome(dense_evaluation, g, word)
+    assert _outcome(type(g).evaluate_word, g, word) == _outcome(dense_evaluation, g, word)
     free = free_truncation(g.n, g.q)
     want = _outcome(lambda _, w: dense_evaluation(free, w).e, g, word)
     dense_degree_one = lambda _, w: tuple(degree_one(g.q, g.n, w).get(k, 0) for k in range(g.n))  # noqa: E731
@@ -382,12 +387,31 @@ def test_stray_generator_is_found_wherever_it_sits(word):
 
 
 def test_evaluate_word_empty_product_and_stray_generator():
-    g = TruncGroup(2, 4, canonicalize(4, 3, [(1, 2, 3)]))
+    g = QuotientReference(2, 4, canonicalize(4, 3, [(1, 2, 3)]))
     assert g.evaluate_word(Product(())) == g.identity()
     assert g.evaluate_word(Power(Product(()), MAX_EXPONENT)) == g.identity()
     for k in (-1, 2):
         with pytest.raises(ValueError, match=f"^no generator {k}$"):
             g.evaluate_word(Commutator(Generator(0), Product((Generator(1), Generator(k)))))
+
+
+@pytest.mark.parametrize("operation", [
+    lambda g, x: g.multiply(x, x),
+    lambda g, x: g.power(x, 3),
+    lambda g, x: g.inverse(x),
+    lambda g, x: g.commutator(x, x),
+    lambda g, x: g.evaluate_word(Product(())),
+    lambda g, x: g.elements(),
+], ids=["multiply", "power", "inverse", "commutator", "evaluate_word", "elements"])
+def test_element_arithmetic_is_refused_on_a_quotient(operation):
+    """Element arithmetic is S^[3]'s alone: on a group with nonzero w each
+    operation raises ValueError with the one message (elements at the
+    call, before any iteration), and on S^[3] it returns."""
+    x = TruncElement((1, 2), (3,))
+    with pytest.raises(ValueError) as err:
+        operation(TruncGroup(2, 4, canonicalize(4, 3, [(1, 2, 3)])), x)
+    assert str(err.value) == QUOTIENT_ARITHMETIC
+    operation(free_truncation(2, 4), x)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +639,9 @@ def _subspace_outcome(presentation, eliminate):
 # -kappa y_2 y_3 entry, reaches the span of the kept generators
 @example(make_presentation(8, [f"x{k}" for k in range(1, 9)],
                            ["x1 x2 x3 [x4,x5]", "x1^9 x2 x3 [x6,x7]", "x8^8 [x1,x8] [x2,x7]^3"]))
+# at q = 2, kappa = 1: x1 x2 x3 eliminates x1, and the span on the kept x2, x3
+# is ((1, 1, 1)), whose last entry is the -kappa y_2 y_3 of the pivot's y^2 row
+@example(make_presentation(2, ["x1", "x2", "x3"], ["x1 x2 x3", "x1^2"]))
 def test_relator_subspace_matches_the_every_column_search(presentation):
     """The span and report, or the MixedExponentError and its message, of
     relator_subspace against the reference that searches every column for
@@ -741,7 +768,7 @@ def test_group_invariants_against_enumeration(n, q, rels):
     p = make_presentation(q, [f"x{k+1}" for k in range(n)], rels)
     g, _ = truncated_quotient(p)
     inv = group_invariants(g)
-    order, divisors, center, exponent = brute_invariants(g)
+    order, divisors, center, exponent = brute_invariants(QuotientReference(*g))
     assert inv.order == order
     assert sorted(inv.abelianization) == divisors
     assert inv.center_order == center
@@ -772,7 +799,7 @@ def test_center_against_group_law(n, q):
         rows = [[rng.randrange(q) if k >= n or rng.random() < 0.3 else 0
                  for k in range(s.layer_rank)] for _ in range(rng.randint(1, 3))]
         g = TruncGroup(n, q, canonicalize(q, s.layer_rank, rows))
-        assert group_invariants(g).center_order == center_by_group_law(g)
+        assert group_invariants(g).center_order == center_by_group_law(QuotientReference(*g))
 
 
 shapes = st.sampled_from(("zero", "full", "every_pair", "star", "halves", "mixed"))
