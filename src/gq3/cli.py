@@ -271,7 +271,7 @@ def cmd_kmilnor(args) -> tuple[dict, str, bool]:
         degrees[str(r)] = {
             "rank": ranks[-1],
             "divisors": list(divisors),
-            "relations": [] if r == 1 else [list(row) for row in algebra.components[r].basis],
+            "relations": [] if r == 1 else [list(row) for row in algebra.relation_rows(r)],
         }
     payload = {
         "field": preset.describe(),

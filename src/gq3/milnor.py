@@ -7,7 +7,9 @@ quadratic hull generates T_r from the degree-2 relations placed in all
 slot pairs, which is the whole structure of a quadratic algebra; the
 tensor positions of a placement are computed once per slot pair and
 fill, and every relation row is written through them.  A full T_{r-1}
-makes T_r full, so no rows are placed past the first full degree.  A
+makes T_r full, so the hull stops at the first full degree f: no rows
+are placed past it and no subspace is built there, and a later T_r is
+read as full (its identity rows, for a report that prints them).  A
 hull depends only on its degree-2 relations, so the comparison with a
 presentation is decided there: equal relations give equal hulls in every
 degree, and unequal ones differ in degree 2 already.  The presentation's
@@ -26,7 +28,9 @@ the class pair (class(c), class(c) + class(-1)), class(-1) in closed
 form, and three rows per negative valuation, those of class(c) = 0, 1
 and -1, span the rows of all q classes.  The local sweep doubles its
 window, and the rows the wider window adds must lie in the span already
-computed; the dyadic span must not move at a higher precision.
+computed; the dyadic basis symbols must not move at a higher precision,
+and the span is built once, from the table they agree on (a span is a
+function of its table, so this is stricter than comparing spans).
 Otherwise the oracle raises rather than returning an unstable answer.
 The Hilbert symbols come from one square-test table per precision,
 which builds each class's value sets and bitmasks once and tries every
@@ -46,6 +50,7 @@ from .records import record
 from .trunc import TruncGroup
 from .zqlin import (
     ZqSubspace,
+    axis,
     canonicalize,
     factorize,
     full_subspace,
@@ -73,13 +78,41 @@ class PresetError(ValueError):
 
 
 class GradedAlgebra(record("q gen_count components basis_names", defaults=((),))):
-    """Relation subspaces T_2..T_r_max; built by quadratic_hull."""
+    """Relation subspaces T_2..T_f, built by quadratic_hull: f is the first
+    full degree, or the degree bound if no degree up to it is full.  A
+    full T_f makes every later T_r full, so those degrees are answered
+    without building them: degree_divisors gives (), relations a full
+    subspace and relation_rows the identity rows."""
 
     __slots__ = ()
     q: int
     gen_count: int
-    components: dict[int, ZqSubspace]  # degree -> relation subspace
+    components: dict[int, ZqSubspace]  # degree -> relation subspace, 2..f
     basis_names: tuple[str, ...]  # () by default
+
+    def _past_full(self, r: int) -> bool:
+        """Whether degree r lies past the stored ones, the last of which is
+        full; KeyError for a degree the algebra does not have."""
+        if r in self.components:
+            return False
+        f = max(self.components, default=0)
+        if 2 <= f < r and self.components[f].cardinality() == self.q ** (self.gen_count**f):
+            return True
+        raise KeyError(r)
+
+    def relations(self, r: int) -> ZqSubspace:
+        """T_r for every degree r >= 2 of the algebra; built here, full,
+        past the first full degree."""
+        return full_subspace(self.q, self.gen_count**r) if self._past_full(r) else self.components[r]
+
+    def relation_rows(self, r: int) -> tuple[tuple[int, ...], ...]:
+        """The Howell rows of T_r for every degree r >= 2 of the algebra;
+        past the first full degree the identity rows, with no subspace
+        built or validated."""
+        if not self._past_full(r):
+            return self.components[r].basis
+        size = self.gen_count**r
+        return tuple(axis(size, k) for k in range(size))
 
     def degree_cardinality(self, r: int) -> int:
         return math.prod(self.degree_divisors(r))
@@ -88,11 +121,14 @@ class GradedAlgebra(record("q gen_count components basis_names", defaults=((),))
         """Cyclic factor orders of A_r, descending, trivial ones dropped; () for a full T_r."""
         if r == 1:
             return (self.q,) * self.gen_count
-        if self.components[r].cardinality() == self.q ** (self.gen_count**r):
+        if self._past_full(r):
+            return ()
+        t = self.relations(r)
+        if t.cardinality() == self.q ** (self.gen_count**r):
             return ()
         # A factor Z/f of T_r leaves Z/(q/f) in A_r; the coordinates T_r
         # does not reach stay free.
-        inv = invariant_factors(self.components[r])
+        inv = invariant_factors(t)
         free = [self.q] * (self.gen_count**r - len(inv))
         return tuple(sorted([self.q // f for f in inv if f < self.q] + free, reverse=True))
 
@@ -131,7 +167,10 @@ def quadratic_hull(
 ) -> GradedAlgebra:
     """The graded algebra generated in degree 1 with relations generated
     by zero_pairs: T_r is spanned by the degree-2 relations placed in
-    every slot pair, tensored with basis vectors elsewhere.
+    every slot pair, tensored with basis vectors elsewhere.  Degrees are
+    built up to the first full one, or to r_max: a full T_{r-1}, tensored
+    with the basis vectors, lies in T_r, so every later degree is full
+    and GradedAlgebra answers it unbuilt.
     """
     if not (1 <= a1_rank <= MAX_RANK):
         raise ValueError(f"rank {a1_rank} outside 1..{MAX_RANK}")
@@ -146,9 +185,7 @@ def quadratic_hull(
     entries = [[(k, x) for k, x in enumerate(zrow) if x] for zrow in zero_pairs.basis]
     for r in range(3, r_max + 1):
         if components[r - 1].cardinality() == q ** (m ** (r - 1)):
-            # a full T_{r-1}, tensored with the basis vectors, lies in T_r
-            components[r] = full_subspace(q, m**r)
-            continue
+            break
         rows = set()  # a relation repeats across slot pairs and fills
         for i, j in itertools.combinations(range(r), 2):
             rest = [r - 1 - s for s in range(r) if s not in (i, j)]
@@ -370,13 +407,18 @@ def hilbert_symbol_two_adic(a: int, b: int, precision_bits: int = 8) -> int:
 
 
 def hilbert_relation_span(precision_bits: int = 8) -> ZqSubspace:
-    """Span mod 2 of a (x) b over the square-class pairs with trivial symbol.
+    """Span mod 2 of a (x) b over the square-class pairs with trivial symbol,
+    read off the basis symbols at the given precision.  Selftest compares
+    it across precisions; preset_relations compares the tables instead."""
+    return _basis_symbol_span(_symbol_table(TWO_ADIC_BASIS, TWO_ADIC_BASIS, precision_bits))
+
+
+def _basis_symbol_span(table: list[list[int]]) -> ZqSubspace:
+    """The dyadic relation span from the symbols of the nine basis pairs.
     The square classes of Q_2 are the vectors x of F_2^3 over the basis
-    (-1, 2, 5).  Only the nine basis pairs are square-tested, in one
-    table; the symbol is bimultiplicative, so (a, b) = (-1)^(x^T H y) for
-    the class vectors x, y and basis symbols H."""
-    h = [symbol == -1 for row in _symbol_table(TWO_ADIC_BASIS, TWO_ADIC_BASIS, precision_bits)
-         for symbol in row]
+    (-1, 2, 5); the symbol is bimultiplicative, so (a, b) = (-1)^(x^T H y)
+    for the class vectors x, y and basis symbols H."""
+    h = [symbol == -1 for row in table for symbol in row]
     rows = _grcomm_rows(2, 3)
     for x, y in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
         row = _outer(2, x, y)
@@ -389,18 +431,19 @@ def preset_relations(preset: FieldPreset, q: int) -> tuple[ZqSubspace, tuple[str
     """Degree-2 relations of a preset field's mod-q K-ring, with the
     names of its degree-1 basis.
 
-    For the Laurent-series and dyadic presets the oracle window (or
-    2-adic precision) is doubled and the span must not move.
+    For the Laurent-series preset the oracle window is doubled and the
+    span must not move; for the dyadic one the basis symbols must not
+    move from 2^8 to 2^10, and the span is built once, from them.
     """
     preset.validate_modulus(q)
     if preset.kind == "finite_field":
         return steinberg_relations_finite(preset.ell, q), ("u",)
     if preset.kind == "tame_local":
         return steinberg_relations_tame(preset.ell, q), ("u", "t")
-    t2 = hilbert_relation_span(precision_bits=8)
-    if t2 != hilbert_relation_span(precision_bits=10):
+    table = _symbol_table(TWO_ADIC_BASIS, TWO_ADIC_BASIS, 8)
+    if table != _symbol_table(TWO_ADIC_BASIS, TWO_ADIC_BASIS, 10):
         raise OracleInstability("dyadic relation span changed under precision increase")
-    return t2, ("-1", "2", "5")
+    return _basis_symbol_span(table), ("-1", "2", "5")
 
 
 def milnor_mod_q(preset: FieldPreset, q: int, r_max: int = 4) -> GradedAlgebra:

@@ -1312,7 +1312,7 @@ def invariant_factor_divisors(algebra, r):
     q, m = algebra.q, algebra.gen_count
     if r == 1:
         return (q,) * m
-    inv = invariant_factors(algebra.components[r])
+    inv = invariant_factors(algebra.relations(r))
     free = [q] * (m**r - len(inv))
     return tuple(sorted([q // f for f in inv if f < q] + free, reverse=True))
 
@@ -1605,15 +1605,15 @@ def degree_by_degree_symbol_compare(preset, presentation, correspondence, r_max=
     pres_hull = quadratic_hull(q, m, presentation_zero_pairs(group), r_max)
     ok = True
     for r in range(2, r_max + 1):
-        if field_hull.components[r] == pres_hull.components[r]:
+        if field_hull.relations(r) == pres_hull.relations(r):
             outcomes.append(TestOutcome(f"degree-{r}", "passed"))
             continue
         ok = False
         outcomes.append(TestOutcome(
             f"degree-{r}", "triggered",
             f"relation subspaces differ in degree {r}: K-ring side has cardinality "
-            f"{q ** m**r // field_hull.components[r].cardinality()}, cohomology side "
-            f"{q ** m**r // pres_hull.components[r].cardinality()}"))
+            f"{q ** m**r // field_hull.relations(r).cardinality()}, cohomology side "
+            f"{q ** m**r // pres_hull.relations(r).cardinality()}"))
         break
     return Report(
         "isomorphic" if ok else "not-isomorphic",

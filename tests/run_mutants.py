@@ -7,14 +7,14 @@ replacement:
     python tests/run_mutants.py
 
 runs every entry.  The named tests first run on an unmutated copy of
-src/ and tests/, where they must pass.  Then each entry is applied
-alone, in a fresh copy in a temporary directory, and its tests run with
-pytest -x --hypothesis-seed=0 under a timeout, one entry after another.
-The script prints each entry's outcome (killed, survived or timed out)
-and time, then the totals and the wall time, and exits 0 only if every
-entry is killed.  The copy holds no bench/, so a named test must not
-read it.  pytest does not collect this script: its name does not start
-with test_.
+src/, tests/ and bench/, where they must pass.  Then each entry is
+applied alone, in a fresh copy in a temporary directory, and its tests
+run with pytest -x --hypothesis-seed=0 under a timeout, one entry after
+another.  The script prints each entry's outcome (killed, survived or
+timed out) and time, then the totals and the wall time, and exits 0
+only if every entry is killed.  bench/ is copied because some tests read
+its corpora; no entry edits it.  pytest does not collect this script:
+its name does not start with test_.
 """
 
 import json
@@ -33,7 +33,7 @@ TIMEOUT = 300  # seconds per pytest run
 
 
 def copy_tree(tmp: Path) -> Path:
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "bench"):
         shutil.copytree(ROOT / name, tmp / name,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"))
     return tmp
@@ -55,6 +55,8 @@ def run_tests(tree: Path, tests) -> int | None:
 def run_entry(entry) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         tree = copy_tree(Path(tmp))
+        if entry["file"].split("/")[0] not in ("src", "tests"):
+            raise SystemExit(f"{entry['id']}: {entry['file']} is not under src/ or tests/")
         path = tree / entry["file"]
         text = path.read_text(encoding="utf-8")
         if text.count(entry["old"]) != 1:

@@ -22,6 +22,7 @@ from gq3.milnor import (
     milnor_mod_q,
     parse_preset,
     preset_presentation,
+    preset_relations,
     presentation_zero_pairs,
     quadratic_hull,
     steinberg_relations_finite,
@@ -146,7 +147,38 @@ def test_quadraticity_detects_extra_relation():
 def test_zero_algebra_quadratic():
     comps = {2: full_subspace(2, 4), 3: full_subspace(2, 8)}
     a = GradedAlgebra(2, 2, comps)
-    assert quadratic_hull(2, 2, a.components[2], 3).components == a.components
+    hull = quadratic_hull(2, 2, a.components[2], 3)
+    assert [hull.relations(r) for r in (2, 3)] == [a.components[2], a.components[3]]
+
+
+def test_degrees_past_the_bound_are_refused():
+    """Only a full last degree answers the degrees past it: a hull with no
+    full degree up to r_max has no degree r_max + 1."""
+    hull = quadratic_hull(3, 2, canonicalize(3, 4, [(1, 0, 0, 0)]), 3)
+    for read in (hull.relations, hull.relation_rows, hull.degree_divisors):
+        with pytest.raises(KeyError):
+            read(4)
+
+
+@pytest.mark.parametrize("command", ["kmilnor", "galois-check"])
+@pytest.mark.parametrize("field, m", [("two_adic", 3), ("tame_local:13", 2)])
+def test_no_subspace_is_built_past_the_first_full_degree(capsys, monkeypatch, command, field, m):
+    """K_r/2 = 0 from degree 3 on for both fields: T_3 (ambient m^3) is
+    full, so degree 4 (ambient m^4, 81 and 16) is answered without a
+    subspace, in the printed relations too."""
+    from gq3.cli import main
+
+    ambients = []
+    original = ZqSubspace.__new__
+
+    def recording(cls, q, ambient_dim, basis):
+        ambients.append(ambient_dim)
+        return original(cls, q, ambient_dim, basis)
+
+    monkeypatch.setattr(ZqSubspace, "__new__", staticmethod(recording))
+    code = main([command, "--field", field, "--q", "2"])
+    assert code == 0, capsys.readouterr().err
+    assert m**3 in ambients and m**4 not in ambients
 
 
 def test_hull_caps_bound_the_tensor_space():
@@ -177,7 +209,8 @@ def test_quadratic_hull_matches_the_slot_builder(q):
     for m, r_max, zp in cases:
         hull = quadratic_hull(q, m, zp, r_max)
         for r in range(3, r_max + 1):
-            assert hull.components[r] == slot_hull_component(q, m, zp, r), (m, r, zp)
+            assert hull.relations(r) == slot_hull_component(q, m, zp, r), (m, r, zp)
+            assert hull.relation_rows(r) == hull.relations(r).basis, (m, r, zp)
 
 
 def tensor_shift(row, m, r, i, prepend):
@@ -202,8 +235,8 @@ def test_hull_is_an_ideal(q, m, r_max, seed):
     rows = [[rng.randrange(q) for _ in range(m * m)] for _ in range(rng.randint(0, 3))]
     hull = quadratic_hull(q, m, canonicalize(q, m * m, rows), r_max)
     for r in range(2, r_max):
-        t_next = hull.components[r + 1]
-        for row in hull.components[r].basis:
+        t_next = hull.relations(r + 1)
+        for row in hull.relations(r).basis:
             for i in range(m):
                 assert t_next.contains(tensor_shift(row, m, r, i, prepend=True))
                 assert t_next.contains(tensor_shift(row, m, r, i, prepend=False))
@@ -252,8 +285,8 @@ def test_hull_functorial_under_degree1_maps(q, seed):
     hull_b = quadratic_hull(q, m, zp_b, 3)
     # functoriality: phi^{(x)r} carries T_r(A) into T_r(B)
     for r in range(2, 4):
-        for row in hull_a.components[r].basis:
-            assert hull_b.components[r].contains(map_tensor(row, r))
+        for row in hull_a.relations(r).basis:
+            assert hull_b.relations(r).contains(map_tensor(row, r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,6 +654,18 @@ def test_dyadic_query_square_tests_the_basis_pairs_only(capsys, monkeypatch, com
     assert code == 0, capsys.readouterr().err
     basis = (-1, 2, 5)
     assert calls == [(basis, basis, 8), (basis, basis, 10)]
+
+
+def test_dyadic_relations_build_one_span(monkeypatch):
+    """The 2^8 and 2^10 basis-symbol tables are compared, and the relation
+    span is built once, from the table they agree on."""
+    import gq3.milnor
+
+    calls = []
+    count_calls(monkeypatch, calls, gq3.milnor, "canonicalize")
+    t2, names = preset_relations(FieldPreset("two_adic"), 2)
+    assert [call[:2] for call in calls] == [(2, 9)]
+    assert t2 == hilbert_relation_span(8) and names == ("-1", "2", "5")
 
 
 def test_two_adic_algebra_shape():
