@@ -121,14 +121,14 @@ def reconstruct_g3(text: str) -> TruncGroup:
     JSON text in the tables_json layout, alone or as the cohomology object of
     a `cohomology` report, checked strictly.
 
-    Its relator subspace W, the annihilator of the kernel of the
-    cup+Bockstein matrix, is over Z/q the row span of the tables.  Keys are
-    1-based: "k,l" with k < l <= n for cup and "k" with k <= n for
-    Bockstein.  Absent entries are zero.  The derived fields may be absent;
-    when present, kappa must be C(q,2) mod q and h2_divisors the invariant
-    factors of W.  No key repeats in an object, and the tables have no key
-    but TABLE_KEYS.  Text that is not JSON raises ParseError, anything else
-    malformed ValueError.
+    W, the annihilator of the kernel of the cup+Bockstein matrix, is over Z/q
+    the span of the tables' rows: h2_rank counts the rows, which may be
+    dependent (gq3 prints such Howell rows at q = p^d, d > 1), and
+    h2_divisors, if present, pins W's invariant factors; kappa, if present,
+    must be C(q,2) mod q.  Keys are 1-based: "k,l" with k < l <= n for cup
+    and "k" with k <= n for Bockstein; absent entries are zero.  No key
+    repeats in an object, and the tables have no key but TABLE_KEYS.  Text
+    that is not JSON raises ParseError, anything else malformed ValueError.
     """
     repeated = []
 

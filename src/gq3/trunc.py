@@ -26,7 +26,8 @@ tests/worst_certificates.json, and 4.4 ms in place of 1.4 ms on a
 3.11, 2 shared vCPUs).  _write_layer writes x^q and [x, y] into rows from
 degree-1 maps, for relator elimination and layer_image (a morphism's map
 on central layers).  multiply, power, inverse and commutator wrap the
-law on dense normal forms for selftest criterion 2.
+law on dense normal forms for selftest criterion 2, which checks them
+against a coset enumeration of S^[3]'s definition.
 
 A quotient G^[3] of S^[3] by a subgroup W of the central layer is its W:
 order and invariants are read off W, and a morphism's H^2 condition asks
@@ -93,7 +94,6 @@ def kappa_constant(q: int) -> int:
 # The law on sparse maps: e maps a generator k to its exponent mod q^2, c a
 # pair (k, l), k < l, to its exponent mod q; absent keys are 0.  A word's
 # image involves only the generators it uses, so these cost O(support^2).
-# Values are never truth-tested, so they may be arrays.
 
 
 def _add(mod: int, x, y):

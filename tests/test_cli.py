@@ -104,12 +104,12 @@ def test_closed_stdout_keeps_the_verdict(tame_file):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """Every one-shot gq3 run pays for importing gq3.cli.  numpy serves only
-    selftest's sweeps and costs more than a query's whole setup; gq3's
-    records are named tuples, so no module needs dataclasses (which loads
-    inspect, ast and dis) or typing.  Importing gq3.cli may load none of
-    them that the bare interpreter had not already loaded (site may load
-    typing, through a .pth file)."""
+    """Every one-shot gq3 run pays for importing gq3.cli.  No gq3 module,
+    selftest's included, needs numpy, which costs more than a query's whole
+    setup; gq3's records are named tuples, so no module needs dataclasses
+    (which loads inspect, ast and dis) or typing.  Importing gq3.cli and
+    gq3.acceptance may load none of them that the bare interpreter had not
+    already loaded (site may load typing, through a .pth file)."""
     env = {**os.environ, "PYTHONPATH": str(Path(gq3.__file__).parents[1])}
     code = ("import sys; bare = set(sys.modules); import gq3.cli, gq3.acceptance; "
             "heavy = ('numpy', 'dataclasses', 'inspect', 'typing'); "
@@ -243,6 +243,27 @@ def test_reconstruct_from_cd_json(tmp_path, tame_file, capsys):
     assert code == 0
     data = json.loads(out2)
     assert data["group"]["order"] == 81
+
+
+def test_h2_rank_counts_rows_that_span_w(tmp_path, capsys):
+    """h2_rank counts the tables' rows, which span W and may be dependent:
+    gq3 prints x1^8 [x1,x2] at q = 4 with the rows (2,0,1) and
+    (0,0,2) = 2 (2,0,1), and h2_divisors [4] pins W, so a reader that
+    rejected dependent rows would reject gq3's own tables."""
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps({"q": 3, "n": 2, "h2_rank": 2,
+                                 "bockstein": {"1": [1, 2]}, "cup": {"1,2": [1, 2]}}))
+    code, out, _ = run_cli(capsys, "reconstruct", "--cd-json", str(probe))
+    assert code == 0
+    assert json.loads(out)["group"]["relator_subspace"]["basis"] == [[1, 0, 1]]
+    path = tmp_path / "q4.pres"
+    path.write_text('q = 4;\ngens = [x1, x2];\nrels = ["x1^8 [x1,x2]"];\n')
+    code, out, _ = run_cli(capsys, "cohomology", str(path))
+    tables = json.loads(out)["cohomology"]
+    assert (tables["h2_rank"], tables["h2_divisors"]) == (2, [4])
+    assert (tables["bockstein"], tables["cup"]) == ({"1": [2, 0], "2": [0, 0]}, {"1,2": [1, 2]})
+    rebuilt, truncated = _rebuilt_and_truncated(capsys, tmp_path, str(path))
+    assert rebuilt == truncated
 
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"

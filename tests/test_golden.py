@@ -5,10 +5,13 @@ relative to tests/golden) and exit code; <name>.out and <name>.err hold
 the recorded stdout and stderr.  A usage error, ``--help`` or
 ``--version`` leaves ``main`` as a ``SystemExit``, whose code is the exit
 code; argparse wraps usage and help to the terminal width, so every case
-runs at ``COLUMNS=80``.  Re-record after an intended report change with
+runs at ``COLUMNS=80``.  A report is compared line by line and fails at
+its first differing line, so a wrong long report fails as fast as a short
+one.  Re-record after an intended report change with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import itertools
 import json
 import os
 import sys
@@ -21,6 +24,13 @@ from gq3.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 COLUMNS = "80"
+
+
+def _first_difference(got: str, want: str):
+    """(line number, expected line, got line) at the first line where got
+    and want differ, None for a line that one of them lacks, or None."""
+    lines = itertools.zip_longest(want.split("\n"), got.split("\n"))
+    return next(((i, x, y) for i, (x, y) in enumerate(lines, 1) if x != y), None)
 
 
 def _exit_code(argv):
@@ -37,8 +47,9 @@ def test_golden_report(name, monkeypatch, capsys):
     code = _exit_code(CASES[name]["argv"])
     out, err = capsys.readouterr()
     assert code == CASES[name]["exit"]
-    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+    for got, suffix in ((out, "out"), (err, "err")):
+        diff = _first_difference(got, (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8"))
+        assert diff is None, "{}.{} line {}: expected {!r}, got {!r}".format(name, suffix, *diff)
 
 
 def _record():

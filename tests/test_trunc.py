@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gq3.acceptance import act, coset_table, definition_relators, normal_form_letters
 from gq3.presentations import (
     MAX_EXPONENT,
     Commutator,
@@ -126,14 +127,77 @@ def test_binomial_collection_law_exhaustive_q2():
             assert lhs == rhs
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_binomial_collection_law_exhaustive_batched(q):
-    """Same law over every pair for q in {2,3,4}, in one sweep on elements
-    whose coordinates are columns: numpy arrays when numpy imports, stdlib
-    columns otherwise."""
-    from gq3.acceptance import law_counterexample
+@functools.cache
+def _definition(n, q):
+    """S^[3] on n generators, the coset table of F modulo the relators of
+    its definition, and the coset of each normal form's word."""
+    g, table = free_truncation(n, q), coset_table(n, definition_relators(n, q))
+    coset = {a: act(table, 0, normal_form_letters(a)) for a in g.elements()}
+    assert sorted(coset.values()) == list(range(g.order()))
+    return g, table, coset
 
-    assert law_counterexample(_binomial_law, 2, q) is None
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3)])
+def test_multiply_matches_the_definition_on_every_pair(n, q):
+    """multiply(a, b) for every pair of normal forms against the product
+    that the coset table of S^[3]'s definition gives: a's coset moved by
+    the letters of b's normal form."""
+    g, table, coset = _definition(n, q)
+    words = {b: normal_form_letters(b) for b in coset}
+    wrong = next(((a, b) for a, c in coset.items() for b, w in words.items()
+                  if coset[g.multiply(a, b)] != act(table, c, w)), None)
+    assert wrong is None
+
+
+def _permutation(table, word):
+    """The word's right regular permutation c -> c w on the cosets, node
+    by node; a power walks each cycle, so its exponent costs nothing."""
+    kind = type(word)
+    if kind is Generator:
+        return [row[2 * word.index] for row in table]
+    if kind is Product:
+        return functools.reduce(_then, (_permutation(table, f) for f in word.factors),
+                                list(range(len(table))))
+    if kind is Commutator:
+        u, v = _permutation(table, word.left), _permutation(table, word.right)
+        return functools.reduce(_then, [_permutation_power(u, -1), _permutation_power(v, -1), u, v])
+    return _permutation_power(_permutation(table, word.body), word.exponent)
+
+
+def _then(u, v):
+    return [v[c] for c in u]
+
+
+def _permutation_power(p, m):
+    out = [None] * len(p)
+    for start in range(len(p)):
+        if out[start] is None:
+            cycle = [start]
+            while p[cycle[-1]] != start:
+                cycle.append(p[cycle[-1]])
+            for i, c in enumerate(cycle):
+                out[c] = cycle[(i + m) % len(cycle)]
+    return out
+
+
+def _definition_words():
+    nq = st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2)])
+    return nq.flatmap(lambda nq: st.tuples(st.just(nq), _words(nq[1], nq[0], False)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_definition_words())
+@example(case=((2, 3), Power(Product((Generator(0), Generator(1))), 4)))
+@example(case=((2, 4), Power(Product((Generator(1), Generator(0))), -2**62 - 5)))
+@example(case=((3, 2), Power(Commutator(Generator(2), Power(Generator(0), 3)), 3)))
+def test_evaluate_word_matches_its_permutation(case):
+    """evaluate_word on drawn trees at the four (n, q) of selftest
+    criterion 2 against the word's permutation in the coset table of
+    S^[3]'s definition; the examples raise products to m with
+    C(m, 2) != C(m + 1, 2) mod q."""
+    (n, q), word = case
+    g, table, coset = _definition(n, q)
+    assert coset[g.evaluate_word(word)] == _permutation(table, word)[0]
 
 
 def test_associativity_exhaustive_q2_n2():
