@@ -11,17 +11,20 @@ The cost of a certificate depends on the shape of the word and the
 caps on generators and class, never on the size of its exponents.  The
 word's tree gives a lower bound v(w) for the lowest degree of w - 1: a
 generator has bound 1, a commutator adds its sides' bounds and a
-product takes the least of its factors'.  The series is expanded over
-the generators the word uses only, truncated at m = v(w), v(w) + 1, ...
-up to the first nonzero component, and is stored degree by degree, so
-that a product multiplies only the degree pairs that fit the
-truncation.  A commutator [a, b] with a = 1 + X, b = 1 + Y enters as
-1 + a^-1 b^-1 (XY - YX): each side is expanded only as far as the
-other side's bound leaves room, and a^-1 b^-1 only to the truncation
-less both bounds.  A power x^e or w^e enters as the binomial series
-sum_j C(e, j) X^j, never by writing its base out e times.  A flat word,
-one that presentations.letters writes out as generator powers, enters
-syllable by syllable.
+product takes the least of its factors'.  The component at v(w) is read
+off the tree by the closed rules of the leading terms: X_k for x_k, e
+times the base's for a power, the sum over the least-bound factors for
+a product, and L_a L_b - L_b L_a for [a, b].  Only when it vanishes, as
+in x1 x1^-1, is the series expanded, over the generators the word uses
+only, truncated at m = v(w) + 1, v(w) + 2, ... up to the first nonzero
+component, and stored degree by degree, so that a product multiplies
+only the degree pairs that fit the truncation.  A commutator [a, b]
+with a = 1 + X, b = 1 + Y enters as 1 + a^-1 b^-1 (XY - YX): each side
+is expanded only as far as the other side's bound leaves room, and
+a^-1 b^-1 only to the truncation less both bounds.  A power x^e or w^e
+enters as the binomial series sum_j C(e, j) X^j, never by writing its
+base out e times.  A flat word, one that presentations.letters writes
+out as generator powers, enters syllable by syllable.
 
 tensor_to_hall writes a component on the Hall basis, a Z-basis of the
 Lie ring in each weight, by exact solving, one solve per letter content
@@ -281,6 +284,36 @@ def _bound(word: pres.Word) -> int:
     raise TypeError(f"not a word node: {word!r}")
 
 
+def _leading(word: pres.Word, c: int) -> tuple[int, Tensor]:
+    """The tree bound v of a word and the degree-v component of word - 1,
+    by the leading-term rules of the module docstring (a power's C(e, j) X^j
+    starts in degree jv, so only j = 1 reaches v); left empty when v > c."""
+    match word:
+        case pres.Generator(k):
+            return 1, {(k,): 1}
+        case pres.Power(b, e):
+            v, lead = _leading(b, c)
+            return v, {mon: e * x for mon, x in lead.items()} if e else {}
+        case pres.Product(fs):
+            parts = [_leading(f, c) for f in fs]
+            v = min((u for u, _ in parts), default=MAX_CLASS + 1)
+            out: Tensor = {}
+            for u, lead in parts:
+                if u == v:
+                    _add(out, lead)
+            return v, out
+        case pres.Commutator(a, b):
+            (va, la), (vb, lb) = _leading(a, c), _leading(b, c)
+            out = {}
+            if va + vb <= c:
+                for ma, xa in la.items():
+                    for mb, xb in lb.items():
+                        out[ma + mb] = out.get(ma + mb, 0) + xa * xb
+                        out[mb + ma] = out.get(mb + ma, 0) - xa * xb
+            return va + vb, {mon: x for mon, x in out.items() if x}
+    raise TypeError(f"not a word node: {word!r}")
+
+
 def _word_series(word: pres.Word, cap: int) -> Graded:
     """Magnus series of a word truncated at cap.
 
@@ -406,15 +439,19 @@ def word_nontriviality_certificate(
     word - 1 by monomial, certifying the word is not in the (c+1)-st
     lower central subgroup of the free group, hence not trivial.  Returns
     None when the word is freely trivial or all its components up to
-    weight c vanish; when the tree's lower bound on the weight exceeds c,
-    nothing is expanded.
+    weight c vanish.  The component at the tree's lower bound v on the
+    weight is its lead; a series is expanded only past v, and only when
+    that lead vanishes.  When v exceeds c, nothing is expanded.
     """
     check_generator_count(n)
     check_class_bound(c)
     for k in pres.generator_indices(word):
         if k >= n:
             raise BoundsExceeded(f"word references generator {k + 1} > n = {n}")
-    for m in range(_bound(word), c + 1):
+    v, lead = _leading(word, c)
+    if lead:
+        return v, lead
+    for m in range(v + 1, c + 1):  # the leads cancel, as in x1 x1^-1
         component = _word_series(word, m)[m]
         if component:
             return m, component

@@ -8,11 +8,13 @@ replacement:
 
 runs every entry.  The named tests first run on an unmutated copy of
 src/, tests/ and bench/, where they must pass.  Then each entry is
-applied alone, in a fresh copy in a temporary directory, and its tests
-run with pytest -x --hypothesis-seed=0 under a timeout, one entry after
-another.  The script prints each entry's outcome (killed, survived or
-timed out) and time, then the totals and the wall time, and exits 0
-only if every entry is killed.  bench/ is copied because some tests read
+applied alone, in a fresh copy in a temporary directory, and all its
+tests run with pytest -rfE --hypothesis-seed=0 under a timeout, one
+entry after another.  The script prints each entry's outcome (killed,
+survived or timed out) and time, under it the tests that failed, and
+marks each named test that passed under the mutant "not a killer";
+then it prints the totals and the wall time, and exits 0 only if every
+entry is killed.  bench/ is copied because some tests read
 its corpora; no entry edits it.  pytest does not collect this script:
 its name does not start with test_.
 """
@@ -39,20 +41,30 @@ def copy_tree(tmp: Path) -> Path:
     return tmp
 
 
-def run_tests(tree: Path, tests) -> int | None:
-    """pytest's exit code on tests in tree, or None past TIMEOUT."""
+def run_tests(tree: Path, tests) -> tuple[int | None, list[str]]:
+    """pytest's exit code on tests in tree, or None past TIMEOUT, and the
+    ids of the tests that failed or raised."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", *tests],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT).returncode
+            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return None
+        return None, []
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in run.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return run.returncode, failed
 
 
-def run_entry(entry) -> str:
+def kills(name: str, failed: list[str]) -> bool:
+    """Whether the named test, a test id or a test whose ids carry
+    parameters, is among the failed ids."""
+    return any(f == name or f.startswith((name + "[", name + "::")) for f in failed)
+
+
+def run_entry(entry) -> tuple[str, list[str]]:
     with tempfile.TemporaryDirectory() as tmp:
         tree = copy_tree(Path(tmp))
         if entry["file"].split("/")[0] not in ("src", "tests"):
@@ -62,23 +74,30 @@ def run_entry(entry) -> str:
         if text.count(entry["old"]) != 1:
             raise SystemExit(f"{entry['id']}: its old text does not occur exactly once in {entry['file']}")
         path.write_text(text.replace(entry["old"], entry["new"]), encoding="utf-8")
-        code = run_tests(tree, entry["tests"])
-    return "timed out" if code is None else "survived" if code == 0 else "killed"
+        code, failed = run_tests(tree, entry["tests"])
+    return ("timed out" if code is None else "survived" if code == 0 else "killed"), failed
 
 
 def main() -> int:
     start = time.perf_counter()
     entries = json.loads(LEDGER.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        if run_tests(copy_tree(Path(tmp)), sorted({t for e in entries for t in e["tests"]})) != 0:
+        if run_tests(copy_tree(Path(tmp)), sorted({t for e in entries for t in e["tests"]}))[0] != 0:
             print("the named tests do not all pass on the unmutated tree")
             return 2
     counts = Counter()
     for entry in entries:
         t0 = time.perf_counter()
-        outcome = run_entry(entry)
+        outcome, failed = run_entry(entry)
         counts[outcome] += 1
-        print(f"{outcome:<9} {time.perf_counter() - t0:6.1f} s  {entry['id']}", flush=True)
+        print(f"{outcome:<9} {time.perf_counter() - t0:6.1f} s  {entry['id']}")
+        for name in failed:
+            print(f"    failed: {name}")
+        if outcome != "timed out":
+            for name in entry["tests"]:
+                if not kills(name, failed):
+                    print(f"    not a killer: {name}")
+        sys.stdout.flush()
     print(f"{counts['killed']} killed, {counts['survived']} survived, {counts['timed out']} timed out "
           f"of {len(entries)}; wall time {time.perf_counter() - start:.1f} s")
     return 0 if counts["killed"] == len(entries) else 1

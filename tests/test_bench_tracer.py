@@ -23,6 +23,8 @@ QUERIES = [
     ["cohomology", "inputs/tame3.pres"],
     ["reconstruct", "inputs/tame3_q2.pres"],
     ["equiv", "inputs/deep_q2.pres", "--class-bound", "3"],
+    # its relators' leads cancel, so their series are expanded, syllables and all
+    ["equiv", "inputs/trivial_rel_q3.pres"],
     ["morphism", "inputs/tame9.pres", "inputs/tame9_renamed.pres",
      "--map", "x1 = y1 [y1,y2]; x2 = y2"],
     ["screen", "inputs/dep_q3.pres", "--cd", "2"],

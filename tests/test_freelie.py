@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gq3 import freelie
 from gq3.freelie import (
@@ -340,6 +340,7 @@ def _nested_commutators(trees, depth):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((4, 3, 2, 1)).flatmap(lambda n: st.tuples(st.just(n), _word_trees(n))),
        st.sampled_from((4, 3, 2, 1)))
+@example((2, Product((Generator(0), Commutator(Generator(0), Generator(1))))), 2)
 def test_certificate_matches_direct_expansion(n_word, c):
     """Same weight and component as the letter-by-letter expansion over
     all n generators, and the component's integral Hall coordinates are
@@ -355,23 +356,47 @@ def test_certificate_matches_direct_expansion(n_word, c):
     assert tensor_to_hall(got[1], n, weight) == coordinates
 
 
+def _deep_commutator():
+    """[[...[a, b], ...], b], nested 16 deep: about 4^16 syllables flat."""
+    text = "a"
+    for _ in range(16):
+        text = f"[{text}, b]"
+    return text
+
+
 def test_nested_commutator_expands_on_the_tree():
     """A commutator nested 16 deep flattens to about 4^16 syllables; on
     its tree it takes milliseconds.  Its weight, 17, is above the class
     bound, so there is no certificate."""
-    text = "a"
-    for _ in range(16):
-        text = f"[{text}, b]"
     start = time.perf_counter()
-    got = word_nontriviality_certificate(parse_word(text, {"a": 0, "b": 1}), 2, 5)
+    got = word_nontriviality_certificate(parse_word(_deep_commutator(), {"a": 0, "b": 1}), 2, 5)
     assert time.perf_counter() - start < 1.0
     assert got is None
+
+
+def test_deep_factor_leaves_the_lead_of_a_product(monkeypatch):
+    """Times a generator, the same commutator certifies at weight 1: the
+    lead is read off the tree, and no subtree forms a component above c."""
+    formed = []
+    leading = freelie._leading
+
+    def recorded(word, c):
+        formed.append(leading(word, c))
+        return formed[-1]
+
+    monkeypatch.setattr(freelie, "_leading", recorded)
+    start = time.perf_counter()
+    got = word_nontriviality_certificate(parse_word(f"{_deep_commutator()} b", {"a": 0, "b": 1}), 2, 5)
+    assert time.perf_counter() - start < 1.0
+    assert got == (1, {(1,): 1})
+    assert max(v for v, _ in formed) == 17
+    assert all(len(mon) == v <= 5 for v, lead in formed for mon in lead)
 
 
 def test_inverse_of_a_flat_word_is_flat(monkeypatch):
     """x^-1 is the power Power(x, -1), and a -1 power of a flat word is
     flat, composite base or not: its syllables are the base's reversed and
-    negated, and the certificate expands them without a binomial series."""
+    negated, and the series expands them without a binomial series."""
     x1, x2, x3 = map(Generator, range(3))
     assert parse_word("x1^-1", NAMES3) == Power(x1, -1)
     base = Product((x1, Power(x2, 3)))
@@ -386,9 +411,9 @@ def test_inverse_of_a_flat_word_is_flat(monkeypatch):
 
     monkeypatch.setattr(freelie, "magnus_expansion", counted)
     word = Commutator(Power(Product((x1, x2)), -1), Commutator(x2, x3))
-    got = word_nontriviality_certificate(word, 3, 3)
-    assert got is not None and got[0] == 3
+    series = freelie._word_series(word, 3)
     assert calls == [[(1, -1), (0, -1)], [(1, 1)], [(2, 1)]]
+    assert word_nontriviality_certificate(word, 3, 3) == (3, series[3])
 
 
 NAMES8 = {f"x{k + 1}": k for k in range(8)}
@@ -488,3 +513,33 @@ def test_tree_bound_never_exceeds_the_certified_weight(n_word, c):
         assert freelie._bound(word) <= want[0]
         want = want[0], want[2]
     assert hall_certificate(word, n, c) == want
+
+
+def _with_cancelling_leads(trees):
+    """The trees, and products w^e u w^-e whose least-bound leads cancel."""
+    conjugates = st.tuples(trees, st.integers(-3, 3), st.one_of(st.just(Product(())), trees)).map(
+        lambda t: Product((Power(t[0], t[1]), t[2], Power(t[0], -t[1]))))
+    return st.one_of(trees, conjugates)
+
+
+X1, X2 = Generator(0), Generator(1)
+PAIR = parse_word(WORST[2]["word"], NAMES8)  # a product of two weight-6 commutators
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((_word_trees, _trees_with_identities)).flatmap(
+           lambda trees: st.sampled_from((3, 2, 1)).flatmap(lambda n: _with_cancelling_leads(trees(n)))),
+       st.sampled_from((5, 4, 3, 2, 1)))
+@example(Power(X1, 0), 1)
+@example(Product(()), 6)
+@example(Product((X1, Power(X1, -1))), 3)
+@example(Commutator(X1, X1), 3)
+@example(Commutator(Product((X1, X2)), Power(Product(()), 2)), 3)
+@example(Product((PAIR, Power(PAIR, -1))), 6)
+def test_leading_term_is_the_series_component_at_the_tree_bound(word, c):
+    """The lead read off the tree is the degree-v part of the expanded
+    series, empty where the leads cancel, at every bound v <= c; past c
+    it is left empty."""
+    v, lead = freelie._leading(word, c)
+    assert v == freelie._bound(word)
+    assert lead == (freelie._word_series(word, v)[v] if v <= c else {})
